@@ -6,10 +6,12 @@ and upper envelopes of that CDF over all couplings of the marginals, with
 optional shape restrictions on the coupling (stochastic increasingness or
 positive quadrant dependence), and inverts the envelopes into quantile bounds.
 
-Engines: the unrestricted problem has a closed-form solution on the quantile
-grid; restricted problems are linear programs in the copula-CDF coordinates,
-solved by the built-in simplex for small grids and by scipy's HiGHS backend
-for larger ones (the two are cross-validated in the test suite).
+The unrestricted problem has a closed-form solution on the quantile grid.
+Restricted problems are linear programs over one grid-copula program in
+CDF coordinates (shared with the Bernstein relaxation); those, the raw
+coupling programs and the Charnes-Cooper functionals are all solved by
+``lpcore.solve_lp`` (HiGHS), and a solve that does not end optimal raises
+RuntimeError naming t, the assumption tag and the grid size.
 """
 
 from __future__ import annotations
@@ -20,10 +22,9 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import linprog as _linprog
 from scipy.stats import binom as _binom
 
-from .lpcore import LinearProgram, solve_lp
+from .lpcore import LinearProgram, LpSolution, solve_lp
 from .marginals import QuantileCurve, u_grid
 
 __all__ = [
@@ -49,9 +50,6 @@ __all__ = [
 
 DEFAULT_K = 50
 DEFAULT_T_POINTS = 201
-# largest grid handed to the built-in dense simplex; bigger programs go to HiGHS
-SIMPLEX_MAX_K = 8
-SIMPLEX_MAX_DEGREE = 8
 
 _VALID_TAGS = ("NoAssumption", "SI", "PQD", "RankInvariance", "Symmetry")
 _UNSUPPORTED_TAGS = ("SD", "DC", "RY", "RY2")
@@ -271,7 +269,7 @@ def makarov_bounds(q1: QuantileCurve, q0: QuantileCurve, tau: float) -> QoteBoun
 
 
 # ---------------------------------------------------------------------------
-# shape-constrained coupling LPs in copula-CDF coordinates
+# the grid-copula program
 
 
 class _RowBuilder:
@@ -292,49 +290,62 @@ class _RowBuilder:
         self.rhs.append(rhs)
         self._n += 1
 
-    def matrix(self, nvar, dense=False):
+    def matrix(self, nvar):
         m = sp.csr_matrix(
             (self.vals, (self.rows, self.cols)), shape=(self._n, nvar)
         )
-        return (m.toarray() if dense else m), np.asarray(self.rhs, float)
+        return m, np.asarray(self.rhs, float)
+
+
+_SENSES = {"min": "minimize", "max": "maximize"}
+
+
+def _solve(lp: LinearProgram, t, tag, k) -> LpSolution:
+    """Solve one program; anything but an optimal end raises RuntimeError."""
+    sol = solve_lp(lp)
+    if sol.status != "optimal":
+        raise RuntimeError(
+            f"LP {sol.status} at t={t!r} (tag {tag}, k={k}): {sol.message}"
+        )
+    return sol
 
 
 class _CopulaProgram:
-    """Coupling LP over discrete copulas in cumulative (CDF) coordinates.
+    """LP over discrete copulas on the (i/m1, j/m2) grid in CDF coordinates.
 
-    Variables are S(i,j) = sum_{i'<=i, j'<=j} c(i',j') for interior grid
-    points i, j in 1..k-1; the boundary values S(i,k) = i/k, S(k,j) = j/k are
+    Variables are S(i,j), the copula at interior grid points i in 1..m1-1,
+    j in 1..m2-1; the boundary values S(m1,j) = j/m2, S(i,m2) = i/m1 are
     folded into right-hand sides. Mass nonnegativity becomes the family of
-    2-increasingness rows; stochastic increasingness is coordinatewise
-    concavity of S (equivalent to the partial-sum monotonicity of conditional
-    survival functions); positive quadrant dependence is a plain variable
-    lower bound S(i,j) >= ij/k^2.
+    2-increasingness rows; stochastic increasingness (tag "SI") is
+    coordinatewise concavity of S (equivalent to the partial-sum monotonicity
+    of conditional survival functions); positive quadrant dependence ("PQD")
+    is a plain variable lower bound S(i,j) >= ij/(m1 m2); "none" adds
+    nothing. With m1 = m2 = k, S is the CDF of a k x k coupling with uniform
+    marginals; with degrees (m1, m2) it holds Bernstein copula coefficients.
     """
 
-    def __init__(self, k: int, tag: str):
-        if tag not in ("SI", "PQD"):
-            raise ValueError("shape-constrained program needs SI or PQD")
-        self.k = k
-        self.tag = tag
-        kk = k - 1
-        self.nvar = kk * kk
-
-        def var(i, j):
-            return (i - 1) * kk + (j - 1)
+    def __init__(self, m1: int, m2: int, tag: str):
+        if tag not in ("none", "SI", "PQD"):
+            raise ValueError("copula program tag must be none, SI or PQD")
+        self.m1, self.m2, self.tag = m1, m2, tag
+        self.k = m1 if m1 == m2 else (m1, m2)
+        n2 = m2 - 1
+        self.nvar = (m1 - 1) * n2
 
         def fold(i, j, coef, terms):
             """Return rhs adjustment for S(i,j) entering a row with coef."""
             if i == 0 or j == 0:
                 return 0.0
-            if i == k or j == k:
-                value = min(i, j) / k
-                return -coef * value
-            terms.append((var(i, j), coef))
+            if i == m1:
+                return -coef * (j / m2)
+            if j == m2:
+                return -coef * (i / m1)
+            terms.append(((i - 1) * n2 + (j - 1), coef))
             return 0.0
 
         rb = _RowBuilder()
-        for i in range(1, k + 1):
-            for j in range(1, k + 1):
+        for i in range(1, m1 + 1):
+            for j in range(1, m2 + 1):
                 terms: list = []
                 rhs = 0.0
                 rhs += fold(i, j, -1.0, terms)
@@ -344,8 +355,8 @@ class _CopulaProgram:
                 if terms:
                     rb.add_row(terms, rhs)
         if tag == "SI":
-            for i in range(1, k):
-                for j in range(1, k):
+            for i in range(1, m1):
+                for j in range(1, m2):
                     terms = []
                     rhs = 0.0
                     rhs += fold(i, j - 1, 1.0, terms)
@@ -359,19 +370,36 @@ class _CopulaProgram:
                     rhs += fold(i, j, -2.0, terms)
                     rb.add_row(terms, rhs)
 
-        self._a_sparse, self.b_le = rb.matrix(self.nvar)
-        self._a_dense = None
-        ii, jj = np.divmod(np.arange(self.nvar), kk)
+        self.a_le, self.b_le = rb.matrix(self.nvar)
+        ii, jj = np.divmod(np.arange(self.nvar), max(n2, 1))
         i_idx, j_idx = ii + 1, jj + 1
-        self.ub = np.minimum(i_idx, j_idx) / k
+        self.ub = np.minimum(i_idx / m1, j_idx / m2)
         if tag == "PQD":
-            self.lb = (i_idx * j_idx) / float(k * k)
+            self.lb = (i_idx * j_idx) / float(m1 * m2)
         else:
             self.lb = np.zeros(self.nvar)
 
+    def solve(self, coefs, sense, t) -> LpSolution:
+        """min or max of coefs . S over the feasible S."""
+        lp = LinearProgram(
+            c=coefs,
+            sense=_SENSES[sense],
+            A_le=self.a_le,
+            b_le=self.b_le,
+            lower=self.lb,
+            upper=self.ub,
+        )
+        return _solve(lp, t, self.tag, self.k)
+
+    def bound(self, coefs, const, sense, t) -> float:
+        """One side of const + coefs . S, a probability, over the feasible S."""
+        if not np.any(coefs):
+            return min(max(const, 0.0), 1.0)
+        return const + self.solve(coefs, sense, t).objective
+
     def objective(self, v1, v0, t):
         """Linear form (coefs, const) with const + coefs . S = P(Delta <= t)."""
-        k, kk = self.k, self.k - 1
+        k, kk = self.m1, self.m1 - 1
         b = np.searchsorted(v0, v1 - t, side="left")
         coefs = np.zeros(self.nvar)
         const = 1.0
@@ -390,94 +418,43 @@ class _CopulaProgram:
                 coefs[(i - 2) * kk + (bi - 1)] += 1.0
         return coefs, const
 
-    def mass_bound(self, v1, v0, t, sense, engine="auto"):
+    def mass_bound(self, v1, v0, t, sense):
         """One side (min or max) of P(Delta <= t) over the couplings."""
         coefs, const = self.objective(v1, v0, t)
-        if not np.any(coefs):
-            return min(max(const, 0.0), 1.0)
-        use_simplex = engine == "simplex" or (engine == "auto" and self.k <= SIMPLEX_MAX_K)
-        if use_simplex:
-            if self._a_dense is None:
-                self._a_dense = self._a_sparse.toarray()
-            lp = LinearProgram(
-                c=coefs,
-                sense="minimize" if sense == "min" else "maximize",
-                A_le=self._a_dense,
-                b_le=self.b_le,
-                lower=self.lb,
-                upper=self.ub,
-            )
-            sol = solve_lp(lp)
-            if sol.status != "optimal":
-                raise RuntimeError(
-                    f"coupling LP unexpectedly {sol.status} at t={t!r} ({self.tag})"
-                )
-            return const + sol.objective
-        c = coefs if sense == "min" else -coefs
-        res = _linprog(
-            c,
-            A_ub=self._a_sparse,
-            b_ub=self.b_le,
-            bounds=np.column_stack([self.lb, self.ub]),
-            method="highs",
-        )
-        if res.status != 0:
-            raise RuntimeError(
-                f"coupling LP unexpectedly failed at t={t!r} ({self.tag}): {res.message}"
-            )
-        val = res.fun if sense == "min" else -res.fun
-        return const + val
+        return self.bound(coefs, const, sense, t)
 
-    def mass_bounds(self, v1, v0, t, engine="auto"):
+    def mass_bounds(self, v1, v0, t):
         """(min, max) of P(Delta <= t) over the constrained couplings."""
-        return (
-            self.mass_bound(v1, v0, t, "min", engine),
-            self.mass_bound(v1, v0, t, "max", engine),
-        )
+        return self.mass_bound(v1, v0, t, "min"), self.mass_bound(v1, v0, t, "max")
+
+    def full_beta(self, x) -> np.ndarray:
+        """The (m1+1) x (m2+1) copula values with boundaries, from interior x."""
+        m1, m2 = self.m1, self.m2
+        beta = np.zeros((m1 + 1, m2 + 1))
+        beta[m1, :] = np.arange(m2 + 1) / m2
+        beta[:, m2] = np.arange(m1 + 1) / m1
+        if self.nvar:
+            beta[1:m1, 1:m2] = np.asarray(x).reshape(m1 - 1, m2 - 1)
+        return beta
 
 
 @functools.lru_cache(maxsize=32)
-def _copula_program(k: int, tag: str) -> _CopulaProgram:
-    return _CopulaProgram(k, tag)
+def _copula_program(m1: int, m2: int, tag: str) -> _CopulaProgram:
+    return _CopulaProgram(m1, m2, tag)
 
 
-def _marginal_lp_mass(v1, v0, t, sense, engine="auto"):
+def _program_tag(tag: str) -> str:
+    return "none" if tag == "NoAssumption" else tag
+
+
+def _marginal_lp_mass(v1, v0, t, sense):
     """One unrestricted coupling LP in raw c(i,j) coordinates (test escape)."""
     k = v1.size
     indicator = ((v1[:, None] - v0[None, :]) <= t).astype(float).ravel()
-    use_simplex = engine == "simplex" or (engine == "auto" and k <= SIMPLEX_MAX_K)
-    rows = []
-    cols = []
-    vals = []
-    for i in range(k):
-        rows += [i] * k
-        cols += list(range(i * k, (i + 1) * k))
-        vals += [1.0] * k
-    for j in range(k):
-        rows += [k + j] * k
-        cols += list(range(j, k * k, k))
-        vals += [1.0] * k
-    b_eq = np.full(2 * k, 1.0 / k)
-    if use_simplex:
-        a_eq = sp.csr_matrix((vals, (rows, cols)), shape=(2 * k, k * k)).toarray()
-        sol = solve_lp(
-            LinearProgram(
-                c=indicator,
-                sense="minimize" if sense == "min" else "maximize",
-                A_eq=a_eq,
-                b_eq=b_eq,
-            )
-        )
-        if sol.status != "optimal":
-            raise RuntimeError(f"marginal LP unexpectedly {sol.status} at t={t!r}")
-        return sol.objective, sol.x.reshape(k, k)
-    a_eq = sp.csr_matrix((vals, (rows, cols)), shape=(2 * k, k * k))
-    c = indicator if sense == "min" else -indicator
-    res = _linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
-    if res.status != 0:
-        raise RuntimeError(f"marginal LP unexpectedly failed at t={t!r}: {res.message}")
-    val = res.fun if sense == "min" else -res.fun
-    return val, res.x.reshape(k, k)
+    a_eq, b_eq, _, _ = _cform_constraints(k, "NoAssumption")
+    lp = LinearProgram(c=indicator, sense=_SENSES[sense], A_eq=a_eq, b_eq=b_eq)
+    sol = _solve(lp, t, "NoAssumption", k)
+    return sol.objective, sol.x.reshape(k, k)
 
 
 def coupling_lp_bounds(
@@ -490,11 +467,12 @@ def coupling_lp_bounds(
 ) -> DeltaCdfBounds:
     """Envelopes of P(Delta <= t) over discretized couplings of the two curves.
 
-    ``assumptions`` must be NoAssumption, SI, or PQD. The unrestricted case
-    uses the exact closed form unless ``engine="lp"`` forces real solves;
-    restricted cases solve two LPs per t (``engine`` in {"auto", "simplex",
-    "highs"} picks the backend, auto by problem size).
+    ``assumptions`` must be NoAssumption, SI, or PQD. Restricted cases solve
+    two LPs per t. The unrestricted case uses the exact closed form unless
+    ``engine="highs"`` forces real solves (``engine="auto"`` is the default).
     """
+    if engine not in ("auto", "highs"):
+        raise ValueError(f"engine must be auto or highs, not {engine!r}")
     tag = assumptions.tag
     if tag not in _LP_TAGS:
         raise ValueError(f"assumption {tag} not supported for the coupling LP")
@@ -505,21 +483,20 @@ def coupling_lp_bounds(
         t_grid = default_t_grid(v1, v0)
     t_grid = np.asarray(t_grid, dtype=float)
 
-    if tag == "NoAssumption":
-        if engine in ("auto", "staircase"):
-            f_lower, f_upper = _staircase_envelopes(v1, v0, t_grid)
-        else:
-            f_lower = np.empty(t_grid.size)
-            f_upper = np.empty(t_grid.size)
-            for idx, t in enumerate(t_grid):
-                f_lower[idx], _ = _marginal_lp_mass(v1, v0, t, "min", engine)
-                f_upper[idx], _ = _marginal_lp_mass(v1, v0, t, "max", engine)
-    else:
-        prog = _copula_program(k, tag)
+    if tag == "NoAssumption" and engine == "auto":
+        f_lower, f_upper = _staircase_envelopes(v1, v0, t_grid)
+    elif tag == "NoAssumption":
         f_lower = np.empty(t_grid.size)
         f_upper = np.empty(t_grid.size)
         for idx, t in enumerate(t_grid):
-            f_lower[idx], f_upper[idx] = prog.mass_bounds(v1, v0, t, engine)
+            f_lower[idx], _ = _marginal_lp_mass(v1, v0, t, "min")
+            f_upper[idx], _ = _marginal_lp_mass(v1, v0, t, "max")
+    else:
+        prog = _copula_program(k, k, tag)
+        f_lower = np.empty(t_grid.size)
+        f_upper = np.empty(t_grid.size)
+        for idx, t in enumerate(t_grid):
+            f_lower[idx], f_upper[idx] = prog.mass_bounds(v1, v0, t)
     return _assemble_envelopes(t_grid, f_lower, f_upper)
 
 
@@ -576,7 +553,6 @@ def qote_coupling_bounds(
     assumptions: AssumptionSet = AssumptionSet(),
     k: Optional[int] = None,
     t_grid=None,
-    engine: str = "auto",
 ) -> QoteBounds:
     """Quantile bounds by inverting the coupling-LP envelopes.
 
@@ -598,14 +574,14 @@ def qote_coupling_bounds(
         f_lower, f_upper = _staircase_envelopes(v1, v0, t_grid)
         return invert_bounds(_assemble_envelopes(t_grid, f_lower, f_upper), tau)
 
-    prog = _copula_program(k, tag)
+    prog = _copula_program(k, k, tag)
     cache: dict = {}
 
     def make_eval(sense):
         def evaluate(idx):
             if (sense, idx) not in cache:
                 cache[(sense, idx)] = prog.mass_bound(
-                    v1, v0, float(t_grid[idx]), sense, engine
+                    v1, v0, float(t_grid[idx]), sense
                 )
             return cache[(sense, idx)]
 
@@ -631,114 +607,6 @@ def _bernstein_prime(m: int, nodes: np.ndarray) -> np.ndarray:
     return out
 
 
-class _BernsteinProgram:
-    """LP over valid Bernstein copula coefficients with boundary values folded."""
-
-    def __init__(self, m1: int, m2: int, tag: str):
-        self.m1, self.m2, self.tag = m1, m2, tag
-        n1, n2 = m1 - 1, m2 - 1
-        self.nvar = n1 * n2
-
-        def fold(v1, v2, coef, terms):
-            if v1 == 0 or v2 == 0:
-                return 0.0
-            if v1 == m1:
-                return -coef * (v2 / m2)
-            if v2 == m2:
-                return -coef * (v1 / m1)
-            terms.append(((v1 - 1) * n2 + (v2 - 1), coef))
-            return 0.0
-
-        rb = _RowBuilder()
-        # 2-increasingness (mass nonnegativity), written as <= 0 rows
-        for a1 in range(1, m1 + 1):
-            for a2 in range(1, m2 + 1):
-                terms: list = []
-                rhs = 0.0
-                rhs += fold(a1, a2, -1.0, terms)
-                rhs += fold(a1 - 1, a2, 1.0, terms)
-                rhs += fold(a1, a2 - 1, 1.0, terms)
-                rhs += fold(a1 - 1, a2 - 1, -1.0, terms)
-                if terms:
-                    rb.add_row(terms, rhs)
-        if tag == "SI":
-            for v1 in range(1, m1):
-                for v2 in range(1, m2):
-                    terms = []
-                    rhs = 0.0
-                    rhs += fold(v1, v2 - 1, 1.0, terms)
-                    rhs += fold(v1, v2 + 1, 1.0, terms)
-                    rhs += fold(v1, v2, -2.0, terms)
-                    rb.add_row(terms, rhs)
-                    terms = []
-                    rhs = 0.0
-                    rhs += fold(v1 - 1, v2, 1.0, terms)
-                    rhs += fold(v1 + 1, v2, 1.0, terms)
-                    rhs += fold(v1, v2, -2.0, terms)
-                    rb.add_row(terms, rhs)
-        self._a_sparse, self.b_le = rb.matrix(max(self.nvar, 1))
-        self._a_dense = None
-        if self.nvar:
-            vv1, vv2 = np.divmod(np.arange(self.nvar), n2)
-            v1_idx, v2_idx = vv1 + 1, vv2 + 1
-            self.ub = np.minimum(v1_idx / m1, v2_idx / m2)
-            if tag == "PQD":
-                self.lb = (v1_idx / m1) * (v2_idx / m2)
-            else:
-                self.lb = np.zeros(self.nvar)
-        else:
-            self.ub = np.zeros(0)
-            self.lb = np.zeros(0)
-
-    def solve(self, coefs, const, sense, engine="auto"):
-        if self.nvar == 0 or not np.any(coefs):
-            return min(max(const, 0.0), 1.0)
-        use_simplex = engine == "simplex" or (
-            engine == "auto" and max(self.m1, self.m2) <= SIMPLEX_MAX_DEGREE
-        )
-        if use_simplex:
-            if self._a_dense is None:
-                self._a_dense = self._a_sparse.toarray()
-            sol = solve_lp(
-                LinearProgram(
-                    c=coefs,
-                    sense="minimize" if sense == "min" else "maximize",
-                    A_le=self._a_dense,
-                    b_le=self.b_le,
-                    lower=self.lb,
-                    upper=self.ub,
-                )
-            )
-            if sol.status != "optimal":
-                raise RuntimeError(f"Bernstein LP unexpectedly {sol.status}")
-            return const + sol.objective
-        c = coefs if sense == "min" else -coefs
-        res = _linprog(
-            c,
-            A_ub=self._a_sparse,
-            b_ub=self.b_le,
-            bounds=np.column_stack([self.lb, self.ub]),
-            method="highs",
-        )
-        if res.status != 0:
-            raise RuntimeError(f"Bernstein LP unexpectedly failed: {res.message}")
-        return const + (res.fun if sense == "min" else -res.fun)
-
-    def full_beta(self, x) -> np.ndarray:
-        m1, m2, n2 = self.m1, self.m2, self.m2 - 1
-        beta = np.zeros((m1 + 1, m2 + 1))
-        beta[m1, :] = np.arange(m2 + 1) / m2
-        beta[:, m2] = np.arange(m1 + 1) / m1
-        if self.nvar:
-            beta[1:m1, 1:m2] = np.asarray(x).reshape(m1 - 1, n2)
-        return beta
-
-
-@functools.lru_cache(maxsize=32)
-def _bernstein_program(m1: int, m2: int, tag: str) -> _BernsteinProgram:
-    return _BernsteinProgram(m1, m2, tag)
-
-
 def _bernstein_weight_data(q1, q0, m1, m2, quad_points):
     nodes = (np.arange(quad_points) + 0.5) / quad_points
     q1n = _curve_values(q1, nodes)
@@ -750,6 +618,15 @@ def _bernstein_weight_data(q1, q0, m1, m2, quad_points):
     return nodes, q1n, q0n, a1, r0
 
 
+def _bernstein_objective(q1n, q0n, a1, r0, m1, m2, t):
+    """Linear form (coefs, const) over the interior coefficients at one t."""
+    js = np.searchsorted(q0n, q1n - t, side="left")
+    w = a1 @ r0[:, js].T  # (m1+1) x (m2+1) indicator integrals
+    const = float(np.arange(m2 + 1) / m2 @ w[m1, :])
+    const += float(np.arange(m1) / m1 @ w[:m1, m2])
+    return w[1:m1, 1:m2].ravel(), const
+
+
 def bernstein_lp_bounds(
     q1: QuantileCurve,
     q0: QuantileCurve,
@@ -758,7 +635,6 @@ def bernstein_lp_bounds(
     m1: int = 15,
     m2: int = 15,
     quad_points: int = 200,
-    engine: str = "auto",
 ) -> DeltaCdfBounds:
     """Envelopes of P(Delta <= t) over Bernstein copulas of degrees (m1, m2).
 
@@ -775,21 +651,14 @@ def bernstein_lp_bounds(
         t_grid = default_t_grid(q1.values, q0.values)
     t_grid = np.asarray(t_grid, dtype=float)
     _, q1n, q0n, a1, r0 = _bernstein_weight_data(q1, q0, m1, m2, quad_points)
-    prog = _bernstein_program(m1, m2, tag if tag != "NoAssumption" else "none")
+    prog = _copula_program(m1, m2, _program_tag(tag))
 
     f_lower = np.empty(t_grid.size)
     f_upper = np.empty(t_grid.size)
     for idx, t in enumerate(t_grid):
-        js = np.searchsorted(q0n, q1n - t, side="left")
-        w = a1 @ r0[:, js].T  # (m1+1) x (m2+1) indicator integrals
-        const = float(np.arange(m2 + 1) / m2 @ w[m1, :])
-        const += float(np.arange(m1) / m1 @ w[:m1, m2])
-        if prog.nvar:
-            coefs = w[1:m1, 1:m2].ravel()
-        else:
-            coefs = np.zeros(0)
-        f_lower[idx] = prog.solve(coefs, const, "min", engine)
-        f_upper[idx] = prog.solve(coefs, const, "max", engine)
+        coefs, const = _bernstein_objective(q1n, q0n, a1, r0, m1, m2, t)
+        f_lower[idx] = prog.bound(coefs, const, "min", t)
+        f_upper[idx] = prog.bound(coefs, const, "max", t)
     return _assemble_envelopes(t_grid, f_lower, f_upper)
 
 
@@ -808,27 +677,11 @@ def bernstein_optimal_coefs(
     if tag not in _LP_TAGS:
         raise ValueError(f"assumption {tag} not supported for the coupling LP")
     _, q1n, q0n, a1, r0 = _bernstein_weight_data(q1, q0, m1, m2, quad_points)
-    prog = _bernstein_program(m1, m2, tag if tag != "NoAssumption" else "none")
-    js = np.searchsorted(q0n, q1n - t, side="left")
-    w = a1 @ r0[:, js].T
+    prog = _copula_program(m1, m2, _program_tag(tag))
     if prog.nvar == 0:
         return BernsteinCoefs(m1, m2, prog.full_beta(np.zeros(0)))
-    coefs = w[1:m1, 1:m2].ravel()
-    if prog._a_dense is None:
-        prog._a_dense = prog._a_sparse.toarray()
-    sol = solve_lp(
-        LinearProgram(
-            c=coefs,
-            sense="minimize" if sense == "min" else "maximize",
-            A_le=prog._a_dense,
-            b_le=prog.b_le,
-            lower=prog.lb,
-            upper=prog.ub,
-        )
-    )
-    if sol.status != "optimal":
-        raise RuntimeError(f"Bernstein LP unexpectedly {sol.status}")
-    return BernsteinCoefs(m1, m2, prog.full_beta(sol.x))
+    coefs, _ = _bernstein_objective(q1n, q0n, a1, r0, m1, m2, t)
+    return BernsteinCoefs(m1, m2, prog.full_beta(prog.solve(coefs, sense, t).x))
 
 
 # ---------------------------------------------------------------------------
@@ -893,45 +746,12 @@ def _cform_constraints(k: int, tag: str):
     return a_eq, b_eq, a_le, b_le
 
 
-def _solve_generic(c, sense, a_eq, b_eq, a_le, b_le, n, use_simplex):
-    if use_simplex:
-        sol = solve_lp(
-            LinearProgram(
-                c=c,
-                sense="minimize" if sense == "min" else "maximize",
-                A_eq=np.asarray(a_eq.todense()) if sp.issparse(a_eq) else a_eq,
-                b_eq=b_eq,
-                A_le=(np.asarray(a_le.todense()) if sp.issparse(a_le) else a_le)
-                if a_le is not None and a_le.shape[0]
-                else None,
-                b_le=b_le if a_le is not None and a_le.shape[0] else None,
-            )
-        )
-        if sol.status != "optimal":
-            raise RuntimeError(f"functional LP unexpectedly {sol.status}")
-        return sol.objective, sol.x
-    cc = np.asarray(c, float) if sense == "min" else -np.asarray(c, float)
-    res = _linprog(
-        cc,
-        A_eq=a_eq,
-        b_eq=b_eq,
-        A_ub=a_le if a_le is not None and a_le.shape[0] else None,
-        b_ub=b_le if a_le is not None and a_le.shape[0] else None,
-        bounds=(0, None),
-        method="highs",
-    )
-    if res.status != 0:
-        raise RuntimeError(f"functional LP unexpectedly failed: {res.message}")
-    return (res.fun if sense == "min" else -res.fun), res.x
-
-
 def functional_bounds(
     q1: QuantileCurve,
     q0: QuantileCurve,
     assumptions: AssumptionSet,
     functional,
     k: Optional[int] = None,
-    engine: str = "auto",
 ) -> Interval:
     """Bounds on a conditional-mean coupling functional via Charnes-Cooper.
 
@@ -945,7 +765,6 @@ def functional_bounds(
     if tag not in _LP_TAGS:
         raise ValueError(f"assumption {tag} not supported for the coupling LP")
     v1, v0, k = _curves_on_common_grid(q1, q0, k)
-    n = k * k
     delta = v1[:, None] - v0[None, :]
     if isinstance(functional, CVaR):
         event = (delta < functional.threshold).astype(float)
@@ -961,10 +780,20 @@ def functional_bounds(
     e = event.ravel()
     a = numer.ravel()
 
-    use_simplex = engine == "simplex" or (engine == "auto" and k <= SIMPLEX_MAX_K)
-    a_eq, b_eq, a_le, b_le = _cform_constraints(k, tag)
+    def solve(c, sense, a_eq, b_eq, a_le, b_le):
+        has_le = a_le is not None and a_le.shape[0] > 0
+        lp = LinearProgram(
+            c=c,
+            sense=_SENSES[sense],
+            A_eq=a_eq,
+            b_eq=b_eq,
+            A_le=a_le if has_le else None,
+            b_le=b_le if has_le else None,
+        )
+        return _solve(lp, functional.threshold, tag, k).objective
 
-    min_mass, _ = _solve_generic(e, "min", a_eq, b_eq, a_le, b_le, n, use_simplex)
+    a_eq, b_eq, a_le, b_le = _cform_constraints(k, tag)
+    min_mass = solve(e, "min", a_eq, b_eq, a_le, b_le)
     if min_mass <= 1e-9:
         raise ValueError("conditioning event not uniformly positive")
 
@@ -983,8 +812,8 @@ def functional_bounds(
         cc_a_le, cc_b_le = None, None
     cc_c = np.concatenate([a, [0.0]])
 
-    lo, _ = _solve_generic(cc_c, "min", cc_a_eq, cc_b_eq, cc_a_le, cc_b_le, n + 1, use_simplex)
-    hi, _ = _solve_generic(cc_c, "max", cc_a_eq, cc_b_eq, cc_a_le, cc_b_le, n + 1, use_simplex)
+    lo = solve(cc_c, "min", cc_a_eq, cc_b_eq, cc_a_le, cc_b_le)
+    hi = solve(cc_c, "max", cc_a_eq, cc_b_eq, cc_a_le, cc_b_le)
     return Interval(float(lo), float(hi))
 
 

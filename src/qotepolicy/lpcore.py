@@ -1,22 +1,34 @@
-"""Self-contained dense linear-program solver.
+"""The package's one linear-program backend.
 
-Two-phase primal simplex on an explicit tableau with Bland's anti-cycling
-rule. Intended for the small dense programs produced by the bounds engine
-(couplings and copula coefficient programs with a few hundred variables);
-larger instances are dispatched elsewhere by the caller.
+Every LP the package solves (coupling and copula programs, Bernstein
+coefficient programs, Charnes-Cooper functionals) goes through ``solve_lp``,
+which hands the program to scipy's HiGHS interface (Huangfu & Hall, Math.
+Prog. Comp. 2018) in a single ``linprog`` call. Constraint matrices may be
+dense arrays or scipy.sparse matrices; sparse ones stay sparse.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.optimize import linprog as _linprog
 
-__all__ = ["LinearProgram", "LpSolution", "solve_lp", "dump_lp"]
+__all__ = ["LinearProgram", "LpSolution", "solve_lp"]
 
-FEAS_TOL = 1e-9
-COST_TOL = 1e-10
+# linprog status codes; anything else (iteration limit, numerical trouble)
+# is reported as "failed"
+_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
+
+
+def _matrix(a, n: int, name: str):
+    if not sp.issparse(a):
+        a = np.atleast_2d(np.asarray(a, dtype=float))
+    if a.shape[1] != n:
+        raise ValueError(f"{name} has wrong number of columns")
+    return a
 
 
 @dataclass
@@ -24,7 +36,7 @@ class LinearProgram:
     """min (or max) c.x subject to A_eq x = b_eq, A_le x <= b_le, bounds on x.
 
     Default variable bounds are [0, +inf). ``lower`` may contain -inf and
-    ``upper`` +inf entries; free variables are handled by splitting.
+    ``upper`` +inf entries.
     """
 
     c: np.ndarray
@@ -41,22 +53,18 @@ class LinearProgram:
         if self.sense not in ("minimize", "maximize"):
             raise ValueError("sense must be minimize or maximize")
         n = self.c.size
-        for name in ("A_eq", "A_le"):
-            a = getattr(self, name)
-            if a is not None:
-                a = np.atleast_2d(np.asarray(a, dtype=float))
-                if a.shape[1] != n:
-                    raise ValueError(f"{name} has wrong number of columns")
-                setattr(self, name, a)
         for aname, bname in (("A_eq", "b_eq"), ("A_le", "b_le")):
             a, b = getattr(self, aname), getattr(self, bname)
             if (a is None) != (b is None):
                 raise ValueError(f"{aname} and {bname} must be given together")
-            if b is not None:
-                b = np.asarray(b, dtype=float).ravel()
-                if b.size != a.shape[0]:
-                    raise ValueError(f"{bname} has wrong length")
-                setattr(self, bname, b)
+            if a is None:
+                continue
+            a = _matrix(a, n, aname)
+            b = np.asarray(b, dtype=float).ravel()
+            if b.size != a.shape[0]:
+                raise ValueError(f"{bname} has wrong length")
+            setattr(self, aname, a)
+            setattr(self, bname, b)
         self.lower = (
             np.zeros(n) if self.lower is None else np.asarray(self.lower, dtype=float)
         )
@@ -70,211 +78,44 @@ class LinearProgram:
         if np.any(self.lower > self.upper):
             raise ValueError("lower bound exceeds upper bound")
         for arr in (self.c, self.A_eq, self.A_le, self.b_eq, self.b_le):
-            if arr is not None and not np.all(np.isfinite(arr)):
+            if arr is None:
+                continue
+            values = arr.data if sp.issparse(arr) else arr
+            if not np.all(np.isfinite(values)):
                 raise ValueError("coefficients must be finite")
 
 
 @dataclass
 class LpSolution:
-    """Solver result: status in {optimal, infeasible, unbounded}."""
+    """Solver result: status in {optimal, infeasible, unbounded, failed}."""
 
     status: str
     x: Optional[np.ndarray] = None
     objective: Optional[float] = None
-    # diagnostics from the final tableau, used by the duality spot-checks
-    dual_objective: Optional[float] = None
-    dual_violation: Optional[float] = None
     iterations: int = 0
-
-
-def _pivot(T: np.ndarray, basis: np.ndarray, r: int, e: int) -> None:
-    T[r] = T[r] / T[r, e]
-    col = T[:, e].copy()
-    col[r] = 0.0
-    T -= np.outer(col, T[r])
-    basis[r] = e
-
-
-def _run_simplex(T, basis, allowed, max_iter=200_000):
-    """Minimize the priced-out objective in the last tableau row (Bland's rule)."""
-    m = T.shape[0] - 1
-    it = 0
-    while True:
-        red = T[-1, :-1]
-        cand = np.flatnonzero(allowed & (red < -COST_TOL))
-        if cand.size == 0:
-            return "optimal", it
-        e = int(cand[0])
-        col = T[:m, e]
-        pos = col > FEAS_TOL
-        if not pos.any():
-            return "unbounded", it
-        ratios = np.full(m, np.inf)
-        ratios[pos] = T[:m, -1][pos] / col[pos]
-        rmin = ratios.min()
-        ties = np.flatnonzero(ratios <= rmin + 1e-12)
-        r = int(ties[np.argmin(basis[ties])])
-        _pivot(T, basis, r, e)
-        it += 1
-        if it > max_iter:
-            raise RuntimeError("simplex iteration limit exceeded")
+    message: str = ""
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
-    """Solve a linear program by the dense two-phase simplex method."""
-    c_orig = lp.c
-    n = c_orig.size
+    """Solve a linear program with HiGHS; maximization by a sign flip."""
     flip = -1.0 if lp.sense == "maximize" else 1.0
-    c_eff = flip * c_orig
-
-    # Transform to x = offset + P z with z >= 0.
-    cols = []  # (original var index, sign)
-    offset = np.zeros(n)
-    ub_rows = []  # (z column, rhs) for finite ranges
-    for i in range(n):
-        lo, hi = lp.lower[i], lp.upper[i]
-        if np.isfinite(lo):
-            offset[i] = lo
-            cols.append((i, 1.0))
-            if np.isfinite(hi):
-                ub_rows.append((len(cols) - 1, hi - lo))
-        elif np.isfinite(hi):
-            offset[i] = hi
-            cols.append((i, -1.0))
-        else:
-            cols.append((i, 1.0))
-            cols.append((i, -1.0))
-    nz = len(cols)
-    P = np.zeros((n, nz))
-    for j, (i, s) in enumerate(cols):
-        P[i, j] = s
-
-    rows_A = []
-    rows_b = []
-    n_slack = 0
-    if lp.A_eq is not None:
-        Az = lp.A_eq @ P
-        bz = lp.b_eq - lp.A_eq @ offset
-        for a, b in zip(Az, bz):
-            rows_A.append((a, None))
-            rows_b.append(b)
-    if lp.A_le is not None:
-        Az = lp.A_le @ P
-        bz = lp.b_le - lp.A_le @ offset
-        for a, b in zip(Az, bz):
-            rows_A.append((a, n_slack))
-            rows_b.append(b)
-            n_slack += 1
-    for zcol, rhs in ub_rows:
-        a = np.zeros(nz)
-        a[zcol] = 1.0
-        rows_A.append((a, n_slack))
-        rows_b.append(rhs)
-        n_slack += 1
-
-    m = len(rows_A)
-    n_std = nz + n_slack
-    A = np.zeros((m, n_std))
-    b = np.zeros(m)
-    for r, ((a, slack), rhs) in enumerate(zip(rows_A, rows_b)):
-        A[r, :nz] = a
-        if slack is not None:
-            A[r, nz + slack] = 1.0
-        b[r] = rhs
-    c_std = np.zeros(n_std)
-    c_std[:nz] = c_eff @ P
-    const = float(c_eff @ offset)
-
-    if m == 0:
-        # no constraints beyond bounds: minimized at z = 0 unless some cost < 0
-        if np.any(c_std < -COST_TOL):
-            return LpSolution(status="unbounded")
-        x = offset.copy()
-        obj = flip * const
-        return LpSolution(
-            status="optimal", x=x, objective=obj, dual_objective=obj, dual_violation=0.0
-        )
-
-    neg = b < 0
-    A[neg] *= -1.0
-    b[neg] *= -1.0
-
-    # Phase 1 tableau with one artificial per row.
-    T = np.zeros((m + 1, n_std + m + 1))
-    T[:m, :n_std] = A
-    T[:m, n_std : n_std + m] = np.eye(m)
-    T[:m, -1] = b
-    basis = np.arange(n_std, n_std + m)
-    T[-1, :] = -T[:m, :].sum(axis=0)
-    T[-1, n_std : n_std + m] = 0.0
-    allowed = np.ones(n_std + m, dtype=bool)
-    status, it1 = _run_simplex(T, basis, allowed)
-    if -T[-1, -1] > 1e-7:
-        return LpSolution(status="infeasible", iterations=it1)
-
-    # Drive leftover artificials out of the basis; drop redundant rows.
-    drop = []
-    for r in range(m):
-        if basis[r] >= n_std:
-            piv = np.flatnonzero(np.abs(T[r, :n_std]) > 1e-9)
-            if piv.size:
-                _pivot(T, basis, r, int(piv[0]))
-            else:
-                drop.append(r)
-    if drop:
-        keep = np.setdiff1d(np.arange(m), drop)
-        T = np.vstack([T[keep], T[-1][None, :]])
-        basis = basis[keep]
-        A = A[keep]
-        b = b[keep]
-        m = len(keep)
-
-    # Phase 2: original costs, artificial columns barred.
-    allowed = np.ones(T.shape[1] - 1, dtype=bool)
-    allowed[n_std:] = False
-    T[-1, :] = 0.0
-    T[-1, :n_std] = c_std
-    for i in range(m):
-        cb = c_std[basis[i]]
-        if cb != 0.0:
-            T[-1] -= cb * T[i]
-    status, it2 = _run_simplex(T, basis, allowed)
-    if status == "unbounded":
-        return LpSolution(status="unbounded", iterations=it1 + it2)
-
-    z = np.zeros(n_std)
-    z[basis] = np.maximum(T[:m, -1], 0.0)
-    x = offset + P @ z[:nz]
-    obj_std = float(c_std @ z)
-
-    # Dual certificate from the final basis: solve B^T y = c_B.
-    try:
-        B = A[:, basis]
-        y = np.linalg.solve(B.T, c_std[basis])
-    except np.linalg.LinAlgError:
-        y, *_ = np.linalg.lstsq(A[:, basis].T, c_std[basis], rcond=None)
-    dual_violation = float(np.max(A.T @ y - c_std, initial=0.0))
-    dual_obj = float(y @ b)
-
+    res = _linprog(
+        flip * lp.c,
+        A_ub=lp.A_le,
+        b_ub=lp.b_le,
+        A_eq=lp.A_eq,
+        b_eq=lp.b_eq,
+        bounds=np.column_stack([lp.lower, lp.upper]),
+        method="highs",
+    )
+    status = _STATUS.get(res.status, "failed")
+    iterations = int(getattr(res, "nit", 0) or 0)
+    if status != "optimal":
+        return LpSolution(status=status, iterations=iterations, message=res.message)
     return LpSolution(
         status="optimal",
-        x=x,
-        objective=flip * (obj_std + const),
-        dual_objective=flip * (dual_obj + const),
-        dual_violation=dual_violation,
-        iterations=it1 + it2,
+        x=res.x,
+        objective=flip * res.fun,
+        iterations=iterations,
+        message=res.message,
     )
-
-
-def dump_lp(lp: LinearProgram) -> str:
-    """Plain-text listing of a program, for debugging."""
-    out = [f"{lp.sense} {np.array2string(lp.c, precision=6)}"]
-    if lp.A_eq is not None:
-        for a, b in zip(lp.A_eq, lp.b_eq):
-            out.append(f"  {np.array2string(a, precision=6)} == {b:.6g}")
-    if lp.A_le is not None:
-        for a, b in zip(lp.A_le, lp.b_le):
-            out.append(f"  {np.array2string(a, precision=6)} <= {b:.6g}")
-    out.append(f"  lower {np.array2string(lp.lower, precision=6)}")
-    out.append(f"  upper {np.array2string(lp.upper, precision=6)}")
-    return "\n".join(out) + "\n"

@@ -207,13 +207,13 @@ def _arm_curve(values: np.ndarray, k: int) -> QuantileCurve:
     return QuantileCurve(u_grid(k), make_y_grid(values, k))
 
 
-def _first_grid_hit(prog, v1, v0, t_grid, tau, sense, hi, engine, cache):
+def _first_grid_hit(prog, v1, v0, t_grid, tau, sense, hi, cache):
     """Smallest grid index <= hi whose (min or max) mass reaches tau, given
     that index hi does; the mass is monotone in t so bisection suffices."""
 
     def mass(i):
         if (sense, i) not in cache:
-            cache[(sense, i)] = prog.mass_bound(v1, v0, t_grid[i], sense, engine)
+            cache[(sense, i)] = prog.mass_bound(v1, v0, t_grid[i], sense)
         return cache[(sense, i)]
 
     lo = 0
@@ -226,7 +226,7 @@ def _first_grid_hit(prog, v1, v0, t_grid, tau, sense, hi, engine, cache):
     return lo
 
 
-def _si_majority_action(v1, v0, tau, t_grid, none_bounds, engine="auto"):
+def _si_majority_action(v1, v0, tau, t_grid, none_bounds):
     """Majority action of the SI minimax rules, by envelope probes.
 
     Decides 1{L >= 0}, 0 when U <= 0, else 1{U >= -L}, where (L, U) are the
@@ -241,19 +241,19 @@ def _si_majority_action(v1, v0, tau, t_grid, none_bounds, engine="auto"):
     if nonpos.size and up_none <= t_grid[nonpos[-1]]:
         return 0
     k = v1.size
-    prog = _copula_program(k, "SI")
+    prog = _copula_program(k, k, "SI")
     cache: Dict[Tuple[str, int], float] = {}
 
     def mass(sense, i):
         if (sense, i) not in cache:
-            cache[(sense, i)] = prog.mass_bound(v1, v0, t_grid[i], sense, engine)
+            cache[(sense, i)] = prog.mass_bound(v1, v0, t_grid[i], sense)
         return cache[(sense, i)]
 
     if not neg.size or mass("max", neg[-1]) < tau:
         return 1  # lower envelope inversion lands at or above zero
     if nonpos.size and mass("min", nonpos[-1]) >= tau:
         return 0  # upper envelope inversion lands at or below zero
-    i_l = _first_grid_hit(prog, v1, v0, t_grid, tau, "max", neg[-1], engine, cache)
+    i_l = _first_grid_hit(prog, v1, v0, t_grid, tau, "max", neg[-1], cache)
     l_hat = t_grid[i_l]
     below = np.flatnonzero(t_grid < -l_hat)
     if not below.size:
@@ -261,7 +261,7 @@ def _si_majority_action(v1, v0, tau, t_grid, none_bounds, engine="auto"):
     return 1 if mass("min", below[-1]) < tau else 0
 
 
-def _rep_actions(dgp: DgpSpec, tau: float, n: int, k: int, seed, engine="auto"):
+def _rep_actions(dgp: DgpSpec, tau: float, n: int, k: int, seed):
     """One replication: draw, estimate, and return each estimator's action."""
     sample = draw_sample(dgp, n, seed)
     y1 = sample.y[sample.d == 1]
@@ -271,7 +271,7 @@ def _rep_actions(dgp: DgpSpec, tau: float, n: int, k: int, seed, engine="auto"):
     lo_none, up_none = _staircase_qote(v1, v0, tau)
     act_none = int(mmr_deterministic(QoteBounds(lower=lo_none, upper=up_none)))
     t_grid = default_t_grid(v1, v0, DEFAULT_T_POINTS)
-    act_si = _si_majority_action(v1, v0, tau, t_grid, (lo_none, up_none), engine)
+    act_si = _si_majority_action(v1, v0, tau, t_grid, (lo_none, up_none))
     act_qte = int(empirical_quantile(y1, tau) - empirical_quantile(y0, tau) >= 0)
     act_ate = int(float(np.mean(y1) - np.mean(y0)) >= 0)
     return {

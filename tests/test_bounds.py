@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from oracles import (
     cvar_bounds_by_permutations,
+    random_vertex_cvar,
     is_two_increasing,
     lp_vertices,
     normal_ppf,
@@ -38,6 +39,7 @@ from qotepolicy.bounds import (
     symmetry_median_qote,
 )
 from qotepolicy.marginals import QuantileCurve, u_grid
+from qotepolicy.sim import SUBGROUPS, population_curves
 
 
 def curve(values):
@@ -162,16 +164,12 @@ def test_staircase_envelopes_match_forced_lp():
     t_grid = default_t_grid(v1, v0, 9)
     f_lo, f_up = _staircase_envelopes(v1, v0, t_grid)
     for idx, t in enumerate(t_grid):
-        lo_s, c_lo = _marginal_lp_mass(v1, v0, t, "min", "simplex")
-        up_s, c_up = _marginal_lp_mass(v1, v0, t, "max", "simplex")
-        lo_h, _ = _marginal_lp_mass(v1, v0, t, "min", "highs")
-        up_h, _ = _marginal_lp_mass(v1, v0, t, "max", "highs")
-        assert f_lo[idx] == pytest.approx(lo_s, abs=1e-10)
-        assert f_up[idx] == pytest.approx(up_s, abs=1e-10)
-        assert lo_s == pytest.approx(lo_h, abs=1e-9)
-        assert up_s == pytest.approx(up_h, abs=1e-9)
+        lo, c_lo = _marginal_lp_mass(v1, v0, t, "min")
+        up, c_up = _marginal_lp_mass(v1, v0, t, "max")
+        assert f_lo[idx] == pytest.approx(lo, abs=1e-9)
+        assert f_up[idx] == pytest.approx(up, abs=1e-9)
         # the attaining couplings are feasible and attain the reported mass
-        for c, val in ((c_lo, lo_s), (c_up, up_s)):
+        for c, val in ((c_lo, lo), (c_up, up)):
             Coupling(6, c)
             mass = float(np.sum(c[(v1[:, None] - v0[None, :]) <= t]))
             assert mass == pytest.approx(val, abs=1e-9)
@@ -209,8 +207,8 @@ def test_k3_coupling_lp_matches_vertex_enumeration():
     for t in np.quantile(v1[:, None] - v0[None, :], [0.2, 0.5, 0.8]):
         weights = ((v1[:, None] - v0[None, :]) <= t).ravel().astype(float)
         masses = [float(weights @ v) for v in vertices]
-        lo, _ = _marginal_lp_mass(v1, v0, t, "min", "simplex")
-        up, _ = _marginal_lp_mass(v1, v0, t, "max", "simplex")
+        lo, _ = _marginal_lp_mass(v1, v0, t, "min")
+        up, _ = _marginal_lp_mass(v1, v0, t, "max")
         assert lo == pytest.approx(min(masses), abs=1e-7)
         assert up == pytest.approx(max(masses), abs=1e-7)
 
@@ -263,17 +261,43 @@ def test_lazy_quantile_inversion_matches_dense_route():
         assert lazy.truncated_upper == dense.truncated_upper
 
 
-def test_mass_bounds_engines_agree_on_shape_constrained_case():
+def test_copula_mass_matches_raw_coupling_lp():
+    # the copula-coordinate program against the same restriction written on
+    # the raw masses c(i,j), at t strictly between distinct grid differences
+    import scipy.optimize
+
     rng = np.random.default_rng(9)
-    v1 = np.sort(rng.normal(size=5))
-    v0 = np.sort(rng.normal(size=5))
-    for tag in ("SI", "PQD"):
-        prog = _copula_program(5, tag)
-        for t in np.linspace(v1.min() - v0.max(), v1.max() - v0.min(), 7):
-            for sense in ("min", "max"):
-                simplex = prog.mass_bound(v1, v0, float(t), sense, "simplex")
-                highs = prog.mass_bound(v1, v0, float(t), sense, "highs")
-                assert simplex == pytest.approx(highs, abs=1e-8)
+    for k in range(3, 7):
+        v1 = np.sort(rng.normal(size=k))
+        v0 = np.sort(rng.normal(size=k))
+        diffs = np.unique(v1[:, None] - v0[None, :])
+        ts = (diffs[:-1] + diffs[1:]) / 2
+        for tag in ("SI", "PQD"):
+            prog = _copula_program(k, k, tag)
+            a_eq, b_eq, a_le, b_le = _cform_constraints(k, tag)
+            for t in ts[:: max(1, ts.size // 6)]:
+                weights = ((v1[:, None] - v0[None, :]) <= t).ravel().astype(float)
+                for sense, sign in (("min", 1.0), ("max", -1.0)):
+                    res = scipy.optimize.linprog(
+                        sign * weights, A_eq=a_eq, b_eq=b_eq, A_ub=a_le, b_ub=b_le,
+                        bounds=(0, None), method="highs",
+                    )
+                    assert res.status == 0
+                    got = prog.mass_bound(v1, v0, float(t), sense)
+                    assert got == pytest.approx(sign * res.fun, abs=1e-9)
+
+
+def test_coupling_lp_engine_values():
+    rng = np.random.default_rng(3)
+    q1, q0 = curve(rng.normal(size=5)), curve(rng.normal(size=5))
+    t_grid = default_t_grid(q1.values, q0.values, 9)[1:-1]
+    auto = coupling_lp_bounds(q1, q0, t_grid=t_grid)
+    forced = coupling_lp_bounds(q1, q0, t_grid=t_grid, engine="highs")
+    assert_allclose(forced.lower, auto.lower, atol=1e-9)
+    assert_allclose(forced.upper, auto.upper, atol=1e-9)
+    for engine in ("simplex", "lp", "staircase"):
+        with pytest.raises(ValueError, match="engine"):
+            coupling_lp_bounds(q1, q0, t_grid=t_grid, engine=engine)
 
 
 def test_si_vertices_satisfy_independent_shape_checks():
@@ -363,6 +387,27 @@ def test_bernstein_optimal_coefs_are_a_valid_copula():
     assert coefs.beta.shape == (5, 5)
 
 
+def test_bernstein_optimal_coefs_at_degree_eight():
+    q1 = curve(normal_ppf(u_grid(10), 0.5, 1.3))
+    q0 = curve(normal_ppf(u_grid(10), 0.0, 0.9))
+    t_grid = np.array([-0.5, 0.5])
+    for tag in ("SI", "PQD"):
+        env = bernstein_lp_bounds(
+            q1, q0, AssumptionSet(tag), m1=8, m2=8, t_grid=t_grid, quad_points=50
+        )
+        for sense in ("min", "max"):
+            coefs = bernstein_optimal_coefs(
+                q1, q0, AssumptionSet(tag), t=0.5, m1=8, m2=8, quad_points=50,
+                sense=sense,
+            )
+            assert isinstance(coefs, BernsteinCoefs)
+            assert coefs.beta.shape == (9, 9)
+            if tag == "PQD":
+                grid = np.arange(9) / 8
+                assert np.all(coefs.beta >= np.outer(grid, grid) - 1e-9)
+        assert np.all(env.lower <= env.upper + 1e-9)
+
+
 def test_bernstein_coefs_validation():
     beta = np.outer(np.arange(3) / 2, np.arange(3) / 2)
     BernsteinCoefs(2, 2, beta)
@@ -431,6 +476,20 @@ def test_cvar_si_interval_nests_inside_unrestricted():
     iv_si = functional_bounds(q1, q0, AssumptionSet("SI"), CVaR(thr), k=4)
     assert iv_none.lower - 1e-9 <= iv_si.lower
     assert iv_si.upper <= iv_none.upper + 1e-9
+
+
+def test_cvar_si_at_k8_lies_inside_the_oracle_brackets():
+    # k = 8 population curves of subgroup 1: the SI interval must nest inside
+    # the unrestricted permutation bounds and contain every sampled SI vertex
+    q1, q0 = population_curves(SUBGROUPS[1], 8)
+    iv = functional_bounds(q1, q0, AssumptionSet("SI"), CVaR(-1.0), k=8)
+    perm_lo, perm_hi = cvar_bounds_by_permutations(q1.values, q0.values, -1.0)
+    a_eq, b_eq, a_le, b_le = _cform_constraints(8, "SI")
+    vert_lo, vert_hi, _ = random_vertex_cvar(
+        q1.values, q0.values, -1.0, a_eq, b_eq, a_le, b_le, nobj=100, seed=0
+    )
+    assert perm_lo - 1e-9 <= iv.lower <= vert_lo + 1e-9
+    assert vert_hi - 1e-9 <= iv.upper <= perm_hi + 1e-9
 
 
 def test_disadvantaged_gain_conditions_on_the_control_margin():

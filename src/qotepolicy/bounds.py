@@ -522,28 +522,49 @@ def invert_bounds(b: DeltaCdfBounds, tau: float) -> QoteBounds:
     return QoteBounds(lower, upper, truncated_lower=trunc_l, truncated_upper=trunc_u)
 
 
-def invert_envelope_lazily(t_grid, evaluate: Callable[[int], float], tau: float):
-    """min{t in grid : F(t_index) >= tau} touching only bisection indices.
+def _first_reaching(evaluate: Callable[[int], float], tau: float, lo: int, hi: int) -> int:
+    """Smallest index in [lo, hi] whose value reaches tau, given that hi's does.
 
-    ``evaluate`` must be nondecreasing in the index. Returns (value, truncated)
-    exactly as the dense inversion would.
+    ``evaluate`` must be nondecreasing in the index; bisection probes
+    mid = (lo + hi) // 2 with lo inclusive.
     """
-    t = np.asarray(t_grid, dtype=float)
-    n = t.size
-    last = evaluate(n - 1)
-    if last < tau:
-        return float(t[-1]), True
-    lo, hi = 0, n - 1  # invariant: F(hi) >= tau
-    first = evaluate(0)
-    if first >= tau:
-        return float(t[0]), bool(tau < first)
-    while hi - lo > 1:
+    while lo < hi:
         mid = (lo + hi) // 2
         if evaluate(mid) >= tau:
             hi = mid
         else:
-            lo = mid
-    return float(t[hi]), False
+            lo = mid + 1
+    return lo
+
+
+def _memoised_masses(prog: _CopulaProgram, v1, v0, t_grid):
+    """(min, max) of P(Delta <= t_grid[index]) as functions of the index.
+
+    Each (side, index) pair is solved at most once.
+    """
+
+    def side(sense):
+        @functools.lru_cache(maxsize=None)
+        def mass(idx):
+            return prog.mass_bound(v1, v0, float(t_grid[idx]), sense)
+
+        return mass
+
+    return side("min"), side("max")
+
+
+def invert_envelope_lazily(t_grid, evaluate: Callable[[int], float], tau: float):
+    """min{t in grid : F(t_index) >= tau} touching only bisection indices.
+
+    ``evaluate`` must be nondecreasing in the index (and is probed at the
+    answer again when that is index 0). Returns (value, truncated) exactly as
+    the dense inversion would.
+    """
+    t = np.asarray(t_grid, dtype=float)
+    if evaluate(t.size - 1) < tau:
+        return float(t[-1]), True
+    idx = _first_reaching(evaluate, tau, 0, t.size - 1)
+    return float(t[idx]), bool(idx == 0 and tau < evaluate(0))
 
 
 def qote_coupling_bounds(
@@ -574,21 +595,9 @@ def qote_coupling_bounds(
         f_lower, f_upper = _staircase_envelopes(v1, v0, t_grid)
         return invert_bounds(_assemble_envelopes(t_grid, f_lower, f_upper), tau)
 
-    prog = _copula_program(k, k, tag)
-    cache: dict = {}
-
-    def make_eval(sense):
-        def evaluate(idx):
-            if (sense, idx) not in cache:
-                cache[(sense, idx)] = prog.mass_bound(
-                    v1, v0, float(t_grid[idx]), sense
-                )
-            return cache[(sense, idx)]
-
-        return evaluate
-
-    upper, trunc_u = invert_envelope_lazily(t_grid, make_eval("min"), tau)
-    lower, trunc_l = invert_envelope_lazily(t_grid, make_eval("max"), tau)
+    mass_min, mass_max = _memoised_masses(_copula_program(k, k, tag), v1, v0, t_grid)
+    upper, trunc_u = invert_envelope_lazily(t_grid, mass_min, tau)
+    lower, trunc_l = invert_envelope_lazily(t_grid, mass_max, tau)
     return QoteBounds(lower, upper, truncated_lower=trunc_l, truncated_upper=trunc_u)
 
 

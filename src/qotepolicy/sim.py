@@ -24,6 +24,8 @@ from .bounds import (
     AssumptionSet,
     QoteBounds,
     _copula_program,
+    _first_reaching,
+    _memoised_masses,
     _staircase_qote,
     default_t_grid,
     qote_coupling_bounds,
@@ -207,25 +209,6 @@ def _arm_curve(values: np.ndarray, k: int) -> QuantileCurve:
     return QuantileCurve(u_grid(k), make_y_grid(values, k))
 
 
-def _first_grid_hit(prog, v1, v0, t_grid, tau, sense, hi, cache):
-    """Smallest grid index <= hi whose (min or max) mass reaches tau, given
-    that index hi does; the mass is monotone in t so bisection suffices."""
-
-    def mass(i):
-        if (sense, i) not in cache:
-            cache[(sense, i)] = prog.mass_bound(v1, v0, t_grid[i], sense)
-        return cache[(sense, i)]
-
-    lo = 0
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if mass(mid) >= tau:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
 def _si_majority_action(v1, v0, tau, t_grid, none_bounds):
     """Majority action of the SI minimax rules, by envelope probes.
 
@@ -241,24 +224,16 @@ def _si_majority_action(v1, v0, tau, t_grid, none_bounds):
     if nonpos.size and up_none <= t_grid[nonpos[-1]]:
         return 0
     k = v1.size
-    prog = _copula_program(k, k, "SI")
-    cache: Dict[Tuple[str, int], float] = {}
-
-    def mass(sense, i):
-        if (sense, i) not in cache:
-            cache[(sense, i)] = prog.mass_bound(v1, v0, t_grid[i], sense)
-        return cache[(sense, i)]
-
-    if not neg.size or mass("max", neg[-1]) < tau:
+    mass_min, mass_max = _memoised_masses(_copula_program(k, k, "SI"), v1, v0, t_grid)
+    if not neg.size or mass_max(neg[-1]) < tau:
         return 1  # lower envelope inversion lands at or above zero
-    if nonpos.size and mass("min", nonpos[-1]) >= tau:
+    if nonpos.size and mass_min(nonpos[-1]) >= tau:
         return 0  # upper envelope inversion lands at or below zero
-    i_l = _first_grid_hit(prog, v1, v0, t_grid, tau, "max", neg[-1], cache)
-    l_hat = t_grid[i_l]
+    l_hat = t_grid[_first_reaching(mass_max, tau, 0, neg[-1])]
     below = np.flatnonzero(t_grid < -l_hat)
     if not below.size:
         return 1
-    return 1 if mass("min", below[-1]) < tau else 0
+    return 1 if mass_min(below[-1]) < tau else 0
 
 
 def _rep_actions(dgp: DgpSpec, tau: float, n: int, k: int, seed):

@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .policy import BoundField, PolicyField
+from .policy import BoundField, PolicyField, _qbar
 
 __all__ = [
     "TrainConfig",
@@ -93,49 +93,40 @@ class DecisionFunction:
 
     def __call__(self, xs) -> np.ndarray:
         xs = _as_points(xs, self.support_points.shape[1])
-        sq = (
-            np.sum(xs**2, axis=1)[:, None]
-            + np.sum(self.support_points**2, axis=1)[None, :]
-            - 2.0 * xs @ self.support_points.T
-        )
-        return np.exp(-self.sigma**2 * np.maximum(sq, 0.0)) @ self.coefficients
+        sq = _sq_distances(xs, self.support_points)
+        return np.exp(-self.sigma**2 * sq) @ self.coefficients
+
+
+def _sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the rows of a and b, floored at 0."""
+    sq = (
+        np.sum(a**2, axis=1)[:, None]
+        + np.sum(b**2, axis=1)[None, :]
+        - 2.0 * a @ b.T
+    )
+    return np.maximum(sq, 0.0)
 
 
 def _gram(points: np.ndarray, sigma: float) -> np.ndarray:
-    sq = (
-        np.sum(points**2, axis=1)[:, None]
-        + np.sum(points**2, axis=1)[None, :]
-        - 2.0 * points @ points.T
-    )
-    return np.exp(-sigma**2 * np.maximum(sq, 0.0))
+    return np.exp(-sigma**2 * _sq_distances(points, points))
 
 
 def _median_pairwise_distance(points: np.ndarray) -> float:
     n = points.shape[0]
     if n < 2:
         return 1.0
-    sq = (
-        np.sum(points**2, axis=1)[:, None]
-        + np.sum(points**2, axis=1)[None, :]
-        - 2.0 * points @ points.T
-    )
     iu = np.triu_indices(n, k=1)
-    med = float(np.median(np.sqrt(np.maximum(sq[iu], 0.0))))
+    med = float(np.median(np.sqrt(_sq_distances(points, points)[iu])))
     return med if med > 0 else 1.0
 
 
 def cells_from_bound_field(field: BoundField) -> List[Tuple[Tuple[float, ...], float, float]]:
     """Training cells (x, |qbar|, sign(qbar)) from per-cell bounds."""
-    out = []
-    for x, _, b in field.cells:
-        if b.lower >= 0:
-            qb = b.upper
-        elif b.upper <= 0:
-            qb = b.lower
-        else:
-            qb = b.upper + b.lower
-        out.append((x, abs(qb), 1.0 if qb >= 0 else -1.0))
-    return out
+    _, lo, up = field.arrays()
+    return [
+        (x, float(abs(qb)), 1.0 if qb >= 0 else -1.0)
+        for x, qb in zip(field.points(), _qbar(lo, up))
+    ]
 
 
 def train_owl(
@@ -226,7 +217,7 @@ def predict_policy(f: DecisionFunction, xs) -> PolicyField:
 def surrogate_regret(f: DecisionFunction, field: BoundField) -> float:
     """E[|qbar| hinge(sign(qbar) f(X))] plus the irreducible straddle term."""
     w, lo, up = field.arrays()
-    qb = np.where(lo >= 0, up, np.where(up <= 0, lo, up + lo))
+    qb = _qbar(lo, up)
     labels = np.where(qb >= 0, 1.0, -1.0)
     xs = np.array([list(x) for x in field.points()], dtype=float)
     fvals = f(xs)

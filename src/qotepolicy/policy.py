@@ -161,13 +161,14 @@ def first_best(truth_field: TruthField) -> PolicyField:
     return PolicyField(cells, kind="deterministic")
 
 
+def _qbar(lo, up):
+    """Elementwise qbar of bounds arrays (lower, upper); see qbar."""
+    return np.where(lo >= 0, up, np.where(up <= 0, lo, up + lo))
+
+
 def qbar(b: QoteBounds) -> float:
     """U when L >= 0, L when U <= 0, U + L when the bounds straddle zero."""
-    if b.lower >= 0:
-        return float(b.upper)
-    if b.upper <= 0:
-        return float(b.lower)
-    return float(b.upper + b.lower)
+    return float(_qbar(b.lower, b.upper))
 
 
 def mmr_stochastic(b: QoteBounds) -> float:
@@ -209,12 +210,12 @@ def _expression_1(w, lo, up, d):
 
 
 def _expression_2(w, lo, up, d):
-    qb = np.where(lo >= 0, up, np.where(up <= 0, lo, up + lo))
+    qb = _qbar(lo, up)
     return float(np.sum(w * (-d * qb)) + np.sum(w * np.maximum(up, 0)))
 
 
 def _expression_3(w, lo, up, d):
-    qb = np.where(lo >= 0, up, np.where(up <= 0, lo, up + lo))
+    qb = _qbar(lo, up)
     mismatch = np.where(qb >= 0, 1 - d, d)
     straddle = (lo < 0) & (0 < up)
     return float(
@@ -225,9 +226,10 @@ def _expression_3(w, lo, up, d):
 
 def _leading_terms(w, lo, up):
     straddle = (lo < 0) & (0 < up)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        stoch_cell = np.where(straddle, lo * up / (lo - up), 0.0)
     det_cell = np.minimum(np.maximum(up, 0.0), np.maximum(-lo, 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # LU/(L-U) never exceeds min(U, -L); rounding can push it one ulp over
+        stoch_cell = np.where(straddle, np.minimum(lo * up / (lo - up), det_cell), 0.0)
     return float(np.sum(w * stoch_cell)), float(np.sum(w * det_cell))
 
 

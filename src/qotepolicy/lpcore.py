@@ -108,14 +108,11 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         bounds=np.column_stack([lp.lower, lp.upper]),
         method="highs",
     )
-    status = _STATUS.get(res.status, "failed")
-    iterations = int(getattr(res, "nit", 0) or 0)
-    if status != "optimal":
-        return LpSolution(status=status, iterations=iterations, message=res.message)
+    optimal = res.status == 0
     return LpSolution(
-        status="optimal",
-        x=res.x,
-        objective=flip * res.fun,
-        iterations=iterations,
+        status=_STATUS.get(res.status, "failed"),
+        x=res.x if optimal else None,
+        objective=flip * res.fun if optimal else None,
+        iterations=int(res.nit),
         message=res.message,
     )

@@ -123,7 +123,7 @@ def test_random_standard_form_matches_vertex_enumeration(seed):
 
 
 
-def test_sparse_constraints_stay_sparse_and_count_iterations():
+def test_sparse_constraints_stay_sparse():
     # the transport problem of test_degenerate_transport_does_not_cycle, sparse
     k = 4
     a = np.zeros((2 * k, k * k))

@@ -218,20 +218,36 @@ def _assemble_envelopes(t_grid, lower, upper) -> DeltaCdfBounds:
 # the unrestricted problem: closed form on the grid
 
 
+def _pairs_above(v1, v0, t_grid):
+    """counts[i, n] = #{j : v1[i] - v0[j] > t_grid[n]} for an increasing grid.
+
+    Each difference is compared with t as it is computed. Locating v1[i] - t
+    among v0 instead rounds v1[i] - t first, which can misplace a pair whose
+    difference equals t; the ends of the default t grid are such differences.
+    """
+    t = np.atleast_1d(np.asarray(t_grid, float))
+    k = v1.size
+    # t[n] < v1[i] - v0[j]  iff  n < pos[i, j]
+    pos = np.searchsorted(t, v1[:, None] - v0[None, :], side="left")
+    hits = np.bincount(
+        (np.arange(k)[:, None] * (t.size + 1) + pos).ravel(),
+        minlength=k * (t.size + 1),
+    ).reshape(k, t.size + 1)
+    return v0.size - np.cumsum(hits, axis=1)[:, : t.size]
+
+
 def _staircase_envelopes(v1, v0, t_grid):
     """Exact lower/upper envelopes of the coupling LP without shape constraints.
 
     With both marginals uniform on k sorted atoms, min/max of
     sum 1{q1_i - q0_j <= t} c(i,j) over couplings reduce to order statistics
-    of the cross differences; this evaluates them in O(k) per t.
+    of the cross differences: with b_i(t) pairs of row i above t, the lower
+    envelope is max_i (i - b_i)/k and the upper one (k - 1 + min_i (i - b_i))/k.
     """
     v1 = np.asarray(v1, float)
     v0 = np.asarray(v0, float)
-    t = np.asarray(t_grid, float)
     k = v1.size
-    i_arr = np.arange(1, k + 1)
-    b = np.searchsorted(v0, (v1[:, None] - t[None, :]).ravel(), side="left")
-    g = i_arr[:, None] - b.reshape(k, t.size)
+    g = np.arange(1, k + 1)[:, None] - _pairs_above(v1, v0, t_grid)
     f_lower = np.clip(g.max(axis=0), 0, k) / k
     f_upper = np.clip(k - 1 + g.min(axis=0), 0, k) / k
     return f_lower, f_upper
@@ -400,7 +416,7 @@ class _CopulaProgram:
     def objective(self, v1, v0, t):
         """Linear form (coefs, const) with const + coefs . S = P(Delta <= t)."""
         k, kk = self.m1, self.m1 - 1
-        b = np.searchsorted(v0, v1 - t, side="left")
+        b = _pairs_above(v1, v0, t)[:, 0]
         coefs = np.zeros(self.nvar)
         const = 1.0
         for i in range(1, k + 1):
@@ -629,7 +645,7 @@ def _bernstein_weight_data(q1, q0, m1, m2, quad_points):
 
 def _bernstein_objective(q1n, q0n, a1, r0, m1, m2, t):
     """Linear form (coefs, const) over the interior coefficients at one t."""
-    js = np.searchsorted(q0n, q1n - t, side="left")
+    js = _pairs_above(q1n, q0n, t)[:, 0]
     w = a1 @ r0[:, js].T  # (m1+1) x (m2+1) indicator integrals
     const = float(np.arange(m2 + 1) / m2 @ w[m1, :])
     const += float(np.arange(m1) / m1 @ w[:m1, m2])

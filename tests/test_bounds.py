@@ -6,11 +6,11 @@ from numpy.testing import assert_allclose
 
 from oracles import (
     cvar_bounds_by_permutations,
-    random_vertex_cvar,
     is_two_increasing,
     lp_vertices,
     normal_ppf,
     permutation_couplings,
+    random_vertex_cvar,
     si_partial_sums_ok,
 )
 from qotepolicy.bounds import (
@@ -24,6 +24,7 @@ from qotepolicy.bounds import (
     _cform_constraints,
     _copula_program,
     _marginal_lp_mass,
+    _pairs_above,
     _staircase_envelopes,
     _staircase_qote,
     bernstein_lp_bounds,
@@ -175,6 +176,41 @@ def test_staircase_envelopes_match_forced_lp():
             assert mass == pytest.approx(val, abs=1e-9)
 
 
+def test_pairs_above_counts_the_differences():
+    rng = np.random.default_rng(5)
+    for k in (3, 4, 7):
+        v1 = np.sort(rng.normal(size=k))
+        v0 = np.sort(rng.normal(size=k))
+        d = v1[:, None] - v0[None, :]
+        t = np.unique(np.concatenate([d.ravel(), default_t_grid(v1, v0, 9)]))
+        brute = (d[:, :, None] > t[None, None, :]).sum(axis=1)
+        assert np.array_equal(_pairs_above(v1, v0, t), brute)
+        if k == 4:
+            # the closed form equals the forced LP at every grid difference
+            f_lo, f_up = _staircase_envelopes(v1, v0, t)
+            for idx in range(t.size):
+                lo, _ = _marginal_lp_mass(v1, v0, t[idx], "min")
+                up, _ = _marginal_lp_mass(v1, v0, t[idx], "max")
+                assert f_lo[idx] == pytest.approx(lo, abs=1e-9)
+                assert f_up[idx] == pytest.approx(up, abs=1e-9)
+
+
+def test_envelope_ends_are_exact():
+    # the ends of the default t grid are grid differences themselves: every
+    # pair has Delta <= t at the top, exactly one pair at the bottom
+    rng = np.random.default_rng(2)
+    v1 = np.sort(rng.normal(size=12))
+    v0 = np.sort(rng.normal(size=12))
+    q1, q0 = QuantileCurve(u_grid(12), v1), QuantileCurve(u_grid(12), v0)
+    t_grid = default_t_grid(v1, v0, 5)
+    for tag in ("NoAssumption", "SI", "PQD"):
+        env = coupling_lp_bounds(q1, q0, AssumptionSet(tag), t_grid=t_grid)
+        assert env.lower[-1] == 1.0
+        assert not invert_bounds(env, 0.95).truncated_upper
+    env = coupling_lp_bounds(q1, q0, t_grid=t_grid)
+    assert env.upper[0] == 1 / 12
+
+
 def test_coupling_lp_bounds_unrestricted_envelopes_are_cdf_like():
     q1 = curve(normal_ppf(u_grid(12), 0.5, 1.0))
     q0 = curve(normal_ppf(u_grid(12), 0.0, 1.5))
@@ -263,7 +299,7 @@ def test_lazy_quantile_inversion_matches_dense_route():
 
 def test_copula_mass_matches_raw_coupling_lp():
     # the copula-coordinate program against the same restriction written on
-    # the raw masses c(i,j), at t strictly between distinct grid differences
+    # the raw masses c(i,j), at grid differences and strictly between them
     import scipy.optimize
 
     rng = np.random.default_rng(9)
@@ -271,7 +307,7 @@ def test_copula_mass_matches_raw_coupling_lp():
         v1 = np.sort(rng.normal(size=k))
         v0 = np.sort(rng.normal(size=k))
         diffs = np.unique(v1[:, None] - v0[None, :])
-        ts = (diffs[:-1] + diffs[1:]) / 2
+        ts = np.sort(np.concatenate([diffs, (diffs[:-1] + diffs[1:]) / 2]))
         for tag in ("SI", "PQD"):
             prog = _copula_program(k, k, tag)
             a_eq, b_eq, a_le, b_le = _cform_constraints(k, tag)
@@ -290,7 +326,7 @@ def test_copula_mass_matches_raw_coupling_lp():
 def test_coupling_lp_engine_values():
     rng = np.random.default_rng(3)
     q1, q0 = curve(rng.normal(size=5)), curve(rng.normal(size=5))
-    t_grid = default_t_grid(q1.values, q0.values, 9)[1:-1]
+    t_grid = default_t_grid(q1.values, q0.values, 9)
     auto = coupling_lp_bounds(q1, q0, t_grid=t_grid)
     forced = coupling_lp_bounds(q1, q0, t_grid=t_grid, engine="highs")
     assert_allclose(forced.lower, auto.lower, atol=1e-9)

@@ -10,6 +10,7 @@ from .bounds import (
     CVaR,
     DeltaCdfBounds,
     DisadvantagedGain,
+    LpSolveError,
     QoteBounds,
     bernstein_lp_bounds,
     bernstein_optimal_coefs,
@@ -20,7 +21,6 @@ from .bounds import (
     makarov_bounds,
     qote_coupling_bounds,
     rank_invariance_qote,
-    symmetry_median_qote,
 )
 from .lpcore import LinearProgram, LpSolution, solve_lp
 from .marginals import (

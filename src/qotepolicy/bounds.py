@@ -7,11 +7,14 @@ optional shape restrictions on the coupling (stochastic increasingness or
 positive quadrant dependence), and inverts the envelopes into quantile bounds.
 
 The unrestricted problem has a closed-form solution on the quantile grid.
-Restricted problems are linear programs over one grid-copula program in
-CDF coordinates (shared with the Bernstein relaxation); those, the raw
-coupling programs and the Charnes-Cooper functionals are all solved by
-``lpcore.solve_lp`` (HiGHS), and a solve that does not end optimal raises
-RuntimeError naming t, the assumption tag and the grid size.
+Every other program is a linear program over one grid-copula program in
+CDF coordinates: the SI/PQD envelopes, the Bernstein relaxation, and the
+Charnes-Cooper programs of the conditional-mean functionals, whose cell
+masses are second differences of the copula. All are solved by
+``lpcore.solve_lp`` (HiGHS); a solve that does not end optimal raises
+LpSolveError, a RuntimeError naming t, the assumption tag and the grid size.
+An envelope reaches tau when its value is at least tau - 1e-12, so dense and
+lazy inversion agree where an envelope is flat at tau up to rounding.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ __all__ = [
     "QoteBounds",
     "BernsteinCoefs",
     "Interval",
+    "LpSolveError",
     "CVaR",
     "DisadvantagedGain",
     "makarov_bounds",
@@ -41,7 +45,6 @@ __all__ = [
     "bernstein_lp_bounds",
     "invert_bounds",
     "rank_invariance_qote",
-    "symmetry_median_qote",
     "functional_bounds",
     "qote_coupling_bounds",
     "default_t_grid",
@@ -54,6 +57,14 @@ DEFAULT_T_POINTS = 201
 _VALID_TAGS = ("NoAssumption", "SI", "PQD", "RankInvariance", "Symmetry")
 _UNSUPPORTED_TAGS = ("SD", "DC", "RY", "RY2")
 _LP_TAGS = ("NoAssumption", "SI", "PQD")
+
+# LP masses on a flat stretch of an envelope sit within rounding of tau
+_TAU_TOL = 1e-12
+
+
+def _reaches(value: float, tau: float) -> bool:
+    """Whether a CDF value reaches tau, up to LP rounding."""
+    return value >= tau - _TAU_TOL
 
 
 @dataclass(frozen=True)
@@ -316,13 +327,21 @@ class _RowBuilder:
 _SENSES = {"min": "minimize", "max": "maximize"}
 
 
-def _solve(lp: LinearProgram, t, tag, k) -> LpSolution:
-    """Solve one program; anything but an optimal end raises RuntimeError."""
-    sol = solve_lp(lp)
-    if sol.status != "optimal":
-        raise RuntimeError(
+class LpSolveError(RuntimeError):
+    """An LP that did not end optimal, with the t, tag and k it was solved at."""
+
+    def __init__(self, sol: LpSolution, t, tag, k):
+        super().__init__(
             f"LP {sol.status} at t={t!r} (tag {tag}, k={k}): {sol.message}"
         )
+        self.t, self.tag, self.k = t, tag, k
+
+
+def _solve(lp: LinearProgram, t, tag, k) -> LpSolution:
+    """Solve one program; anything but an optimal end raises LpSolveError."""
+    sol = solve_lp(lp)
+    if sol.status != "optimal":
+        raise LpSolveError(sol, t, tag, k)
     return sol
 
 
@@ -434,6 +453,19 @@ class _CopulaProgram:
                 coefs[(i - 2) * kk + (bi - 1)] += 1.0
         return coefs, const
 
+    def linear_form(self, weight):
+        """Linear form (coefs, const) with const + coefs . S = sum weight * c.
+
+        ``weight`` is (m1, m2) over the cell masses c(i,j) = S(i,j) - S(i-1,j)
+        - S(i,j-1) + S(i-1,j-1); boundary values of S are folded into const.
+        """
+        w = np.zeros((self.m1 + 2, self.m2 + 2))
+        w[1:-1, 1:-1] = weight
+        # d[a, b] is the coefficient of S(a, b), a in 0..m1, b in 0..m2
+        d = w[:-1, :-1] - w[1:, :-1] - w[:-1, 1:] + w[1:, 1:]
+        const = float(np.sum(d * self.full_beta(np.zeros(self.nvar))))
+        return d[1:-1, 1:-1].ravel(), const
+
     def mass_bound(self, v1, v0, t, sense):
         """One side (min or max) of P(Delta <= t) over the couplings."""
         coefs, const = self.objective(v1, v0, t)
@@ -463,32 +495,18 @@ def _program_tag(tag: str) -> str:
     return "none" if tag == "NoAssumption" else tag
 
 
-def _marginal_lp_mass(v1, v0, t, sense):
-    """One unrestricted coupling LP in raw c(i,j) coordinates (test escape)."""
-    k = v1.size
-    indicator = ((v1[:, None] - v0[None, :]) <= t).astype(float).ravel()
-    a_eq, b_eq, _, _ = _cform_constraints(k, "NoAssumption")
-    lp = LinearProgram(c=indicator, sense=_SENSES[sense], A_eq=a_eq, b_eq=b_eq)
-    sol = _solve(lp, t, "NoAssumption", k)
-    return sol.objective, sol.x.reshape(k, k)
-
-
 def coupling_lp_bounds(
     q1: QuantileCurve,
     q0: QuantileCurve,
     assumptions: AssumptionSet = AssumptionSet(),
     t_grid=None,
     k: Optional[int] = None,
-    engine: str = "auto",
 ) -> DeltaCdfBounds:
     """Envelopes of P(Delta <= t) over discretized couplings of the two curves.
 
     ``assumptions`` must be NoAssumption, SI, or PQD. Restricted cases solve
-    two LPs per t. The unrestricted case uses the exact closed form unless
-    ``engine="highs"`` forces real solves (``engine="auto"`` is the default).
+    two LPs per t; the unrestricted case uses the exact closed form.
     """
-    if engine not in ("auto", "highs"):
-        raise ValueError(f"engine must be auto or highs, not {engine!r}")
     tag = assumptions.tag
     if tag not in _LP_TAGS:
         raise ValueError(f"assumption {tag} not supported for the coupling LP")
@@ -499,14 +517,8 @@ def coupling_lp_bounds(
         t_grid = default_t_grid(v1, v0)
     t_grid = np.asarray(t_grid, dtype=float)
 
-    if tag == "NoAssumption" and engine == "auto":
+    if tag == "NoAssumption":
         f_lower, f_upper = _staircase_envelopes(v1, v0, t_grid)
-    elif tag == "NoAssumption":
-        f_lower = np.empty(t_grid.size)
-        f_upper = np.empty(t_grid.size)
-        for idx, t in enumerate(t_grid):
-            f_lower[idx], _ = _marginal_lp_mass(v1, v0, t, "min")
-            f_upper[idx], _ = _marginal_lp_mass(v1, v0, t, "max")
     else:
         prog = _copula_program(k, k, tag)
         f_lower = np.empty(t_grid.size)
@@ -519,16 +531,17 @@ def coupling_lp_bounds(
 def invert_bounds(b: DeltaCdfBounds, tau: float) -> QoteBounds:
     """Quantile bounds from CDF envelopes: invert upper for the lower bound.
 
-    Returns grid values min{t : F(t) >= tau}; when tau falls outside the range
-    an envelope spans on the grid, the corresponding endpoint is returned with
-    a truncated flag.
+    Returns grid values min{t : F(t) reaches tau}; when tau falls outside the
+    range an envelope spans on the grid, the corresponding endpoint is
+    returned with a truncated flag.
     """
     if not 0.0 < tau < 1.0:
         raise ValueError("tau must lie in (0, 1)")
     t = b.t_grid
 
     def invert(env):
-        idx = int(np.searchsorted(env, tau, side="left"))
+        # first index whose value reaches tau, on a nondecreasing envelope
+        idx = int(np.searchsorted(env, tau - _TAU_TOL, side="left"))
         if idx >= t.size:
             return float(t[-1]), True
         return float(t[idx]), bool(tau < env[0])
@@ -546,7 +559,7 @@ def _first_reaching(evaluate: Callable[[int], float], tau: float, lo: int, hi: i
     """
     while lo < hi:
         mid = (lo + hi) // 2
-        if evaluate(mid) >= tau:
+        if _reaches(evaluate(mid), tau):
             hi = mid
         else:
             lo = mid + 1
@@ -570,14 +583,14 @@ def _memoised_masses(prog: _CopulaProgram, v1, v0, t_grid):
 
 
 def invert_envelope_lazily(t_grid, evaluate: Callable[[int], float], tau: float):
-    """min{t in grid : F(t_index) >= tau} touching only bisection indices.
+    """min{t in grid : F(t_index) reaches tau} touching only bisection indices.
 
     ``evaluate`` must be nondecreasing in the index (and is probed at the
     answer again when that is index 0). Returns (value, truncated) exactly as
     the dense inversion would.
     """
     t = np.asarray(t_grid, dtype=float)
-    if evaluate(t.size - 1) < tau:
+    if not _reaches(evaluate(t.size - 1), tau):
         return float(t[-1]), True
     idx = _first_reaching(evaluate, tau, 0, t.size - 1)
     return float(t[idx]), bool(idx == 0 and tau < evaluate(0))
@@ -724,51 +737,8 @@ def rank_invariance_qote(q1: QuantileCurve, q0: QuantileCurve, tau: float) -> fl
     return float(diffs[max(idx, 0)])
 
 
-def symmetry_median_qote(ate: float) -> float:
-    """Median treatment effect under symmetric effects: exactly the mean."""
-    return float(ate)
-
-
 # ---------------------------------------------------------------------------
 # linear-fractional coupling functionals
-
-
-def _cform_constraints(k: int, tag: str):
-    """Marginal equalities and shape rows for raw c(i,j) coordinates."""
-    n = k * k
-    rows, cols, vals = [], [], []
-    for i in range(k):
-        rows += [i] * k
-        cols += list(range(i * k, (i + 1) * k))
-        vals += [1.0] * k
-    for j in range(k):
-        rows += [k + j] * k
-        cols += list(range(j, n, k))
-        vals += [1.0] * k
-    a_eq = sp.csr_matrix((vals, (rows, cols)), shape=(2 * k, n))
-    b_eq = np.full(2 * k, 1.0 / k)
-
-    rb = _RowBuilder()
-    if tag == "SI":
-        for i in range(k - 1):
-            for j in range(k - 1):
-                terms = []
-                for i2 in range(i + 1, k):
-                    terms.append((i2 * k + j, 1.0))
-                    terms.append((i2 * k + j + 1, -1.0))
-                rb.add_row(terms, 0.0)
-                terms = []
-                for j2 in range(j + 1, k):
-                    terms.append((i * k + j2, 1.0))
-                    terms.append(((i + 1) * k + j2, -1.0))
-                rb.add_row(terms, 0.0)
-    elif tag == "PQD":
-        for i in range(k - 1):
-            for j in range(k - 1):
-                terms = [(i2 * k + j2, -1.0) for i2 in range(i + 1) for j2 in range(j + 1)]
-                rb.add_row(terms, -((i + 1) * (j + 1)) / float(k * k))
-    a_le, b_le = rb.matrix(n)
-    return a_eq, b_eq, a_le, b_le
 
 
 def functional_bounds(
@@ -796,49 +766,37 @@ def functional_bounds(
         if not (delta.min() < functional.threshold <= delta.max() + 1e-12):
             raise ValueError("threshold outside the support spanned by the grids")
     elif isinstance(functional, DisadvantagedGain):
-        event = np.broadcast_to((v0 < functional.threshold).astype(float), (k, k)).copy()
+        event = np.broadcast_to(v0 < functional.threshold, (k, k)).astype(float)
         if not (v0.min() < functional.threshold <= v0.max() + 1e-12):
             raise ValueError("threshold outside the support spanned by the grids")
     else:
         raise TypeError("functional must be CVaR or DisadvantagedGain")
-    numer = delta * event
-    e = event.ravel()
-    a = numer.ravel()
-
-    def solve(c, sense, a_eq, b_eq, a_le, b_le):
-        has_le = a_le is not None and a_le.shape[0] > 0
-        lp = LinearProgram(
-            c=c,
-            sense=_SENSES[sense],
-            A_eq=a_eq,
-            b_eq=b_eq,
-            A_le=a_le if has_le else None,
-            b_le=b_le if has_le else None,
-        )
-        return _solve(lp, functional.threshold, tag, k).objective
-
-    a_eq, b_eq, a_le, b_le = _cform_constraints(k, tag)
-    min_mass = solve(e, "min", a_eq, b_eq, a_le, b_le)
-    if min_mass <= 1e-9:
+    prog = _copula_program(k, k, _program_tag(tag))
+    e_coefs, e_const = prog.linear_form(event)
+    a_coefs, a_const = prog.linear_form(delta * event)
+    thr = functional.threshold
+    if prog.bound(e_coefs, e_const, "min", thr) <= 1e-9:
         raise ValueError("conditioning event not uniformly positive")
 
-    # Charnes-Cooper: variables (y, s), y = s*c, e.y = 1, homogenized rows.
-    s_col_eq = np.full((2 * k, 1), -1.0 / k)
-    cc_a_eq = sp.hstack([a_eq, sp.csr_matrix(s_col_eq)], format="csr")
-    cc_a_eq = sp.vstack(
-        [cc_a_eq, sp.csr_matrix(np.concatenate([e, [0.0]])[None, :])], format="csr"
+    # Charnes-Cooper: variables (y, s) with s = 1 / P(event) and y = s * S;
+    # the program's rows, caps and floors are homogenised in s.
+    eye = sp.identity(prog.nvar, format="csr")
+    rows = [
+        sp.hstack([prog.a_le, sp.csr_matrix(-prog.b_le[:, None])]),
+        sp.hstack([eye, sp.csr_matrix(-prog.ub[:, None])]),
+    ]
+    if np.any(prog.lb):
+        rows.append(sp.hstack([-eye, sp.csr_matrix(prog.lb[:, None])]))
+    a_le = sp.vstack(rows, format="csr")
+    program = dict(
+        c=np.append(a_coefs, a_const),
+        A_eq=np.append(e_coefs, e_const)[None, :],
+        b_eq=np.ones(1),
+        A_le=a_le,
+        b_le=np.zeros(a_le.shape[0]),
     )
-    cc_b_eq = np.concatenate([np.zeros(2 * k), [1.0]])
-    if a_le.shape[0]:
-        s_col_le = -np.asarray(b_le, float).reshape(-1, 1)
-        cc_a_le = sp.hstack([a_le, sp.csr_matrix(s_col_le)], format="csr")
-        cc_b_le = np.zeros(a_le.shape[0])
-    else:
-        cc_a_le, cc_b_le = None, None
-    cc_c = np.concatenate([a, [0.0]])
-
-    lo = solve(cc_c, "min", cc_a_eq, cc_b_eq, cc_a_le, cc_b_le)
-    hi = solve(cc_c, "max", cc_a_eq, cc_b_eq, cc_a_le, cc_b_le)
+    lo = _solve(LinearProgram(sense="minimize", **program), thr, tag, k).objective
+    hi = _solve(LinearProgram(sense="maximize", **program), thr, tag, k).objective
     return Interval(float(lo), float(hi))
 
 

@@ -2,9 +2,10 @@
 reports, learned rules, and replication tables out.
 
 Exit codes: 0 ok, 2 input error, 3 unsupported assumption, 4 inconsistency
-between provided pieces, 5 learner error. All randomness flows from --seed;
-outputs are plain CSV and JSON written under --out with canonical ordering,
-so a rerun with the same inputs is byte-identical.
+between provided pieces, 5 learner error, 6 a bounds LP that did not solve
+(the message names its t, assumption tag and k). All randomness flows from
+--seed; outputs are plain CSV and JSON written under --out with canonical
+ordering, so a rerun with the same inputs is byte-identical.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import asdict
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -24,13 +24,13 @@ from .bounds import (
     DEFAULT_T_POINTS,
     AssumptionSet,
     DeltaCdfBounds,
+    LpSolveError,
     QoteBounds,
     coupling_lp_bounds,
     default_t_grid,
     delta_bounds_to_csv,
     invert_bounds,
     rank_invariance_qote,
-    symmetry_median_qote,
 )
 from .marginals import QuantileCurve, Sample, make_y_grid, read_sample_csv, u_grid
 from .owl import (
@@ -43,7 +43,6 @@ from .owl import (
 )
 from .policy import (
     BoundField,
-    PolicyField,
     derive_policy,
     max_regret,
     policy_to_json,
@@ -179,7 +178,8 @@ def _cell_bounds(v1, v0, tau: float, tag: str, tgrid_points: int):
     if tag == "Symmetry":
         if abs(tau - 0.5) > 1e-12:
             raise _CliError(2, "symmetry identifies the median only; use --tau 0.5")
-        point = symmetry_median_qote(float(np.mean(v1) - np.mean(v0)))
+        # symmetric effects put the median at the mean difference
+        point = float(np.mean(v1) - np.mean(v0))
         return QoteBounds(lower=point, upper=point), None
     grid = default_t_grid(v1, v0, tgrid_points)
     env = coupling_lp_bounds(q1, q0, AssumptionSet(tag), t_grid=grid, k=k)
@@ -370,9 +370,7 @@ def cmd_owl(args) -> int:
         raise _CliError(2, f"bad bounds JSON {args.input}: {exc}")
     field = _field_from_payload(payload)
     cells = cells_from_bound_field(field)
-    config = TrainConfig(
-        lam=args.lam, sigma=args.sigma, max_epochs=args.max_epochs, seed=args.seed
-    )
+    config = TrainConfig(lam=args.lam, sigma=args.sigma, max_epochs=args.max_epochs)
     try:
         f, trace = train_owl(cells, config)
     except ValueError as exc:
@@ -456,6 +454,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except LpSolveError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 6
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

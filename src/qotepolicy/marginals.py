@@ -151,39 +151,13 @@ def scott_bandwidth(x_matrix) -> np.ndarray:
     return sd * n ** (-1.0 / (p + 4))
 
 
-def _isotonic(values: np.ndarray) -> np.ndarray:
-    """Pool-adjacent-violators projection onto nondecreasing sequences."""
-    # Nadaraya-Watson CDF values are already monotone in y (the weights do not
-    # depend on the grid point), so this is a safety net for other estimators.
-    y = values.astype(float).copy()
-    w = np.ones_like(y)
-    # blocks as (value, weight) pairs merged from the left
-    vals = []
-    wts = []
-    for v, wt in zip(y, w):
-        vals.append(v)
-        wts.append(wt)
-        while len(vals) > 1 and vals[-2] > vals[-1]:
-            v2, w2 = vals.pop(), wts.pop()
-            v1, w1 = vals.pop(), wts.pop()
-            vals.append((v1 * w1 + v2 * w2) / (w1 + w2))
-            wts.append(w1 + w2)
-    out = np.empty_like(y)
-    pos = 0
-    for v, wt in zip(vals, wts):
-        cnt = int(round(wt))
-        out[pos : pos + cnt] = v
-        pos += cnt
-    return out
-
-
 def kernel_conditional_cdf(data: Sample, x0, y_grid, h=None) -> ConditionalCdf:
     """Kernel regression of the strict indicator 1{Y < y_j} on X at the point x0.
 
     Product Gaussian kernel weights; with p = 0 covariates the weights are
     uniform and the result is exactly the empirical CDF (strict inequality at
-    the grid points). The fitted values are isotonically projected and clipped
-    to [0, 1] before returning.
+    the grid points). The fitted values are nondecreasing in y already (the
+    weights do not depend on the grid point) and are clipped to [0, 1].
     """
     y_grid = np.asarray(y_grid, dtype=float)
     y = data.y
@@ -206,9 +180,7 @@ def kernel_conditional_cdf(data: Sample, x0, y_grid, h=None) -> ConditionalCdf:
     cum_w = np.concatenate([[0.0], np.cumsum(w[order])])
     # strict indicator: mass strictly below each grid point
     below = np.searchsorted(y_sorted, y_grid, side="left")
-    probs = cum_w[below] / total
-    probs = np.clip(_isotonic(probs), 0.0, 1.0)
-    return ConditionalCdf(y_grid, probs)
+    return ConditionalCdf(y_grid, np.clip(cum_w[below] / total, 0.0, 1.0))
 
 
 def curve_from_cdf(cdf: ConditionalCdf, u) -> QuantileCurve:

@@ -42,7 +42,6 @@ class TrainConfig:
     sigma: Optional[float] = None
     max_epochs: int = 2000
     tolerance: float = 1e-8
-    seed: int = 0
 
     def __post_init__(self):
         if self.lam is not None and self.lam <= 0:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -128,7 +128,6 @@ class RegretReport:
     expressions: Tuple[float, float, float]
     leading_term_stochastic: float
     leading_term_deterministic: float
-    true_regret: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -327,6 +326,4 @@ def regret_report_to_json(report: RegretReport) -> str:
         "leading_term_stochastic": report.leading_term_stochastic,
         "leading_term_deterministic": report.leading_term_deterministic,
     }
-    if report.true_regret is not None:
-        data["true_regret"] = report.true_regret
     return json.dumps(data, sort_keys=True, indent=2) + "\n"

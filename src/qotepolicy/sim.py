@@ -12,7 +12,7 @@ inversion over the same t grid would decide.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -26,6 +26,7 @@ from .bounds import (
     _copula_program,
     _first_reaching,
     _memoised_masses,
+    _reaches,
     _staircase_qote,
     default_t_grid,
     qote_coupling_bounds,
@@ -225,15 +226,15 @@ def _si_majority_action(v1, v0, tau, t_grid, none_bounds):
         return 0
     k = v1.size
     mass_min, mass_max = _memoised_masses(_copula_program(k, k, "SI"), v1, v0, t_grid)
-    if not neg.size or mass_max(neg[-1]) < tau:
+    if not neg.size or not _reaches(mass_max(neg[-1]), tau):
         return 1  # lower envelope inversion lands at or above zero
-    if nonpos.size and mass_min(nonpos[-1]) >= tau:
+    if nonpos.size and _reaches(mass_min(nonpos[-1]), tau):
         return 0  # upper envelope inversion lands at or below zero
     l_hat = t_grid[_first_reaching(mass_max, tau, 0, neg[-1])]
     below = np.flatnonzero(t_grid < -l_hat)
     if not below.size:
         return 1
-    return 1 if mass_min(below[-1]) < tau else 0
+    return 0 if _reaches(mass_min(below[-1]), tau) else 1
 
 
 def _rep_actions(dgp: DgpSpec, tau: float, n: int, k: int, seed):

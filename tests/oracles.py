@@ -8,6 +8,7 @@ import itertools
 
 import numpy as np
 import scipy.optimize
+import scipy.sparse as sp
 from scipy.special import ndtri
 
 
@@ -84,6 +85,56 @@ def coupling_constraints(k):
         a[i, i * k : (i + 1) * k] = 1.0
         a[k + i, i::k] = 1.0
     return a, np.full(2 * k, 1.0 / k)
+
+
+def raw_shape_rows(k, tag):
+    """Rows (a_le, b_le) of a shape restriction on the raw masses c(i,j).
+
+    Masses are flattened row-major, row i indexing Y1 and column j Y0. "SI"
+    asks each margin to be stochastically increasing in the other: the mass
+    of rows below i never falls from column j to j + 1, and the mass of
+    columns right of j never falls from row i to i + 1. "PQD" asks the
+    coupling CDF to dominate independence at every interior grid point.
+    "NoAssumption" has no rows.
+    """
+    rows, rhs = [], []
+    for i in range(k - 1):
+        for j in range(k - 1):
+            if tag == "SI":
+                r = np.zeros((k, k))
+                r[i + 1 :, j], r[i + 1 :, j + 1] = 1.0, -1.0
+                rows.append(r.ravel())
+                r = np.zeros((k, k))
+                r[i, j + 1 :], r[i + 1, j + 1 :] = 1.0, -1.0
+                rows.append(r.ravel())
+                rhs += [0.0, 0.0]
+            elif tag == "PQD":
+                r = np.zeros((k, k))
+                r[: i + 1, : j + 1] = -1.0
+                rows.append(r.ravel())
+                rhs.append(-((i + 1) * (j + 1)) / (k * k))
+    return np.reshape(rows, (len(rows), k * k)), np.asarray(rhs)
+
+
+def raw_coupling_lp(v1, v0, t, sense, tag="NoAssumption"):
+    """min or max of P(v1_i - v0_j <= t) over k x k couplings, as one LP in c.
+
+    Returns (value, optimal coupling). The couplings have uniform 1/k
+    margins and satisfy ``raw_shape_rows(k, tag)``.
+    """
+    k = v1.size
+    weights = ((v1[:, None] - v0[None, :]) <= t).ravel().astype(float)
+    sign = 1.0 if sense == "min" else -1.0
+    ones = np.ones((1, k))
+    a_eq = sp.vstack([sp.kron(sp.identity(k), ones), sp.kron(ones, sp.identity(k))])
+    a_le, b_le = raw_shape_rows(k, tag)
+    res = scipy.optimize.linprog(
+        sign * weights, A_eq=a_eq, b_eq=np.full(2 * k, 1.0 / k),
+        A_ub=a_le if b_le.size else None, b_ub=b_le if b_le.size else None,
+        bounds=(0, None), method="highs",
+    )
+    assert res.status == 0, res.message
+    return sign * res.fun, res.x.reshape(k, k)
 
 
 def permutation_couplings(k):

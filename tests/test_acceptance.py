@@ -13,19 +13,20 @@ import pytest
 from scipy.special import ndtri
 
 from oracles import (
+    coupling_constraints,
     cvar_bounds_by_permutations,
     marginal_bounds_direct,
     minimax_delta_grid,
     permutation_couplings,
     random_vertex_cvar,
+    raw_coupling_lp,
+    raw_shape_rows,
 )
 from qotepolicy.bounds import (
     AssumptionSet,
     CVaR,
     QoteBounds,
-    _cform_constraints,
-    _marginal_lp_mass,
-    coupling_lp_bounds,
+    _assemble_envelopes,
     default_t_grid,
     functional_bounds,
     invert_bounds,
@@ -210,8 +211,13 @@ def test_04_lp_sharpness(capsys):
         stair = makarov_bounds(q1, q0, tau)
         grid = default_t_grid(q1.values, q0.values, 61)
         step = float(grid[1] - grid[0])
-        env = coupling_lp_bounds(q1, q0, AssumptionSet(), t_grid=grid, k=k, engine="highs")
-        lp = invert_bounds(env, tau)
+        # envelopes of the raw coupling LP, assembled and inverted as the
+        # package assembles and inverts its own
+        masses = [
+            [raw_coupling_lp(q1.values, q0.values, float(t), sense)[0] for t in grid]
+            for sense in ("min", "max")
+        ]
+        lp = invert_bounds(_assemble_envelopes(grid, *masses), tau)
         dev = max(abs(lp.lower - stair.lower), abs(lp.upper - stair.upper))
         worst_steps = max(worst_steps, dev / step)
         if dev > step + 1e-9:
@@ -227,7 +233,7 @@ def test_04_lp_sharpness(capsys):
         for t in np.quantile(diffs, (0.2, 0.5, 0.8)):
             masses = [float((c * (diffs <= t)).sum()) for c in perms]
             for sense, ref in (("min", min(masses)), ("max", max(masses))):
-                got, _ = _marginal_lp_mass(v1, v0, float(t), sense)
+                got, _ = raw_coupling_lp(v1, v0, float(t), sense)
                 worst_vertex = max(worst_vertex, abs(got - ref))
                 if abs(got - ref) > 1e-7:
                     failures.append(f"k=3 {sense} at t={t:.3f}: {got} vs {ref}")
@@ -432,7 +438,7 @@ def _sine_cells(n, seed):
 def test_10_learner_properties(capsys):
     failures = []
     # objective trace never increases
-    _, trace = train_owl(_sine_cells(100, 0), TrainConfig(max_epochs=300, seed=0))
+    _, trace = train_owl(_sine_cells(100, 0), TrainConfig(max_epochs=300))
     if np.any(np.diff(trace) > 1e-9):
         failures.append("objective trace increased")
     # separable clusters are classified exactly
@@ -442,7 +448,7 @@ def test_10_learner_properties(capsys):
     cells = tuple(((float(v),), 1.0, -1.0) for v in xl) + tuple(
         ((float(v),), 1.0, 1.0) for v in xr
     )
-    f, _ = train_owl(cells, TrainConfig(lam=0.05, max_epochs=600, seed=0))
+    f, _ = train_owl(cells, TrainConfig(lam=0.05, max_epochs=600))
     xs = np.array([c[0] for c in cells])
     labels = np.array([c[2] for c in cells])
     miscls = int(np.sum(np.where(f(xs) >= 0, 1.0, -1.0) != labels))
@@ -460,7 +466,7 @@ def test_10_learner_properties(capsys):
         )
     )
     fcells = cells_from_bound_field(field)
-    f2, _ = train_owl(fcells, TrainConfig(max_epochs=100, seed=0))
+    f2, _ = train_owl(fcells, TrainConfig(max_epochs=100))
     straddle_term = np.minimum(np.maximum(up, 0.0), np.maximum(-lo, 0.0)) * (
         (lo < 0) & (0 < up)
     )
@@ -486,7 +492,7 @@ def test_10_learner_properties(capsys):
         vals = []
         for seed in range(20):
             f3, _ = train_owl(
-                _sine_cells(n_train, seed), TrainConfig(max_epochs=400, seed=0)
+                _sine_cells(n_train, seed), TrainConfig(max_epochs=400)
             )
             policy = predict_policy(f3, grid_x[:, None])
             vals.append(max_regret(policy, eval_field).max_regret)
@@ -505,7 +511,8 @@ def test_10_learner_properties(capsys):
 def test_11_conditional_mean_functionals(capsys):
     failures = []
     rng = np.random.default_rng(42)
-    a_eq, b_eq, a_le, b_le = _cform_constraints(4, "SI")
+    a_eq, b_eq = coupling_constraints(4)
+    a_le, b_le = raw_shape_rows(4, "SI")
     perms = [np.asarray(c) for c in permutation_couplings(4)]
     worst = 0.0
     for trial in range(20):

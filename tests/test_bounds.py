@@ -5,12 +5,15 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from oracles import (
+    coupling_constraints,
     cvar_bounds_by_permutations,
     is_two_increasing,
     lp_vertices,
     normal_ppf,
     permutation_couplings,
     random_vertex_cvar,
+    raw_coupling_lp,
+    raw_shape_rows,
     si_partial_sums_ok,
 )
 from qotepolicy.bounds import (
@@ -21,9 +24,7 @@ from qotepolicy.bounds import (
     DeltaCdfBounds,
     DisadvantagedGain,
     QoteBounds,
-    _cform_constraints,
     _copula_program,
-    _marginal_lp_mass,
     _pairs_above,
     _staircase_envelopes,
     _staircase_qote,
@@ -37,7 +38,6 @@ from qotepolicy.bounds import (
     makarov_bounds,
     qote_coupling_bounds,
     rank_invariance_qote,
-    symmetry_median_qote,
 )
 from qotepolicy.marginals import QuantileCurve, u_grid
 from qotepolicy.sim import SUBGROUPS, population_curves
@@ -165,8 +165,8 @@ def test_staircase_envelopes_match_forced_lp():
     t_grid = default_t_grid(v1, v0, 9)
     f_lo, f_up = _staircase_envelopes(v1, v0, t_grid)
     for idx, t in enumerate(t_grid):
-        lo, c_lo = _marginal_lp_mass(v1, v0, t, "min")
-        up, c_up = _marginal_lp_mass(v1, v0, t, "max")
+        lo, c_lo = raw_coupling_lp(v1, v0, t, "min")
+        up, c_up = raw_coupling_lp(v1, v0, t, "max")
         assert f_lo[idx] == pytest.approx(lo, abs=1e-9)
         assert f_up[idx] == pytest.approx(up, abs=1e-9)
         # the attaining couplings are feasible and attain the reported mass
@@ -186,11 +186,11 @@ def test_pairs_above_counts_the_differences():
         brute = (d[:, :, None] > t[None, None, :]).sum(axis=1)
         assert np.array_equal(_pairs_above(v1, v0, t), brute)
         if k == 4:
-            # the closed form equals the forced LP at every grid difference
+            # the closed form equals the raw coupling LP at every grid difference
             f_lo, f_up = _staircase_envelopes(v1, v0, t)
             for idx in range(t.size):
-                lo, _ = _marginal_lp_mass(v1, v0, t[idx], "min")
-                up, _ = _marginal_lp_mass(v1, v0, t[idx], "max")
+                lo, _ = raw_coupling_lp(v1, v0, t[idx], "min")
+                up, _ = raw_coupling_lp(v1, v0, t[idx], "max")
                 assert f_lo[idx] == pytest.approx(lo, abs=1e-9)
                 assert f_up[idx] == pytest.approx(up, abs=1e-9)
 
@@ -236,17 +236,20 @@ def test_k3_coupling_lp_matches_vertex_enumeration():
     rng = np.random.default_rng(2)
     v1 = np.sort(rng.normal(size=3))
     v0 = np.sort(rng.normal(size=3))
-    a_eq, b_eq, a_le, b_le = _cform_constraints(3, "NoAssumption")
-    assert a_le.shape[0] == 0
-    vertices = lp_vertices(a_eq.toarray(), b_eq)
+    a_eq, b_eq = coupling_constraints(3)
+    vertices = lp_vertices(a_eq, b_eq)
     assert len(vertices) == 6  # permutation couplings
-    for t in np.quantile(v1[:, None] - v0[None, :], [0.2, 0.5, 0.8]):
+    ts = np.quantile(v1[:, None] - v0[None, :], [0.2, 0.5, 0.8])
+    stair_lo, stair_up = _staircase_envelopes(v1, v0, ts)
+    prog = _copula_program(3, 3, "none")
+    for idx, t in enumerate(ts):
         weights = ((v1[:, None] - v0[None, :]) <= t).ravel().astype(float)
         masses = [float(weights @ v) for v in vertices]
-        lo, _ = _marginal_lp_mass(v1, v0, t, "min")
-        up, _ = _marginal_lp_mass(v1, v0, t, "max")
-        assert lo == pytest.approx(min(masses), abs=1e-7)
-        assert up == pytest.approx(max(masses), abs=1e-7)
+        lo, up = prog.mass_bounds(v1, v0, t)
+        for got, ref in ((lo, min(masses)), (up, max(masses))):
+            assert got == pytest.approx(ref, abs=1e-7)
+        assert stair_lo[idx] == pytest.approx(min(masses), abs=1e-7)
+        assert stair_up[idx] == pytest.approx(max(masses), abs=1e-7)
 
 
 # ---------------------------------------------------------------------------
@@ -297,11 +300,42 @@ def test_lazy_quantile_inversion_matches_dense_route():
         assert lazy.truncated_upper == dense.truncated_upper
 
 
+def test_lazy_and_dense_inversion_agree_where_an_envelope_is_flat_at_tau():
+    # LP masses on these flat stretches sit 1e-16 either side of tau; without
+    # a tolerance the lazy bisection and the dense search landed apart
+    cases = [
+        (
+            "SI", 10 / 12, (0.6971959888005008, 1.5798609289655414),
+            [-1.6480751708556527, -1.1120207626922813, -0.5140063716874629,
+             -0.37760500712699807, 0.10901408782154753, 0.16746474422274113,
+             0.2136429974986111, 0.21732193102256359, 0.6467029962018469,
+             0.6630633723762617, 2.0427716074923303, 2.1178387550510482],
+            [-1.2273520542445742, -0.9447516230607774, -0.818230227390307,
+             -0.6832266617805622, -0.5062916583143148, -0.09826996785221727,
+             -0.07204367972722743, 0.03558623705548571, 0.09548302746945433,
+             0.3208483045665637, 0.5937480717858228, 0.8911669542823284],
+        ),
+        (
+            "PQD", 1 / 6, (-0.6211852111483697, -0.21650095632027644),
+            [-0.969179511082668, -0.6475606784161285, -0.5636398464269645,
+             -0.2960838149974946, -0.23931242973230216, 0.5014829311105223],
+            [-1.1705426351003028, -0.43798807560230063, -0.33372600380413486,
+             -0.20689292471224427, -0.13346075483629405, 0.05668995489379499],
+        ),
+    ]
+    for tag, tau, expected, v1, v0 in cases:
+        q1, q0 = curve(v1), curve(v0)
+        t_grid = default_t_grid(q1.values, q0.values, 41)
+        env = coupling_lp_bounds(q1, q0, AssumptionSet(tag), t_grid=t_grid)
+        dense = invert_bounds(env, tau)
+        lazy = qote_coupling_bounds(q1, q0, tau, AssumptionSet(tag), t_grid=t_grid)
+        assert lazy == dense
+        assert (dense.lower, dense.upper) == expected
+
+
 def test_copula_mass_matches_raw_coupling_lp():
     # the copula-coordinate program against the same restriction written on
     # the raw masses c(i,j), at grid differences and strictly between them
-    import scipy.optimize
-
     rng = np.random.default_rng(9)
     for k in range(3, 7):
         v1 = np.sort(rng.normal(size=k))
@@ -310,34 +344,25 @@ def test_copula_mass_matches_raw_coupling_lp():
         ts = np.sort(np.concatenate([diffs, (diffs[:-1] + diffs[1:]) / 2]))
         for tag in ("SI", "PQD"):
             prog = _copula_program(k, k, tag)
-            a_eq, b_eq, a_le, b_le = _cform_constraints(k, tag)
             for t in ts[:: max(1, ts.size // 6)]:
-                weights = ((v1[:, None] - v0[None, :]) <= t).ravel().astype(float)
-                for sense, sign in (("min", 1.0), ("max", -1.0)):
-                    res = scipy.optimize.linprog(
-                        sign * weights, A_eq=a_eq, b_eq=b_eq, A_ub=a_le, b_ub=b_le,
-                        bounds=(0, None), method="highs",
-                    )
-                    assert res.status == 0
+                for sense in ("min", "max"):
+                    ref, _ = raw_coupling_lp(v1, v0, float(t), sense, tag)
                     got = prog.mass_bound(v1, v0, float(t), sense)
-                    assert got == pytest.approx(sign * res.fun, abs=1e-9)
+                    assert got == pytest.approx(ref, abs=1e-9)
 
 
-def test_coupling_lp_engine_values():
-    rng = np.random.default_rng(3)
-    q1, q0 = curve(rng.normal(size=5)), curve(rng.normal(size=5))
-    t_grid = default_t_grid(q1.values, q0.values, 9)
-    auto = coupling_lp_bounds(q1, q0, t_grid=t_grid)
-    forced = coupling_lp_bounds(q1, q0, t_grid=t_grid, engine="highs")
-    assert_allclose(forced.lower, auto.lower, atol=1e-9)
-    assert_allclose(forced.upper, auto.upper, atol=1e-9)
-    for engine in ("simplex", "lp", "staircase"):
-        with pytest.raises(ValueError, match="engine"):
-            coupling_lp_bounds(q1, q0, t_grid=t_grid, engine=engine)
+def test_coupling_lp_bounds_takes_no_engine():
+    q = curve(np.arange(5.0))
+    with pytest.raises(TypeError, match="engine"):
+        coupling_lp_bounds(q, q, engine="highs")
 
 
 def test_si_vertices_satisfy_independent_shape_checks():
-    a_eq, b_eq, a_le, b_le = _cform_constraints(4, "SI")
+    # vertices of the oracle's raw SI polytope and of the package's SI
+    # copula program, reached by random objectives, pass the shape checks
+    a_eq, b_eq = coupling_constraints(4)
+    a_le, b_le = raw_shape_rows(4, "SI")
+    prog = _copula_program(4, 4, "SI")
     rng = np.random.default_rng(1)
     import scipy.optimize
 
@@ -347,9 +372,11 @@ def test_si_vertices_satisfy_independent_shape_checks():
             bounds=(0, None), method="highs",
         )
         assert res.status == 0
-        c = res.x.reshape(4, 4)
-        assert is_two_increasing(c)
-        assert si_partial_sums_ok(c)
+        beta = prog.full_beta(prog.solve(rng.normal(size=prog.nvar), "min", 0.0).x)
+        for c in (res.x.reshape(4, 4), np.diff(np.diff(beta, axis=0), axis=1)):
+            Coupling(4, c)
+            assert is_two_increasing(c)
+            assert si_partial_sums_ok(c)
 
 
 # ---------------------------------------------------------------------------
@@ -482,10 +509,6 @@ def test_rank_invariance_point_lies_inside_unrestricted_bounds():
             assert b.lower - 1e-12 <= point <= b.upper + 1e-12
 
 
-def test_symmetry_median_equals_mean():
-    assert symmetry_median_qote(1.75) == 1.75
-
-
 # ---------------------------------------------------------------------------
 # conditional-mean functionals
 
@@ -520,12 +543,56 @@ def test_cvar_si_at_k8_lies_inside_the_oracle_brackets():
     q1, q0 = population_curves(SUBGROUPS[1], 8)
     iv = functional_bounds(q1, q0, AssumptionSet("SI"), CVaR(-1.0), k=8)
     perm_lo, perm_hi = cvar_bounds_by_permutations(q1.values, q0.values, -1.0)
-    a_eq, b_eq, a_le, b_le = _cform_constraints(8, "SI")
+    a_eq, b_eq = coupling_constraints(8)
+    a_le, b_le = raw_shape_rows(8, "SI")
     vert_lo, vert_hi, _ = random_vertex_cvar(
         q1.values, q0.values, -1.0, a_eq, b_eq, a_le, b_le, nobj=100, seed=0
     )
     assert perm_lo - 1e-9 <= iv.lower <= vert_lo + 1e-9
     assert vert_hi - 1e-9 <= iv.upper <= perm_hi + 1e-9
+
+
+# functional_bounds on seeded k <= 8 cases, as the raw c(i,j) Charnes-Cooper
+# programs gave them before the functionals moved to the copula program
+PINNED_FUNCTIONALS = [
+    (3, 'NoAssumption', CVaR, 1.4674318936711843, 2.4261753223623925),
+    (3, 'NoAssumption', DisadvantagedGain, 2.92742834511915, 3.663104145182248),
+    (3, 'SI', CVaR, 2.087291476611531, 2.4261753223623925),
+    (3, 'SI', DisadvantagedGain, 2.92742834511915, 3.2197986740647346),
+    (3, 'PQD', CVaR, 1.9468036080167883, 2.4261753223623925),
+    (3, 'PQD', DisadvantagedGain, 2.92742834511915, 3.2197986740647346),
+    (5, 'NoAssumption', CVaR, -0.15859503966633948, 1.0761211331442082),
+    (5, 'NoAssumption', DisadvantagedGain, 1.9088875898445476, 2.8225016735196835),
+    (5, 'SI', CVaR, 0.5634573740323798, 0.9952317693299417),
+    (5, 'SI', DisadvantagedGain, 1.9088875898445476, 2.3166620945382848),
+    (5, 'PQD', CVaR, 0.3643921222889568, 1.0463197885810573),
+    (5, 'PQD', DisadvantagedGain, 1.9088875898445476, 2.3166620945382843),
+    (8, 'NoAssumption', CVaR, -1.730894487959997, -0.6713815632436321),
+    (8, 'NoAssumption', DisadvantagedGain, -0.7836633063262385, 0.7223854637665362),
+    (8, 'SI', CVaR, -1.0657836250396084, -0.6713815632436321),
+    (8, 'SI', DisadvantagedGain, -0.7836633063262385, -0.030638921279850927),
+    (8, 'PQD', CVaR, -1.2567266688463001, -0.671381563243632),
+    (8, 'PQD', DisadvantagedGain, -0.7836633063262386, -0.03063892127985112),
+]
+
+
+def test_functional_bounds_match_pinned_values():
+    rng = np.random.default_rng(2024)
+    got = []
+    for k in (3, 5, 8):
+        v1 = np.sort(rng.normal(0.3, 1.2, size=k))
+        v0 = np.sort(rng.normal(0.0, 1.0, size=k))
+        q1, q0 = QuantileCurve(u_grid(k), v1), QuantileCurve(u_grid(k), v0)
+        d = np.sort((v1[:, None] - v0[None, :]).ravel())
+        cvar_thr = float(d[int(0.6 * d.size)])
+        for tag in ("NoAssumption", "SI", "PQD"):
+            for f in (CVaR(cvar_thr), DisadvantagedGain(float(v0[k // 2]))):
+                iv = functional_bounds(q1, q0, AssumptionSet(tag), f, k=k)
+                got.append((k, tag, type(f), iv.lower, iv.upper))
+    assert [row[:3] for row in got] == [row[:3] for row in PINNED_FUNCTIONALS]
+    for row, pinned in zip(got, PINNED_FUNCTIONALS):
+        assert row[3] == pytest.approx(pinned[3], abs=1e-12), row[:3]
+        assert row[4] == pytest.approx(pinned[4], abs=1e-12), row[:3]
 
 
 def test_disadvantaged_gain_conditions_on_the_control_margin():

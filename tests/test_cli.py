@@ -1,8 +1,13 @@
 import json
 
+import numpy as np
 import pytest
 
+from qotepolicy import bounds
 from qotepolicy.cli import main
+from qotepolicy.lpcore import LpSolution
+from qotepolicy.marginals import make_y_grid
+from qotepolicy.sim import SUBGROUPS, draw_sample
 
 SAMPLE_TWO_CELLS = """y,d,x1
 3,1,0
@@ -53,7 +58,24 @@ def test_symmetry_needs_the_median(tmp_path):
     assert code == 0
     payload = json.loads((tmp_path / "bounds_tau0.5.json").read_text())
     cell = payload["cells"][0]
-    assert cell["lower"] == cell["upper"]
+    # symmetric effects put the median at the mean of the grid differences
+    sample = draw_sample(SUBGROUPS[1], 40, (0, 0))
+    v1 = make_y_grid(sample.y[sample.d == 1], 5)
+    v0 = make_y_grid(sample.y[sample.d == 0], 5)
+    assert cell["lower"] == cell["upper"] == float(np.mean(v1) - np.mean(v0))
+
+
+def test_failed_lp_exits_6_naming_t_tag_and_k(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(
+        bounds, "solve_lp", lambda lp: LpSolution(status="failed", message="stalled")
+    )
+    code = run(
+        "bounds", "--dgp", "subgroup1", "--assumption", "si",
+        "--k", "5", "--tgrid", "5", "--n", "40", "--out", tmp_path,
+    )
+    assert code == 6
+    err = capsys.readouterr().err
+    assert "LP failed at t=" in err and "tag SI" in err and "k=5" in err
 
 
 def test_bounds_from_csv_and_frozen_staircase_values(tmp_path):

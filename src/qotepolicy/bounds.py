@@ -56,7 +56,8 @@ DEFAULT_T_POINTS = 201
 
 _VALID_TAGS = ("NoAssumption", "SI", "PQD", "RankInvariance", "Symmetry")
 _UNSUPPORTED_TAGS = ("SD", "DC", "RY", "RY2")
-_LP_TAGS = ("NoAssumption", "SI", "PQD")
+# assumption tag -> copula-program tag, for the assumptions an LP can impose
+_PROGRAM_TAGS = {"NoAssumption": "none", "SI": "SI", "PQD": "PQD"}
 
 # LP masses on a flat stretch of an envelope sit within rounding of tau
 _TAU_TOL = 1e-12
@@ -491,8 +492,12 @@ def _copula_program(m1: int, m2: int, tag: str) -> _CopulaProgram:
     return _CopulaProgram(m1, m2, tag)
 
 
-def _program_tag(tag: str) -> str:
-    return "none" if tag == "NoAssumption" else tag
+def _program_tag(assumptions: AssumptionSet) -> str:
+    """The copula-program tag of an assumption set the coupling LP can impose."""
+    tag = _PROGRAM_TAGS.get(assumptions.tag)
+    if tag is None:
+        raise ValueError(f"assumption {assumptions.tag} not supported for the coupling LP")
+    return tag
 
 
 def coupling_lp_bounds(
@@ -507,9 +512,7 @@ def coupling_lp_bounds(
     ``assumptions`` must be NoAssumption, SI, or PQD. Restricted cases solve
     two LPs per t; the unrestricted case uses the exact closed form.
     """
-    tag = assumptions.tag
-    if tag not in _LP_TAGS:
-        raise ValueError(f"assumption {tag} not supported for the coupling LP")
+    tag = _program_tag(assumptions)
     v1, v0, k = _curves_on_common_grid(q1, q0, k)
     if k < 2:
         raise ValueError("k must be at least 2")
@@ -517,7 +520,7 @@ def coupling_lp_bounds(
         t_grid = default_t_grid(v1, v0)
     t_grid = np.asarray(t_grid, dtype=float)
 
-    if tag == "NoAssumption":
+    if tag == "none":
         f_lower, f_upper = _staircase_envelopes(v1, v0, t_grid)
     else:
         prog = _copula_program(k, k, tag)
@@ -610,9 +613,7 @@ def qote_coupling_bounds(
     only the t values a bisection visits, which matters for the shape
     constrained programs.
     """
-    tag = assumptions.tag
-    if tag not in _LP_TAGS:
-        raise ValueError(f"assumption {tag} not supported for the coupling LP")
+    tag = _program_tag(assumptions)
     if not 0.0 < tau < 1.0:
         raise ValueError("tau must lie in (0, 1)")
     v1, v0, k = _curves_on_common_grid(q1, q0, k)
@@ -620,7 +621,7 @@ def qote_coupling_bounds(
         t_grid = default_t_grid(v1, v0)
     t_grid = np.asarray(t_grid, dtype=float)
 
-    if tag == "NoAssumption":
+    if tag == "none":
         f_lower, f_upper = _staircase_envelopes(v1, v0, t_grid)
         return invert_bounds(_assemble_envelopes(t_grid, f_lower, f_upper), tau)
 
@@ -680,16 +681,14 @@ def bernstein_lp_bounds(
     precomputed on a quad_points^2 tensor midpoint grid; the optimization over
     valid coefficient matrices (optionally shape constrained) is an LP per t.
     """
-    tag = assumptions.tag
-    if tag not in _LP_TAGS:
-        raise ValueError(f"assumption {tag} not supported for the coupling LP")
+    tag = _program_tag(assumptions)
     if m1 < 1 or m2 < 1:
         raise ValueError("degrees m1, m2 must be at least 1")
     if t_grid is None:
         t_grid = default_t_grid(q1.values, q0.values)
     t_grid = np.asarray(t_grid, dtype=float)
     _, q1n, q0n, a1, r0 = _bernstein_weight_data(q1, q0, m1, m2, quad_points)
-    prog = _copula_program(m1, m2, _program_tag(tag))
+    prog = _copula_program(m1, m2, tag)
 
     f_lower = np.empty(t_grid.size)
     f_upper = np.empty(t_grid.size)
@@ -711,11 +710,9 @@ def bernstein_optimal_coefs(
     sense: str = "min",
 ) -> BernsteinCoefs:
     """Coefficient matrix attaining one envelope value at one t (diagnostics)."""
-    tag = assumptions.tag
-    if tag not in _LP_TAGS:
-        raise ValueError(f"assumption {tag} not supported for the coupling LP")
+    tag = _program_tag(assumptions)
     _, q1n, q0n, a1, r0 = _bernstein_weight_data(q1, q0, m1, m2, quad_points)
-    prog = _copula_program(m1, m2, _program_tag(tag))
+    prog = _copula_program(m1, m2, tag)
     if prog.nvar == 0:
         return BernsteinCoefs(m1, m2, prog.full_beta(np.zeros(0)))
     coefs, _ = _bernstein_objective(q1n, q0n, a1, r0, m1, m2, t)
@@ -756,9 +753,7 @@ def functional_bounds(
     Charnes-Cooper change of variables. An auxiliary LP first verifies the
     conditioning event has positive mass under every feasible coupling.
     """
-    tag = assumptions.tag
-    if tag not in _LP_TAGS:
-        raise ValueError(f"assumption {tag} not supported for the coupling LP")
+    tag = _program_tag(assumptions)
     v1, v0, k = _curves_on_common_grid(q1, q0, k)
     delta = v1[:, None] - v0[None, :]
     if isinstance(functional, CVaR):
@@ -771,7 +766,7 @@ def functional_bounds(
             raise ValueError("threshold outside the support spanned by the grids")
     else:
         raise TypeError("functional must be CVaR or DisadvantagedGain")
-    prog = _copula_program(k, k, _program_tag(tag))
+    prog = _copula_program(k, k, tag)
     e_coefs, e_const = prog.linear_form(event)
     a_coefs, a_const = prog.linear_form(delta * event)
     thr = functional.threshold
@@ -795,8 +790,8 @@ def functional_bounds(
         A_le=a_le,
         b_le=np.zeros(a_le.shape[0]),
     )
-    lo = _solve(LinearProgram(sense="minimize", **program), thr, tag, k).objective
-    hi = _solve(LinearProgram(sense="maximize", **program), thr, tag, k).objective
+    lo = _solve(LinearProgram(sense="minimize", **program), thr, assumptions.tag, k).objective
+    hi = _solve(LinearProgram(sense="maximize", **program), thr, assumptions.tag, k).objective
     return Interval(float(lo), float(hi))
 
 

@@ -1,6 +1,10 @@
 """Batch command line: samples or DGP presets in, bounds, policies, regret
 reports, learned rules, and replication tables out.
 
+Each subcommand takes only the flags it reads. ``bounds`` and ``policy``
+build each cell's envelopes on P(Y1 - Y0 <= t) once and invert them per tau,
+after every tau has been checked and before the first file is written.
+
 Exit codes: 0 ok, 2 input error, 3 unsupported assumption, 4 inconsistency
 between provided pieces, 5 learner error, 6 a bounds LP that did not solve
 (the message names its t, assumption tag and k). All randomness flows from
@@ -15,7 +19,7 @@ import json
 import os
 import re
 import sys
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -142,14 +146,6 @@ def _cells_from_sample(sample: Sample) -> List[Tuple[Tuple[float, ...], float, S
     return cells
 
 
-def _arm_values(cell: Sample, x, k: int) -> Tuple[np.ndarray, np.ndarray]:
-    y1 = cell.y[cell.d == 1]
-    y0 = cell.y[cell.d == 0]
-    if y1.size == 0 or y0.size == 0:
-        raise _CliError(2, f"cell {list(x)} lacks observations in one arm")
-    return make_y_grid(y1, k), make_y_grid(y0, k)
-
-
 def _load_cells(args) -> List[Tuple[Tuple[float, ...], float, Sample]]:
     if args.input:
         try:
@@ -163,54 +159,69 @@ def _load_cells(args) -> List[Tuple[Tuple[float, ...], float, Sample]]:
     raise _CliError(2, "provide --input CSV or --dgp")
 
 
-def _cell_bounds(v1, v0, tau: float, tag: str, tgrid_points: int):
-    """(QoteBounds, DeltaCdfBounds or None) for one cell."""
-    k = v1.size
-    q1 = QuantileCurve(u_grid(k), v1)
-    q0 = QuantileCurve(u_grid(k), v0)
-    if tag == "RankInvariance":
-        point = rank_invariance_qote(q1, q0, tau)
-        diffs = np.sort(v1 - v0)
-        grid = default_t_grid(v1, v0, tgrid_points)
-        cdf = np.searchsorted(diffs, grid, side="right") / k
-        env = DeltaCdfBounds(t_grid=grid, lower=cdf, upper=cdf)
-        return QoteBounds(lower=point, upper=point), env
-    if tag == "Symmetry":
-        if abs(tau - 0.5) > 1e-12:
-            raise _CliError(2, "symmetry identifies the median only; use --tau 0.5")
-        # symmetric effects put the median at the mean difference
-        point = float(np.mean(v1) - np.mean(v0))
-        return QoteBounds(lower=point, upper=point), None
-    grid = default_t_grid(v1, v0, tgrid_points)
-    env = coupling_lp_bounds(q1, q0, AssumptionSet(tag), t_grid=grid, k=k)
-    return invert_bounds(env, tau), env
+def _require_median(tag: str, taus: List[float]) -> None:
+    if tag == "Symmetry" and any(abs(tau - 0.5) > 1e-12 for tau in taus):
+        raise _CliError(2, "symmetry identifies the median only; use --tau 0.5")
 
 
-def _bounds_payload(args, tau: float, tag: str) -> Tuple[dict, List]:
-    cells = _load_cells(args)
-    out_cells = []
-    envelopes = []
-    for x, w, cell in cells:
-        v1, v0 = _arm_values(cell, x, args.k)
-        b, env = _cell_bounds(v1, v0, tau, tag, args.tgrid)
-        out_cells.append(
-            {
-                "x": list(x),
-                "weight": w,
-                "lower": b.lower,
-                "upper": b.upper,
-                "truncated_lower": b.truncated_lower,
-                "truncated_upper": b.truncated_upper,
-            }
-        )
-        envelopes.append(env)
-    payload = {
-        "tau": tau,
-        "assumption": tag,
-        "k": args.k,
-        "cells": out_cells,
-    }
-    return payload, envelopes
+class _Cell(NamedTuple):
+    """One covariate cell with everything that does not depend on tau."""
+
+    x: Tuple[float, ...]
+    weight: float
+    q1: QuantileCurve
+    q0: QuantileCurve
+    envelope: Optional[DeltaCdfBounds]  # None under Symmetry
+
+    def bounds(self, tag: str, tau: float) -> QoteBounds:
+        if tag == "RankInvariance":
+            point = rank_invariance_qote(self.q1, self.q0, tau)
+        elif tag == "Symmetry":
+            # symmetric effects put the median at the mean difference
+            point = float(np.mean(self.q1.values) - np.mean(self.q0.values))
+        else:
+            return invert_bounds(self.envelope, tau)
+        return QoteBounds(lower=point, upper=point)
+
+
+def _build_cells(args, tag: str) -> List[_Cell]:
+    """Read the input, split it into cells and build each cell's envelopes."""
+    cells = []
+    for x, w, sample in _load_cells(args):
+        y1, y0 = sample.y[sample.d == 1], sample.y[sample.d == 0]
+        if y1.size == 0 or y0.size == 0:
+            raise _CliError(2, f"cell {list(x)} lacks observations in one arm")
+        k = args.k
+        v1, v0 = make_y_grid(y1, k), make_y_grid(y0, k)
+        q1, q0 = QuantileCurve(u_grid(k), v1), QuantileCurve(u_grid(k), v0)
+        env = None
+        if tag != "Symmetry":
+            grid = default_t_grid(v1, v0, args.tgrid)
+            if tag == "RankInvariance":
+                cdf = np.searchsorted(np.sort(v1 - v0), grid, side="right") / k
+                env = DeltaCdfBounds(t_grid=grid, lower=cdf, upper=cdf)
+            else:
+                env = coupling_lp_bounds(q1, q0, AssumptionSet(tag), t_grid=grid, k=k)
+        cells.append(_Cell(x, w, q1, q0, env))
+    return cells
+
+
+def _bounds_payload(cells: List[_Cell], tau: float, tag: str, k: int) -> dict:
+    rows = []
+    for cell in cells:
+        b = cell.bounds(tag, tau)
+        rows.append(dict(x=list(cell.x), weight=cell.weight, lower=b.lower, upper=b.upper,
+                         truncated_lower=b.truncated_lower,
+                         truncated_upper=b.truncated_upper))
+    return {"tau": tau, "assumption": tag, "k": k, "cells": rows}
+
+
+def _read_bounds_json(path: str) -> dict:
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise _CliError(2, f"bad bounds JSON {path}: {exc}")
 
 
 def _write(path: str, text: str) -> None:
@@ -225,16 +236,16 @@ def _json_text(data) -> str:
 
 def cmd_bounds(args) -> int:
     tag = _resolve_assumption(args.assumption)
-    for tau in _parse_taus(args.tau):
-        payload, envelopes = _bounds_payload(args, tau, tag)
+    taus = _parse_taus(args.tau)
+    _require_median(tag, taus)
+    cells = _build_cells(args, tag)
+    envelopes = [(i, delta_bounds_to_csv(c.envelope))
+                 for i, c in enumerate(cells) if c.envelope is not None]
+    for tau in taus:
+        payload = _bounds_payload(cells, tau, tag, args.k)
         _write(os.path.join(args.out, f"bounds_tau{tau:g}.json"), _json_text(payload))
-        for i, env in enumerate(envelopes):
-            if env is None:
-                continue
-            _write(
-                os.path.join(args.out, f"envelope_tau{tau:g}_cell{i}.csv"),
-                delta_bounds_to_csv(env),
-            )
+        for i, text in envelopes:
+            _write(os.path.join(args.out, f"envelope_tau{tau:g}_cell{i}.csv"), text)
     return 0
 
 
@@ -276,18 +287,19 @@ def _apply_weights_file(field: BoundField, path: str) -> BoundField:
 
 
 def cmd_policy(args) -> int:
-    for tau in _parse_taus(args.tau):
-        if args.input and args.input.endswith(".json"):
-            try:
-                with open(args.input) as fh:
-                    payload = json.load(fh)
-            except (OSError, json.JSONDecodeError) as exc:
-                raise _CliError(2, f"bad bounds JSON {args.input}: {exc}")
+    taus = _parse_taus(args.tau)
+    if args.input and args.input.endswith(".json"):
+        payload = _read_bounds_json(args.input)
+        for tau in taus:
             if abs(payload.get("tau", tau) - tau) > 1e-12:
                 raise _CliError(4, f"bounds file is for tau={payload.get('tau')}")
-        else:
-            tag = _resolve_assumption(args.assumption)
-            payload, _ = _bounds_payload(args, tau, tag)
+        payloads = [payload] * len(taus)
+    else:
+        tag = _resolve_assumption(args.assumption)
+        _require_median(tag, taus)
+        cells = _build_cells(args, tag)
+        payloads = [_bounds_payload(cells, tau, tag, args.k) for tau in taus]
+    for tau, payload in zip(taus, payloads):
         field = _field_from_payload(payload)
         if args.weights:
             field = _apply_weights_file(field, args.weights)
@@ -363,12 +375,7 @@ def cmd_tables(args) -> int:
 def cmd_owl(args) -> int:
     if not args.input or not args.input.endswith(".json"):
         raise _CliError(2, "owl needs --input pointing at a bounds JSON file")
-    try:
-        with open(args.input) as fh:
-            payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise _CliError(2, f"bad bounds JSON {args.input}: {exc}")
-    field = _field_from_payload(payload)
+    field = _field_from_payload(_read_bounds_json(args.input))
     cells = cells_from_bound_field(field)
     config = TrainConfig(lam=args.lam, sigma=args.sigma, max_epochs=args.max_epochs)
     try:
@@ -395,6 +402,25 @@ def cmd_owl(args) -> int:
     return 0
 
 
+_FLAGS = {
+    "--input": dict(help="input CSV (y,d,x1..xp) or bounds JSON file"),
+    "--dgp": dict(help="DGP preset subgroup1..8 or JSON path"),
+    "--tau": dict(default="0.25", help="comma-separated levels"),
+    "--k": dict(type=int, default=DEFAULT_K),
+    "--tgrid": dict(type=int, default=DEFAULT_T_POINTS),
+    "--n": dict(type=int, default=1000),
+    "--seed": dict(type=int, default=0),
+    "--out": dict(default="."),
+    "--assumption": dict(default="none"),
+    "--weights": dict(help="CSV overriding cell weights"),
+    "--reps": dict(type=int, default=200),
+    "--subgroups": dict(default="1,2,3,4,5,6,7,8"),
+    "--lam": dict(type=float, default=None),
+    "--sigma": dict(type=float, default=None),
+    "--max-epochs": dict(type=int, default=2000),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qotepolicy",
@@ -402,47 +428,22 @@ def _build_parser() -> argparse.ArgumentParser:
         "treatment rules they support.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(p, dgp=True):
-        p.add_argument("--input", help="input CSV (y,d,x1..xp) or JSON file")
-        if dgp:
-            p.add_argument("--dgp", help="DGP preset subgroup1..8 or JSON path")
-        p.add_argument("--tau", default="0.25", help="comma-separated levels")
-        p.add_argument("--k", type=int, default=DEFAULT_K)
-        p.add_argument("--tgrid", type=int, default=DEFAULT_T_POINTS)
-        p.add_argument("--n", type=int, default=1000)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", default=".")
-
-    p_bounds = sub.add_parser("bounds", help="per-cell quantile bounds")
-    common(p_bounds)
-    p_bounds.add_argument("--assumption", default="none")
-    p_bounds.set_defaults(func=cmd_bounds)
-
-    p_policy = sub.add_parser("policy", help="minimax rules and regret report")
-    common(p_policy)
-    p_policy.add_argument("--assumption", default="none")
-    p_policy.add_argument("--weights", help="CSV overriding cell weights")
-    p_policy.set_defaults(func=cmd_policy)
-
-    p_sim = sub.add_parser("simulate", help="classification and regret tables")
-    common(p_sim)
-    p_sim.add_argument("--reps", type=int, default=200)
-    p_sim.set_defaults(func=cmd_simulate)
-
-    p_tables = sub.add_parser("tables", help="full replication table preset")
-    common(p_tables)
-    p_tables.add_argument("--reps", type=int, default=200)
-    p_tables.add_argument("--subgroups", default="1,2,3,4,5,6,7,8")
-    p_tables.set_defaults(func=cmd_tables)
-
-    p_owl = sub.add_parser("owl", help="learn a rule from a bounds file")
-    common(p_owl, dgp=False)
-    p_owl.add_argument("--lam", type=float, default=None)
-    p_owl.add_argument("--sigma", type=float, default=None)
-    p_owl.add_argument("--max-epochs", type=int, default=2000)
-    p_owl.set_defaults(func=cmd_owl)
-
+    sample = "--input --dgp --tau --k --tgrid --n --seed --out --assumption"
+    # each subcommand declares exactly the flags it reads
+    for name, func, help_text, flags in (
+        ("bounds", cmd_bounds, "per-cell quantile bounds", sample),
+        ("policy", cmd_policy, "minimax rules and regret report", sample + " --weights"),
+        ("simulate", cmd_simulate, "classification and regret tables",
+         "--dgp --tau --k --n --seed --out --reps"),
+        ("tables", cmd_tables, "full replication table preset",
+         "--tau --k --n --seed --out --reps --subgroups"),
+        ("owl", cmd_owl, "learn a rule from a bounds file",
+         "--input --out --lam --sigma --max-epochs"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        for flag in flags.split():
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(func=func)
     return parser
 
 

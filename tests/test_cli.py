@@ -1,9 +1,10 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from qotepolicy import bounds
+from qotepolicy import bounds, cli
 from qotepolicy.cli import main
 from qotepolicy.lpcore import LpSolution
 from qotepolicy.marginals import make_y_grid
@@ -160,6 +161,80 @@ def test_policy_tau_mismatch_exits_4(tmp_path):
     assert code == 4
 
 
+def test_policy_tau_mismatch_writes_nothing(tmp_path):
+    stage = tmp_path / "stage"
+    assert run(
+        "bounds", "--dgp", "subgroup1", "--tau", "0.25", "--assumption", "none",
+        "--k", "6", "--n", "40", "--out", stage,
+    ) == 0
+    out = tmp_path / "out"
+    out.mkdir()
+    code = run(
+        "policy", "--input", stage / "bounds_tau0.25.json",
+        "--tau", "0.25,0.5", "--out", out,
+    )
+    assert code == 4
+    assert list(out.iterdir()) == []
+
+
+def test_symmetry_rejects_a_later_tau_before_writing(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    code = run(
+        "bounds", "--dgp", "subgroup1", "--assumption", "sy",
+        "--tau", "0.5,0.25", "--n", "40", "--k", "5", "--out", out,
+    )
+    assert code == 2
+    assert list(out.iterdir()) == []
+
+
+def _two_cell_csv(path):
+    lines = ["y,d,x1"]
+    for x, sg in ((0, 2), (1, 5)):
+        sample = draw_sample(SUBGROUPS[sg], 60, (x, 0))
+        lines += [f"{y:.17g},{d:g},{x}" for y, d in zip(sample.y, sample.d)]
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("subcommand", ["bounds", "policy"])
+def test_envelopes_are_built_once_per_cell(tmp_path, monkeypatch, subcommand):
+    src = tmp_path / "sample.csv"
+    _two_cell_csv(src)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return bounds.coupling_lp_bounds(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "coupling_lp_bounds", counted)
+    shared = (subcommand, "--input", src, "--assumption", "si", "--k", "6", "--tgrid", "15")
+    both = tmp_path / "both"
+    assert run(*shared, "--tau", "0.25,0.5", "--out", both) == 0
+    assert len(calls) == 2
+    single = tmp_path / "single"
+    for tau in ("0.25", "0.5"):
+        assert run(*shared, "--tau", tau, "--out", single) == 0
+    names = sorted(p.name for p in both.iterdir())
+    assert names == sorted(p.name for p in single.iterdir()) and names
+    for name in names:
+        assert (both / name).read_bytes() == (single / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("owl", "--seed", "5"),
+        ("owl", "--tau", "0.5"),
+        ("simulate", "--tgrid", "41"),
+        ("tables", "--dgp", "subgroup1", "--subgroups", "9"),
+    ],
+)
+def test_flags_a_subcommand_does_not_read_are_rejected(tmp_path, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(*argv, "--out", tmp_path)
+    assert exc.value.code == 2
+
+
 def test_policy_weights_mismatch_exits_4(tmp_path):
     src = tmp_path / "sample.csv"
     src.write_text(SAMPLE_TWO_CELLS)
@@ -259,3 +334,39 @@ def test_owl_requires_bounds_json(tmp_path):
     src = tmp_path / "sample.csv"
     src.write_text(SAMPLE_TWO_CELLS)
     assert run("owl", "--input", src, "--out", tmp_path) == 2
+
+
+def _dir_digest(path):
+    h = hashlib.sha256()
+    for p in sorted(path.iterdir()):
+        h.update(p.name.encode() + b"\0" + p.read_bytes() + b"\0")
+    return h.hexdigest()
+
+
+# sha256 of each output directory, recorded before the CLI computed
+# tau-free envelopes once per run; every byte of every file must stay put
+GOLDEN_DIGESTS = {
+    "bounds_si": "9a1a523f7e67534a598122ebdfd9082ba76ce84353abb2017457c6d0f9a1f8ff",
+    "bounds_pqd": "f7903ce647a117a4472ea13a5cb44bde4c7359679bb0cf653293684dd5009f60",
+    "bounds_none": "67b9526da9a23c7edc6152ae3ffb5680b13307449e21bdfd3fbbf4a6ab10df2b",
+    "bounds_ri": "f5f02f0da6967c818c6eb87664d1b8ad288e0efd72ada2d52bf1d46048aecaff",
+    "policy_pqd": "2c48cf83e5077004b525b917be709cd273b83330ec2d4ad8e82bfbd892f10c9c",
+    "policy_none_json": "83ceaecca48597a58f631ceb9938cd1128b71e67591cd914c9520d97d64b56a3",
+    "owl_none_json": "da250acf5669b2f8f3c163372b37ebfb2c0334ed4414adc359a6f30de5aae49f",
+}
+
+
+def test_outputs_match_golden_digests(tmp_path):
+    shared = (
+        "--dgp", "subgroup2", "--k", "12", "--tgrid", "41", "--n", "200",
+        "--seed", "1", "--tau", "0.25,0.5",
+    )
+    none_json = tmp_path / "bounds_none" / "bounds_tau0.25.json"
+    runs = {f"bounds_{flag}": ("bounds", *shared, "--assumption", flag)
+            for flag in ("si", "pqd", "none", "ri")}
+    runs["policy_pqd"] = ("policy", *shared, "--assumption", "pqd")
+    runs["policy_none_json"] = ("policy", "--input", none_json, "--tau", "0.25")
+    runs["owl_none_json"] = ("owl", "--input", none_json)
+    for name, argv in runs.items():
+        assert run(*argv, "--out", tmp_path / name) == 0, name
+    assert {name: _dir_digest(tmp_path / name) for name in runs} == GOLDEN_DIGESTS

@@ -119,6 +119,8 @@ class DeltaCdfBounds:
         object.__setattr__(self, "upper", up)
         if not (t.shape == lo.shape == up.shape) or t.ndim != 1:
             raise ValueError("t_grid, lower, upper must be 1-d of equal length")
+        if t.size == 0:
+            raise ValueError("t_grid must not be empty")
         if np.any(np.diff(t) <= 0):
             raise ValueError("t_grid must be strictly increasing")
         for name, v in (("lower", lo), ("upper", up)):
@@ -211,6 +213,8 @@ def _curves_on_common_grid(q1: QuantileCurve, q0: QuantileCurve, k: Optional[int
 
 def default_t_grid(v1: np.ndarray, v0: np.ndarray, points: int = DEFAULT_T_POINTS) -> np.ndarray:
     """Equally spaced t values spanning the achievable grid differences."""
+    if points < 1:
+        raise ValueError(f"a t grid needs at least one point, got {points}")
     lo = float(np.min(v1) - np.max(v0))
     hi = float(np.max(v1) - np.min(v0))
     if hi - lo < 1e-12:
@@ -540,17 +544,8 @@ def invert_bounds(b: DeltaCdfBounds, tau: float) -> QoteBounds:
     """
     if not 0.0 < tau < 1.0:
         raise ValueError("tau must lie in (0, 1)")
-    t = b.t_grid
-
-    def invert(env):
-        # first index whose value reaches tau, on a nondecreasing envelope
-        idx = int(np.searchsorted(env, tau - _TAU_TOL, side="left"))
-        if idx >= t.size:
-            return float(t[-1]), True
-        return float(t[idx]), bool(tau < env[0])
-
-    lower, trunc_l = invert(b.upper)
-    upper, trunc_u = invert(b.lower)
+    lower, trunc_l = invert_envelope_lazily(b.t_grid, b.upper.__getitem__, tau)
+    upper, trunc_u = invert_envelope_lazily(b.t_grid, b.lower.__getitem__, tau)
     return QoteBounds(lower, upper, truncated_lower=trunc_l, truncated_upper=trunc_u)
 
 
@@ -589,10 +584,13 @@ def invert_envelope_lazily(t_grid, evaluate: Callable[[int], float], tau: float)
     """min{t in grid : F(t_index) reaches tau} touching only bisection indices.
 
     ``evaluate`` must be nondecreasing in the index (and is probed at the
-    answer again when that is index 0). Returns (value, truncated) exactly as
-    the dense inversion would.
+    answer again when that is index 0). Returns (value, truncated), truncated
+    when tau lies above F at the last grid point or below it at the first.
+    ``invert_bounds`` inverts dense envelopes through this same routine.
     """
     t = np.asarray(t_grid, dtype=float)
+    if t.size == 0:
+        raise ValueError("t_grid must not be empty")
     if not _reaches(evaluate(t.size - 1), tau):
         return float(t[-1]), True
     idx = _first_reaching(evaluate, tau, 0, t.size - 1)

@@ -1,9 +1,10 @@
 """Batch command line: samples or DGP presets in, bounds, policies, regret
 reports, learned rules, and replication tables out.
 
-Each subcommand takes only the flags it reads. ``bounds`` and ``policy``
-build each cell's envelopes on P(Y1 - Y0 <= t) once and invert them per tau,
-after every tau has been checked and before the first file is written.
+Each subcommand takes only the flags it reads. ``bounds`` is the only one
+that computes bounds: it builds each cell's envelopes on P(Y1 - Y0 <= t) once
+and inverts them per tau, after every tau has been checked and before the
+first file is written. ``policy`` and ``owl`` read a bounds JSON it wrote.
 
 Exit codes: 0 ok, 2 input error, 3 unsupported assumption, 4 inconsistency
 between provided pieces, 5 learner error, 6 a bounds LP that did not solve
@@ -216,14 +217,6 @@ def _bounds_payload(cells: List[_Cell], tau: float, tag: str, k: int) -> dict:
     return {"tau": tau, "assumption": tag, "k": k, "cells": rows}
 
 
-def _read_bounds_json(path: str) -> dict:
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise _CliError(2, f"bad bounds JSON {path}: {exc}")
-
-
 def _write(path: str, text: str) -> None:
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w") as fh:
@@ -249,21 +242,36 @@ def cmd_bounds(args) -> int:
     return 0
 
 
-def _field_from_payload(payload: dict) -> BoundField:
-    cells = tuple(
-        (
-            tuple(c["x"]),
-            c["weight"],
-            QoteBounds(
-                lower=c["lower"],
-                upper=c["upper"],
-                truncated_lower=c.get("truncated_lower", False),
-                truncated_upper=c.get("truncated_upper", False),
-            ),
-        )
-        for c in payload["cells"]
-    )
-    return BoundField(cells)
+def _number(value, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _read_bound_field(path: Optional[str], command: str) -> Tuple[float, BoundField]:
+    """The tau and the per-cell bounds of a bounds JSON written by ``bounds``."""
+    if not path or not path.endswith(".json"):
+        raise _CliError(2, f"{command} needs --input pointing at a bounds JSON file")
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+        if not isinstance(payload, dict) or not isinstance(payload.get("cells"), list):
+            raise TypeError("expected an object with a 'cells' list")
+        cells = []
+        for c in payload["cells"]:
+            if not isinstance(c, dict) or not isinstance(c.get("x"), list):
+                raise TypeError(f"cell {c!r} needs an 'x' list")
+            b = QoteBounds(
+                lower=_number(c.get("lower"), "lower"),
+                upper=_number(c.get("upper"), "upper"),
+                truncated_lower=bool(c.get("truncated_lower", False)),
+                truncated_upper=bool(c.get("truncated_upper", False)),
+            )
+            x = tuple(_number(v, "x") for v in c["x"])
+            cells.append((x, _number(c.get("weight"), "weight"), b))
+        return _number(payload.get("tau"), "tau"), BoundField(tuple(cells))
+    except (OSError, TypeError, ValueError) as exc:
+        raise _CliError(2, f"bad bounds JSON {path}: {exc}")
 
 
 def _apply_weights_file(field: BoundField, path: str) -> BoundField:
@@ -288,21 +296,13 @@ def _apply_weights_file(field: BoundField, path: str) -> BoundField:
 
 def cmd_policy(args) -> int:
     taus = _parse_taus(args.tau)
-    if args.input and args.input.endswith(".json"):
-        payload = _read_bounds_json(args.input)
-        for tau in taus:
-            if abs(payload.get("tau", tau) - tau) > 1e-12:
-                raise _CliError(4, f"bounds file is for tau={payload.get('tau')}")
-        payloads = [payload] * len(taus)
-    else:
-        tag = _resolve_assumption(args.assumption)
-        _require_median(tag, taus)
-        cells = _build_cells(args, tag)
-        payloads = [_bounds_payload(cells, tau, tag, args.k) for tau in taus]
-    for tau, payload in zip(taus, payloads):
-        field = _field_from_payload(payload)
-        if args.weights:
-            field = _apply_weights_file(field, args.weights)
+    file_tau, field = _read_bound_field(args.input, "policy")
+    for tau in taus:
+        if abs(file_tau - tau) > 1e-12:
+            raise _CliError(4, f"bounds file is for tau={file_tau}")
+    if args.weights:
+        field = _apply_weights_file(field, args.weights)
+    for tau in taus:
         reports = {}
         for rule in RULES:
             policy = derive_policy(field, rule)
@@ -373,9 +373,7 @@ def cmd_tables(args) -> int:
 
 
 def cmd_owl(args) -> int:
-    if not args.input or not args.input.endswith(".json"):
-        raise _CliError(2, "owl needs --input pointing at a bounds JSON file")
-    field = _field_from_payload(_read_bounds_json(args.input))
+    _, field = _read_bound_field(args.input, "owl")
     cells = cells_from_bound_field(field)
     config = TrainConfig(lam=args.lam, sigma=args.sigma, max_epochs=args.max_epochs)
     try:
@@ -403,7 +401,7 @@ def cmd_owl(args) -> int:
 
 
 _FLAGS = {
-    "--input": dict(help="input CSV (y,d,x1..xp) or bounds JSON file"),
+    "--input": dict(help="CSV (y,d,x1..xp) for bounds; a bounds JSON for policy, owl"),
     "--dgp": dict(help="DGP preset subgroup1..8 or JSON path"),
     "--tau": dict(default="0.25", help="comma-separated levels"),
     "--k": dict(type=int, default=DEFAULT_K),
@@ -428,11 +426,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "treatment rules they support.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    sample = "--input --dgp --tau --k --tgrid --n --seed --out --assumption"
     # each subcommand declares exactly the flags it reads
     for name, func, help_text, flags in (
-        ("bounds", cmd_bounds, "per-cell quantile bounds", sample),
-        ("policy", cmd_policy, "minimax rules and regret report", sample + " --weights"),
+        ("bounds", cmd_bounds, "per-cell quantile bounds",
+         "--input --dgp --tau --k --tgrid --n --seed --out --assumption"),
+        ("policy", cmd_policy, "minimax rules and regret report from a bounds file",
+         "--input --tau --out --weights"),
         ("simulate", cmd_simulate, "classification and regret tables",
          "--dgp --tau --k --n --seed --out --reps"),
         ("tables", cmd_tables, "full replication table preset",

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 from scipy.special import ndtri
@@ -283,7 +283,6 @@ def classification_experiment(
     tau: float,
     n: int,
     reps: int,
-    estimators: Optional[Sequence[str]] = None,
     seed: int = 0,
     k: int = DEFAULT_K,
 ) -> RateTable:
@@ -294,14 +293,10 @@ def classification_experiment(
     """
     if reps < 1:
         raise ValueError("reps must be at least 1")
-    chosen = tuple(estimators) if estimators is not None else ESTIMATORS
-    for est in chosen:
-        if est not in ESTIMATORS:
-            raise ValueError(f"estimator tag unknown: {est!r}")
     actions = dict(_collected_actions(dgp, tau, n, reps, seed, k))
     truth = _truth_actions(truths_for(dgp, tau))
     rows = []
-    for est in chosen:
+    for est in ESTIMATORS:
         acts = np.asarray(actions[est])
         for crit in CRITERIA:
             rows.append((est, crit, float(np.mean(acts == truth[crit]))))

@@ -633,3 +633,15 @@ def test_default_t_grid_spans_the_cross_differences():
     v0 = np.array([1.0, 3.0])
     grid = default_t_grid(v1, v0, 5)
     assert grid[0] == -3.0 and grid[-1] == 3.0 and grid.size == 5
+
+
+def test_an_empty_t_grid_is_rejected():
+    v1 = np.array([0.0, 4.0])
+    v0 = np.array([1.0, 3.0])
+    with pytest.raises(ValueError, match="at least one point"):
+        default_t_grid(v1, v0, 0)
+    with pytest.raises(ValueError, match="must not be empty"):
+        DeltaCdfBounds([], [], [])
+    q1, q0 = QuantileCurve(u_grid(2), v1), QuantileCurve(u_grid(2), v0)
+    with pytest.raises(ValueError, match="must not be empty"):
+        qote_coupling_bounds(q1, q0, 0.5, AssumptionSet("SI"), t_grid=[])

@@ -39,6 +39,15 @@ def test_missing_input_exits_2(tmp_path):
     assert run("bounds", "--dgp", "subgroup1", "--tau", "1.5", "--out", tmp_path) == 2
 
 
+def test_empty_t_grid_exits_2(tmp_path, capsys):
+    code = run(
+        "bounds", "--dgp", "subgroup1", "--n", "50", "--k", "6", "--tgrid", "0",
+        "--out", tmp_path,
+    )
+    assert code == 2
+    assert "at least one point" in capsys.readouterr().err
+
+
 def test_empty_csv_exits_2(tmp_path, capsys):
     src = tmp_path / "empty.csv"
     src.write_text("")
@@ -124,30 +133,6 @@ def test_reruns_are_byte_identical(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
-def test_policy_from_bounds_file_matches_inline_run(tmp_path):
-    shared = (
-        "--dgp", "subgroup1", "--tau", "0.25", "--k", "8",
-        "--n", "60", "--seed", "3", "--tgrid", "21",
-    )
-    stage = tmp_path / "stage"
-    assert run("bounds", *shared, "--assumption", "none", "--out", stage) == 0
-    piped = tmp_path / "piped"
-    code = run(
-        "policy", "--input", stage / "bounds_tau0.25.json",
-        "--tau", "0.25", "--out", piped,
-    )
-    assert code == 0
-    inline = tmp_path / "inline"
-    assert run("policy", *shared, "--assumption", "none", "--out", inline) == 0
-    for name in (
-        "policy_mmr_stochastic_tau0.25.json",
-        "policy_mmr_deterministic_tau0.25.json",
-        "policy_maximin_tau0.25.json",
-        "regret_tau0.25.json",
-    ):
-        assert (piped / name).read_bytes() == (inline / name).read_bytes()
-
-
 def test_policy_tau_mismatch_exits_4(tmp_path):
     stage = tmp_path / "stage"
     assert run(
@@ -196,7 +181,7 @@ def _two_cell_csv(path):
     path.write_text("\n".join(lines) + "\n")
 
 
-@pytest.mark.parametrize("subcommand", ["bounds", "policy"])
+@pytest.mark.parametrize("subcommand", ["bounds"])
 def test_envelopes_are_built_once_per_cell(tmp_path, monkeypatch, subcommand):
     src = tmp_path / "sample.csv"
     _two_cell_csv(src)
@@ -227,6 +212,9 @@ def test_envelopes_are_built_once_per_cell(tmp_path, monkeypatch, subcommand):
         ("owl", "--tau", "0.5"),
         ("simulate", "--tgrid", "41"),
         ("tables", "--dgp", "subgroup1", "--subgroups", "9"),
+        ("policy", "--assumption", "si"),
+        ("policy", "--dgp", "subgroup1"),
+        ("policy", "--k", "8"),
     ],
 )
 def test_flags_a_subcommand_does_not_read_are_rejected(tmp_path, argv):
@@ -235,27 +223,34 @@ def test_flags_a_subcommand_does_not_read_are_rejected(tmp_path, argv):
     assert exc.value.code == 2
 
 
-def test_policy_weights_mismatch_exits_4(tmp_path):
+def _two_cell_bounds_json(tmp_path):
     src = tmp_path / "sample.csv"
     src.write_text(SAMPLE_TWO_CELLS)
+    stage = tmp_path / "stage"
+    assert run(
+        "bounds", "--input", src, "--tau", "0.5", "--assumption", "none",
+        "--k", "2", "--tgrid", "11", "--out", stage,
+    ) == 0
+    return stage / "bounds_tau0.5.json"
+
+
+def test_policy_weights_mismatch_exits_4(tmp_path):
     weights = tmp_path / "weights.csv"
     weights.write_text("x1,weight\n0,0.5\n2,0.5\n")
     code = run(
-        "policy", "--input", src, "--tau", "0.5", "--assumption", "none",
-        "--k", "2", "--tgrid", "11", "--weights", weights, "--out", tmp_path,
+        "policy", "--input", _two_cell_bounds_json(tmp_path), "--tau", "0.5",
+        "--weights", weights, "--out", tmp_path,
     )
     assert code == 4
 
 
 def test_policy_weights_override(tmp_path):
-    src = tmp_path / "sample.csv"
-    src.write_text(SAMPLE_TWO_CELLS)
     weights = tmp_path / "weights.csv"
     weights.write_text("x1,weight\n0,0.9\n1,0.1\n")
     out = tmp_path / "out"
     code = run(
-        "policy", "--input", src, "--tau", "0.5", "--assumption", "none",
-        "--k", "2", "--tgrid", "11", "--weights", weights, "--out", out,
+        "policy", "--input", _two_cell_bounds_json(tmp_path), "--tau", "0.5",
+        "--weights", weights, "--out", out,
     )
     assert code == 0
     policy = json.loads((out / "policy_mmr_deterministic_tau0.5.json").read_text())
@@ -292,16 +287,9 @@ def test_tables_smoke(tmp_path):
 
 
 def test_owl_end_to_end(tmp_path):
-    src = tmp_path / "sample.csv"
-    src.write_text(SAMPLE_TWO_CELLS)
-    stage = tmp_path / "stage"
-    assert run(
-        "bounds", "--input", src, "--tau", "0.5", "--assumption", "none",
-        "--k", "2", "--tgrid", "11", "--out", stage,
-    ) == 0
     out = tmp_path / "out"
     code = run(
-        "owl", "--input", stage / "bounds_tau0.5.json",
+        "owl", "--input", _two_cell_bounds_json(tmp_path),
         "--max-epochs", "300", "--out", out,
     )
     assert code == 0
@@ -329,11 +317,24 @@ def test_owl_with_nothing_to_learn_exits_5(tmp_path):
     assert run("owl", "--input", src, "--out", tmp_path) == 5
 
 
-def test_owl_requires_bounds_json(tmp_path):
-    assert run("owl", "--out", tmp_path) == 2
-    src = tmp_path / "sample.csv"
-    src.write_text(SAMPLE_TWO_CELLS)
-    assert run("owl", "--input", src, "--out", tmp_path) == 2
+_CELL = {"x": [0.0], "weight": 1.0, "lower": -1.0, "upper": 1.0}
+
+
+@pytest.mark.parametrize("subcommand", ["policy", "owl"])
+def test_owl_requires_bounds_json(tmp_path, capsys, subcommand):
+    assert run(subcommand, "--out", tmp_path) == 2
+    csv = tmp_path / "sample.csv"
+    csv.write_text(SAMPLE_TWO_CELLS)
+    assert run(subcommand, "--input", csv, "--out", tmp_path) == 2
+    for i, payload in enumerate((
+        {"tau": 0.25},
+        {"tau": 0.25, "cells": [dict(_CELL, lower="-1.0")]},
+        [{"tau": 0.25, "cells": [_CELL]}],
+    )):
+        src = tmp_path / f"bad{i}.json"
+        src.write_text(json.dumps(payload))
+        assert run(subcommand, "--input", src, "--out", tmp_path) == 2
+        assert f"bad bounds JSON {src}" in capsys.readouterr().err
 
 
 def _dir_digest(path):
@@ -362,11 +363,14 @@ def test_outputs_match_golden_digests(tmp_path):
         "--seed", "1", "--tau", "0.25,0.5",
     )
     none_json = tmp_path / "bounds_none" / "bounds_tau0.25.json"
-    runs = {f"bounds_{flag}": ("bounds", *shared, "--assumption", flag)
-            for flag in ("si", "pqd", "none", "ri")}
-    runs["policy_pqd"] = ("policy", *shared, "--assumption", "pqd")
-    runs["policy_none_json"] = ("policy", "--input", none_json, "--tau", "0.25")
-    runs["owl_none_json"] = ("owl", "--input", none_json)
-    for name, argv in runs.items():
+    runs = [(f"bounds_{flag}", ("bounds", *shared, "--assumption", flag))
+            for flag in ("si", "pqd", "none", "ri")]
+    # policy_pqd holds the rules at both taus, read from the pqd bounds files
+    runs += [("policy_pqd", ("policy", "--input", tmp_path / "bounds_pqd" /
+                             f"bounds_tau{tau}.json", "--tau", tau))
+             for tau in ("0.25", "0.5")]
+    runs.append(("policy_none_json", ("policy", "--input", none_json, "--tau", "0.25")))
+    runs.append(("owl_none_json", ("owl", "--input", none_json)))
+    for name, argv in runs:
         assert run(*argv, "--out", tmp_path / name) == 0, name
-    assert {name: _dir_digest(tmp_path / name) for name in runs} == GOLDEN_DIGESTS
+    assert {name: _dir_digest(tmp_path / name) for name, _ in runs} == GOLDEN_DIGESTS

@@ -119,8 +119,6 @@ def test_classification_experiment_rates_and_determinism():
             v = table.value(est, crit)
             assert 0.0 <= v <= 1.0
             assert v * 4 == pytest.approx(round(v * 4))  # multiples of 1/reps
-    with pytest.raises(ValueError, match="estimator tag unknown"):
-        classification_experiment(d, 0.25, n=60, reps=2, estimators=("bayes",))
     with pytest.raises(KeyError):
         table.value("mmr_determ_none", "median")
 

@@ -295,8 +295,8 @@ def _apply_weights_file(field: BoundField, path: str) -> BoundField:
 
 
 def cmd_policy(args) -> int:
-    taus = _parse_taus(args.tau)
     file_tau, field = _read_bound_field(args.input, "policy")
+    taus = [file_tau] if args.tau is None else _parse_taus(args.tau)
     for tau in taus:
         if abs(file_tau - tau) > 1e-12:
             raise _CliError(4, f"bounds file is for tau={file_tau}")
@@ -443,6 +443,8 @@ def _build_parser() -> argparse.ArgumentParser:
         for flag in flags.split():
             p.add_argument(flag, **_FLAGS[flag])
         p.set_defaults(func=func)
+    # without --tau, policy takes the tau of the bounds file it reads
+    sub.choices["policy"].set_defaults(tau=None)
     return parser
 
 

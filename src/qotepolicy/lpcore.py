@@ -1,22 +1,27 @@
-"""The package's one linear-program backend.
+"""The package's one linear-program backend: HiGHS (Huangfu & Hall, Math.
+Prog. Comp. 2018), as bundled with scipy.
 
-Every LP the package solves (coupling and copula programs, Bernstein
-coefficient programs, Charnes-Cooper functionals) goes through ``solve_lp``,
-which hands the program to scipy's HiGHS interface (Huangfu & Hall, Math.
-Prog. Comp. 2018) in a single ``linprog`` call. Constraint matrices may be
-dense arrays or scipy.sparse matrices; sparse ones stay sparse.
+One-shot programs (the Bernstein coefficient program, the Charnes-Cooper
+functionals, every cold fallback) go through ``solve_lp``, a single
+``linprog`` call. Per-t loops, runs of programs that differ only in their
+costs, go through an ``LpSession``: one HiGHS model built once through
+scipy's private bindings and re-solved from the previous basis after each
+cost change; where those bindings are missing, or a warm solve does not end
+optimal, the session hands the program to ``solve_lp``. Constraint matrices
+may be dense arrays or scipy.sparse matrices; sparse ones stay sparse.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import importlib
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog as _linprog
 
-__all__ = ["LinearProgram", "LpSolution", "solve_lp"]
+__all__ = ["LinearProgram", "LpSession", "LpSolution", "solve_lp"]
 
 # linprog status codes; anything else (iteration limit, numerical trouble)
 # is reported as "failed"
@@ -116,3 +121,83 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         iterations=int(res.nit),
         message=res.message,
     )
+
+
+def _highs_core():
+    """scipy's bundled HiGHS bindings (private), or None where scipy lacks them."""
+    try:
+        return importlib.import_module("scipy.optimize._highspy._core")
+    except ImportError:
+        return None
+
+
+class LpSession:
+    """min or max c.x s.t. A_le x <= b_le, lower <= x <= upper, for many c.
+
+    One HiGHS model is built from the constraints and bounds once; each
+    ``solve`` changes only the costs and the objective sense, and restarts the
+    simplex from the basis the previous solve left. With ``warm_start=False``
+    each solve starts from no basis instead, so HiGHS presolves it afresh, but
+    the model is still not rebuilt. Where scipy lacks its private HiGHS
+    bindings, or a solve does not end optimal, the program goes to
+    ``solve_lp`` instead, cold.
+    """
+
+    def __init__(self, A_le, b_le, lower, upper, warm_start: bool = True):
+        self._program = LinearProgram(
+            c=np.zeros(np.shape(lower)[0]), A_le=A_le, b_le=b_le, lower=lower, upper=upper
+        )
+        self.warm_start = warm_start
+        self._core = _highs_core()
+        self._highs = None if self._core is None else self._model()
+
+    def _model(self):
+        h, p = self._core, self._program
+        a = sp.csc_matrix(p.A_le)
+        lp = h.HighsLp()
+        lp.num_col_, lp.num_row_ = a.shape[1], a.shape[0]
+        lp.col_cost_ = p.c
+        lp.col_lower_, lp.col_upper_ = p.lower, p.upper
+        lp.row_lower_ = np.full(a.shape[0], -np.inf)
+        lp.row_upper_ = p.b_le
+        m = lp.a_matrix_
+        m.format_ = h.MatrixFormat.kColwise
+        m.num_col_, m.num_row_ = a.shape[1], a.shape[0]
+        m.start_, m.index_, m.value_ = a.indptr, a.indices, a.data
+        highs = h._Highs()
+        highs.setOptionValue("output_flag", False)
+        if highs.passModel(lp) == h.HighsStatus.kError:
+            return None
+        return highs
+
+    def solve(self, c, sense: str = "minimize") -> LpSolution:
+        """Optimum for costs c; any end but optimal is solved again by solve_lp."""
+        c = np.asarray(c, dtype=float)
+        if self._highs is not None:
+            sol = self._warm(c, sense)
+            if sol is not None:
+                return sol
+            self._highs.clearSolver()  # the next solve starts from no basis
+        return solve_lp(replace(self._program, c=c, sense=sense))
+
+    def _warm(self, c, sense) -> Optional[LpSolution]:
+        """The optimum for costs c, or None if the run ends otherwise."""
+        h, highs = self._core, self._highs
+        highs.changeObjectiveSense(
+            h.ObjSense.kMaximize if sense == "maximize" else h.ObjSense.kMinimize
+        )
+        highs.changeColsCost(c.size, np.arange(c.size, dtype=np.int32), c)
+        if not self.warm_start:
+            highs.clearSolver()
+        highs.run()
+        status = highs.getModelStatus()
+        if status != h.HighsModelStatus.kOptimal:
+            return None
+        info = highs.getInfo()
+        return LpSolution(
+            status="optimal",
+            x=np.array(highs.getSolution().col_value),
+            objective=float(info.objective_function_value),
+            iterations=int(info.simplex_iteration_count),
+            message=highs.modelStatusToString(status),
+        )

@@ -24,6 +24,7 @@ from qotepolicy.bounds import (
     DeltaCdfBounds,
     DisadvantagedGain,
     QoteBounds,
+    _assemble_envelopes,
     _copula_program,
     _pairs_above,
     _staircase_envelopes,
@@ -245,7 +246,7 @@ def test_k3_coupling_lp_matches_vertex_enumeration():
     for idx, t in enumerate(ts):
         weights = ((v1[:, None] - v0[None, :]) <= t).ravel().astype(float)
         masses = [float(weights @ v) for v in vertices]
-        lo, up = prog.mass_bounds(v1, v0, t)
+        lo, up = (prog.bound(*prog.objective(v1, v0, t), sense, t) for sense in ("min", "max"))
         for got, ref in ((lo, min(masses)), (up, max(masses))):
             assert got == pytest.approx(ref, abs=1e-7)
         assert stair_lo[idx] == pytest.approx(min(masses), abs=1e-7)
@@ -347,8 +348,49 @@ def test_copula_mass_matches_raw_coupling_lp():
             for t in ts[:: max(1, ts.size // 6)]:
                 for sense in ("min", "max"):
                     ref, _ = raw_coupling_lp(v1, v0, float(t), sense, tag)
-                    got = prog.mass_bound(v1, v0, float(t), sense)
+                    got = prog.bound(*prog.objective(v1, v0, float(t)), sense, float(t))
                     assert got == pytest.approx(ref, abs=1e-9)
+
+
+def test_si_session_certifies_or_falls_back_to_the_full_program():
+    # random costs, unlike envelope objectives, often put the optimum of the
+    # SI program without its 2-increasing rows outside those rows
+    prog = _copula_program(6, 6, "SI")
+    session = prog.session()
+    rng = np.random.default_rng(0)
+    for step in range(200):
+        coefs = rng.normal(size=prog.nvar)
+        sense = ("min", "max")[step % 2]
+        got = session.bound(coefs, 0.0, sense, 0.0)
+        assert got == pytest.approx(prog.bound(coefs, 0.0, sense, 0.0), abs=1e-9)
+    assert session.solves == 200
+    assert 0 < session.fallbacks < session.solves
+
+
+@pytest.mark.parametrize("tag", ["SI", "PQD"])
+def test_session_envelopes_match_cold_full_programs(tag):
+    # small grids against the oracle's raw LP, larger ones against cold solves
+    # of the full copula program; ties among the grid values included
+    rng = np.random.default_rng(21)
+    for k in (3, 4, 5, 6, 12, 20):
+        v1 = np.sort(rng.normal(size=k))
+        v0 = np.sort(np.round(rng.normal(0.2, 1.3, size=k), 1))
+        t_grid = default_t_grid(v1, v0, 15)
+        env = coupling_lp_bounds(curve(v1), curve(v0), AssumptionSet(tag), t_grid=t_grid)
+        if k <= 6:
+            cold = [
+                [raw_coupling_lp(v1, v0, float(t), sense, tag)[0] for t in t_grid]
+                for sense in ("min", "max")
+            ]
+        else:
+            prog = _copula_program(k, k, tag)
+            cold = [
+                [prog.bound(*prog.objective(v1, v0, t), sense, t) for t in t_grid]
+                for sense in ("min", "max")
+            ]
+        ref = _assemble_envelopes(t_grid, *cold)
+        assert_allclose(env.lower, ref.lower, rtol=0, atol=1e-9)
+        assert_allclose(env.upper, ref.upper, rtol=0, atol=1e-9)
 
 
 def test_coupling_lp_bounds_takes_no_engine():

@@ -1,10 +1,12 @@
 import hashlib
 import json
+from io import StringIO
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
-from qotepolicy import bounds, cli
+from qotepolicy import bounds, cli, lpcore
 from qotepolicy.cli import main
 from qotepolicy.lpcore import LpSolution
 from qotepolicy.marginals import make_y_grid
@@ -75,7 +77,16 @@ def test_symmetry_needs_the_median(tmp_path):
     assert cell["lower"] == cell["upper"] == float(np.mean(v1) - np.mean(v0))
 
 
+def _fail_session_solves(monkeypatch):
+    monkeypatch.setattr(
+        lpcore.LpSession, "solve",
+        lambda self, c, sense="minimize": LpSolution(status="failed", message="stalled"),
+    )
+
+
 def test_failed_lp_exits_6_naming_t_tag_and_k(tmp_path, capsys, monkeypatch):
+    # the warm session solve and the cold full-program fallback both fail
+    _fail_session_solves(monkeypatch)
     monkeypatch.setattr(
         bounds, "solve_lp", lambda lp: LpSolution(status="failed", message="stalled")
     )
@@ -86,6 +97,32 @@ def test_failed_lp_exits_6_naming_t_tag_and_k(tmp_path, capsys, monkeypatch):
     assert code == 6
     err = capsys.readouterr().err
     assert "LP failed at t=" in err and "tag SI" in err and "k=5" in err
+
+
+@pytest.mark.parametrize("assumption", ["si", "pqd"])
+def test_failed_session_solves_fall_back_to_the_cold_program(
+    tmp_path, monkeypatch, assumption
+):
+    args = (
+        "bounds", "--dgp", "subgroup2", "--assumption", assumption,
+        "--k", "8", "--tgrid", "21", "--n", "200", "--seed", "1", "--tau", "0.25,0.5",
+    )
+    assert run(*args, "--out", tmp_path / "warm") == 0
+    _fail_session_solves(monkeypatch)
+    assert run(*args, "--out", tmp_path / "cold") == 0
+    names = sorted(p.name for p in (tmp_path / "warm").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "cold").iterdir())
+    for name in names:
+        warm = (tmp_path / "warm" / name).read_text()
+        cold = (tmp_path / "cold" / name).read_text()
+        if name.endswith(".json"):
+            assert json.loads(warm) == json.loads(cold)
+        else:
+            assert_allclose(
+                np.loadtxt(StringIO(warm), delimiter=",", skiprows=1),
+                np.loadtxt(StringIO(cold), delimiter=",", skiprows=1),
+                rtol=0, atol=1e-9,
+            )
 
 
 def test_bounds_from_csv_and_frozen_staircase_values(tmp_path):
@@ -160,6 +197,31 @@ def test_policy_tau_mismatch_writes_nothing(tmp_path):
     )
     assert code == 4
     assert list(out.iterdir()) == []
+
+
+def test_policy_takes_its_tau_from_the_bounds_file(tmp_path):
+    stage = tmp_path / "stage"
+    assert run(
+        "bounds", "--dgp", "subgroup1", "--tau", "0.5", "--assumption", "none",
+        "--k", "6", "--n", "40", "--out", stage,
+    ) == 0
+    implicit, explicit = tmp_path / "implicit", tmp_path / "explicit"
+    assert run("policy", "--input", stage / "bounds_tau0.5.json", "--out", implicit) == 0
+    assert run(
+        "policy", "--input", stage / "bounds_tau0.5.json", "--tau", "0.5", "--out", explicit
+    ) == 0
+    names = sorted(p.name for p in implicit.iterdir())
+    assert "regret_tau0.5.json" in names
+    assert names == sorted(p.name for p in explicit.iterdir())
+    for name in names:
+        assert (implicit / name).read_bytes() == (explicit / name).read_bytes()
+    other = tmp_path / "other"
+    other.mkdir()
+    code = run(
+        "policy", "--input", stage / "bounds_tau0.5.json", "--tau", "0.25", "--out", other
+    )
+    assert code == 4
+    assert list(other.iterdir()) == []
 
 
 def test_symmetry_rejects_a_later_tau_before_writing(tmp_path):

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,8 @@ from numpy.testing import assert_allclose
 from oracles import brute_force_lp
 import scipy.sparse as sp
 
-from qotepolicy.lpcore import LinearProgram, solve_lp
+from qotepolicy import lpcore
+from qotepolicy.lpcore import LinearProgram, LpSession, solve_lp
 
 
 def test_textbook_maximization():
@@ -144,3 +147,71 @@ def test_sparse_constraints_stay_sparse():
     assert brute_force_lp(cost, a, np.ones(2 * k), "max") == pytest.approx(maxed.objective)
     with pytest.raises(ValueError, match="columns"):
         LinearProgram(c=[1.0], A_le=sp.csr_matrix(np.ones((1, 2))), b_le=[1.0])
+
+
+def _random_program(rng, m, n, sparse):
+    """A_le x <= b_le in a box, feasible at a random interior point."""
+    a = rng.normal(size=(m, n)) * (rng.uniform(size=(m, n)) < 0.4)
+    upper = rng.uniform(0.5, 2.0, size=n)
+    b = a @ (upper * rng.uniform(0.2, 0.8, size=n)) + rng.uniform(0.0, 0.5, size=m)
+    return (sp.csr_matrix(a) if sparse else a), b, np.zeros(n), upper
+
+
+def _assert_same_optimum(got, ref, lp):
+    assert got.status == ref.status == "optimal"
+    assert got.objective == pytest.approx(ref.objective, rel=1e-9, abs=1e-9)
+    assert got.x @ lp.c == pytest.approx(got.objective, rel=1e-9, abs=1e-9)
+    assert np.all(lp.A_le @ got.x <= lp.b_le + 1e-7)
+    assert np.all(got.x >= lp.lower - 1e-9) and np.all(got.x <= lp.upper + 1e-9)
+
+
+@pytest.mark.parametrize("warm_start", [True, False])
+@pytest.mark.parametrize("sparse", [False, True])
+@pytest.mark.parametrize("seed", range(4))
+def test_session_matches_cold_solves_over_a_run_of_costs(seed, sparse, warm_start):
+    rng = np.random.default_rng(seed)
+    a, b, lower, upper = _random_program(rng, 30, 20, sparse)
+    session = LpSession(a, b, lower, upper, warm_start=warm_start)
+    # several cost changes in a row, with the sense switching now and then
+    for step in range(12):
+        sense = "maximize" if step % 4 >= 2 else "minimize"
+        lp = LinearProgram(
+            c=rng.normal(size=20), sense=sense, A_le=a, b_le=b, lower=lower, upper=upper
+        )
+        _assert_same_optimum(session.solve(lp.c, sense), solve_lp(lp), lp)
+
+
+def test_session_reports_infeasible_and_unbounded_as_solve_lp_does():
+    free = np.full(2, np.inf)
+    infeasible = LpSession(np.array([[1.0, 1.0]]), np.array([-1.0]), np.zeros(2), free)
+    assert infeasible.solve(np.ones(2)).status == "infeasible"
+    assert infeasible.solve(-np.ones(2), "maximize").status == "infeasible"
+    # x0 - x1 <= 1 with x1 free above: min -x1 is unbounded, min x0 + x1 is 0
+    session = LpSession(np.array([[1.0, -1.0]]), np.array([1.0]), np.zeros(2), free)
+    assert session.solve(np.array([0.0, -1.0])).status == "unbounded"
+    sol = session.solve(np.array([1.0, 1.0]))
+    assert sol.status == "optimal" and sol.objective == pytest.approx(0.0)
+    assert session.solve(np.array([1.0, 0.0]), "maximize").status == "unbounded"
+    sol = session.solve(np.array([1.0, -1.0]), "maximize")
+    assert sol.status == "optimal" and sol.objective == pytest.approx(1.0)
+
+
+def test_session_without_the_private_highs_bindings_uses_solve_lp(monkeypatch):
+    # scipy releases without scipy.optimize._highspy._core: every solve is cold
+    monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
+    assert lpcore._highs_core() is None
+    cold = []
+    monkeypatch.setattr(lpcore, "solve_lp", lambda lp: cold.append(lp) or solve_lp(lp))
+    rng = np.random.default_rng(11)
+    a, b, lower, upper = _random_program(rng, 25, 15, True)
+    session = LpSession(a, b, lower, upper)
+    for sense in ("minimize", "maximize", "minimize"):
+        lp = LinearProgram(
+            c=rng.normal(size=15), sense=sense, A_le=a, b_le=b, lower=lower, upper=upper
+        )
+        got, ref = session.solve(lp.c, sense), solve_lp(lp)
+        assert got.status == ref.status == "optimal"
+        assert got.objective == ref.objective
+        assert np.array_equal(got.x, ref.x)
+    assert len(cold) == 3
+

@@ -11,10 +11,10 @@ Every other program is a linear program over one grid-copula program in
 CDF coordinates: the SI/PQD envelopes, the Bernstein relaxation, and the
 Charnes-Cooper programs of the conditional-mean functionals, whose cell
 masses are second differences of the copula. The per-t loops (envelopes,
-lazy inversion, Bernstein envelopes) solve on one warm ``lpcore.LpSession``
-per call; for SI it leaves out the 2-increasing rows and checks them on each
-solution, and a failed check or a solve that does not end optimal sends the
-full program to a cold solve. One-shot programs go through
+lazy inversion, Bernstein envelopes) solve on one ``lpcore.LpSession`` per
+call. For SI it is warm-started and leaves out the 2-increasing rows, which
+are checked on each solution; a failed check or a solve that does not end
+optimal sends the full program to a cold solve. One-shot programs go through
 ``lpcore.solve_lp``. A cold solve that does not end optimal raises
 LpSolveError, a RuntimeError naming t, the assumption tag and the grid size.
 An envelope reaches tau when its value is at least tau - 1e-12, so dense and

@@ -5,10 +5,11 @@ One-shot programs (the Bernstein coefficient program, the Charnes-Cooper
 functionals, every cold fallback) go through ``solve_lp``, a single
 ``linprog`` call. Per-t loops, runs of programs that differ only in their
 costs, go through an ``LpSession``: one HiGHS model built once through
-scipy's private bindings and re-solved from the previous basis after each
-cost change; where those bindings are missing, or a warm solve does not end
-optimal, the session hands the program to ``solve_lp``. Constraint matrices
-may be dense arrays or scipy.sparse matrices; sparse ones stay sparse.
+scipy's private bindings and re-solved after each cost change, by default
+from the previous basis; where those bindings are missing, or a solve does
+not end optimal, the session hands the program to ``solve_lp``. Constraint
+matrices may be dense arrays or scipy.sparse matrices; sparse ones stay
+sparse.
 """
 
 from __future__ import annotations
@@ -147,7 +148,7 @@ class LpSession:
         self._program = LinearProgram(
             c=np.zeros(np.shape(lower)[0]), A_le=A_le, b_le=b_le, lower=lower, upper=upper
         )
-        self.warm_start = warm_start
+        self._warm_start = warm_start
         self._core = _highs_core()
         self._highs = None if self._core is None else self._model()
 
@@ -174,20 +175,20 @@ class LpSession:
         """Optimum for costs c; any end but optimal is solved again by solve_lp."""
         c = np.asarray(c, dtype=float)
         if self._highs is not None:
-            sol = self._warm(c, sense)
+            sol = self._run(c, sense)
             if sol is not None:
                 return sol
             self._highs.clearSolver()  # the next solve starts from no basis
         return solve_lp(replace(self._program, c=c, sense=sense))
 
-    def _warm(self, c, sense) -> Optional[LpSolution]:
+    def _run(self, c, sense) -> Optional[LpSolution]:
         """The optimum for costs c, or None if the run ends otherwise."""
         h, highs = self._core, self._highs
         highs.changeObjectiveSense(
             h.ObjSense.kMaximize if sense == "maximize" else h.ObjSense.kMinimize
         )
         highs.changeColsCost(c.size, np.arange(c.size, dtype=np.int32), c)
-        if not self.warm_start:
+        if not self._warm_start:
             highs.clearSolver()
         highs.run()
         status = highs.getModelStatus()

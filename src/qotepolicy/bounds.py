@@ -10,9 +10,11 @@ The unrestricted problem has a closed-form solution on the quantile grid.
 Every other program is a linear program over one grid-copula program in
 CDF coordinates: the SI/PQD envelopes, the Bernstein relaxation, and the
 Charnes-Cooper programs of the conditional-mean functionals, whose cell
-masses are second differences of the copula. The per-t loops (envelopes,
-lazy inversion, Bernstein envelopes) solve on one ``lpcore.LpSession`` per
-call. For SI it is warm-started and leaves out the 2-increasing rows, which
+masses are second differences of the copula. Dense envelopes, lazy inversion,
+Bernstein envelopes and the probes of ``sim`` all read one ``_Envelopes``
+oracle per (curves or linear form, tag, t grid), which solves each (side, t)
+at most once on one ``lpcore.LpSession`` and inverts by one bisection. For
+SI that session is warm-started and leaves out the 2-increasing rows, which
 are checked on each solution; a failed check or a solve that does not end
 optimal sends the full program to a cold solve. One-shot programs go through
 ``lpcore.solve_lp``. A cold solve that does not end optimal raises
@@ -47,6 +49,7 @@ __all__ = [
     "makarov_bounds",
     "coupling_lp_bounds",
     "bernstein_lp_bounds",
+    "bernstein_optimal_coefs",
     "invert_bounds",
     "rank_invariance_qote",
     "functional_bounds",
@@ -70,9 +73,18 @@ _TAU_TOL = 1e-12
 _CERT_TOL = 1e-9
 
 
-def _reaches(value: float, tau: float) -> bool:
-    """Whether a CDF value reaches tau, up to LP rounding."""
-    return value >= tau - _TAU_TOL
+def _checked_t_grid(t_grid) -> np.ndarray:
+    """A t grid as a float array: 1-d, non-empty, finite, strictly increasing."""
+    t = np.asarray(t_grid, dtype=float)
+    if t.ndim != 1:
+        raise ValueError(f"t_grid must be 1-d, got shape {t.shape}")
+    if t.size == 0:
+        raise ValueError("t_grid must not be empty")
+    if not np.all(np.isfinite(t)):
+        raise ValueError("t_grid values must be finite")
+    if np.any(np.diff(t) <= 0):
+        raise ValueError("t_grid must be strictly increasing")
+    return t
 
 
 @dataclass(frozen=True)
@@ -118,20 +130,16 @@ class DeltaCdfBounds:
     upper: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.t_grid, dtype=float)
+        t = _checked_t_grid(self.t_grid)
         lo = np.asarray(self.lower, dtype=float)
         up = np.asarray(self.upper, dtype=float)
         object.__setattr__(self, "t_grid", t)
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", up)
-        if not (t.shape == lo.shape == up.shape) or t.ndim != 1:
+        if not t.shape == lo.shape == up.shape:
             raise ValueError("t_grid, lower, upper must be 1-d of equal length")
-        if t.size == 0:
-            raise ValueError("t_grid must not be empty")
-        if np.any(np.diff(t) <= 0):
-            raise ValueError("t_grid must be strictly increasing")
         for name, v in (("lower", lo), ("upper", up)):
-            if np.any(v < -1e-9) or np.any(v > 1 + 1e-9):
+            if not np.all((v >= -1e-9) & (v <= 1 + 1e-9)):
                 raise ValueError(f"{name} envelope must lie in [0, 1]")
             if np.any(np.diff(v) < -1e-9):
                 raise ValueError(f"{name} envelope must be nondecreasing")
@@ -374,7 +382,8 @@ class _CopulaProgram:
     marginals; with degrees (m1, m2) it holds Bernstein copula coefficients.
 
     The rows in ``checked_rows`` (SI's 2-increasing family) are left out of
-    the warm ``session`` and checked on each of its solutions instead.
+    the session of an ``_Envelopes`` oracle and checked on each of its
+    solutions instead.
     """
 
     def __init__(self, m1: int, m2: int, tag: str):
@@ -485,10 +494,6 @@ class _CopulaProgram:
         const = float(np.sum(d * self.full_beta(np.zeros(self.nvar))))
         return d[1:-1, 1:-1].ravel(), const
 
-    def session(self) -> "_CopulaSession":
-        """A fresh warm-started solver for a run of bounds on this program."""
-        return _CopulaSession(self)
-
     def full_beta(self, x) -> np.ndarray:
         """The (m1+1) x (m2+1) copula values with boundaries, from interior x."""
         m1, m2 = self.m1, self.m2
@@ -498,59 +503,6 @@ class _CopulaProgram:
         if self.nvar:
             beta[1:m1, 1:m2] = np.asarray(x).reshape(m1 - 1, m2 - 1)
         return beta
-
-
-class _CopulaSession:
-    """``bound`` of one copula program on one HiGHS model, certified.
-
-    The model holds the program without its checked rows. For SI it keeps its
-    basis from one solve to the next, so a run of bounds that differ only in
-    their costs (consecutive t points) restarts close to the optimum. PQD and
-    none programs start each solve from no basis: HiGHS presolves them to
-    small programs, and on the k = 50 PQD envelope at 7 t points warm runs
-    took longer than presolved ones and raised the peak RSS. A solution
-    that satisfies every checked row to 1e-9 is optimal for the full program,
-    since the relaxed feasible set contains the full one. Any other end, a
-    violated row or a solve that is not optimal, solves the full program cold
-    through ``_CopulaProgram.bound``, which raises LpSolveError on failure.
-    A session is built per call and never cached, so results depend only on
-    the call's own sequence of solves.
-    """
-
-    def __init__(self, prog: _CopulaProgram):
-        self.prog = prog
-        self._checked = prog.a_le[prog.checked_rows], prog.b_le[prog.checked_rows]
-        self.solves = 0
-        self.fallbacks = 0
-
-    @functools.cached_property
-    def _lp(self) -> LpSession:
-        prog, kept = self.prog, slice(self.prog.checked_rows.stop, None)
-        return LpSession(
-            prog.a_le[kept], prog.b_le[kept], prog.lb, prog.ub, warm_start=prog.tag == "SI"
-        )
-
-    def bound(self, coefs, const, sense, t) -> float:
-        """``_CopulaProgram.bound``, from the session where the certificate holds."""
-        if not np.any(coefs):
-            return min(max(const, 0.0), 1.0)
-        self.solves += 1
-        sol = self._lp.solve(coefs, _SENSES[sense])
-        a, b = self._checked
-        if sol.status != "optimal" or np.any(a @ sol.x > b + _CERT_TOL):
-            self.fallbacks += 1
-            return self.prog.bound(coefs, const, sense, t)
-        return const + sol.objective
-
-    def envelopes(self, form: Callable, t_grid):
-        """(minima, maxima) over t_grid of the linear form (coefs, const) = form(t).
-
-        All the minima are solved first, so the objective sense switches once.
-        """
-        return tuple(
-            np.array([self.bound(*form(t), sense, t) for t in t_grid])
-            for sense in ("min", "max")
-        )
 
 
 @functools.lru_cache(maxsize=32)
@@ -566,6 +518,131 @@ def _program_tag(assumptions: AssumptionSet) -> str:
     return tag
 
 
+class _Envelopes:
+    """min and max of P(Delta <= t) on one t grid, each value found once.
+
+    Side "min" is the lower envelope, "max" the upper one, as found. Both are
+    given arrays (closed form, built envelopes) or are solved on demand:
+    ``mass(side, index)`` bounds const + coefs . S over ``prog``, with
+    (coefs, const) = form(t), once per index and in the order asked. Solves
+    share one HiGHS model of the program without its checked rows. For SI it
+    keeps its basis between solves, so values near 0 depend on that order;
+    PQD and none start each solve from no basis (presolved, these ran faster
+    and with a flat peak RSS on short grids). A solution within 1e-9 of every
+    checked row is optimal for the full program, whose feasible set the
+    relaxed one contains; any other end solves the full program cold through
+    ``_CopulaProgram.bound``, which raises LpSolveError. ``solves`` and
+    ``fallbacks`` count both. Built per call, never cached.
+    """
+
+    def __init__(self, t_grid, prog=None, form: Optional[Callable] = None, sides=None):
+        self.t_grid = _checked_t_grid(t_grid)
+        self.prog, self._form = prog, form
+        if sides is None:
+            sides = np.full((2, self.t_grid.size), np.nan)
+        self._values = dict(zip(_SENSES, sides))
+        self.solves = 0
+        self.fallbacks = 0
+
+    @classmethod
+    def of_bounds(cls, b: DeltaCdfBounds) -> "_Envelopes":
+        """The oracle of envelopes that are already built: nothing is solved."""
+        return cls(b.t_grid, sides=(b.lower, b.upper))
+
+    @classmethod
+    def of_values(cls, v1, v0, tag: str, t_grid=None) -> "_Envelopes":
+        """Couplings of two k-atom grids, sorted, under a copula-program tag."""
+        k = v1.size
+        if k < 2:
+            raise ValueError("k must be at least 2")
+        if t_grid is None:
+            t_grid = default_t_grid(v1, v0)
+        if tag != "none":
+            prog = _copula_program(k, k, tag)
+            return cls(t_grid, prog, functools.partial(prog.objective, v1, v0))
+        t = _checked_t_grid(t_grid)
+        return cls.of_bounds(_assemble_envelopes(t, *_staircase_envelopes(v1, v0, t)))
+
+    @classmethod
+    def of_curves(cls, q1, q0, assumptions: AssumptionSet, k=None, t_grid=None) -> "_Envelopes":
+        """``of_values`` on two quantile curves, read at k grid points."""
+        tag = _program_tag(assumptions)
+        v1, v0, _ = _curves_on_common_grid(q1, q0, k)
+        return cls.of_values(v1, v0, tag, t_grid)
+
+    @functools.cached_property
+    def _session(self):
+        """The HiGHS session of the program without its checked rows, and those rows."""
+        prog, checked = self.prog, self.prog.checked_rows
+        kept = slice(checked.stop, None)
+        lp = LpSession(
+            prog.a_le[kept], prog.b_le[kept], prog.lb, prog.ub, warm_start=prog.tag == "SI"
+        )
+        return lp, prog.a_le[checked], prog.b_le[checked]
+
+    def _bound(self, coefs, const, side, t) -> float:
+        """``_CopulaProgram.bound``, from the session where the certificate holds."""
+        if not np.any(coefs):
+            return min(max(const, 0.0), 1.0)
+        self.solves += 1
+        lp, a, b = self._session
+        sol = lp.solve(coefs, _SENSES[side])
+        if sol.status != "optimal" or np.any(a @ sol.x > b + _CERT_TOL):
+            self.fallbacks += 1
+            return self.prog.bound(coefs, const, side, t)
+        return const + sol.objective
+
+    def mass(self, side: str, idx) -> float:
+        """The side's value at t_grid[idx], solved the first time it is asked for."""
+        values = self._values[side]
+        if np.isnan(values[idx]):
+            t = float(self.t_grid[idx])
+            values[idx] = self._bound(*self._form(t), side, t)
+        return float(values[idx])
+
+    def dense(self):
+        """(lower, upper) at every t: every missing min in index order, then every max."""
+        for side in _SENSES:
+            for idx in np.flatnonzero(np.isnan(self._values[side])):
+                self.mass(side, idx)
+        return self._values["min"].copy(), self._values["max"].copy()
+
+    def reaches(self, side: str, idx, tau: float) -> bool:
+        """Whether the side reaches tau at t_grid[idx], up to LP rounding."""
+        return self.mass(side, idx) >= tau - _TAU_TOL
+
+    def first_reaching(self, side: str, tau: float, hi) -> int:
+        """Smallest index in [0, hi] at which the side reaches tau, given that hi does.
+
+        Bisection probes mid = (lo + hi) // 2 with lo inclusive, so only the
+        indices it visits are solved.
+        """
+        lo = 0
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if self.reaches(side, mid, tau):
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
+
+    def _inverse(self, side: str, tau: float):
+        """(min{t : side reaches tau}, truncated), truncated if tau is off the side's range."""
+        last = self.t_grid.size - 1
+        if not self.reaches(side, last, tau):
+            return float(self.t_grid[last]), True
+        idx = self.first_reaching(side, tau, last)
+        return float(self.t_grid[idx]), bool(idx == 0 and tau < self.mass(side, 0))
+
+    def invert(self, tau: float) -> QoteBounds:
+        """Quantile bounds: the lower envelope (searched first) gives the upper bound."""
+        if not 0.0 < tau < 1.0:
+            raise ValueError("tau must lie in (0, 1)")
+        upper, trunc_u = self._inverse("min", tau)
+        lower, trunc_l = self._inverse("max", tau)
+        return QoteBounds(lower, upper, truncated_lower=trunc_l, truncated_upper=trunc_u)
+
+
 def coupling_lp_bounds(
     q1: QuantileCurve,
     q0: QuantileCurve,
@@ -578,22 +655,8 @@ def coupling_lp_bounds(
     ``assumptions`` must be NoAssumption, SI, or PQD. Restricted cases solve
     two LPs per t; the unrestricted case uses the exact closed form.
     """
-    tag = _program_tag(assumptions)
-    v1, v0, k = _curves_on_common_grid(q1, q0, k)
-    if k < 2:
-        raise ValueError("k must be at least 2")
-    if t_grid is None:
-        t_grid = default_t_grid(v1, v0)
-    t_grid = np.asarray(t_grid, dtype=float)
-
-    if tag == "none":
-        f_lower, f_upper = _staircase_envelopes(v1, v0, t_grid)
-    else:
-        prog = _copula_program(k, k, tag)
-        f_lower, f_upper = prog.session().envelopes(
-            functools.partial(prog.objective, v1, v0), t_grid
-        )
-    return _assemble_envelopes(t_grid, f_lower, f_upper)
+    env = _Envelopes.of_curves(q1, q0, assumptions, k, t_grid)
+    return _assemble_envelopes(env.t_grid, *env.dense())
 
 
 def invert_bounds(b: DeltaCdfBounds, tau: float) -> QoteBounds:
@@ -603,61 +666,7 @@ def invert_bounds(b: DeltaCdfBounds, tau: float) -> QoteBounds:
     range an envelope spans on the grid, the corresponding endpoint is
     returned with a truncated flag.
     """
-    if not 0.0 < tau < 1.0:
-        raise ValueError("tau must lie in (0, 1)")
-    lower, trunc_l = invert_envelope_lazily(b.t_grid, b.upper.__getitem__, tau)
-    upper, trunc_u = invert_envelope_lazily(b.t_grid, b.lower.__getitem__, tau)
-    return QoteBounds(lower, upper, truncated_lower=trunc_l, truncated_upper=trunc_u)
-
-
-def _first_reaching(evaluate: Callable[[int], float], tau: float, lo: int, hi: int) -> int:
-    """Smallest index in [lo, hi] whose value reaches tau, given that hi's does.
-
-    ``evaluate`` must be nondecreasing in the index; bisection probes
-    mid = (lo + hi) // 2 with lo inclusive.
-    """
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _reaches(evaluate(mid), tau):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
-def _memoised_masses(prog: _CopulaProgram, v1, v0, t_grid):
-    """(min, max) of P(Delta <= t_grid[index]) as functions of the index.
-
-    Each (side, index) pair is solved at most once, on one session.
-    """
-    session = prog.session()
-
-    def side(sense):
-        @functools.lru_cache(maxsize=None)
-        def mass(idx):
-            t = float(t_grid[idx])
-            return session.bound(*prog.objective(v1, v0, t), sense, t)
-
-        return mass
-
-    return side("min"), side("max")
-
-
-def invert_envelope_lazily(t_grid, evaluate: Callable[[int], float], tau: float):
-    """min{t in grid : F(t_index) reaches tau} touching only bisection indices.
-
-    ``evaluate`` must be nondecreasing in the index (and is probed at the
-    answer again when that is index 0). Returns (value, truncated), truncated
-    when tau lies above F at the last grid point or below it at the first.
-    ``invert_bounds`` inverts dense envelopes through this same routine.
-    """
-    t = np.asarray(t_grid, dtype=float)
-    if t.size == 0:
-        raise ValueError("t_grid must not be empty")
-    if not _reaches(evaluate(t.size - 1), tau):
-        return float(t[-1]), True
-    idx = _first_reaching(evaluate, tau, 0, t.size - 1)
-    return float(t[idx]), bool(idx == 0 and tau < evaluate(0))
+    return _Envelopes.of_bounds(b).invert(tau)
 
 
 def qote_coupling_bounds(
@@ -674,22 +683,7 @@ def qote_coupling_bounds(
     only the t values a bisection visits, which matters for the shape
     constrained programs.
     """
-    tag = _program_tag(assumptions)
-    if not 0.0 < tau < 1.0:
-        raise ValueError("tau must lie in (0, 1)")
-    v1, v0, k = _curves_on_common_grid(q1, q0, k)
-    if t_grid is None:
-        t_grid = default_t_grid(v1, v0)
-    t_grid = np.asarray(t_grid, dtype=float)
-
-    if tag == "none":
-        f_lower, f_upper = _staircase_envelopes(v1, v0, t_grid)
-        return invert_bounds(_assemble_envelopes(t_grid, f_lower, f_upper), tau)
-
-    mass_min, mass_max = _memoised_masses(_copula_program(k, k, tag), v1, v0, t_grid)
-    upper, trunc_u = invert_envelope_lazily(t_grid, mass_min, tau)
-    lower, trunc_l = invert_envelope_lazily(t_grid, mass_max, tau)
-    return QoteBounds(lower, upper, truncated_lower=trunc_l, truncated_upper=trunc_u)
+    return _Envelopes.of_curves(q1, q0, assumptions, k, t_grid).invert(tau)
 
 
 # ---------------------------------------------------------------------------
@@ -747,12 +741,13 @@ def bernstein_lp_bounds(
         raise ValueError("degrees m1, m2 must be at least 1")
     if t_grid is None:
         t_grid = default_t_grid(q1.values, q0.values)
-    t_grid = np.asarray(t_grid, dtype=float)
     _, q1n, q0n, a1, r0 = _bernstein_weight_data(q1, q0, m1, m2, quad_points)
-    f_lower, f_upper = _copula_program(m1, m2, tag).session().envelopes(
-        functools.partial(_bernstein_objective, q1n, q0n, a1, r0, m1, m2), t_grid
+    env = _Envelopes(
+        t_grid,
+        _copula_program(m1, m2, tag),
+        functools.partial(_bernstein_objective, q1n, q0n, a1, r0, m1, m2),
     )
-    return _assemble_envelopes(t_grid, f_lower, f_upper)
+    return _assemble_envelopes(env.t_grid, *env.dense())
 
 
 def bernstein_optimal_coefs(
@@ -767,6 +762,8 @@ def bernstein_optimal_coefs(
 ) -> BernsteinCoefs:
     """Coefficient matrix attaining one envelope value at one t (diagnostics)."""
     tag = _program_tag(assumptions)
+    if sense not in _SENSES:
+        raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
     _, q1n, q0n, a1, r0 = _bernstein_weight_data(q1, q0, m1, m2, quad_points)
     prog = _copula_program(m1, m2, tag)
     if prog.nvar == 0:

@@ -6,7 +6,8 @@ columns and the estimated rules are scalars. The minimax rules only enter the
 tables through their majority action, which lets the harness decide treat or
 not by probing the CDF envelopes at a handful of t values instead of tracing
 whole bound curves; the probes reproduce exactly what dense envelope
-inversion over the same t grid would decide.
+inversion over the same t grid would decide, through one SI envelope oracle
+of ``bounds`` per replication.
 """
 
 from __future__ import annotations
@@ -23,10 +24,7 @@ from .bounds import (
     DEFAULT_T_POINTS,
     AssumptionSet,
     QoteBounds,
-    _copula_program,
-    _first_reaching,
-    _memoised_masses,
-    _reaches,
+    _Envelopes,
     _staircase_qote,
     default_t_grid,
     qote_coupling_bounds,
@@ -206,35 +204,31 @@ def mc_oracle_qote(dgp: DgpSpec, tau: float, ndraws: int, seed: int = 0) -> floa
     return empirical_quantile(y1 - y0, tau)
 
 
-def _arm_curve(values: np.ndarray, k: int) -> QuantileCurve:
-    return QuantileCurve(u_grid(k), make_y_grid(values, k))
-
-
 def _si_majority_action(v1, v0, tau, t_grid, none_bounds):
     """Majority action of the SI minimax rules, by envelope probes.
 
     Decides 1{L >= 0}, 0 when U <= 0, else 1{U >= -L}, where (L, U) are the
     SI bounds that dense envelope inversion over t_grid would produce. The
     unrestricted bounds nest the SI ones, which settles most draws for free.
+    Each probe is one side of the SI envelopes at one t, solved at most once.
     """
+    env = _Envelopes.of_values(v1, v0, "SI", t_grid)
     lo_none, up_none = none_bounds
     if lo_none >= 0:
         return 1
-    neg = np.flatnonzero(t_grid < 0)
-    nonpos = np.flatnonzero(t_grid <= 0)
-    if nonpos.size and up_none <= t_grid[nonpos[-1]]:
+    neg = np.flatnonzero(env.t_grid < 0)
+    nonpos = np.flatnonzero(env.t_grid <= 0)
+    if nonpos.size and up_none <= env.t_grid[nonpos[-1]]:
         return 0
-    k = v1.size
-    mass_min, mass_max = _memoised_masses(_copula_program(k, k, "SI"), v1, v0, t_grid)
-    if not neg.size or not _reaches(mass_max(neg[-1]), tau):
+    if not neg.size or not env.reaches("max", neg[-1], tau):
         return 1  # lower envelope inversion lands at or above zero
-    if nonpos.size and _reaches(mass_min(nonpos[-1]), tau):
+    if nonpos.size and env.reaches("min", nonpos[-1], tau):
         return 0  # upper envelope inversion lands at or below zero
-    l_hat = t_grid[_first_reaching(mass_max, tau, 0, neg[-1])]
-    below = np.flatnonzero(t_grid < -l_hat)
+    l_hat = env.t_grid[env.first_reaching("max", tau, neg[-1])]
+    below = np.flatnonzero(env.t_grid < -l_hat)
     if not below.size:
         return 1
-    return 0 if _reaches(mass_min(below[-1]), tau) else 1
+    return 0 if env.reaches("min", below[-1], tau) else 1
 
 
 def _rep_actions(dgp: DgpSpec, tau: float, n: int, k: int, seed):

@@ -16,6 +16,7 @@ from oracles import (
     raw_shape_rows,
     si_partial_sums_ok,
 )
+from qotepolicy import bounds, lpcore, sim
 from qotepolicy.bounds import (
     AssumptionSet,
     BernsteinCoefs,
@@ -26,6 +27,7 @@ from qotepolicy.bounds import (
     QoteBounds,
     _assemble_envelopes,
     _copula_program,
+    _Envelopes,
     _pairs_above,
     _staircase_envelopes,
     _staircase_qote,
@@ -41,7 +43,7 @@ from qotepolicy.bounds import (
     rank_invariance_qote,
 )
 from qotepolicy.marginals import QuantileCurve, u_grid
-from qotepolicy.sim import SUBGROUPS, population_curves
+from qotepolicy.sim import SUBGROUPS, classification_experiment, population_curves
 
 
 def curve(values):
@@ -91,6 +93,11 @@ def test_delta_cdf_bounds_validation():
         DeltaCdfBounds([0.0, 1.0], [0.2, 0.1], [0.3, 0.4])
     with pytest.raises(ValueError, match="not exceed"):
         DeltaCdfBounds([0.0, 1.0], [0.5, 0.5], [0.3, 0.6])
+    for t in ([0.0, np.nan], [np.nan, 1.0], [0.0, np.inf]):
+        with pytest.raises(ValueError, match="finite"):
+            DeltaCdfBounds(t, [0.1, 0.2], [0.3, 0.4])
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        DeltaCdfBounds([0.0, 1.0], [0.1, np.nan], [0.3, 0.4])
 
 
 def test_coupling_validation():
@@ -354,17 +361,18 @@ def test_copula_mass_matches_raw_coupling_lp():
 
 def test_si_session_certifies_or_falls_back_to_the_full_program():
     # random costs, unlike envelope objectives, often put the optimum of the
-    # SI program without its 2-increasing rows outside those rows
+    # SI program without its 2-increasing rows outside those rows; the
+    # oracle's linear form at t = step is the step-th cost vector
     prog = _copula_program(6, 6, "SI")
-    session = prog.session()
     rng = np.random.default_rng(0)
-    for step in range(200):
-        coefs = rng.normal(size=prog.nvar)
+    costs = [rng.normal(size=prog.nvar) for _ in range(200)]
+    env = _Envelopes(np.arange(200.0), prog, lambda t: (costs[int(t)], 0.0))
+    for step, coefs in enumerate(costs):
         sense = ("min", "max")[step % 2]
-        got = session.bound(coefs, 0.0, sense, 0.0)
+        got = env.mass(sense, step)
         assert got == pytest.approx(prog.bound(coefs, 0.0, sense, 0.0), abs=1e-9)
-    assert session.solves == 200
-    assert 0 < session.fallbacks < session.solves
+    assert env.solves == 200
+    assert 0 < env.fallbacks < env.solves
 
 
 @pytest.mark.parametrize("tag", ["SI", "PQD"])
@@ -391,6 +399,80 @@ def test_session_envelopes_match_cold_full_programs(tag):
         ref = _assemble_envelopes(t_grid, *cold)
         assert_allclose(env.lower, ref.lower, rtol=0, atol=1e-9)
         assert_allclose(env.upper, ref.upper, rtol=0, atol=1e-9)
+
+
+def _count_lp_solves(monkeypatch):
+    """Counters of session and cold solves, through the seams test_cli patches."""
+    counts = {"session": 0, "cold": 0}
+    session_solve, cold_solve = lpcore.LpSession.solve, bounds.solve_lp
+
+    def counted_session(self, c, sense="minimize"):
+        counts["session"] += 1
+        return session_solve(self, c, sense)
+
+    def counted_cold(lp):
+        counts["cold"] += 1
+        return cold_solve(lp)
+
+    monkeypatch.setattr(lpcore.LpSession, "solve", counted_session)
+    monkeypatch.setattr(bounds, "solve_lp", counted_cold)
+    return counts
+
+
+def test_lp_counts_do_not_rise(monkeypatch):
+    # pinned LP counts: the SI session warm-starts, so a change of solve
+    # order or of the memo shows here first; a count may fall, never rise
+    counts = _count_lp_solves(monkeypatch)
+
+    def solved(call):
+        counts.update(session=0, cold=0)
+        call()
+        return counts["session"], counts["cold"]
+
+    q1, q0 = population_curves(SUBGROUPS[2], 12)
+    grid = default_t_grid(q1.values, q0.values, 41)
+    si, pqd = AssumptionSet("SI"), AssumptionSet("PQD")
+    assert solved(lambda: coupling_lp_bounds(q1, q0, si, t_grid=grid)) == (80, 0)
+    assert solved(lambda: qote_coupling_bounds(q1, q0, 0.25, si, t_grid=grid)) == (11, 0)
+    assert solved(lambda: qote_coupling_bounds(q1, q0, 0.25, pqd, t_grid=grid)) == (12, 0)
+    sim._collected_actions.cache_clear()
+    per_subgroup = [
+        solved(lambda: classification_experiment(SUBGROUPS[s], 0.25, 200, 8, seed=3, k=12))
+        for s in range(3, 8)
+    ]
+    assert per_subgroup == [(48, 0), (57, 0), (56, 0), (73, 0), (74, 0)]
+    # a dense pass leaves nothing for the inversion to solve
+    env = _Envelopes.of_curves(q1, q0, si, t_grid=grid)
+    assert solved(env.dense) == (80, 0)
+    assert solved(lambda: (env.invert(0.25), env.invert(0.5))) == (0, 0)
+
+
+@pytest.mark.parametrize("tag", ["NoAssumption", "SI", "PQD"])
+@pytest.mark.parametrize("path", ["lazy", "dense"])
+@pytest.mark.parametrize("bad", ["reversed", "shuffled", "2-d", "nan"])
+def test_bad_t_grids_are_rejected_on_every_path(tag, path, bad):
+    q1, q0 = population_curves(SUBGROUPS[2], 6)
+    grid = default_t_grid(q1.values, q0.values, 21)
+    grid = {
+        "reversed": grid[::-1],
+        "shuffled": np.random.default_rng(0).permutation(grid),
+        "2-d": grid.reshape(3, 7),
+        "nan": np.where(np.arange(21) == 5, np.nan, grid),
+    }[bad]
+    with pytest.raises(ValueError, match="t_grid"):
+        if path == "lazy":
+            qote_coupling_bounds(q1, q0, 0.3, AssumptionSet(tag), t_grid=grid)
+        else:
+            coupling_lp_bounds(q1, q0, AssumptionSet(tag), t_grid=grid)
+
+
+@pytest.mark.parametrize("tag", ["NoAssumption", "SI", "PQD"])
+def test_lazy_and_dense_reject_the_same_k(tag):
+    q = curve([1.0])
+    with pytest.raises(ValueError, match="k must be at least 2"):
+        qote_coupling_bounds(q, q, 0.5, AssumptionSet(tag))
+    with pytest.raises(ValueError, match="k must be at least 2"):
+        coupling_lp_bounds(q, q, AssumptionSet(tag))
 
 
 def test_coupling_lp_bounds_takes_no_engine():
@@ -490,6 +572,13 @@ def test_bernstein_optimal_coefs_are_a_valid_copula():
     )
     assert isinstance(coefs, BernsteinCoefs)
     assert coefs.beta.shape == (5, 5)
+
+
+def test_bernstein_optimal_coefs_names_its_senses():
+    q = curve(np.arange(4.0))
+    with pytest.raises(ValueError, match="'min' or 'max'"):
+        bernstein_optimal_coefs(q, q, AssumptionSet("SI"), t=0.0, m1=3, m2=3, sense="minimize")
+    assert "bernstein_optimal_coefs" in bounds.__all__
 
 
 def test_bernstein_optimal_coefs_at_degree_eight():

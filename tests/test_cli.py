@@ -335,6 +335,17 @@ def test_simulate_writes_rate_multiples(tmp_path):
     assert (tmp_path / "regret_tau0.25.csv").exists()
 
 
+@pytest.mark.parametrize("subcommand", ["simulate", "tables"])
+def test_one_point_grids_exit_2(tmp_path, capsys, subcommand):
+    picks = ("--dgp", "subgroup1") if subcommand == "simulate" else ("--subgroups", "1")
+    code = run(
+        subcommand, *picks, "--tau", "0.25", "--n", "40", "--reps", "1", "--k", "1",
+        "--out", tmp_path,
+    )
+    assert code == 2
+    assert "k must be at least 2" in capsys.readouterr().err
+
+
 def test_tables_smoke(tmp_path):
     code = run(
         "tables", "--subgroups", "1,4", "--tau", "0.25", "--n", "40",

@@ -20,7 +20,10 @@ optimal sends the full program to a cold solve. One-shot programs go through
 ``lpcore.solve_lp``. A cold solve that does not end optimal raises
 LpSolveError, a RuntimeError naming t, the assumption tag and the grid size.
 An envelope reaches tau when its value is at least tau - 1e-12, so dense and
-lazy inversion agree where an envelope is flat at tau up to rounding.
+lazy inversion agree where an envelope is flat at tau up to rounding. Lazy
+SI and PQD probes first consult closed-form brackets from the staircase and
+the comonotone and independent couplings, and solve only where those leave
+the answer open.
 """
 
 from __future__ import annotations
@@ -284,6 +287,24 @@ def _staircase_envelopes(v1, v0, t_grid):
     return f_lower, f_upper
 
 
+def _coupling_brackets(v1, v0, t_grid):
+    """{side: (floor, ceiling)} of the SI and PQD envelopes at every t.
+
+    The comonotone copula min(i,j)/k and the independence copula ij/k^2 are
+    feasible in every copula program, so the lower envelope lies between the
+    staircase's and the smaller of their masses, and the upper envelope
+    between the larger of their masses and the staircase's.
+    """
+    k = v1.size
+    none_l, none_u = _staircase_envelopes(v1, v0, t_grid)
+    comonotone = np.count_nonzero((v1 - v0)[:, None] <= t_grid[None, :], axis=0) / k
+    independent = 1.0 - _pairs_above(v1, v0, t_grid).sum(axis=0) / (k * k)
+    return {
+        "min": (none_l, np.minimum(comonotone, independent)),
+        "max": (np.maximum(comonotone, independent), none_u),
+    }
+
+
 def _staircase_qote(v1, v0, tau):
     """Exact quantile-scale optimum of the unrestricted coupling program."""
     k = v1.size
@@ -532,17 +553,32 @@ class _Envelopes:
     checked row is optimal for the full program, whose feasible set the
     relaxed one contains; any other end solves the full program cold through
     ``_CopulaProgram.bound``, which raises LpSolveError. ``solves`` and
-    ``fallbacks`` count both. Built per call, never cached.
+    ``fallbacks`` count both.
+
+    SI and PQD oracles of two grids (``of_values``) also hold closed-form
+    brackets of each side, from ``_coupling_brackets``: ``reaches`` settles a
+    probe the memo lacks from them, counted in ``decided``, when they clear
+    tau by more than 1e-9 and solves it otherwise, so it decides as the LP
+    would. They are built on the first such probe; ``mass`` and ``dense``
+    never read them. Built per call, never cached.
     """
 
-    def __init__(self, t_grid, prog=None, form: Optional[Callable] = None, sides=None):
+    def __init__(
+        self,
+        t_grid,
+        prog=None,
+        form: Optional[Callable] = None,
+        sides=None,
+        brackets: Optional[Callable] = None,
+    ):
         self.t_grid = _checked_t_grid(t_grid)
-        self.prog, self._form = prog, form
+        self.prog, self._form, self._bracket_of = prog, form, brackets
         if sides is None:
             sides = np.full((2, self.t_grid.size), np.nan)
         self._values = dict(zip(_SENSES, sides))
         self.solves = 0
         self.fallbacks = 0
+        self.decided = 0
 
     @classmethod
     def of_bounds(cls, b: DeltaCdfBounds) -> "_Envelopes":
@@ -559,7 +595,12 @@ class _Envelopes:
             t_grid = default_t_grid(v1, v0)
         if tag != "none":
             prog = _copula_program(k, k, tag)
-            return cls(t_grid, prog, functools.partial(prog.objective, v1, v0))
+            return cls(
+                t_grid,
+                prog,
+                functools.partial(prog.objective, v1, v0),
+                brackets=functools.partial(_coupling_brackets, v1, v0),
+            )
         t = _checked_t_grid(t_grid)
         return cls.of_bounds(_assemble_envelopes(t, *_staircase_envelopes(v1, v0, t)))
 
@@ -607,8 +648,20 @@ class _Envelopes:
                 self.mass(side, idx)
         return self._values["min"].copy(), self._values["max"].copy()
 
+    @functools.cached_property
+    def _brackets(self):
+        return self._bracket_of(self.t_grid)
+
     def reaches(self, side: str, idx, tau: float) -> bool:
         """Whether the side reaches tau at t_grid[idx], up to LP rounding."""
+        if self._bracket_of is not None and np.isnan(self._values[side][idx]):
+            floor, ceiling = self._brackets[side]
+            if floor[idx] >= tau - _TAU_TOL + _CERT_TOL:
+                self.decided += 1
+                return True
+            if ceiling[idx] < tau - _TAU_TOL - _CERT_TOL:
+                self.decided += 1
+                return False
         return self.mass(side, idx) >= tau - _TAU_TOL
 
     def first_reaching(self, side: str, tau: float, hi) -> int:

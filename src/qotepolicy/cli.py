@@ -104,7 +104,7 @@ def _resolve_dgp(value: str) -> DgpSpec:
                 lognormal=bool(data.get("lognormal", False)),
                 p_treat=float(data.get("p_treat", 0.5)),
             )
-        except (KeyError, ValueError, json.JSONDecodeError) as exc:
+        except (KeyError, TypeError, ValueError, OSError) as exc:
             raise _CliError(2, f"bad DGP file {value}: {exc}")
     raise _CliError(2, f"unknown DGP {value!r} (preset subgroup1..8 or JSON path)")
 

@@ -210,7 +210,9 @@ def _si_majority_action(v1, v0, tau, t_grid, none_bounds):
     Decides 1{L >= 0}, 0 when U <= 0, else 1{U >= -L}, where (L, U) are the
     SI bounds that dense envelope inversion over t_grid would produce. The
     unrestricted bounds nest the SI ones, which settles most draws for free.
-    Each probe is one side of the SI envelopes at one t, solved at most once.
+    Each probe asks whether one side of the SI envelopes reaches tau at one
+    t; the oracle settles it from its closed-form brackets where they clear
+    tau, and otherwise solves that side at that t at most once.
     """
     env = _Envelopes.of_values(v1, v0, "SI", t_grid)
     lo_none, up_none = none_bounds

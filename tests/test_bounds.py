@@ -291,6 +291,45 @@ def test_independence_mass_lies_inside_every_envelope():
         assert np.all(env.upper >= indep - 1e-9)
 
 
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_comonotone_mass_and_brackets_hold_every_envelope(k):
+    rng = np.random.default_rng(k)
+    v1 = np.sort(rng.normal(size=k))
+    v0 = np.sort(rng.normal(scale=1.5, size=k))
+    t_grid = default_t_grid(v1, v0, 11)
+    comonotone = np.array([np.mean(v1 - v0 <= t) for t in t_grid])
+    brackets = bounds._coupling_brackets(v1, v0, t_grid)
+    for tag in ("NoAssumption", "SI", "PQD"):
+        for side in ("min", "max"):
+            exact = np.array([raw_coupling_lp(v1, v0, t, side, tag)[0] for t in t_grid])
+            if side == "min":
+                assert np.all(exact <= comonotone + 1e-9)
+            else:
+                assert np.all(exact >= comonotone - 1e-9)
+            if tag != "NoAssumption":
+                floor, ceiling = brackets[side]
+                assert np.all(floor <= exact + 1e-9)
+                assert np.all(exact <= ceiling + 1e-9)
+
+
+@pytest.mark.parametrize("k", [4, 6, 8, 12])
+def test_bracketed_lazy_inversion_equals_dense_inversion(k):
+    rng = np.random.default_rng(100 + k)
+    v1 = np.sort(rng.normal(0.3, 1.4, size=k))
+    v0 = np.sort(rng.normal(0.0, 0.8, size=k))
+    t_grid = default_t_grid(v1, v0, 41)
+    # every multiple of 1/k leaves some envelope flat at tau
+    taus = np.concatenate([np.arange(1, k) / k, rng.uniform(0.02, 0.98, size=6)])
+    decided = 0
+    for tag in ("SI", "PQD"):
+        dense = _assemble_envelopes(t_grid, *_Envelopes.of_values(v1, v0, tag, t_grid).dense())
+        for tau in taus:
+            env = _Envelopes.of_values(v1, v0, tag, t_grid)
+            assert env.invert(tau) == invert_bounds(dense, tau), (tag, tau)
+            decided += env.decided
+    assert decided > 0
+
+
 def test_lazy_quantile_inversion_matches_dense_route():
     q1 = curve(normal_ppf(u_grid(6), 0.3, 1.4))
     q0 = curve(normal_ppf(u_grid(6), 0.0, 0.8))
@@ -433,18 +472,35 @@ def test_lp_counts_do_not_rise(monkeypatch):
     grid = default_t_grid(q1.values, q0.values, 41)
     si, pqd = AssumptionSet("SI"), AssumptionSet("PQD")
     assert solved(lambda: coupling_lp_bounds(q1, q0, si, t_grid=grid)) == (80, 0)
-    assert solved(lambda: qote_coupling_bounds(q1, q0, 0.25, si, t_grid=grid)) == (11, 0)
-    assert solved(lambda: qote_coupling_bounds(q1, q0, 0.25, pqd, t_grid=grid)) == (12, 0)
+    assert solved(lambda: qote_coupling_bounds(q1, q0, 0.25, si, t_grid=grid)) == (7, 0)
+    assert solved(lambda: qote_coupling_bounds(q1, q0, 0.25, pqd, t_grid=grid)) == (8, 0)
+    # probes the closed-form brackets settle, beside the LPs solved
+    for tag, lps in ((si, 7), (pqd, 8)):
+        env = _Envelopes.of_curves(q1, q0, tag, t_grid=grid)
+        env.invert(0.25)
+        assert (env.solves, env.fallbacks, env.decided) == (lps, 0, 6)
+    made = []
+    of_values = _Envelopes.of_values.__func__
+
+    def recorded(cls, *args, **kwargs):
+        made.append(of_values(cls, *args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(_Envelopes, "of_values", classmethod(recorded))
     sim._collected_actions.cache_clear()
-    per_subgroup = [
-        solved(lambda: classification_experiment(SUBGROUPS[s], 0.25, 200, 8, seed=3, k=12))
-        for s in range(3, 8)
-    ]
-    assert per_subgroup == [(48, 0), (57, 0), (56, 0), (73, 0), (74, 0)]
+    per_subgroup = []
+    for s in range(3, 8):
+        made.clear()
+        per_subgroup.append(
+            solved(lambda: classification_experiment(SUBGROUPS[s], 0.25, 200, 8, seed=3, k=12))
+            + (sum(env.decided for env in made),)
+        )
+    assert per_subgroup == [(33, 0, 15), (39, 0, 19), (42, 0, 15), (51, 0, 22), (46, 0, 28)]
     # a dense pass leaves nothing for the inversion to solve
     env = _Envelopes.of_curves(q1, q0, si, t_grid=grid)
     assert solved(env.dense) == (80, 0)
     assert solved(lambda: (env.invert(0.25), env.invert(0.5))) == (0, 0)
+    assert env.decided == 0
 
 
 @pytest.mark.parametrize("tag", ["NoAssumption", "SI", "PQD"])

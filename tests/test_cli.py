@@ -41,6 +41,18 @@ def test_missing_input_exits_2(tmp_path):
     assert run("bounds", "--dgp", "subgroup1", "--tau", "1.5", "--out", tmp_path) == 2
 
 
+@pytest.mark.parametrize("bad", ["null value", "top-level list", "directory"])
+def test_malformed_dgp_file_exits_2(tmp_path, capsys, bad):
+    path = tmp_path / "dgp.json"
+    if bad == "directory":
+        path.mkdir()
+    else:
+        spec = {"mu1": 1.0, "mu0": 0.0, "var1": 1.0, "var0": 1.0, "rho": 0.5}
+        path.write_text(json.dumps({**spec, "mu1": None} if bad == "null value" else [spec]))
+    assert run("bounds", "--dgp", path, "--out", tmp_path / "out") == 2
+    assert "bad DGP file" in capsys.readouterr().err
+
+
 def test_empty_t_grid_exits_2(tmp_path, capsys):
     code = run(
         "bounds", "--dgp", "subgroup1", "--n", "50", "--k", "6", "--tgrid", "0",

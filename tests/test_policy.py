@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import minimax_delta_grid
@@ -161,10 +161,32 @@ def test_minimax_rules_attain_the_grid_minimum(b):
 @settings(max_examples=100, deadline=None)
 def test_rules_are_scale_equivariant(b, scale):
     scaled = QoteBounds(scale * b.lower, scale * b.upper)
+    # a subnormal endpoint scaled to a signed zero is a different input
+    assume(np.sign(scaled.lower) == np.sign(b.lower))
+    assume(np.sign(scaled.upper) == np.sign(b.upper))
     assert mmr_stochastic(scaled) == pytest.approx(mmr_stochastic(b), abs=1e-12)
     assert mmr_deterministic(scaled) == mmr_deterministic(b)
     assert maximin_rule(scaled) == maximin_rule(b)
     assert qbar(scaled) == pytest.approx(scale * qbar(b), abs=1e-9)
+
+
+def test_scaling_a_subnormal_lower_end_to_zero_changes_the_input():
+    # -5e-324 * 0.5 is -0.0, which every rule reads as a nonnegative end
+    b = QoteBounds(-5e-324, 1.0)
+    scaled = QoteBounds(0.5 * b.lower, 0.5 * b.upper)
+    assert scaled.lower == 0.0
+    assert (maximin_rule(b), maximin_rule(scaled)) == (0.0, 1.0)
+    assert mmr_stochastic(b) == mmr_stochastic(scaled) == 1.0
+    assert mmr_deterministic(b) == mmr_deterministic(scaled) == 1.0
+    assert (qbar(b), qbar(scaled)) == (1.0, 0.5)
+
+
+def test_scaling_subnormal_ends_to_zero_flips_every_rule():
+    b = QoteBounds(-5e-324, -5e-324)
+    scaled = QoteBounds(0.5 * b.lower, 0.5 * b.upper)
+    for rule in (mmr_stochastic, mmr_deterministic, maximin_rule):
+        assert (rule(b), rule(scaled)) == (0.0, 1.0)
+    assert (qbar(b), qbar(scaled)) == (-5e-324, 0.0)
 
 
 @given(bounds_strategy)

@@ -3,11 +3,21 @@ import pytest
 from numpy.testing import assert_allclose
 
 from oracles import mc_qote
+from qotepolicy.bounds import (
+    _assemble_envelopes,
+    _Envelopes,
+    _staircase_qote,
+    default_t_grid,
+    invert_bounds,
+)
+from qotepolicy.marginals import make_y_grid
+from qotepolicy.policy import mmr_deterministic
 from qotepolicy.sim import (
     CRITERIA,
     ESTIMATORS,
     SUBGROUPS,
     DgpSpec,
+    _si_majority_action,
     classification_experiment,
     closed_form_truths,
     draw_sample,
@@ -189,3 +199,17 @@ def test_si_interval_rows_nest_and_cover_on_a_small_grid():
 def test_interval_rows_to_csv_format():
     text = interval_rows_to_csv(((1, "none", -1.5, 2.0),))
     assert text == "subgroup,assumption,lower,upper\n1,none,-1.5,2\n"
+
+
+@pytest.mark.parametrize("subgroup", [2, 3, 5, 7])
+def test_si_majority_action_follows_dense_si_inversion(subgroup):
+    for rep in range(6):
+        sample = draw_sample(SUBGROUPS[subgroup], 120, (subgroup, rep))
+        v1 = make_y_grid(sample.y[sample.d == 1], 10)
+        v0 = make_y_grid(sample.y[sample.d == 0], 10)
+        t_grid = default_t_grid(v1, v0, 41)
+        for tau in (0.25, 0.5):
+            env = _Envelopes.of_values(v1, v0, "SI", t_grid)
+            dense = invert_bounds(_assemble_envelopes(t_grid, *env.dense()), tau)
+            action = _si_majority_action(v1, v0, tau, t_grid, _staircase_qote(v1, v0, tau))
+            assert action == mmr_deterministic(dense), (rep, tau)

@@ -13,10 +13,12 @@ Charnes-Cooper programs of the conditional-mean functionals, whose cell
 masses are second differences of the copula. Dense envelopes, lazy inversion,
 Bernstein envelopes and the probes of ``sim`` all read one ``_Envelopes``
 oracle per (curves or linear form, tag, t grid), which solves each (side, t)
-at most once on one ``lpcore.LpSession`` and inverts by one bisection. For
-SI that session is warm-started and leaves out the 2-increasing rows, which
-are checked on each solution; a failed check or a solve that does not end
-optimal sends the full program to a cold solve. One-shot programs go through
+at most once on one ``lpcore.LpSession`` and inverts by one bisection.
+Every SI and PQD solve starts from the basis of the independence copula, a
+vertex of both programs, so no value depends on the order of the solves.
+For SI the session leaves out the 2-increasing rows, which are checked on
+each solution; a failed check or a solve that does not end optimal sends
+the full program to a cold solve. One-shot programs go through
 ``lpcore.solve_lp``. A cold solve that does not end optimal raises
 LpSolveError, a RuntimeError naming t, the assumption tag and the grid size.
 An envelope reaches tau when its value is at least tau - 1e-12, so dense and
@@ -404,7 +406,9 @@ class _CopulaProgram:
 
     The rows in ``checked_rows`` (SI's 2-increasing family) are left out of
     the session of an ``_Envelopes`` oracle and checked on each of its
-    solutions instead.
+    solutions instead. ``start_basis`` (col_basic, row_basic, over the
+    session's rows) is the basis of the independence copula ij/(m1 m2), where
+    that session starts every solve; "none" has none.
     """
 
     def __init__(self, m1: int, m2: int, tag: str):
@@ -438,6 +442,7 @@ class _CopulaProgram:
                 if terms:
                     rb.add_row(terms, rhs)
         self.checked_rows = slice(0, len(rb) if tag == "SI" else 0)
+        nonbasic_rows = []
         if tag == "SI":
             for i in range(1, m1):
                 for j in range(1, m2):
@@ -446,6 +451,7 @@ class _CopulaProgram:
                     rhs += fold(i, j - 1, 1.0, terms)
                     rhs += fold(i, j + 1, 1.0, terms)
                     rhs += fold(i, j, -2.0, terms)
+                    nonbasic_rows.append(len(rb))
                     rb.add_row(terms, rhs)
                     terms = []
                     rhs = 0.0
@@ -462,6 +468,16 @@ class _CopulaProgram:
             self.lb = (i_idx * j_idx) / float(m1 * m2)
         else:
             self.lb = np.zeros(self.nvar)
+        # the independence copula ij/(m1 m2) is a vertex of both restricted
+        # programs. SI: every S(i,j) strictly inside its bounds and basic, the
+        # j-direction concavity rows (tight, one nonsingular second-difference
+        # block per i) nonbasic, the i-direction ones (tight too) basic. PQD:
+        # every S(i,j) at its lower bound, every 2-increasing row slack.
+        row_basic = np.ones(len(rb), dtype=bool)
+        row_basic[nonbasic_rows] = False
+        self.start_basis = None if tag == "none" else (
+            np.full(self.nvar, tag == "SI"), row_basic[self.checked_rows.stop :]
+        )
 
     def solve(self, coefs, sense, t) -> LpSolution:
         """min or max of coefs . S over the feasible S."""
@@ -546,14 +562,15 @@ class _Envelopes:
     given arrays (closed form, built envelopes) or are solved on demand:
     ``mass(side, index)`` bounds const + coefs . S over ``prog``, with
     (coefs, const) = form(t), once per index and in the order asked. Solves
-    share one HiGHS model of the program without its checked rows. For SI it
-    keeps its basis between solves, so values near 0 depend on that order;
-    PQD and none start each solve from no basis (presolved, these ran faster
-    and with a flat peak RSS on short grids). A solution within 1e-9 of every
-    checked row is optimal for the full program, whose feasible set the
-    relaxed one contains; any other end solves the full program cold through
-    ``_CopulaProgram.bound``, which raises LpSolveError. ``solves`` and
-    ``fallbacks`` count both.
+    share one HiGHS model of the program without its checked rows and start
+    from the program's ``start_basis`` (none: from no basis, presolved), so a
+    value does not depend on the order in which values are asked for. A
+    solution within 1e-9 of every checked row is optimal for the full
+    program, whose feasible set the relaxed one contains; any other end
+    solves the full program cold through ``_CopulaProgram.solve``, which
+    raises LpSolveError. ``solves`` and ``fallbacks`` count both, and
+    ``iterations`` sums the simplex iterations of every session and cold
+    solve.
 
     SI and PQD oracles of two grids (``of_values``) also hold closed-form
     brackets of each side, from ``_coupling_brackets``: ``reaches`` settles a
@@ -578,6 +595,7 @@ class _Envelopes:
         self._values = dict(zip(_SENSES, sides))
         self.solves = 0
         self.fallbacks = 0
+        self.iterations = 0
         self.decided = 0
 
     @classmethod
@@ -616,9 +634,7 @@ class _Envelopes:
         """The HiGHS session of the program without its checked rows, and those rows."""
         prog, checked = self.prog, self.prog.checked_rows
         kept = slice(checked.stop, None)
-        lp = LpSession(
-            prog.a_le[kept], prog.b_le[kept], prog.lb, prog.ub, warm_start=prog.tag == "SI"
-        )
+        lp = LpSession(prog.a_le[kept], prog.b_le[kept], prog.lb, prog.ub, prog.start_basis)
         return lp, prog.a_le[checked], prog.b_le[checked]
 
     def _bound(self, coefs, const, side, t) -> float:
@@ -628,9 +644,11 @@ class _Envelopes:
         self.solves += 1
         lp, a, b = self._session
         sol = lp.solve(coefs, _SENSES[side])
+        self.iterations += sol.iterations
         if sol.status != "optimal" or np.any(a @ sol.x > b + _CERT_TOL):
             self.fallbacks += 1
-            return self.prog.bound(coefs, const, side, t)
+            sol = self.prog.solve(coefs, side, t)
+            self.iterations += sol.iterations
         return const + sol.objective
 
     def mass(self, side: str, idx) -> float:

@@ -95,14 +95,19 @@ def _resolve_dgp(value: str) -> DgpSpec:
         try:
             with open(value) as fh:
                 data = json.load(fh)
+            if not isinstance(data, dict):
+                raise TypeError("expected an object")
+            lognormal = data.get("lognormal", False)
+            if not isinstance(lognormal, bool):
+                raise TypeError(f"lognormal must be true or false, got {lognormal!r}")
             return DgpSpec(
-                mu1=float(data["mu1"]),
-                mu0=float(data["mu0"]),
-                var1=float(data["var1"]),
-                var0=float(data["var0"]),
-                rho=float(data["rho"]),
-                lognormal=bool(data.get("lognormal", False)),
-                p_treat=float(data.get("p_treat", 0.5)),
+                mu1=_number(data["mu1"], "mu1"),
+                mu0=_number(data["mu0"], "mu0"),
+                var1=_number(data["var1"], "var1"),
+                var0=_number(data["var0"], "var0"),
+                rho=_number(data["rho"], "rho"),
+                lognormal=lognormal,
+                p_treat=_number(data.get("p_treat", 0.5), "p_treat"),
             )
         except (KeyError, TypeError, ValueError, OSError) as exc:
             raise _CliError(2, f"bad DGP file {value}: {exc}")

@@ -5,9 +5,10 @@ One-shot programs (the Bernstein coefficient program, the Charnes-Cooper
 functionals, every cold fallback) go through ``solve_lp``, a single
 ``linprog`` call. Per-t loops, runs of programs that differ only in their
 costs, go through an ``LpSession``: one HiGHS model built once through
-scipy's private bindings and re-solved after each cost change, by default
-from the previous basis; where those bindings are missing, or a solve does
-not end optimal, the session hands the program to ``solve_lp``. Constraint
+scipy's private bindings and re-solved after each cost change, each time
+from the same given start basis or from no basis; where those bindings are
+missing, or a solve does not end optimal, the session hands the program to
+``solve_lp``. Constraint
 matrices may be dense arrays or scipy.sparse matrices; sparse ones stay
 sparse.
 """
@@ -136,21 +137,25 @@ class LpSession:
     """min or max c.x s.t. A_le x <= b_le, lower <= x <= upper, for many c.
 
     One HiGHS model is built from the constraints and bounds once; each
-    ``solve`` changes only the costs and the objective sense, and restarts the
-    simplex from the basis the previous solve left. With ``warm_start=False``
-    each solve starts from no basis instead, so HiGHS presolves it afresh, but
-    the model is still not rebuilt. Where scipy lacks its private HiGHS
-    bindings, or a solve does not end optimal, the program goes to
+    ``solve`` changes only the costs and the objective sense. With a
+    ``start_basis`` (col_basic, row_basic), two boolean masks, every solve
+    starts the simplex from that basis: nonbasic columns at their lower
+    bound, nonbasic rows tight at b_le. Without one, or where HiGHS refuses
+    it, each solve starts from no basis, so HiGHS presolves it afresh. Either
+    way no solve depends on the ones before it. Where scipy lacks its private
+    HiGHS bindings, or a solve does not end optimal, the program goes to
     ``solve_lp`` instead, cold.
     """
 
-    def __init__(self, A_le, b_le, lower, upper, warm_start: bool = True):
+    def __init__(self, A_le, b_le, lower, upper, start_basis=None):
         self._program = LinearProgram(
             c=np.zeros(np.shape(lower)[0]), A_le=A_le, b_le=b_le, lower=lower, upper=upper
         )
-        self._warm_start = warm_start
         self._core = _highs_core()
         self._highs = None if self._core is None else self._model()
+        self._basis = None
+        if self._highs is not None and start_basis is not None:
+            self._basis = self._highs_basis(*start_basis)
 
     def _model(self):
         h, p = self._core, self._program
@@ -171,6 +176,14 @@ class LpSession:
             return None
         return highs
 
+    def _highs_basis(self, col_basic, row_basic):
+        s = self._core.HighsBasisStatus
+        basis = self._core.HighsBasis()
+        basis.col_status = [s.kBasic if b else s.kLower for b in col_basic]
+        basis.row_status = [s.kBasic if b else s.kUpper for b in row_basic]
+        basis.valid, basis.alien = True, False
+        return basis
+
     def solve(self, c, sense: str = "minimize") -> LpSolution:
         """Optimum for costs c; any end but optimal is solved again by solve_lp."""
         c = np.asarray(c, dtype=float)
@@ -178,7 +191,6 @@ class LpSession:
             sol = self._run(c, sense)
             if sol is not None:
                 return sol
-            self._highs.clearSolver()  # the next solve starts from no basis
         return solve_lp(replace(self._program, c=c, sense=sense))
 
     def _run(self, c, sense) -> Optional[LpSolution]:
@@ -188,8 +200,9 @@ class LpSession:
             h.ObjSense.kMaximize if sense == "maximize" else h.ObjSense.kMinimize
         )
         highs.changeColsCost(c.size, np.arange(c.size, dtype=np.int32), c)
-        if not self._warm_start:
-            highs.clearSolver()
+        highs.clearSolver()  # nothing the last solve left carries over
+        if self._basis is not None:
+            highs.setBasis(self._basis)  # where refused, the run starts from no basis
         highs.run()
         status = highs.getModelStatus()
         if status != h.HighsModelStatus.kOptimal:

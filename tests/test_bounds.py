@@ -440,6 +440,73 @@ def test_session_envelopes_match_cold_full_programs(tag):
         assert_allclose(env.upper, ref.upper, rtol=0, atol=1e-9)
 
 
+@pytest.mark.parametrize(
+    "m1, m2, tag",
+    [(k, k, tag) for tag in ("SI", "PQD") for k in range(2, 9)] + [(3, 5, "SI")],
+)
+def test_start_basis_is_a_vertex_of_the_full_program(m1, m2, tag):
+    prog = _copula_program(m1, m2, tag)
+    col_basic, row_basic = prog.start_basis
+    kept = slice(prog.checked_rows.stop, None)
+    a, b = prog.a_le[kept].toarray(), prog.b_le[kept]
+    # the independence copula, feasible in the full program
+    x = np.outer(np.arange(1, m1), np.arange(1, m2)).ravel() / (m1 * m2)
+    assert np.all(prog.a_le @ x <= prog.b_le + 1e-12)
+    assert np.all((prog.lb - 1e-12 <= x) & (x <= prog.ub + 1e-12))
+    # nonbasic rows tight at b, nonbasic columns at their lower bound
+    assert (col_basic.size, row_basic.size) == (prog.nvar, b.size)
+    assert_allclose(a[~row_basic] @ x, b[~row_basic], rtol=0, atol=1e-12)
+    assert_allclose(x[~col_basic], prog.lb[~col_basic], rtol=0, atol=1e-12)
+    basis = np.hstack([a[:, col_basic], np.eye(b.size)[:, row_basic]])
+    assert basis.shape == (b.size, b.size)
+    assert np.linalg.matrix_rank(basis) == b.size
+
+
+def test_unrestricted_program_has_no_start_basis():
+    assert _copula_program(5, 5, "none").start_basis is None
+
+
+@pytest.mark.parametrize("tag", ["SI", "PQD"])
+def test_session_values_do_not_depend_on_solve_order(tag):
+    q1, q0 = population_curves(SUBGROUPS[2], 12)
+    v1, v0 = q1.values, q0.values
+    grid = default_t_grid(v1, v0, 41)
+    pairs = [(side, idx) for side in ("min", "max") for idx in range(grid.size)]
+    shuffled = np.random.default_rng(4).permutation(len(pairs))
+    orders = {
+        "forward": pairs,
+        "reverse": pairs[::-1],
+        "shuffled": [pairs[n] for n in shuffled],
+    }
+    dense = np.array(_Envelopes.of_values(v1, v0, tag, grid).dense())
+    for name, order in orders.items():
+        env = _Envelopes.of_values(v1, v0, tag, grid)
+        got = {pair: env.mass(*pair) for pair in order}
+        solved = np.array([[got[side, idx] for idx in range(grid.size)] for side in ("min", "max")])
+        assert np.array_equal(solved, dense), name
+
+
+@pytest.mark.parametrize("tag", ["SI", "PQD"])
+def test_a_refused_start_basis_solves_from_no_basis(monkeypatch, tag):
+    core = lpcore._highs_core()
+    refused = []
+    monkeypatch.setattr(
+        core._Highs, "setBasis", lambda self, *args: refused.append(1) or core.HighsStatus.kError
+    )
+    q1, q0 = population_curves(SUBGROUPS[2], 12)
+    v1, v0 = q1.values, q0.values
+    grid = default_t_grid(v1, v0, 21)
+    env = _Envelopes.of_values(v1, v0, tag, grid)
+    got = env.dense()
+    prog = _copula_program(12, 12, tag)
+    cold = [
+        [prog.bound(*prog.objective(v1, v0, float(t)), side, float(t)) for t in grid]
+        for side in ("min", "max")
+    ]
+    assert len(refused) == env.solves > 0
+    assert_allclose(got, cold, rtol=0, atol=1e-9)
+
+
 def _count_lp_solves(monkeypatch):
     """Counters of session and cold solves, through the seams test_cli patches."""
     counts = {"session": 0, "cold": 0}
@@ -459,8 +526,9 @@ def _count_lp_solves(monkeypatch):
 
 
 def test_lp_counts_do_not_rise(monkeypatch):
-    # pinned LP counts: the SI session warm-starts, so a change of solve
-    # order or of the memo shows here first; a count may fall, never rise
+    # pinned LP counts: every session solve starts from the independence
+    # basis, so only a change of the memo or of the probes shows here; a
+    # count may fall, never rise
     counts = _count_lp_solves(monkeypatch)
 
     def solved(call):
@@ -501,6 +569,12 @@ def test_lp_counts_do_not_rise(monkeypatch):
     assert solved(env.dense) == (80, 0)
     assert solved(lambda: (env.invert(0.25), env.invert(0.5))) == (0, 0)
     assert env.decided == 0
+    # simplex iterations of one lazy SI interval at k = 50 on the default
+    # grid (5,492 when each solve started from the basis the last one left)
+    q1, q0 = population_curves(SUBGROUPS[2], 50)
+    env = _Envelopes.of_curves(q1, q0, si)
+    env.invert(0.25)
+    assert (env.solves, env.fallbacks, env.iterations) == (10, 0, 1194)
 
 
 @pytest.mark.parametrize("tag", ["NoAssumption", "SI", "PQD"])

@@ -41,16 +41,41 @@ def test_missing_input_exits_2(tmp_path):
     assert run("bounds", "--dgp", "subgroup1", "--tau", "1.5", "--out", tmp_path) == 2
 
 
-@pytest.mark.parametrize("bad", ["null value", "top-level list", "directory"])
+DGP_SPEC = {"mu1": 1.0, "mu0": 0.0, "var1": 1.0, "var0": 1.0, "rho": 0.5}
+
+
+@pytest.mark.parametrize(
+    "bad",
+    ["null value", "top-level list", "directory", "lognormal string", "boolean number"],
+)
 def test_malformed_dgp_file_exits_2(tmp_path, capsys, bad):
     path = tmp_path / "dgp.json"
     if bad == "directory":
         path.mkdir()
     else:
-        spec = {"mu1": 1.0, "mu0": 0.0, "var1": 1.0, "var0": 1.0, "rho": 0.5}
-        path.write_text(json.dumps({**spec, "mu1": None} if bad == "null value" else [spec]))
+        path.write_text(json.dumps({
+            "null value": {**DGP_SPEC, "mu1": None},
+            "top-level list": [DGP_SPEC],
+            "lognormal string": {**DGP_SPEC, "lognormal": "false"},
+            "boolean number": {**DGP_SPEC, "mu1": True},
+        }[bad]))
     assert run("bounds", "--dgp", path, "--out", tmp_path / "out") == 2
     assert "bad DGP file" in capsys.readouterr().err
+
+
+def test_dgp_file_with_lognormal_false_runs(tmp_path):
+    path = tmp_path / "dgp.json"
+    path.write_text(json.dumps({**DGP_SPEC, "lognormal": False}))
+    assert cli._resolve_dgp(str(path)).lognormal is False
+    args = ("bounds", "--n", "50", "--k", "6", "--tgrid", "11", "--assumption", "none")
+    assert run(*args, "--dgp", path, "--out", tmp_path / "file") == 0
+    # the same spec with lognormal left out writes the same files
+    path.write_text(json.dumps(DGP_SPEC))
+    assert run(*args, "--dgp", path, "--out", tmp_path / "default") == 0
+    written = sorted(p.name for p in (tmp_path / "file").iterdir())
+    assert written == sorted(p.name for p in (tmp_path / "default").iterdir())
+    for name in written:
+        assert (tmp_path / "file" / name).read_bytes() == (tmp_path / "default" / name).read_bytes()
 
 
 def test_empty_t_grid_exits_2(tmp_path, capsys):
@@ -97,7 +122,7 @@ def _fail_session_solves(monkeypatch):
 
 
 def test_failed_lp_exits_6_naming_t_tag_and_k(tmp_path, capsys, monkeypatch):
-    # the warm session solve and the cold full-program fallback both fail
+    # the session solve and the cold full-program fallback both fail
     _fail_session_solves(monkeypatch)
     monkeypatch.setattr(
         bounds, "solve_lp", lambda lp: LpSolution(status="failed", message="stalled")
@@ -119,19 +144,19 @@ def test_failed_session_solves_fall_back_to_the_cold_program(
         "bounds", "--dgp", "subgroup2", "--assumption", assumption,
         "--k", "8", "--tgrid", "21", "--n", "200", "--seed", "1", "--tau", "0.25,0.5",
     )
-    assert run(*args, "--out", tmp_path / "warm") == 0
+    assert run(*args, "--out", tmp_path / "session") == 0
     _fail_session_solves(monkeypatch)
     assert run(*args, "--out", tmp_path / "cold") == 0
-    names = sorted(p.name for p in (tmp_path / "warm").iterdir())
+    names = sorted(p.name for p in (tmp_path / "session").iterdir())
     assert names == sorted(p.name for p in (tmp_path / "cold").iterdir())
     for name in names:
-        warm = (tmp_path / "warm" / name).read_text()
+        session = (tmp_path / "session" / name).read_text()
         cold = (tmp_path / "cold" / name).read_text()
         if name.endswith(".json"):
-            assert json.loads(warm) == json.loads(cold)
+            assert json.loads(session) == json.loads(cold)
         else:
             assert_allclose(
-                np.loadtxt(StringIO(warm), delimiter=",", skiprows=1),
+                np.loadtxt(StringIO(session), delimiter=",", skiprows=1),
                 np.loadtxt(StringIO(cold), delimiter=",", skiprows=1),
                 rtol=0, atol=1e-9,
             )

@@ -165,13 +165,16 @@ def _assert_same_optimum(got, ref, lp):
     assert np.all(got.x >= lp.lower - 1e-9) and np.all(got.x <= lp.upper + 1e-9)
 
 
-@pytest.mark.parametrize("warm_start", [True, False])
+@pytest.mark.parametrize("slack_start", [True, False])
 @pytest.mark.parametrize("sparse", [False, True])
 @pytest.mark.parametrize("seed", range(4))
-def test_session_matches_cold_solves_over_a_run_of_costs(seed, sparse, warm_start):
+def test_session_matches_cold_solves_over_a_run_of_costs(seed, sparse, slack_start):
+    # every solve from the slack basis (every column at its lower bound, every
+    # row basic), or from no basis, presolved
     rng = np.random.default_rng(seed)
     a, b, lower, upper = _random_program(rng, 30, 20, sparse)
-    session = LpSession(a, b, lower, upper, warm_start=warm_start)
+    basis = (np.zeros(20, bool), np.ones(30, bool)) if slack_start else None
+    session = LpSession(a, b, lower, upper, basis)
     # several cost changes in a row, with the sense switching now and then
     for step in range(12):
         sense = "maximize" if step % 4 >= 2 else "minimize"

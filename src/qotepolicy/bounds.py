@@ -342,32 +342,13 @@ def makarov_bounds(q1: QuantileCurve, q0: QuantileCurve, tau: float) -> QoteBoun
 # the grid-copula program
 
 
-class _RowBuilder:
-    """Accumulates sparse inequality rows with boundary values folded to the rhs."""
-
-    def __init__(self):
-        self.rows = []
-        self.cols = []
-        self.vals = []
-        self.rhs = []
-        self._n = 0
-
-    def add_row(self, terms, rhs):
-        for col, val in terms:
-            self.rows.append(self._n)
-            self.cols.append(col)
-            self.vals.append(val)
-        self.rhs.append(rhs)
-        self._n += 1
-
-    def __len__(self):
-        return self._n
-
-    def matrix(self, nvar):
-        m = sp.csr_matrix(
-            (self.vals, (self.rows, self.cols)), shape=(self._n, nvar)
-        )
-        return m, np.asarray(self.rhs, float)
+def _difference_operators(m: int):
+    """(D, L, E) on x[0..m]: rows x[r+1] - x[r], x[r] - 2 x[r+1] + x[r+2], x[r+1]."""
+    return (
+        sp.diags([-1.0, 1.0], [0, 1], shape=(m, m + 1)),
+        sp.diags([1.0, -2.0, 1.0], [0, 1, 2], shape=(m - 1, m + 1)),
+        sp.eye(m - 1, m + 1, k=1),
+    )
 
 
 _SENSES = {"min": "minimize", "max": "maximize"}
@@ -395,14 +376,26 @@ class _CopulaProgram:
     """LP over discrete copulas on the (i/m1, j/m2) grid in CDF coordinates.
 
     Variables are S(i,j), the copula at interior grid points i in 1..m1-1,
-    j in 1..m2-1; the boundary values S(m1,j) = j/m2, S(i,m2) = i/m1 are
-    folded into right-hand sides. Mass nonnegativity becomes the family of
-    2-increasingness rows; stochastic increasingness (tag "SI") is
-    coordinatewise concavity of S (equivalent to the partial-sum monotonicity
-    of conditional survival functions); positive quadrant dependence ("PQD")
-    is a plain variable lower bound S(i,j) >= ij/(m1 m2); "none" adds
-    nothing. With m1 = m2 = k, S is the CDF of a k x k coupling with uniform
-    marginals; with degrees (m1, m2) it holds Bernstein copula coefficients.
+    j in 1..m2-1, in row-major order. Every row is a difference operator on
+    the full (m1+1) x (m2+1) grid; ``fold`` keeps its interior part and
+    moves the boundary values S(0,.) = S(.,0) = 0, S(m1,j) = j/m2,
+    S(i,m2) = i/m1 to the right-hand side. ``linear_form`` and the Bernstein
+    objective fold their coefficients the same way. The rows, with D the
+    first difference, L the second difference and E the selection of the
+    interior along one axis:
+
+    - 2-increasingness, -kron(D, D) S <= 0: every cell mass
+      S(i,j) - S(i-1,j) - S(i,j-1) + S(i-1,j-1), row-major, is nonnegative;
+    - SI only, coordinatewise concavity (equivalent to the partial-sum
+      monotonicity of conditional survival functions): kron(E, L) S <= 0
+      and kron(L, E) S <= 0, interleaved per interior (i, j), j-direction
+      first.
+
+    Positive quadrant dependence ("PQD") is a plain variable lower bound
+    S(i,j) >= ij/(m1 m2); "none" adds nothing. With m1 = m2 = k, S is the
+    CDF of a k x k coupling with uniform marginals; with degrees (m1, m2) it
+    holds Bernstein copula coefficients. Degree 1 leaves no variable and so
+    no row.
 
     The rows in ``checked_rows`` (SI's 2-increasing family) are left out of
     the session of an ``_Envelopes`` oracle and checked on each of its
@@ -418,49 +411,26 @@ class _CopulaProgram:
         self.k = m1 if m1 == m2 else (m1, m2)
         n2 = m2 - 1
         self.nvar = (m1 - 1) * n2
+        grid = np.arange((m1 + 1) * (m2 + 1)).reshape(m1 + 1, m2 + 1)
+        self._inner, self._top, self._right = grid[1:m1, 1:m2].ravel(), grid[m1], grid[:m1, m2]
 
-        def fold(i, j, coef, terms):
-            """Return rhs adjustment for S(i,j) entering a row with coef."""
-            if i == 0 or j == 0:
-                return 0.0
-            if i == m1:
-                return -coef * (j / m2)
-            if j == m2:
-                return -coef * (i / m1)
-            terms.append(((i - 1) * n2 + (j - 1), coef))
-            return 0.0
-
-        rb = _RowBuilder()
-        for i in range(1, m1 + 1):
-            for j in range(1, m2 + 1):
-                terms: list = []
-                rhs = 0.0
-                rhs += fold(i, j, -1.0, terms)
-                rhs += fold(i - 1, j, 1.0, terms)
-                rhs += fold(i, j - 1, 1.0, terms)
-                rhs += fold(i - 1, j - 1, -1.0, terms)
-                if terms:
-                    rb.add_row(terms, rhs)
-        self.checked_rows = slice(0, len(rb) if tag == "SI" else 0)
-        nonbasic_rows = []
+        # each row of g is a quantity the program keeps nonnegative: the cell
+        # masses, then for SI minus the second differences
+        (d1, l1, e1), (d2, l2, e2) = _difference_operators(m1), _difference_operators(m2)
+        g = sp.kron(d1, d2, format="csr")
+        if not self.nvar:
+            g = g[:0]
+        self.checked_rows = slice(0, g.shape[0] if tag == "SI" else 0)
         if tag == "SI":
-            for i in range(1, m1):
-                for j in range(1, m2):
-                    terms = []
-                    rhs = 0.0
-                    rhs += fold(i, j - 1, 1.0, terms)
-                    rhs += fold(i, j + 1, 1.0, terms)
-                    rhs += fold(i, j, -2.0, terms)
-                    nonbasic_rows.append(len(rb))
-                    rb.add_row(terms, rhs)
-                    terms = []
-                    rhs = 0.0
-                    rhs += fold(i - 1, j, 1.0, terms)
-                    rhs += fold(i + 1, j, 1.0, terms)
-                    rhs += fold(i, j, -2.0, terms)
-                    rb.add_row(terms, rhs)
+            concave = sp.vstack(
+                [sp.kron(e1, l2, format="csr"), sp.kron(l1, e2, format="csr")], format="csr"
+            )
+            pairs = np.arange(2 * self.nvar).reshape(2, -1).T.ravel()
+            g = sp.vstack([g, -concave[pairs]], format="csr")
+        # g S >= 0 over the full grid is -g_inner x <= (g's boundary constant)
+        g_inner, self.b_le = self.fold(g)
+        self.a_le = -g_inner
 
-        self.a_le, self.b_le = rb.matrix(self.nvar)
         ii, jj = np.divmod(np.arange(self.nvar), max(n2, 1))
         i_idx, j_idx = ii + 1, jj + 1
         self.ub = np.minimum(i_idx / m1, j_idx / m2)
@@ -473,11 +443,26 @@ class _CopulaProgram:
         # j-direction concavity rows (tight, one nonsingular second-difference
         # block per i) nonbasic, the i-direction ones (tight too) basic. PQD:
         # every S(i,j) at its lower bound, every 2-increasing row slack.
-        row_basic = np.ones(len(rb), dtype=bool)
-        row_basic[nonbasic_rows] = False
-        self.start_basis = None if tag == "none" else (
-            np.full(self.nvar, tag == "SI"), row_basic[self.checked_rows.stop :]
-        )
+        if tag == "SI":
+            self.start_basis = (np.ones(self.nvar, bool), np.tile([False, True], self.nvar))
+        elif tag == "PQD":
+            self.start_basis = (np.zeros(self.nvar, bool), np.ones(self.b_le.size, bool))
+        else:
+            self.start_basis = None
+
+    def fold(self, coefs):
+        """(interior coefficients, boundary constant) of coefs . S on the full grid.
+
+        The last axis of ``coefs`` (an array or a sparse matrix of rows) runs
+        over S(a, b), a in 0..m1, b in 0..m2, in row-major order. The constant
+        sums the coefficients of the top edge S(m1, b) = b/m2 and then of the
+        right edge S(a, m2) = a/m1, a < m1; S(0, .) = S(., 0) = 0 adds nothing.
+        Summed edge by edge, the constant of each program row is rounded at
+        most once.
+        """
+        m1, m2 = self.m1, self.m2
+        top = coefs[..., self._top] @ (np.arange(m2 + 1) / m2)
+        return coefs[..., self._inner], top + coefs[..., self._right] @ (np.arange(m1) / m1)
 
     def solve(self, coefs, sense, t) -> LpSolution:
         """min or max of coefs . S over the feasible S."""
@@ -499,6 +484,7 @@ class _CopulaProgram:
 
     def objective(self, v1, v0, t):
         """Linear form (coefs, const) with const + coefs . S = P(Delta <= t)."""
+        # not ``fold``: its sum order moves const by up to 6.7e-16, and so envelope bytes
         k, kk = self.m1, self.m1 - 1
         b = _pairs_above(v1, v0, t)[:, 0]
         coefs = np.zeros(self.nvar)
@@ -528,8 +514,8 @@ class _CopulaProgram:
         w[1:-1, 1:-1] = weight
         # d[a, b] is the coefficient of S(a, b), a in 0..m1, b in 0..m2
         d = w[:-1, :-1] - w[1:, :-1] - w[:-1, 1:] + w[1:, 1:]
-        const = float(np.sum(d * self.full_beta(np.zeros(self.nvar))))
-        return d[1:-1, 1:-1].ravel(), const
+        coefs, const = self.fold(d.ravel())
+        return coefs, float(const)
 
     def full_beta(self, x) -> np.ndarray:
         """The (m1+1) x (m2+1) copula values with boundaries, from interior x."""
@@ -780,16 +766,15 @@ def _bernstein_weight_data(q1, q0, m1, m2, quad_points):
     a0 = _bernstein_prime(m2, nodes) / quad_points
     # suffix sums over nodes, one extra zero column for "no node included"
     r0 = np.hstack([np.cumsum(a0[:, ::-1], axis=1)[:, ::-1], np.zeros((m2 + 1, 1))])
-    return nodes, q1n, q0n, a1, r0
+    return q1n, q0n, a1, r0
 
 
-def _bernstein_objective(q1n, q0n, a1, r0, m1, m2, t):
+def _bernstein_objective(prog, q1n, q0n, a1, r0, t):
     """Linear form (coefs, const) over the interior coefficients at one t."""
     js = _pairs_above(q1n, q0n, t)[:, 0]
     w = a1 @ r0[:, js].T  # (m1+1) x (m2+1) indicator integrals
-    const = float(np.arange(m2 + 1) / m2 @ w[m1, :])
-    const += float(np.arange(m1) / m1 @ w[:m1, m2])
-    return w[1:m1, 1:m2].ravel(), const
+    coefs, const = prog.fold(w.ravel())
+    return coefs, float(const)
 
 
 def bernstein_lp_bounds(
@@ -812,12 +797,9 @@ def bernstein_lp_bounds(
         raise ValueError("degrees m1, m2 must be at least 1")
     if t_grid is None:
         t_grid = default_t_grid(q1.values, q0.values)
-    _, q1n, q0n, a1, r0 = _bernstein_weight_data(q1, q0, m1, m2, quad_points)
-    env = _Envelopes(
-        t_grid,
-        _copula_program(m1, m2, tag),
-        functools.partial(_bernstein_objective, q1n, q0n, a1, r0, m1, m2),
-    )
+    prog = _copula_program(m1, m2, tag)
+    weights = _bernstein_weight_data(q1, q0, m1, m2, quad_points)
+    env = _Envelopes(t_grid, prog, functools.partial(_bernstein_objective, prog, *weights))
     return _assemble_envelopes(env.t_grid, *env.dense())
 
 
@@ -835,11 +817,11 @@ def bernstein_optimal_coefs(
     tag = _program_tag(assumptions)
     if sense not in _SENSES:
         raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
-    _, q1n, q0n, a1, r0 = _bernstein_weight_data(q1, q0, m1, m2, quad_points)
+    weights = _bernstein_weight_data(q1, q0, m1, m2, quad_points)
     prog = _copula_program(m1, m2, tag)
     if prog.nvar == 0:
         return BernsteinCoefs(m1, m2, prog.full_beta(np.zeros(0)))
-    coefs, _ = _bernstein_objective(q1n, q0n, a1, r0, m1, m2, t)
+    coefs, _ = _bernstein_objective(prog, *weights, t)
     return BernsteinCoefs(m1, m2, prog.full_beta(prog.solve(coefs, sense, t).x))
 
 

@@ -16,6 +16,7 @@ ordering, so a rerun with the same inputs is byte-identical.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import re
@@ -97,16 +98,16 @@ def _resolve_dgp(value: str) -> DgpSpec:
                 data = json.load(fh)
             if not isinstance(data, dict):
                 raise TypeError("expected an object")
-            lognormal = data.get("lognormal", False)
-            if not isinstance(lognormal, bool):
-                raise TypeError(f"lognormal must be true or false, got {lognormal!r}")
+            unknown = sorted(set(data) - {f.name for f in dataclasses.fields(DgpSpec)})
+            if unknown:
+                raise TypeError(f"unknown keys {unknown}")
             return DgpSpec(
                 mu1=_number(data["mu1"], "mu1"),
                 mu0=_number(data["mu0"], "mu0"),
                 var1=_number(data["var1"], "var1"),
                 var0=_number(data["var0"], "var0"),
                 rho=_number(data["rho"], "rho"),
-                lognormal=lognormal,
+                lognormal=_flag(data.get("lognormal", False), "lognormal"),
                 p_treat=_number(data.get("p_treat", 0.5), "p_treat"),
             )
         except (KeyError, TypeError, ValueError, OSError) as exc:
@@ -253,6 +254,12 @@ def _number(value, name: str) -> float:
     return float(value)
 
 
+def _flag(value, name: str) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
 def _read_bound_field(path: Optional[str], command: str) -> Tuple[float, BoundField]:
     """The tau and the per-cell bounds of a bounds JSON written by ``bounds``."""
     if not path or not path.endswith(".json"):
@@ -269,8 +276,8 @@ def _read_bound_field(path: Optional[str], command: str) -> Tuple[float, BoundFi
             b = QoteBounds(
                 lower=_number(c.get("lower"), "lower"),
                 upper=_number(c.get("upper"), "upper"),
-                truncated_lower=bool(c.get("truncated_lower", False)),
-                truncated_upper=bool(c.get("truncated_upper", False)),
+                truncated_lower=_flag(c.get("truncated_lower", False), "truncated_lower"),
+                truncated_upper=_flag(c.get("truncated_upper", False), "truncated_upper"),
             )
             x = tuple(_number(v, "x") for v in c["x"])
             cells.append((x, _number(c.get("weight"), "weight"), b))

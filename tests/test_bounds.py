@@ -440,9 +440,32 @@ def test_session_envelopes_match_cold_full_programs(tag):
         assert_allclose(env.upper, ref.upper, rtol=0, atol=1e-9)
 
 
+@pytest.mark.parametrize("tag", ["none", "SI", "PQD"])
+@pytest.mark.parametrize(
+    "m1, m2", [(2, 2), (3, 3), (12, 12), (50, 50), (3, 5), (6, 4), (4, 9), (1, 1), (1, 4)]
+)
+def test_program_rows_are_cell_masses_then_second_differences(m1, m2, tag):
+    # a_le @ S - b_le on a random S with the program's boundary values, row
+    # by row: minus the cell masses in row-major order, then for SI the j-
+    # and i-direction second differences at each interior (i, j) in turn
+    prog = _copula_program(m1, m2, tag)
+    s = prog.full_beta(np.random.default_rng(m1 * 100 + m2).normal(size=prog.nvar))
+    masses = s[1:, 1:] - s[:-1, 1:] - s[1:, :-1] + s[:-1, :-1]
+    rows = [-masses.ravel()] if prog.nvar else []
+    if tag == "SI":
+        d2_j = s[1:m1, :-2] - 2 * s[1:m1, 1:-1] + s[1:m1, 2:]
+        d2_i = s[:-2, 1:m2] - 2 * s[1:-1, 1:m2] + s[2:, 1:m2]
+        rows.append(np.stack([d2_j.ravel(), d2_i.ravel()], axis=1).ravel())
+    want = np.concatenate(rows) if rows else np.zeros(0)
+    assert prog.a_le.shape == (want.size, prog.nvar)
+    assert_allclose(prog.a_le @ s[1:m1, 1:m2].ravel() - prog.b_le, want, rtol=0, atol=1e-12)
+    assert prog.checked_rows == slice(0, masses.size if tag == "SI" and prog.nvar else 0)
+
+
 @pytest.mark.parametrize(
     "m1, m2, tag",
-    [(k, k, tag) for tag in ("SI", "PQD") for k in range(2, 9)] + [(3, 5, "SI")],
+    [(k, k, tag) for tag in ("SI", "PQD") for k in range(2, 9)]
+    + [(3, 5, "SI"), (6, 4, "SI"), (3, 5, "PQD"), (6, 4, "PQD")],
 )
 def test_start_basis_is_a_vertex_of_the_full_program(m1, m2, tag):
     prog = _copula_program(m1, m2, tag)

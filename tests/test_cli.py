@@ -46,7 +46,10 @@ DGP_SPEC = {"mu1": 1.0, "mu0": 0.0, "var1": 1.0, "var0": 1.0, "rho": 0.5}
 
 @pytest.mark.parametrize(
     "bad",
-    ["null value", "top-level list", "directory", "lognormal string", "boolean number"],
+    [
+        "null value", "top-level list", "directory", "lognormal string", "boolean number",
+        "unknown key",
+    ],
 )
 def test_malformed_dgp_file_exits_2(tmp_path, capsys, bad):
     path = tmp_path / "dgp.json"
@@ -58,6 +61,7 @@ def test_malformed_dgp_file_exits_2(tmp_path, capsys, bad):
             "top-level list": [DGP_SPEC],
             "lognormal string": {**DGP_SPEC, "lognormal": "false"},
             "boolean number": {**DGP_SPEC, "mu1": True},
+            "unknown key": {**DGP_SPEC, "p_tret": 0.3, "log_normal": True},
         }[bad]))
     assert run("bounds", "--dgp", path, "--out", tmp_path / "out") == 2
     assert "bad DGP file" in capsys.readouterr().err
@@ -440,6 +444,7 @@ def test_owl_requires_bounds_json(tmp_path, capsys, subcommand):
         {"tau": 0.25},
         {"tau": 0.25, "cells": [dict(_CELL, lower="-1.0")]},
         [{"tau": 0.25, "cells": [_CELL]}],
+        {"tau": 0.25, "cells": [dict(_CELL, truncated_lower="false")]},
     )):
         src = tmp_path / f"bad{i}.json"
         src.write_text(json.dumps(payload))

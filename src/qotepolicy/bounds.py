@@ -10,17 +10,17 @@ The unrestricted problem has a closed-form solution on the quantile grid.
 Every other program is a linear program over one grid-copula program in
 CDF coordinates: the SI/PQD envelopes, the Bernstein relaxation, and the
 Charnes-Cooper programs of the conditional-mean functionals, whose cell
-masses are second differences of the copula. Dense envelopes, lazy inversion,
-Bernstein envelopes and the probes of ``sim`` all read one ``_Envelopes``
-oracle per (curves or linear form, tag, t grid), which solves each (side, t)
-at most once on one ``lpcore.LpSession`` and inverts by one bisection.
-Every SI and PQD solve starts from the basis of the independence copula, a
-vertex of both programs, so no value depends on the order of the solves.
-For SI the session leaves out the 2-increasing rows, which are checked on
-each solution; a failed check or a solve that does not end optimal sends
-the full program to a cold solve. One-shot programs go through
-``lpcore.solve_lp``. A cold solve that does not end optimal raises
-LpSolveError, a RuntimeError naming t, the assumption tag and the grid size.
+masses are second differences of the copula. ``_CopulaProgram.bound`` finds
+every value of a copula program: one run on an ``lpcore.LpSession`` of the
+program without its checked rows (SI's 2-increasing rows), certified against
+them, or else one cold solve of the full program, the only fallback, which
+raises LpSolveError, a RuntimeError naming t, the assumption tag and the grid
+size, if it does not end optimal. Dense envelopes, lazy inversion, Bernstein
+envelopes and the probes of ``sim`` all read one ``_Envelopes`` oracle per
+(curves or linear form, tag, t grid), which holds one session, finds each
+(side, t) at most once and inverts by one bisection. Every SI and PQD run
+starts from the basis of the independence copula, a vertex of both
+programs, so no value depends on the order of the solves.
 An envelope reaches tau when its value is at least tau - 1e-12, so dense and
 lazy inversion agree where an envelope is flat at tau up to rounding. Lazy
 SI and PQD probes first consult closed-form brackets from the staircase and
@@ -397,11 +397,11 @@ class _CopulaProgram:
     holds Bernstein copula coefficients. Degree 1 leaves no variable and so
     no row.
 
-    The rows in ``checked_rows`` (SI's 2-increasing family) are left out of
-    the session of an ``_Envelopes`` oracle and checked on each of its
-    solutions instead. ``start_basis`` (col_basic, row_basic, over the
-    session's rows) is the basis of the independence copula ij/(m1 m2), where
-    that session starts every solve; "none" has none.
+    ``bound`` finds every value of the program, by runs on a ``session()``:
+    a HiGHS model without the rows in ``checked_rows`` (SI's 2-increasing
+    family) that starts each run from ``start_basis`` (col_basic, row_basic,
+    over the session's rows), the basis of the independence copula
+    ij/(m1 m2); "none" has none and presolves each run.
     """
 
     def __init__(self, m1: int, m2: int, tag: str):
@@ -430,6 +430,7 @@ class _CopulaProgram:
         # g S >= 0 over the full grid is -g_inner x <= (g's boundary constant)
         g_inner, self.b_le = self.fold(g)
         self.a_le = -g_inner
+        self._checked = self.a_le[self.checked_rows], self.b_le[self.checked_rows]
 
         ii, jj = np.divmod(np.arange(self.nvar), max(n2, 1))
         i_idx, j_idx = ii + 1, jj + 1
@@ -476,11 +477,26 @@ class _CopulaProgram:
         )
         return _solve(lp, t, self.tag, self.k)
 
-    def bound(self, coefs, const, sense, t) -> float:
-        """One side of const + coefs . S, a probability, over the feasible S."""
+    def session(self) -> LpSession:
+        """A HiGHS session of the program without its checked rows."""
+        kept = slice(self.checked_rows.stop, None)
+        return LpSession(self.a_le[kept], self.b_le[kept], self.lb, self.ub, self.start_basis)
+
+    def bound(self, coefs, const, sense, t, session: LpSession):
+        """(value, runs): one side of const + coefs . S, a probability, over the feasible S.
+
+        Zero costs give const in [0, 1] and no run. Else one run on ``session``,
+        whose optimum stands within 1e-9 of every checked row (the full program
+        is feasible there); any other end adds one cold ``solve``, run last.
+        """
         if not np.any(coefs):
-            return min(max(const, 0.0), 1.0)
-        return const + self.solve(coefs, sense, t).objective
+            return min(max(const, 0.0), 1.0), ()
+        run = session.solve(coefs, _SENSES[sense])
+        a, b = self._checked
+        if run.status == "optimal" and np.all(a @ run.x <= b + _CERT_TOL):
+            return const + run.objective, (run,)
+        cold = self.solve(coefs, sense, t)
+        return const + cold.objective, (run, cold)
 
     def objective(self, v1, v0, t):
         """Linear form (coefs, const) with const + coefs . S = P(Delta <= t)."""
@@ -546,17 +562,13 @@ class _Envelopes:
 
     Side "min" is the lower envelope, "max" the upper one, as found. Both are
     given arrays (closed form, built envelopes) or are solved on demand:
-    ``mass(side, index)`` bounds const + coefs . S over ``prog``, with
-    (coefs, const) = form(t), once per index and in the order asked. Solves
-    share one HiGHS model of the program without its checked rows and start
-    from the program's ``start_basis`` (none: from no basis, presolved), so a
-    value does not depend on the order in which values are asked for. A
-    solution within 1e-9 of every checked row is optimal for the full
-    program, whose feasible set the relaxed one contains; any other end
-    solves the full program cold through ``_CopulaProgram.solve``, which
-    raises LpSolveError. ``solves`` and ``fallbacks`` count both, and
-    ``iterations`` sums the simplex iterations of every session and cold
-    solve.
+    ``mass(side, index)`` is ``prog.bound`` of (coefs, const) = form(t), once
+    per index and in the order asked, on one session of ``prog`` that the
+    oracle builds on its first value. Every run starts from the same basis,
+    so a value does not depend on the order in which values are asked for.
+    From the runs ``bound`` returns, ``solves`` counts the values that took
+    a session run, ``fallbacks`` the cold solves of the full program, and
+    ``iterations`` sums the simplex iterations of both.
 
     SI and PQD oracles of two grids (``of_values``) also hold closed-form
     brackets of each side, from ``_coupling_brackets``: ``reaches`` settles a
@@ -616,33 +628,18 @@ class _Envelopes:
         return cls.of_values(v1, v0, tag, t_grid)
 
     @functools.cached_property
-    def _session(self):
-        """The HiGHS session of the program without its checked rows, and those rows."""
-        prog, checked = self.prog, self.prog.checked_rows
-        kept = slice(checked.stop, None)
-        lp = LpSession(prog.a_le[kept], prog.b_le[kept], prog.lb, prog.ub, prog.start_basis)
-        return lp, prog.a_le[checked], prog.b_le[checked]
-
-    def _bound(self, coefs, const, side, t) -> float:
-        """``_CopulaProgram.bound``, from the session where the certificate holds."""
-        if not np.any(coefs):
-            return min(max(const, 0.0), 1.0)
-        self.solves += 1
-        lp, a, b = self._session
-        sol = lp.solve(coefs, _SENSES[side])
-        self.iterations += sol.iterations
-        if sol.status != "optimal" or np.any(a @ sol.x > b + _CERT_TOL):
-            self.fallbacks += 1
-            sol = self.prog.solve(coefs, side, t)
-            self.iterations += sol.iterations
-        return const + sol.objective
+    def _session(self) -> LpSession:
+        return self.prog.session()
 
     def mass(self, side: str, idx) -> float:
         """The side's value at t_grid[idx], solved the first time it is asked for."""
         values = self._values[side]
         if np.isnan(values[idx]):
             t = float(self.t_grid[idx])
-            values[idx] = self._bound(*self._form(t), side, t)
+            values[idx], runs = self.prog.bound(*self._form(t), side, t, self._session)
+            self.solves += len(runs[:1])
+            self.fallbacks += len(runs[1:])
+            self.iterations += sum(run.iterations for run in runs)
         return float(values[idx])
 
     def dense(self):
@@ -876,7 +873,7 @@ def functional_bounds(
     e_coefs, e_const = prog.linear_form(event)
     a_coefs, a_const = prog.linear_form(delta * event)
     thr = functional.threshold
-    if prog.bound(e_coefs, e_const, "min", thr) <= 1e-9:
+    if prog.bound(e_coefs, e_const, "min", thr, prog.session())[0] <= 1e-9:
         raise ValueError("conditioning event not uniformly positive")
 
     # Charnes-Cooper: variables (y, s) with s = 1 / P(event) and y = s * S;

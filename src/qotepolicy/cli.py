@@ -297,8 +297,13 @@ def _apply_weights_file(field: BoundField, path: str) -> BoundField:
         raise _CliError(2, "weights CSV needs covariate columns then 'weight'")
     given: Dict[Tuple[float, ...], float] = {}
     for row in raw:
-        x = tuple(float(row[n]) for n in names[:-1])
-        given[x] = float(row["weight"])
+        values = [float(row[n]) for n in names]
+        if not np.all(np.isfinite(values)):
+            raise _CliError(2, f"bad weights CSV {path}: row {values} is not all finite numbers")
+        x = tuple(values[:-1])
+        if x in given:
+            raise _CliError(2, f"bad weights CSV {path}: covariate row {list(x)} repeated")
+        given[x] = values[-1]
     points = field.points()
     if set(given) != set(points):
         raise _CliError(4, "weights CSV cells do not match the bounds cells")

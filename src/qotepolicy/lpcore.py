@@ -5,12 +5,11 @@ One-shot programs (the Bernstein coefficient program, the Charnes-Cooper
 functionals, every cold fallback) go through ``solve_lp``, a single
 ``linprog`` call. Per-t loops, runs of programs that differ only in their
 costs, go through an ``LpSession``: one HiGHS model built once through
-scipy's private bindings and re-solved after each cost change, each time
-from the same given start basis or from no basis; where those bindings are
-missing, or a solve does not end optimal, the session hands the program to
-``solve_lp``. Constraint
-matrices may be dense arrays or scipy.sparse matrices; sparse ones stay
-sparse.
+scipy's private bindings and run once per cost change, each time from the
+same given start basis or from no basis. A run reports how it ended and is
+never solved again; only where those bindings are missing does the session
+hand each program to ``solve_lp``. Constraint matrices may be dense arrays
+or scipy.sparse matrices; sparse ones stay sparse.
 """
 
 from __future__ import annotations
@@ -25,9 +24,10 @@ from scipy.optimize import linprog as _linprog
 
 __all__ = ["LinearProgram", "LpSession", "LpSolution", "solve_lp"]
 
-# linprog status codes; anything else (iteration limit, numerical trouble)
-# is reported as "failed"
+# linprog status codes and HiGHS model statuses; anything else (iteration
+# limit, numerical trouble) is reported as "failed"
 _STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
+_MODEL_STATUS = {"kOptimal": "optimal", "kInfeasible": "infeasible", "kUnbounded": "unbounded"}
 
 
 def _matrix(a, n: int, name: str):
@@ -142,9 +142,11 @@ class LpSession:
     starts the simplex from that basis: nonbasic columns at their lower
     bound, nonbasic rows tight at b_le. Without one, or where HiGHS refuses
     it, each solve starts from no basis, so HiGHS presolves it afresh. Either
-    way no solve depends on the ones before it. Where scipy lacks its private
-    HiGHS bindings, or a solve does not end optimal, the program goes to
-    ``solve_lp`` instead, cold.
+    way no solve depends on the ones before it. Each solve is one run that
+    reports its end (optimal, infeasible, unbounded, or failed for any other,
+    such as an iteration limit) and its simplex iterations, and is never
+    solved again; only without scipy's private HiGHS bindings does it go to
+    ``solve_lp`` instead.
     """
 
     def __init__(self, A_le, b_le, lower, upper, start_basis=None):
@@ -185,16 +187,10 @@ class LpSession:
         return basis
 
     def solve(self, c, sense: str = "minimize") -> LpSolution:
-        """Optimum for costs c; any end but optimal is solved again by solve_lp."""
+        """One run for costs c, however it ends; solve_lp only without the bindings."""
         c = np.asarray(c, dtype=float)
-        if self._highs is not None:
-            sol = self._run(c, sense)
-            if sol is not None:
-                return sol
-        return solve_lp(replace(self._program, c=c, sense=sense))
-
-    def _run(self, c, sense) -> Optional[LpSolution]:
-        """The optimum for costs c, or None if the run ends otherwise."""
+        if self._highs is None:
+            return solve_lp(replace(self._program, c=c, sense=sense))
         h, highs = self._core, self._highs
         highs.changeObjectiveSense(
             h.ObjSense.kMaximize if sense == "maximize" else h.ObjSense.kMinimize
@@ -205,13 +201,13 @@ class LpSession:
             highs.setBasis(self._basis)  # where refused, the run starts from no basis
         highs.run()
         status = highs.getModelStatus()
-        if status != h.HighsModelStatus.kOptimal:
-            return None
         info = highs.getInfo()
+        end = _MODEL_STATUS.get(status.name, "failed")
+        optimal = end == "optimal"
         return LpSolution(
-            status="optimal",
-            x=np.array(highs.getSolution().col_value),
-            objective=float(info.objective_function_value),
+            status=end,
+            x=np.array(highs.getSolution().col_value) if optimal else None,
+            objective=float(info.objective_function_value) if optimal else None,
             iterations=int(info.simplex_iteration_count),
             message=highs.modelStatusToString(status),
         )

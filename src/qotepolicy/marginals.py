@@ -49,6 +49,8 @@ class Sample:
         object.__setattr__(self, "x", x)
         if not np.all(np.isfinite(self.y)):
             raise ValueError("outcomes must be finite")
+        if not np.all(np.isfinite(self.x)):
+            raise ValueError("covariates must be finite")
         if not np.isin(self.d, (0, 1)).all():
             raise ValueError("treatment indicator must be 0 or 1")
         if self.x.shape[0] != self.y.shape[0] or self.d.shape[0] != self.y.shape[0]:

@@ -60,8 +60,8 @@ class BoundField:
         if not cells:
             raise ValueError("field needs at least one cell")
         w = np.array([c[1] for c in cells])
-        if np.any(w < -1e-12):
-            raise ValueError("weights must be nonnegative")
+        if not np.all(w >= -1e-12):
+            raise ValueError("weights must be finite and nonnegative")
         if abs(w.sum() - 1.0) > 1e-8:
             raise ValueError("weights must sum to 1")
         for _, _, b in cells:
@@ -91,7 +91,7 @@ class PolicyField:
         if self.kind not in ("stochastic", "deterministic"):
             raise ValueError("kind must be stochastic or deterministic")
         d = np.array([c[1] for c in cells])
-        if np.any(d < -1e-12) or np.any(d > 1 + 1e-12):
+        if not np.all((d >= -1e-12) & (d <= 1 + 1e-12)):
             raise ValueError("delta must lie in [0, 1]")
         if self.kind == "deterministic" and not np.all((d == 0) | (d == 1)):
             raise ValueError("deterministic policy needs delta in {0, 1}")

@@ -253,7 +253,10 @@ def test_k3_coupling_lp_matches_vertex_enumeration():
     for idx, t in enumerate(ts):
         weights = ((v1[:, None] - v0[None, :]) <= t).ravel().astype(float)
         masses = [float(weights @ v) for v in vertices]
-        lo, up = (prog.bound(*prog.objective(v1, v0, t), sense, t) for sense in ("min", "max"))
+        lo, up = (
+            prog.bound(*prog.objective(v1, v0, t), sense, t, prog.session())[0]
+            for sense in ("min", "max")
+        )
         for got, ref in ((lo, min(masses)), (up, max(masses))):
             assert got == pytest.approx(ref, abs=1e-7)
         assert stair_lo[idx] == pytest.approx(min(masses), abs=1e-7)
@@ -391,11 +394,25 @@ def test_copula_mass_matches_raw_coupling_lp():
         ts = np.sort(np.concatenate([diffs, (diffs[:-1] + diffs[1:]) / 2]))
         for tag in ("SI", "PQD"):
             prog = _copula_program(k, k, tag)
+            session = prog.session()
             for t in ts[:: max(1, ts.size // 6)]:
                 for sense in ("min", "max"):
                     ref, _ = raw_coupling_lp(v1, v0, float(t), sense, tag)
-                    got = prog.bound(*prog.objective(v1, v0, float(t)), sense, float(t))
+                    form = prog.objective(v1, v0, float(t))
+                    got, _ = prog.bound(*form, sense, float(t), session)
                     assert got == pytest.approx(ref, abs=1e-9)
+
+
+def _cold_full_program(prog, v1, v0, t_grid):
+    """[min, max] envelope values from cold solves of the full program."""
+    cold = []
+    for sense in ("min", "max"):
+        side = []
+        for t in map(float, t_grid):
+            coefs, const = prog.objective(v1, v0, t)
+            side.append(const + prog.solve(coefs, sense, t).objective)
+        cold.append(side)
+    return cold
 
 
 def test_si_session_certifies_or_falls_back_to_the_full_program():
@@ -409,7 +426,7 @@ def test_si_session_certifies_or_falls_back_to_the_full_program():
     for step, coefs in enumerate(costs):
         sense = ("min", "max")[step % 2]
         got = env.mass(sense, step)
-        assert got == pytest.approx(prog.bound(coefs, 0.0, sense, 0.0), abs=1e-9)
+        assert got == pytest.approx(prog.solve(coefs, sense, 0.0).objective, abs=1e-9)
     assert env.solves == 200
     assert 0 < env.fallbacks < env.solves
 
@@ -430,11 +447,7 @@ def test_session_envelopes_match_cold_full_programs(tag):
                 for sense in ("min", "max")
             ]
         else:
-            prog = _copula_program(k, k, tag)
-            cold = [
-                [prog.bound(*prog.objective(v1, v0, t), sense, t) for t in t_grid]
-                for sense in ("min", "max")
-            ]
+            cold = _cold_full_program(_copula_program(k, k, tag), v1, v0, t_grid)
         ref = _assemble_envelopes(t_grid, *cold)
         assert_allclose(env.lower, ref.lower, rtol=0, atol=1e-9)
         assert_allclose(env.upper, ref.upper, rtol=0, atol=1e-9)
@@ -521,13 +534,54 @@ def test_a_refused_start_basis_solves_from_no_basis(monkeypatch, tag):
     grid = default_t_grid(v1, v0, 21)
     env = _Envelopes.of_values(v1, v0, tag, grid)
     got = env.dense()
-    prog = _copula_program(12, 12, tag)
-    cold = [
-        [prog.bound(*prog.objective(v1, v0, float(t)), side, float(t)) for t in grid]
-        for side in ("min", "max")
-    ]
+    cold = _cold_full_program(_copula_program(12, 12, tag), v1, v0, grid)
     assert len(refused) == env.solves > 0
     assert_allclose(got, cold, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("tag", ["SI", "PQD"])
+def test_a_session_run_that_ends_non_optimal_costs_one_cold_full_solve(monkeypatch, tag):
+    # every session model stops at its first iteration, so each run ends
+    # optimal only where the start basis already is; the cold solves run on
+    # linprog's own model and are not capped
+    built, session_solve, solve_lp = (
+        lpcore.LpSession.__init__, lpcore.LpSession.solve, lpcore.solve_lp
+    )
+    runs, cold = [], []
+
+    def capped(self, *args):
+        built(self, *args)
+        self._highs.setOptionValue("simplex_iteration_limit", 0)
+
+    def recorded_run(self, c, sense="minimize"):
+        runs.append(session_solve(self, c, sense))
+        return runs[-1]
+
+    def recorded_cold(lp):
+        cold.append((lp, solve_lp(lp)))
+        return cold[-1][1]
+
+    def hidden_solve(lp):
+        raise AssertionError("a session run was solved again")
+
+    monkeypatch.setattr(lpcore.LpSession, "__init__", capped)
+    monkeypatch.setattr(lpcore.LpSession, "solve", recorded_run)
+    monkeypatch.setattr(bounds, "solve_lp", recorded_cold)
+    monkeypatch.setattr(lpcore, "solve_lp", hidden_solve)
+    q1, q0 = population_curves(SUBGROUPS[2], 12)
+    v1, v0 = q1.values, q0.values
+    grid = default_t_grid(v1, v0, 21)
+    env = _Envelopes.of_values(v1, v0, tag, grid)
+    got = env.dense()
+    prog = _copula_program(12, 12, tag)
+    stopped = sum(run.status != "optimal" for run in runs)
+    assert 0 < stopped < len(runs) == env.solves
+    assert len(cold) == stopped == env.fallbacks
+    assert all(lp.A_le.shape == prog.a_le.shape for lp, _ in cold)
+    cold_iterations = sum(sol.iterations for _, sol in cold)
+    assert cold_iterations > 0
+    assert env.iterations == sum(run.iterations for run in runs) + cold_iterations
+    assert_allclose(got, _cold_full_program(prog, v1, v0, grid), rtol=0, atol=1e-9)
 
 
 def _count_lp_solves(monkeypatch):

@@ -98,6 +98,16 @@ def test_empty_csv_exits_2(tmp_path, capsys):
     assert "empty CSV" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", ["inf", "nan"])
+def test_non_finite_covariate_exits_2(tmp_path, capsys, bad):
+    src = tmp_path / "sample.csv"
+    src.write_text(SAMPLE_TWO_CELLS.replace("0,1,1\n", f"0,1,{bad}\n"))
+    out = tmp_path / "out"
+    assert run("bounds", "--input", src, "--assumption", "none", "--k", "2", "--out", out) == 2
+    assert "covariates must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_symmetry_needs_the_median(tmp_path):
     code = run(
         "bounds", "--dgp", "subgroup1", "--assumption", "sy",
@@ -347,6 +357,28 @@ def test_policy_weights_mismatch_exits_4(tmp_path):
     assert code == 4
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("x1,weight\n0,abc\n1,0.5\n", "not all finite numbers"),
+        ("x1,weight\n0,0.5\n1,nan\n", "not all finite numbers"),
+        ("x1,weight\n0,0.5\n1,0.2\n1,0.5\n", "repeated"),
+    ],
+    ids=["non-numeric weight", "nan weight", "repeated row"],
+)
+def test_policy_weights_bad_csv_exits_2(tmp_path, capsys, text, message):
+    weights = tmp_path / "weights.csv"
+    weights.write_text(text)
+    out = tmp_path / "out"
+    code = run(
+        "policy", "--input", _two_cell_bounds_json(tmp_path), "--tau", "0.5",
+        "--weights", weights, "--out", out,
+    )
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_policy_weights_override(tmp_path):
     weights = tmp_path / "weights.csv"
     weights.write_text("x1,weight\n0,0.9\n1,0.1\n")
@@ -445,6 +477,7 @@ def test_owl_requires_bounds_json(tmp_path, capsys, subcommand):
         {"tau": 0.25, "cells": [dict(_CELL, lower="-1.0")]},
         [{"tau": 0.25, "cells": [_CELL]}],
         {"tau": 0.25, "cells": [dict(_CELL, truncated_lower="false")]},
+        {"tau": 0.25, "cells": [dict(_CELL, weight=float("nan"))]},
     )):
         src = tmp_path / f"bad{i}.json"
         src.write_text(json.dumps(payload))

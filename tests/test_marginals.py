@@ -82,6 +82,9 @@ def test_sample_validation_and_arm_split():
         Sample(y=[1.0], d=[2], x=np.zeros((1, 0)))
     with pytest.raises(ValueError, match="finite"):
         Sample(y=[np.nan], d=[0], x=np.zeros((1, 0)))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="covariates must be finite"):
+            Sample(y=[1.0, 2.0], d=[0, 1], x=[[0.0], [bad]])
     with pytest.raises(ValueError, match="same number of rows"):
         Sample(y=[1.0, 2.0], d=[0, 1], x=np.zeros((3, 1)))
 

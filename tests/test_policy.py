@@ -102,6 +102,9 @@ def test_bound_field_validation():
         )
     with pytest.raises(ValueError, match="finite"):
         BoundField((((0.0,), 1.0, QoteBounds(-np.inf, 1.0)),))
+    # a NaN weight fails every comparison, so it must fail the check itself
+    with pytest.raises(ValueError, match="finite"):
+        BoundField((((0.0,), np.nan, QoteBounds(0.0, 1.0)),))
 
 
 def test_policy_field_validation():
@@ -110,6 +113,9 @@ def test_policy_field_validation():
         PolicyField((((0.0,), 0.3),), kind="soft")
     with pytest.raises(ValueError, match="delta"):
         PolicyField((((0.0,), 1.3),), kind="stochastic")
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="delta"):
+            PolicyField((((0.0,), bad),), kind="stochastic")
     with pytest.raises(ValueError, match="deterministic"):
         PolicyField((((0.0,), 0.3),), kind="deterministic")
 

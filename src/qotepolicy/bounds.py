@@ -13,9 +13,10 @@ Charnes-Cooper programs of the conditional-mean functionals, whose cell
 masses are second differences of the copula. ``_CopulaProgram.bound`` finds
 every value of a copula program: one run on an ``lpcore.LpSession`` of the
 program without its checked rows (SI's 2-increasing rows), certified against
-them, or else one cold solve of the full program, the only fallback, which
-raises LpSolveError, a RuntimeError naming t, the assumption tag and the grid
-size, if it does not end optimal. Dense envelopes, lazy inversion, Bernstein
+them, or else one cold solve of the full program (``lpcore.solve_lp``, a run
+on a fresh HiGHS model built the same way), the only fallback, which raises
+LpSolveError, a RuntimeError naming t, the assumption tag and the grid size,
+if it does not end optimal. Dense envelopes, lazy inversion, Bernstein
 envelopes and the probes of ``sim`` all read one ``_Envelopes`` oracle per
 (curves or linear form, tag, t grid), which holds one session, finds each
 (side, t) at most once and inverts by one bisection. Every SI and PQD run

@@ -281,7 +281,10 @@ def _read_bound_field(path: Optional[str], command: str) -> Tuple[float, BoundFi
             )
             x = tuple(_number(v, "x") for v in c["x"])
             cells.append((x, _number(c.get("weight"), "weight"), b))
-        return _number(payload.get("tau"), "tau"), BoundField(tuple(cells))
+        tau = _number(payload.get("tau"), "tau")
+        if not 0 < tau < 1:
+            raise ValueError(f"tau {tau} outside (0, 1)")
+        return tau, BoundField(tuple(cells))
     except (OSError, TypeError, ValueError) as exc:
         raise _CliError(2, f"bad bounds JSON {path}: {exc}")
 

@@ -1,33 +1,43 @@
 """The package's one linear-program backend: HiGHS (Huangfu & Hall, Math.
-Prog. Comp. 2018), as bundled with scipy.
+Prog. Comp. 2018), through the bindings scipy (1.15 or later) bundles as
+``scipy.optimize._highspy._core``.
 
-One-shot programs (the Bernstein coefficient program, the Charnes-Cooper
-functionals, every cold fallback) go through ``solve_lp``, a single
-``linprog`` call. Per-t loops, runs of programs that differ only in their
-costs, go through an ``LpSession``: one HiGHS model built once through
-scipy's private bindings and run once per cost change, each time from the
-same given start basis or from no basis. A run reports how it ended and is
-never solved again; only where those bindings are missing does the session
-hand each program to ``solve_lp``. Constraint matrices may be dense arrays
-or scipy.sparse matrices; sparse ones stay sparse.
+``_model`` builds every HiGHS model the package solves, and ``_run`` runs
+every one of them. ``solve_lp`` is one run on a fresh model of its
+``LinearProgram``, from no basis, so HiGHS presolves it. An ``LpSession``
+serves a run of programs that differ only in their costs: one model built
+once and run once per cost change, each time from the same given start
+basis or from no basis. A run reports how it ended and is never solved
+again. Constraint matrices may be dense arrays or scipy.sparse matrices;
+sparse ones stay sparse.
 """
 
 from __future__ import annotations
 
-import importlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import linprog as _linprog
+
+try:
+    import scipy.optimize._highspy._core as _highs
+except ImportError as exc:
+    raise ImportError(
+        "qotepolicy needs scipy>=1.15, whose HiGHS bindings "
+        "scipy.optimize._highspy._core solve every linear program"
+    ) from exc
 
 __all__ = ["LinearProgram", "LpSession", "LpSolution", "solve_lp"]
 
-# linprog status codes and HiGHS model statuses; anything else (iteration
-# limit, numerical trouble) is reported as "failed"
-_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
-_MODEL_STATUS = {"kOptimal": "optimal", "kInfeasible": "infeasible", "kUnbounded": "unbounded"}
+# HiGHS model statuses; anything else (iteration limit, numerical trouble)
+# is reported as "failed"
+_STATUS = {
+    _highs.HighsModelStatus.kOptimal: "optimal",
+    _highs.HighsModelStatus.kInfeasible: "infeasible",
+    _highs.HighsModelStatus.kUnbounded: "unbounded",
+}
+_SENSE = {"minimize": _highs.ObjSense.kMinimize, "maximize": _highs.ObjSense.kMaximize}
 
 
 def _matrix(a, n: int, name: str):
@@ -103,34 +113,56 @@ class LpSolution:
     message: str = ""
 
 
-def solve_lp(lp: LinearProgram) -> LpSolution:
-    """Solve a linear program with HiGHS; maximization by a sign flip."""
-    flip = -1.0 if lp.sense == "maximize" else 1.0
-    res = _linprog(
-        flip * lp.c,
-        A_ub=lp.A_le,
-        b_ub=lp.b_le,
-        A_eq=lp.A_eq,
-        b_eq=lp.b_eq,
-        bounds=np.column_stack([lp.lower, lp.upper]),
-        method="highs",
-    )
-    optimal = res.status == 0
+def _model(p: LinearProgram):
+    """A HiGHS model of p: its A_le rows, then its A_eq rows as row_lower == row_upper."""
+    n = p.c.size
+    rows = [(np.zeros((0, n)), np.zeros(0), np.zeros(0))]  # so a program without rows stacks
+    if p.A_le is not None:
+        rows.append((p.A_le, np.full(p.b_le.size, -np.inf), p.b_le))
+    if p.A_eq is not None:
+        rows.append((p.A_eq, p.b_eq, p.b_eq))
+    a = sp.vstack([sp.csc_matrix(r[0]) for r in rows], format="csc")
+    lp = _highs.HighsLp()
+    lp.num_col_, lp.num_row_ = n, a.shape[0]
+    lp.col_cost_ = p.c
+    lp.col_lower_, lp.col_upper_ = p.lower, p.upper
+    lp.row_lower_ = np.concatenate([r[1] for r in rows])
+    lp.row_upper_ = np.concatenate([r[2] for r in rows])
+    m = lp.a_matrix_
+    m.format_ = _highs.MatrixFormat.kColwise
+    m.num_col_, m.num_row_ = n, a.shape[0]
+    m.start_, m.index_, m.value_ = a.indptr, a.indices, a.data
+    highs = _highs._Highs()
+    highs.setOptionValue("output_flag", False)
+    if highs.passModel(lp) == _highs.HighsStatus.kError:
+        raise ValueError("HiGHS refused the model")
+    return highs
+
+
+def _run(highs, c, sense: str, basis) -> LpSolution:
+    """One run of a model for costs c, from ``basis`` or, if None or refused, from none."""
+    highs.changeObjectiveSense(_SENSE[sense])
+    highs.changeColsCost(c.size, np.arange(c.size, dtype=np.int32), c)
+    highs.clearSolver()  # nothing an earlier run left carries over
+    if basis is not None:
+        highs.setBasis(basis)
+    highs.run()
+    status = highs.getModelStatus()
+    info = highs.getInfo()
+    end = _STATUS.get(status, "failed")
+    optimal = end == "optimal"
     return LpSolution(
-        status=_STATUS.get(res.status, "failed"),
-        x=res.x if optimal else None,
-        objective=flip * res.fun if optimal else None,
-        iterations=int(res.nit),
-        message=res.message,
+        status=end,
+        x=np.array(highs.getSolution().col_value) if optimal else None,
+        objective=float(info.objective_function_value) if optimal else None,
+        iterations=int(info.simplex_iteration_count),
+        message=highs.modelStatusToString(status),
     )
 
 
-def _highs_core():
-    """scipy's bundled HiGHS bindings (private), or None where scipy lacks them."""
-    try:
-        return importlib.import_module("scipy.optimize._highspy._core")
-    except ImportError:
-        return None
+def solve_lp(lp: LinearProgram) -> LpSolution:
+    """One run on a fresh HiGHS model of lp, from no basis."""
+    return _run(_model(lp), lp.c, lp.sense, None)
 
 
 class LpSession:
@@ -145,69 +177,24 @@ class LpSession:
     way no solve depends on the ones before it. Each solve is one run that
     reports its end (optimal, infeasible, unbounded, or failed for any other,
     such as an iteration limit) and its simplex iterations, and is never
-    solved again; only without scipy's private HiGHS bindings does it go to
-    ``solve_lp`` instead.
+    solved again.
     """
 
     def __init__(self, A_le, b_le, lower, upper, start_basis=None):
-        self._program = LinearProgram(
-            c=np.zeros(np.shape(lower)[0]), A_le=A_le, b_le=b_le, lower=lower, upper=upper
+        self._highs = _model(
+            LinearProgram(
+                c=np.zeros(np.shape(lower)[0]), A_le=A_le, b_le=b_le, lower=lower, upper=upper
+            )
         )
-        self._core = _highs_core()
-        self._highs = None if self._core is None else self._model()
         self._basis = None
-        if self._highs is not None and start_basis is not None:
-            self._basis = self._highs_basis(*start_basis)
-
-    def _model(self):
-        h, p = self._core, self._program
-        a = sp.csc_matrix(p.A_le)
-        lp = h.HighsLp()
-        lp.num_col_, lp.num_row_ = a.shape[1], a.shape[0]
-        lp.col_cost_ = p.c
-        lp.col_lower_, lp.col_upper_ = p.lower, p.upper
-        lp.row_lower_ = np.full(a.shape[0], -np.inf)
-        lp.row_upper_ = p.b_le
-        m = lp.a_matrix_
-        m.format_ = h.MatrixFormat.kColwise
-        m.num_col_, m.num_row_ = a.shape[1], a.shape[0]
-        m.start_, m.index_, m.value_ = a.indptr, a.indices, a.data
-        highs = h._Highs()
-        highs.setOptionValue("output_flag", False)
-        if highs.passModel(lp) == h.HighsStatus.kError:
-            return None
-        return highs
-
-    def _highs_basis(self, col_basic, row_basic):
-        s = self._core.HighsBasisStatus
-        basis = self._core.HighsBasis()
-        basis.col_status = [s.kBasic if b else s.kLower for b in col_basic]
-        basis.row_status = [s.kBasic if b else s.kUpper for b in row_basic]
-        basis.valid, basis.alien = True, False
-        return basis
+        if start_basis is not None:
+            col_basic, row_basic = start_basis
+            s = _highs.HighsBasisStatus
+            self._basis = _highs.HighsBasis()
+            self._basis.col_status = [s.kBasic if b else s.kLower for b in col_basic]
+            self._basis.row_status = [s.kBasic if b else s.kUpper for b in row_basic]
+            self._basis.valid, self._basis.alien = True, False
 
     def solve(self, c, sense: str = "minimize") -> LpSolution:
-        """One run for costs c, however it ends; solve_lp only without the bindings."""
-        c = np.asarray(c, dtype=float)
-        if self._highs is None:
-            return solve_lp(replace(self._program, c=c, sense=sense))
-        h, highs = self._core, self._highs
-        highs.changeObjectiveSense(
-            h.ObjSense.kMaximize if sense == "maximize" else h.ObjSense.kMinimize
-        )
-        highs.changeColsCost(c.size, np.arange(c.size, dtype=np.int32), c)
-        highs.clearSolver()  # nothing the last solve left carries over
-        if self._basis is not None:
-            highs.setBasis(self._basis)  # where refused, the run starts from no basis
-        highs.run()
-        status = highs.getModelStatus()
-        info = highs.getInfo()
-        end = _MODEL_STATUS.get(status.name, "failed")
-        optimal = end == "optimal"
-        return LpSolution(
-            status=end,
-            x=np.array(highs.getSolution().col_value) if optimal else None,
-            objective=float(info.objective_function_value) if optimal else None,
-            iterations=int(info.simplex_iteration_count),
-            message=highs.modelStatusToString(status),
-        )
+        """One run for costs c, however it ends."""
+        return _run(self._highs, np.asarray(c, dtype=float), sense, self._basis)

@@ -59,6 +59,13 @@ class BoundField:
         object.__setattr__(self, "cells", cells)
         if not cells:
             raise ValueError("field needs at least one cell")
+        points = [x for x, _, _ in cells]
+        if not all(np.all(np.isfinite(x)) for x in points):
+            raise ValueError("covariate points must be finite")
+        if len(set(points)) < len(points):
+            raise ValueError("covariate points must not repeat")
+        if len({len(x) for x in points}) > 1:
+            raise ValueError("covariate points must have one length")
         w = np.array([c[1] for c in cells])
         if not np.all(w >= -1e-12):
             raise ValueError("weights must be finite and nonnegative")

@@ -137,6 +137,18 @@ def raw_coupling_lp(v1, v0, t, sense, tag="NoAssumption"):
     return sign * res.fun, res.x.reshape(k, k)
 
 
+def assignment_coupling_mass(v1, v0, t, sense):
+    """min or max of P(v1_i - v0_j <= t) over k x k couplings with 1/k margins.
+
+    Those couplings form the Birkhoff polytope scaled by 1/k, whose vertices
+    are the permutation couplings, so the optimum is an assignment problem on
+    the 0/1 staircase matrix, solved exactly and scaled by 1/k.
+    """
+    weights = (v1[:, None] - v0[None, :]) <= t
+    rows, cols = scipy.optimize.linear_sum_assignment(weights, maximize=sense == "max")
+    return float(weights[rows, cols].sum()) / v1.size
+
+
 def permutation_couplings(k):
     """The vertices of the uniform-marginal coupling polytope."""
     out = []

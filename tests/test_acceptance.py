@@ -13,6 +13,7 @@ import pytest
 from scipy.special import ndtri
 
 from oracles import (
+    assignment_coupling_mass,
     coupling_constraints,
     cvar_bounds_by_permutations,
     marginal_bounds_direct,
@@ -211,10 +212,11 @@ def test_04_lp_sharpness(capsys):
         stair = makarov_bounds(q1, q0, tau)
         grid = default_t_grid(q1.values, q0.values, 61)
         step = float(grid[1] - grid[0])
-        # envelopes of the raw coupling LP, assembled and inverted as the
-        # package assembles and inverts its own
+        # envelopes over all couplings, each value an exact assignment
+        # problem, assembled and inverted as the package assembles and
+        # inverts its own
         masses = [
-            [raw_coupling_lp(q1.values, q0.values, float(t), sense)[0] for t in grid]
+            [assignment_coupling_mass(q1.values, q0.values, float(t), sense) for t in grid]
             for sense in ("min", "max")
         ]
         lp = invert_bounds(_assemble_envelopes(grid, *masses), tau)
@@ -222,7 +224,8 @@ def test_04_lp_sharpness(capsys):
         worst_steps = max(worst_steps, dev / step)
         if dev > step + 1e-9:
             failures.append(f"spec {spec}: dev {dev:.4f} vs step {step:.4f}")
-    # tiny-grid LP against full vertex enumeration of the coupling polytope
+    # tiny-grid LP and assignment oracle against full vertex enumeration of
+    # the coupling polytope
     worst_vertex = 0.0
     rng = np.random.default_rng(21)
     perms = [np.asarray(c) for c in permutation_couplings(3)]
@@ -237,6 +240,9 @@ def test_04_lp_sharpness(capsys):
                 worst_vertex = max(worst_vertex, abs(got - ref))
                 if abs(got - ref) > 1e-7:
                     failures.append(f"k=3 {sense} at t={t:.3f}: {got} vs {ref}")
+                exact = assignment_coupling_mass(v1, v0, float(t), sense)
+                if abs(exact - ref) > 1e-12:
+                    failures.append(f"k=3 assignment {sense} at t={t:.3f}: {exact} vs {ref}")
     _verdict(
         capsys,
         "acceptance 04 coupling-LP sharpness",

@@ -524,7 +524,7 @@ def test_session_values_do_not_depend_on_solve_order(tag):
 
 @pytest.mark.parametrize("tag", ["SI", "PQD"])
 def test_a_refused_start_basis_solves_from_no_basis(monkeypatch, tag):
-    core = lpcore._highs_core()
+    core = lpcore._highs
     refused = []
     monkeypatch.setattr(
         core._Highs, "setBasis", lambda self, *args: refused.append(1) or core.HighsStatus.kError
@@ -543,7 +543,7 @@ def test_a_refused_start_basis_solves_from_no_basis(monkeypatch, tag):
 def test_a_session_run_that_ends_non_optimal_costs_one_cold_full_solve(monkeypatch, tag):
     # every session model stops at its first iteration, so each run ends
     # optimal only where the start basis already is; the cold solves run on
-    # linprog's own model and are not capped
+    # fresh models of their own and are not capped
     built, session_solve, solve_lp = (
         lpcore.LpSession.__init__, lpcore.LpSession.solve, lpcore.solve_lp
     )

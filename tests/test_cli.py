@@ -478,11 +478,20 @@ def test_owl_requires_bounds_json(tmp_path, capsys, subcommand):
         [{"tau": 0.25, "cells": [_CELL]}],
         {"tau": 0.25, "cells": [dict(_CELL, truncated_lower="false")]},
         {"tau": 0.25, "cells": [dict(_CELL, weight=float("nan"))]},
+        {"tau": float("nan"), "cells": [_CELL]},
+        {"tau": 1.5, "cells": [_CELL]},
+        {"tau": 0.0, "cells": [_CELL]},
+        {"tau": 0.25, "cells": [dict(_CELL, x=[float("nan")])]},
+        {"tau": 0.25, "cells": [dict(_CELL, x=[float("inf")])]},
+        {"tau": 0.25, "cells": [dict(_CELL, weight=0.5), dict(_CELL, weight=0.5)]},
+        {"tau": 0.25, "cells": [dict(_CELL, weight=0.5), dict(_CELL, x=[1.0, 0.0], weight=0.5)]},
     )):
         src = tmp_path / f"bad{i}.json"
         src.write_text(json.dumps(payload))
-        assert run(subcommand, "--input", src, "--out", tmp_path) == 2
+        out = tmp_path / f"out{i}"
+        assert run(subcommand, "--input", src, "--out", out) == 2
         assert f"bad bounds JSON {src}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def _dir_digest(path):

@@ -1,16 +1,22 @@
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from oracles import brute_force_lp
-import scipy.sparse as sp
-
-from qotepolicy import lpcore
+import qotepolicy
+from qotepolicy import bounds
+from qotepolicy.bounds import AssumptionSet, CVaR, _copula_program, functional_bounds
 from qotepolicy.lpcore import LinearProgram, LpSession, solve_lp
+from qotepolicy.sim import SUBGROUPS, population_curves
 
 
 def test_textbook_maximization():
@@ -199,22 +205,74 @@ def test_session_reports_infeasible_and_unbounded_as_solve_lp_does():
     assert sol.status == "optimal" and sol.objective == pytest.approx(1.0)
 
 
-def test_session_without_the_private_highs_bindings_uses_solve_lp(monkeypatch):
-    # scipy releases without scipy.optimize._highspy._core: every solve is cold
-    monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
-    assert lpcore._highs_core() is None
-    cold = []
-    monkeypatch.setattr(lpcore, "solve_lp", lambda lp: cold.append(lp) or solve_lp(lp))
-    rng = np.random.default_rng(11)
-    a, b, lower, upper = _random_program(rng, 25, 15, True)
-    session = LpSession(a, b, lower, upper)
-    for sense in ("minimize", "maximize", "minimize"):
-        lp = LinearProgram(
-            c=rng.normal(size=15), sense=sense, A_le=a, b_le=b, lower=lower, upper=upper
-        )
-        got, ref = session.solve(lp.c, sense), solve_lp(lp)
-        assert got.status == ref.status == "optimal"
-        assert got.objective == ref.objective
-        assert np.array_equal(got.x, ref.x)
-    assert len(cold) == 3
+def test_missing_highs_bindings_fail_the_package_import():
+    # a scipy without scipy.optimize._highspy._core: importing the package
+    # fails at once and names the scipy it needs
+    code = (
+        "import sys, scipy.optimize\n"
+        "sys.modules['scipy.optimize._highspy._core'] = None\n"
+        "try:\n"
+        "    import qotepolicy\n"
+        "except ImportError as exc:\n"
+        "    print(exc)\n"
+        "else:\n"
+        "    print('imported')\n"
+    )
+    src = str(Path(qotepolicy.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    ).stdout
+    assert "scipy>=1.15" in out and "scipy.optimize._highspy._core" in out
 
+
+def _linprog(lp):
+    """(objective, x, iterations) of lp by scipy's linprog, maximisation by a sign flip."""
+    flip = -1.0 if lp.sense == "maximize" else 1.0
+    res = scipy.optimize.linprog(
+        flip * lp.c, A_ub=lp.A_le, b_ub=lp.b_le, A_eq=lp.A_eq, b_eq=lp.b_eq,
+        bounds=np.column_stack([lp.lower, lp.upper]), method="highs",
+    )
+    assert res.status == 0, res.message
+    return flip * res.fun, res.x, res.nit
+
+
+def _programs(source, monkeypatch):
+    if source in ("dense", "sparse"):
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            a, b, lower, upper = _random_program(rng, 30, 20, source == "sparse")
+            for sense in ("minimize", "maximize"):
+                yield LinearProgram(
+                    c=rng.normal(size=20), sense=sense, A_le=a, b_le=b, lower=lower, upper=upper
+                )
+    elif source == "charnes_cooper":
+        # the min and max programs of an SI CVaR interval at k = 8
+        seen = []
+        monkeypatch.setattr(bounds, "solve_lp", lambda lp: seen.append(lp) or solve_lp(lp))
+        q1, q0 = population_curves(SUBGROUPS[1], 8)
+        functional_bounds(q1, q0, AssumptionSet("SI"), CVaR(-1.0), k=8)
+        assert [lp.sense for lp in seen] == ["minimize", "maximize"]
+        yield from seen
+    else:
+        # the full SI copula program at k = 30, as a cold fallback solves it
+        q1, q0 = population_curves(SUBGROUPS[2], 30)
+        prog = _copula_program(30, 30, "SI")
+        coefs, _ = prog.objective(q1.values, q0.values, 0.5)
+        for sense in ("minimize", "maximize"):
+            yield LinearProgram(
+                c=coefs, sense=sense, A_le=prog.a_le, b_le=prog.b_le, lower=prog.lb, upper=prog.ub
+            )
+
+
+@pytest.mark.parametrize("source", ["dense", "sparse", "charnes_cooper", "cold_si"])
+def test_solve_lp_is_bit_equal_to_linprog(monkeypatch, source):
+    # the same HiGHS on the same model: objective, x and simplex iterations
+    # are equal to the last bit, with the sense flag against the sign flip
+    for lp in _programs(source, monkeypatch):
+        sol = solve_lp(lp)
+        objective, x, iterations = _linprog(lp)
+        assert sol.status == "optimal"
+        assert np.float64(sol.objective).tobytes() == np.float64(objective).tobytes()
+        assert sol.x.tobytes() == x.tobytes()
+        assert sol.iterations == iterations

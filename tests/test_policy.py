@@ -105,6 +105,24 @@ def test_bound_field_validation():
     # a NaN weight fails every comparison, so it must fail the check itself
     with pytest.raises(ValueError, match="finite"):
         BoundField((((0.0,), np.nan, QoteBounds(0.0, 1.0)),))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="points must be finite"):
+            BoundField((((bad,), 1.0, QoteBounds(0.0, 1.0)),))
+    # one covariate point with two cells would get two deltas
+    with pytest.raises(ValueError, match="repeat"):
+        BoundField(
+            (
+                ((0.0, 1.0), 0.5, QoteBounds(0.0, 1.0)),
+                ((0.0, 1.0), 0.5, QoteBounds(-1.0, 2.0)),
+            )
+        )
+    with pytest.raises(ValueError, match="one length"):
+        BoundField(
+            (
+                ((0.0,), 0.5, QoteBounds(0.0, 1.0)),
+                ((0.0, 1.0), 0.5, QoteBounds(-1.0, 2.0)),
+            )
+        )
 
 
 def test_policy_field_validation():

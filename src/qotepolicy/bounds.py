@@ -23,10 +23,12 @@ envelopes and the probes of ``sim`` all read one ``_Envelopes`` oracle per
 starts from the basis of the independence copula, a vertex of both
 programs, so no value depends on the order of the solves.
 An envelope reaches tau when its value is at least tau - 1e-12, so dense and
-lazy inversion agree where an envelope is flat at tau up to rounding. Lazy
-SI and PQD probes first consult closed-form brackets from the staircase and
-the comonotone and independent couplings, and solve only where those leave
-the answer open.
+lazy inversion agree where an envelope is flat at tau up to rounding. SI and
+PQD envelopes of two grids have closed-form brackets from the staircase and
+the comonotone and independent couplings. Where a side's brackets meet, its
+value is exactly theirs and no LP runs, on the dense and the lazy path alike;
+lazy probes also settle from them where they clear tau, and solve only where
+the brackets leave the answer open.
 """
 
 from __future__ import annotations
@@ -572,11 +574,14 @@ class _Envelopes:
     ``iterations`` sums the simplex iterations of both.
 
     SI and PQD oracles of two grids (``of_values``) also hold closed-form
-    brackets of each side, from ``_coupling_brackets``: ``reaches`` settles a
-    probe the memo lacks from them, counted in ``decided``, when they clear
-    tau by more than 1e-9 and solves it otherwise, so it decides as the LP
-    would. They are built on the first such probe; ``mass`` and ``dense``
-    never read them. Built per call, never cached.
+    brackets of each side, from ``_coupling_brackets``, built on first use
+    per oracle. Where a side's floor and ceiling meet, ``mass`` (and so
+    ``dense``) keeps that exact value and solves nothing. ``reaches`` settles
+    a probe the memo lacks from them when they clear tau by more than 1e-9
+    and solves it otherwise, so it decides as the LP would. ``decided``
+    counts both: each value so kept, once, and each probe so settled; with
+    ``solves`` it accounts for every value that did not come from the
+    zero-cost shortcut of ``bound``. Oracles without brackets never meet.
     """
 
     def __init__(
@@ -633,14 +638,24 @@ class _Envelopes:
         return self.prog.session()
 
     def mass(self, side: str, idx) -> float:
-        """The side's value at t_grid[idx], solved the first time it is asked for."""
+        """The side's value at t_grid[idx], found the first time it is asked for.
+
+        Where the side's brackets meet, their common value is the envelope's
+        and nothing is solved: every bracket is a/k or 1 - s/k^2, so two
+        equal as floats are the same rational.
+        """
         values = self._values[side]
         if np.isnan(values[idx]):
-            t = float(self.t_grid[idx])
-            values[idx], runs = self.prog.bound(*self._form(t), side, t, self._session)
-            self.solves += len(runs[:1])
-            self.fallbacks += len(runs[1:])
-            self.iterations += sum(run.iterations for run in runs)
+            floor, ceiling = self._brackets[side]
+            if floor[idx] == ceiling[idx]:
+                values[idx] = floor[idx]
+                self.decided += 1
+            else:
+                t = float(self.t_grid[idx])
+                values[idx], runs = self.prog.bound(*self._form(t), side, t, self._session)
+                self.solves += len(runs[:1])
+                self.fallbacks += len(runs[1:])
+                self.iterations += sum(run.iterations for run in runs)
         return float(values[idx])
 
     def dense(self):
@@ -652,11 +667,15 @@ class _Envelopes:
 
     @functools.cached_property
     def _brackets(self):
+        if self._bracket_of is None:
+            # NaN brackets meet nowhere and settle no probe
+            nan = np.full(self.t_grid.size, np.nan)
+            return dict.fromkeys(_SENSES, (nan, nan))
         return self._bracket_of(self.t_grid)
 
     def reaches(self, side: str, idx, tau: float) -> bool:
         """Whether the side reaches tau at t_grid[idx], up to LP rounding."""
-        if self._bracket_of is not None and np.isnan(self._values[side][idx]):
+        if np.isnan(self._values[side][idx]):
             floor, ceiling = self._brackets[side]
             if floor[idx] >= tau - _TAU_TOL + _CERT_TOL:
                 self.decided += 1
@@ -708,7 +727,8 @@ def coupling_lp_bounds(
     """Envelopes of P(Delta <= t) over discretized couplings of the two curves.
 
     ``assumptions`` must be NoAssumption, SI, or PQD. Restricted cases solve
-    two LPs per t; the unrestricted case uses the exact closed form.
+    up to two LPs per t, none where the closed-form brackets of a side meet;
+    the unrestricted case uses the exact closed form.
     """
     env = _Envelopes.of_curves(q1, q0, assumptions, k, t_grid)
     return _assemble_envelopes(env.t_grid, *env.dense())

@@ -44,10 +44,10 @@ class TrainConfig:
     tolerance: float = 1e-8
 
     def __post_init__(self):
-        if self.lam is not None and self.lam <= 0:
-            raise ValueError("lam must be positive")
-        if self.sigma is not None and self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        for name in ("lam", "sigma"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be at least 1")
         if self.tolerance < 0:
@@ -85,8 +85,8 @@ class DecisionFunction:
             raise ValueError("one coefficient per support point")
         if not np.all(np.isfinite(coefs)):
             raise ValueError("coefficients must be finite")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        if not 0 < self.sigma < np.inf:
+            raise ValueError("sigma must be positive and finite")
         object.__setattr__(self, "support_points", pts)
         object.__setattr__(self, "coefficients", coefs)
 

@@ -303,6 +303,8 @@ def test_comonotone_mass_and_brackets_hold_every_envelope(k):
     comonotone = np.array([np.mean(v1 - v0 <= t) for t in t_grid])
     brackets = bounds._coupling_brackets(v1, v0, t_grid)
     for tag in ("NoAssumption", "SI", "PQD"):
+        if tag != "NoAssumption":
+            dense = dict(zip(("min", "max"), _Envelopes.of_values(v1, v0, tag, t_grid).dense()))
         for side in ("min", "max"):
             exact = np.array([raw_coupling_lp(v1, v0, t, side, tag)[0] for t in t_grid])
             if side == "min":
@@ -313,6 +315,17 @@ def test_comonotone_mass_and_brackets_hold_every_envelope(k):
                 floor, ceiling = brackets[side]
                 assert np.all(floor <= exact + 1e-9)
                 assert np.all(exact <= ceiling + 1e-9)
+                _assert_pinned_where_the_brackets_meet(dense[side], exact, floor, ceiling)
+
+
+def _assert_pinned_where_the_brackets_meet(values, exact, floor, ceiling):
+    """Where floor == ceiling the oracle's value is the floor, bit for bit,
+    and the LP optimum lies within 1e-9 of it; returns how many met."""
+    meet = floor == ceiling
+    assert np.any(meet)
+    assert np.array_equal(values[meet], floor[meet])
+    assert_allclose(exact[meet], floor[meet], rtol=0, atol=1e-9)
+    return int(np.count_nonzero(meet))
 
 
 @pytest.mark.parametrize("k", [4, 6, 8, 12])
@@ -434,7 +447,8 @@ def test_si_session_certifies_or_falls_back_to_the_full_program():
 @pytest.mark.parametrize("tag", ["SI", "PQD"])
 def test_session_envelopes_match_cold_full_programs(tag):
     # small grids against the oracle's raw LP, larger ones against cold solves
-    # of the full copula program; ties among the grid values included
+    # of the full copula program; ties among the grid values included. Where
+    # the brackets meet, the oracle solves nothing and holds the floor
     rng = np.random.default_rng(21)
     for k in (3, 4, 5, 6, 12, 20):
         v1 = np.sort(rng.normal(size=k))
@@ -451,6 +465,14 @@ def test_session_envelopes_match_cold_full_programs(tag):
         ref = _assemble_envelopes(t_grid, *cold)
         assert_allclose(env.lower, ref.lower, rtol=0, atol=1e-9)
         assert_allclose(env.upper, ref.upper, rtol=0, atol=1e-9)
+        oracle = _Envelopes.of_values(v1, v0, tag, t_grid)
+        brackets = bounds._coupling_brackets(v1, v0, t_grid)
+        met = sum(
+            _assert_pinned_where_the_brackets_meet(values, np.array(exact), *brackets[side])
+            for side, values, exact in zip(("min", "max"), oracle.dense(), cold)
+        )
+        assert oracle.decided == met
+        assert oracle.solves == 2 * t_grid.size - met
 
 
 @pytest.mark.parametrize("tag", ["none", "SI", "PQD"])
@@ -616,7 +638,9 @@ def test_lp_counts_do_not_rise(monkeypatch):
     q1, q0 = population_curves(SUBGROUPS[2], 12)
     grid = default_t_grid(q1.values, q0.values, 41)
     si, pqd = AssumptionSet("SI"), AssumptionSet("PQD")
-    assert solved(lambda: coupling_lp_bounds(q1, q0, si, t_grid=grid)) == (80, 0)
+    # 80 each while every dense value took an LP
+    assert solved(lambda: coupling_lp_bounds(q1, q0, si, t_grid=grid)) == (55, 0)
+    assert solved(lambda: coupling_lp_bounds(q1, q0, pqd, t_grid=grid)) == (55, 0)
     assert solved(lambda: qote_coupling_bounds(q1, q0, 0.25, si, t_grid=grid)) == (7, 0)
     assert solved(lambda: qote_coupling_bounds(q1, q0, 0.25, pqd, t_grid=grid)) == (8, 0)
     # probes the closed-form brackets settle, beside the LPs solved
@@ -641,11 +665,13 @@ def test_lp_counts_do_not_rise(monkeypatch):
             + (sum(env.decided for env in made),)
         )
     assert per_subgroup == [(33, 0, 15), (39, 0, 19), (42, 0, 15), (51, 0, 22), (46, 0, 28)]
-    # a dense pass leaves nothing for the inversion to solve
+    # a dense pass leaves nothing for the inversion to solve or to decide;
+    # its LPs and the values where the brackets meet make up all 82 values
     env = _Envelopes.of_curves(q1, q0, si, t_grid=grid)
-    assert solved(env.dense) == (80, 0)
+    assert solved(env.dense) == (55, 0)
+    assert env.decided == 27
     assert solved(lambda: (env.invert(0.25), env.invert(0.5))) == (0, 0)
-    assert env.decided == 0
+    assert env.decided == 27
     # simplex iterations of one lazy SI interval at k = 50 on the default
     # grid (5,492 when each solve started from the basis the last one left)
     q1, q0 = population_curves(SUBGROUPS[2], 50)

@@ -207,6 +207,18 @@ def test_si_bounds_frozen_small_example(tmp_path):
     assert cell["upper"] == pytest.approx(-0.06380614233872617, abs=1e-9)
 
 
+def test_pqd_lower_envelope_is_exactly_zero_where_its_brackets_meet(tmp_path):
+    # at the 15 smallest t the staircase floor and the independence ceiling
+    # are both 0, so no LP runs; an LP run leaves 2.081668171e-16 there
+    code = run(
+        "bounds", "--dgp", "subgroup8", "--assumption", "pqd", "--k", "30",
+        "--tgrid", "31", "--out", tmp_path,
+    )
+    assert code == 0
+    rows = (tmp_path / "envelope_tau0.25_cell0.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[1] for row in rows[:15]] == ["0"] * 15
+
+
 def test_reruns_are_byte_identical(tmp_path):
     args = (
         "bounds", "--dgp", "subgroup1", "--tau", "0.25,0.5", "--assumption", "none",
@@ -446,6 +458,17 @@ def test_owl_end_to_end(tmp_path):
     actions = {tuple(c["x"]): c["delta"] for c in policy["cells"]}
     assert actions[(0.0,)] == 1.0 and actions[(1.0,)] == 0.0
     assert (out / "owl_model.json").exists()
+
+
+@pytest.mark.parametrize("flag", ["--lam", "--sigma"])
+@pytest.mark.parametrize("value", ["nan", "inf", "0"])
+def test_owl_rejects_hyperparameters_that_are_not_positive_and_finite(
+    tmp_path, capsys, flag, value
+):
+    out = tmp_path / "out"
+    assert run("owl", "--input", _two_cell_bounds_json(tmp_path), flag, value, "--out", out) == 2
+    assert f"{flag[2:]} must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_owl_with_nothing_to_learn_exits_5(tmp_path):

@@ -73,10 +73,11 @@ def test_input_validation():
         train_owl([((0.0,), -1.0, 1.0)])
     with pytest.raises(ValueError, match="labels"):
         train_owl([((0.0,), 1.0, 0.5)])
-    with pytest.raises(ValueError, match="lam"):
-        TrainConfig(lam=0.0)
-    with pytest.raises(ValueError, match="sigma"):
-        TrainConfig(sigma=-1.0)
+    for bad in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="lam must be positive and finite"):
+            TrainConfig(lam=bad)
+        with pytest.raises(ValueError, match="sigma must be positive and finite"):
+            TrainConfig(sigma=bad)
     with pytest.raises(ValueError, match="max_epochs"):
         TrainConfig(max_epochs=0)
 
@@ -166,5 +167,6 @@ def test_decision_function_json_round_trip():
 def test_decision_function_validation():
     with pytest.raises(ValueError, match="one coefficient"):
         DecisionFunction(np.zeros((3, 1)), np.zeros(2), 1.0)
-    with pytest.raises(ValueError, match="sigma"):
-        DecisionFunction(np.zeros((2, 1)), np.zeros(2), 0.0)
+    for bad in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="sigma must be positive and finite"):
+            DecisionFunction(np.zeros((2, 1)), np.zeros(2), bad)

@@ -36,6 +36,7 @@ from .marginals import (
 )
 from .owl import (
     DecisionFunction,
+    LearnerError,
     TrainConfig,
     cells_from_bound_field,
     predict_policy,

@@ -28,12 +28,20 @@ PQD envelopes of two grids have closed-form brackets from the staircase and
 the comonotone and independent couplings. Where a side's brackets meet, its
 value is exactly theirs and no LP runs, on the dense and the lazy path alike;
 lazy probes also settle from them where they clear tau, and solve only where
-the brackets leave the answer open.
+the brackets leave the answer open. A dense pass finds the values the brackets
+leave open on up to one session per usable CPU, the calling thread on the
+oracle's own, and keeps them in the order a serial pass would: HiGHS runs
+outside the interpreter lock, and since every run starts from the same basis,
+no value depends on the session or the thread that found it.
 """
 
 from __future__ import annotations
 
 import functools
+import os
+import queue
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
@@ -79,6 +87,13 @@ _TAU_TOL = 1e-12
 # a relaxed solution certifies the full program when no checked row is
 # violated by more than this
 _CERT_TOL = 1e-9
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: a dense pass runs at most one session on each."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _checked_t_grid(t_grid) -> np.ndarray:
@@ -567,11 +582,14 @@ class _Envelopes:
     given arrays (closed form, built envelopes) or are solved on demand:
     ``mass(side, index)`` is ``prog.bound`` of (coefs, const) = form(t), once
     per index and in the order asked, on one session of ``prog`` that the
-    oracle builds on its first value. Every run starts from the same basis,
-    so a value does not depend on the order in which values are asked for.
-    From the runs ``bound`` returns, ``solves`` counts the values that took
-    a session run, ``fallbacks`` the cold solves of the full program, and
-    ``iterations`` sums the simplex iterations of both.
+    oracle builds on its first value. ``dense`` finds the values it lacks on
+    up to one session per usable CPU: the calling thread on the oracle's
+    session, each helper thread on a session of its own. Every run starts
+    from the same basis, so a value depends neither on the order in which
+    values are asked for nor on the session that found it. From the runs
+    ``bound`` returns, ``solves`` counts the values that took a session run,
+    ``fallbacks`` the cold solves of the full program, and ``iterations``
+    sums the simplex iterations of both.
 
     SI and PQD oracles of two grids (``of_values``) also hold closed-form
     brackets of each side, from ``_coupling_brackets``, built on first use
@@ -638,32 +656,100 @@ class _Envelopes:
         return self.prog.session()
 
     def mass(self, side: str, idx) -> float:
-        """The side's value at t_grid[idx], found the first time it is asked for.
-
-        Where the side's brackets meet, their common value is the envelope's
-        and nothing is solved: every bracket is a/k or 1 - s/k^2, so two
-        equal as floats are the same rational.
-        """
+        """The side's value at t_grid[idx], found the first time it is asked for."""
         values = self._values[side]
-        if np.isnan(values[idx]):
-            floor, ceiling = self._brackets[side]
-            if floor[idx] == ceiling[idx]:
-                values[idx] = floor[idx]
-                self.decided += 1
-            else:
-                t = float(self.t_grid[idx])
-                values[idx], runs = self.prog.bound(*self._form(t), side, t, self._session)
-                self.solves += len(runs[:1])
-                self.fallbacks += len(runs[1:])
-                self.iterations += sum(run.iterations for run in runs)
+        if np.isnan(values[idx]) and not self._meets(side, idx):
+            self._keep(side, idx, self._bound(side, idx, self._session))
         return float(values[idx])
 
+    def _meets(self, side: str, idx) -> bool:
+        """Whether the side's brackets meet at t_grid[idx], keeping their value if so.
+
+        Their common value is the envelope's: every bracket is a/k or
+        1 - s/k^2, so two equal as floats are the same rational.
+        """
+        floor, ceiling = self._brackets[side]
+        if floor[idx] != ceiling[idx]:
+            return False
+        self._values[side][idx] = floor[idx]
+        self.decided += 1
+        return True
+
+    def _bound(self, side: str, idx, session: LpSession):
+        """``prog.bound`` at t_grid[idx] on session: (value, runs)."""
+        t = float(self.t_grid[idx])
+        return self.prog.bound(*self._form(t), side, t, session)
+
+    def _keep(self, side: str, idx, found) -> None:
+        """Keep the value of a found (value, runs) and count its runs."""
+        value, runs = found
+        self._values[side][idx] = value
+        self.solves += len(runs[:1])
+        self.fallbacks += len(runs[1:])
+        self.iterations += sum(run.iterations for run in runs)
+
     def dense(self):
-        """(lower, upper) at every t: every missing min in index order, then every max."""
-        for side in _SENSES:
-            for idx in np.flatnonzero(np.isnan(self._values[side])):
-                self.mass(side, idx)
+        """(lower, upper) at every t.
+
+        Keeps every missing value where the brackets meet, then finds the
+        rest on ``_bound_all`` and keeps them as a serial pass would: every
+        min in index order, then every max, up to the first that raised,
+        which is raised.
+        """
+        pending = [
+            (side, idx)
+            for side in _SENSES
+            for idx in np.flatnonzero(np.isnan(self._values[side]))
+            if not self._meets(side, idx)
+        ]
+        for (side, idx), found in zip(pending, self._bound_all(pending)):
+            if isinstance(found, Exception):
+                raise found
+            self._keep(side, idx, found)
         return self._values["min"].copy(), self._values["max"].copy()
+
+    def _bound_all(self, pending) -> list:
+        """``_bound`` of each pending (side, idx), in order: (value, runs) or what it raised.
+
+        min(usable CPUs, items) workers take items from one queue: the calling
+        thread on the oracle's session, each helper thread on a session of its
+        own. Once an item raises, no worker takes another. Items leave the
+        queue in order and each one taken is finished, so every item before
+        the first that raised has its value; later ones may have none.
+        """
+        found = [None] * len(pending)
+        if not pending:
+            return found
+        todo = queue.SimpleQueue()
+        for item in enumerate(pending):
+            todo.put(item)
+        stop = threading.Event()
+
+        def drain(session):
+            while not stop.is_set():
+                try:
+                    i, (side, idx) = todo.get_nowait()
+                except queue.Empty:
+                    return
+                try:
+                    found[i] = self._bound(side, idx, session)
+                except Exception as exc:  # raised again by the caller, in order
+                    found[i] = exc
+                    stop.set()
+
+        helpers = min(_usable_cpus(), len(pending)) - 1
+        if helpers < 1:
+            drain(self._session)
+            return found
+        with ThreadPoolExecutor(helpers) as pool:
+            futures = [pool.submit(lambda: drain(self.prog.session())) for _ in range(helpers)]
+            try:
+                drain(self._session)
+            finally:
+                stop.set()
+        for future in futures:
+            future.result()
+        return found
 
     @functools.cached_property
     def _brackets(self):

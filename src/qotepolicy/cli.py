@@ -7,8 +7,9 @@ and inverts them per tau, after every tau has been checked and before the
 first file is written. ``policy`` and ``owl`` read a bounds JSON it wrote.
 
 Exit codes: 0 ok, 2 input error, 3 unsupported assumption, 4 inconsistency
-between provided pieces, 5 learner error, 6 a bounds LP that did not solve
-(the message names its t, assumption tag and k). All randomness flows from
+between provided pieces, 5 learner error (nothing to learn, or training that
+overflowed), 6 a bounds LP that did not solve (the message names its t,
+assumption tag and k). All randomness flows from
 --seed; outputs are plain CSV and JSON written under --out with canonical
 ordering, so a rerun with the same inputs is byte-identical.
 """
@@ -40,6 +41,7 @@ from .bounds import (
 )
 from .marginals import QuantileCurve, Sample, make_y_grid, read_sample_csv, u_grid
 from .owl import (
+    LearnerError,
     TrainConfig,
     cells_from_bound_field,
     decision_function_to_json,
@@ -398,10 +400,8 @@ def cmd_owl(args) -> int:
     config = TrainConfig(lam=args.lam, sigma=args.sigma, max_epochs=args.max_epochs)
     try:
         f, trace = train_owl(cells, config)
-    except ValueError as exc:
-        if "nothing to learn" in str(exc):
-            raise _CliError(5, str(exc))
-        raise
+    except LearnerError as exc:
+        raise _CliError(5, str(exc))
     xs = np.array([list(x) for x, _, _ in cells])
     policy = predict_policy(f, xs)
     labels = np.array([lab for _, _, lab in cells])

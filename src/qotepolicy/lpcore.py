@@ -177,7 +177,9 @@ class LpSession:
     way no solve depends on the ones before it. Each solve is one run that
     reports its end (optimal, infeasible, unbounded, or failed for any other,
     such as an iteration limit) and its simplex iterations, and is never
-    solved again.
+    solved again. A session holds one HiGHS model, so use one session per
+    thread; HiGHS runs outside the interpreter lock, so sessions on several
+    threads solve in parallel.
     """
 
     def __init__(self, A_le, b_le, lower, upper, start_basis=None):

@@ -8,7 +8,8 @@ iterates. Plain subgradient descent is not monotone, so the per-epoch trace
 records the best averaged-iterate objective seen so far and the returned
 coefficients are the averaged iterate that achieved it; stopping looks at the
 raw averaged-iterate objective, which keeps oscillation from ending training
-early.
+early. Training runs with numpy's overflow and invalid-value errors raised,
+so iterates that would leave the floats stop it with a LearnerError instead.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import numpy as np
 from .policy import BoundField, PolicyField, _qbar
 
 __all__ = [
+    "LearnerError",
     "TrainConfig",
     "DecisionFunction",
     "cells_from_bound_field",
@@ -31,6 +33,16 @@ __all__ = [
     "decision_function_to_json",
     "decision_function_from_json",
 ]
+
+
+class LearnerError(ValueError):
+    """Training gives no rule: nothing to learn, or its iterates left the floats."""
+
+
+def _check_sigma(sigma) -> None:
+    # the kernel scales squared distances by sigma**2
+    if not 0 < sigma < np.inf or not float(sigma) * float(sigma) < np.inf:
+        raise ValueError("sigma must be positive and finite with a finite square")
 
 
 @dataclass(frozen=True)
@@ -44,10 +56,10 @@ class TrainConfig:
     tolerance: float = 1e-8
 
     def __post_init__(self):
-        for name in ("lam", "sigma"):
-            value = getattr(self, name)
-            if value is not None and not 0 < value < np.inf:
-                raise ValueError(f"{name} must be positive and finite")
+        if self.lam is not None and not 0 < self.lam < np.inf:
+            raise ValueError("lam must be positive and finite")
+        if self.sigma is not None:
+            _check_sigma(self.sigma)
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be at least 1")
         if self.tolerance < 0:
@@ -85,8 +97,7 @@ class DecisionFunction:
             raise ValueError("one coefficient per support point")
         if not np.all(np.isfinite(coefs)):
             raise ValueError("coefficients must be finite")
-        if not 0 < self.sigma < np.inf:
-            raise ValueError("sigma must be positive and finite")
+        _check_sigma(self.sigma)
         object.__setattr__(self, "support_points", pts)
         object.__setattr__(self, "coefficients", coefs)
 
@@ -134,11 +145,12 @@ def train_owl(
     """Fit the decision function; returns (f, per-epoch objective trace).
 
     Each cell is (x, weight, label) with weight >= 0 and label in {-1, +1}.
-    The trace is nonincreasing. Raises ValueError("nothing to learn") when
-    every weight is zero.
+    The trace is nonincreasing. Raises LearnerError("nothing to learn") when
+    every weight is zero, and LearnerError when a step or an iterate would
+    overflow, before the coefficients turn non-finite.
     """
     if not cells:
-        raise ValueError("nothing to learn")
+        raise LearnerError("nothing to learn")
     xs = np.array(
         [np.atleast_1d(np.asarray(c[0], dtype=float)) for c in cells], dtype=float
     )
@@ -149,7 +161,7 @@ def train_owl(
     if not np.all(np.isin(labels, (-1.0, 1.0))):
         raise ValueError("labels must be -1 or +1")
     if not np.any(weights > 0):
-        raise ValueError("nothing to learn")
+        raise LearnerError("nothing to learn")
     # zero-weight cells contribute nothing; dropping them up front keeps the
     # defaults (and hence the learned f) invariant to their presence
     keep = weights > 0
@@ -161,6 +173,7 @@ def train_owl(
         if config.sigma is not None
         else 1.0 / _median_pairwise_distance(xs)
     )
+    _check_sigma(sigma)
     gram = _gram(xs, sigma)
     wbar = weights / n
 
@@ -176,28 +189,32 @@ def train_owl(
     prev_raw = best_obj
     trace = []
     quiet = 0
-    for t in range(1, config.max_epochs + 1):
-        eta = 1.0 / (lam * t)
-        fvals = gram @ alpha
-        active = (labels * fvals) < 1.0
-        grad = 2.0 * lam * alpha - wbar * labels * active
-        alpha = alpha - eta * grad
-        avg = avg + (alpha - avg) / t
-        raw = objective(avg)
-        if raw < best_obj:
-            best_obj = raw
-            best_alpha = avg.copy()
-        trace.append(best_obj)
-        # the first step can leave the objective exactly unchanged (the hinge
-        # drop cancels the regularizer gain), so one quiet epoch is not proof
-        # of convergence; require two in a row
-        if abs(prev_raw - raw) < config.tolerance * max(1.0, abs(prev_raw)):
-            quiet += 1
-            if quiet >= 2:
-                break
-        else:
-            quiet = 0
-        prev_raw = raw
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for t in range(1, config.max_epochs + 1):
+                eta = np.divide(1.0, lam * t)
+                fvals = gram @ alpha
+                active = (labels * fvals) < 1.0
+                grad = 2.0 * lam * alpha - wbar * labels * active
+                alpha = alpha - eta * grad
+                avg = avg + (alpha - avg) / t
+                raw = objective(avg)
+                if raw < best_obj:
+                    best_obj = raw
+                    best_alpha = avg.copy()
+                trace.append(best_obj)
+                # the first step can leave the objective exactly unchanged (the
+                # hinge drop cancels the regularizer gain), so one quiet epoch
+                # is not proof of convergence; require two in a row
+                if abs(prev_raw - raw) < config.tolerance * max(1.0, abs(prev_raw)):
+                    quiet += 1
+                    if quiet >= 2:
+                        break
+                else:
+                    quiet = 0
+                prev_raw = raw
+    except FloatingPointError as exc:
+        raise LearnerError(f"training left the floats at epoch {t}: {exc}") from exc
     f = DecisionFunction(support_points=xs, coefficients=best_alpha, sigma=sigma)
     return f, np.asarray(trace)
 

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +27,7 @@ from qotepolicy.bounds import (
     CVaR,
     DeltaCdfBounds,
     DisadvantagedGain,
+    LpSolveError,
     QoteBounds,
     _assemble_envelopes,
     _copula_program,
@@ -42,6 +46,7 @@ from qotepolicy.bounds import (
     qote_coupling_bounds,
     rank_invariance_qote,
 )
+from qotepolicy.lpcore import LpSolution
 from qotepolicy.marginals import QuantileCurve, u_grid
 from qotepolicy.sim import SUBGROUPS, classification_experiment, population_curves
 
@@ -607,16 +612,22 @@ def test_a_session_run_that_ends_non_optimal_costs_one_cold_full_solve(monkeypat
 
 
 def _count_lp_solves(monkeypatch):
-    """Counters of session and cold solves, through the seams test_cli patches."""
+    """Counters of session and cold solves, through the seams test_cli patches.
+
+    A dense pass solves on several threads, so each count takes a lock.
+    """
     counts = {"session": 0, "cold": 0}
     session_solve, cold_solve = lpcore.LpSession.solve, bounds.solve_lp
+    lock = threading.Lock()
 
     def counted_session(self, c, sense="minimize"):
-        counts["session"] += 1
+        with lock:
+            counts["session"] += 1
         return session_solve(self, c, sense)
 
     def counted_cold(lp):
-        counts["cold"] += 1
+        with lock:
+            counts["cold"] += 1
         return cold_solve(lp)
 
     monkeypatch.setattr(lpcore.LpSession, "solve", counted_session)
@@ -678,6 +689,138 @@ def test_lp_counts_do_not_rise(monkeypatch):
     env = _Envelopes.of_curves(q1, q0, si)
     env.invert(0.25)
     assert (env.solves, env.fallbacks, env.iterations) == (10, 0, 1194)
+
+
+def _workers(monkeypatch, count):
+    monkeypatch.setattr(bounds, "_usable_cpus", lambda: count)
+
+
+@pytest.mark.parametrize(
+    "program, k", [("SI", 12), ("SI", 20), ("PQD", 12), ("PQD", 20), ("Bernstein SI", 20)]
+)
+def test_dense_values_and_counts_do_not_depend_on_the_worker_count(monkeypatch, program, k):
+    q1, q0 = population_curves(SUBGROUPS[2], k)
+    grid = default_t_grid(q1.values, q0.values, 41)
+
+    def call():
+        if program == "Bernstein SI":
+            return bernstein_lp_bounds(q1, q0, AssumptionSet("SI"), t_grid=grid, m1=10, m2=10)
+        return coupling_lp_bounds(q1, q0, AssumptionSet(program), t_grid=grid)
+
+    passes = []
+    dense = _Envelopes.dense
+
+    def recorded(env):
+        passes.append((env, np.array(dense(env))))
+        return passes[-1][1]
+
+    monkeypatch.setattr(_Envelopes, "dense", recorded)
+    for count in (1, 2):
+        _workers(monkeypatch, count)
+        call()
+    (serial, want), (env, got) = passes
+    assert np.array_equal(got, want)
+    counters = ("solves", "fallbacks", "iterations", "decided")
+    assert [getattr(env, c) for c in counters] == [getattr(serial, c) for c in counters]
+    assert env.solves > 0
+
+
+def test_a_certificate_that_fails_on_a_helper_thread_falls_back_there(monkeypatch):
+    # random costs, as in the certificate test above; the caller's first run
+    # waits until a helper thread has run a cold solve of its own
+    prog = _copula_program(6, 6, "SI")
+    rng = np.random.default_rng(0)
+    costs = [rng.normal(size=prog.nvar) for _ in range(100)]
+
+    def oracle():
+        return _Envelopes(np.arange(100.0), prog, lambda t: (costs[int(t)], 0.0))
+
+    _workers(monkeypatch, 1)
+    serial = oracle()
+    want = serial.dense()
+    caller, cold_elsewhere = threading.get_ident(), threading.Event()
+    session_solve, cold_solve = lpcore.LpSession.solve, bounds.solve_lp
+
+    def gated_run(self, c, sense="minimize"):
+        if threading.get_ident() == caller:
+            assert cold_elsewhere.wait(timeout=60)
+        return session_solve(self, c, sense)
+
+    def recorded_cold(lp):
+        if threading.get_ident() != caller:
+            cold_elsewhere.set()
+        return cold_solve(lp)
+
+    monkeypatch.setattr(lpcore.LpSession, "solve", gated_run)
+    monkeypatch.setattr(bounds, "solve_lp", recorded_cold)
+    _workers(monkeypatch, 2)
+    env = oracle()
+    got = env.dense()
+    assert cold_elsewhere.is_set()
+    assert np.array_equal(got, want)
+    assert (env.solves, env.fallbacks, env.iterations) == (
+        serial.solves, serial.fallbacks, serial.iterations
+    )
+    assert 0 < env.fallbacks < env.solves
+
+
+def test_an_lp_that_fails_on_a_helper_thread_raises_the_earliest_in_serial_order(monkeypatch):
+    # every run fails; the first item waits until a later one has raised on
+    # the other thread, and the first is still the one reported
+    failed = LpSolution(status="failed", message="stalled")
+    monkeypatch.setattr(lpcore.LpSession, "solve", lambda self, c, sense="minimize": failed)
+    monkeypatch.setattr(bounds, "solve_lp", lambda lp: failed)
+    q1, q0 = population_curves(SUBGROUPS[2], 12)
+    v1, v0 = q1.values, q0.values
+    grid = default_t_grid(v1, v0, 21)
+    floor, ceiling = bounds._coupling_brackets(v1, v0, grid)["min"]
+    first = float(grid[np.flatnonzero(floor != ceiling)[0]])
+    solve = bounds._solve
+    caller, raisers, later_raised = threading.get_ident(), [], threading.Event()
+
+    def gated(lp, t, tag, k):
+        is_first = t == first and lp.sense == "minimize"
+        if is_first:
+            assert later_raised.wait(timeout=60)
+        try:
+            return solve(lp, t, tag, k)
+        finally:
+            raisers.append(threading.get_ident())
+            if not is_first:
+                later_raised.set()
+
+    monkeypatch.setattr(bounds, "_solve", gated)
+    _workers(monkeypatch, 2)
+    baseline = threading.active_count()
+    env = _Envelopes.of_values(v1, v0, "SI", grid)
+    with pytest.raises(LpSolveError, match="LP failed at t=") as info:
+        env.dense()
+    assert info.value.t == first
+    # one raise on the caller, one on the helper; no item after them ran
+    assert len(raisers) == len(set(raisers)) == 2 and caller in raisers
+    assert threading.active_count() == baseline
+    assert (env.solves, env.fallbacks) == (0, 0)
+
+
+def test_more_workers_than_cores_keep_every_value_once(monkeypatch):
+    counts = _count_lp_solves(monkeypatch)
+    q1, q0 = population_curves(SUBGROUPS[2], 12)
+    grid = default_t_grid(q1.values, q0.values, 41)
+    _workers(monkeypatch, 1)
+    serial = _Envelopes.of_curves(q1, q0, AssumptionSet("SI"), t_grid=grid)
+    want = serial.dense()
+    counts.update(session=0, cold=0)
+    _workers(monkeypatch, 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        env = _Envelopes.of_curves(q1, q0, AssumptionSet("SI"), t_grid=grid)
+        got = env.dense()
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(got, want)
+    # no item lost or taken twice: one session run per value solved
+    assert counts["session"] == env.solves == serial.solves
 
 
 @pytest.mark.parametrize("tag", ["NoAssumption", "SI", "PQD"])

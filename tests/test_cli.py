@@ -1,5 +1,6 @@
 import hashlib
 import json
+import threading
 from io import StringIO
 
 import numpy as np
@@ -136,18 +137,30 @@ def _fail_session_solves(monkeypatch):
 
 
 def test_failed_lp_exits_6_naming_t_tag_and_k(tmp_path, capsys, monkeypatch):
-    # the session solve and the cold full-program fallback both fail
+    # the session solve and the cold full-program fallback both fail, at every
+    # t, on two workers; the message names the first t a serial pass solves
     _fail_session_solves(monkeypatch)
     monkeypatch.setattr(
         bounds, "solve_lp", lambda lp: LpSolution(status="failed", message="stalled")
     )
+    monkeypatch.setattr(bounds, "_usable_cpus", lambda: 2)
+    sample = draw_sample(SUBGROUPS[1], 40, (0, 0))
+    v1 = make_y_grid(sample.y[sample.d == 1], 5)
+    v0 = make_y_grid(sample.y[sample.d == 0], 5)
+    grid = bounds.default_t_grid(v1, v0, 5)
+    floor, ceiling = bounds._coupling_brackets(v1, v0, grid)["min"]
+    first = float(grid[np.flatnonzero(floor != ceiling)[0]])
+    threads = threading.active_count()
+    out = tmp_path / "out"
     code = run(
         "bounds", "--dgp", "subgroup1", "--assumption", "si",
-        "--k", "5", "--tgrid", "5", "--n", "40", "--out", tmp_path,
+        "--k", "5", "--tgrid", "5", "--n", "40", "--out", out,
     )
     assert code == 6
     err = capsys.readouterr().err
-    assert "LP failed at t=" in err and "tag SI" in err and "k=5" in err
+    assert f"LP failed at t={first!r}" in err and "tag SI" in err and "k=5" in err
+    assert not out.exists()
+    assert threading.active_count() == threads
 
 
 @pytest.mark.parametrize("assumption", ["si", "pqd"])
@@ -468,6 +481,19 @@ def test_owl_rejects_hyperparameters_that_are_not_positive_and_finite(
     out = tmp_path / "out"
     assert run("owl", "--input", _two_cell_bounds_json(tmp_path), flag, value, "--out", out) == 2
     assert f"{flag[2:]} must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, code, message", [
+    (("--sigma", "1e200"), 2, "sigma must be positive and finite with a finite square"),
+    (("--lam", "1e-320", "--max-epochs", "50"), 5, "training left the floats at epoch 1"),
+])
+def test_owl_exits_without_writing_when_training_cannot_run(
+    tmp_path, capsys, flags, code, message
+):
+    out = tmp_path / "out"
+    assert run("owl", "--input", _two_cell_bounds_json(tmp_path), *flags, "--out", out) == code
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from qotepolicy.bounds import QoteBounds
 from qotepolicy.owl import (
     DecisionFunction,
+    LearnerError,
     TrainConfig,
     cells_from_bound_field,
     decision_function_from_json,
@@ -78,8 +79,26 @@ def test_input_validation():
             TrainConfig(lam=bad)
         with pytest.raises(ValueError, match="sigma must be positive and finite"):
             TrainConfig(sigma=bad)
+    # finite, but the kernel's sigma**2 is not
+    for big in (1e155, 1e200):
+        with pytest.raises(ValueError, match="positive and finite with a finite square"):
+            TrainConfig(sigma=big)
+    # the default sigma, the inverse median distance, can overflow the same way
+    with pytest.raises(ValueError, match="with a finite square"):
+        train_owl([((0.0,), 1.0, 1.0), ((1e-160,), 1.0, -1.0)])
     with pytest.raises(ValueError, match="max_epochs"):
         TrainConfig(max_epochs=0)
+
+
+@pytest.mark.parametrize("lam, message", [
+    (1e-320, "overflow encountered in divide"),  # the first step 1/lam is not finite
+    (1e308, "invalid value encountered in multiply"),  # 2 lam overflows, times 0
+])
+def test_training_that_leaves_the_floats_raises_a_learner_error(lam, message):
+    # raised at the first epoch, before a coefficient turns non-finite and
+    # without a RuntimeWarning, which the test settings make an error
+    with pytest.raises(LearnerError, match=f"at epoch 1: {message}"):
+        train_owl(two_point_cells(), TrainConfig(lam=lam, max_epochs=50))
 
 
 def test_huge_regularization_shrinks_f_to_zero():
@@ -167,6 +186,6 @@ def test_decision_function_json_round_trip():
 def test_decision_function_validation():
     with pytest.raises(ValueError, match="one coefficient"):
         DecisionFunction(np.zeros((3, 1)), np.zeros(2), 1.0)
-    for bad in (0.0, float("nan"), float("inf")):
+    for bad in (0.0, float("nan"), float("inf"), 1e200):
         with pytest.raises(ValueError, match="sigma must be positive and finite"):
             DecisionFunction(np.zeros((2, 1)), np.zeros(2), bad)

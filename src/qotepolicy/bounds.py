@@ -28,11 +28,16 @@ PQD envelopes of two grids have closed-form brackets from the staircase and
 the comonotone and independent couplings. Where a side's brackets meet, its
 value is exactly theirs and no LP runs, on the dense and the lazy path alike;
 lazy probes also settle from them where they clear tau, and solve only where
-the brackets leave the answer open. A dense pass finds the values the brackets
-leave open on up to one session per usable CPU, the calling thread on the
-oracle's own, and keeps them in the order a serial pass would: HiGHS runs
-outside the interpreter lock, and since every run starts from the same basis,
-no value depends on the session or the thread that found it.
+the brackets leave the answer open. ``_on_workers`` runs a list of items on up
+to one worker per usable CPU, the calling thread among them, and hands back
+each item's result or error in item order. A dense pass finds the values the
+brackets leave open on it, and a lazy inversion searches its two sides at
+once on it, so on up to two sessions; each worker runs on a session of its
+own, the calling thread on the oracle's, and values, counts and the first
+error are kept in the order a serial pass would: HiGHS runs outside the
+interpreter lock, and since every run starts from the same basis, no value
+depends on the session or the thread that found it. ``sim`` runs its
+replications on the same routine.
 """
 
 from __future__ import annotations
@@ -90,10 +95,73 @@ _CERT_TOL = 1e-9
 
 
 def _usable_cpus() -> int:
-    """The CPUs this process may run on: a dense pass runs at most one session on each."""
+    """The CPUs this process may run on: ``_on_workers`` runs at most one worker on each.
+
+    So a dense pass runs at most one HiGHS session per CPU, a lazy inversion
+    two (one per side) and ``sim`` one replication per CPU.
+    """
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _on_workers(items, worker: Callable[[bool], Callable]) -> list:
+    """What ``worker(caller)(item)`` returns or raises, per item, in item order.
+
+    min(usable CPUs, items) workers take items from one queue in order: the
+    calling thread and one helper thread per further CPU. A worker calls
+    ``worker`` once, with whether it is the calling thread, on the first item
+    it takes, and applies what that returns to every item it takes, so a
+    helper that takes no item makes nothing. Once an item raises, no worker
+    takes another. Each item taken is finished, so every item before the
+    first that raised has its result, and later ones may hold None. One
+    worker runs every item on the calling thread and starts no thread.
+    """
+    items = list(items)
+    found = [None] * len(items)
+    if not items:
+        return found
+    todo = queue.SimpleQueue()
+    for item in enumerate(items):
+        todo.put(item)
+    stop = threading.Event()
+
+    def drain(caller):
+        work = None
+        while not stop.is_set():
+            try:
+                i, item = todo.get_nowait()
+            except queue.Empty:
+                return
+            try:
+                if work is None:
+                    work = worker(caller)
+                found[i] = work(item)
+            except Exception as exc:  # raised again by the caller, in order
+                found[i] = exc
+                stop.set()
+
+    helpers = min(_usable_cpus(), len(items)) - 1
+    if helpers < 1:
+        drain(True)
+        return found
+    with ThreadPoolExecutor(helpers) as pool:
+        futures = [pool.submit(drain, False) for _ in range(helpers)]
+        try:
+            drain(True)
+        finally:
+            stop.set()
+    for future in futures:
+        future.result()
+    return found
+
+
+def _raise_first(found: list) -> list:
+    """The results of ``_on_workers``, or the first exception among them raised."""
+    for result in found:
+        if isinstance(result, Exception):
+            raise result
+    return found
 
 
 def _checked_t_grid(t_grid) -> np.ndarray:
@@ -582,9 +650,10 @@ class _Envelopes:
     given arrays (closed form, built envelopes) or are solved on demand:
     ``mass(side, index)`` is ``prog.bound`` of (coefs, const) = form(t), once
     per index and in the order asked, on one session of ``prog`` that the
-    oracle builds on its first value. ``dense`` finds the values it lacks on
-    up to one session per usable CPU: the calling thread on the oracle's
-    session, each helper thread on a session of its own. Every run starts
+    oracle builds on its first value. ``dense`` finds the values it lacks,
+    and ``invert`` the two sides, on ``_on_workers``: the calling thread on
+    the oracle's session, each helper thread on a session of its own, so a
+    lazy inversion runs on up to two sessions, one per side. Every run starts
     from the same basis, so a value depends neither on the order in which
     values are asked for nor on the session that found it. From the runs
     ``bound`` returns, ``solves`` counts the values that took a session run,
@@ -600,6 +669,8 @@ class _Envelopes:
     counts both: each value so kept, once, and each probe so settled; with
     ``solves`` it accounts for every value that did not come from the
     zero-cost shortcut of ``bound``. Oracles without brackets never meet.
+    Each side keeps its own memo and counts, and the four counts add them,
+    min then max, so the two sides of ``invert`` never write the same state.
     """
 
     def __init__(
@@ -615,10 +686,19 @@ class _Envelopes:
         if sides is None:
             sides = np.full((2, self.t_grid.size), np.nan)
         self._values = dict(zip(_SENSES, sides))
-        self.solves = 0
-        self.fallbacks = 0
-        self.iterations = 0
-        self.decided = 0
+        self._counts = {
+            side: dict.fromkeys(("solves", "fallbacks", "iterations", "decided"), 0)
+            for side in _SENSES
+        }
+
+    def _total(self, name: str) -> int:
+        """A count of both sides, min then max."""
+        return self._counts["min"][name] + self._counts["max"][name]
+
+    solves = property(lambda self: self._total("solves"))
+    fallbacks = property(lambda self: self._total("fallbacks"))
+    iterations = property(lambda self: self._total("iterations"))
+    decided = property(lambda self: self._total("decided"))
 
     @classmethod
     def of_bounds(cls, b: DeltaCdfBounds) -> "_Envelopes":
@@ -655,11 +735,14 @@ class _Envelopes:
     def _session(self) -> LpSession:
         return self.prog.session()
 
-    def mass(self, side: str, idx) -> float:
-        """The side's value at t_grid[idx], found the first time it is asked for."""
+    def mass(self, side: str, idx, session: Optional[LpSession] = None) -> float:
+        """The side's value at t_grid[idx], found the first time it is asked for.
+
+        A value to solve runs on ``session``, by default the oracle's own.
+        """
         values = self._values[side]
         if np.isnan(values[idx]) and not self._meets(side, idx):
-            self._keep(side, idx, self._bound(side, idx, self._session))
+            self._keep(side, idx, self._bound(side, idx, session or self._session))
         return float(values[idx])
 
     def _meets(self, side: str, idx) -> bool:
@@ -672,7 +755,7 @@ class _Envelopes:
         if floor[idx] != ceiling[idx]:
             return False
         self._values[side][idx] = floor[idx]
-        self.decided += 1
+        self._counts[side]["decided"] += 1
         return True
 
     def _bound(self, side: str, idx, session: LpSession):
@@ -684,15 +767,31 @@ class _Envelopes:
         """Keep the value of a found (value, runs) and count its runs."""
         value, runs = found
         self._values[side][idx] = value
-        self.solves += len(runs[:1])
-        self.fallbacks += len(runs[1:])
-        self.iterations += sum(run.iterations for run in runs)
+        counts = self._counts[side]
+        counts["solves"] += len(runs[:1])
+        counts["fallbacks"] += len(runs[1:])
+        counts["iterations"] += sum(run.iterations for run in runs)
+
+    def _on_sessions(self, items, work) -> list:
+        """``_on_workers`` of work(item, session), one session per worker.
+
+        The calling thread works on the oracle's session, each helper thread
+        on a session of its own, built when it takes its first item; only the
+        calling thread reads the oracle's, which it builds on its first item
+        too.
+        """
+
+        def worker(caller):
+            session = self._session if caller else self.prog.session()
+            return functools.partial(work, session=session)
+
+        return _on_workers(items, worker)
 
     def dense(self):
         """(lower, upper) at every t.
 
         Keeps every missing value where the brackets meet, then finds the
-        rest on ``_bound_all`` and keeps them as a serial pass would: every
+        rest on ``_on_sessions`` and keeps them as a serial pass would: every
         min in index order, then every max, up to the first that raised,
         which is raised.
         """
@@ -702,54 +801,12 @@ class _Envelopes:
             for idx in np.flatnonzero(np.isnan(self._values[side]))
             if not self._meets(side, idx)
         ]
-        for (side, idx), found in zip(pending, self._bound_all(pending)):
-            if isinstance(found, Exception):
-                raise found
-            self._keep(side, idx, found)
+        found = self._on_sessions(pending, lambda item, session: self._bound(*item, session))
+        for (side, idx), result in zip(pending, found):
+            if isinstance(result, Exception):
+                raise result
+            self._keep(side, idx, result)
         return self._values["min"].copy(), self._values["max"].copy()
-
-    def _bound_all(self, pending) -> list:
-        """``_bound`` of each pending (side, idx), in order: (value, runs) or what it raised.
-
-        min(usable CPUs, items) workers take items from one queue: the calling
-        thread on the oracle's session, each helper thread on a session of its
-        own. Once an item raises, no worker takes another. Items leave the
-        queue in order and each one taken is finished, so every item before
-        the first that raised has its value; later ones may have none.
-        """
-        found = [None] * len(pending)
-        if not pending:
-            return found
-        todo = queue.SimpleQueue()
-        for item in enumerate(pending):
-            todo.put(item)
-        stop = threading.Event()
-
-        def drain(session):
-            while not stop.is_set():
-                try:
-                    i, (side, idx) = todo.get_nowait()
-                except queue.Empty:
-                    return
-                try:
-                    found[i] = self._bound(side, idx, session)
-                except Exception as exc:  # raised again by the caller, in order
-                    found[i] = exc
-                    stop.set()
-
-        helpers = min(_usable_cpus(), len(pending)) - 1
-        if helpers < 1:
-            drain(self._session)
-            return found
-        with ThreadPoolExecutor(helpers) as pool:
-            futures = [pool.submit(lambda: drain(self.prog.session())) for _ in range(helpers)]
-            try:
-                drain(self._session)
-            finally:
-                stop.set()
-        for future in futures:
-            future.result()
-        return found
 
     @functools.cached_property
     def _brackets(self):
@@ -759,19 +816,21 @@ class _Envelopes:
             return dict.fromkeys(_SENSES, (nan, nan))
         return self._bracket_of(self.t_grid)
 
-    def reaches(self, side: str, idx, tau: float) -> bool:
+    def reaches(self, side: str, idx, tau: float, session: Optional[LpSession] = None) -> bool:
         """Whether the side reaches tau at t_grid[idx], up to LP rounding."""
         if np.isnan(self._values[side][idx]):
             floor, ceiling = self._brackets[side]
             if floor[idx] >= tau - _TAU_TOL + _CERT_TOL:
-                self.decided += 1
+                self._counts[side]["decided"] += 1
                 return True
             if ceiling[idx] < tau - _TAU_TOL - _CERT_TOL:
-                self.decided += 1
+                self._counts[side]["decided"] += 1
                 return False
-        return self.mass(side, idx) >= tau - _TAU_TOL
+        return self.mass(side, idx, session) >= tau - _TAU_TOL
 
-    def first_reaching(self, side: str, tau: float, hi) -> int:
+    def first_reaching(
+        self, side: str, tau: float, hi, session: Optional[LpSession] = None
+    ) -> int:
         """Smallest index in [0, hi] at which the side reaches tau, given that hi does.
 
         Bisection probes mid = (lo + hi) // 2 with lo inclusive, so only the
@@ -780,26 +839,38 @@ class _Envelopes:
         lo = 0
         while lo < hi:
             mid = (lo + hi) // 2
-            if self.reaches(side, mid, tau):
+            if self.reaches(side, mid, tau, session):
                 hi = mid
             else:
                 lo = mid + 1
         return lo
 
-    def _inverse(self, side: str, tau: float):
+    def _inverse(self, side: str, tau: float, session: Optional[LpSession] = None):
         """(min{t : side reaches tau}, truncated), truncated if tau is off the side's range."""
         last = self.t_grid.size - 1
-        if not self.reaches(side, last, tau):
+        if not self.reaches(side, last, tau, session):
             return float(self.t_grid[last]), True
-        idx = self.first_reaching(side, tau, last)
-        return float(self.t_grid[idx]), bool(idx == 0 and tau < self.mass(side, 0))
+        idx = self.first_reaching(side, tau, last, session)
+        return float(self.t_grid[idx]), bool(idx == 0 and tau < self.mass(side, 0, session))
 
     def invert(self, tau: float) -> QoteBounds:
-        """Quantile bounds: the lower envelope (searched first) gives the upper bound."""
+        """Quantile bounds: the lower envelope (searched first) gives the upper bound.
+
+        With a program, both sides are searched at once on ``_on_sessions``;
+        each side keeps its own memo and counts, so values and counts are
+        those of a serial pass, and the min side's error is raised before the
+        max side's. Given envelopes start no thread.
+        """
         if not 0.0 < tau < 1.0:
             raise ValueError("tau must lie in (0, 1)")
-        upper, trunc_u = self._inverse("min", tau)
-        lower, trunc_l = self._inverse("max", tau)
+        if self.prog is None:
+            found = [self._inverse(side, tau) for side in _SENSES]
+        else:
+            self._brackets  # read by both sides, so built before they start
+            found = _raise_first(
+                self._on_sessions(_SENSES, functools.partial(self._inverse, tau=tau))
+            )
+        (upper, trunc_u), (lower, trunc_l) = found
         return QoteBounds(lower, upper, truncated_lower=trunc_l, truncated_upper=trunc_u)
 
 

@@ -120,10 +120,14 @@ def empirical_quantile(values, tau: float) -> float:
     v = np.sort(np.asarray(values, dtype=float).ravel())
     if v.size == 0:
         raise ValueError("no observations")
+    return float(v[_quantile_index(v.size, tau)])
+
+
+def _quantile_index(size: int, tau: float) -> int:
+    """Sorted position of the inf-type tau-quantile among size values."""
     if not 0.0 < tau < 1.0:
         raise ValueError("tau must lie in (0, 1)")
-    idx = int(np.ceil(tau * v.size)) - 1
-    return float(v[max(idx, 0)])
+    return max(int(np.ceil(tau * size)) - 1, 0)
 
 
 def make_y_grid(values, k: int) -> np.ndarray:

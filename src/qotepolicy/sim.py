@@ -7,7 +7,9 @@ tables through their majority action, which lets the harness decide treat or
 not by probing the CDF envelopes at a handful of t values instead of tracing
 whole bound curves; the probes reproduce exactly what dense envelope
 inversion over the same t grid would decide, through one SI envelope oracle
-of ``bounds`` per replication.
+of ``bounds`` per replication. The replications run on ``bounds._on_workers``,
+up to one per usable CPU, each on its own oracle; their actions, and the first
+error in replication order, are those of a serial pass.
 """
 
 from __future__ import annotations
@@ -24,12 +26,22 @@ from .bounds import (
     DEFAULT_T_POINTS,
     AssumptionSet,
     QoteBounds,
+    _copula_program,
     _Envelopes,
+    _on_workers,
+    _raise_first,
     _staircase_qote,
     default_t_grid,
     qote_coupling_bounds,
 )
-from .marginals import QuantileCurve, Sample, empirical_quantile, make_y_grid, u_grid
+from .marginals import (
+    QuantileCurve,
+    Sample,
+    _quantile_index,
+    empirical_quantile,
+    make_y_grid,
+    u_grid,
+)
 from .policy import mmr_deterministic
 
 __all__ = [
@@ -173,13 +185,26 @@ def truths_for(
 
 
 def _joint_outcomes(dgp: DgpSpec, n: int, rng) -> Tuple[np.ndarray, np.ndarray]:
+    """n joint draws (y1, y0) = (mu1 + sd1 z0, mu0 + sd0 (rho z0 + sqrt(1 - rho^2) z1)).
+
+    Built in place, so the n x 2 normals and the two outcome arrays are the
+    most held at once, and only the outcomes during the exp. Each operation
+    is the one the formula does on fresh arrays, with its operands swapped at
+    most, so the floats are the formula's.
+    """
     z = rng.standard_normal((n, 2))
-    y1 = dgp.mu1 + np.sqrt(dgp.var1) * z[:, 0]
-    y0 = dgp.mu0 + np.sqrt(dgp.var0) * (
-        dgp.rho * z[:, 0] + np.sqrt(1 - dgp.rho**2) * z[:, 1]
-    )
+    y1 = z[:, 0] * np.sqrt(dgp.var1)
+    y1 += dgp.mu1
+    y0 = z[:, 0] * dgp.rho
+    z1 = z[:, 1]
+    z1 *= np.sqrt(1 - dgp.rho**2)
+    y0 += z1
+    del z, z1
+    y0 *= np.sqrt(dgp.var0)
+    y0 += dgp.mu0
     if dgp.lognormal:
-        return np.exp(y1), np.exp(y0)
+        np.exp(y1, out=y1)
+        np.exp(y0, out=y0)
     return y1, y0
 
 
@@ -200,8 +225,12 @@ def mc_oracle_qote(dgp: DgpSpec, tau: float, ndraws: int, seed: int = 0) -> floa
     if ndraws < 1000:
         raise ValueError("ndraws must be at least 1000")
     rng = np.random.default_rng(seed)
-    y1, y0 = _joint_outcomes(dgp, ndraws, rng)
-    return empirical_quantile(y1 - y0, tau)
+    delta, y0 = _joint_outcomes(dgp, ndraws, rng)
+    delta -= y0
+    del y0
+    idx = _quantile_index(ndraws, tau)
+    delta.partition(idx)  # in place: the value at idx is the sorted one's
+    return float(delta[idx])
 
 
 def _si_majority_action(v1, v0, tau, t_grid, none_bounds):
@@ -258,12 +287,14 @@ def _rep_actions(dgp: DgpSpec, tau: float, n: int, k: int, seed):
 
 @functools.lru_cache(maxsize=16)
 def _collected_actions(dgp: DgpSpec, tau: float, n: int, reps: int, seed: int, k: int):
-    out = {est: np.zeros(reps, dtype=int) for est in ESTIMATORS}
-    for rep in range(reps):
-        acts = _rep_actions(dgp, tau, n, k, (seed, rep))
-        for est in ESTIMATORS:
-            out[est][rep] = acts[est]
-    return tuple((est, tuple(out[est].tolist())) for est in ESTIMATORS)
+    if k >= 2:
+        _copula_program(k, k, "SI")  # cached here, so no two replications build it at once
+
+    def actions_of(rep):
+        return _rep_actions(dgp, tau, n, k, (seed, rep))
+
+    found = _raise_first(_on_workers(range(reps), lambda caller: actions_of))
+    return tuple((est, tuple(acts[est] for acts in found)) for est in ESTIMATORS)
 
 
 def _truth_actions(truths: TruthSet) -> Dict[str, int]:

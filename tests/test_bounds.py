@@ -635,10 +635,14 @@ def _count_lp_solves(monkeypatch):
     return counts
 
 
+def _workers(monkeypatch, count):
+    monkeypatch.setattr(bounds, "_usable_cpus", lambda: count)
+
+
 def test_lp_counts_do_not_rise(monkeypatch):
     # pinned LP counts: every session solve starts from the independence
     # basis, so only a change of the memo or of the probes shows here; a
-    # count may fall, never rise
+    # count may fall, never rise. Each pin holds on one worker and on two.
     counts = _count_lp_solves(monkeypatch)
 
     def solved(call):
@@ -646,19 +650,6 @@ def test_lp_counts_do_not_rise(monkeypatch):
         call()
         return counts["session"], counts["cold"]
 
-    q1, q0 = population_curves(SUBGROUPS[2], 12)
-    grid = default_t_grid(q1.values, q0.values, 41)
-    si, pqd = AssumptionSet("SI"), AssumptionSet("PQD")
-    # 80 each while every dense value took an LP
-    assert solved(lambda: coupling_lp_bounds(q1, q0, si, t_grid=grid)) == (55, 0)
-    assert solved(lambda: coupling_lp_bounds(q1, q0, pqd, t_grid=grid)) == (55, 0)
-    assert solved(lambda: qote_coupling_bounds(q1, q0, 0.25, si, t_grid=grid)) == (7, 0)
-    assert solved(lambda: qote_coupling_bounds(q1, q0, 0.25, pqd, t_grid=grid)) == (8, 0)
-    # probes the closed-form brackets settle, beside the LPs solved
-    for tag, lps in ((si, 7), (pqd, 8)):
-        env = _Envelopes.of_curves(q1, q0, tag, t_grid=grid)
-        env.invert(0.25)
-        assert (env.solves, env.fallbacks, env.decided) == (lps, 0, 6)
     made = []
     of_values = _Envelopes.of_values.__func__
 
@@ -667,32 +658,43 @@ def test_lp_counts_do_not_rise(monkeypatch):
         return made[-1]
 
     monkeypatch.setattr(_Envelopes, "of_values", classmethod(recorded))
-    sim._collected_actions.cache_clear()
-    per_subgroup = []
-    for s in range(3, 8):
-        made.clear()
-        per_subgroup.append(
-            solved(lambda: classification_experiment(SUBGROUPS[s], 0.25, 200, 8, seed=3, k=12))
-            + (sum(env.decided for env in made),)
-        )
-    assert per_subgroup == [(33, 0, 15), (39, 0, 19), (42, 0, 15), (51, 0, 22), (46, 0, 28)]
-    # a dense pass leaves nothing for the inversion to solve or to decide;
-    # its LPs and the values where the brackets meet make up all 82 values
-    env = _Envelopes.of_curves(q1, q0, si, t_grid=grid)
-    assert solved(env.dense) == (55, 0)
-    assert env.decided == 27
-    assert solved(lambda: (env.invert(0.25), env.invert(0.5))) == (0, 0)
-    assert env.decided == 27
-    # simplex iterations of one lazy SI interval at k = 50 on the default
-    # grid (5,492 when each solve started from the basis the last one left)
-    q1, q0 = population_curves(SUBGROUPS[2], 50)
-    env = _Envelopes.of_curves(q1, q0, si)
-    env.invert(0.25)
-    assert (env.solves, env.fallbacks, env.iterations) == (10, 0, 1194)
-
-
-def _workers(monkeypatch, count):
-    monkeypatch.setattr(bounds, "_usable_cpus", lambda: count)
+    si, pqd = AssumptionSet("SI"), AssumptionSet("PQD")
+    for workers in (1, 2):
+        _workers(monkeypatch, workers)
+        q1, q0 = population_curves(SUBGROUPS[2], 12)
+        grid = default_t_grid(q1.values, q0.values, 41)
+        # 80 each while every dense value took an LP
+        assert solved(lambda: coupling_lp_bounds(q1, q0, si, t_grid=grid)) == (55, 0)
+        assert solved(lambda: coupling_lp_bounds(q1, q0, pqd, t_grid=grid)) == (55, 0)
+        assert solved(lambda: qote_coupling_bounds(q1, q0, 0.25, si, t_grid=grid)) == (7, 0)
+        assert solved(lambda: qote_coupling_bounds(q1, q0, 0.25, pqd, t_grid=grid)) == (8, 0)
+        # probes the closed-form brackets settle, beside the LPs solved
+        for tag, lps in ((si, 7), (pqd, 8)):
+            env = _Envelopes.of_curves(q1, q0, tag, t_grid=grid)
+            env.invert(0.25)
+            assert (env.solves, env.fallbacks, env.decided) == (lps, 0, 6)
+        sim._collected_actions.cache_clear()
+        per_subgroup = []
+        for s in range(3, 8):
+            made.clear()
+            per_subgroup.append(
+                solved(lambda: classification_experiment(SUBGROUPS[s], 0.25, 200, 8, seed=3, k=12))
+                + (sum(env.decided for env in made),)
+            )
+        assert per_subgroup == [(33, 0, 15), (39, 0, 19), (42, 0, 15), (51, 0, 22), (46, 0, 28)]
+        # a dense pass leaves nothing for the inversion to solve or to decide;
+        # its LPs and the values where the brackets meet make up all 82 values
+        env = _Envelopes.of_curves(q1, q0, si, t_grid=grid)
+        assert solved(env.dense) == (55, 0)
+        assert env.decided == 27
+        assert solved(lambda: (env.invert(0.25), env.invert(0.5))) == (0, 0)
+        assert env.decided == 27
+        # simplex iterations of one lazy SI interval at k = 50 on the default
+        # grid (5,492 when each solve started from the basis the last one left)
+        q1, q0 = population_curves(SUBGROUPS[2], 50)
+        env = _Envelopes.of_curves(q1, q0, si)
+        assert solved(lambda: env.invert(0.25)) == (10, 0)
+        assert (env.solves, env.fallbacks, env.iterations) == (10, 0, 1194)
 
 
 @pytest.mark.parametrize(
@@ -723,6 +725,110 @@ def test_dense_values_and_counts_do_not_depend_on_the_worker_count(monkeypatch, 
     counters = ("solves", "fallbacks", "iterations", "decided")
     assert [getattr(env, c) for c in counters] == [getattr(serial, c) for c in counters]
     assert env.solves > 0
+
+
+@pytest.mark.parametrize("tag", ["SI", "PQD"])
+@pytest.mark.parametrize("k", [12, 20, 50])
+def test_lazy_bounds_and_counts_do_not_depend_on_the_worker_count(monkeypatch, tag, k):
+    # the two sides keep their own memo and counts: a lost update between
+    # them would show at a short switch interval
+    q1, q0 = population_curves(SUBGROUPS[2], k)
+    counters = ("solves", "fallbacks", "iterations", "decided")
+    interval = sys.getswitchinterval()
+    for tau in (0.25, 0.5):
+        found = []
+        for count in (1, 2):
+            _workers(monkeypatch, count)
+            env = _Envelopes.of_curves(q1, q0, AssumptionSet(tag))
+            sys.setswitchinterval(1e-6 if count > 1 else interval)
+            try:
+                got = env.invert(tau)
+            finally:
+                sys.setswitchinterval(interval)
+            found.append((got, [getattr(env, c) for c in counters]))
+        assert found[1] == found[0]
+        assert found[0][1][0] > 0
+
+
+def test_lps_that_fail_on_both_sides_of_a_lazy_inversion_raise_the_min_sides(monkeypatch):
+    # every run fails; the min side's failing solve waits until the max
+    # side's has raised, and the min side's error is still the one raised
+    failed = LpSolution(status="failed", message="stalled")
+    monkeypatch.setattr(lpcore.LpSession, "solve", lambda self, c, sense="minimize": failed)
+    monkeypatch.setattr(bounds, "solve_lp", lambda lp: failed)
+    q1, q0 = population_curves(SUBGROUPS[2], 12)
+    si = AssumptionSet("SI")
+    _workers(monkeypatch, 1)
+    with pytest.raises(LpSolveError) as serial:
+        qote_coupling_bounds(q1, q0, 0.25, si)
+    solve = bounds._solve
+    max_raised, raised = threading.Event(), {}
+
+    def gated(lp, t, tag, k):
+        if lp.sense == "minimize":
+            assert max_raised.wait(timeout=60)
+        try:
+            return solve(lp, t, tag, k)
+        except LpSolveError as exc:
+            raised[lp.sense] = (exc, threading.get_ident())
+            raise
+        finally:
+            if lp.sense == "maximize":
+                max_raised.set()
+
+    monkeypatch.setattr(bounds, "_solve", gated)
+    _workers(monkeypatch, 2)
+    baseline = threading.active_count()
+    with pytest.raises(LpSolveError) as info:
+        qote_coupling_bounds(q1, q0, 0.25, si)
+    assert info.value is raised["minimize"][0]
+    assert info.value.t == serial.value.t
+    # the max side raised first, on the other thread
+    assert raised["maximize"][1] != raised["minimize"][1]
+    assert threading.active_count() == baseline
+
+
+@pytest.mark.parametrize("side", ["minimize", "maximize"])
+def test_an_lp_that_fails_on_one_side_of_a_lazy_inversion_alone_is_raised(monkeypatch, side):
+    # runs fail on one side only; that side fails once the other side has
+    # begun its first run, which then waits until that side has failed, so
+    # the two run at once on different threads, the helper thread on one
+    q1, q0 = population_curves(SUBGROUPS[2], 12)
+    si = AssumptionSet("SI")
+    failed = LpSolution(status="failed", message="stalled")
+    session_solve, cold_solve = lpcore.LpSession.solve, bounds.solve_lp
+    other_side_began, failing_side_done, threads = threading.Event(), threading.Event(), {}
+
+    def gated_run(self, c, sense="minimize"):
+        threads.setdefault(sense, threading.get_ident())
+        if sense == side:
+            assert other_side_began.wait(timeout=60)
+            return failed
+        other_side_began.set()
+        assert failing_side_done.wait(timeout=60)
+        return session_solve(self, c, sense)
+
+    def gated_cold(lp):
+        if lp.sense == side:
+            failing_side_done.set()
+            return failed
+        return cold_solve(lp)
+
+    monkeypatch.setattr(lpcore.LpSession, "solve", gated_run)
+    monkeypatch.setattr(bounds, "solve_lp", gated_cold)
+    _workers(monkeypatch, 2)
+    baseline = threading.active_count()
+    with pytest.raises(LpSolveError) as info:
+        qote_coupling_bounds(q1, q0, 0.25, si)
+    assert threading.active_count() == baseline
+    assert len(threads) == 2 and len(set(threads.values())) == 2
+    # a serial pass whose runs fail on that side alone raises the same t
+    _workers(monkeypatch, 1)
+    other_side_began.set()
+    failing_side_done.set()
+    with pytest.raises(LpSolveError) as serial:
+        qote_coupling_bounds(q1, q0, 0.25, si)
+    assert info.value.t == serial.value.t
 
 
 def test_a_certificate_that_fails_on_a_helper_thread_falls_back_there(monkeypatch):

@@ -444,6 +444,21 @@ def test_one_point_grids_exit_2(tmp_path, capsys, subcommand):
     assert "k must be at least 2" in capsys.readouterr().err
 
 
+def test_tables_with_an_empty_arm_exits_2_on_two_workers(tmp_path, capsys, monkeypatch):
+    # one draw leaves an arm empty in every replication, each on the pool
+    monkeypatch.setattr(bounds, "_usable_cpus", lambda: 2)
+    threads = threading.active_count()
+    out = tmp_path / "out"
+    code = run(
+        "tables", "--subgroups", "1", "--tau", "0.25", "--n", "1", "--reps", "4",
+        "--k", "4", "--out", out,
+    )
+    assert code == 2
+    assert "no observations" in capsys.readouterr().err
+    assert not out.exists()
+    assert threading.active_count() == threads
+
+
 def test_tables_smoke(tmp_path):
     code = run(
         "tables", "--subgroups", "1,4", "--tau", "0.25", "--n", "40",

@@ -1,8 +1,12 @@
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from oracles import mc_qote
+from qotepolicy import bounds, sim
 from qotepolicy.bounds import (
     _assemble_envelopes,
     _Envelopes,
@@ -15,6 +19,7 @@ from qotepolicy.policy import mmr_deterministic
 from qotepolicy.sim import (
     CRITERIA,
     ESTIMATORS,
+    ORACLE_DRAWS,
     SUBGROUPS,
     DgpSpec,
     _si_majority_action,
@@ -90,6 +95,36 @@ def test_mc_oracle_agrees_with_independent_draws():
         mc_oracle_qote(d, 0.25, 10)
 
 
+def test_mc_oracle_values_are_pinned():
+    # the lognormal truths of the tables, bit for bit: the joint draws are
+    # built in place in the same float order as y1 - y0 of fresh arrays
+    want = {
+        0.1: "-0.053204515335918856",
+        0.25: "4.092011836039071",
+        0.5: "12.223577313087512",
+        0.75: "31.39605398321976",
+        0.9: "70.39842263488299",
+    }
+    got = {tau: repr(mc_oracle_qote(SUBGROUPS[8], tau, ORACLE_DRAWS)) for tau in want}
+    assert got == want
+    with pytest.raises(ValueError, match="tau must lie"):
+        mc_oracle_qote(SUBGROUPS[8], 1.0, 1000)
+
+
+def test_mc_oracle_holds_at_most_four_arrays_of_draws():
+    # the n x 2 normals and the two outcome arrays; the difference reuses
+    # one of them and its quantile is read in place
+    ndraws = 200_000
+    mc_oracle_qote.__wrapped__(SUBGROUPS[8], 0.25, 1000)
+    tracemalloc.start()
+    try:
+        mc_oracle_qote.__wrapped__(SUBGROUPS[8], 0.25, ndraws)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.1 * 8 * ndraws
+
+
 def test_draw_sample_reproducible_and_shaped():
     d = SUBGROUPS[1]
     s1 = draw_sample(d, 50, (0, 1))
@@ -152,6 +187,43 @@ def test_regret_experiment_is_magnitude_times_mismatch():
         for crit in CRITERIA:
             expected = mags[crit] * (1.0 - rates.value(est, crit))
             assert regs.value(est, crit) == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("subgroup", [1, 5, 8])
+def test_replications_do_not_depend_on_the_worker_count(monkeypatch, subgroup):
+    rows = []
+    for count in (1, 2):
+        monkeypatch.setattr(bounds, "_usable_cpus", lambda: count)
+        sim._collected_actions.cache_clear()
+        rows.append(
+            [
+                experiment(SUBGROUPS[subgroup], 0.25, n=200, reps=6, seed=4, k=12).rows
+                for experiment in (classification_experiment, regret_experiment)
+            ]
+        )
+    sim._collected_actions.cache_clear()
+    assert rows[1] == rows[0]
+
+
+def test_the_first_failing_replication_in_order_is_raised(monkeypatch):
+    # every replication fails; the first waits until a later one has raised
+    # on the other thread, and the first is still the one raised
+    later_raised = threading.Event()
+
+    def failing(dgp, tau, n, k, seed):
+        if seed[1] == 0:
+            assert later_raised.wait(timeout=60)
+        else:
+            later_raised.set()
+        raise ValueError(f"replication {seed[1]}")
+
+    monkeypatch.setattr(sim, "_rep_actions", failing)
+    monkeypatch.setattr(bounds, "_usable_cpus", lambda: 2)
+    baseline = threading.active_count()
+    with pytest.raises(ValueError, match="replication 0$"):
+        classification_experiment(SUBGROUPS[1], 0.25, n=40, reps=3, seed=9, k=4)
+    assert later_raised.is_set()
+    assert threading.active_count() == baseline
 
 
 def test_rate_table_csv_format():

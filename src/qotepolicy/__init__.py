@@ -67,7 +67,7 @@ from .sim import (
     classification_experiment,
     closed_form_truths,
     draw_sample,
-    mc_oracle_qote,
+    exact_qote,
     regret_experiment,
     truths_for,
     vote_share_check,

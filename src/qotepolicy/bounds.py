@@ -52,7 +52,6 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.stats import binom as _binom
 
 from .lpcore import LinearProgram, LpSession, LpSolution, solve_lp
 from .marginals import QuantileCurve, u_grid
@@ -924,8 +923,10 @@ def qote_coupling_bounds(
 
 def _bernstein_prime(m: int, nodes: np.ndarray) -> np.ndarray:
     """Derivatives of the degree-m Bernstein basis at the nodes, rows v=0..m."""
+    from scipy.stats import binom  # here, so that importing the package skips scipy.stats
+
     out = np.zeros((m + 1, nodes.size))
-    pm1 = np.vstack([_binom.pmf(v, m - 1, nodes) for v in range(m)])
+    pm1 = np.vstack([binom.pmf(v, m - 1, nodes) for v in range(m)])
     for v in range(m + 1):
         hi = pm1[v - 1] if v >= 1 else 0.0
         lo = pm1[v] if v <= m - 1 else 0.0

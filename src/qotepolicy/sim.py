@@ -10,15 +10,24 @@ inversion over the same t grid would decide, through one SI envelope oracle
 of ``bounds`` per replication. The replications run on ``bounds._on_workers``,
 up to one per usable CPU, each on its own oracle; their actions, and the first
 error in replication order, are those of a serial pass.
+
+The truths the rules are scored against are exact: closed forms on the normal
+specs, and on the lognormal ones closed-form QTE and ATE transforms with the
+quantile of Y1 - Y0 from ``exact_qote``: one adaptive quadrature over the
+shared standard normal factor z0 per CDF value, and a Brent root find in t.
+No truth comes from Monte Carlo draws.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
+from scipy.integrate import quad
+from scipy.optimize import brentq
 from scipy.special import ndtri
 
 from .bounds import (
@@ -37,7 +46,6 @@ from .bounds import (
 from .marginals import (
     QuantileCurve,
     Sample,
-    _quantile_index,
     empirical_quantile,
     make_y_grid,
     u_grid,
@@ -54,7 +62,7 @@ __all__ = [
     "closed_form_truths",
     "truths_for",
     "draw_sample",
-    "mc_oracle_qote",
+    "exact_qote",
     "classification_experiment",
     "regret_experiment",
     "vote_share_check",
@@ -73,7 +81,8 @@ ESTIMATORS = (
 )
 CRITERIA = ("qote", "qte", "ate")
 
-ORACLE_DRAWS = 2_000_000
+_QUAD_TOL = 1e-10  # largest error estimate accepted for one CDF integral
+_Z_REACH = 10.0  # the standard normal factor beyond +-10 carries 1.5e-23 of its mass
 
 
 @dataclass(frozen=True)
@@ -90,6 +99,10 @@ class DgpSpec:
     p_treat: float = 0.5
 
     def __post_init__(self):
+        for name in ("mu1", "mu0", "var1", "var0", "rho", "p_treat"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.var1 <= 0 or self.var0 <= 0:
             raise ValueError("variances must be positive")
         if abs(self.rho) > 1:
@@ -149,8 +162,8 @@ def closed_form_truths(dgp: DgpSpec, tau: float) -> TruthSet:
     """Exact targets for a normal (non-lognormal) spec."""
     if dgp.lognormal:
         raise ValueError(
-            "no closed form for the lognormal quantile of Y1 - Y0; use the "
-            "Monte Carlo oracle"
+            "no closed form for the lognormal quantile of Y1 - Y0; use "
+            "exact_qote's quadrature"
         )
     if not 0 < tau < 1:
         raise ValueError("tau must lie strictly between 0 and 1")
@@ -165,23 +178,174 @@ def closed_form_truths(dgp: DgpSpec, tau: float) -> TruthSet:
     )
 
 
-def truths_for(
-    dgp: DgpSpec, tau: float, oracle_draws: int = ORACLE_DRAWS, oracle_seed: int = 0
-) -> TruthSet:
-    """Targets for any spec; lognormal quantiles of the difference come from
-    the joint-draw oracle while its QTE and ATE transforms stay exact."""
+def truths_for(dgp: DgpSpec, tau: float) -> TruthSet:
+    """Exact targets for any spec: the closed forms on a normal spec; on a
+    lognormal one the QTE and ATE transforms in closed form and the quantile
+    of Y1 - Y0 from ``exact_qote``'s quadrature."""
     if not dgp.lognormal:
         return closed_form_truths(dgp, tau)
     s1, s0 = np.sqrt(dgp.var1), np.sqrt(dgp.var0)
     z = float(ndtri(tau))
     return TruthSet(
-        qote=mc_oracle_qote(dgp, tau, oracle_draws, oracle_seed),
+        qote=exact_qote(dgp, tau),
         qte=float(np.exp(dgp.mu1 + z * s1) - np.exp(dgp.mu0 + z * s0)),
         ate=float(
             np.exp(dgp.mu1 + dgp.var1 / 2) - np.exp(dgp.mu0 + dgp.var0 / 2)
         ),
         si_holds=dgp.rho >= 0,
     )
+
+
+def _norm_cdf(x: float) -> float:
+    return 0.5 * math.erfc(-x * math.sqrt(0.5))
+
+
+def _log_sum(a: float, b: float) -> float:
+    """log(e^a + e^b) without forming either exponential."""
+    return max(a, b) + math.log1p(math.exp(-abs(a - b)))
+
+
+def _checked_brentq(f, lo: float, hi: float, what: str) -> float:
+    try:
+        root, res = brentq(
+            f, lo, hi, xtol=1e-12, rtol=1e-13, maxiter=200, full_output=True, disp=False
+        )
+    except ValueError as exc:  # no sign change on the bracket
+        raise ValueError(f"{what}: {exc}") from None
+    if not res.converged:
+        raise ValueError(f"{what}: Brent's method did not converge ({res.flag})")
+    return float(root)
+
+
+def _delta_cdf(dgp: DgpSpec, t: float) -> float:
+    """P(Y1 - Y0 <= t) as one integral over the standard normal factor z0 of Y1.
+
+    Given z0, Y1 = h1(z0) is known and Y0 (or log Y0) is normal with mean
+    m0(z0) = mu0 + sd0 rho z0 and sd sd0 sqrt(1 - rho^2), so the integrand is
+    phi(z0) P(Y0 >= h1(z0) - t | z0), a normal CDF on the outcome's scale.
+    On the log scale it is phi(z0) where h1(z0) <= t, and log(h1(z0) - t) is
+    formed from log h1(z0) and t alone, so no variance overflows.
+
+    The integrand steps between 0 and 1 where Y0's conditional median meets
+    h1(z0) - t, as sharply as the conditional sd is small. The median
+    difference g(z0) = h1(z0) - h0(m0(z0)) is linear, or a difference of two
+    exponentials with at most one turning point, so it meets t at most once
+    on each side of that point. Those meeting points, the turning point and
+    the log scale's kink h1(z0) = t are breakpoints, and each stretch between
+    two of them is integrated from both of its ends over log |z0 - end|, so
+    a step of any width at a breakpoint spans a unit or so of the variable
+    and no step falls between the quadrature's nodes unseen. At |rho| = 1,
+    where Y1 - Y0 = g(z0), the CDF is the normal measure of
+    {z0 : g(z0) <= t}, whose ends are the meeting points.
+    """
+    s1, s0 = math.sqrt(dgp.var1), math.sqrt(dgp.var0)
+    s0r = s0 * dgp.rho
+    sd = s0 * math.sqrt(1 - dgp.rho**2)
+    log_t = math.log(t) if t > 0 else None
+
+    def slack(z):  # the sign of t - g(z), finite on the log scale too
+        x1, x0 = dgp.mu1 + s1 * z, dgp.mu0 + s0r * z
+        if not dgp.lognormal:
+            return x0 + t - x1
+        if log_t is not None:
+            return _log_sum(x0, log_t) - x1
+        return x0 - (_log_sum(x1, math.log(-t)) if t < 0 else x1)
+
+    knots = [-_Z_REACH, _Z_REACH]
+    if dgp.lognormal and s0r > 0 and s1 != s0r:
+        turn = (dgp.mu0 - dgp.mu1 + math.log(s0r / s1)) / (s1 - s0r)
+        if -_Z_REACH < turn < _Z_REACH:
+            knots.insert(1, turn)
+    meets = [
+        _checked_brentq(slack, a, b, f"g(z0) = {t!r}")
+        for a, b in zip(knots, knots[1:])
+        if (slack(a) < 0) != (slack(b) < 0)
+    ]
+    if sd == 0:
+        total, inside = 0.0, slack(-_Z_REACH) >= 0
+        edges = [-math.inf, *meets, math.inf]
+        for a, b in zip(edges, edges[1:]):
+            if inside:
+                total += _norm_cdf(b) - _norm_cdf(a)
+            inside = not inside
+        return total
+
+    def integrand(z):
+        x1 = dgp.mu1 + s1 * z
+        weight = math.exp(-0.5 * z * z) / math.sqrt(2 * math.pi)
+        if not dgp.lognormal:
+            bar = x1 - t
+        elif log_t is not None:
+            if x1 <= log_t:
+                return weight
+            bar = x1 + math.log(-math.expm1(log_t - x1))
+        else:
+            bar = _log_sum(x1, math.log(-t)) if t < 0 else x1
+        return weight * _norm_cdf((dgp.mu0 + s0r * z - bar) / sd)
+
+    breaks = {*meets, *knots[1:-1]}
+    if dgp.lognormal and log_t is not None:
+        kink = (log_t - dgp.mu1) / s1
+        if -_Z_REACH < kink < _Z_REACH:
+            breaks.add(kink)
+    ends = [-_Z_REACH, *sorted(breaks), _Z_REACH]
+    value = err = 0.0
+    for a, b in zip(ends, ends[1:]):
+        half = 0.5 * (b - a)
+        for start, side in ((a, 1.0), (b, -1.0)):
+            part, part_err, *rest = quad(
+                lambda v: integrand(start + side * math.exp(v)) * math.exp(v),
+                -math.inf, math.log(half), epsabs=_QUAD_TOL / 100, epsrel=0.0,
+                limit=200, full_output=1,
+            )
+            value, err = value + part, err + part_err
+            if len(rest) > 1:
+                err = math.inf
+    if not err <= _QUAD_TOL:
+        raise ValueError(
+            f"P(Y1 - Y0 <= {t!r}): quadrature error estimate "
+            f"{err:.3g} misses {_QUAD_TOL:g}"
+        )
+    return value
+
+
+@functools.lru_cache(maxsize=64)
+def exact_qote(dgp: DgpSpec, tau: float) -> float:
+    """Exact tau-quantile of Y1 - Y0 under any spec, to about 1e-10 times
+    max(1, |quantile|).
+
+    Brent's method solves P(Y1 - Y0 <= t) = tau (``_delta_cdf``) on the
+    bracket [Q1(e) - Q0(1 - e), Q1(1 - e) - Q0(e)] with e = min(tau, 1 - tau)/4,
+    where Qj are the marginal quantiles: each end misses tau by at least 2e
+    in chance, so the bracket always holds the root. Raises ValueError, which
+    names the spec, when the bracket leaves the floating range or a
+    quadrature or root find misses its tolerance, so it never returns NaN or
+    inf; the CLI reports such a spec as an input error (exit 2).
+    """
+    if not 0 < tau < 1:
+        raise ValueError("tau must lie strictly between 0 and 1")
+    z = float(ndtri(min(tau, 1 - tau) / 4))
+
+    def tails(mu, var):  # the e- and (1 - e)-quantiles of one arm
+        ends = (mu + math.sqrt(var) * z, mu - math.sqrt(var) * z)
+        return tuple(math.exp(v) for v in ends) if dgp.lognormal else ends
+
+    try:
+        (low1, high1), (low0, high0) = tails(dgp.mu1, dgp.var1), tails(dgp.mu0, dgp.var0)
+        lo, hi = low1 - high0, high1 - low0
+    except OverflowError:
+        lo = hi = math.inf
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"the quantiles of Y1 - Y0 under {dgp} overflow")
+    # searched on asinh(t): heavy lognormal tails put the ends of the bracket
+    # many orders of magnitude beyond the root
+    root = _checked_brentq(
+        lambda u: _delta_cdf(dgp, math.sinh(u)) - tau,
+        math.asinh(lo),
+        math.asinh(hi),
+        f"the {tau!r}-quantile under {dgp}",
+    )
+    return math.sinh(root)
 
 
 def _joint_outcomes(dgp: DgpSpec, n: int, rng) -> Tuple[np.ndarray, np.ndarray]:
@@ -217,20 +381,6 @@ def draw_sample(dgp: DgpSpec, n: int, seed) -> Sample:
     d = (rng.random(n) < dgp.p_treat).astype(int)
     y = np.where(d == 1, y1, y0)
     return Sample(y=y, d=d, x=np.zeros((n, 0)))
-
-
-@functools.lru_cache(maxsize=64)
-def mc_oracle_qote(dgp: DgpSpec, tau: float, ndraws: int, seed: int = 0) -> float:
-    """Brute-force tau-quantile of Y1 - Y0 from joint draws (unobservable)."""
-    if ndraws < 1000:
-        raise ValueError("ndraws must be at least 1000")
-    rng = np.random.default_rng(seed)
-    delta, y0 = _joint_outcomes(dgp, ndraws, rng)
-    delta -= y0
-    del y0
-    idx = _quantile_index(ndraws, tau)
-    delta.partition(idx)  # in place: the value at idx is the sorted one's
-    return float(delta[idx])
 
 
 def _si_majority_action(v1, v0, tau, t_grid, none_bounds):

@@ -4,6 +4,7 @@ Everything here is deliberately naive: dense grids, exhaustive enumeration,
 Monte Carlo, or scipy primitives used directly. Nothing imports the package.
 """
 
+import functools
 import itertools
 
 import numpy as np
@@ -216,20 +217,32 @@ def minimax_delta_grid(lower, upper, step=0.001):
     return float(grid[i]), float(worst[i])
 
 
-def mc_qote(mu1, mu0, var1, var0, rho, tau, ndraws, seed, lognormal=False):
-    """Monte Carlo tau-quantile of Y1 - Y0 from the joint law."""
+def joint_draws(dgp, ndraws, seed):
+    """ndraws joint (Y1, Y0) of a spec with the fields of ``sim.DgpSpec``.
+
+    Y1 = h(mu1 + sd1 z0) and Y0 = h(mu0 + sd0 (rho z0 + sqrt(1 - rho^2) z1)),
+    h the identity or exp, from one (ndraws, 2) block of standard normals:
+    the draws the package's samples are made of for the same seed.
+    """
     rng = np.random.default_rng(seed)
-    cov = np.array(
-        [
-            [var1, rho * np.sqrt(var1 * var0)],
-            [rho * np.sqrt(var1 * var0), var0],
-        ]
+    z = rng.standard_normal((ndraws, 2))
+    y1 = dgp.mu1 + np.sqrt(dgp.var1) * z[:, 0]
+    y0 = dgp.mu0 + np.sqrt(dgp.var0) * (
+        dgp.rho * z[:, 0] + np.sqrt(1 - dgp.rho**2) * z[:, 1]
     )
-    z = rng.multivariate_normal([mu1, mu0], cov, size=ndraws)
-    if lognormal:
-        z = np.exp(z)
-    d = np.sort(z[:, 0] - z[:, 1])
-    return float(d[int(np.ceil(tau * ndraws)) - 1])
+    if dgp.lognormal:
+        y1, y0 = np.exp(y1), np.exp(y0)
+    return y1, y0
+
+
+@functools.lru_cache(maxsize=64)
+def mc_qote(dgp, tau, ndraws, seed):
+    """Monte Carlo tau-quantile of Y1 - Y0 from ndraws joint draws."""
+    y1, y0 = joint_draws(dgp, ndraws, seed)
+    delta = y1 - y0
+    idx = int(np.ceil(tau * ndraws)) - 1
+    delta.partition(idx)
+    return float(delta[idx])
 
 
 def is_two_increasing(c, tol=1e-9):

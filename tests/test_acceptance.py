@@ -17,6 +17,7 @@ from oracles import (
     coupling_constraints,
     cvar_bounds_by_permutations,
     marginal_bounds_direct,
+    mc_qote,
     minimax_delta_grid,
     permutation_couplings,
     random_vertex_cvar,
@@ -53,7 +54,6 @@ from qotepolicy.sim import (
     SUBGROUPS,
     classification_experiment,
     closed_form_truths,
-    mc_oracle_qote,
     population_curves,
     subgroup_interval_rows,
     truths_for,
@@ -130,7 +130,7 @@ def test_01_closed_form_truth_suite(capsys):
     # oracle instead
     for sg in (1, 4):
         c = closed_form_truths(SUBGROUPS[sg], 0.25).qote
-        m = mc_oracle_qote(SUBGROUPS[sg], 0.25, 2_000_000, 0)
+        m = mc_qote(SUBGROUPS[sg], 0.25, 2_000_000, 0)
         if abs(c - m) > 0.01:
             failures.append(f"sg{sg} closed {c:.4f} vs oracle {m:.4f}")
     _verdict(
@@ -148,7 +148,7 @@ def test_02_oracle_agreement(capsys):
     for sg in range(1, 8):
         for tau in (0.25, 0.5, 0.75):
             c = closed_form_truths(SUBGROUPS[sg], tau).qote
-            m = mc_oracle_qote(SUBGROUPS[sg], tau, 2_000_000, 0)
+            m = mc_qote(SUBGROUPS[sg], tau, 2_000_000, 0)
             dev = abs(c - m)
             worst = max(worst, dev)
             if dev >= 0.01:

@@ -1,13 +1,18 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import threading
 from io import StringIO
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qotepolicy import bounds, cli, lpcore
+import qotepolicy
+from qotepolicy import bounds, cli, lpcore, sim
 from qotepolicy.cli import main
 from qotepolicy.lpcore import LpSolution
 from qotepolicy.marginals import make_y_grid
@@ -66,6 +71,38 @@ def test_malformed_dgp_file_exits_2(tmp_path, capsys, bad):
         }[bad]))
     assert run("bounds", "--dgp", path, "--out", tmp_path / "out") == 2
     assert "bad DGP file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["mu1", "mu0", "var1", "var0", "rho", "p_treat"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_dgp_field_exits_2_naming_it(tmp_path, capsys, field, value):
+    # json writes and reads these as the NaN, Infinity and -Infinity tokens
+    path = tmp_path / "dgp.json"
+    path.write_text(json.dumps({**DGP_SPEC, "lognormal": True, field: value}))
+    args = ("--tau", "0.25", "--n", "40", "--reps", "1", "--k", "4", "--out", tmp_path / "out")
+    assert run("simulate", "--dgp", path, *args) == 2
+    assert f"bad DGP file {path}: {field} must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_truth_that_misses_its_tolerance_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(sim, "_QUAD_TOL", 1e-300)
+    sim.exact_qote.cache_clear()
+    args = ("--tau", "0.25", "--n", "40", "--reps", "1", "--k", "4", "--out", tmp_path / "out")
+    assert run("simulate", "--dgp", "subgroup8", *args) == 2
+    assert "quadrature error estimate" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_importing_the_cli_leaves_scipy_stats_out():
+    # scipy.stats is most of the import time; only the Bernstein basis uses it
+    code = "import sys, qotepolicy.cli; print('scipy.stats' in sys.modules)"
+    src = str(Path(qotepolicy.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    ).stdout
+    assert out.strip() == "False"
 
 
 def test_dgp_file_with_lognormal_false_runs(tmp_path):

@@ -1,11 +1,11 @@
+import math
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import mc_qote
+from oracles import joint_draws, mc_qote
 from qotepolicy import bounds, sim
 from qotepolicy.bounds import (
     _assemble_envelopes,
@@ -19,15 +19,14 @@ from qotepolicy.policy import mmr_deterministic
 from qotepolicy.sim import (
     CRITERIA,
     ESTIMATORS,
-    ORACLE_DRAWS,
     SUBGROUPS,
     DgpSpec,
     _si_majority_action,
     classification_experiment,
     closed_form_truths,
     draw_sample,
+    exact_qote,
     interval_rows_to_csv,
-    mc_oracle_qote,
     population_curves,
     regret_experiment,
     subgroup_interval_rows,
@@ -43,6 +42,14 @@ def test_dgp_spec_validation():
         DgpSpec(0.0, 0.0, 1.0, 1.0, 1.5)
     with pytest.raises(ValueError, match="p_treat"):
         DgpSpec(0.0, 0.0, 1.0, 1.0, 0.0, p_treat=1.0)
+
+
+@pytest.mark.parametrize("field", ["mu1", "mu0", "var1", "var0", "rho", "p_treat"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_dgp_spec_rejects_non_finite_fields(field, value):
+    fields = {"mu1": 1.0, "mu0": 0.0, "var1": 1.0, "var0": 1.0, "rho": 0.5, "p_treat": 0.5}
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        DgpSpec(**{**fields, field: value})
 
 
 def test_closed_form_truths_frozen_values():
@@ -70,7 +77,7 @@ def test_closed_form_truths_median_case():
 
 
 def test_closed_form_rejects_lognormal():
-    with pytest.raises(ValueError, match="Monte Carlo oracle"):
+    with pytest.raises(ValueError, match="exact_qote's quadrature"):
         closed_form_truths(SUBGROUPS[8], 0.25)
     with pytest.raises(ValueError, match="tau"):
         closed_form_truths(SUBGROUPS[1], 0.0)
@@ -80,24 +87,98 @@ def test_lognormal_truths_use_exact_transforms():
     t = truths_for(SUBGROUPS[8], 0.25)
     assert t.qte == pytest.approx(7.631102, abs=1e-5)
     assert t.ate == pytest.approx(-190.093782, abs=1e-5)
-    assert t.qote == pytest.approx(4.092, abs=0.05)  # oracle estimate
+    assert repr(t.qote) == SUBGROUP8_QOTE[0.25]
     assert t.si_holds
 
 
+# exact_qote on subgroup 8; the 2M-draw oracle reads -0.0532, 4.0920, 12.2236,
+# 31.3961 and 70.3984 (test_mc_oracle_values_are_pinned)
+SUBGROUP8_QOTE = {
+    0.1: "-0.1094577389809735",
+    0.25: "4.076171001276442",
+    0.5: "12.210129870401508",
+    0.75: "31.42787819811451",
+    0.9: "70.41361204571267",
+}
+
+
+def test_exact_qote_values_are_pinned():
+    got = {tau: repr(exact_qote.__wrapped__(SUBGROUPS[8], tau)) for tau in SUBGROUP8_QOTE}
+    assert got == SUBGROUP8_QOTE
+    for tau in (0.0, 1.0, math.nan):
+        with pytest.raises(ValueError, match="tau must lie"):
+            exact_qote(SUBGROUPS[8], tau)
+
+
+# |rho| = 1, and |rho| so near 1 that the integrand steps within 1e-3 in z0
+NORMAL_EDGE_SPECS = [
+    DgpSpec(1.0, 0.0, 1.0, 4.0, 1.0),
+    DgpSpec(1.0, 0.0, 1.0, 4.0, -1.0),
+    DgpSpec(1.0, 0.0, 1.0, 2.0, 1 - 1e-7),
+    DgpSpec(1.0, 0.0, 1.0, 2.0, -1 + 1e-12),
+]
+
+
+@pytest.mark.parametrize("dgp", [SUBGROUPS[sg] for sg in range(1, 8)] + NORMAL_EDGE_SPECS)
+def test_exact_qote_matches_the_closed_form_on_normal_specs(dgp):
+    for tau in (0.1, 0.25, 0.5, 0.75, 0.9):
+        got = exact_qote.__wrapped__(dgp, tau)
+        assert got == pytest.approx(closed_form_truths(dgp, tau).qote, abs=1e-9)
+
+
+def test_exact_qote_median_of_iid_lognormals_is_zero():
+    assert abs(exact_qote(DgpSpec(0.5, 0.5, 2.0, 2.0, 0.0, lognormal=True), 0.5)) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "dgp",
+    [
+        SUBGROUPS[8],
+        DgpSpec(1.0, 0.0, 1.0, 2.0, 1.0, lognormal=True),
+        DgpSpec(1.0, 0.0, 1.0, 2.0, -1.0, lognormal=True),
+        # rho = 1 with var1 > var0: Y1 - Y0 turns once, at z0 = 1 - log 2
+        DgpSpec(0.0, 1.0, 4.0, 1.0, 1.0, lognormal=True),
+        DgpSpec(0.0, 1.0, 4.0, 1.0, 1 - 1e-9, lognormal=True),
+        DgpSpec(1.0, 0.0, 100.0, 400.0, 0.5, lognormal=True),
+    ],
+    ids=["subgroup8", "rho+1", "rho-1", "rho+1-turning", "rho-near-1", "large-variance"],
+)
+def test_exact_qote_passes_a_fresh_monte_carlo_cdf_check(dgp):
+    # a CDF check, not a quantile one: it holds where the density is small
+    ndraws = 400_000
+    y1, y0 = joint_draws(dgp, ndraws, seed=2023)
+    delta = y1 - y0
+    for tau in (0.1, 0.25, 0.5, 0.75, 0.9):
+        q = exact_qote.__wrapped__(dgp, tau)
+        assert math.isfinite(q)
+        share = float(np.mean(delta <= q))
+        assert abs(share - tau) <= 4 * math.sqrt(tau * (1 - tau) / ndraws), (tau, q, share)
+
+
+def test_exact_qote_raises_instead_of_returning_a_non_finite_value(monkeypatch):
+    with pytest.raises(ValueError, match="overflow"):
+        exact_qote(DgpSpec(0.0, 0.0, 1e6, 1.0, 0.5, lognormal=True), 0.5)
+    point_mass = DgpSpec(1.0, 0.0, 1.0, 2.0, 1.0, lognormal=True)
+    real = sim.brentq
+    with monkeypatch.context() as m:
+        m.setattr(sim, "brentq", lambda *a, **kw: real(*a, **{**kw, "maxiter": 2}))
+        for dgp in (SUBGROUPS[8], point_mass):
+            with pytest.raises(ValueError, match="did not converge"):
+                exact_qote.__wrapped__(dgp, 0.25)
+    monkeypatch.setattr(sim, "_QUAD_TOL", 1e-300)
+    with pytest.raises(ValueError, match="quadrature error estimate"):
+        exact_qote.__wrapped__(SUBGROUPS[8], 0.25)
+
+
 def test_mc_oracle_agrees_with_independent_draws():
+    # the test oracle, on a spec where the closed form is exact
     d = SUBGROUPS[2]
-    pkg = mc_oracle_qote(d, 0.25, 500_000, seed=0)
-    ora = mc_qote(d.mu1, d.mu0, d.var1, d.var0, d.rho, 0.25, 500_000, seed=123)
     truth = closed_form_truths(d, 0.25).qote
-    assert pkg == pytest.approx(truth, abs=0.02)
-    assert ora == pytest.approx(truth, abs=0.02)
-    with pytest.raises(ValueError, match="ndraws"):
-        mc_oracle_qote(d, 0.25, 10)
+    assert mc_qote(d, 0.25, 500_000, 123) == pytest.approx(truth, abs=0.02)
 
 
 def test_mc_oracle_values_are_pinned():
-    # the lognormal truths of the tables, bit for bit: the joint draws are
-    # built in place in the same float order as y1 - y0 of fresh arrays
+    # the 2M-draw test oracle on subgroup 8, bit for bit
     want = {
         0.1: "-0.053204515335918856",
         0.25: "4.092011836039071",
@@ -105,24 +186,8 @@ def test_mc_oracle_values_are_pinned():
         0.75: "31.39605398321976",
         0.9: "70.39842263488299",
     }
-    got = {tau: repr(mc_oracle_qote(SUBGROUPS[8], tau, ORACLE_DRAWS)) for tau in want}
+    got = {tau: repr(mc_qote(SUBGROUPS[8], tau, 2_000_000, 0)) for tau in want}
     assert got == want
-    with pytest.raises(ValueError, match="tau must lie"):
-        mc_oracle_qote(SUBGROUPS[8], 1.0, 1000)
-
-
-def test_mc_oracle_holds_at_most_four_arrays_of_draws():
-    # the n x 2 normals and the two outcome arrays; the difference reuses
-    # one of them and its quantile is read in place
-    ndraws = 200_000
-    mc_oracle_qote.__wrapped__(SUBGROUPS[8], 0.25, 1000)
-    tracemalloc.start()
-    try:
-        mc_oracle_qote.__wrapped__(SUBGROUPS[8], 0.25, ndraws)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 4.1 * 8 * ndraws
 
 
 def test_draw_sample_reproducible_and_shaped():

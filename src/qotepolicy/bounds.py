@@ -19,9 +19,12 @@ LpSolveError, a RuntimeError naming t, the assumption tag and the grid size,
 if it does not end optimal. Dense envelopes, lazy inversion, Bernstein
 envelopes and the probes of ``sim`` all read one ``_Envelopes`` oracle per
 (curves or linear form, tag, t grid), which holds one session, finds each
-(side, t) at most once and inverts by one bisection. Every SI and PQD run
-starts from the basis of the independence copula, a vertex of both
-programs, so no value depends on the order of the solves.
+(side, t) at most once and inverts by one search per side. Given envelopes
+are searched by bisection. A program's side is searched only where its
+closed-form brackets leave the answer open, by interpolation on the values
+found so far, safeguarded by bisection. Every SI and PQD run starts from the
+basis of the independence copula, a vertex of both programs, so no value
+depends on the order of the solves.
 An envelope reaches tau when its value is at least tau - 1e-12, so dense and
 lazy inversion agree where an envelope is flat at tau up to rounding. SI and
 PQD envelopes of two grids have closed-form brackets from the staircase and
@@ -43,6 +46,7 @@ replications on the same routine.
 from __future__ import annotations
 
 import functools
+import math
 import os
 import queue
 import threading
@@ -161,6 +165,18 @@ def _raise_first(found: list) -> list:
         if isinstance(result, Exception):
             raise result
     return found
+
+
+def _first_true(reached: list, hi: int) -> int:
+    """Smallest index in [0, hi] at which ``reached`` holds, given that hi's does, by bisection."""
+    lo = 0
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if reached[mid]:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 def _checked_t_grid(t_grid) -> np.ndarray:
@@ -667,7 +683,10 @@ class _Envelopes:
     and solves it otherwise, so it decides as the LP would. ``decided``
     counts both: each value so kept, once, and each probe so settled; with
     ``solves`` it accounts for every value that did not come from the
-    zero-cost shortcut of ``bound``. Oracles without brackets never meet.
+    zero-cost shortcut of ``bound``. ``first_reaching`` makes no probe that
+    the brackets settle, so the settled probes are those made outside a
+    search: the one at the last t that starts each side of ``invert``, and
+    those of ``sim``. Oracles without brackets never meet.
     Each side keeps its own memo and counts, and the four counts add them,
     min then max, so the two sides of ``invert`` never write the same state.
     """
@@ -685,6 +704,7 @@ class _Envelopes:
         if sides is None:
             sides = np.full((2, self.t_grid.size), np.nan)
         self._values = dict(zip(_SENSES, sides))
+        self.given: Optional[DeltaCdfBounds] = None
         self._counts = {
             side: dict.fromkeys(("solves", "fallbacks", "iterations", "decided"), 0)
             for side in _SENSES
@@ -701,8 +721,10 @@ class _Envelopes:
 
     @classmethod
     def of_bounds(cls, b: DeltaCdfBounds) -> "_Envelopes":
-        """The oracle of envelopes that are already built: nothing is solved."""
-        return cls(b.t_grid, sides=(b.lower, b.upper))
+        """The oracle of envelopes that are already built, kept as ``given``: nothing is solved."""
+        env = cls(b.t_grid, sides=(b.lower, b.upper))
+        env.given = b
+        return env
 
     @classmethod
     def of_values(cls, v1, v0, tag: str, t_grid=None) -> "_Envelopes":
@@ -832,24 +854,73 @@ class _Envelopes:
     ) -> int:
         """Smallest index in [0, hi] at which the side reaches tau, given that hi does.
 
-        Bisection probes mid = (lo + hi) // 2 with lo inclusive, so only the
-        indices it visits are solved.
+        One scan of the brackets, by the margins of ``reaches``, narrows
+        [0, hi] to the window [lo, hi] they leave open: every ceiling below lo
+        falls short of tau, and hi becomes the first index whose floor
+        reaches it. No probe outside the window is made. Inside it, each probe
+        is one ``reaches`` at the first index at or past the point where the
+        line between the heights of the two ends of the open window crosses
+        tau. A height is the side's value where it has one, the midpoint of
+        its brackets elsewhere, and 0 before the grid. The probe bisects
+        instead, (lo + hi) // 2 over the open window, after the same end has
+        moved twice running, once ceil(log2(hi - lo + 1)) probes are made, or
+        where the end heights do not rise (no brackets). So a search makes
+        at most 2 ceil(log2(hi - lo + 1)) probes, and wherever reaching tau
+        is monotone in the index it returns what a bisection of [0, hi] does.
         """
-        lo = 0
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.reaches(side, mid, tau, session):
-                hi = mid
+        floor, ceiling = self._brackets[side]
+        values = self._values[side]
+        hi = int(hi)
+        level = tau - _TAU_TOL
+        reach = np.flatnonzero(floor[:hi] >= level + _CERT_TOL)
+        if reach.size:
+            hi = int(reach[0])
+        short = np.flatnonzero(ceiling[:hi] < level - _CERT_TOL)
+        lo = int(short[-1]) + 1 if short.size else 0
+
+        def height(idx):
+            if idx < 0:
+                return 0.0
+            value = values[idx]
+            return (floor[idx] + ceiling[idx]) / 2 if math.isnan(value) else value
+
+        # short_end falls short of tau, reach_end reaches it
+        short_end, short_at, reach_end, reach_at = lo - 1, height(lo - 1), hi, height(hi)
+        guesses = (hi - lo).bit_length()
+        moved, run = None, 0
+        while reach_end - short_end > 1:
+            if run < 2 and guesses > 0 and reach_at > short_at:
+                ratio = min(max((tau - short_at) / (reach_at - short_at), 0.0), 1.0)
+                idx = short_end + math.ceil(ratio * (reach_end - short_end))
+                idx = min(max(idx, short_end + 1), reach_end - 1)
             else:
-                lo = mid + 1
-        return lo
+                idx = (short_end + 1 + reach_end) // 2
+            guesses -= 1
+            reached = self.reaches(side, idx, tau, session)
+            if reached:
+                reach_end, reach_at = idx, height(idx)
+            else:
+                short_end, short_at = idx, height(idx)
+            run = run + 1 if reached == moved else 1
+            moved = reached
+        return reach_end
 
     def _inverse(self, side: str, tau: float, session: Optional[LpSession] = None):
-        """(min{t : side reaches tau}, truncated), truncated if tau is off the side's range."""
+        """(min{t : side reaches tau}, truncated), truncated if tau is off the side's range.
+
+        Given envelopes bisect one list of which indices reach tau, so each
+        probe is a list lookup.
+        """
         last = self.t_grid.size - 1
-        if not self.reaches(side, last, tau, session):
+        if self.prog is None:
+            reached = (self._values[side] >= tau - _TAU_TOL).tolist()
+            idx = _first_true(reached, last) if reached[last] else None
+        elif self.reaches(side, last, tau, session):
+            idx = self.first_reaching(side, tau, last, session)
+        else:
+            idx = None
+        if idx is None:
             return float(self.t_grid[last]), True
-        idx = self.first_reaching(side, tau, last, session)
         return float(self.t_grid[idx]), bool(idx == 0 and tau < self.mass(side, 0, session))
 
     def invert(self, tau: float) -> QoteBounds:
@@ -887,6 +958,8 @@ def coupling_lp_bounds(
     the unrestricted case uses the exact closed form.
     """
     env = _Envelopes.of_curves(q1, q0, assumptions, k, t_grid)
+    if env.given is not None:
+        return env.given
     return _assemble_envelopes(env.t_grid, *env.dense())
 
 
@@ -911,8 +984,9 @@ def qote_coupling_bounds(
     """Quantile bounds by inverting the coupling-LP envelopes.
 
     Identical to ``invert_bounds(coupling_lp_bounds(...), tau)`` but solves
-    only the t values a bisection visits, which matters for the shape
-    constrained programs.
+    only the t values the search of each side probes where the closed-form
+    brackets leave the answer open, which matters for the shape constrained
+    programs.
     """
     return _Envelopes.of_curves(q1, q0, assumptions, k, t_grid).invert(tau)
 
@@ -1080,6 +1154,6 @@ def functional_bounds(
 def delta_bounds_to_csv(b: DeltaCdfBounds) -> str:
     """Serialize CDF envelopes as ``t,lower,upper`` CSV text."""
     lines = ["t,lower,upper"]
-    for t, lo, up in zip(b.t_grid, b.lower, b.upper):
+    for t, lo, up in zip(b.t_grid.tolist(), b.lower.tolist(), b.upper.tolist()):
         lines.append(f"{t:.10g},{lo:.10g},{up:.10g}")
     return "\n".join(lines) + "\n"

@@ -33,10 +33,10 @@ from .bounds import (
     DeltaCdfBounds,
     LpSolveError,
     QoteBounds,
+    _Envelopes,
     coupling_lp_bounds,
     default_t_grid,
     delta_bounds_to_csv,
-    invert_bounds,
     rank_invariance_qote,
 )
 from .marginals import QuantileCurve, Sample, make_y_grid, read_sample_csv, u_grid
@@ -180,7 +180,11 @@ class _Cell(NamedTuple):
     weight: float
     q1: QuantileCurve
     q0: QuantileCurve
-    envelope: Optional[DeltaCdfBounds]  # None under Symmetry
+    envelopes: Optional[_Envelopes]  # the oracle of the built envelopes; None under Symmetry
+
+    @property
+    def envelope(self) -> Optional[DeltaCdfBounds]:
+        return self.envelopes and self.envelopes.given
 
     def bounds(self, tag: str, tau: float) -> QoteBounds:
         if tag == "RankInvariance":
@@ -189,7 +193,7 @@ class _Cell(NamedTuple):
             # symmetric effects put the median at the mean difference
             point = float(np.mean(self.q1.values) - np.mean(self.q0.values))
         else:
-            return invert_bounds(self.envelope, tau)
+            return self.envelopes.invert(tau)
         return QoteBounds(lower=point, upper=point)
 
 
@@ -211,6 +215,7 @@ def _build_cells(args, tag: str) -> List[_Cell]:
                 env = DeltaCdfBounds(t_grid=grid, lower=cdf, upper=cdf)
             else:
                 env = coupling_lp_bounds(q1, q0, AssumptionSet(tag), t_grid=grid, k=k)
+            env = _Envelopes.of_bounds(env)
         cells.append(_Cell(x, w, q1, q0, env))
     return cells
 

@@ -666,13 +666,15 @@ def test_lp_counts_do_not_rise(monkeypatch):
         # 80 each while every dense value took an LP
         assert solved(lambda: coupling_lp_bounds(q1, q0, si, t_grid=grid)) == (55, 0)
         assert solved(lambda: coupling_lp_bounds(q1, q0, pqd, t_grid=grid)) == (55, 0)
-        assert solved(lambda: qote_coupling_bounds(q1, q0, 0.25, si, t_grid=grid)) == (7, 0)
-        assert solved(lambda: qote_coupling_bounds(q1, q0, 0.25, pqd, t_grid=grid)) == (8, 0)
-        # probes the closed-form brackets settle, beside the LPs solved
-        for tag, lps in ((si, 7), (pqd, 8)):
+        # 7 and 8 while each side bisected all of [0, 40]
+        assert solved(lambda: qote_coupling_bounds(q1, q0, 0.25, si, t_grid=grid)) == (4, 0)
+        assert solved(lambda: qote_coupling_bounds(q1, q0, 0.25, pqd, t_grid=grid)) == (4, 0)
+        # probes the closed-form brackets settle, beside the LPs solved: only
+        # the one at the last t of each side, as a search probes none of them
+        for tag in (si, pqd):
             env = _Envelopes.of_curves(q1, q0, tag, t_grid=grid)
             env.invert(0.25)
-            assert (env.solves, env.fallbacks, env.decided) == (lps, 0, 6)
+            assert (env.solves, env.fallbacks, env.decided) == (4, 0, 2)
         sim._collected_actions.cache_clear()
         per_subgroup = []
         for s in range(3, 8):
@@ -681,7 +683,7 @@ def test_lp_counts_do_not_rise(monkeypatch):
                 solved(lambda: classification_experiment(SUBGROUPS[s], 0.25, 200, 8, seed=3, k=12))
                 + (sum(env.decided for env in made),)
             )
-        assert per_subgroup == [(33, 0, 15), (39, 0, 19), (42, 0, 15), (51, 0, 22), (46, 0, 28)]
+        assert per_subgroup == [(21, 0, 12), (27, 0, 15), (39, 0, 9), (41, 0, 16), (38, 0, 22)]
         # a dense pass leaves nothing for the inversion to solve or to decide;
         # its LPs and the values where the brackets meet make up all 82 values
         env = _Envelopes.of_curves(q1, q0, si, t_grid=grid)
@@ -690,11 +692,12 @@ def test_lp_counts_do_not_rise(monkeypatch):
         assert solved(lambda: (env.invert(0.25), env.invert(0.5))) == (0, 0)
         assert env.decided == 27
         # simplex iterations of one lazy SI interval at k = 50 on the default
-        # grid (5,492 when each solve started from the basis the last one left)
+        # grid (5,492 when each solve started from the basis the last one
+        # left, 1,194 in 10 solves while each side bisected the whole grid)
         q1, q0 = population_curves(SUBGROUPS[2], 50)
         env = _Envelopes.of_curves(q1, q0, si)
-        assert solved(lambda: env.invert(0.25)) == (10, 0)
-        assert (env.solves, env.fallbacks, env.iterations) == (10, 0, 1194)
+        assert solved(lambda: env.invert(0.25)) == (7, 0)
+        assert (env.solves, env.fallbacks, env.iterations) == (7, 0, 767)
 
 
 @pytest.mark.parametrize(
@@ -748,6 +751,79 @@ def test_lazy_bounds_and_counts_do_not_depend_on_the_worker_count(monkeypatch, t
             found.append((got, [getattr(env, c) for c in counters]))
         assert found[1] == found[0]
         assert found[0][1][0] > 0
+
+
+@pytest.mark.parametrize("tag", ["SI", "PQD"])
+@pytest.mark.parametrize("k", [8, 12, 20])
+def test_guided_search_finds_the_first_index_the_dense_values_reach(monkeypatch, tag, k):
+    # multiples of 1/k leave envelopes flat at tau; each search also starts
+    # from an hi short of the last index, so the window ends inside the grid
+    rng = np.random.default_rng(200 + k)
+    v1 = np.sort(rng.normal(0.3, 1.4, size=k))
+    v0 = np.sort(rng.normal(0.0, 0.8, size=k))
+    grid = default_t_grid(v1, v0, 41)
+    dense = dict(zip(("min", "max"), _Envelopes.of_values(v1, v0, tag, grid).dense()))
+    taus = np.concatenate([np.arange(1, k) / k, rng.uniform(0.02, 0.98, size=4)])
+    for workers in (1, 2):
+        _workers(monkeypatch, workers)
+        for tau in taus:
+            first = {}
+            for side in ("min", "max"):
+                reached = np.flatnonzero(dense[side] >= tau - bounds._TAU_TOL)
+                first[side] = reached[0] if reached.size else None
+                if reached.size:
+                    env = _Envelopes.of_values(v1, v0, tag, grid)
+                    hi = int(rng.choice(reached))
+                    assert env.first_reaching(side, tau, hi) == reached[0], (side, tau, hi)
+            got = _Envelopes.of_values(v1, v0, tag, grid).invert(tau)
+            for side, end in (("min", got.upper), ("max", got.lower)):
+                idx = grid.size - 1 if first[side] is None else first[side]
+                assert end == grid[idx], (workers, side, tau)
+
+
+class _TableProgram:
+    """A stand-in program: the value at t = n is values[n], one counted run each."""
+
+    def __init__(self, values):
+        self.values, self.runs = values, 0
+
+    def session(self):
+        return None
+
+    def bound(self, coefs, const, sense, t, session):
+        self.runs += 1
+        return float(self.values[int(t)]), (LpSolution(status="optimal"),)
+
+
+@pytest.mark.parametrize("shape", ["step", "convex", "concave", "staircase"])
+def test_guided_search_probes_stay_within_the_safeguard_bound(shape):
+    # brackets 0 and 1 everywhere leave the whole grid open, so every height
+    # the search has not probed is 1/2; on a step or a sharply bent curve the
+    # line between the ends crosses tau far from the first index that reaches it
+    n = 201
+    x = np.arange(n) / (n - 1)
+    rng = np.random.default_rng(5)
+    curves = {
+        "step": lambda at: (np.arange(n) >= at).astype(float),
+        "convex": lambda at: x ** (1 + at),
+        "concave": lambda at: 1 - (1 - x) ** (1 + at),
+        "staircase": lambda at: np.cumsum(rng.random(n) < 0.03 + at / 400) / max(1, at),
+    }
+    brackets = dict.fromkeys(("min", "max"), (np.zeros(n), np.ones(n)))
+    cap = 2 * int(np.ceil(np.log2(n)))
+    for at in (1, 7, 30, 100, 180, 199):
+        values = np.minimum(curves[shape](at), 1.0)
+        for tau in (1e-6, 0.01, 0.3, 0.5, 0.97, 1 - 1e-6):
+            reached = np.flatnonzero(values >= tau - bounds._TAU_TOL)
+            if not reached.size:
+                continue
+            prog = _TableProgram(values)
+            env = _Envelopes(
+                np.arange(float(n)), prog, lambda t: (None, 0.0), brackets=lambda t: brackets
+            )
+            assert env.first_reaching("min", tau, n - 1) == reached[0], (at, tau)
+            assert prog.runs <= cap, (at, tau, prog.runs)
+            assert (env.solves, env.decided) == (prog.runs, 0)
 
 
 def test_lps_that_fail_on_both_sides_of_a_lazy_inversion_raise_the_min_sides(monkeypatch):

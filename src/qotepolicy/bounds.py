@@ -41,6 +41,9 @@ error are kept in the order a serial pass would: HiGHS runs outside the
 interpreter lock, and since every run starts from the same basis, no value
 depends on the session or the thread that found it. ``sim`` runs its
 replications on the same routine.
+Importing the module loads no scipy: scipy.sparse and the HiGHS bindings
+load where the first copula program is built, on the calling thread, so no
+worker of ``_on_workers`` imports a module.
 """
 
 from __future__ import annotations
@@ -55,9 +58,8 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-import scipy.sparse as sp
 
-from .lpcore import LinearProgram, LpSession, LpSolution, solve_lp
+from .lpcore import LinearProgram, LpSession, LpSolution, _bindings, solve_lp
 from .marginals import QuantileCurve, u_grid
 
 __all__ = [
@@ -445,6 +447,8 @@ def makarov_bounds(q1: QuantileCurve, q0: QuantileCurve, tau: float) -> QoteBoun
 
 def _difference_operators(m: int):
     """(D, L, E) on x[0..m]: rows x[r+1] - x[r], x[r] - 2 x[r+1] + x[r+2], x[r+1]."""
+    import scipy.sparse as sp  # here, so that importing the package skips scipy.sparse
+
     return (
         sp.diags([-1.0, 1.0], [0, 1], shape=(m, m + 1)),
         sp.diags([1.0, -2.0, 1.0], [0, 1, 2], shape=(m - 1, m + 1)),
@@ -506,8 +510,13 @@ class _CopulaProgram:
     """
 
     def __init__(self, m1: int, m2: int, tag: str):
+        import scipy.sparse as sp  # here, so that importing the package skips scipy.sparse
+
         if tag not in ("none", "SI", "PQD"):
             raise ValueError("copula program tag must be none, SI or PQD")
+        # the HiGHS bindings load on this thread too, before any worker of
+        # ``_on_workers`` builds a session of the program
+        _bindings()
         self.m1, self.m2, self.tag = m1, m2, tag
         self.k = m1 if m1 == m2 else (m1, m2)
         n2 = m2 - 1
@@ -1109,6 +1118,8 @@ def functional_bounds(
     Charnes-Cooper change of variables. An auxiliary LP first verifies the
     conditioning event has positive mass under every feasible coupling.
     """
+    import scipy.sparse as sp  # here, so that importing the package skips scipy.sparse
+
     tag = _program_tag(assumptions)
     v1, v0, k = _curves_on_common_grid(q1, q0, k)
     delta = v1[:, None] - v0[None, :]

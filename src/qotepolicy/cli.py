@@ -142,17 +142,17 @@ def _cells_from_sample(sample: Sample) -> List[Tuple[Tuple[float, ...], float, S
             f"{uniq.shape[0]} distinct covariate rows exceed the {MAX_CELLS}-cell "
             "limit; bin the covariates first",
         )
-    cells = []
-    for idx in range(uniq.shape[0]):
-        mask = inverse == idx
-        cells.append(
-            (
-                tuple(float(v) for v in uniq[idx]),
-                float(np.mean(mask)),
-                Sample(y=sample.y[mask], d=sample.d[mask], x=rows[mask]),
-            )
+    # one stable sort puts each cell's rows together, in input order
+    counts = np.bincount(inverse, minlength=uniq.shape[0])
+    parts = np.split(np.argsort(inverse, kind="stable"), np.cumsum(counts)[:-1])
+    return [
+        (
+            tuple(float(v) for v in uniq[idx]),
+            float(counts[idx] / inverse.size),
+            Sample(y=sample.y[part], d=sample.d[part], x=rows[part]),
         )
-    return cells
+        for idx, part in enumerate(parts)
+    ]
 
 
 def _load_cells(args) -> List[Tuple[Tuple[float, ...], float, Sample]]:

@@ -10,42 +10,36 @@ once and run once per cost change, each time from the same given start
 basis or from no basis. A run reports how it ended and is never solved
 again. Constraint matrices may be dense arrays or scipy.sparse matrices;
 sparse ones stay sparse.
+
+Importing the module loads neither scipy.sparse nor the bindings, so the
+package's LP-free paths run without them. scipy.sparse loads where a
+``LinearProgram`` is built, and the bindings where they are first used,
+through the cached loader ``_bindings``; without them that first use raises
+an ImportError naming scipy>=1.15.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
-
-try:
-    import scipy.optimize._highspy._core as _highs
-except ImportError as exc:
-    raise ImportError(
-        "qotepolicy needs scipy>=1.15, whose HiGHS bindings "
-        "scipy.optimize._highspy._core solve every linear program"
-    ) from exc
 
 __all__ = ["LinearProgram", "LpSession", "LpSolution", "solve_lp"]
 
-# HiGHS model statuses; anything else (iteration limit, numerical trouble)
-# is reported as "failed"
-_STATUS = {
-    _highs.HighsModelStatus.kOptimal: "optimal",
-    _highs.HighsModelStatus.kInfeasible: "infeasible",
-    _highs.HighsModelStatus.kUnbounded: "unbounded",
-}
-_SENSE = {"minimize": _highs.ObjSense.kMinimize, "maximize": _highs.ObjSense.kMaximize}
 
-
-def _matrix(a, n: int, name: str):
-    if not sp.issparse(a):
-        a = np.atleast_2d(np.asarray(a, dtype=float))
-    if a.shape[1] != n:
-        raise ValueError(f"{name} has wrong number of columns")
-    return a
+@functools.cache
+def _bindings():
+    """scipy's HiGHS bindings, imported on the first call."""
+    try:
+        import scipy.optimize._highspy._core as core
+    except ImportError as exc:
+        raise ImportError(
+            "qotepolicy needs scipy>=1.15, whose HiGHS bindings "
+            "scipy.optimize._highspy._core solve every linear program"
+        ) from exc
+    return core
 
 
 @dataclass
@@ -66,6 +60,8 @@ class LinearProgram:
     upper: Optional[np.ndarray] = None
 
     def __post_init__(self):
+        import scipy.sparse as sp  # here, so that importing the package skips scipy.sparse
+
         self.c = np.asarray(self.c, dtype=float)
         if self.sense not in ("minimize", "maximize"):
             raise ValueError("sense must be minimize or maximize")
@@ -76,7 +72,10 @@ class LinearProgram:
                 raise ValueError(f"{aname} and {bname} must be given together")
             if a is None:
                 continue
-            a = _matrix(a, n, aname)
+            if not sp.issparse(a):
+                a = np.atleast_2d(np.asarray(a, dtype=float))
+            if a.shape[1] != n:
+                raise ValueError(f"{aname} has wrong number of columns")
             b = np.asarray(b, dtype=float).ravel()
             if b.size != a.shape[0]:
                 raise ValueError(f"{bname} has wrong length")
@@ -115,6 +114,9 @@ class LpSolution:
 
 def _model(p: LinearProgram):
     """A HiGHS model of p: its A_le rows, then its A_eq rows as row_lower == row_upper."""
+    import scipy.sparse as sp  # here, so that importing the package skips scipy.sparse
+
+    core = _bindings()
     n = p.c.size
     rows = [(np.zeros((0, n)), np.zeros(0), np.zeros(0))]  # so a program without rows stacks
     if p.A_le is not None:
@@ -122,26 +124,33 @@ def _model(p: LinearProgram):
     if p.A_eq is not None:
         rows.append((p.A_eq, p.b_eq, p.b_eq))
     a = sp.vstack([sp.csc_matrix(r[0]) for r in rows], format="csc")
-    lp = _highs.HighsLp()
+    lp = core.HighsLp()
     lp.num_col_, lp.num_row_ = n, a.shape[0]
     lp.col_cost_ = p.c
     lp.col_lower_, lp.col_upper_ = p.lower, p.upper
     lp.row_lower_ = np.concatenate([r[1] for r in rows])
     lp.row_upper_ = np.concatenate([r[2] for r in rows])
     m = lp.a_matrix_
-    m.format_ = _highs.MatrixFormat.kColwise
+    m.format_ = core.MatrixFormat.kColwise
     m.num_col_, m.num_row_ = n, a.shape[0]
     m.start_, m.index_, m.value_ = a.indptr, a.indices, a.data
-    highs = _highs._Highs()
+    highs = core._Highs()
     highs.setOptionValue("output_flag", False)
-    if highs.passModel(lp) == _highs.HighsStatus.kError:
+    if highs.passModel(lp) == core.HighsStatus.kError:
         raise ValueError("HiGHS refused the model")
     return highs
 
 
 def _run(highs, c, sense: str, basis) -> LpSolution:
-    """One run of a model for costs c, from ``basis`` or, if None or refused, from none."""
-    highs.changeObjectiveSense(_SENSE[sense])
+    """One run of a model for costs c, from ``basis`` or, if None or refused, from none.
+
+    It ends optimal, infeasible, unbounded, or failed for any other HiGHS
+    model status (iteration limit, numerical trouble).
+    """
+    core = _bindings()
+    highs.changeObjectiveSense(
+        core.ObjSense.kMinimize if sense == "minimize" else core.ObjSense.kMaximize
+    )
     highs.changeColsCost(c.size, np.arange(c.size, dtype=np.int32), c)
     highs.clearSolver()  # nothing an earlier run left carries over
     if basis is not None:
@@ -149,7 +158,12 @@ def _run(highs, c, sense: str, basis) -> LpSolution:
     highs.run()
     status = highs.getModelStatus()
     info = highs.getInfo()
-    end = _STATUS.get(status, "failed")
+    known = core.HighsModelStatus
+    end = {
+        known.kOptimal: "optimal",
+        known.kInfeasible: "infeasible",
+        known.kUnbounded: "unbounded",
+    }.get(status, "failed")
     optimal = end == "optimal"
     return LpSolution(
         status=end,
@@ -191,8 +205,9 @@ class LpSession:
         self._basis = None
         if start_basis is not None:
             col_basic, row_basic = start_basis
-            s = _highs.HighsBasisStatus
-            self._basis = _highs.HighsBasis()
+            core = _bindings()
+            s = core.HighsBasisStatus
+            self._basis = core.HighsBasis()
             self._basis.col_status = [s.kBasic if b else s.kLower for b in col_basic]
             self._basis.row_status = [s.kBasic if b else s.kUpper for b in row_basic]
             self._basis.valid, self._basis.alien = True, False

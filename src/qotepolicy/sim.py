@@ -14,8 +14,11 @@ error in replication order, are those of a serial pass.
 The truths the rules are scored against are exact: closed forms on the normal
 specs, and on the lognormal ones closed-form QTE and ATE transforms with the
 quantile of Y1 - Y0 from ``exact_qote``: one adaptive quadrature over the
-shared standard normal factor z0 per CDF value, and a Brent root find in t.
-No truth comes from Monte Carlo draws.
+shared standard normal factor z0 per CDF value, and a Brent root find in t;
+on a law too narrow for that quadrature, the quantile of its normal
+linearisation, which is as accurate there. No truth comes from Monte Carlo
+draws. scipy's ``quad``, ``brentq`` and ``ndtri`` load in the functions that
+call them, so importing the module loads no scipy.
 """
 
 from __future__ import annotations
@@ -26,9 +29,6 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
-from scipy.special import ndtri
 
 from .bounds import (
     DEFAULT_K,
@@ -167,6 +167,8 @@ def closed_form_truths(dgp: DgpSpec, tau: float) -> TruthSet:
         )
     if not 0 < tau < 1:
         raise ValueError("tau must lie strictly between 0 and 1")
+    from scipy.special import ndtri  # here, so that importing the package skips scipy
+
     s1, s0 = np.sqrt(dgp.var1), np.sqrt(dgp.var0)
     z = float(ndtri(tau))
     sd_delta = float(np.sqrt(dgp.var1 + dgp.var0 - 2 * dgp.rho * s1 * s0))
@@ -184,6 +186,8 @@ def truths_for(dgp: DgpSpec, tau: float) -> TruthSet:
     of Y1 - Y0 from ``exact_qote``'s quadrature."""
     if not dgp.lognormal:
         return closed_form_truths(dgp, tau)
+    from scipy.special import ndtri  # here, so that importing the package skips scipy
+
     s1, s0 = np.sqrt(dgp.var1), np.sqrt(dgp.var0)
     z = float(ndtri(tau))
     return TruthSet(
@@ -206,6 +210,8 @@ def _log_sum(a: float, b: float) -> float:
 
 
 def _checked_brentq(f, lo: float, hi: float, what: str) -> float:
+    from scipy.optimize import brentq  # here, so that importing the package skips scipy
+
     try:
         root, res = brentq(
             f, lo, hi, xtol=1e-12, rtol=1e-13, maxiter=200, full_output=True, disp=False
@@ -238,6 +244,8 @@ def _delta_cdf(dgp: DgpSpec, t: float) -> float:
     where Y1 - Y0 = g(z0), the CDF is the normal measure of
     {z0 : g(z0) <= t}, whose ends are the meeting points.
     """
+    from scipy.integrate import quad  # here, so that importing the package skips scipy
+
     s1, s0 = math.sqrt(dgp.var1), math.sqrt(dgp.var0)
     s0r = s0 * dgp.rho
     sd = s0 * math.sqrt(1 - dgp.rho**2)
@@ -309,6 +317,33 @@ def _delta_cdf(dgp: DgpSpec, t: float) -> float:
     return value
 
 
+def _linearised_qote(dgp: DgpSpec, tau: float) -> Optional[float]:
+    """The tau-quantile of Y1 - Y0 on a lognormal spec whose law is too
+    narrow for the quadrature, or None on one it resolves.
+
+    With sj = sqrt(varj), Yj = e^muj (1 + sj Zj + r(sj Zj)) and
+    r(x) = e^x - 1 - x, so Y1 - Y0 is the normal law e^mu1 - e^mu0 +
+    e^mu1 s1 Z1 - e^mu0 s0 Z0 plus a rest that stays below the sum over the
+    arms of e^muj r(sj _Z_REACH) wherever |Z1|, |Z0| <= _Z_REACH. Where that
+    bound is within _QUAD_TOL max(1, |quantile|), the accuracy
+    ``exact_qote`` promises, the normal law's quantile is returned: there
+    the conditional law of Y0 is a step so narrow against its O(1) terms
+    that rounding swamps the quadrature's integrand.
+    """
+    from scipy.special import ndtri  # here, so that importing the package skips scipy
+
+    def rest(mu, var):  # the bound on one arm's rest
+        x = _Z_REACH * math.sqrt(var)
+        return math.exp(mu) * (math.expm1(x) - x) if x < 1 else math.inf
+
+    a, b = math.exp(dgp.mu1) * math.sqrt(dgp.var1), math.exp(dgp.mu0) * math.sqrt(dgp.var0)
+    sd = math.hypot(a - b, math.sqrt(2 * (1 - dgp.rho) * a) * math.sqrt(b))
+    linear = math.exp(dgp.mu1) - math.exp(dgp.mu0) + float(ndtri(tau)) * sd
+    if rest(dgp.mu1, dgp.var1) + rest(dgp.mu0, dgp.var0) <= _QUAD_TOL * max(1.0, abs(linear)):
+        return linear
+    return None
+
+
 @functools.lru_cache(maxsize=64)
 def exact_qote(dgp: DgpSpec, tau: float) -> float:
     """Exact tau-quantile of Y1 - Y0 under any spec, to about 1e-10 times
@@ -317,13 +352,17 @@ def exact_qote(dgp: DgpSpec, tau: float) -> float:
     Brent's method solves P(Y1 - Y0 <= t) = tau (``_delta_cdf``) on the
     bracket [Q1(e) - Q0(1 - e), Q1(1 - e) - Q0(e)] with e = min(tau, 1 - tau)/4,
     where Qj are the marginal quantiles: each end misses tau by at least 2e
-    in chance, so the bracket always holds the root. Raises ValueError, which
-    names the spec, when the bracket leaves the floating range or a
-    quadrature or root find misses its tolerance, so it never returns NaN or
-    inf; the CLI reports such a spec as an input error (exit 2).
+    in chance, so the bracket always holds the root. A lognormal law too
+    narrow for the quadrature takes the quantile of its normal linearisation
+    instead (``_linearised_qote``), where that is as accurate. Raises
+    ValueError, which names the spec, when the bracket leaves the floating
+    range or a quadrature or root find misses its tolerance, so it never
+    returns NaN or inf; the CLI reports such a spec as an input error (exit 2).
     """
     if not 0 < tau < 1:
         raise ValueError("tau must lie strictly between 0 and 1")
+    from scipy.special import ndtri  # here, so that importing the package skips scipy
+
     z = float(ndtri(min(tau, 1 - tau) / 4))
 
     def tails(mu, var):  # the e- and (1 - e)-quantiles of one arm
@@ -337,6 +376,10 @@ def exact_qote(dgp: DgpSpec, tau: float) -> float:
         lo = hi = math.inf
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"the quantiles of Y1 - Y0 under {dgp} overflow")
+    if dgp.lognormal:
+        linear = _linearised_qote(dgp, tau)
+        if linear is not None:
+            return linear
     # searched on asinh(t): heavy lognormal tails put the ends of the bracket
     # many orders of magnitude beyond the root
     root = _checked_brentq(
@@ -520,6 +563,8 @@ def vote_share_check(dgp: DgpSpec, policy, ndraws: int, seed) -> float:
 
 def population_curves(dgp: DgpSpec, k: int) -> Tuple[QuantileCurve, QuantileCurve]:
     """Exact marginal quantile curves of both arms on the k grid midpoints."""
+    from scipy.special import ndtri  # here, so that importing the package skips scipy
+
     u = u_grid(k)
     z = ndtri(u)
     v1 = dgp.mu1 + np.sqrt(dgp.var1) * z

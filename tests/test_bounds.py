@@ -551,7 +551,7 @@ def test_session_values_do_not_depend_on_solve_order(tag):
 
 @pytest.mark.parametrize("tag", ["SI", "PQD"])
 def test_a_refused_start_basis_solves_from_no_basis(monkeypatch, tag):
-    core = lpcore._highs
+    core = lpcore._bindings()
     refused = []
     monkeypatch.setattr(
         core._Highs, "setBasis", lambda self, *args: refused.append(1) or core.HighsStatus.kError

@@ -15,7 +15,7 @@ import qotepolicy
 from qotepolicy import bounds, cli, lpcore, sim
 from qotepolicy.cli import main
 from qotepolicy.lpcore import LpSolution
-from qotepolicy.marginals import make_y_grid
+from qotepolicy.marginals import Sample, make_y_grid
 from qotepolicy.sim import SUBGROUPS, draw_sample
 
 SAMPLE_TWO_CELLS = """y,d,x1
@@ -94,15 +94,139 @@ def test_a_truth_that_misses_its_tolerance_exits_2(tmp_path, capsys, monkeypatch
     assert not (tmp_path / "out").exists()
 
 
-def test_importing_the_cli_leaves_scipy_stats_out():
-    # scipy.stats is most of the import time; only the Bernstein basis uses it
-    code = "import sys, qotepolicy.cli; print('scipy.stats' in sys.modules)"
+def test_simulate_on_a_near_degenerate_lognormal_spec_runs(tmp_path):
+    path = tmp_path / "dgp.json"
+    path.write_text(json.dumps({**DGP_SPEC, "var1": 1e-14, "var0": 1e-14, "lognormal": True}))
+    args = ("--tau", "0.25", "--n", "40", "--reps", "1", "--k", "4", "--out", tmp_path / "out")
+    assert run("simulate", "--dgp", path, *args) == 0
+
+
+def _in_a_fresh_interpreter(code, *args):
+    """Standard output of ``code`` run with args by a new interpreter on this package.
+
+    pytest's own warning filters load scipy.sparse and scipy.integrate, so
+    what a run loads is seen only in a process of its own.
+    """
     src = str(Path(qotepolicy.__file__).parents[1])
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": src},
+    return subprocess.run(
+        [sys.executable, "-c", code, *map(str, args)], capture_output=True, text=True,
+        check=True, env={**os.environ, "PYTHONPATH": src},
     ).stdout
-    assert out.strip() == "False"
+
+
+_SCIPY_LOADED_BY_EACH_RUN = """
+import json, sys
+import qotepolicy.cli as cli
+
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+out, sample = sys.argv[1:]
+loaded = {"import": scipy_loaded()}
+shared = ("--input", sample, "--tau", "0.5", "--k", "6", "--tgrid", "15")
+none_json = out + "/none/bounds_tau0.5.json"
+for name, argv in [
+    ("bounds none", ("bounds", *shared, "--assumption", "none", "--out", out + "/none")),
+    ("bounds ri", ("bounds", *shared, "--assumption", "ri", "--out", out + "/ri")),
+    ("policy", ("policy", "--input", none_json, "--out", out + "/policy")),
+    ("owl", ("owl", "--input", none_json, "--max-epochs", "50", "--out", out + "/owl")),
+    ("bounds si", ("bounds", *shared, "--assumption", "si", "--out", out + "/si")),
+]:
+    assert cli.main(argv) == 0, name
+    loaded[name] = scipy_loaded()
+print(json.dumps(loaded))
+"""
+
+
+def test_only_the_lp_subcommands_load_scipy(tmp_path):
+    # importing the cli and running the subcommands that solve no LP load no
+    # scipy module; bounds under SI loads the HiGHS bindings
+    sample = tmp_path / "sample.csv"
+    sample.write_text(SAMPLE_TWO_CELLS)
+    loaded = json.loads(_in_a_fresh_interpreter(_SCIPY_LOADED_BY_EACH_RUN, tmp_path, sample))
+    si = loaded.pop("bounds si")
+    assert loaded == dict.fromkeys(("import", "bounds none", "bounds ri", "policy", "owl"), [])
+    assert "scipy.optimize._highspy._core" in si
+
+
+# a dense SI pass, the first LP of the process, then tables on the worker pool
+_DENSE_SI_THEN_TABLES = """
+def dense_si_then_tables(out):
+    import os
+
+    from qotepolicy import bounds, cli
+    from qotepolicy.marginals import make_y_grid
+    from qotepolicy.sim import SUBGROUPS, draw_sample
+
+    sample = draw_sample(SUBGROUPS[2], 200, (1, 0))
+    v1 = make_y_grid(sample.y[sample.d == 1], 10)
+    v0 = make_y_grid(sample.y[sample.d == 0], 10)
+    env = bounds._Envelopes.of_values(v1, v0, "SI", bounds.default_t_grid(v1, v0, 31))
+    lower, upper = env.dense()
+    argv = ["tables", "--subgroups", "1,8", "--tau", "0.25", "--n", "100", "--reps", "4",
+            "--k", "6", "--out", out]
+    assert cli.main(argv) == 0
+    return {
+        "envelopes": [lower.tolist(), upper.tolist()],
+        "counts": [env.solves, env.fallbacks, env.iterations, env.decided],
+        "tables": {name: open(os.path.join(out, name)).read() for name in os.listdir(out)},
+    }
+"""
+
+_FIRST_LP_ON_TWO_WORKERS = """
+import json, sys, threading
+
+first_found = {}
+
+
+class Recorder:
+    # finds nothing: records the name of each module looked for, and its thread
+    def find_spec(self, name, path=None, target=None):
+        first_found.setdefault(name, threading.current_thread().name)
+
+
+sys.meta_path.insert(0, Recorder())
+from qotepolicy import bounds
+
+bounds._usable_cpus = lambda: 2
+""" + _DENSE_SI_THEN_TABLES + """
+got = dense_si_then_tables(sys.argv[1])
+got["scipy_threads"] = {
+    name: thread for name, thread in first_found.items()
+    if name == "scipy" or name.startswith("scipy.")
+}
+got["main"] = threading.main_thread().name
+print(json.dumps(got))
+"""
+
+
+def test_the_first_lp_of_a_process_on_two_workers(tmp_path, monkeypatch):
+    # every scipy module a deferred import loads is first looked for on the
+    # calling thread, and values and counts equal an in-process run's
+    fresh = json.loads(_in_a_fresh_interpreter(_FIRST_LP_ON_TWO_WORKERS, tmp_path / "fresh"))
+    threads = fresh.pop("scipy_threads")
+    assert "scipy.optimize._highspy._core" in threads and "scipy.integrate" in threads
+    assert set(threads.values()) == {fresh.pop("main")}
+    monkeypatch.setattr(bounds, "_usable_cpus", lambda: 2)
+    here = {}
+    exec(_DENSE_SI_THEN_TABLES, here)
+    assert fresh == here["dense_si_then_tables"](str(tmp_path / "here"))
+
+
+def test_cells_split_rows_as_one_boolean_mask_per_cell_does():
+    rng = np.random.default_rng(3)
+    for n, p, levels in ((1, 1, 1), (60, 1, 3), (400, 2, 5), (300, 3, 2)):
+        x = rng.integers(0, levels, (n, p)).astype(float)
+        sample = Sample(y=rng.normal(size=n), d=rng.integers(0, 2, n), x=x)
+        uniq, inverse = np.unique(x, axis=0, return_inverse=True)
+        cells = cli._cells_from_sample(sample)
+        assert len(cells) == uniq.shape[0]
+        for idx, (cell_x, weight, part) in enumerate(cells):
+            mask = inverse == idx
+            assert cell_x == tuple(uniq[idx]) and weight == float(np.mean(mask))
+            assert np.array_equal(part.y, sample.y[mask])
+            assert np.array_equal(part.d, sample.d[mask])
+            assert np.array_equal(part.x, x[mask])
 
 
 def test_dgp_file_with_lognormal_false_runs(tmp_path):

@@ -3,6 +3,7 @@ import threading
 
 import numpy as np
 import pytest
+import scipy.optimize
 from numpy.testing import assert_allclose
 
 from oracles import joint_draws, mc_qote
@@ -159,15 +160,31 @@ def test_exact_qote_raises_instead_of_returning_a_non_finite_value(monkeypatch):
     with pytest.raises(ValueError, match="overflow"):
         exact_qote(DgpSpec(0.0, 0.0, 1e6, 1.0, 0.5, lognormal=True), 0.5)
     point_mass = DgpSpec(1.0, 0.0, 1.0, 2.0, 1.0, lognormal=True)
-    real = sim.brentq
+    real = scipy.optimize.brentq
     with monkeypatch.context() as m:
-        m.setattr(sim, "brentq", lambda *a, **kw: real(*a, **{**kw, "maxiter": 2}))
+        m.setattr(scipy.optimize, "brentq", lambda *a, **kw: real(*a, **{**kw, "maxiter": 2}))
         for dgp in (SUBGROUPS[8], point_mass):
             with pytest.raises(ValueError, match="did not converge"):
                 exact_qote.__wrapped__(dgp, 0.25)
     monkeypatch.setattr(sim, "_QUAD_TOL", 1e-300)
     with pytest.raises(ValueError, match="quadrature error estimate"):
         exact_qote.__wrapped__(SUBGROUPS[8], 0.25)
+
+
+def test_exact_qote_of_a_near_degenerate_lognormal_spec_is_its_linearisation():
+    # log-scale sds 1e-7: Y1 - Y0 = e - 1 + 1e-7 (e Z1 - Z0) up to 1e-13, a
+    # law too narrow for the quadrature; corr(Z1, Z0) = 0.5
+    from scipy.special import ndtri
+
+    e = math.e
+    linear = (e - 1) + 1e-7 * float(ndtri(0.25)) * math.sqrt(e * e - e + 1)
+    got = exact_qote.__wrapped__(DgpSpec(1.0, 0.0, 1e-14, 1e-14, 0.5, lognormal=True), 0.25)
+    assert abs(got - linear) <= 1e-12
+    # sds 1e-6: the quadrature resolves the law and lands within 1e-12 of its
+    # linearisation too
+    linear = (e - 1) + 1e-6 * float(ndtri(0.25)) * math.sqrt(e * e - e + 1)
+    got = exact_qote.__wrapped__(DgpSpec(1.0, 0.0, 1e-12, 1e-12, 0.5, lognormal=True), 0.25)
+    assert got != linear and abs(got - linear) <= 1e-12
 
 
 def test_mc_oracle_agrees_with_independent_draws():

@@ -16,15 +16,18 @@ program without its checked rows (SI's 2-increasing rows), certified against
 them, or else one cold solve of the full program (``lpcore.solve_lp``, a run
 on a fresh HiGHS model built the same way), the only fallback, which raises
 LpSolveError, a RuntimeError naming t, the assumption tag and the grid size,
-if it does not end optimal. Dense envelopes, lazy inversion, Bernstein
-envelopes and the probes of ``sim`` all read one ``_Envelopes`` oracle per
-(curves or linear form, tag, t grid), which holds one session, finds each
-(side, t) at most once and inverts by one search per side. Given envelopes
-are searched by bisection. A program's side is searched only where its
-closed-form brackets leave the answer open, by interpolation on the values
-found so far, safeguarded by bisection. Every SI and PQD run starts from the
-basis of the independence copula, a vertex of both programs, so no value
-depends on the order of the solves.
+if it does not end optimal. SI and PQD dense envelopes, lazy inversion,
+Bernstein envelopes and the probes of ``sim`` all read one ``_Envelopes``
+oracle per (curves or linear form, tag, t grid), which holds one session,
+finds each (side, t) at most once and inverts by one search per side.
+Envelopes already built, the unrestricted closed form and those the CLI
+keeps per cell, are inverted by ``invert_bounds`` in one numpy pass. A
+program's side is searched only where its closed-form brackets leave the
+answer open, by interpolation on the values found so far, safeguarded by
+bisection. The staircase form of P(Delta <= t), like every other linear
+form, is built on the cell masses and folded by ``linear_form``. Every SI
+and PQD run starts from the basis of the independence copula, a vertex of
+both programs, so no value depends on the order of the solves.
 An envelope reaches tau when its value is at least tau - 1e-12, so dense and
 lazy inversion agree where an envelope is flat at tau up to rounding. SI and
 PQD envelopes of two grids have closed-form brackets from the staircase and
@@ -60,7 +63,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .lpcore import LinearProgram, LpSession, LpSolution, _bindings, solve_lp
-from .marginals import QuantileCurve, u_grid
+from .marginals import QuantileCurve, empirical_quantile, u_grid
 
 __all__ = [
     "AssumptionSet",
@@ -167,18 +170,6 @@ def _raise_first(found: list) -> list:
         if isinstance(result, Exception):
             raise result
     return found
-
-
-def _first_true(reached: list, hi: int) -> int:
-    """Smallest index in [0, hi] at which ``reached`` holds, given that hi's does, by bisection."""
-    lo = 0
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if reached[mid]:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
 
 
 def _checked_t_grid(t_grid) -> np.ndarray:
@@ -343,6 +334,13 @@ def default_t_grid(v1: np.ndarray, v0: np.ndarray, points: int = DEFAULT_T_POINT
     if hi - lo < 1e-12:
         lo, hi = lo - 0.5, hi + 0.5
     return np.linspace(lo, hi, points)
+
+
+def _coupling_t_grid(v1, v0, t_grid) -> np.ndarray:
+    """The checked t grid of couplings of two k-atom grids, k >= 2: t_grid, or the default one."""
+    if v1.size < 2:
+        raise ValueError("k must be at least 2")
+    return _checked_t_grid(default_t_grid(v1, v0) if t_grid is None else t_grid)
 
 
 def _assemble_envelopes(t_grid, lower, upper) -> DeltaCdfBounds:
@@ -609,26 +607,13 @@ class _CopulaProgram:
         return const + cold.objective, (run, cold)
 
     def objective(self, v1, v0, t):
-        """Linear form (coefs, const) with const + coefs . S = P(Delta <= t)."""
-        # not ``fold``: its sum order moves const by up to 6.7e-16, and so envelope bytes
-        k, kk = self.m1, self.m1 - 1
+        """Linear form (coefs, const) with const + coefs . S = P(Delta <= t).
+
+        Row i of the coupling has its first b_i cells above t, so the weight
+        of cell (i, j) is 1{j >= b_i}.
+        """
         b = _pairs_above(v1, v0, t)[:, 0]
-        coefs = np.zeros(self.nvar)
-        const = 1.0
-        for i in range(1, k + 1):
-            bi = int(b[i - 1])
-            if bi == 0:
-                continue
-            if bi == k:
-                const -= 1.0 / k
-                continue
-            if i <= kk:
-                coefs[(i - 1) * kk + (bi - 1)] -= 1.0
-            else:
-                const -= bi / k
-            if i >= 2:
-                coefs[(i - 2) * kk + (bi - 1)] += 1.0
-        return coefs, const
+        return self.linear_form(np.arange(self.m2)[None, :] >= b[:, None])
 
     def linear_form(self, weight):
         """Linear form (coefs, const) with const + coefs . S = sum weight * c.
@@ -670,19 +655,20 @@ def _program_tag(assumptions: AssumptionSet) -> str:
 class _Envelopes:
     """min and max of P(Delta <= t) on one t grid, each value found once.
 
-    Side "min" is the lower envelope, "max" the upper one, as found. Both are
-    given arrays (closed form, built envelopes) or are solved on demand:
+    Side "min" is the lower envelope, "max" the upper one, as found, of a
+    copula program (SI, PQD or Bernstein), solved on demand:
     ``mass(side, index)`` is ``prog.bound`` of (coefs, const) = form(t), once
     per index and in the order asked, on one session of ``prog`` that the
-    oracle builds on its first value. ``dense`` finds the values it lacks,
-    and ``invert`` the two sides, on ``_on_workers``: the calling thread on
-    the oracle's session, each helper thread on a session of its own, so a
-    lazy inversion runs on up to two sessions, one per side. Every run starts
-    from the same basis, so a value depends neither on the order in which
-    values are asked for nor on the session that found it. From the runs
-    ``bound`` returns, ``solves`` counts the values that took a session run,
-    ``fallbacks`` the cold solves of the full program, and ``iterations``
-    sums the simplex iterations of both.
+    oracle builds on its first value; envelopes already built, the closed
+    form among them, are inverted by ``invert_bounds``. ``dense`` finds the
+    values it lacks, and ``invert`` the two sides, on ``_on_workers``: the
+    calling thread on the oracle's session, each helper thread on a session
+    of its own, so a lazy inversion runs on up to two sessions, one per
+    side. Every run starts from the same basis, so a value depends neither
+    on the order in which values are asked for nor on the session that found
+    it. From the runs ``bound`` returns, ``solves`` counts the values that
+    took a session run, ``fallbacks`` the cold solves of the full program,
+    and ``iterations`` sums the simplex iterations of both.
 
     SI and PQD oracles of two grids (``of_values``) also hold closed-form
     brackets of each side, from ``_coupling_brackets``, built on first use
@@ -700,20 +686,10 @@ class _Envelopes:
     min then max, so the two sides of ``invert`` never write the same state.
     """
 
-    def __init__(
-        self,
-        t_grid,
-        prog=None,
-        form: Optional[Callable] = None,
-        sides=None,
-        brackets: Optional[Callable] = None,
-    ):
+    def __init__(self, t_grid, prog, form: Callable, brackets: Optional[Callable] = None):
         self.t_grid = _checked_t_grid(t_grid)
         self.prog, self._form, self._bracket_of = prog, form, brackets
-        if sides is None:
-            sides = np.full((2, self.t_grid.size), np.nan)
-        self._values = dict(zip(_SENSES, sides))
-        self.given: Optional[DeltaCdfBounds] = None
+        self._values = dict(zip(_SENSES, np.full((2, self.t_grid.size), np.nan)))
         self._counts = {
             side: dict.fromkeys(("solves", "fallbacks", "iterations", "decided"), 0)
             for side in _SENSES
@@ -729,30 +705,20 @@ class _Envelopes:
     decided = property(lambda self: self._total("decided"))
 
     @classmethod
-    def of_bounds(cls, b: DeltaCdfBounds) -> "_Envelopes":
-        """The oracle of envelopes that are already built, kept as ``given``: nothing is solved."""
-        env = cls(b.t_grid, sides=(b.lower, b.upper))
-        env.given = b
-        return env
-
-    @classmethod
     def of_values(cls, v1, v0, tag: str, t_grid=None) -> "_Envelopes":
-        """Couplings of two k-atom grids, sorted, under a copula-program tag."""
-        k = v1.size
-        if k < 2:
-            raise ValueError("k must be at least 2")
-        if t_grid is None:
-            t_grid = default_t_grid(v1, v0)
-        if tag != "none":
-            prog = _copula_program(k, k, tag)
-            return cls(
-                t_grid,
-                prog,
-                functools.partial(prog.objective, v1, v0),
-                brackets=functools.partial(_coupling_brackets, v1, v0),
-            )
-        t = _checked_t_grid(t_grid)
-        return cls.of_bounds(_assemble_envelopes(t, *_staircase_envelopes(v1, v0, t)))
+        """Couplings of two k-atom grids, sorted, under SI or PQD.
+
+        ``coupling_lp_bounds`` builds the unrestricted envelopes by their
+        closed form.
+        """
+        t = _coupling_t_grid(v1, v0, t_grid)
+        prog = _copula_program(v1.size, v1.size, tag)
+        return cls(
+            t,
+            prog,
+            functools.partial(prog.objective, v1, v0),
+            brackets=functools.partial(_coupling_brackets, v1, v0),
+        )
 
     @classmethod
     def of_curves(cls, q1, q0, assumptions: AssumptionSet, k=None, t_grid=None) -> "_Envelopes":
@@ -915,40 +881,24 @@ class _Envelopes:
         return reach_end
 
     def _inverse(self, side: str, tau: float, session: Optional[LpSession] = None):
-        """(min{t : side reaches tau}, truncated), truncated if tau is off the side's range.
-
-        Given envelopes bisect one list of which indices reach tau, so each
-        probe is a list lookup.
-        """
+        """(min{t : side reaches tau}, truncated), truncated if tau is off the side's range."""
         last = self.t_grid.size - 1
-        if self.prog is None:
-            reached = (self._values[side] >= tau - _TAU_TOL).tolist()
-            idx = _first_true(reached, last) if reached[last] else None
-        elif self.reaches(side, last, tau, session):
-            idx = self.first_reaching(side, tau, last, session)
-        else:
-            idx = None
-        if idx is None:
+        if not self.reaches(side, last, tau, session):
             return float(self.t_grid[last]), True
+        idx = self.first_reaching(side, tau, last, session)
         return float(self.t_grid[idx]), bool(idx == 0 and tau < self.mass(side, 0, session))
 
     def invert(self, tau: float) -> QoteBounds:
         """Quantile bounds: the lower envelope (searched first) gives the upper bound.
 
-        With a program, both sides are searched at once on ``_on_sessions``;
-        each side keeps its own memo and counts, so values and counts are
-        those of a serial pass, and the min side's error is raised before the
-        max side's. Given envelopes start no thread.
+        Both sides are searched at once on ``_on_sessions``; each side keeps
+        its own memo and counts, so values and counts are those of a serial
+        pass, and the min side's error is raised before the max side's.
         """
         if not 0.0 < tau < 1.0:
             raise ValueError("tau must lie in (0, 1)")
-        if self.prog is None:
-            found = [self._inverse(side, tau) for side in _SENSES]
-        else:
-            self._brackets  # read by both sides, so built before they start
-            found = _raise_first(
-                self._on_sessions(_SENSES, functools.partial(self._inverse, tau=tau))
-            )
+        self._brackets  # read by both sides, so built before they start
+        found = _raise_first(self._on_sessions(_SENSES, functools.partial(self._inverse, tau=tau)))
         (upper, trunc_u), (lower, trunc_l) = found
         return QoteBounds(lower, upper, truncated_lower=trunc_l, truncated_upper=trunc_u)
 
@@ -966,20 +916,30 @@ def coupling_lp_bounds(
     up to two LPs per t, none where the closed-form brackets of a side meet;
     the unrestricted case uses the exact closed form.
     """
-    env = _Envelopes.of_curves(q1, q0, assumptions, k, t_grid)
-    if env.given is not None:
-        return env.given
-    return _assemble_envelopes(env.t_grid, *env.dense())
+    if _program_tag(assumptions) != "none":
+        env = _Envelopes.of_curves(q1, q0, assumptions, k, t_grid)
+        return _assemble_envelopes(env.t_grid, *env.dense())
+    v1, v0, _ = _curves_on_common_grid(q1, q0, k)
+    t = _coupling_t_grid(v1, v0, t_grid)
+    return _assemble_envelopes(t, *_staircase_envelopes(v1, v0, t))
 
 
 def invert_bounds(b: DeltaCdfBounds, tau: float) -> QoteBounds:
     """Quantile bounds from CDF envelopes: invert upper for the lower bound.
 
-    Returns grid values min{t : F(t) reaches tau}; when tau falls outside the
-    range an envelope spans on the grid, the corresponding endpoint is
-    returned with a truncated flag.
+    Returns grid values min{t : F(t) reaches tau}, one numpy pass over both
+    envelopes; when tau falls outside the range an envelope spans on the
+    grid, the corresponding endpoint is returned with a truncated flag.
     """
-    return _Envelopes.of_bounds(b).invert(tau)
+    if not 0.0 < tau < 1.0:
+        raise ValueError("tau must lie in (0, 1)")
+    values = np.stack([b.lower, b.upper])
+    reached = values >= tau - _TAU_TOL
+    idx = reached.argmax(axis=1)
+    found = reached[[0, 1], idx]
+    upper, lower = np.where(found, b.t_grid[idx], b.t_grid[-1]).tolist()
+    trunc_u, trunc_l = (~found | ((idx == 0) & (tau < values[:, 0]))).tolist()
+    return QoteBounds(lower, upper, truncated_lower=trunc_l, truncated_upper=trunc_u)
 
 
 def qote_coupling_bounds(
@@ -992,11 +952,13 @@ def qote_coupling_bounds(
 ) -> QoteBounds:
     """Quantile bounds by inverting the coupling-LP envelopes.
 
-    Identical to ``invert_bounds(coupling_lp_bounds(...), tau)`` but solves
-    only the t values the search of each side probes where the closed-form
-    brackets leave the answer open, which matters for the shape constrained
-    programs.
+    Identical to ``invert_bounds(coupling_lp_bounds(...), tau)``, which is
+    what the unrestricted case runs; SI and PQD solve only the t values the
+    search of each side probes where the closed-form brackets leave the
+    answer open.
     """
+    if _program_tag(assumptions) == "none":
+        return invert_bounds(coupling_lp_bounds(q1, q0, assumptions, t_grid, k), tau)
     return _Envelopes.of_curves(q1, q0, assumptions, k, t_grid).invert(tau)
 
 
@@ -1090,13 +1052,9 @@ def bernstein_optimal_coefs(
 
 def rank_invariance_qote(q1: QuantileCurve, q0: QuantileCurve, tau: float) -> float:
     """Quantile of the comonotone-coupling effect: tau-quantile of {q1(u) - q0(u)}."""
-    if not 0.0 < tau < 1.0:
-        raise ValueError("tau must lie in (0, 1)")
     if q1.u_grid.size != q0.u_grid.size:
         raise ValueError("curves share grid resolution")
-    diffs = np.sort(q1.values - q0.values)
-    idx = int(np.ceil(tau * diffs.size)) - 1
-    return float(diffs[max(idx, 0)])
+    return empirical_quantile(q1.values - q0.values, tau)
 
 
 # ---------------------------------------------------------------------------

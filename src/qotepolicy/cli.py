@@ -9,7 +9,8 @@ first file is written. ``policy`` and ``owl`` read a bounds JSON it wrote.
 Exit codes: 0 ok, 2 input error, 3 unsupported assumption, 4 inconsistency
 between provided pieces, 5 learner error (nothing to learn, or training that
 overflowed), 6 a bounds LP that did not solve (the message names its t,
-assumption tag and k). All randomness flows from
+assumption tag and k) or, on a scipy without HiGHS bindings, could not be
+built (the message names the scipy it needs). All randomness flows from
 --seed; outputs are plain CSV and JSON written under --out with canonical
 ordering, so a rerun with the same inputs is byte-identical.
 """
@@ -33,10 +34,10 @@ from .bounds import (
     DeltaCdfBounds,
     LpSolveError,
     QoteBounds,
-    _Envelopes,
     coupling_lp_bounds,
     default_t_grid,
     delta_bounds_to_csv,
+    invert_bounds,
     rank_invariance_qote,
 )
 from .marginals import QuantileCurve, Sample, make_y_grid, read_sample_csv, u_grid
@@ -180,11 +181,7 @@ class _Cell(NamedTuple):
     weight: float
     q1: QuantileCurve
     q0: QuantileCurve
-    envelopes: Optional[_Envelopes]  # the oracle of the built envelopes; None under Symmetry
-
-    @property
-    def envelope(self) -> Optional[DeltaCdfBounds]:
-        return self.envelopes and self.envelopes.given
+    envelope: Optional[DeltaCdfBounds]  # None under Symmetry
 
     def bounds(self, tag: str, tau: float) -> QoteBounds:
         if tag == "RankInvariance":
@@ -193,7 +190,7 @@ class _Cell(NamedTuple):
             # symmetric effects put the median at the mean difference
             point = float(np.mean(self.q1.values) - np.mean(self.q0.values))
         else:
-            return self.envelopes.invert(tau)
+            return invert_bounds(self.envelope, tau)
         return QoteBounds(lower=point, upper=point)
 
 
@@ -215,7 +212,6 @@ def _build_cells(args, tag: str) -> List[_Cell]:
                 env = DeltaCdfBounds(t_grid=grid, lower=cdf, upper=cdf)
             else:
                 env = coupling_lp_bounds(q1, q0, AssumptionSet(tag), t_grid=grid, k=k)
-            env = _Envelopes.of_bounds(env)
         cells.append(_Cell(x, w, q1, q0, env))
     return cells
 
@@ -481,7 +477,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except LpSolveError as exc:
+    except (LpSolveError, ImportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 6
     except ValueError as exc:

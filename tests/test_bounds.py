@@ -1082,6 +1082,14 @@ def test_invert_bounds_hand_case_and_truncation():
         invert_bounds(env, 1.0)
 
 
+def test_invert_bounds_returns_the_first_t_that_reaches_tau():
+    # a valid envelope may dip by up to 1e-9; the first t whose value reaches
+    # tau is t = 1, not the end of the dip (a bisection lands on t = 5)
+    values = [0.0, 0.5, 0.5 - 5e-10, 0.5 - 5e-10, 0.5 - 5e-10, 1.0]
+    b = invert_bounds(DeltaCdfBounds(np.arange(6.0), values, values), 0.5)
+    assert b == QoteBounds(1.0, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # Bernstein relaxation
 

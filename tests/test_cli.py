@@ -737,6 +737,9 @@ GOLDEN_DIGESTS = {
     "policy_pqd": "2c48cf83e5077004b525b917be709cd273b83330ec2d4ad8e82bfbd892f10c9c",
     "policy_none_json": "83ceaecca48597a58f631ceb9938cd1128b71e67591cd914c9520d97d64b56a3",
     "owl_none_json": "da250acf5669b2f8f3c163372b37ebfb2c0334ed4414adc359a6f30de5aae49f",
+    # lazy SI probes through the copula program's staircase form
+    "tables": "7b82b7939a8b4ea3e32855971cccb6096d2707861982540fd85a8ce0e57a4106",
+    "simulate": "0b25126941eea0072610ce1f6b73679691df1c5dc91066e773ede6913edefc55",
 }
 
 
@@ -754,6 +757,10 @@ def test_outputs_match_golden_digests(tmp_path):
              for tau in ("0.25", "0.5")]
     runs.append(("policy_none_json", ("policy", "--input", none_json, "--tau", "0.25")))
     runs.append(("owl_none_json", ("owl", "--input", none_json)))
+    replicated = ("--k", "12", "--n", "200", "--reps", "4", "--seed", "1")
+    runs.append(("tables", ("tables", "--subgroups", "1,5,8", *replicated, "--tau", "0.25,0.5")))
+    runs.append(("simulate", ("simulate", "--dgp", "subgroup7", *replicated, "--tau", "0.25")))
+    sim._collected_actions.cache_clear()  # every replication runs here, none is recalled
     for name, argv in runs:
         assert run(*argv, "--out", tmp_path / name) == 0, name
     assert {name: _dir_digest(tmp_path / name) for name, _ in runs} == GOLDEN_DIGESTS

@@ -207,8 +207,8 @@ def test_session_reports_infeasible_and_unbounded_as_solve_lp_does():
 
 def test_missing_highs_bindings_fail_the_first_lp(tmp_path):
     # a scipy without scipy.optimize._highspy._core: the package imports and
-    # the subcommands that solve no LP run; the first LP raises an ImportError
-    # that names the scipy it needs
+    # the subcommands that solve no LP run; the first LP of ``bounds`` exits 6
+    # and solve_lp raises an ImportError, both naming the scipy it needs
     code = (
         "import sys\n"
         "sys.modules['scipy.optimize._highspy._core'] = None\n"
@@ -218,26 +218,24 @@ def test_missing_highs_bindings_fail_the_first_lp(tmp_path):
         "bounds = ['bounds', '--input', sample, '--tau', '0.5', '--k', '4', '--tgrid', '11']\n"
         "assert main([*bounds, '--assumption', 'none', '--out', out]) == 0\n"
         "assert main(['policy', '--input', out + '/bounds_tau0.5.json', '--out', out]) == 0\n"
-        "for first_lp in (\n"
-        "    lambda: main([*bounds, '--assumption', 'si', '--out', out + '/si']),\n"
-        "    lambda: qotepolicy.solve_lp(qotepolicy.LinearProgram(c=[1.0])),\n"
-        "):\n"
-        "    try:\n"
-        "        first_lp()\n"
-        "    except ImportError as exc:\n"
-        "        print(exc)\n"
-        "    else:\n"
-        "        print('solved')\n"
+        "assert main([*bounds, '--assumption', 'si', '--out', out + '/si']) == 6\n"
+        "try:\n"
+        "    qotepolicy.solve_lp(qotepolicy.LinearProgram(c=[1.0]))\n"
+        "except ImportError as exc:\n"
+        "    print(exc)\n"
+        "else:\n"
+        "    print('solved')\n"
     )
     sample = tmp_path / "sample.csv"
     sample.write_text("y,d,x1\n3,1,0\n4,1,0\n0,0,0\n1,0,0\n0,1,1\n1,1,1\n3,0,1\n4,0,1\n")
     src = str(Path(qotepolicy.__file__).parents[1])
-    out = subprocess.run(
+    run = subprocess.run(
         [sys.executable, "-c", code, str(tmp_path / "out"), str(sample)],
         capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src},
-    ).stdout.splitlines()
-    assert len(out) == 2
-    for line in out:
+    )
+    (raised,), (printed,) = run.stdout.splitlines(), run.stderr.splitlines()
+    assert printed.startswith("error: ")
+    for line in (raised, printed):
         assert "scipy>=1.15" in line and "scipy.optimize._highspy._core" in line
 
 

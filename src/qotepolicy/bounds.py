@@ -18,8 +18,8 @@ on a fresh HiGHS model built the same way), the only fallback, which raises
 LpSolveError, a RuntimeError naming t, the assumption tag and the grid size,
 if it does not end optimal. SI and PQD dense envelopes, lazy inversion,
 Bernstein envelopes and the probes of ``sim`` all read one ``_Envelopes``
-oracle per (curves or linear form, tag, t grid), which holds one session,
-finds each (side, t) at most once and inverts by one search per side.
+oracle per (curves or linear form, tag, t grid), which finds each (side, t)
+at most once and inverts by one search per side.
 Envelopes already built, the unrestricted closed form and those the CLI
 keeps per cell, are inverted by ``invert_bounds`` in one numpy pass. A
 program's side is searched only where its closed-form brackets leave the
@@ -38,11 +38,12 @@ the brackets leave the answer open. ``_on_workers`` runs a list of items on up
 to one worker per usable CPU, the calling thread among them, and hands back
 each item's result or error in item order. A dense pass finds the values the
 brackets leave open on it, and a lazy inversion searches its two sides at
-once on it, so on up to two sessions; each worker runs on a session of its
-own, the calling thread on the oracle's, and values, counts and the first
-error are kept in the order a serial pass would: HiGHS runs outside the
-interpreter lock, and since every run starts from the same basis, no value
-depends on the session or the thread that found it. ``sim`` runs its
+once on it. A HiGHS model must not be shared between threads, so an oracle
+builds a session of its program for each thread, the first time that thread
+solves a value, and nothing passes a session around. Values, counts and the
+first error are kept in the order a serial pass would: HiGHS runs outside
+the interpreter lock, and since every run starts from the same basis, no
+value depends on the session or the thread that found it. ``sim`` runs its
 replications on the same routine.
 Importing the module loads no scipy: scipy.sparse and the HiGHS bindings
 load where the first copula program is built, on the calling thread, so no
@@ -105,25 +106,25 @@ _CERT_TOL = 1e-9
 def _usable_cpus() -> int:
     """The CPUs this process may run on: ``_on_workers`` runs at most one worker on each.
 
-    So a dense pass runs at most one HiGHS session per CPU, a lazy inversion
-    two (one per side) and ``sim`` one replication per CPU.
+    So a dense pass solves on at most one thread per CPU, each on its own
+    HiGHS session, a lazy inversion on two (one per side), and ``sim`` runs
+    one replication per CPU.
     """
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
-def _on_workers(items, worker: Callable[[bool], Callable]) -> list:
-    """What ``worker(caller)(item)`` returns or raises, per item, in item order.
+def _on_workers(items, work: Callable) -> list:
+    """What ``work(item)`` returns or raises, per item, in item order.
 
     min(usable CPUs, items) workers take items from one queue in order: the
-    calling thread and one helper thread per further CPU. A worker calls
-    ``worker`` once, with whether it is the calling thread, on the first item
-    it takes, and applies what that returns to every item it takes, so a
-    helper that takes no item makes nothing. Once an item raises, no worker
-    takes another. Each item taken is finished, so every item before the
-    first that raised has its result, and later ones may hold None. One
-    worker runs every item on the calling thread and starts no thread.
+    calling thread and one helper thread per further CPU. Once an item
+    raises, no worker takes another. Each item taken is finished, so every
+    item before the first that raised has its result, and later ones may hold
+    None. One worker runs every item on the calling thread and starts no
+    thread. ``work`` runs on several threads at once, so whatever it keeps
+    per thread, such as an oracle's HiGHS session, it keeps itself.
     """
     items = list(items)
     found = [None] * len(items)
@@ -134,16 +135,13 @@ def _on_workers(items, worker: Callable[[bool], Callable]) -> list:
         todo.put(item)
     stop = threading.Event()
 
-    def drain(caller):
-        work = None
+    def drain():
         while not stop.is_set():
             try:
                 i, item = todo.get_nowait()
             except queue.Empty:
                 return
             try:
-                if work is None:
-                    work = worker(caller)
                 found[i] = work(item)
             except Exception as exc:  # raised again by the caller, in order
                 found[i] = exc
@@ -151,12 +149,12 @@ def _on_workers(items, worker: Callable[[bool], Callable]) -> list:
 
     helpers = min(_usable_cpus(), len(items)) - 1
     if helpers < 1:
-        drain(True)
+        drain()
         return found
     with ThreadPoolExecutor(helpers) as pool:
-        futures = [pool.submit(drain, False) for _ in range(helpers)]
+        futures = [pool.submit(drain) for _ in range(helpers)]
         try:
-            drain(True)
+            drain()
         finally:
             stop.set()
     for future in futures:
@@ -390,6 +388,11 @@ def _staircase_envelopes(v1, v0, t_grid):
     return f_lower, f_upper
 
 
+def _comonotone_cdf(v1, v0, t_grid):
+    """P(Delta <= t) at every t under the comonotone coupling of two sorted k-atom grids."""
+    return np.searchsorted(np.sort(v1 - v0), t_grid, side="right") / v1.size
+
+
 def _coupling_brackets(v1, v0, t_grid):
     """{side: (floor, ceiling)} of the SI and PQD envelopes at every t.
 
@@ -400,7 +403,7 @@ def _coupling_brackets(v1, v0, t_grid):
     """
     k = v1.size
     none_l, none_u = _staircase_envelopes(v1, v0, t_grid)
-    comonotone = np.count_nonzero((v1 - v0)[:, None] <= t_grid[None, :], axis=0) / k
+    comonotone = _comonotone_cdf(v1, v0, t_grid)
     independent = 1.0 - _pairs_above(v1, v0, t_grid).sum(axis=0) / (k * k)
     return {
         "min": (none_l, np.minimum(comonotone, independent)),
@@ -658,21 +661,20 @@ class _Envelopes:
     Side "min" is the lower envelope, "max" the upper one, as found, of a
     copula program (SI, PQD or Bernstein), solved on demand:
     ``mass(side, index)`` is ``prog.bound`` of (coefs, const) = form(t), once
-    per index and in the order asked, on one session of ``prog`` that the
-    oracle builds on its first value; envelopes already built, the closed
-    form among them, are inverted by ``invert_bounds``. ``dense`` finds the
-    values it lacks, and ``invert`` the two sides, on ``_on_workers``: the
-    calling thread on the oracle's session, each helper thread on a session
-    of its own, so a lazy inversion runs on up to two sessions, one per
-    side. Every run starts from the same basis, so a value depends neither
-    on the order in which values are asked for nor on the session that found
-    it. From the runs ``bound`` returns, ``solves`` counts the values that
-    took a session run, ``fallbacks`` the cold solves of the full program,
-    and ``iterations`` sums the simplex iterations of both.
+    per index and in the order asked, on the calling thread's session of
+    ``prog``, which the oracle builds the first time that thread solves a
+    value: a HiGHS model must not be shared between threads, and a helper
+    thread's session ends with the thread. ``dense`` finds the values it
+    lacks, and ``invert`` the two sides, on ``_on_workers``. Every run starts
+    from the same basis, so a value depends neither on the order in which
+    values are asked for nor on the session that found it. From the runs
+    ``bound`` returns, ``solves`` counts the values that took a session run,
+    ``fallbacks`` the cold solves of the full program, and ``iterations``
+    sums the simplex iterations of both.
 
     SI and PQD oracles of two grids (``of_values``) also hold closed-form
-    brackets of each side, from ``_coupling_brackets``, built on first use
-    per oracle. Where a side's floor and ceiling meet, ``mass`` (and so
+    brackets of each side, from ``_coupling_brackets``; other oracles hold
+    NaN brackets. Where a side's floor and ceiling meet, ``mass`` (and so
     ``dense``) keeps that exact value and solves nothing. ``reaches`` settles
     a probe the memo lacks from them when they clear tau by more than 1e-9
     and solves it otherwise, so it decides as the LP would. ``decided``
@@ -681,14 +683,20 @@ class _Envelopes:
     zero-cost shortcut of ``bound``. ``first_reaching`` makes no probe that
     the brackets settle, so the settled probes are those made outside a
     search: the one at the last t that starts each side of ``invert``, and
-    those of ``sim``. Oracles without brackets never meet.
+    those of ``sim``.
     Each side keeps its own memo and counts, and the four counts add them,
     min then max, so the two sides of ``invert`` never write the same state.
     """
 
-    def __init__(self, t_grid, prog, form: Callable, brackets: Optional[Callable] = None):
+    def __init__(self, t_grid, prog, form: Callable, brackets: Optional[dict] = None):
         self.t_grid = _checked_t_grid(t_grid)
-        self.prog, self._form, self._bracket_of = prog, form, brackets
+        self.prog, self._form = prog, form
+        if brackets is None:
+            # NaN brackets meet nowhere and settle no probe
+            nan = np.full(self.t_grid.size, np.nan)
+            brackets = dict.fromkeys(_SENSES, (nan, nan))
+        self._brackets = brackets
+        self._sessions = threading.local()
         self._values = dict(zip(_SENSES, np.full((2, self.t_grid.size), np.nan)))
         self._counts = {
             side: dict.fromkeys(("solves", "fallbacks", "iterations", "decided"), 0)
@@ -717,7 +725,7 @@ class _Envelopes:
             t,
             prog,
             functools.partial(prog.objective, v1, v0),
-            brackets=functools.partial(_coupling_brackets, v1, v0),
+            brackets=_coupling_brackets(v1, v0, t),
         )
 
     @classmethod
@@ -727,18 +735,19 @@ class _Envelopes:
         v1, v0, _ = _curves_on_common_grid(q1, q0, k)
         return cls.of_values(v1, v0, tag, t_grid)
 
-    @functools.cached_property
+    @property
     def _session(self) -> LpSession:
-        return self.prog.session()
+        """The calling thread's session of ``prog``, built on its first use."""
+        sessions = self._sessions
+        if not hasattr(sessions, "session"):
+            sessions.session = self.prog.session()
+        return sessions.session
 
-    def mass(self, side: str, idx, session: Optional[LpSession] = None) -> float:
-        """The side's value at t_grid[idx], found the first time it is asked for.
-
-        A value to solve runs on ``session``, by default the oracle's own.
-        """
+    def mass(self, side: str, idx) -> float:
+        """The side's value at t_grid[idx], found the first time it is asked for."""
         values = self._values[side]
         if np.isnan(values[idx]) and not self._meets(side, idx):
-            self._keep(side, idx, self._bound(side, idx, session or self._session))
+            self._keep(side, idx, self._bound(side, idx))
         return float(values[idx])
 
     def _meets(self, side: str, idx) -> bool:
@@ -754,10 +763,10 @@ class _Envelopes:
         self._counts[side]["decided"] += 1
         return True
 
-    def _bound(self, side: str, idx, session: LpSession):
-        """``prog.bound`` at t_grid[idx] on session: (value, runs)."""
+    def _bound(self, side: str, idx):
+        """``prog.bound`` at t_grid[idx] on the calling thread's session: (value, runs)."""
         t = float(self.t_grid[idx])
-        return self.prog.bound(*self._form(t), side, t, session)
+        return self.prog.bound(*self._form(t), side, t, self._session)
 
     def _keep(self, side: str, idx, found) -> None:
         """Keep the value of a found (value, runs) and count its runs."""
@@ -768,26 +777,11 @@ class _Envelopes:
         counts["fallbacks"] += len(runs[1:])
         counts["iterations"] += sum(run.iterations for run in runs)
 
-    def _on_sessions(self, items, work) -> list:
-        """``_on_workers`` of work(item, session), one session per worker.
-
-        The calling thread works on the oracle's session, each helper thread
-        on a session of its own, built when it takes its first item; only the
-        calling thread reads the oracle's, which it builds on its first item
-        too.
-        """
-
-        def worker(caller):
-            session = self._session if caller else self.prog.session()
-            return functools.partial(work, session=session)
-
-        return _on_workers(items, worker)
-
     def dense(self):
         """(lower, upper) at every t.
 
         Keeps every missing value where the brackets meet, then finds the
-        rest on ``_on_sessions`` and keeps them as a serial pass would: every
+        rest on ``_on_workers`` and keeps them as a serial pass would: every
         min in index order, then every max, up to the first that raised,
         which is raised.
         """
@@ -797,22 +791,14 @@ class _Envelopes:
             for idx in np.flatnonzero(np.isnan(self._values[side]))
             if not self._meets(side, idx)
         ]
-        found = self._on_sessions(pending, lambda item, session: self._bound(*item, session))
+        found = _on_workers(pending, lambda item: self._bound(*item))
         for (side, idx), result in zip(pending, found):
             if isinstance(result, Exception):
                 raise result
             self._keep(side, idx, result)
         return self._values["min"].copy(), self._values["max"].copy()
 
-    @functools.cached_property
-    def _brackets(self):
-        if self._bracket_of is None:
-            # NaN brackets meet nowhere and settle no probe
-            nan = np.full(self.t_grid.size, np.nan)
-            return dict.fromkeys(_SENSES, (nan, nan))
-        return self._bracket_of(self.t_grid)
-
-    def reaches(self, side: str, idx, tau: float, session: Optional[LpSession] = None) -> bool:
+    def reaches(self, side: str, idx, tau: float) -> bool:
         """Whether the side reaches tau at t_grid[idx], up to LP rounding."""
         if np.isnan(self._values[side][idx]):
             floor, ceiling = self._brackets[side]
@@ -822,11 +808,9 @@ class _Envelopes:
             if ceiling[idx] < tau - _TAU_TOL - _CERT_TOL:
                 self._counts[side]["decided"] += 1
                 return False
-        return self.mass(side, idx, session) >= tau - _TAU_TOL
+        return self.mass(side, idx) >= tau - _TAU_TOL
 
-    def first_reaching(
-        self, side: str, tau: float, hi, session: Optional[LpSession] = None
-    ) -> int:
+    def first_reaching(self, side: str, tau: float, hi) -> int:
         """Smallest index in [0, hi] at which the side reaches tau, given that hi does.
 
         One scan of the brackets, by the margins of ``reaches``, narrows
@@ -871,7 +855,7 @@ class _Envelopes:
             else:
                 idx = (short_end + 1 + reach_end) // 2
             guesses -= 1
-            reached = self.reaches(side, idx, tau, session)
+            reached = self.reaches(side, idx, tau)
             if reached:
                 reach_end, reach_at = idx, height(idx)
             else:
@@ -880,25 +864,24 @@ class _Envelopes:
             moved = reached
         return reach_end
 
-    def _inverse(self, side: str, tau: float, session: Optional[LpSession] = None):
+    def _inverse(self, side: str, tau: float):
         """(min{t : side reaches tau}, truncated), truncated if tau is off the side's range."""
         last = self.t_grid.size - 1
-        if not self.reaches(side, last, tau, session):
+        if not self.reaches(side, last, tau):
             return float(self.t_grid[last]), True
-        idx = self.first_reaching(side, tau, last, session)
-        return float(self.t_grid[idx]), bool(idx == 0 and tau < self.mass(side, 0, session))
+        idx = self.first_reaching(side, tau, last)
+        return float(self.t_grid[idx]), bool(idx == 0 and tau < self.mass(side, 0))
 
     def invert(self, tau: float) -> QoteBounds:
         """Quantile bounds: the lower envelope (searched first) gives the upper bound.
 
-        Both sides are searched at once on ``_on_sessions``; each side keeps
+        Both sides are searched at once on ``_on_workers``; each side keeps
         its own memo and counts, so values and counts are those of a serial
         pass, and the min side's error is raised before the max side's.
         """
         if not 0.0 < tau < 1.0:
             raise ValueError("tau must lie in (0, 1)")
-        self._brackets  # read by both sides, so built before they start
-        found = _raise_first(self._on_sessions(_SENSES, functools.partial(self._inverse, tau=tau)))
+        found = _raise_first(_on_workers(_SENSES, functools.partial(self._inverse, tau=tau)))
         (upper, trunc_u), (lower, trunc_l) = found
         return QoteBounds(lower, upper, truncated_lower=trunc_l, truncated_upper=trunc_u)
 

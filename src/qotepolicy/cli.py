@@ -34,6 +34,7 @@ from .bounds import (
     DeltaCdfBounds,
     LpSolveError,
     QoteBounds,
+    _comonotone_cdf,
     coupling_lp_bounds,
     default_t_grid,
     delta_bounds_to_csv,
@@ -208,7 +209,7 @@ def _build_cells(args, tag: str) -> List[_Cell]:
         if tag != "Symmetry":
             grid = default_t_grid(v1, v0, args.tgrid)
             if tag == "RankInvariance":
-                cdf = np.searchsorted(np.sort(v1 - v0), grid, side="right") / k
+                cdf = _comonotone_cdf(v1, v0, grid)
                 env = DeltaCdfBounds(t_grid=grid, lower=cdf, upper=cdf)
             else:
                 env = coupling_lp_bounds(q1, q0, AssumptionSet(tag), t_grid=grid, k=k)

@@ -198,7 +198,7 @@ def curve_from_cdf(cdf: ConditionalCdf, u) -> QuantileCurve:
 
 
 def read_sample_csv(path_or_buffer) -> Sample:
-    """Read observations from CSV with header ``y,d,x1,...,xp``."""
+    """Read observations from CSV with header ``y,d,x1,...,xp``, each row as wide as the header."""
     if hasattr(path_or_buffer, "read"):
         text = path_or_buffer.read()
     else:
@@ -211,10 +211,13 @@ def read_sample_csv(path_or_buffer) -> Sample:
     header = [c.strip() for c in header]
     if header[:2] != ["y", "d"]:
         raise ValueError("CSV header must start with y,d")
-    rows = [r for r in reader if r and any(c.strip() for c in r)]
+    rows = [(reader.line_num, r) for r in reader if r and any(c.strip() for c in r)]
     if not rows:
         raise ValueError("no observations")
-    data = np.array([[float(c) for c in r] for r in rows])
+    for line, r in rows:
+        if len(r) != len(header):
+            raise ValueError(f"line {line} has {len(r)} fields, the header has {len(header)}")
+    data = np.array([[float(c) for c in r] for _, r in rows])
     y = data[:, 0]
     d = data[:, 1]
     x = data[:, 2:]

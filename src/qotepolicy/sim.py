@@ -486,7 +486,7 @@ def _collected_actions(dgp: DgpSpec, tau: float, n: int, reps: int, seed: int, k
     def actions_of(rep):
         return _rep_actions(dgp, tau, n, k, (seed, rep))
 
-    found = _raise_first(_on_workers(range(reps), lambda caller: actions_of))
+    found = _raise_first(_on_workers(range(reps), actions_of))
     return tuple((est, tuple(acts[est] for acts in found)) for est in ESTIMATORS)
 
 

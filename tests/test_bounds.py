@@ -818,9 +818,7 @@ def test_guided_search_probes_stay_within_the_safeguard_bound(shape):
             if not reached.size:
                 continue
             prog = _TableProgram(values)
-            env = _Envelopes(
-                np.arange(float(n)), prog, lambda t: (None, 0.0), brackets=lambda t: brackets
-            )
+            env = _Envelopes(np.arange(float(n)), prog, lambda t: (None, 0.0), brackets=brackets)
             assert env.first_reaching("min", tau, n - 1) == reached[0], (at, tau)
             assert prog.runs <= cap, (at, tau, prog.runs)
             assert (env.solves, env.decided) == (prog.runs, 0)
@@ -1003,6 +1001,40 @@ def test_more_workers_than_cores_keep_every_value_once(monkeypatch):
     assert np.array_equal(got, want)
     # no item lost or taken twice: one session run per value solved
     assert counts["session"] == env.solves == serial.solves
+
+
+def test_each_session_runs_only_on_the_thread_that_built_it(monkeypatch):
+    built, runs = [], set()
+    lock = threading.Lock()
+    init, solve = lpcore.LpSession.__init__, lpcore.LpSession.solve
+
+    def counted_init(self, *args):
+        init(self, *args)
+        with lock:
+            built.append((id(self), threading.get_ident()))
+
+    def recorded_solve(self, c, sense="minimize"):
+        with lock:
+            runs.add((id(self), threading.get_ident()))
+        return solve(self, c, sense)
+
+    monkeypatch.setattr(lpcore.LpSession, "__init__", counted_init)
+    monkeypatch.setattr(lpcore.LpSession, "solve", recorded_solve)
+    _workers(monkeypatch, 2)
+    q1, q0 = population_curves(SUBGROUPS[2], 12)
+    grid = default_t_grid(q1.values, q0.values, 41)
+    env = _Envelopes.of_curves(q1, q0, AssumptionSet("SI"), t_grid=grid)
+    env.dense()
+    assert 1 <= len(built) <= 2
+    assert len({thread for _, thread in built}) == len(built)
+    # every run is on a session built on the same thread, none on two threads
+    assert runs <= set(built)
+    assert len({session for session, _ in runs}) == len(runs)
+    # the inversions read only values the dense pass kept, so no worker builds a session
+    built.clear()
+    env.invert(0.25)
+    env.invert(0.5)
+    assert built == []
 
 
 @pytest.mark.parametrize("tag", ["NoAssumption", "SI", "PQD"])

@@ -271,6 +271,20 @@ def test_non_finite_covariate_exits_2(tmp_path, capsys, bad):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "text, widths", [("y,d,x1\n3,1\n0,0\n", "2 fields, the header has 3"),
+                     ("y,d\n3,1,0\n0,0,0\n", "3 fields, the header has 2")]
+)
+def test_rows_whose_width_differs_from_the_header_exit_2(tmp_path, capsys, text, widths):
+    src = tmp_path / "sample.csv"
+    src.write_text(text)
+    out = tmp_path / "out"
+    assert run("bounds", "--input", src, "--assumption", "none", "--k", "2", "--out", out) == 2
+    err = capsys.readouterr().err
+    assert "bad input CSV" in err and f"line 2 has {widths}" in err
+    assert not out.exists()
+
+
 def test_symmetry_needs_the_median(tmp_path):
     code = run(
         "bounds", "--dgp", "subgroup1", "--assumption", "sy",

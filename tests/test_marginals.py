@@ -197,6 +197,11 @@ def test_read_sample_csv_errors():
         read_sample_csv(io.StringIO("y,d\n"))
     with pytest.raises(ValueError, match="0 or 1"):
         read_sample_csv(io.StringIO("y,d\n1.0,3\n"))
+    # rows that agree with each other but not with the header
+    with pytest.raises(ValueError, match="line 2 has 2 fields, the header has 3"):
+        read_sample_csv(io.StringIO("y,d,x1\n1.0,1\n2.0,0\n"))
+    with pytest.raises(ValueError, match="line 2 has 3 fields, the header has 2"):
+        read_sample_csv(io.StringIO("y,d\n1.0,1,0\n2.0,0,0\n"))
 
 
 def test_curve_to_csv_format():

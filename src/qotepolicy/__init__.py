@@ -5,15 +5,12 @@ replication harness, behind one batch CLI."""
 
 from .bounds import (
     AssumptionSet,
-    BernsteinCoefs,
-    Coupling,
     CVaR,
     DeltaCdfBounds,
     DisadvantagedGain,
     LpSolveError,
     QoteBounds,
     bernstein_lp_bounds,
-    bernstein_optimal_coefs,
     coupling_lp_bounds,
     default_t_grid,
     functional_bounds,

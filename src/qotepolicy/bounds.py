@@ -68,10 +68,8 @@ from .marginals import QuantileCurve, empirical_quantile, u_grid
 
 __all__ = [
     "AssumptionSet",
-    "Coupling",
     "DeltaCdfBounds",
     "QoteBounds",
-    "BernsteinCoefs",
     "Interval",
     "LpSolveError",
     "CVaR",
@@ -79,7 +77,6 @@ __all__ = [
     "makarov_bounds",
     "coupling_lp_bounds",
     "bernstein_lp_bounds",
-    "bernstein_optimal_coefs",
     "invert_bounds",
     "rank_invariance_qote",
     "functional_bounds",
@@ -198,27 +195,6 @@ class AssumptionSet:
 
 
 @dataclass(frozen=True)
-class Coupling:
-    """Discrete coupling of two uniform-atom marginals: k x k mass matrix."""
-
-    k: int
-    c: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.c, dtype=float)
-        object.__setattr__(self, "c", c)
-        if c.shape != (self.k, self.k):
-            raise ValueError("coupling matrix must be k x k")
-        if np.any(c < -1e-10):
-            raise ValueError("coupling entries must be nonnegative")
-        target = 1.0 / self.k
-        if np.max(np.abs(c.sum(axis=1) - target)) > 1e-8:
-            raise ValueError("row sums must equal 1/k")
-        if np.max(np.abs(c.sum(axis=0) - target)) > 1e-8:
-            raise ValueError("column sums must equal 1/k")
-
-
-@dataclass(frozen=True)
 class DeltaCdfBounds:
     """Pointwise envelopes of P(Delta <= t) on a t grid: lower <= upper."""
 
@@ -256,31 +232,6 @@ class QoteBounds:
     def __post_init__(self):
         if not self.lower <= self.upper + 1e-12:
             raise ValueError("lower bound exceeds upper bound")
-
-
-@dataclass(frozen=True)
-class BernsteinCoefs:
-    """Copula values on the (v1/m1, v2/m2) grid defining a Bernstein copula."""
-
-    m1: int
-    m2: int
-    beta: np.ndarray
-
-    def __post_init__(self):
-        b = np.asarray(self.beta, dtype=float)
-        object.__setattr__(self, "beta", b)
-        if b.shape != (self.m1 + 1, self.m2 + 1):
-            raise ValueError("beta must be (m1+1) x (m2+1)")
-        tol = 1e-8
-        if np.max(np.abs(b[0, :])) > tol or np.max(np.abs(b[:, 0])) > tol:
-            raise ValueError("boundary condition beta(0,.) = beta(.,0) = 0 violated")
-        v2 = np.arange(self.m2 + 1) / self.m2
-        v1 = np.arange(self.m1 + 1) / self.m1
-        if np.max(np.abs(b[-1, :] - v2)) > tol or np.max(np.abs(b[:, -1] - v1)) > tol:
-            raise ValueError("boundary condition beta(1,v) = v violated")
-        d2 = b[1:, 1:] - b[1:, :-1] - b[:-1, 1:] + b[:-1, :-1]
-        if np.min(d2) < -tol:
-            raise ValueError("second-order differences must be nonnegative")
 
 
 class Interval(NamedTuple):
@@ -631,17 +582,6 @@ class _CopulaProgram:
         coefs, const = self.fold(d.ravel())
         return coefs, float(const)
 
-    def full_beta(self, x) -> np.ndarray:
-        """The (m1+1) x (m2+1) copula values with boundaries, from interior x."""
-        m1, m2 = self.m1, self.m2
-        beta = np.zeros((m1 + 1, m2 + 1))
-        beta[m1, :] = np.arange(m2 + 1) / m2
-        beta[:, m2] = np.arange(m1 + 1) / m1
-        if self.nvar:
-            beta[1:m1, 1:m2] = np.asarray(x).reshape(m1 - 1, m2 - 1)
-        return beta
-
-
 @functools.lru_cache(maxsize=32)
 def _copula_program(m1: int, m2: int, tag: str) -> _CopulaProgram:
     return _CopulaProgram(m1, m2, tag)
@@ -962,17 +902,6 @@ def _bernstein_prime(m: int, nodes: np.ndarray) -> np.ndarray:
     return out
 
 
-def _bernstein_weight_data(q1, q0, m1, m2, quad_points):
-    nodes = (np.arange(quad_points) + 0.5) / quad_points
-    q1n = _curve_values(q1, nodes)
-    q0n = _curve_values(q0, nodes)
-    a1 = _bernstein_prime(m1, nodes) / quad_points
-    a0 = _bernstein_prime(m2, nodes) / quad_points
-    # suffix sums over nodes, one extra zero column for "no node included"
-    r0 = np.hstack([np.cumsum(a0[:, ::-1], axis=1)[:, ::-1], np.zeros((m2 + 1, 1))])
-    return q1n, q0n, a1, r0
-
-
 def _bernstein_objective(prog, q1n, q0n, a1, r0, t):
     """Linear form (coefs, const) over the interior coefficients at one t."""
     js = _pairs_above(q1n, q0n, t)[:, 0]
@@ -1001,32 +930,16 @@ def bernstein_lp_bounds(
         raise ValueError("degrees m1, m2 must be at least 1")
     if t_grid is None:
         t_grid = default_t_grid(q1.values, q0.values)
+    nodes = (np.arange(quad_points) + 0.5) / quad_points
+    q1n = _curve_values(q1, nodes)
+    q0n = _curve_values(q0, nodes)
+    a1 = _bernstein_prime(m1, nodes) / quad_points
+    a0 = _bernstein_prime(m2, nodes) / quad_points
+    # suffix sums over nodes, one extra zero column for "no node included"
+    r0 = np.hstack([np.cumsum(a0[:, ::-1], axis=1)[:, ::-1], np.zeros((m2 + 1, 1))])
     prog = _copula_program(m1, m2, tag)
-    weights = _bernstein_weight_data(q1, q0, m1, m2, quad_points)
-    env = _Envelopes(t_grid, prog, functools.partial(_bernstein_objective, prog, *weights))
+    env = _Envelopes(t_grid, prog, functools.partial(_bernstein_objective, prog, q1n, q0n, a1, r0))
     return _assemble_envelopes(env.t_grid, *env.dense())
-
-
-def bernstein_optimal_coefs(
-    q1: QuantileCurve,
-    q0: QuantileCurve,
-    assumptions: AssumptionSet,
-    t: float,
-    m1: int = 15,
-    m2: int = 15,
-    quad_points: int = 200,
-    sense: str = "min",
-) -> BernsteinCoefs:
-    """Coefficient matrix attaining one envelope value at one t (diagnostics)."""
-    tag = _program_tag(assumptions)
-    if sense not in _SENSES:
-        raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
-    weights = _bernstein_weight_data(q1, q0, m1, m2, quad_points)
-    prog = _copula_program(m1, m2, tag)
-    if prog.nvar == 0:
-        return BernsteinCoefs(m1, m2, prog.full_beta(np.zeros(0)))
-    coefs, _ = _bernstein_objective(prog, *weights, t)
-    return BernsteinCoefs(m1, m2, prog.full_beta(prog.solve(coefs, sense, t).x))
 
 
 # ---------------------------------------------------------------------------

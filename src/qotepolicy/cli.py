@@ -53,10 +53,10 @@ from .owl import (
 )
 from .policy import (
     BoundField,
+    _regret_report_data,
     derive_policy,
     max_regret,
     policy_to_json,
-    regret_report_to_json,
 )
 from .sim import (
     SUBGROUPS,
@@ -334,7 +334,7 @@ def cmd_policy(args) -> int:
                 os.path.join(args.out, f"policy_{rule}_tau{tau:g}.json"),
                 policy_to_json(policy),
             )
-            reports[rule] = json.loads(regret_report_to_json(max_regret(policy, field)))
+            reports[rule] = _regret_report_data(max_regret(policy, field))
         _write(os.path.join(args.out, f"regret_tau{tau:g}.json"), _json_text(reports))
     return 0
 

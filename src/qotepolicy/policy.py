@@ -325,12 +325,16 @@ def policy_to_json(policy: PolicyField) -> str:
     return json.dumps(data, sort_keys=True, indent=2) + "\n"
 
 
-def regret_report_to_json(report: RegretReport) -> str:
-    """JSON export with all three expression values for auditability."""
-    data = {
+def _regret_report_data(report: RegretReport) -> dict:
+    """The JSON object of a report, with all three expression values for auditability."""
+    return {
         "max_regret": report.max_regret,
         "expressions": list(report.expressions),
         "leading_term_stochastic": report.leading_term_stochastic,
         "leading_term_deterministic": report.leading_term_deterministic,
     }
-    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+
+
+def regret_report_to_json(report: RegretReport) -> str:
+    """JSON export with all three expression values for auditability."""
+    return json.dumps(_regret_report_data(report), sort_keys=True, indent=2) + "\n"

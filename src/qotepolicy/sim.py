@@ -490,12 +490,23 @@ def _collected_actions(dgp: DgpSpec, tau: float, n: int, reps: int, seed: int, k
     return tuple((est, tuple(acts[est] for acts in found)) for est in ESTIMATORS)
 
 
-def _truth_actions(truths: TruthSet) -> Dict[str, int]:
-    return {
-        "qote": int(truths.qote >= 0),
-        "qte": int(truths.qte >= 0),
-        "ate": int(truths.ate >= 0),
-    }
+def _scored(dgp: DgpSpec, tau: float, n: int, reps: int, seed: int, k: int, score) -> RateTable:
+    """``score(agree, truth)`` per estimator and criterion, in table order.
+
+    ``agree`` marks the replications whose action matches the true sign of
+    the criterion (treat when it is nonnegative); ``truth`` is its value.
+    """
+    if reps < 1:
+        raise ValueError("reps must be at least 1")
+    actions = dict(_collected_actions(dgp, tau, n, reps, seed, k))
+    truths = truths_for(dgp, tau)
+    rows = []
+    for est in ESTIMATORS:
+        acts = np.asarray(actions[est])
+        for crit in CRITERIA:
+            truth = getattr(truths, crit)
+            rows.append((est, crit, score(acts == int(truth >= 0), truth)))
+    return RateTable(tuple(rows))
 
 
 def classification_experiment(
@@ -511,16 +522,7 @@ def classification_experiment(
     Stochastic rules are scored by their majority action (delta >= 1/2), so
     their rows coincide with the deterministic minimax rows by construction.
     """
-    if reps < 1:
-        raise ValueError("reps must be at least 1")
-    actions = dict(_collected_actions(dgp, tau, n, reps, seed, k))
-    truth = _truth_actions(truths_for(dgp, tau))
-    rows = []
-    for est in ESTIMATORS:
-        acts = np.asarray(actions[est])
-        for crit in CRITERIA:
-            rows.append((est, crit, float(np.mean(acts == truth[crit]))))
-    return RateTable(tuple(rows))
+    return _scored(dgp, tau, n, reps, seed, k, lambda agree, truth: float(np.mean(agree)))
 
 
 def regret_experiment(
@@ -532,19 +534,9 @@ def regret_experiment(
     k: int = DEFAULT_K,
 ) -> RateTable:
     """Mean of |T_j| * 1{action != sign(T_j)} per estimator and criterion."""
-    if reps < 1:
-        raise ValueError("reps must be at least 1")
-    actions = dict(_collected_actions(dgp, tau, n, reps, seed, k))
-    truths = truths_for(dgp, tau)
-    truth_act = _truth_actions(truths)
-    magnitude = {"qote": abs(truths.qote), "qte": abs(truths.qte), "ate": abs(truths.ate)}
-    rows = []
-    for est in ESTIMATORS:
-        acts = np.asarray(actions[est])
-        for crit in CRITERIA:
-            mismatch = float(np.mean(acts != truth_act[crit]))
-            rows.append((est, crit, magnitude[crit] * mismatch))
-    return RateTable(tuple(rows))
+    return _scored(
+        dgp, tau, n, reps, seed, k, lambda agree, truth: abs(truth) * float(np.mean(~agree))
+    )
 
 
 def vote_share_check(dgp: DgpSpec, policy, ndraws: int, seed) -> float:

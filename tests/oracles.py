@@ -6,6 +6,7 @@ Monte Carlo, or scipy primitives used directly. Nothing imports the package.
 
 import functools
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.optimize
@@ -245,18 +246,54 @@ def mc_qote(dgp, tau, ndraws, seed):
     return float(delta[idx])
 
 
+@dataclass(frozen=True)
+class Coupling:
+    """Discrete coupling of two uniform-atom marginals: k x k mass matrix."""
+
+    k: int
+    c: np.ndarray
+
+    def __post_init__(self):
+        c = np.asarray(self.c, dtype=float)
+        object.__setattr__(self, "c", c)
+        if c.shape != (self.k, self.k):
+            raise ValueError("coupling matrix must be k x k")
+        if np.any(c < -1e-10):
+            raise ValueError("coupling entries must be nonnegative")
+        target = 1.0 / self.k
+        if np.max(np.abs(c.sum(axis=1) - target)) > 1e-8:
+            raise ValueError("row sums must equal 1/k")
+        if np.max(np.abs(c.sum(axis=0) - target)) > 1e-8:
+            raise ValueError("column sums must equal 1/k")
+
+
+def full_grid(prog, x):
+    """The (m1+1) x (m2+1) copula values of a grid-copula program's solution.
+
+    ``prog`` has degrees ``m1``, ``m2`` and ``nvar`` interior variables; x
+    holds S(i, j), i in 1..m1-1, j in 1..m2-1, row-major. The boundary is
+    S(0, .) = S(., 0) = 0, S(m1, j) = j/m2 and S(i, m2) = i/m1.
+    """
+    m1, m2 = prog.m1, prog.m2
+    s = np.zeros((m1 + 1, m2 + 1))
+    s[m1, :] = np.arange(m2 + 1) / m2
+    s[:, m2] = np.arange(m1 + 1) / m1
+    if prog.nvar:
+        s[1:m1, 1:m2] = np.asarray(x).reshape(m1 - 1, m2 - 1)
+    return s
+
+
 def is_two_increasing(c, tol=1e-9):
     return bool(np.all(np.asarray(c) >= -tol))
 
 
 def si_partial_sums_ok(c, tol=1e-9):
-    """Stochastic increasingness on a k x k coupling: the tail mass of row
-    index i given column j is nondecreasing in j."""
+    """Mutual stochastic increasingness on a k x k coupling c[i, j]: the tail
+    mass of row index i' >= i given column j is nondecreasing in j, and the
+    tail mass of column index j' >= j given row i is nondecreasing in i."""
     c = np.asarray(c)
-    k = c.shape[0]
-    tails = np.cumsum(c[::-1, :], axis=0)[::-1, :]  # sum over i' >= i
-    for i in range(1, k):
-        row = tails[i, :]
-        if np.any(np.diff(row) < -tol):
+    for m in (c, c.T):
+        tails = np.cumsum(m[::-1, :], axis=0)[::-1, :]  # sum over i' >= i
+        if np.any(np.diff(tails[1:, :], axis=1) < -tol):
             return False
     return True

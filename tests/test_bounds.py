@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from oracles import (
+    Coupling,
     coupling_constraints,
     cvar_bounds_by_permutations,
+    full_grid,
     is_two_increasing,
     lp_vertices,
     normal_ppf,
@@ -22,8 +24,6 @@ from oracles import (
 from qotepolicy import bounds, lpcore, sim
 from qotepolicy.bounds import (
     AssumptionSet,
-    BernsteinCoefs,
-    Coupling,
     CVaR,
     DeltaCdfBounds,
     DisadvantagedGain,
@@ -36,7 +36,6 @@ from qotepolicy.bounds import (
     _staircase_envelopes,
     _staircase_qote,
     bernstein_lp_bounds,
-    bernstein_optimal_coefs,
     coupling_lp_bounds,
     default_t_grid,
     delta_bounds_to_csv,
@@ -489,7 +488,7 @@ def test_program_rows_are_cell_masses_then_second_differences(m1, m2, tag):
     # by row: minus the cell masses in row-major order, then for SI the j-
     # and i-direction second differences at each interior (i, j) in turn
     prog = _copula_program(m1, m2, tag)
-    s = prog.full_beta(np.random.default_rng(m1 * 100 + m2).normal(size=prog.nvar))
+    s = full_grid(prog, np.random.default_rng(m1 * 100 + m2).normal(size=prog.nvar))
     masses = s[1:, 1:] - s[:-1, 1:] - s[1:, :-1] + s[:-1, :-1]
     rows = [-masses.ravel()] if prog.nvar else []
     if tag == "SI":
@@ -1071,6 +1070,15 @@ def test_coupling_lp_bounds_takes_no_engine():
         coupling_lp_bounds(q, q, engine="highs")
 
 
+def test_si_oracle_checks_both_directions():
+    # rows SI in columns (the row-tail masses 2, 2, 2 and 0, 1, 2 do not
+    # fall) but not columns in rows: the column-tail mass 2, 1, 3 falls
+    c = np.array([[1, 1, 1], [2, 1, 0], [0, 1, 2]]) / 9
+    Coupling(3, c)
+    assert not si_partial_sums_ok(c)
+    assert not si_partial_sums_ok(c.T)
+
+
 def test_si_vertices_satisfy_independent_shape_checks():
     # vertices of the oracle's raw SI polytope and of the package's SI
     # copula program, reached by random objectives, pass the shape checks
@@ -1086,7 +1094,7 @@ def test_si_vertices_satisfy_independent_shape_checks():
             bounds=(0, None), method="highs",
         )
         assert res.status == 0
-        beta = prog.full_beta(prog.solve(rng.normal(size=prog.nvar), "min", 0.0).x)
+        beta = full_grid(prog, prog.solve(rng.normal(size=prog.nvar), "min", 0.0).x)
         for c in (res.x.reshape(4, 4), np.diff(np.diff(beta, axis=0), axis=1)):
             Coupling(4, c)
             assert is_two_increasing(c)
@@ -1134,6 +1142,8 @@ def test_bernstein_degree_one_is_independence():
     t_grid = default_t_grid(q1.values, q0.values, 9)
     env = bernstein_lp_bounds(q1, q0, m1=1, m2=1, t_grid=t_grid)
     assert_allclose(env.lower, env.upper, atol=1e-9)
+    with pytest.raises(ValueError, match="degrees"):
+        bernstein_lp_bounds(q1, q0, m1=0)
 
 
 def test_bernstein_envelopes_nest_and_stay_valid():
@@ -1162,55 +1172,31 @@ def test_bernstein_smooths_the_coupling_envelopes():
     assert np.all(bern.upper <= stair.upper + 5e-3)
 
 
-def test_bernstein_optimal_coefs_are_a_valid_copula():
+def test_bernstein_program_optima_are_valid_copulas():
+    # an optimum of the SI or PQD Bernstein program, completed by the copula
+    # boundary, is a copula on the (i/m, j/m) grid: its cell masses are
+    # nonnegative (and mutually SI under SI), and under PQD it dominates the
+    # independence copula ij/m^2
     q1 = curve(normal_ppf(u_grid(10), 0.5, 1.3))
     q0 = curve(normal_ppf(u_grid(10), 0.0, 0.9))
-    coefs = bernstein_optimal_coefs(
-        q1, q0, AssumptionSet("SI"), t=0.0, m1=4, m2=4, sense="min"
-    )
-    assert isinstance(coefs, BernsteinCoefs)
-    assert coefs.beta.shape == (5, 5)
-
-
-def test_bernstein_optimal_coefs_names_its_senses():
-    q = curve(np.arange(4.0))
-    with pytest.raises(ValueError, match="'min' or 'max'"):
-        bernstein_optimal_coefs(q, q, AssumptionSet("SI"), t=0.0, m1=3, m2=3, sense="minimize")
-    assert "bernstein_optimal_coefs" in bounds.__all__
-
-
-def test_bernstein_optimal_coefs_at_degree_eight():
-    q1 = curve(normal_ppf(u_grid(10), 0.5, 1.3))
-    q0 = curve(normal_ppf(u_grid(10), 0.0, 0.9))
-    t_grid = np.array([-0.5, 0.5])
-    for tag in ("SI", "PQD"):
-        env = bernstein_lp_bounds(
-            q1, q0, AssumptionSet(tag), m1=8, m2=8, t_grid=t_grid, quad_points=50
-        )
-        for sense in ("min", "max"):
-            coefs = bernstein_optimal_coefs(
-                q1, q0, AssumptionSet(tag), t=0.5, m1=8, m2=8, quad_points=50,
-                sense=sense,
+    for m in (4, 8):
+        grid = np.arange(m + 1) / m
+        for tag in ("SI", "PQD"):
+            prog = _copula_program(m, m, tag)
+            env = bernstein_lp_bounds(
+                q1, q0, AssumptionSet(tag), m1=m, m2=m, t_grid=[-0.5, 0.5], quad_points=50
             )
-            assert isinstance(coefs, BernsteinCoefs)
-            assert coefs.beta.shape == (9, 9)
-            if tag == "PQD":
-                grid = np.arange(9) / 8
-                assert np.all(coefs.beta >= np.outer(grid, grid) - 1e-9)
-        assert np.all(env.lower <= env.upper + 1e-9)
-
-
-def test_bernstein_coefs_validation():
-    beta = np.outer(np.arange(3) / 2, np.arange(3) / 2)
-    BernsteinCoefs(2, 2, beta)
-    bad = beta.copy()
-    bad[1, 1] = 0.9
-    with pytest.raises(ValueError, match="second-order"):
-        BernsteinCoefs(2, 2, bad)
-    with pytest.raises(ValueError, match="boundary"):
-        BernsteinCoefs(2, 2, np.ones((3, 3)))
-    with pytest.raises(ValueError, match="degrees"):
-        bernstein_lp_bounds(q1=curve([0.0, 1.0]), q0=curve([0.0, 1.0]), m1=0)
+            assert np.all(env.lower <= env.upper + 1e-9)
+            for sense in ("min", "max"):
+                coefs = np.random.default_rng(m).normal(size=prog.nvar)
+                s = full_grid(prog, prog.solve(coefs, sense, 0.5).x)
+                masses = np.diff(np.diff(s, axis=0), axis=1)
+                Coupling(m, masses)
+                assert is_two_increasing(masses)
+                if tag == "SI":
+                    assert si_partial_sums_ok(masses)
+                else:
+                    assert np.all(s >= np.outer(grid, grid) - 1e-9)
 
 
 # ---------------------------------------------------------------------------

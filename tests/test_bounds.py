@@ -1172,31 +1172,38 @@ def test_bernstein_smooths_the_coupling_envelopes():
     assert np.all(bern.upper <= stair.upper + 5e-3)
 
 
-def test_bernstein_program_optima_are_valid_copulas():
+def _check_bernstein_program_optima(m):
     # an optimum of the SI or PQD Bernstein program, completed by the copula
     # boundary, is a copula on the (i/m, j/m) grid: its cell masses are
     # nonnegative (and mutually SI under SI), and under PQD it dominates the
     # independence copula ij/m^2
     q1 = curve(normal_ppf(u_grid(10), 0.5, 1.3))
     q0 = curve(normal_ppf(u_grid(10), 0.0, 0.9))
-    for m in (4, 8):
-        grid = np.arange(m + 1) / m
-        for tag in ("SI", "PQD"):
-            prog = _copula_program(m, m, tag)
-            env = bernstein_lp_bounds(
-                q1, q0, AssumptionSet(tag), m1=m, m2=m, t_grid=[-0.5, 0.5], quad_points=50
-            )
-            assert np.all(env.lower <= env.upper + 1e-9)
-            for sense in ("min", "max"):
-                coefs = np.random.default_rng(m).normal(size=prog.nvar)
-                s = full_grid(prog, prog.solve(coefs, sense, 0.5).x)
-                masses = np.diff(np.diff(s, axis=0), axis=1)
-                Coupling(m, masses)
-                assert is_two_increasing(masses)
-                if tag == "SI":
-                    assert si_partial_sums_ok(masses)
-                else:
-                    assert np.all(s >= np.outer(grid, grid) - 1e-9)
+    grid = np.arange(m + 1) / m
+    for tag in ("SI", "PQD"):
+        prog = _copula_program(m, m, tag)
+        env = bernstein_lp_bounds(
+            q1, q0, AssumptionSet(tag), m1=m, m2=m, t_grid=[-0.5, 0.5], quad_points=50
+        )
+        assert np.all(env.lower <= env.upper + 1e-9)
+        for sense in ("min", "max"):
+            coefs = np.random.default_rng(m).normal(size=prog.nvar)
+            s = full_grid(prog, prog.solve(coefs, sense, 0.5).x)
+            masses = np.diff(np.diff(s, axis=0), axis=1)
+            Coupling(m, masses)
+            assert is_two_increasing(masses)
+            if tag == "SI":
+                assert si_partial_sums_ok(masses)
+            else:
+                assert np.all(s >= np.outer(grid, grid) - 1e-9)
+
+
+def test_bernstein_optimal_coefs_are_a_valid_copula():
+    _check_bernstein_program_optima(4)
+
+
+def test_bernstein_optimal_coefs_at_degree_eight():
+    _check_bernstein_program_optima(8)
 
 
 # ---------------------------------------------------------------------------

@@ -7,19 +7,23 @@ optional shape restrictions on the coupling (stochastic increasingness or
 positive quadrant dependence), and inverts the envelopes into quantile bounds.
 
 The unrestricted problem has a closed-form solution on the quantile grid.
-Every other program is a linear program over one grid-copula program in
-CDF coordinates: the SI/PQD envelopes, the Bernstein relaxation, and the
-Charnes-Cooper programs of the conditional-mean functionals, whose cell
-masses are second differences of the copula. ``_CopulaProgram.bound`` finds
-every value of a copula program: one run on an ``lpcore.LpSession`` of the
-program without its checked rows (SI's 2-increasing rows), certified against
-them, or else one cold solve of the full program (``lpcore.solve_lp``, a run
-on a fresh HiGHS model built the same way), the only fallback, which raises
-LpSolveError, a RuntimeError naming t, the assumption tag and the grid size,
-if it does not end optimal. SI and PQD dense envelopes, lazy inversion,
-Bernstein envelopes and the probes of ``sim`` all read one ``_Envelopes``
-oracle per (curves or linear form, tag, t grid), which finds each (side, t)
-at most once and inverts by one search per side.
+Every other program is a linear program over a grid-copula program in CDF
+coordinates, made by one builder on integer breakpoint grids: the
+Bernstein relaxation and the Charnes-Cooper programs of the
+conditional-mean functionals, whose cell masses are second differences of
+the copula, on the full grid, and each SI/PQD envelope value on the coarse
+grid its staircase touches, whose program has the same optimum
+(``_CopulaProgram`` gives the proof). ``_CopulaProgram.bound`` finds every
+value of a copula program: one run on an ``lpcore.LpSession`` of the
+program without SI's 2-increasing rows, accepted where its optimum breaks
+no row of the program by more than 1e-9, or else one cold solve of the
+whole program (``lpcore.solve_lp``, a run on a fresh HiGHS model built the
+same way), the only fallback, which raises LpSolveError, a RuntimeError
+naming t, the assumption tag and the grid size, if it does not end optimal.
+SI and PQD dense envelopes, lazy inversion, Bernstein envelopes and the
+probes of ``sim`` all read one ``_Envelopes`` oracle per (curves or linear
+form, tag, t grid), which finds each distinct (side, staircase) at most
+once and inverts by one search per side.
 Envelopes already built, the unrestricted closed form and those the CLI
 keeps per cell, are inverted by ``invert_bounds`` in one numpy pass. A
 program's side is searched only where its closed-form brackets leave the
@@ -38,16 +42,17 @@ the brackets leave the answer open. ``_on_workers`` runs a list of items on up
 to one worker per usable CPU, the calling thread among them, and hands back
 each item's result or error in item order. A dense pass finds the values the
 brackets leave open on it, and a lazy inversion searches its two sides at
-once on it. A HiGHS model must not be shared between threads, so an oracle
-builds a session of its program for each thread, the first time that thread
-solves a value, and nothing passes a session around. Values, counts and the
+once on it. A HiGHS model must not be shared between threads, so a program
+builds a session for each thread, the first time that thread solves on it,
+and nothing passes a session around. Values, counts and the
 first error are kept in the order a serial pass would: HiGHS runs outside
 the interpreter lock, and since every run starts from the same basis, no
 value depends on the session or the thread that found it. ``sim`` runs its
 replications on the same routine.
 Importing the module loads no scipy: scipy.sparse and the HiGHS bindings
-load where the first copula program is built, on the calling thread, so no
-worker of ``_on_workers`` imports a module.
+load where an oracle or the first full copula program is made, on the
+calling thread (``_load_lp``), so no worker of ``_on_workers`` imports a
+module.
 """
 
 from __future__ import annotations
@@ -397,15 +402,15 @@ def makarov_bounds(q1: QuantileCurve, q0: QuantileCurve, tau: float) -> QoteBoun
 # the grid-copula program
 
 
-def _difference_operators(m: int):
-    """(D, L, E) on x[0..m]: rows x[r+1] - x[r], x[r] - 2 x[r+1] + x[r+2], x[r+1]."""
-    import scipy.sparse as sp  # here, so that importing the package skips scipy.sparse
+def _load_lp() -> None:
+    """Import scipy.sparse and the HiGHS bindings on the calling thread.
 
-    return (
-        sp.diags([-1.0, 1.0], [0, 1], shape=(m, m + 1)),
-        sp.diags([1.0, -2.0, 1.0], [0, 1, 2], shape=(m - 1, m + 1)),
-        sp.eye(m - 1, m + 1, k=1),
-    )
+    Oracles and ``sim`` call it before any worker of ``_on_workers`` builds a
+    program or its HiGHS session, so no worker imports a module.
+    """
+    import scipy.sparse  # noqa: F401  here, so that importing the package skips scipy.sparse
+
+    _bindings()
 
 
 _SENSES = {"min": "minimize", "max": "maximize"}
@@ -430,105 +435,146 @@ def _solve(lp: LinearProgram, t, tag, k) -> LpSolution:
 
 
 class _CopulaProgram:
-    """LP over discrete copulas on the (i/m1, j/m2) grid in CDF coordinates.
+    """LP over discrete copulas on a breakpoint grid, in CDF coordinates.
 
-    Variables are S(i,j), the copula at interior grid points i in 1..m1-1,
-    j in 1..m2-1, in row-major order. Every row is a difference operator on
-    the full (m1+1) x (m2+1) grid; ``fold`` keeps its interior part and
-    moves the boundary values S(0,.) = S(.,0) = 0, S(m1,j) = j/m2,
-    S(i,m2) = i/m1 to the right-hand side. ``linear_form`` and the Bernstein
-    objective fold their coefficients the same way. The rows, with D the
-    first difference, L the second difference and E the selection of the
-    interior along one axis:
+    ``rows`` 0 = r_0 < ... < r_n1 = m1 and ``cols`` 0 = c_0 < ... < c_n2 = m2
+    are integer breakpoints. The variables are S(r, c), the copula at
+    (r/m1, c/m2), at the interior breakpoints, in row-major order. Every row
+    of the program is a stencil on the full (n1+1) x (n2+1) breakpoint grid;
+    ``fold`` keeps its interior part and moves the boundary values
+    S(0,.) = S(.,0) = 0, S(m1,c) = c/m2, S(r,m2) = r/m1 to the right-hand
+    side. ``linear_form`` and the Bernstein objective fold their coefficients
+    the same way. The rows:
 
-    - 2-increasingness, -kron(D, D) S <= 0: every cell mass
-      S(i,j) - S(i-1,j) - S(i,j-1) + S(i-1,j-1), row-major, is nonnegative;
-    - SI only, coordinatewise concavity (equivalent to the partial-sum
-      monotonicity of conditional survival functions): kron(E, L) S <= 0
-      and kron(L, E) S <= 0, interleaved per interior (i, j), j-direction
-      first.
+    - 2-increasingness: every cell mass S(r_{p+1},c_{q+1}) - S(r_p,c_{q+1})
+      - S(r_{p+1},c_q) + S(r_p,c_q), row-major, is nonnegative;
+    - SI only, concavity (equivalent to the partial-sum monotonicity of
+      conditional survival functions) along every interior breakpoint row
+      and column, in slope form with integer coefficients,
+      (c_{q+1} - c_q)(S_q - S_{q-1}) - (c_q - c_{q-1})(S_{q+1} - S_q) >= 0,
+      interleaved per interior point, the row (j) direction first. On unit
+      spacing it is minus the second difference.
 
     Positive quadrant dependence ("PQD") is a plain variable lower bound
-    S(i,j) >= ij/(m1 m2); "none" adds nothing. With m1 = m2 = k, S is the
-    CDF of a k x k coupling with uniform marginals; with degrees (m1, m2) it
-    holds Bernstein copula coefficients. Degree 1 leaves no variable and so
-    no row.
+    S(r,c) >= rc/(m1 m2); "none" adds nothing. The breakpoints 0..m1 and
+    0..m2 (``_copula_program``) give the full program: with m1 = m2 = k, S
+    is the CDF of a k x k coupling with uniform marginals, and with degrees
+    (m1, m2) it holds Bernstein copula coefficients. An axis of one cell
+    leaves no variable and so no row.
 
-    ``bound`` finds every value of the program, by runs on a ``session()``:
-    a HiGHS model without the rows in ``checked_rows`` (SI's 2-increasing
-    family) that starts each run from ``start_basis`` (col_basic, row_basic,
-    over the session's rows), the basis of the independence copula
-    ij/(m1 m2); "none" has none and presolves each run.
+    A coarse grid serves P(Delta <= t) (``_staircase_form``). Let b_i =
+    ``_pairs_above(v1, v0, t)[i]``, nondecreasing in i. Then P(Delta <= t)
+    = 1 - sum over the runs [a..e] of equal b of (S(e+1, b) - S(a, b)), on
+    the (k+1) x (k+1) CDF grid, so it reads S only on the rows R = {0, k}
+    and the run boundaries and the columns C = {0, k} and the b_i. The
+    program on R x C has the same optimum as the full one:
+
+    - restriction: any S feasible on the full grid, read on R x C, is
+      feasible there: a coarse cell mass is a sum of fine ones, the PQD
+      floor holds pointwise, and a concave row or column stays concave on
+      a subset of its points;
+    - extension: the bilinear interpolation of an S feasible on R x C is
+      feasible on the full grid: each coarse mass spreads evenly over its
+      fine cells, the independence copula rc/k^2 is bilinear so the PQD
+      floor holds, and along a fine row (or column) the interpolation is a
+      convex mix of two piecewise-linear concave rows (columns), so concave.
+
+    Both maps keep the objective, so the two optima are equal, while the
+    coarse program has (|R| - 2)(|C| - 2) variables against (k - 1)^2.
+
+    ``bound`` finds every value of a program by one run on the calling
+    thread's ``session()``: a HiGHS model without the rows in
+    ``dropped_rows`` (SI's 2-increasing rows) that starts from
+    ``start_basis`` (col_basic, row_basic, over the session's rows), the
+    basis of the independence copula rc/(m1 m2); "none" has none and
+    presolves each run. A run's optimum is accepted where it stands within
+    1e-9 of every row of the program, else one cold solve of the whole
+    program runs.
     """
 
-    def __init__(self, m1: int, m2: int, tag: str):
+    def __init__(self, rows, cols, tag: str):
         import scipy.sparse as sp  # here, so that importing the package skips scipy.sparse
 
         if tag not in ("none", "SI", "PQD"):
             raise ValueError("copula program tag must be none, SI or PQD")
-        # the HiGHS bindings load on this thread too, before any worker of
-        # ``_on_workers`` builds a session of the program
-        _bindings()
-        self.m1, self.m2, self.tag = m1, m2, tag
+        rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+        self.rows, self.cols, self.tag = rows, cols, tag
+        m1, m2 = int(rows[-1]), int(cols[-1])
+        self.m1, self.m2 = m1, m2
         self.k = m1 if m1 == m2 else (m1, m2)
-        n2 = m2 - 1
-        self.nvar = (m1 - 1) * n2
-        grid = np.arange((m1 + 1) * (m2 + 1)).reshape(m1 + 1, m2 + 1)
-        self._inner, self._top, self._right = grid[1:m1, 1:m2].ravel(), grid[m1], grid[:m1, m2]
+        n1, n2 = rows.size - 1, cols.size - 1
+        width = n2 + 1
+        grid = np.arange((n1 + 1) * width).reshape(n1 + 1, width)
+        self._inner, self._top, self._right = grid[1:n1, 1:n2].ravel(), grid[n1], grid[:n1, n2]
+        self.nvar = self._inner.size
 
-        # each row of g is a quantity the program keeps nonnegative: the cell
-        # masses, then for SI minus the second differences
-        (d1, l1, e1), (d2, l2, e2) = _difference_operators(m1), _difference_operators(m2)
-        g = sp.kron(d1, d2, format="csr")
-        if not self.nvar:
-            g = g[:0]
-        self.checked_rows = slice(0, g.shape[0] if tag == "SI" else 0)
-        if tag == "SI":
-            concave = sp.vstack(
-                [sp.kron(e1, l2, format="csr"), sp.kron(l1, e2, format="csr")], format="csr"
-            )
-            pairs = np.arange(2 * self.nvar).reshape(2, -1).T.ravel()
-            g = sp.vstack([g, -concave[pairs]], format="csr")
-        # g S >= 0 over the full grid is -g_inner x <= (g's boundary constant)
-        g_inner, self.b_le = self.fold(g)
-        self.a_le = -g_inner
-        self._checked = self.a_le[self.checked_rows], self.b_le[self.checked_rows]
+        # each row of g is a stencil on the full breakpoint grid, a quantity
+        # the program keeps nonnegative: the cell masses, then for SI the
+        # concavity rows; an axis of one cell leaves none
+        masses = grid[:n1, :n2].reshape(-1, 1) + np.array([width + 1, 1, width, 0])
+        masses = masses[: masses.shape[0] if self.nvar else 0]
+        stencils = [(masses, np.broadcast_to([1.0, -1.0, -1.0, 1.0], masses.shape))]
+        if tag == "SI" and self.nvar:
+            dr, dc = np.diff(rows).astype(float), np.diff(cols).astype(float)
+            i, j = np.divmod(np.arange(self.nvar), n2 - 1)
+            at = self._inner[:, None]
+            along_j = np.stack([-dc[j + 1], dc[j] + dc[j + 1], -dc[j]], axis=1)
+            along_i = np.stack([-dr[i + 1], dr[i] + dr[i + 1], -dr[i]], axis=1)
+            stencils.append((
+                np.stack([at + [-1, 0, 1], at + [-width, 0, width]], axis=1).reshape(-1, 3),
+                np.stack([along_j, along_i], axis=1).reshape(-1, 3),
+            ))
+        self.dropped_rows = slice(0, masses.shape[0] if tag == "SI" else 0)
+        widths = np.concatenate([np.full(p.shape[0], p.shape[1]) for p, _ in stencils])
+        nrows = widths.size
+        row = np.repeat(np.arange(nrows), widths)
+        points = np.concatenate([p.ravel() for p, _ in stencils])
+        weights = np.concatenate([w.ravel() for _, w in stencils])
+        # g S >= 0 over the full grid is -g_inner x <= (g's boundary constant),
+        # summed over the top edge and then over the right edge, as ``fold`` does
+        var = np.full(grid.size, -1)
+        var[self._inner] = np.arange(self.nvar)
+        col = var[points]
+        inside = col >= 0
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(row[inside], minlength=nrows))])
+        self.a_le = sp.csr_matrix((-weights[inside], col[inside], indptr), shape=(nrows, self.nvar))
+        edges = np.zeros((2, grid.size))
+        edges[0, self._top], edges[1, self._right] = cols / m2, rows[:n1] / m1
+        top, right = (np.bincount(row, weights * edge[points], nrows) for edge in edges)
+        self.b_le = top + right
 
-        ii, jj = np.divmod(np.arange(self.nvar), max(n2, 1))
-        i_idx, j_idx = ii + 1, jj + 1
-        self.ub = np.minimum(i_idx / m1, j_idx / m2)
+        self.ub = np.minimum.outer(rows[1:n1] / m1, cols[1:n2] / m2).ravel()
         if tag == "PQD":
-            self.lb = (i_idx * j_idx) / float(m1 * m2)
+            self.lb = np.multiply.outer(rows[1:n1], cols[1:n2]).ravel() / float(m1 * m2)
         else:
             self.lb = np.zeros(self.nvar)
-        # the independence copula ij/(m1 m2) is a vertex of both restricted
-        # programs. SI: every S(i,j) strictly inside its bounds and basic, the
-        # j-direction concavity rows (tight, one nonsingular second-difference
-        # block per i) nonbasic, the i-direction ones (tight too) basic. PQD:
-        # every S(i,j) at its lower bound, every 2-increasing row slack.
+        # the independence copula rc/(m1 m2) is a vertex of both restricted
+        # programs. SI: every S(r,c) strictly inside its bounds and basic,
+        # the j-direction concavity rows (tight, one nonsingular tridiagonal
+        # block per r) nonbasic, the i-direction ones (tight too) basic. PQD:
+        # every S(r,c) at its lower bound, every 2-increasing row slack.
         if tag == "SI":
             self.start_basis = (np.ones(self.nvar, bool), np.tile([False, True], self.nvar))
         elif tag == "PQD":
-            self.start_basis = (np.zeros(self.nvar, bool), np.ones(self.b_le.size, bool))
+            self.start_basis = (np.zeros(self.nvar, bool), np.ones(nrows, bool))
         else:
             self.start_basis = None
+        self._sessions = threading.local()
 
     def fold(self, coefs):
-        """(interior coefficients, boundary constant) of coefs . S on the full grid.
+        """(interior coefficients, boundary constant) of coefs . S on the breakpoint grid.
 
-        The last axis of ``coefs`` (an array or a sparse matrix of rows) runs
-        over S(a, b), a in 0..m1, b in 0..m2, in row-major order. The constant
-        sums the coefficients of the top edge S(m1, b) = b/m2 and then of the
-        right edge S(a, m2) = a/m1, a < m1; S(0, .) = S(., 0) = 0 adds nothing.
-        Summed edge by edge, the constant of each program row is rounded at
-        most once.
+        The last axis of ``coefs`` runs over S(r_a, c_b), a in 0..n1, b in
+        0..n2, in row-major order. The constant sums the coefficients of the
+        top edge S(m1, c) = c/m2 and then of the right edge S(r, m2) = r/m1,
+        r < m1; S(0, .) = S(., 0) = 0 adds nothing. Summed edge by edge, the
+        constant of each program row is rounded at most once.
         """
-        m1, m2 = self.m1, self.m2
-        top = coefs[..., self._top] @ (np.arange(m2 + 1) / m2)
-        return coefs[..., self._inner], top + coefs[..., self._right] @ (np.arange(m1) / m1)
+        top = coefs[..., self._top] @ (self.cols / self.m2)
+        return coefs[..., self._inner], top + coefs[..., self._right] @ (self.rows[:-1] / self.m1)
 
     def solve(self, coefs, sense, t) -> LpSolution:
-        """min or max of coefs . S over the feasible S."""
+        """min or max of coefs . S over the feasible S: one cold run of the whole program."""
         lp = LinearProgram(
             c=coefs,
             sense=_SENSES[sense],
@@ -540,51 +586,77 @@ class _CopulaProgram:
         return _solve(lp, t, self.tag, self.k)
 
     def session(self) -> LpSession:
-        """A HiGHS session of the program without its checked rows."""
-        kept = slice(self.checked_rows.stop, None)
-        return LpSession(self.a_le[kept], self.b_le[kept], self.lb, self.ub, self.start_basis)
+        """The calling thread's HiGHS session of the program without its dropped rows.
 
-    def bound(self, coefs, const, sense, t, session: LpSession):
+        A HiGHS model must not be shared between threads, so each thread
+        builds its own on its first use, and a helper thread's ends with it.
+        """
+        sessions = self._sessions
+        if not hasattr(sessions, "session"):
+            kept = slice(self.dropped_rows.stop, None)
+            sessions.session = LpSession(
+                self.a_le[kept], self.b_le[kept], self.lb, self.ub, self.start_basis
+            )
+        return sessions.session
+
+    def bound(self, coefs, const, sense, t):
         """(value, runs): one side of const + coefs . S, a probability, over the feasible S.
 
-        Zero costs give const in [0, 1] and no run. Else one run on ``session``,
-        whose optimum stands within 1e-9 of every checked row (the full program
-        is feasible there); any other end adds one cold ``solve``, run last.
+        Zero costs give const in [0, 1] and no run. Else one run on the
+        calling thread's ``session()``, whose optimum stands within 1e-9 of
+        every row of the program; any other end adds one cold ``solve``, run
+        last.
         """
         if not np.any(coefs):
             return min(max(const, 0.0), 1.0), ()
-        run = session.solve(coefs, _SENSES[sense])
-        a, b = self._checked
-        if run.status == "optimal" and np.all(a @ run.x <= b + _CERT_TOL):
+        run = self.session().solve(coefs, _SENSES[sense])
+        if run.status == "optimal" and np.all(self.a_le @ run.x <= self.b_le + _CERT_TOL):
             return const + run.objective, (run,)
         cold = self.solve(coefs, sense, t)
         return const + cold.objective, (run, cold)
 
-    def objective(self, v1, v0, t):
+    def objective(self, b):
         """Linear form (coefs, const) with const + coefs . S = P(Delta <= t).
 
-        Row i of the coupling has its first b_i cells above t, so the weight
-        of cell (i, j) is 1{j >= b_i}.
+        ``b`` is the staircase at t, ``_pairs_above(v1, v0, t)[:, 0]``: row i
+        of the coupling has its first b_i cells above t. The breakpoints
+        hold the run boundaries of b among ``rows`` and every b_i among
+        ``cols``, so the weight 1{j >= b_i} of fine cell (i, j) is constant
+        on each coarse cell.
         """
-        b = _pairs_above(v1, v0, t)[:, 0]
-        return self.linear_form(np.arange(self.m2)[None, :] >= b[:, None])
+        return self.linear_form(self.cols[None, :-1] >= b[self.rows[:-1], None])
 
     def linear_form(self, weight):
         """Linear form (coefs, const) with const + coefs . S = sum weight * c.
 
-        ``weight`` is (m1, m2) over the cell masses c(i,j) = S(i,j) - S(i-1,j)
-        - S(i,j-1) + S(i-1,j-1); boundary values of S are folded into const.
+        ``weight`` is (n1, n2) over the cell masses c(p, q) = S(r_{p+1}, c_{q+1})
+        - S(r_p, c_{q+1}) - S(r_{p+1}, c_q) + S(r_p, c_q); boundary values of S
+        are folded into const.
         """
-        w = np.zeros((self.m1 + 2, self.m2 + 2))
+        w = np.zeros((self.rows.size + 1, self.cols.size + 1))
         w[1:-1, 1:-1] = weight
-        # d[a, b] is the coefficient of S(a, b), a in 0..m1, b in 0..m2
+        # d[a, b] is the coefficient of S(r_a, c_b), a in 0..n1, b in 0..n2
         d = w[:-1, :-1] - w[1:, :-1] - w[:-1, 1:] + w[1:, 1:]
         coefs, const = self.fold(d.ravel())
         return coefs, float(const)
 
+
 @functools.lru_cache(maxsize=32)
 def _copula_program(m1: int, m2: int, tag: str) -> _CopulaProgram:
-    return _CopulaProgram(m1, m2, tag)
+    """The full program on the breakpoints 0..m1 and 0..m2."""
+    return _CopulaProgram(np.arange(m1 + 1), np.arange(m2 + 1), tag)
+
+
+def _staircase_form(tag: str, b):
+    """(program, coefs, const): P(Delta <= t) of the staircase b on the coarse program it touches.
+
+    The rows are 0, k and the run boundaries of b, the columns 0, k and the
+    b_i (see ``_CopulaProgram``).
+    """
+    k = b.size
+    rows = np.concatenate([[0], np.flatnonzero(b[1:] != b[:-1]) + 1, [k]])
+    prog = _CopulaProgram(rows, np.unique(np.concatenate([[0], b, [k]])), tag)
+    return (prog, *prog.objective(b))
 
 
 def _program_tag(assumptions: AssumptionSet) -> str:
@@ -599,18 +671,21 @@ class _Envelopes:
     """min and max of P(Delta <= t) on one t grid, each value found once.
 
     Side "min" is the lower envelope, "max" the upper one, as found, of a
-    copula program (SI, PQD or Bernstein), solved on demand:
-    ``mass(side, index)`` is ``prog.bound`` of (coefs, const) = form(t), once
-    per index and in the order asked, on the calling thread's session of
-    ``prog``, which the oracle builds the first time that thread solves a
-    value: a HiGHS model must not be shared between threads, and a helper
-    thread's session ends with the thread. ``dense`` finds the values it
-    lacks, and ``invert`` the two sides, on ``_on_workers``. Every run starts
-    from the same basis, so a value depends neither on the order in which
-    values are asked for nor on the session that found it. From the runs
-    ``bound`` returns, ``solves`` counts the values that took a session run,
-    ``fallbacks`` the cold solves of the full program, and ``iterations``
-    sums the simplex iterations of both.
+    copula program (SI, PQD or Bernstein), solved on demand. The form reads
+    t only through ``staircases[:, idx]``, its staircase at t_grid[idx]:
+    ``form(staircase)`` is (program, coefs, const), and ``mass(side, idx)``
+    is that program's ``bound``, found once per distinct (side, staircase)
+    and in the order asked. An index whose staircase the side has already
+    solved recalls that value: an equal staircase gives the same program and
+    costs, and so the same value. ``dense`` finds the values it lacks, and
+    ``invert`` the two sides, on ``_on_workers``. Every run is on the
+    calling thread's session of its program and starts from the program's
+    start basis, so a value depends neither on the order in which values are
+    asked for nor on the thread that found it. From the runs ``bound``
+    returns, ``solves`` counts the values that took a session run,
+    ``fallbacks`` the cold solves, and ``iterations`` sums the simplex
+    iterations of both; ``recalled`` counts the values kept from an equal
+    staircase.
 
     SI and PQD oracles of two grids (``of_values``) also hold closed-form
     brackets of each side, from ``_coupling_brackets``; other oracles hold
@@ -619,27 +694,28 @@ class _Envelopes:
     a probe the memo lacks from them when they clear tau by more than 1e-9
     and solves it otherwise, so it decides as the LP would. ``decided``
     counts both: each value so kept, once, and each probe so settled; with
-    ``solves`` it accounts for every value that did not come from the
-    zero-cost shortcut of ``bound``. ``first_reaching`` makes no probe that
-    the brackets settle, so the settled probes are those made outside a
-    search: the one at the last t that starts each side of ``invert``, and
-    those of ``sim``.
-    Each side keeps its own memo and counts, and the four counts add them,
-    min then max, so the two sides of ``invert`` never write the same state.
+    ``solves`` and ``recalled`` it accounts for every value that did not
+    come from the zero-cost shortcut of ``bound``. ``first_reaching`` makes
+    no probe that the brackets settle, so the settled probes are those made
+    outside a search: the one at the last t that starts each side of
+    ``invert``, and those of ``sim``.
+    Each side keeps its own memo and counts, and the counts add them, min
+    then max, so the two sides of ``invert`` never write the same state.
     """
 
-    def __init__(self, t_grid, prog, form: Callable, brackets: Optional[dict] = None):
+    def __init__(self, t_grid, staircases, form: Callable, brackets: Optional[dict] = None):
         self.t_grid = _checked_t_grid(t_grid)
-        self.prog, self._form = prog, form
+        self._staircases, self._form = np.asarray(staircases), form
         if brackets is None:
             # NaN brackets meet nowhere and settle no probe
             nan = np.full(self.t_grid.size, np.nan)
             brackets = dict.fromkeys(_SENSES, (nan, nan))
         self._brackets = brackets
-        self._sessions = threading.local()
         self._values = dict(zip(_SENSES, np.full((2, self.t_grid.size), np.nan)))
+        # side -> {staircase bytes: value}
+        self._found = {side: {} for side in _SENSES}
         self._counts = {
-            side: dict.fromkeys(("solves", "fallbacks", "iterations", "decided"), 0)
+            side: dict.fromkeys(("solves", "fallbacks", "iterations", "decided", "recalled"), 0)
             for side in _SENSES
         }
 
@@ -651,20 +727,22 @@ class _Envelopes:
     fallbacks = property(lambda self: self._total("fallbacks"))
     iterations = property(lambda self: self._total("iterations"))
     decided = property(lambda self: self._total("decided"))
+    recalled = property(lambda self: self._total("recalled"))
 
     @classmethod
     def of_values(cls, v1, v0, tag: str, t_grid=None) -> "_Envelopes":
         """Couplings of two k-atom grids, sorted, under SI or PQD.
 
-        ``coupling_lp_bounds`` builds the unrestricted envelopes by their
-        closed form.
+        Each value is solved on the coarse program its staircase touches
+        (``_staircase_form``). ``coupling_lp_bounds`` builds the unrestricted
+        envelopes by their closed form.
         """
         t = _coupling_t_grid(v1, v0, t_grid)
-        prog = _copula_program(v1.size, v1.size, tag)
+        _load_lp()
         return cls(
             t,
-            prog,
-            functools.partial(prog.objective, v1, v0),
+            _pairs_above(v1, v0, t),
+            functools.partial(_staircase_form, tag),
             brackets=_coupling_brackets(v1, v0, t),
         )
 
@@ -675,18 +753,10 @@ class _Envelopes:
         v1, v0, _ = _curves_on_common_grid(q1, q0, k)
         return cls.of_values(v1, v0, tag, t_grid)
 
-    @property
-    def _session(self) -> LpSession:
-        """The calling thread's session of ``prog``, built on its first use."""
-        sessions = self._sessions
-        if not hasattr(sessions, "session"):
-            sessions.session = self.prog.session()
-        return sessions.session
-
     def mass(self, side: str, idx) -> float:
         """The side's value at t_grid[idx], found the first time it is asked for."""
         values = self._values[side]
-        if np.isnan(values[idx]) and not self._meets(side, idx):
+        if np.isnan(values[idx]) and not self._meets(side, idx) and not self._recalls(side, idx):
             self._keep(side, idx, self._bound(side, idx))
         return float(values[idx])
 
@@ -703,15 +773,29 @@ class _Envelopes:
         self._counts[side]["decided"] += 1
         return True
 
+    def _key(self, idx) -> bytes:
+        """The staircase at t_grid[idx], as the key of its side's solved values."""
+        return self._staircases[:, idx].tobytes()
+
+    def _recalls(self, side: str, idx) -> bool:
+        """Whether the side has solved the staircase at t_grid[idx], keeping that value if so."""
+        value = self._found[side].get(self._key(idx))
+        if value is None:
+            return False
+        self._values[side][idx] = value
+        self._counts[side]["recalled"] += 1
+        return True
+
     def _bound(self, side: str, idx):
-        """``prog.bound`` at t_grid[idx] on the calling thread's session: (value, runs)."""
-        t = float(self.t_grid[idx])
-        return self.prog.bound(*self._form(t), side, t, self._session)
+        """The ``bound`` of the form at t_grid[idx]: (value, runs)."""
+        prog, coefs, const = self._form(self._staircases[:, idx])
+        return prog.bound(coefs, const, side, float(self.t_grid[idx]))
 
     def _keep(self, side: str, idx, found) -> None:
-        """Keep the value of a found (value, runs) and count its runs."""
+        """Keep a found (value, runs) for its index and its staircase, and count its runs."""
         value, runs = found
         self._values[side][idx] = value
+        self._found[side][self._key(idx)] = value
         counts = self._counts[side]
         counts["solves"] += len(runs[:1])
         counts["fallbacks"] += len(runs[1:])
@@ -721,9 +805,10 @@ class _Envelopes:
         """(lower, upper) at every t.
 
         Keeps every missing value where the brackets meet, then finds the
-        rest on ``_on_workers`` and keeps them as a serial pass would: every
-        min in index order, then every max, up to the first that raised,
-        which is raised.
+        first index of each distinct (side, staircase) left open on
+        ``_on_workers`` and keeps them as a serial pass would: every min in
+        index order, then every max, up to the first that raised, which is
+        raised. The other indices recall those values.
         """
         pending = [
             (side, idx)
@@ -731,11 +816,19 @@ class _Envelopes:
             for idx in np.flatnonzero(np.isnan(self._values[side]))
             if not self._meets(side, idx)
         ]
-        found = _on_workers(pending, lambda item: self._bound(*item))
-        for (side, idx), result in zip(pending, found):
+        first = {}
+        for side, idx in pending:
+            if self._key(idx) not in self._found[side]:
+                first.setdefault((side, self._key(idx)), (side, idx))
+        solve = list(first.values())
+        found = _on_workers(solve, lambda item: self._bound(*item))
+        for (side, idx), result in zip(solve, found):
             if isinstance(result, Exception):
                 raise result
             self._keep(side, idx, result)
+        for side, idx in pending:
+            if np.isnan(self._values[side][idx]):
+                self._recalls(side, idx)
         return self._values["min"].copy(), self._values["max"].copy()
 
     def reaches(self, side: str, idx, tau: float) -> bool:
@@ -902,12 +995,11 @@ def _bernstein_prime(m: int, nodes: np.ndarray) -> np.ndarray:
     return out
 
 
-def _bernstein_objective(prog, q1n, q0n, a1, r0, t):
-    """Linear form (coefs, const) over the interior coefficients at one t."""
-    js = _pairs_above(q1n, q0n, t)[:, 0]
+def _bernstein_form(prog, a1, r0, js):
+    """(prog, coefs, const) over the interior coefficients, js the staircase of the nodes at t."""
     w = a1 @ r0[:, js].T  # (m1+1) x (m2+1) indicator integrals
     coefs, const = prog.fold(w.ravel())
-    return coefs, float(const)
+    return prog, coefs, float(const)
 
 
 def bernstein_lp_bounds(
@@ -928,8 +1020,7 @@ def bernstein_lp_bounds(
     tag = _program_tag(assumptions)
     if m1 < 1 or m2 < 1:
         raise ValueError("degrees m1, m2 must be at least 1")
-    if t_grid is None:
-        t_grid = default_t_grid(q1.values, q0.values)
+    t_grid = _checked_t_grid(default_t_grid(q1.values, q0.values) if t_grid is None else t_grid)
     nodes = (np.arange(quad_points) + 0.5) / quad_points
     q1n = _curve_values(q1, nodes)
     q0n = _curve_values(q0, nodes)
@@ -938,7 +1029,9 @@ def bernstein_lp_bounds(
     # suffix sums over nodes, one extra zero column for "no node included"
     r0 = np.hstack([np.cumsum(a0[:, ::-1], axis=1)[:, ::-1], np.zeros((m2 + 1, 1))])
     prog = _copula_program(m1, m2, tag)
-    env = _Envelopes(t_grid, prog, functools.partial(_bernstein_objective, prog, q1n, q0n, a1, r0))
+    env = _Envelopes(
+        t_grid, _pairs_above(q1n, q0n, t_grid), functools.partial(_bernstein_form, prog, a1, r0)
+    )
     return _assemble_envelopes(env.t_grid, *env.dense())
 
 
@@ -991,7 +1084,7 @@ def functional_bounds(
     e_coefs, e_const = prog.linear_form(event)
     a_coefs, a_const = prog.linear_form(delta * event)
     thr = functional.threshold
-    if prog.bound(e_coefs, e_const, "min", thr, prog.session())[0] <= 1e-9:
+    if prog.bound(e_coefs, e_const, "min", thr)[0] <= 1e-9:
         raise ValueError("conditioning event not uniformly positive")
 
     # Charnes-Cooper: variables (y, s) with s = 1 / P(event) and y = s * S;

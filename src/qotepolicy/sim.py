@@ -35,8 +35,8 @@ from .bounds import (
     DEFAULT_T_POINTS,
     AssumptionSet,
     QoteBounds,
-    _copula_program,
     _Envelopes,
+    _load_lp,
     _on_workers,
     _raise_first,
     _staircase_qote,
@@ -480,8 +480,7 @@ def _rep_actions(dgp: DgpSpec, tau: float, n: int, k: int, seed):
 
 @functools.lru_cache(maxsize=16)
 def _collected_actions(dgp: DgpSpec, tau: float, n: int, reps: int, seed: int, k: int):
-    if k >= 2:
-        _copula_program(k, k, "SI")  # cached here, so no two replications build it at once
+    _load_lp()  # here, so that no replication imports a module on a worker
 
     def actions_of(rep):
         return _rep_actions(dgp, tau, n, k, (seed, rep))

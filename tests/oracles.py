@@ -71,6 +71,41 @@ def lp_vertices(a_eq, b_eq, tol=1e-9):
     return out
 
 
+def polytope_vertices(a_le, b_le, lower, upper, tol=1e-9):
+    """All vertices of {x : a_le x <= b_le, lower <= x <= upper} by enumeration.
+
+    Every choice of n linearly independent constraints, held tight, fixes a
+    point; the feasible ones are the vertices. Dense and exhaustive, so for
+    a handful of variables only.
+    """
+    a_le = np.asarray(a_le, dtype=float)
+    n = a_le.shape[1]
+    eye = np.eye(n)
+    a = np.vstack([a_le, -eye, eye])
+    b = np.concatenate([np.asarray(b_le, dtype=float), -np.asarray(lower), np.asarray(upper)])
+    seen, out = set(), []
+    for rows in itertools.combinations(range(a.shape[0]), n):
+        sub = a[list(rows)]
+        if abs(np.linalg.det(sub)) < 1e-12:
+            continue
+        x = np.linalg.solve(sub, b[list(rows)])
+        if np.all(a @ x <= b + tol):
+            key = tuple(np.round(x, 9))
+            if key not in seen:
+                seen.add(key)
+                out.append(x)
+    return out
+
+
+def bilinear_refinement(s, rows, cols):
+    """Values on the full grid 0..rows[-1] x 0..cols[-1] of the bilinear
+    interpolation of s, given on the breakpoints rows x cols."""
+    s = np.asarray(s, dtype=float)
+    fine_r, fine_c = np.arange(rows[-1] + 1), np.arange(cols[-1] + 1)
+    along_c = np.stack([np.interp(fine_c, cols, line) for line in s])
+    return np.stack([np.interp(fine_r, rows, line) for line in along_c.T]).T
+
+
 def brute_force_lp(c, a_eq, b_eq, sense="min"):
     """Optimal value of a standard-form LP by vertex enumeration."""
     vertices = lp_vertices(a_eq, b_eq)
@@ -268,18 +303,19 @@ class Coupling:
 
 
 def full_grid(prog, x):
-    """The (m1+1) x (m2+1) copula values of a grid-copula program's solution.
+    """The copula values of a grid-copula program's solution on its breakpoints.
 
-    ``prog`` has degrees ``m1``, ``m2`` and ``nvar`` interior variables; x
-    holds S(i, j), i in 1..m1-1, j in 1..m2-1, row-major. The boundary is
-    S(0, .) = S(., 0) = 0, S(m1, j) = j/m2 and S(i, m2) = i/m1.
+    ``prog`` has integer breakpoints ``rows`` (0..m1) and ``cols`` (0..m2)
+    and ``nvar`` interior variables; x holds S(r, c) at the interior
+    breakpoints, row-major. The boundary is S(0, .) = S(., 0) = 0,
+    S(m1, c) = c/m2 and S(r, m2) = r/m1.
     """
-    m1, m2 = prog.m1, prog.m2
-    s = np.zeros((m1 + 1, m2 + 1))
-    s[m1, :] = np.arange(m2 + 1) / m2
-    s[:, m2] = np.arange(m1 + 1) / m1
+    rows, cols = np.asarray(prog.rows), np.asarray(prog.cols)
+    s = np.zeros((rows.size, cols.size))
+    s[-1, :] = cols / cols[-1]
+    s[:, -1] = rows / rows[-1]
     if prog.nvar:
-        s[1:m1, 1:m2] = np.asarray(x).reshape(m1 - 1, m2 - 1)
+        s[1:-1, 1:-1] = np.asarray(x).reshape(rows.size - 2, cols.size - 2)
     return s
 
 

@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 
 from oracles import (
     Coupling,
+    bilinear_refinement,
     coupling_constraints,
     cvar_bounds_by_permutations,
     full_grid,
@@ -16,6 +17,7 @@ from oracles import (
     lp_vertices,
     normal_ppf,
     permutation_couplings,
+    polytope_vertices,
     random_vertex_cvar,
     raw_coupling_lp,
     raw_shape_rows,
@@ -46,13 +48,32 @@ from qotepolicy.bounds import (
     rank_invariance_qote,
 )
 from qotepolicy.lpcore import LpSolution
-from qotepolicy.marginals import QuantileCurve, u_grid
-from qotepolicy.sim import SUBGROUPS, classification_experiment, population_curves
+from qotepolicy.marginals import QuantileCurve, make_y_grid, u_grid
+from qotepolicy.sim import SUBGROUPS, classification_experiment, draw_sample, population_curves
 
 
 def curve(values):
     values = np.asarray(values, dtype=float)
     return QuantileCurve(u_grid(values.size), np.sort(values))
+
+
+def _staircase(v1, v0, t):
+    """The staircase the oracle reads of t: pairs of each row above t."""
+    return _pairs_above(v1, v0, float(t))[:, 0]
+
+
+def _tight_cold(prog, coefs, sense):
+    """One cold run of the whole program at 1e-10 primal and dual feasibility tolerances."""
+    lp = lpcore.LinearProgram(
+        c=coefs, sense=bounds._SENSES[sense], A_le=prog.a_le, b_le=prog.b_le,
+        lower=prog.lb, upper=prog.ub,
+    )
+    highs = lpcore._model(lp)
+    for option in ("primal_feasibility_tolerance", "dual_feasibility_tolerance"):
+        highs.setOptionValue(option, 1e-10)
+    sol = lpcore._run(highs, lp.c, lp.sense, None)
+    assert sol.status == "optimal"
+    return sol
 
 
 def brute_quantile_bounds(v1, v0, tau):
@@ -257,12 +278,11 @@ def test_k3_coupling_lp_matches_vertex_enumeration():
     for idx, t in enumerate(ts):
         weights = ((v1[:, None] - v0[None, :]) <= t).ravel().astype(float)
         masses = [float(weights @ v) for v in vertices]
-        lo, up = (
-            prog.bound(*prog.objective(v1, v0, t), sense, t, prog.session())[0]
-            for sense in ("min", "max")
-        )
-        for got, ref in ((lo, min(masses)), (up, max(masses))):
-            assert got == pytest.approx(ref, abs=1e-7)
+        b = _staircase(v1, v0, t)
+        for form in ((prog, *prog.objective(b)), bounds._staircase_form("none", b)):
+            lo, up = (form[0].bound(*form[1:], sense, t)[0] for sense in ("min", "max"))
+            for got, ref in ((lo, min(masses)), (up, max(masses))):
+                assert got == pytest.approx(ref, abs=1e-7)
         assert stair_lo[idx] == pytest.approx(min(masses), abs=1e-7)
         assert stair_up[idx] == pytest.approx(max(masses), abs=1e-7)
 
@@ -332,12 +352,13 @@ def _assert_pinned_where_the_brackets_meet(values, exact, floor, ceiling):
     return int(np.count_nonzero(meet))
 
 
-@pytest.mark.parametrize("k", [4, 6, 8, 12])
+@pytest.mark.parametrize("k", [4, 6, 8, 12, 50])
 def test_bracketed_lazy_inversion_equals_dense_inversion(k):
+    # k = 50 on the default 201-point grid, as the CLI inverts it
     rng = np.random.default_rng(100 + k)
     v1 = np.sort(rng.normal(0.3, 1.4, size=k))
     v0 = np.sort(rng.normal(0.0, 0.8, size=k))
-    t_grid = default_t_grid(v1, v0, 41)
+    t_grid = default_t_grid(v1, v0, 41 if k < 50 else 201)
     # every multiple of 1/k leaves some envelope flat at tau
     taus = np.concatenate([np.arange(1, k) / k, rng.uniform(0.02, 0.98, size=6)])
     decided = 0
@@ -411,23 +432,23 @@ def test_copula_mass_matches_raw_coupling_lp():
         ts = np.sort(np.concatenate([diffs, (diffs[:-1] + diffs[1:]) / 2]))
         for tag in ("SI", "PQD"):
             prog = _copula_program(k, k, tag)
-            session = prog.session()
             for t in ts[:: max(1, ts.size // 6)]:
+                b = _staircase(v1, v0, t)
                 for sense in ("min", "max"):
                     ref, _ = raw_coupling_lp(v1, v0, float(t), sense, tag)
-                    form = prog.objective(v1, v0, float(t))
-                    got, _ = prog.bound(*form, sense, float(t), session)
-                    assert got == pytest.approx(ref, abs=1e-9)
+                    for form in ((prog, *prog.objective(b)), bounds._staircase_form(tag, b)):
+                        got, _ = form[0].bound(*form[1:], sense, float(t))
+                        assert got == pytest.approx(ref, abs=1e-9)
 
 
 def _cold_full_program(prog, v1, v0, t_grid):
-    """[min, max] envelope values from cold solves of the full program."""
+    """[min, max] envelope values from cold solves of the full program at 1e-10 tolerances."""
     cold = []
     for sense in ("min", "max"):
         side = []
         for t in map(float, t_grid):
-            coefs, const = prog.objective(v1, v0, t)
-            side.append(const + prog.solve(coefs, sense, t).objective)
+            coefs, const = prog.objective(_staircase(v1, v0, t))
+            side.append(const + _tight_cold(prog, coefs, sense).objective)
         cold.append(side)
     return cold
 
@@ -439,7 +460,7 @@ def test_si_session_certifies_or_falls_back_to_the_full_program():
     prog = _copula_program(6, 6, "SI")
     rng = np.random.default_rng(0)
     costs = [rng.normal(size=prog.nvar) for _ in range(200)]
-    env = _Envelopes(np.arange(200.0), prog, lambda t: (costs[int(t)], 0.0))
+    env = _Envelopes(np.arange(200.0), [np.arange(200)], lambda b: (prog, costs[b[0]], 0.0))
     for step, coefs in enumerate(costs):
         sense = ("min", "max")[step % 2]
         got = env.mass(sense, step)
@@ -451,10 +472,13 @@ def test_si_session_certifies_or_falls_back_to_the_full_program():
 @pytest.mark.parametrize("tag", ["SI", "PQD"])
 def test_session_envelopes_match_cold_full_programs(tag):
     # small grids against the oracle's raw LP, larger ones against cold solves
-    # of the full copula program; ties among the grid values included. Where
-    # the brackets meet, the oracle solves nothing and holds the floor
+    # of the full copula program at 1e-10 tolerances; ties among the grid
+    # values included. Where the brackets meet, the oracle solves nothing and
+    # holds the floor; elsewhere it solves one LP per distinct (side,
+    # staircase), unless its costs are zero, and recalls that value at the
+    # other indices with the same staircase
     rng = np.random.default_rng(21)
-    for k in (3, 4, 5, 6, 12, 20):
+    for k in (3, 4, 5, 6, 12, 20, 50):
         v1 = np.sort(rng.normal(size=k))
         v0 = np.sort(np.round(rng.normal(0.2, 1.3, size=k), 1))
         t_grid = default_t_grid(v1, v0, 15)
@@ -476,7 +500,177 @@ def test_session_envelopes_match_cold_full_programs(tag):
             for side, values, exact in zip(("min", "max"), oracle.dense(), cold)
         )
         assert oracle.decided == met
-        assert oracle.solves == 2 * t_grid.size - met
+        staircases, costly = _pairs_above(v1, v0, t_grid), {}
+        for side in ("min", "max"):
+            for idx in np.flatnonzero(np.not_equal(*brackets[side])):
+                b = staircases[:, idx]
+                costly.setdefault((side, b.tobytes()), np.any(bounds._staircase_form(tag, b)[1]))
+        assert oracle.solves == sum(costly.values())
+        assert oracle.recalled == 2 * t_grid.size - met - len(costly)
+
+
+def _grids(rng, k, tied):
+    """Two sorted k-atom grids; tied ones round to integers, so both hold ties."""
+    v1 = np.sort(rng.normal(0.3, 1.4, size=k))
+    v0 = np.sort(rng.normal(0.0, 0.8, size=k))
+    return (np.round(v1), np.round(v0)) if tied else (v1, v0)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_coarse_values_match_vertex_enumeration(k):
+    # k = 2, 3: every vertex of the raw coupling polytope with its shape rows,
+    # against the coarse program's LP value. k = 4, where that enumeration
+    # runs to millions of bases: every vertex of the coarse program itself
+    rng = np.random.default_rng(40 + k)
+    raw = {}
+    if k < 4:
+        a_eq, b_eq = coupling_constraints(k)
+        for tag in ("SI", "PQD"):
+            a_le, b_le = raw_shape_rows(k, tag)
+            a = np.block([[a_eq, np.zeros((2 * k, b_le.size))], [a_le, np.eye(b_le.size)]])
+            raw[tag] = [v[: k * k] for v in lp_vertices(a, np.concatenate([b_eq, b_le]))]
+    enumerated = 0
+    for tied in (False, True):
+        for _ in range(3):
+            v1, v0 = _grids(rng, k, tied)
+            for t in default_t_grid(v1, v0, 9)[1:-1]:
+                b = _staircase(v1, v0, t)
+                weights = ((v1[:, None] - v0[None, :]) <= t).ravel()
+                for tag in ("SI", "PQD"):
+                    prog, coefs, const = bounds._staircase_form(tag, b)
+                    if k < 4:
+                        masses = [float(weights @ v) for v in raw[tag]]
+                    elif 0 < prog.nvar <= 4:
+                        a = prog.a_le.toarray()
+                        vertices = polytope_vertices(a, prog.b_le, prog.lb, prog.ub)
+                        masses = [const + float(coefs @ v) for v in vertices]
+                    else:
+                        continue
+                    enumerated += 1
+                    for side, ref in (("min", min(masses)), ("max", max(masses))):
+                        assert prog.bound(coefs, const, side, t)[0] == pytest.approx(ref, abs=1e-9)
+    assert enumerated >= 20
+
+
+def test_coarse_values_match_cold_full_programs():
+    # random and tied grids up to k = 30, SI and PQD, both sides: the coarse
+    # program's value against a cold solve of the full k x k program at 1e-10
+    # tolerances
+    rng = np.random.default_rng(31)
+    for k in (2, 3, 5, 8, 13, 21, 30):
+        for tied in (False, True):
+            v1, v0 = _grids(rng, k, tied)
+            for t in rng.choice(default_t_grid(v1, v0, 41), 4, replace=False):
+                b = _staircase(v1, v0, t)
+                for tag in ("SI", "PQD"):
+                    prog, coefs, const = bounds._staircase_form(tag, b)
+                    full = _copula_program(k, k, tag)
+                    full_coefs, full_const = full.objective(b)
+                    assert prog.nvar <= full.nvar
+                    for side in ("min", "max"):
+                        got = prog.bound(coefs, const, side, t)[0]
+                        ref = full_const
+                        if np.any(full_coefs):
+                            ref += _tight_cold(full, full_coefs, side).objective
+                        assert got == pytest.approx(ref, abs=1e-12), (k, tied, t, tag, side)
+
+
+def test_bilinear_interpolation_of_a_coarse_optimum_is_feasible_on_the_full_grid():
+    # the extension half of the proof, built: the bilinear interpolation of
+    # each coarse optimum satisfies every row and bound of the k x k program
+    # to 1e-9 and takes the same objective value there
+    rng = np.random.default_rng(32)
+    checked = 0
+    for k in (3, 6, 12, 30):
+        for tied in (False, True):
+            v1, v0 = _grids(rng, k, tied)
+            for t in rng.choice(default_t_grid(v1, v0, 41), 3, replace=False):
+                b = _staircase(v1, v0, t)
+                for tag in ("SI", "PQD"):
+                    prog, coefs, const = bounds._staircase_form(tag, b)
+                    if not prog.nvar:
+                        continue
+                    full = _copula_program(k, k, tag)
+                    full_coefs, full_const = full.objective(b)
+                    for side in ("min", "max"):
+                        sol = prog.solve(coefs, side, t)
+                        s = bilinear_refinement(full_grid(prog, sol.x), prog.rows, prog.cols)
+                        x = s[1:-1, 1:-1].ravel()
+                        assert np.all(full.a_le @ x <= full.b_le + 1e-9)
+                        assert np.all((full.lb - 1e-9 <= x) & (x <= full.ub + 1e-9))
+                        value = full_const + full_coefs @ x
+                        assert value == pytest.approx(const + sol.objective, abs=1e-9)
+                        checked += 1
+    assert checked > 50
+
+
+def test_equal_staircases_give_bit_equal_values():
+    # a dense pass solves one LP per distinct (side, staircase) and recalls
+    # it elsewhere; a fresh oracle asked for one index alone solves it there
+    q1, q0 = population_curves(SUBGROUPS[8], 12)
+    v1, v0 = q1.values, q0.values
+    grid = default_t_grid(v1, v0, 41)
+    for tag in ("SI", "PQD"):
+        env = _Envelopes.of_values(v1, v0, tag, grid)
+        dense = np.array(env.dense())
+        assert env.recalled > 0
+        alone = [
+            [_Envelopes.of_values(v1, v0, tag, grid).mass(side, idx) for idx in range(grid.size)]
+            for side in ("min", "max")
+        ]
+        assert np.array_equal(np.array(alone), dense)
+
+
+def test_si_k50_envelope_where_a_session_row_broke_is_the_cold_optimum():
+    # CLI ``bounds --dgp subgroup5 --assumption si --k 50`` wrote
+    # 0.05999667889 for the upper envelope at this t while each value was a
+    # run of the full program: the run's x broke one of its concavity rows by
+    # 9.3e-8. A cold solve of the full program at 1e-10 tolerances gives
+    # 0.059996676873
+    sample = draw_sample(SUBGROUPS[5], 1000, (0, 0))
+    v1 = make_y_grid(sample.y[sample.d == 1], 50)
+    v0 = make_y_grid(sample.y[sample.d == 0], 50)
+    grid = default_t_grid(v1, v0)
+    idx = 49
+    assert f"{grid[idx]:.10g}" == "-4.041719008"
+    got = _Envelopes.of_values(v1, v0, "SI", grid).mass("max", idx)
+    full = _copula_program(50, 50, "SI")
+    coefs, const = full.objective(_staircase(v1, v0, grid[idx]))
+    cold = const + _tight_cold(full, coefs, "max").objective
+    assert got == pytest.approx(cold, abs=1e-12)
+    assert f"{got:.10g}" == "0.05999667687"
+
+
+@pytest.mark.parametrize("tag", ["SI", "PQD"])
+def test_a_session_optimum_that_breaks_any_row_costs_one_cold_solve(monkeypatch, tag):
+    # each session run reports an optimum moved to break the first row the
+    # session holds by 1e-7; the check over every row of the program sends
+    # each such value to the cold solve, which gives the right one
+    session_of, session_solve = bounds._CopulaProgram.session, lpcore.LpSession.solve
+
+    def recorded_session(prog):
+        session = session_of(prog)
+        session.prog = prog
+        return session
+
+    def broken_run(self, c, sense="minimize"):
+        run = session_solve(self, c, sense)
+        prog = self.prog
+        row = prog.dropped_rows.stop
+        a = prog.a_le[row].toarray().ravel()
+        run.x = run.x + (prog.b_le[row] - a @ run.x + 1e-7) * a / (a @ a)
+        return run
+
+    q1, q0 = population_curves(SUBGROUPS[2], 12)
+    v1, v0 = q1.values, q0.values
+    grid = default_t_grid(v1, v0, 21)
+    want = np.array(_Envelopes.of_values(v1, v0, tag, grid).dense())
+    monkeypatch.setattr(bounds._CopulaProgram, "session", recorded_session)
+    monkeypatch.setattr(lpcore.LpSession, "solve", broken_run)
+    env = _Envelopes.of_values(v1, v0, tag, grid)
+    got = np.array(env.dense())
+    assert env.fallbacks == env.solves > 0
+    assert_allclose(got, want, rtol=0, atol=1e-9)
 
 
 @pytest.mark.parametrize("tag", ["none", "SI", "PQD"])
@@ -498,21 +692,37 @@ def test_program_rows_are_cell_masses_then_second_differences(m1, m2, tag):
     want = np.concatenate(rows) if rows else np.zeros(0)
     assert prog.a_le.shape == (want.size, prog.nvar)
     assert_allclose(prog.a_le @ s[1:m1, 1:m2].ravel() - prog.b_le, want, rtol=0, atol=1e-12)
-    assert prog.checked_rows == slice(0, masses.size if tag == "SI" and prog.nvar else 0)
+    assert prog.dropped_rows == slice(0, masses.size if tag == "SI" and prog.nvar else 0)
+
+
+# coarse breakpoint grids of k = 9, uneven spacing and one interior breakpoint on an axis
+_BREAKPOINTS = [
+    ((0, 2, 3, 7, 9), (0, 1, 4, 5, 9)),
+    ((0, 5, 9), (0, 2, 3, 9)),
+    ((0, 1, 9), (0, 8, 9)),
+]
+
+
+def _program(m1, m2, tag):
+    """The full program of degrees (m1, m2), or the program on breakpoints m1 x m2."""
+    if isinstance(m1, tuple):
+        return bounds._CopulaProgram(m1, m2, tag)
+    return _copula_program(m1, m2, tag)
 
 
 @pytest.mark.parametrize(
     "m1, m2, tag",
     [(k, k, tag) for tag in ("SI", "PQD") for k in range(2, 9)]
-    + [(3, 5, "SI"), (6, 4, "SI"), (3, 5, "PQD"), (6, 4, "PQD")],
+    + [(3, 5, "SI"), (6, 4, "SI"), (3, 5, "PQD"), (6, 4, "PQD")]
+    + [(rows, cols, tag) for tag in ("SI", "PQD") for rows, cols in _BREAKPOINTS],
 )
 def test_start_basis_is_a_vertex_of_the_full_program(m1, m2, tag):
-    prog = _copula_program(m1, m2, tag)
+    prog = _program(m1, m2, tag)
     col_basic, row_basic = prog.start_basis
-    kept = slice(prog.checked_rows.stop, None)
+    kept = slice(prog.dropped_rows.stop, None)
     a, b = prog.a_le[kept].toarray(), prog.b_le[kept]
-    # the independence copula, feasible in the full program
-    x = np.outer(np.arange(1, m1), np.arange(1, m2)).ravel() / (m1 * m2)
+    # the independence copula, feasible in the whole program
+    x = np.outer(prog.rows[1:-1], prog.cols[1:-1]).ravel() / (prog.m1 * prog.m2)
     assert np.all(prog.a_le @ x <= prog.b_le + 1e-12)
     assert np.all((prog.lb - 1e-12 <= x) & (x <= prog.ub + 1e-12))
     # nonbasic rows tight at b, nonbasic columns at their lower bound
@@ -522,6 +732,31 @@ def test_start_basis_is_a_vertex_of_the_full_program(m1, m2, tag):
     basis = np.hstack([a[:, col_basic], np.eye(b.size)[:, row_basic]])
     assert basis.shape == (b.size, b.size)
     assert np.linalg.matrix_rank(basis) == b.size
+
+
+@pytest.mark.parametrize("tag", ["none", "SI", "PQD"])
+@pytest.mark.parametrize("rows, cols", _BREAKPOINTS)
+def test_breakpoint_rows_are_cell_masses_then_slope_form_concavity(rows, cols, tag):
+    # a_le @ S - b_le on a random S with the program's boundary values, row
+    # by row: minus the cell masses of consecutive breakpoints, then for SI
+    # minus (c' - c)(S(c) - S(c_)) - (c - c_)(S(c') - S(c)) along the row and
+    # then along the column at each interior breakpoint (r, c) in turn
+    prog = bounds._CopulaProgram(rows, cols, tag)
+    r, c = np.array(rows), np.array(cols)
+    x = np.random.default_rng(r.size * 10 + c.size).normal(size=prog.nvar)
+    s = full_grid(prog, x)
+    want = [-(s[1:, 1:] - s[:-1, 1:] - s[1:, :-1] + s[:-1, :-1]).ravel()]
+    if tag == "SI":
+        dr, dc = np.diff(r)[:, None], np.diff(c)
+        along_j = dc[1:] * (s[1:-1, 1:-1] - s[1:-1, :-2]) - dc[:-1] * (s[1:-1, 2:] - s[1:-1, 1:-1])
+        along_i = dr[1:] * (s[1:-1, 1:-1] - s[:-2, 1:-1]) - dr[:-1] * (s[2:, 1:-1] - s[1:-1, 1:-1])
+        want.append(-np.stack([along_j.ravel(), along_i.ravel()], axis=1).ravel())
+    want = np.concatenate(want)
+    assert prog.a_le.shape == (want.size, prog.nvar)
+    assert_allclose(prog.a_le @ x - prog.b_le, want, rtol=0, atol=1e-12)
+    assert_allclose(prog.ub, np.minimum.outer(r[1:-1] / r[-1], c[1:-1] / c[-1]).ravel())
+    floor = np.outer(r[1:-1], c[1:-1]).ravel() / (r[-1] * c[-1])
+    assert_allclose(prog.lb, floor if tag == "PQD" else 0.0, rtol=0, atol=0)
 
 
 def test_unrestricted_program_has_no_start_basis():
@@ -569,28 +804,40 @@ def test_a_refused_start_basis_solves_from_no_basis(monkeypatch, tag):
 def test_a_session_run_that_ends_non_optimal_costs_one_cold_full_solve(monkeypatch, tag):
     # every session model stops at its first iteration, so each run ends
     # optimal only where the start basis already is; the cold solves run on
-    # fresh models of their own and are not capped
+    # fresh models of the whole program the session left rows out of, and
+    # are not capped
     built, session_solve, solve_lp = (
         lpcore.LpSession.__init__, lpcore.LpSession.solve, lpcore.solve_lp
     )
-    runs, cold = [], []
+    session_of = bounds._CopulaProgram.session
+    runs, cold, lock = [], [], threading.Lock()
 
     def capped(self, *args):
         built(self, *args)
         self._highs.setOptionValue("simplex_iteration_limit", 0)
 
+    def recorded_session(prog):
+        session = session_of(prog)
+        session.prog = prog
+        return session
+
     def recorded_run(self, c, sense="minimize"):
-        runs.append(session_solve(self, c, sense))
-        return runs[-1]
+        run = session_solve(self, c, sense)
+        with lock:
+            runs.append((run, self.prog))
+        return run
 
     def recorded_cold(lp):
-        cold.append((lp, solve_lp(lp)))
-        return cold[-1][1]
+        sol = solve_lp(lp)
+        with lock:
+            cold.append((lp, sol))
+        return sol
 
     def hidden_solve(lp):
         raise AssertionError("a session run was solved again")
 
     monkeypatch.setattr(lpcore.LpSession, "__init__", capped)
+    monkeypatch.setattr(bounds._CopulaProgram, "session", recorded_session)
     monkeypatch.setattr(lpcore.LpSession, "solve", recorded_run)
     monkeypatch.setattr(bounds, "solve_lp", recorded_cold)
     monkeypatch.setattr(lpcore, "solve_lp", hidden_solve)
@@ -599,15 +846,16 @@ def test_a_session_run_that_ends_non_optimal_costs_one_cold_full_solve(monkeypat
     grid = default_t_grid(v1, v0, 21)
     env = _Envelopes.of_values(v1, v0, tag, grid)
     got = env.dense()
-    prog = _copula_program(12, 12, tag)
-    stopped = sum(run.status != "optimal" for run in runs)
-    assert 0 < stopped < len(runs) == env.solves
-    assert len(cold) == stopped == env.fallbacks
-    assert all(lp.A_le.shape == prog.a_le.shape for lp, _ in cold)
+    stopped = [prog for run, prog in runs if run.status != "optimal"]
+    assert 0 < len(stopped) < len(runs) == env.solves
+    assert len(cold) == len(stopped) == env.fallbacks
+    # each cold solve runs every row of the program whose session run stopped
+    assert sorted(id(lp.A_le) for lp, _ in cold) == sorted(id(prog.a_le) for prog in stopped)
     cold_iterations = sum(sol.iterations for _, sol in cold)
     assert cold_iterations > 0
-    assert env.iterations == sum(run.iterations for run in runs) + cold_iterations
-    assert_allclose(got, _cold_full_program(prog, v1, v0, grid), rtol=0, atol=1e-9)
+    assert env.iterations == sum(run.iterations for run, _ in runs) + cold_iterations
+    full = _copula_program(12, 12, tag)
+    assert_allclose(got, _cold_full_program(full, v1, v0, grid), rtol=0, atol=1e-9)
 
 
 def _count_lp_solves(monkeypatch):
@@ -640,8 +888,9 @@ def _workers(monkeypatch, count):
 
 def test_lp_counts_do_not_rise(monkeypatch):
     # pinned LP counts: every session solve starts from the independence
-    # basis, so only a change of the memo or of the probes shows here; a
-    # count may fall, never rise. Each pin holds on one worker and on two.
+    # basis, so only a change of the memo, of the probes or of the programs
+    # shows here; a count may fall, never rise. Each pin holds on one worker
+    # and on two.
     counts = _count_lp_solves(monkeypatch)
 
     def solved(call):
@@ -662,9 +911,10 @@ def test_lp_counts_do_not_rise(monkeypatch):
         _workers(monkeypatch, workers)
         q1, q0 = population_curves(SUBGROUPS[2], 12)
         grid = default_t_grid(q1.values, q0.values, 41)
-        # 80 each while every dense value took an LP
-        assert solved(lambda: coupling_lp_bounds(q1, q0, si, t_grid=grid)) == (55, 0)
-        assert solved(lambda: coupling_lp_bounds(q1, q0, pqd, t_grid=grid)) == (55, 0)
+        # 80 each while every dense value took an LP, 55 while equal
+        # staircases took one each
+        assert solved(lambda: coupling_lp_bounds(q1, q0, si, t_grid=grid)) == (54, 0)
+        assert solved(lambda: coupling_lp_bounds(q1, q0, pqd, t_grid=grid)) == (54, 0)
         # 7 and 8 while each side bisected all of [0, 40]
         assert solved(lambda: qote_coupling_bounds(q1, q0, 0.25, si, t_grid=grid)) == (4, 0)
         assert solved(lambda: qote_coupling_bounds(q1, q0, 0.25, pqd, t_grid=grid)) == (4, 0)
@@ -682,21 +932,30 @@ def test_lp_counts_do_not_rise(monkeypatch):
                 solved(lambda: classification_experiment(SUBGROUPS[s], 0.25, 200, 8, seed=3, k=12))
                 + (sum(env.decided for env in made),)
             )
-        assert per_subgroup == [(21, 0, 12), (27, 0, 15), (39, 0, 9), (41, 0, 16), (38, 0, 22)]
+        # (21, 27, 39, 41, 38) LPs while equal staircases took one each
+        assert per_subgroup == [(20, 0, 12), (25, 0, 15), (35, 0, 9), (35, 0, 16), (35, 0, 22)]
         # a dense pass leaves nothing for the inversion to solve or to decide;
-        # its LPs and the values where the brackets meet make up all 82 values
+        # its LPs, the values where the brackets meet and the one value an
+        # equal staircase recalls make up all 82 values
         env = _Envelopes.of_curves(q1, q0, si, t_grid=grid)
-        assert solved(env.dense) == (55, 0)
-        assert env.decided == 27
+        assert solved(env.dense) == (54, 0)
+        assert (env.decided, env.recalled) == (27, 1)
         assert solved(lambda: (env.invert(0.25), env.invert(0.5))) == (0, 0)
-        assert env.decided == 27
+        assert (env.decided, env.recalled) == (27, 1)
         # simplex iterations of one lazy SI interval at k = 50 on the default
         # grid (5,492 when each solve started from the basis the last one
-        # left, 1,194 in 10 solves while each side bisected the whole grid)
+        # left, 1,194 in 10 solves while each side bisected the whole grid,
+        # 767 in 7 solves of the full 49 x 49 program)
         q1, q0 = population_curves(SUBGROUPS[2], 50)
         env = _Envelopes.of_curves(q1, q0, si)
         assert solved(lambda: env.invert(0.25)) == (7, 0)
-        assert (env.solves, env.fallbacks, env.iterations) == (7, 0, 767)
+        assert (env.solves, env.fallbacks, env.iterations) == (7, 0, 185)
+        # a dense SI pass at k = 50 on the default grid, the hard SI case:
+        # 281 LPs and 127,508 iterations on the full program
+        q1, q0 = population_curves(SUBGROUPS[5], 50)
+        env = _Envelopes.of_curves(q1, q0, si)
+        assert solved(env.dense) == (268, 0)
+        assert (env.iterations, env.decided, env.recalled) == (44668, 121, 13)
 
 
 @pytest.mark.parametrize(
@@ -786,10 +1045,7 @@ class _TableProgram:
     def __init__(self, values):
         self.values, self.runs = values, 0
 
-    def session(self):
-        return None
-
-    def bound(self, coefs, const, sense, t, session):
+    def bound(self, coefs, const, sense, t):
         self.runs += 1
         return float(self.values[int(t)]), (LpSolution(status="optimal"),)
 
@@ -817,7 +1073,9 @@ def test_guided_search_probes_stay_within_the_safeguard_bound(shape):
             if not reached.size:
                 continue
             prog = _TableProgram(values)
-            env = _Envelopes(np.arange(float(n)), prog, lambda t: (None, 0.0), brackets=brackets)
+            env = _Envelopes(
+                np.arange(float(n)), [np.arange(n)], lambda b: (prog, None, 0.0), brackets=brackets
+            )
             assert env.first_reaching("min", tau, n - 1) == reached[0], (at, tau)
             assert prog.runs <= cap, (at, tau, prog.runs)
             assert (env.solves, env.decided) == (prog.runs, 0)
@@ -912,7 +1170,7 @@ def test_a_certificate_that_fails_on_a_helper_thread_falls_back_there(monkeypatc
     costs = [rng.normal(size=prog.nvar) for _ in range(100)]
 
     def oracle():
-        return _Envelopes(np.arange(100.0), prog, lambda t: (costs[int(t)], 0.0))
+        return _Envelopes(np.arange(100.0), [np.arange(100)], lambda b: (prog, costs[b[0]], 0.0))
 
     _workers(monkeypatch, 1)
     serial = oracle()
@@ -1003,7 +1261,8 @@ def test_more_workers_than_cores_keep_every_value_once(monkeypatch):
 
 
 def test_each_session_runs_only_on_the_thread_that_built_it(monkeypatch):
-    built, runs = [], set()
+    # every session is kept alive here, so no two share an id
+    built, runs, alive = [], set(), []
     lock = threading.Lock()
     init, solve = lpcore.LpSession.__init__, lpcore.LpSession.solve
 
@@ -1011,6 +1270,7 @@ def test_each_session_runs_only_on_the_thread_that_built_it(monkeypatch):
         init(self, *args)
         with lock:
             built.append((id(self), threading.get_ident()))
+            alive.append(self)
 
     def recorded_solve(self, c, sense="minimize"):
         with lock:
@@ -1024,8 +1284,9 @@ def test_each_session_runs_only_on_the_thread_that_built_it(monkeypatch):
     grid = default_t_grid(q1.values, q0.values, 41)
     env = _Envelopes.of_curves(q1, q0, AssumptionSet("SI"), t_grid=grid)
     env.dense()
-    assert 1 <= len(built) <= 2
-    assert len({thread for _, thread in built}) == len(built)
+    # one session per run, of the coarse program of its staircase, on both threads
+    assert len(built) == env.solves > 0
+    assert len({thread for _, thread in built}) == 2
     # every run is on a session built on the same thread, none on two threads
     assert runs <= set(built)
     assert len({session for session, _ in runs}) == len(runs)

@@ -14,7 +14,7 @@ from numpy.testing import assert_allclose
 from oracles import brute_force_lp
 import qotepolicy
 from qotepolicy import bounds
-from qotepolicy.bounds import AssumptionSet, CVaR, _copula_program, functional_bounds
+from qotepolicy.bounds import AssumptionSet, CVaR, _copula_program, _pairs_above, functional_bounds
 from qotepolicy.lpcore import LinearProgram, LpSession, solve_lp
 from qotepolicy.sim import SUBGROUPS, population_curves
 
@@ -271,7 +271,7 @@ def _programs(source, monkeypatch):
         # the full SI copula program at k = 30, as a cold fallback solves it
         q1, q0 = population_curves(SUBGROUPS[2], 30)
         prog = _copula_program(30, 30, "SI")
-        coefs, _ = prog.objective(q1.values, q0.values, 0.5)
+        coefs, _ = prog.objective(_pairs_above(q1.values, q0.values, 0.5)[:, 0])
         for sense in ("minimize", "maximize"):
             yield LinearProgram(
                 c=coefs, sense=sense, A_le=prog.a_le, b_le=prog.b_le, lower=prog.lb, upper=prog.ub

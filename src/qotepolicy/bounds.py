@@ -25,7 +25,9 @@ probes of ``sim`` all read one ``_Envelopes`` oracle per (curves or linear
 form, tag, t grid), which finds each distinct (side, staircase) at most
 once and inverts by one search per side.
 Envelopes already built, the unrestricted closed form and those the CLI
-keeps per cell, are inverted by ``invert_bounds`` in one numpy pass. A
+keeps for its cells, are inverted in one numpy pass, by ``invert_bounds``
+or, for many rows of envelopes at once, ``_inverted_rows``. The closed
+forms and default t grids take grids stacked one row per cell as well. A
 program's side is searched only where its closed-form brackets leave the
 answer open, by interpolation on the values found so far, safeguarded by
 bisection. The staircase form of P(Delta <= t), like every other linear
@@ -104,6 +106,11 @@ _TAU_TOL = 1e-12
 # violated by more than this
 _CERT_TOL = 1e-9
 
+# ``_closed_form_envelopes`` counts the staircases (k x T counts per row) of
+# as many rows at a time as keep their counts within this (512 KiB of int64):
+# larger blocks ran no faster and raised the peak memory of a 200-cell run
+_BLOCK_COUNTS = 1 << 16
+
 
 def _usable_cpus() -> int:
     """The CPUs this process may run on: ``_on_workers`` runs at most one worker on each.
@@ -172,6 +179,27 @@ def _raise_first(found: list) -> list:
     return found
 
 
+def _raise_first_failure(checks) -> None:
+    """Raise the first failing check of the first row that fails one, as a ValueError.
+
+    ``checks`` are (message, failed) pairs in the order they apply, each
+    ``failed`` a boolean per row, so that checking many rows at once raises
+    what checking them one at a time would.
+    """
+    failed = np.stack([f for _, f in checks], axis=-1).reshape(-1, len(checks))
+    rows = np.flatnonzero(failed.any(axis=1))
+    if rows.size:
+        raise ValueError(checks[int(failed[rows[0]].argmax())][0])
+
+
+def _t_grid_checks(t) -> list:
+    """The checks of t grids along the last axis: finite, strictly increasing."""
+    return [
+        ("t_grid values must be finite", ~np.isfinite(t).all(axis=-1)),
+        ("t_grid must be strictly increasing", (np.diff(t, axis=-1) <= 0).any(axis=-1)),
+    ]
+
+
 def _checked_t_grid(t_grid) -> np.ndarray:
     """A t grid as a float array: 1-d, non-empty, finite, strictly increasing."""
     t = np.asarray(t_grid, dtype=float)
@@ -179,11 +207,35 @@ def _checked_t_grid(t_grid) -> np.ndarray:
         raise ValueError(f"t_grid must be 1-d, got shape {t.shape}")
     if t.size == 0:
         raise ValueError("t_grid must not be empty")
-    if not np.all(np.isfinite(t)):
-        raise ValueError("t_grid values must be finite")
-    if np.any(np.diff(t) <= 0):
-        raise ValueError("t_grid must be strictly increasing")
+    _raise_first_failure(_t_grid_checks(t))
     return t
+
+
+def _check_envelopes(t, lower, upper) -> None:
+    """Raise unless each row of lower and upper bounds P(Delta <= t) on its row of t.
+
+    Rows run along the last axis, which must not be empty. A row's t grid
+    must be finite and strictly increasing, and its envelopes must lie in
+    [0, 1], be nondecreasing and keep lower <= upper, each to 1e-9.
+    """
+    checks = _t_grid_checks(t)
+    if not t.shape == lower.shape == upper.shape:
+        _raise_first_failure(checks)
+        raise ValueError("t_grid, lower, upper must be 1-d of equal length")
+    for name, v in (("lower", lower), ("upper", upper)):
+        checks.append((f"{name} envelope must lie in [0, 1]",
+                       ~((v >= -1e-9) & (v <= 1 + 1e-9)).all(axis=-1)))
+        checks.append((f"{name} envelope must be nondecreasing",
+                       (np.diff(v, axis=-1) < -1e-9).any(axis=-1)))
+    checks.append(("lower envelope must not exceed upper envelope",
+                   (lower > upper + 1e-9).any(axis=-1)))
+    _raise_first_failure(checks)
+
+
+def _check_qote_bounds(lower, upper) -> None:
+    """Raise unless every lower <= upper, to 1e-12."""
+    if not np.all(lower <= upper + 1e-12):
+        raise ValueError("lower bound exceeds upper bound")
 
 
 @dataclass(frozen=True)
@@ -214,15 +266,7 @@ class DeltaCdfBounds:
         object.__setattr__(self, "t_grid", t)
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", up)
-        if not t.shape == lo.shape == up.shape:
-            raise ValueError("t_grid, lower, upper must be 1-d of equal length")
-        for name, v in (("lower", lo), ("upper", up)):
-            if not np.all((v >= -1e-9) & (v <= 1 + 1e-9)):
-                raise ValueError(f"{name} envelope must lie in [0, 1]")
-            if np.any(np.diff(v) < -1e-9):
-                raise ValueError(f"{name} envelope must be nondecreasing")
-        if np.any(lo > up + 1e-9):
-            raise ValueError("lower envelope must not exceed upper envelope")
+        _check_envelopes(t, lo, up)
 
 
 @dataclass(frozen=True)
@@ -235,8 +279,7 @@ class QoteBounds:
     truncated_upper: bool = False
 
     def __post_init__(self):
-        if not self.lower <= self.upper + 1e-12:
-            raise ValueError("lower bound exceeds upper bound")
+        _check_qote_bounds(self.lower, self.upper)
 
 
 class Interval(NamedTuple):
@@ -280,51 +323,88 @@ def _curves_on_common_grid(q1: QuantileCurve, q0: QuantileCurve, k: Optional[int
 
 
 def default_t_grid(v1: np.ndarray, v0: np.ndarray, points: int = DEFAULT_T_POINTS) -> np.ndarray:
-    """Equally spaced t values spanning the achievable grid differences."""
+    """Equally spaced t values spanning the achievable grid differences.
+
+    Grids stacked along leading axes (one row per cell) give one t grid per
+    row, each as that row alone would.
+    """
     if points < 1:
         raise ValueError(f"a t grid needs at least one point, got {points}")
-    lo = float(np.min(v1) - np.max(v0))
-    hi = float(np.max(v1) - np.min(v0))
-    if hi - lo < 1e-12:
-        lo, hi = lo - 0.5, hi + 0.5
-    return np.linspace(lo, hi, points)
+    lo = np.min(v1, axis=-1) - np.max(v0, axis=-1)
+    hi = np.max(v1, axis=-1) - np.min(v0, axis=-1)
+    narrow = hi - lo < 1e-12
+    return np.linspace(
+        np.where(narrow, lo - 0.5, lo), np.where(narrow, hi + 0.5, hi), points, axis=-1
+    )
+
+
+def _require_two_atoms(v1) -> None:
+    """Raise unless grids of couplings, along the last axis, have k >= 2 atoms."""
+    if np.shape(v1)[-1] < 2:
+        raise ValueError("k must be at least 2")
 
 
 def _coupling_t_grid(v1, v0, t_grid) -> np.ndarray:
     """The checked t grid of couplings of two k-atom grids, k >= 2: t_grid, or the default one."""
-    if v1.size < 2:
-        raise ValueError("k must be at least 2")
+    _require_two_atoms(v1)
     return _checked_t_grid(default_t_grid(v1, v0) if t_grid is None else t_grid)
+
+
+def _monotone_envelopes(lower, upper):
+    """Clip LP-produced envelopes to [0, 1] and monotonize them along the last axis.
+
+    (lower, upper): each a cumulative max in t, and upper at least lower.
+    """
+    lo = np.maximum.accumulate(np.clip(lower, 0.0, 1.0), axis=-1)
+    up = np.maximum.accumulate(np.clip(upper, 0.0, 1.0), axis=-1)
+    return lo, np.maximum(up, lo)
 
 
 def _assemble_envelopes(t_grid, lower, upper) -> DeltaCdfBounds:
     """Clip and monotonize LP-produced envelopes (cumulative max in t)."""
-    lo = np.maximum.accumulate(np.clip(lower, 0.0, 1.0))
-    up = np.maximum.accumulate(np.clip(upper, 0.0, 1.0))
-    up = np.maximum(up, lo)
-    return DeltaCdfBounds(t_grid, lo, up)
+    return DeltaCdfBounds(t_grid, *_monotone_envelopes(lower, upper))
 
 
 # ---------------------------------------------------------------------------
 # the unrestricted problem: closed form on the grid
 
 
-def _pairs_above(v1, v0, t_grid):
-    """counts[i, n] = #{j : v1[i] - v0[j] > t_grid[n]} for an increasing grid.
+def _searchsorted_rows(a, v, side: str = "left") -> np.ndarray:
+    """``np.searchsorted(a[r], v[r], side)`` for every row r of the leading axes.
 
-    Each difference is compared with t as it is computed. Locating v1[i] - t
-    among v0 instead rounds v1[i] - t first, which can misplace a pair whose
-    difference equals t; the ends of the default t grid are such differences.
+    ``a`` is (..., T), each row sorted, and ``v`` is (..., m) with the same
+    leading shape. Complex numbers sort lexicographically, so the keys
+    row + 1j * value of every row form one sorted array, and one search
+    places every value exactly among its own row's.
+    """
+    a, v = np.asarray(a, dtype=float), np.asarray(v, dtype=float)
+    rows = np.arange(math.prod(a.shape[:-1])).reshape(a.shape[:-1] + (1,))
+    keys, query = np.empty(a.shape, complex), np.empty(v.shape, complex)
+    keys.real, keys.imag = rows, a
+    query.real, query.imag = rows, v
+    return np.searchsorted(keys.ravel(), query.ravel(), side).reshape(v.shape) - rows * a.shape[-1]
+
+
+def _pairs_above(v1, v0, t_grid):
+    """counts[..., i, n] = #{j : v1[..., i] - v0[..., j] > t_grid[..., n]} for increasing grids.
+
+    Grids stacked along leading axes (one row per cell) count each row on
+    its own t grid. Each difference is compared with t as it is computed.
+    Locating v1[i] - t among v0 instead rounds v1[i] - t first, which can
+    misplace a pair whose difference equals t; the ends of the default t
+    grid are such differences.
     """
     t = np.atleast_1d(np.asarray(t_grid, float))
-    k = v1.size
+    k, size = v1.shape[-1], t.shape[-1]
+    diffs = v1[..., :, None] - v0[..., None, :]
     # t[n] < v1[i] - v0[j]  iff  n < pos[i, j]
-    pos = np.searchsorted(t, v1[:, None] - v0[None, :], side="left")
+    pos = _searchsorted_rows(t, diffs.reshape(diffs.shape[:-2] + (-1,)))
+    rows = pos.size // v0.shape[-1]
     hits = np.bincount(
-        (np.arange(k)[:, None] * (t.size + 1) + pos).ravel(),
-        minlength=k * (t.size + 1),
-    ).reshape(k, t.size + 1)
-    return v0.size - np.cumsum(hits, axis=1)[:, : t.size]
+        (np.arange(rows)[:, None] * (size + 1) + pos.reshape(rows, -1)).ravel(),
+        minlength=rows * (size + 1),
+    ).reshape(diffs.shape[:-2] + (k, size + 1))
+    return v0.shape[-1] - np.cumsum(hits, axis=-1, out=hits)[..., :size]
 
 
 def _staircase_envelopes(v1, v0, t_grid):
@@ -334,19 +414,50 @@ def _staircase_envelopes(v1, v0, t_grid):
     sum 1{q1_i - q0_j <= t} c(i,j) over couplings reduce to order statistics
     of the cross differences: with b_i(t) pairs of row i above t, the lower
     envelope is max_i (i - b_i)/k and the upper one (k - 1 + min_i (i - b_i))/k.
+    Grids stacked along leading axes give one pair of envelopes per row.
     """
     v1 = np.asarray(v1, float)
     v0 = np.asarray(v0, float)
-    k = v1.size
-    g = np.arange(1, k + 1)[:, None] - _pairs_above(v1, v0, t_grid)
-    f_lower = np.clip(g.max(axis=0), 0, k) / k
-    f_upper = np.clip(k - 1 + g.min(axis=0), 0, k) / k
+    k = v1.shape[-1]
+    g = _pairs_above(v1, v0, t_grid)
+    np.subtract(np.arange(1, k + 1)[:, None], g, out=g)
+    f_lower = np.clip(g.max(axis=-2), 0, k) / k
+    f_upper = np.clip(k - 1 + g.min(axis=-2), 0, k) / k
     return f_lower, f_upper
 
 
 def _comonotone_cdf(v1, v0, t_grid):
-    """P(Delta <= t) at every t under the comonotone coupling of two sorted k-atom grids."""
-    return np.searchsorted(np.sort(v1 - v0), t_grid, side="right") / v1.size
+    """P(Delta <= t) at every t under the comonotone coupling of two sorted k-atom grids.
+
+    Grids stacked along leading axes give one row per row of t_grid.
+    """
+    return _searchsorted_rows(np.sort(v1 - v0, axis=-1), t_grid, "right") / v1.shape[-1]
+
+
+def _closed_form_envelopes(tag: str, v1, v0, t_grid):
+    """(lower, upper) of P(Delta <= t) for rows of grids, under NoAssumption or RankInvariance.
+
+    The staircase closed form (k >= 2), clipped and monotonized as by
+    ``_assemble_envelopes``, or the comonotone coupling, of every row of
+    ``v1``, ``v0`` (cells x k) on its row of ``t_grid`` (cells x T), checked
+    as ``DeltaCdfBounds`` checks one row. Raises what the first failing row
+    alone would.
+    """
+    if tag == "NoAssumption":
+        _require_two_atoms(v1)
+    # a grid that is not finite and increasing would misplace the searches
+    _raise_first_failure(_t_grid_checks(t_grid))
+    if tag == "RankInvariance":
+        lower = upper = _comonotone_cdf(v1, v0, t_grid)
+    else:
+        step = max(_BLOCK_COUNTS // (v1.shape[-1] * t_grid.shape[-1]), 1)
+        blocks = [
+            _staircase_envelopes(v1[at : at + step], v0[at : at + step], t_grid[at : at + step])
+            for at in range(0, len(v1), step)
+        ]
+        lower, upper = _monotone_envelopes(*(np.concatenate(side) for side in zip(*blocks)))
+    _check_envelopes(t_grid, lower, upper)
+    return lower, upper
 
 
 def _coupling_brackets(v1, v0, t_grid):
@@ -947,15 +1058,29 @@ def invert_bounds(b: DeltaCdfBounds, tau: float) -> QoteBounds:
     envelopes; when tau falls outside the range an envelope spans on the
     grid, the corresponding endpoint is returned with a truncated flag.
     """
+    lower, upper, trunc_l, trunc_u = (
+        v.tolist() for v in _inverted_rows(b.t_grid, b.lower, b.upper, tau)
+    )
+    return QoteBounds(lower, upper, truncated_lower=trunc_l, truncated_upper=trunc_u)
+
+
+def _inverted_rows(t_grid, lower, upper, tau: float):
+    """``invert_bounds`` of every row of envelopes on its row of t_grid, in one pass.
+
+    (lower, upper, truncated_lower, truncated_upper), each an array over the
+    leading axes; checked as ``QoteBounds`` checks one interval.
+    """
     if not 0.0 < tau < 1.0:
         raise ValueError("tau must lie in (0, 1)")
-    values = np.stack([b.lower, b.upper])
+    values = np.stack([lower, upper])
     reached = values >= tau - _TAU_TOL
-    idx = reached.argmax(axis=1)
-    found = reached[[0, 1], idx]
-    upper, lower = np.where(found, b.t_grid[idx], b.t_grid[-1]).tolist()
-    trunc_u, trunc_l = (~found | ((idx == 0) & (tau < values[:, 0]))).tolist()
-    return QoteBounds(lower, upper, truncated_lower=trunc_l, truncated_upper=trunc_u)
+    idx = reached.argmax(axis=-1)[..., None]
+    found = np.take_along_axis(reached, idx, axis=-1)[..., 0]
+    t = np.broadcast_to(t_grid, values.shape)
+    ends = np.where(found, np.take_along_axis(t, idx, axis=-1)[..., 0], t[..., -1])
+    trunc = ~found | ((idx[..., 0] == 0) & (tau < values[..., 0]))
+    _check_qote_bounds(ends[1], ends[0])
+    return ends[1], ends[0], trunc[1], trunc[0]
 
 
 def qote_coupling_bounds(
@@ -1111,7 +1236,11 @@ def functional_bounds(
 
 def delta_bounds_to_csv(b: DeltaCdfBounds) -> str:
     """Serialize CDF envelopes as ``t,lower,upper`` CSV text."""
-    lines = ["t,lower,upper"]
-    for t, lo, up in zip(b.t_grid.tolist(), b.lower.tolist(), b.upper.tolist()):
-        lines.append(f"{t:.10g},{lo:.10g},{up:.10g}")
-    return "\n".join(lines) + "\n"
+    return _envelope_csvs(b.t_grid, b.lower, b.upper)[0]
+
+
+def _envelope_csvs(t_grid, lower, upper) -> list:
+    """The ``delta_bounds_to_csv`` text of every row of envelopes, one ``%`` per row."""
+    values = np.stack([t_grid, lower, upper], axis=-1)
+    form = "t,lower,upper\n" + "%.10g,%.10g,%.10g\n" * values.shape[-2]
+    return [form % tuple(row.tolist()) for row in values.reshape(-1, 3 * values.shape[-2])]

@@ -2,9 +2,16 @@
 reports, learned rules, and replication tables out.
 
 Each subcommand takes only the flags it reads. ``bounds`` is the only one
-that computes bounds: it builds each cell's envelopes on P(Y1 - Y0 <= t) once
-and inverts them per tau, after every tau has been checked and before the
-first file is written. ``policy`` and ``owl`` read a bounds JSON it wrote.
+that computes bounds. It builds all cells at once, as arrays with one row
+per cell: one stable sort of the sample by (cell, arm, y) gives every
+cell's quantile grids, and the t grids, the closed-form envelopes on
+P(Y1 - Y0 <= t), the points and each tau's inversion are one numpy pass
+over the cells each; SI and PQD solve one envelope oracle per cell. Errors
+are those of a cell-by-cell build, the first failing cell in sorted
+covariate order deciding; a cell that lacks observations in one arm is an
+input error. Each cell's envelopes are built once and inverted per tau,
+after every tau has been checked and before the first file is written.
+``policy`` and ``owl`` read a bounds JSON it wrote.
 
 Exit codes: 0 ok, 2 input error, 3 unsupported assumption, 4 inconsistency
 between provided pieces, 5 learner error (nothing to learn, or training that
@@ -31,17 +38,23 @@ from .bounds import (
     DEFAULT_K,
     DEFAULT_T_POINTS,
     AssumptionSet,
-    DeltaCdfBounds,
     LpSolveError,
     QoteBounds,
-    _comonotone_cdf,
+    _check_qote_bounds,
+    _closed_form_envelopes,
+    _envelope_csvs,
+    _inverted_rows,
     coupling_lp_bounds,
     default_t_grid,
-    delta_bounds_to_csv,
-    invert_bounds,
-    rank_invariance_qote,
 )
-from .marginals import QuantileCurve, Sample, make_y_grid, read_sample_csv, u_grid
+from .marginals import (
+    QuantileCurve,
+    Sample,
+    _grid_positions,
+    _quantile_index,
+    read_sample_csv,
+    u_grid,
+)
 from .owl import (
     LearnerError,
     TrainConfig,
@@ -132,42 +145,49 @@ def _parse_taus(text: str) -> List[float]:
     return taus
 
 
-def _cells_from_sample(sample: Sample) -> List[Tuple[Tuple[float, ...], float, Sample]]:
-    """Split a sample into covariate cells (x, weight, cell sample)."""
+class _Split(NamedTuple):
+    """A sample's rows grouped by covariate cell, cells in sorted covariate order.
+
+    ``y`` holds the outcomes sorted by (cell, arm, y): each cell's arm 0
+    and then its arm 1, each sorted. ``counts[c]`` is the number of rows of
+    arm 0 and of arm 1 in cell c.
+    """
+
+    x: List[List[float]]
+    weight: np.ndarray
+    y: np.ndarray
+    counts: np.ndarray
+
+
+def _cells_from_sample(sample: Sample) -> _Split:
+    """Split a sample into its covariate cells by one stable sort."""
     if sample.p == 0:
-        return [((), 1.0, sample)]
-    rows = np.asarray(sample.x)
-    uniq, inverse = np.unique(rows, axis=0, return_inverse=True)
-    if uniq.shape[0] > MAX_CELLS:
-        raise _CliError(
-            2,
-            f"{uniq.shape[0]} distinct covariate rows exceed the {MAX_CELLS}-cell "
-            "limit; bin the covariates first",
-        )
-    # one stable sort puts each cell's rows together, in input order
-    counts = np.bincount(inverse, minlength=uniq.shape[0])
-    parts = np.split(np.argsort(inverse, kind="stable"), np.cumsum(counts)[:-1])
-    return [
-        (
-            tuple(float(v) for v in uniq[idx]),
-            float(counts[idx] / inverse.size),
-            Sample(y=sample.y[part], d=sample.d[part], x=rows[part]),
-        )
-        for idx, part in enumerate(parts)
-    ]
+        x, inverse = [[]], np.zeros(sample.n, dtype=int)
+    else:
+        uniq, inverse = np.unique(sample.x, axis=0, return_inverse=True)
+        if uniq.shape[0] > MAX_CELLS:
+            raise _CliError(
+                2,
+                f"{uniq.shape[0]} distinct covariate rows exceed the {MAX_CELLS}-cell "
+                "limit; bin the covariates first",
+            )
+        x = uniq.tolist()
+    counts = np.bincount(2 * inverse + sample.d, minlength=2 * len(x)).reshape(-1, 2)
+    order = np.lexsort((sample.y, sample.d, inverse))
+    return _Split(x, counts.sum(axis=1) / sample.n, sample.y[order], counts)
 
 
-def _load_cells(args) -> List[Tuple[Tuple[float, ...], float, Sample]]:
+def _load_cells(args) -> _Split:
     if args.input:
         try:
             sample = read_sample_csv(args.input)
         except (OSError, ValueError) as exc:
             raise _CliError(2, f"bad input CSV {args.input}: {exc}")
-        return _cells_from_sample(sample)
-    if args.dgp:
-        dgp = _resolve_dgp(args.dgp)
-        return [((), 1.0, draw_sample(dgp, args.n, (args.seed, 0)))]
-    raise _CliError(2, "provide --input CSV or --dgp")
+    elif args.dgp:
+        sample = draw_sample(_resolve_dgp(args.dgp), args.n, (args.seed, 0))
+    else:
+        raise _CliError(2, "provide --input CSV or --dgp")
+    return _cells_from_sample(sample)
 
 
 def _require_median(tag: str, taus: List[float]) -> None:
@@ -175,62 +195,95 @@ def _require_median(tag: str, taus: List[float]) -> None:
         raise _CliError(2, "symmetry identifies the median only; use --tau 0.5")
 
 
-class _Cell(NamedTuple):
-    """One covariate cell with everything that does not depend on tau."""
+class _Cells(NamedTuple):
+    """Every covariate cell, one row each, with everything that does not depend on tau.
 
-    x: Tuple[float, ...]
-    weight: float
-    q1: QuantileCurve
-    q0: QuantileCurve
-    envelope: Optional[DeltaCdfBounds]  # None under Symmetry
+    ``v1`` and ``v0`` are the cells' quantile grids (cells x k); ``t``,
+    ``lower`` and ``upper`` their t grids and envelopes of P(Y1 - Y0 <= t)
+    (cells x points), None under Symmetry.
+    """
 
-    def bounds(self, tag: str, tau: float) -> QoteBounds:
+    x: List[List[float]]
+    weight: np.ndarray
+    v1: np.ndarray
+    v0: np.ndarray
+    t: Optional[np.ndarray]
+    lower: Optional[np.ndarray]
+    upper: Optional[np.ndarray]
+
+    def bounds(self, tag: str, tau: float):
+        """(lower, upper, truncated_lower, truncated_upper) of every cell at tau."""
         if tag == "RankInvariance":
-            point = rank_invariance_qote(self.q1, self.q0, tau)
+            # the tau-quantile of the comonotone effects q1(u) - q0(u)
+            point = np.sort(self.v1 - self.v0, axis=1)[:, _quantile_index(self.v1.shape[1], tau)]
         elif tag == "Symmetry":
             # symmetric effects put the median at the mean difference
-            point = float(np.mean(self.q1.values) - np.mean(self.q0.values))
+            point = self.v1.mean(axis=1) - self.v0.mean(axis=1)
         else:
-            return invert_bounds(self.envelope, tau)
-        return QoteBounds(lower=point, upper=point)
+            return _inverted_rows(self.t, self.lower, self.upper, tau)
+        _check_qote_bounds(point, point)
+        untruncated = np.zeros(point.shape, dtype=bool)
+        return point, point, untruncated, untruncated
 
 
-def _build_cells(args, tag: str) -> List[_Cell]:
-    """Read the input, split it into cells and build each cell's envelopes."""
-    cells = []
-    for x, w, sample in _load_cells(args):
-        y1, y0 = sample.y[sample.d == 1], sample.y[sample.d == 0]
-        if y1.size == 0 or y0.size == 0:
-            raise _CliError(2, f"cell {list(x)} lacks observations in one arm")
-        k = args.k
-        v1, v0 = make_y_grid(y1, k), make_y_grid(y0, k)
-        q1, q0 = QuantileCurve(u_grid(k), v1), QuantileCurve(u_grid(k), v0)
-        env = None
-        if tag != "Symmetry":
-            grid = default_t_grid(v1, v0, args.tgrid)
-            if tag == "RankInvariance":
-                cdf = _comonotone_cdf(v1, v0, grid)
-                env = DeltaCdfBounds(t_grid=grid, lower=cdf, upper=cdf)
-            else:
-                env = coupling_lp_bounds(q1, q0, AssumptionSet(tag), t_grid=grid, k=k)
-        cells.append(_Cell(x, w, q1, q0, env))
-    return cells
+def _build_cells(args, tag: str) -> _Cells:
+    """Read the input, split it into cells and build every cell's envelopes at once.
+
+    Errors are those of a cell-by-cell build: the first cell in sorted
+    covariate order that fails decides. So the cells before the first one
+    that lacks an arm are built, and that cell is named after them.
+    """
+    split = _load_cells(args)
+    lacking = np.flatnonzero((split.counts == 0).any(axis=1))
+    if not lacking.size:
+        return _cell_rows(args, tag, split, len(split.x))
+    first = int(lacking[0])
+    if first:
+        _cell_rows(args, tag, split, first)
+    raise _CliError(2, f"cell {split.x[first]} lacks observations in one arm")
 
 
-def _bounds_payload(cells: List[_Cell], tau: float, tag: str, k: int) -> dict:
-    rows = []
-    for cell in cells:
-        b = cell.bounds(tag, tau)
-        rows.append(dict(x=list(cell.x), weight=cell.weight, lower=b.lower, upper=b.upper,
-                         truncated_lower=b.truncated_lower,
-                         truncated_upper=b.truncated_upper))
+def _cell_rows(args, tag: str, split: _Split, built: int) -> _Cells:
+    """The first ``built`` cells of a split, every arm of which has a row."""
+    k, counts = args.k, split.counts[:built]
+    starts = np.cumsum(split.counts.ravel()).reshape(-1, 2)[:built] - counts
+    # make_y_grid's positions, in each (cell, arm) block of the sorted outcomes
+    at = starts[..., None] + _grid_positions(counts, k)
+    v0, v1 = split.y[at[:, 0]], split.y[at[:, 1]]
+    cells = _Cells(split.x[:built], split.weight[:built], v1, v0, None, None, None)
+    if tag == "Symmetry":
+        return cells
+    t = default_t_grid(v1, v0, args.tgrid)
+    if tag in ("NoAssumption", "RankInvariance"):
+        lower, upper = _closed_form_envelopes(tag, v1, v0, t)
+    else:
+        # one copula-program oracle per cell, in cell order
+        u = u_grid(k)
+        envelopes = [
+            coupling_lp_bounds(QuantileCurve(u, a), QuantileCurve(u, b), AssumptionSet(tag),
+                               t_grid=grid, k=k)
+            for a, b, grid in zip(v1, v0, t)
+        ]
+        lower = np.array([env.lower for env in envelopes])
+        upper = np.array([env.upper for env in envelopes])
+    return cells._replace(t=t, lower=lower, upper=upper)
+
+
+def _bounds_payload(cells: _Cells, tau: float, tag: str, k: int) -> dict:
+    columns = (column.tolist() for column in cells.bounds(tag, tau))
+    rows = [
+        dict(x=x, weight=w, lower=lo, upper=up, truncated_lower=tl, truncated_upper=tu)
+        for x, w, lo, up, tl, tu in zip(cells.x, cells.weight.tolist(), *columns)
+    ]
     return {"tau": tau, "assumption": tag, "k": k, "cells": rows}
 
 
-def _write(path: str, text: str) -> None:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w") as fh:
-        fh.write(text)
+def _write(out: str, files: Dict[str, str]) -> None:
+    """Write each named text in the directory ``out``, made once if it is missing."""
+    os.makedirs(out or ".", exist_ok=True)
+    for name, text in files.items():
+        with open(os.path.join(out, name), "w") as fh:
+            fh.write(text)
 
 
 def _json_text(data) -> str:
@@ -242,13 +295,12 @@ def cmd_bounds(args) -> int:
     taus = _parse_taus(args.tau)
     _require_median(tag, taus)
     cells = _build_cells(args, tag)
-    envelopes = [(i, delta_bounds_to_csv(c.envelope))
-                 for i, c in enumerate(cells) if c.envelope is not None]
+    envelopes = [] if cells.t is None else _envelope_csvs(cells.t, cells.lower, cells.upper)
+    files = {}
     for tau in taus:
-        payload = _bounds_payload(cells, tau, tag, args.k)
-        _write(os.path.join(args.out, f"bounds_tau{tau:g}.json"), _json_text(payload))
-        for i, text in envelopes:
-            _write(os.path.join(args.out, f"envelope_tau{tau:g}_cell{i}.csv"), text)
+        files[f"bounds_tau{tau:g}.json"] = _json_text(_bounds_payload(cells, tau, tag, args.k))
+        files.update((f"envelope_tau{tau:g}_cell{i}.csv", text) for i, text in enumerate(envelopes))
+    _write(args.out, files)
     return 0
 
 
@@ -327,15 +379,13 @@ def cmd_policy(args) -> int:
     if args.weights:
         field = _apply_weights_file(field, args.weights)
     for tau in taus:
-        reports = {}
+        files, reports = {}, {}
         for rule in RULES:
             policy = derive_policy(field, rule)
-            _write(
-                os.path.join(args.out, f"policy_{rule}_tau{tau:g}.json"),
-                policy_to_json(policy),
-            )
+            files[f"policy_{rule}_tau{tau:g}.json"] = policy_to_json(policy)
             reports[rule] = _regret_report_data(max_regret(policy, field))
-        _write(os.path.join(args.out, f"regret_tau{tau:g}.json"), _json_text(reports))
+        files[f"regret_tau{tau:g}.json"] = _json_text(reports)
+        _write(args.out, files)
     return 0
 
 
@@ -348,10 +398,10 @@ def cmd_simulate(args) -> int:
             dgp, tau, args.n, args.reps, seed=args.seed, k=args.k
         )
         regrets = regret_experiment(dgp, tau, args.n, args.reps, seed=args.seed, k=args.k)
-        _write(
-            os.path.join(args.out, f"classification_tau{tau:g}.csv"), rates.to_csv()
-        )
-        _write(os.path.join(args.out, f"regret_tau{tau:g}.csv"), regrets.to_csv())
+        _write(args.out, {
+            f"classification_tau{tau:g}.csv": rates.to_csv(),
+            f"regret_tau{tau:g}.csv": regrets.to_csv(),
+        })
     return 0
 
 
@@ -385,14 +435,10 @@ def cmd_tables(args) -> int:
                 class_lines.append(f"{sg},{est},{crit},{v:.6f}")
             for est, crit, v in regrets.rows:
                 regret_lines.append(f"{sg},{est},{crit},{v:.6f}")
-        _write(
-            os.path.join(args.out, f"tables_classification_tau{tau:g}.csv"),
-            "\n".join(class_lines) + "\n",
-        )
-        _write(
-            os.path.join(args.out, f"tables_regret_tau{tau:g}.csv"),
-            "\n".join(regret_lines) + "\n",
-        )
+        _write(args.out, {
+            f"tables_classification_tau{tau:g}.csv": "\n".join(class_lines) + "\n",
+            f"tables_regret_tau{tau:g}.csv": "\n".join(regret_lines) + "\n",
+        })
     return 0
 
 
@@ -416,9 +462,11 @@ def cmd_owl(args) -> int:
         "epochs": len(trace),
         "final_objective": float(trace[-1]),
     }
-    _write(os.path.join(args.out, "owl_model.json"), decision_function_to_json(f))
-    _write(os.path.join(args.out, "owl_policy.json"), policy_to_json(policy))
-    _write(os.path.join(args.out, "owl_report.json"), _json_text(report))
+    _write(args.out, {
+        "owl_model.json": decision_function_to_json(f),
+        "owl_policy.json": policy_to_json(policy),
+        "owl_report.json": _json_text(report),
+    })
     return 0
 
 

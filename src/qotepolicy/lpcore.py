@@ -113,25 +113,35 @@ class LpSolution:
 
 
 def _model(p: LinearProgram):
-    """A HiGHS model of p: its A_le rows, then its A_eq rows as row_lower == row_upper."""
-    import scipy.sparse as sp  # here, so that importing the package skips scipy.sparse
+    """A HiGHS model of p: its A_le rows, then its A_eq rows as row_lower == row_upper.
 
+    A program whose only rows are a CSR A_le passes its arrays row-wise as
+    they are; any other is stacked column-wise.
+    """
     core = _bindings()
     n = p.c.size
-    rows = [(np.zeros((0, n)), np.zeros(0), np.zeros(0))]  # so a program without rows stacks
-    if p.A_le is not None:
-        rows.append((p.A_le, np.full(p.b_le.size, -np.inf), p.b_le))
-    if p.A_eq is not None:
-        rows.append((p.A_eq, p.b_eq, p.b_eq))
-    a = sp.vstack([sp.csc_matrix(r[0]) for r in rows], format="csc")
+    if p.A_eq is None and getattr(p.A_le, "format", None) == "csr":
+        a, fmt = p.A_le, core.MatrixFormat.kRowwise
+        row_lower, row_upper = np.full(p.b_le.size, -np.inf), p.b_le
+    else:
+        import scipy.sparse as sp  # here, so that importing the package skips scipy.sparse
+
+        rows = [(np.zeros((0, n)), np.zeros(0), np.zeros(0))]  # so a program without rows stacks
+        if p.A_le is not None:
+            rows.append((p.A_le, np.full(p.b_le.size, -np.inf), p.b_le))
+        if p.A_eq is not None:
+            rows.append((p.A_eq, p.b_eq, p.b_eq))
+        a = sp.vstack([sp.csc_matrix(r[0]) for r in rows], format="csc")
+        fmt = core.MatrixFormat.kColwise
+        row_lower = np.concatenate([r[1] for r in rows])
+        row_upper = np.concatenate([r[2] for r in rows])
     lp = core.HighsLp()
     lp.num_col_, lp.num_row_ = n, a.shape[0]
     lp.col_cost_ = p.c
     lp.col_lower_, lp.col_upper_ = p.lower, p.upper
-    lp.row_lower_ = np.concatenate([r[1] for r in rows])
-    lp.row_upper_ = np.concatenate([r[2] for r in rows])
+    lp.row_lower_, lp.row_upper_ = row_lower, row_upper
     m = lp.a_matrix_
-    m.format_ = core.MatrixFormat.kColwise
+    m.format_ = fmt
     m.num_col_, m.num_row_ = n, a.shape[0]
     m.start_, m.index_, m.value_ = a.indptr, a.indices, a.data
     highs = core._Highs()

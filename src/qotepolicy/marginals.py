@@ -137,9 +137,16 @@ def make_y_grid(values, k: int) -> np.ndarray:
     v = np.sort(np.asarray(values, dtype=float).ravel())
     if v.size == 0:
         raise ValueError("no observations")
-    probs = u_grid(k)
-    idx = np.ceil(probs * v.size).astype(int) - 1
-    return v[np.clip(idx, 0, v.size - 1)]
+    return v[_grid_positions(np.array(v.size), k)]
+
+
+def _grid_positions(sizes: np.ndarray, k: int) -> np.ndarray:
+    """Sorted positions of the k midpoint quantiles among each of ``sizes`` values.
+
+    Shape ``sizes.shape + (k,)``; every size must be at least 1.
+    """
+    idx = np.ceil(u_grid(k) * sizes[..., None]).astype(int) - 1
+    return np.clip(idx, 0, sizes[..., None] - 1)
 
 
 def scott_bandwidth(x_matrix) -> np.ndarray:
@@ -217,7 +224,7 @@ def read_sample_csv(path_or_buffer) -> Sample:
     for line, r in rows:
         if len(r) != len(header):
             raise ValueError(f"line {line} has {len(r)} fields, the header has {len(header)}")
-    data = np.array([[float(c) for c in r] for _, r in rows])
+    data = np.array([float(c) for _, r in rows for c in r]).reshape(len(rows), len(header))
     y = data[:, 0]
     d = data[:, 1]
     x = data[:, 2:]

@@ -1628,3 +1628,41 @@ def test_an_empty_t_grid_is_rejected():
     q1, q0 = QuantileCurve(u_grid(2), v1), QuantileCurve(u_grid(2), v0)
     with pytest.raises(ValueError, match="must not be empty"):
         qote_coupling_bounds(q1, q0, 0.5, AssumptionSet("SI"), t_grid=[])
+
+
+def test_searching_rows_at_once_equals_searching_each_row():
+    rng = np.random.default_rng(8)
+    for rows, size, m in ((1, 1, 3), (5, 9, 40), (30, 4, 7)):
+        a = np.sort(np.round(rng.normal(size=(rows, size)), 1), axis=1)
+        # ties with the row's own values, values of other rows, both zeros
+        v = np.concatenate([a[:, rng.integers(0, size, 5)], a[::-1, :2],
+                            np.round(rng.normal(size=(rows, m)), 1),
+                            np.full((rows, 2), [-0.0, 0.0])], axis=1)
+        for side in ("left", "right"):
+            got = bounds._searchsorted_rows(a, v, side)
+            for r in range(rows):
+                assert np.array_equal(got[r], np.searchsorted(a[r], v[r], side)), side
+
+
+def test_rows_of_envelopes_fail_as_the_first_failing_row_alone():
+    t = np.tile(np.arange(3.0), (3, 1))
+    lower = np.array([[0.0, 0.5, 0.5], [0.0, 0.6, 0.4], [0.0, 0.5, 1.5]])
+    upper = np.ones((3, 3))
+    # row 1 falls, row 2 leaves [0, 1]; row 1 decides
+    with pytest.raises(ValueError, match="^lower envelope must be nondecreasing$"):
+        bounds._check_envelopes(t, lower, upper)
+    t[2, 1] = np.inf
+    with pytest.raises(ValueError, match="^lower envelope must be nondecreasing$"):
+        bounds._check_envelopes(t, lower, upper)
+    lower[1, 2] = 0.6
+    with pytest.raises(ValueError, match="^t_grid values must be finite$"):
+        bounds._check_envelopes(t, lower, upper)
+    with pytest.raises(ValueError, match="^t_grid values must be finite$"):
+        DeltaCdfBounds(t[2], lower[2], upper[2])
+
+
+def test_delta_bounds_to_csv_keeps_ten_significant_digits():
+    t = np.array([-0.0, 2.5e-7, 1 / 3, 1e16])
+    env = DeltaCdfBounds(t, [0.0, 0.1, 0.2, 0.3], [1e-300, 0.5, 0.5, 1.0])
+    lines = [f"{a:.10g},{b:.10g},{c:.10g}" for a, b, c in zip(t, env.lower, env.upper)]
+    assert delta_bounds_to_csv(env) == "\n".join(["t,lower,upper", *lines]) + "\n"

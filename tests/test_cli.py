@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -15,7 +16,7 @@ import qotepolicy
 from qotepolicy import bounds, cli, lpcore, sim
 from qotepolicy.cli import main
 from qotepolicy.lpcore import LpSolution
-from qotepolicy.marginals import Sample, make_y_grid
+from qotepolicy.marginals import QuantileCurve, Sample, make_y_grid, u_grid
 from qotepolicy.sim import SUBGROUPS, draw_sample
 
 SAMPLE_TWO_CELLS = """y,d,x1
@@ -220,14 +221,17 @@ def test_cells_split_rows_as_one_boolean_mask_per_cell_does():
         x = rng.integers(0, levels, (n, p)).astype(float)
         sample = Sample(y=rng.normal(size=n), d=rng.integers(0, 2, n), x=x)
         uniq, inverse = np.unique(x, axis=0, return_inverse=True)
-        cells = cli._cells_from_sample(sample)
-        assert len(cells) == uniq.shape[0]
-        for idx, (cell_x, weight, part) in enumerate(cells):
+        split = cli._cells_from_sample(sample)
+        assert len(split.x) == uniq.shape[0] and split.counts.sum() == n
+        # each cell's arm 0 and then its arm 1, each sorted, in cell order
+        ends = np.cumsum(split.counts.ravel()).reshape(-1, 2)
+        for idx, cell_x in enumerate(split.x):
             mask = inverse == idx
-            assert cell_x == tuple(uniq[idx]) and weight == float(np.mean(mask))
-            assert np.array_equal(part.y, sample.y[mask])
-            assert np.array_equal(part.d, sample.d[mask])
-            assert np.array_equal(part.x, x[mask])
+            assert cell_x == list(uniq[idx]) and split.weight[idx] == float(np.mean(mask))
+            for arm in (0, 1):
+                rows = mask & (sample.d == arm)
+                block = split.y[ends[idx, arm] - split.counts[idx, arm]:ends[idx, arm]]
+                assert np.array_equal(block, np.sort(sample.y[rows]))
 
 
 def test_dgp_file_with_lognormal_false_runs(tmp_path):
@@ -778,3 +782,181 @@ def test_outputs_match_golden_digests(tmp_path):
     for name, argv in runs:
         assert run(*argv, "--out", tmp_path / name) == 0, name
     assert {name: _dir_digest(tmp_path / name) for name, _ in runs} == GOLDEN_DIGESTS
+
+
+def _multi_cell_csv(path):
+    """Nine unequal cells on two covariates, rows shuffled: tied outcomes in
+    three cells, one arm of a single row, and one cell of a single outcome."""
+    rng = np.random.default_rng(23)
+    rows = []
+    for cell, (x1, x2) in enumerate((a, b) for a in (0, 1, 2) for b in (0.5, -1.5, 2.5)):
+        n1, n0 = (1, 9) if cell == 4 else rng.integers(3, 25, 2)
+        for d, n, loc in ((1, n1, cell % 3), (0, n0, 0.0)):
+            y = rng.normal(loc, 1.0 + cell % 2, n)
+            if cell % 3 == 0:
+                y = np.round(2 * y) / 2
+            if cell == 7:
+                y = np.full(n, 1.25)
+            rows += [f"{v:.17g},{d},{x1:g},{x2:g}" for v in y]
+    path.write_text("y,d,x1,x2\n" + "\n".join(rng.permutation(rows)) + "\n")
+
+
+# sha256 of each output directory of bounds on the nine-cell CSV above,
+# recorded before the cells were built as arrays over all cells at once
+GOLDEN_CSV_DIGESTS = {
+    "bounds_none": "e85157d7eb271d92e564d3fe157233c977b72f4fd6ec4ed87f5116e0885ee655",
+    "bounds_ri": "d5b3fe6141a21da8ef6ab769d84f518ec6610d3b9ee1e1b09ef69c45fe6ea09e",
+    "bounds_sy": "5a2ba62ef9dca220bab6beda0dd43f6522fefce089c4c4cef412bd15a6852344",
+    "bounds_si": "aa925bc0a5961041e58781dffb9224d114e0394f4ec27a45efaaba7d989069bc",
+    "bounds_pqd": "549a7d06a6808538e5d0489f0b479e006d257005ec24b159820cdc3ba9fdd8d3",
+}
+
+
+def test_multi_cell_outputs_match_golden_digests(tmp_path):
+    src = tmp_path / "sample.csv"
+    _multi_cell_csv(src)
+    shared = ("bounds", "--input", src, "--k", "6", "--tgrid", "15")
+    for flag in ("none", "ri", "sy", "si", "pqd"):
+        tau = "0.5" if flag == "sy" else "0.25,0.5"
+        assert run(*shared, "--assumption", flag, "--tau", tau, "--out", tmp_path / flag) == 0
+    got = {f"bounds_{flag}": _dir_digest(tmp_path / flag)
+           for flag in ("none", "ri", "sy", "si", "pqd")}
+    assert got == GOLDEN_CSV_DIGESTS
+
+
+# cells [0, 0] and [1, 1] have both arms; [1, 0] and [2, 0] lack arm 0, and
+# the row of [2, 0] comes first
+SAMPLE_LACKING_ARMS = """y,d,x1,x2
+5,1,2,0
+3,1,0,0
+0,0,0,0
+1,1,1,0
+2,1,1,1
+4,0,1,1
+"""
+
+
+@pytest.mark.parametrize("flag", ["none", "ri", "sy", "si", "pqd"])
+def test_a_cell_that_lacks_an_arm_exits_2_naming_the_first(tmp_path, capsys, flag):
+    src = tmp_path / "sample.csv"
+    src.write_text(SAMPLE_LACKING_ARMS)
+    out = tmp_path / "out"
+    assert run("bounds", "--input", src, "--assumption", flag, "--tau", "0.5",
+               "--k", "2", "--tgrid", "5", "--out", out) == 2
+    assert capsys.readouterr().err == "error: cell [1.0, 0.0] lacks observations in one arm\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        # the first cell lacks an arm, so it is named before k is checked
+        ("1,1,0\n0,1,1\n1,0,1\n", "cell [0.0] lacks observations in one arm"),
+        # the first cell has both arms, so k is checked before a later cell's arms
+        ("1,1,0\n0,0,0\n0,1,1\n", "k must be at least 2"),
+    ],
+)
+def test_a_lacking_arm_and_a_short_grid_fail_in_cell_order(tmp_path, capsys, rows, message):
+    src = tmp_path / "sample.csv"
+    src.write_text("y,d,x1\n" + rows)
+    assert run("bounds", "--input", src, "--k", "1", "--out", tmp_path / "out") == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_more_than_200_cells_exit_2(tmp_path, capsys):
+    src = tmp_path / "sample.csv"
+    src.write_text("y,d,x1\n" + "".join(f"{i % 3},{i % 2},{i // 2}\n" for i in range(402)))
+    out = tmp_path / "out"
+    assert run("bounds", "--input", src, "--k", "2", "--out", out) == 2
+    assert capsys.readouterr().err == (
+        "error: 201 distinct covariate rows exceed the 200-cell limit; "
+        "bin the covariates first\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, code", [("none", 2), ("si", 2), ("pqd", 2), ("ri", 0), ("sy", 0)])
+def test_one_point_quantile_grids_in_bounds(tmp_path, capsys, flag, code):
+    src = tmp_path / "sample.csv"
+    src.write_text(SAMPLE_TWO_CELLS)
+    out = tmp_path / "out"
+    assert run("bounds", "--input", src, "--assumption", flag, "--tau", "0.5",
+               "--k", "1", "--out", out) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err == "error: k must be at least 2\n" and not out.exists()
+    else:
+        assert err == "" and (out / "bounds_tau0.5.json").exists()
+
+
+def _random_cells_sample(rng, ncells):
+    """Unequal cells on two covariates, rows shuffled: tied outcomes, arms of
+    one row, a cell of one outcome and a cell of constant effects, in that
+    order of their covariates."""
+    ys, ds, xs = [], [], []
+    for cell in range(ncells):
+        n1, n0 = rng.integers(1, 30, 2)
+        y1 = rng.normal(rng.uniform(-2, 2), rng.uniform(0.1, 3), n1)
+        y0 = rng.normal(rng.uniform(-2, 2), rng.uniform(0.1, 3), n0)
+        if cell % 3 == 0:
+            # + 0.0 turns -0.0 into 0.0, whose order among equal values
+            # np.sort leaves unspecified
+            y1, y0 = np.round(4 * y1) / 4 + 0.0, np.round(4 * y0) / 4 + 0.0
+        if cell == 1:
+            y1, y0 = np.full(n1, 0.3), np.full(n0, 0.3)
+        if cell == 2:
+            y1, y0 = np.full(n1, 2.5), np.full(n0, -1.0)
+        ys += [y1, y0]
+        ds += [np.ones(n1, int), np.zeros(n0, int)]
+        xs.append(np.tile([cell // 4, cell % 4], (n1 + n0, 1)))  # cells in sorted order
+    order = rng.permutation(sum(y.size for y in ys))
+    return Sample(np.concatenate(ys)[order], np.concatenate(ds)[order],
+                  np.concatenate(xs).astype(float)[order])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_cells_built_at_once_equal_cells_built_one_by_one(seed):
+    rng = np.random.default_rng(seed)
+    sample = _random_cells_sample(rng, int(rng.integers(3, 12)))
+    k, points = int(rng.integers(2, 9)), int(rng.integers(1, 40))
+    split = cli._cells_from_sample(sample)
+    args = argparse.Namespace(k=k, tgrid=points)
+    none = cli._cell_rows(args, "NoAssumption", split, len(split.x))
+    ri = cli._cell_rows(args, "RankInvariance", split, len(split.x))
+    sy = cli._cell_rows(args, "Symmetry", split, len(split.x))
+    inverse = np.unique(sample.x, axis=0, return_inverse=True)[1]
+    u = u_grid(k)
+    for idx in range(len(split.x)):
+        mask = inverse == idx
+        v1 = make_y_grid(sample.y[mask & (sample.d == 1)], k)
+        v0 = make_y_grid(sample.y[mask & (sample.d == 0)], k)
+        for cells in (none, ri, sy):
+            assert cells.v1[idx].tobytes() == v1.tobytes()
+            assert cells.v0[idx].tobytes() == v0.tobytes()
+        t = bounds.default_t_grid(v1, v0, points)
+        assert none.t[idx].tobytes() == ri.t[idx].tobytes() == t.tobytes()
+        if idx in (1, 2) and points > 1:
+            assert t[-1] - t[0] == 1.0  # a cell of constant effects widens its grid
+        # the closed forms, against each cell's own and against brute force
+        env = bounds._assemble_envelopes(t, *bounds._staircase_envelopes(v1, v0, t))
+        assert none.lower[idx].tobytes() == env.lower.tobytes()
+        assert none.upper[idx].tobytes() == env.upper.tobytes()
+        assert env.upper.tobytes() == bounds.coupling_lp_bounds(
+            QuantileCurve(u, v1), QuantileCurve(u, v0), t_grid=t, k=k).upper.tobytes()
+        above = ((v1[:, None] - v0[None, :])[:, :, None] > t).sum(axis=1)
+        g = np.arange(1, k + 1)[:, None] - above
+        assert np.array_equal(env.lower, np.clip(g.max(axis=0), 0, k) / k)
+        cdf = bounds._comonotone_cdf(v1, v0, t)
+        assert ri.lower[idx].tobytes() == ri.upper[idx].tobytes() == cdf.tobytes()
+        assert np.array_equal(cdf, (np.sort(v1 - v0)[:, None] <= t).sum(axis=0) / k)
+        for tau in (0.05, 0.25, 0.5, 0.9):
+            expect = bounds.invert_bounds(env, tau)
+            got = [column[idx] for column in none.bounds("NoAssumption", tau)]
+            assert got == [expect.lower, expect.upper,
+                           expect.truncated_lower, expect.truncated_upper]
+            point = bounds.rank_invariance_qote(QuantileCurve(u, v1), QuantileCurve(u, v0), tau)
+            assert [column[idx] for column in ri.bounds("RankInvariance", tau)] == [
+                point, point, False, False]
+        mean = float(np.mean(v1) - np.mean(v0))
+        assert [column[idx] for column in sy.bounds("Symmetry", 0.5)] == [
+            mean, mean, False, False]

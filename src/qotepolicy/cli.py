@@ -13,13 +13,15 @@ input error. Each cell's envelopes are built once and inverted per tau,
 after every tau has been checked and before the first file is written.
 ``policy`` and ``owl`` read a bounds JSON it wrote.
 
-Exit codes: 0 ok, 2 input error, 3 unsupported assumption, 4 inconsistency
-between provided pieces, 5 learner error (nothing to learn, or training that
-overflowed), 6 a bounds LP that did not solve (the message names its t,
-assumption tag and k) or, on a scipy without HiGHS bindings, could not be
-built (the message names the scipy it needs). All randomness flows from
---seed; outputs are plain CSV and JSON written under --out with canonical
-ordering, so a rerun with the same inputs is byte-identical.
+Exit codes: 0 ok, 2 input error or an output that cannot be written, 3
+unsupported assumption, 4 inconsistency between provided pieces, 5 learner
+error (nothing to learn, or training that overflowed), 6 a bounds LP that
+did not solve (the message names its t, assumption tag and k) or, on a scipy
+without HiGHS bindings, could not be built (the message names the scipy it
+needs). All randomness flows from --seed; outputs are plain CSV and JSON
+written under --out with canonical ordering, so a rerun with the same inputs
+is byte-identical. Each output path is replaced, not rewritten in place, and
+the files of one run with equal bytes are hard links of one file.
 """
 
 from __future__ import annotations
@@ -279,11 +281,36 @@ def _bounds_payload(cells: _Cells, tau: float, tag: str, k: int) -> dict:
 
 
 def _write(out: str, files: Dict[str, str]) -> None:
-    """Write each named text in the directory ``out``, made once if it is missing."""
-    os.makedirs(out or ".", exist_ok=True)
-    for name, text in files.items():
-        with open(os.path.join(out, name), "w") as fh:
-            fh.write(text)
+    """Write each named text in the directory ``out``, made once if it is missing.
+
+    Each path is replaced, never rewritten in place: whatever is there (a
+    file, possibly linked from elsewhere, or a symlink) is removed first and
+    a new file made. The first name of each distinct text gets a write, and
+    every later name with an equal text a hard link to that file, or a write
+    of its own where the link fails. An output that cannot be made is an
+    input error (exit 2).
+    """
+    path = out or "."
+    try:
+        os.makedirs(path, exist_ok=True)
+        first: Dict[str, str] = {}
+        for name, text in files.items():
+            path = os.path.join(out, name)
+            try:
+                os.unlink(path)
+            except FileNotFoundError:
+                pass
+            source = first.setdefault(text, path)
+            if source != path:
+                try:
+                    os.link(source, path)
+                    continue
+                except OSError:
+                    pass
+            with open(path, "x") as fh:
+                fh.write(text)
+    except OSError as exc:
+        raise _CliError(2, f"cannot write {path}: {exc.strerror or exc}")
 
 
 def _json_text(data) -> str:

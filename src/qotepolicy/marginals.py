@@ -134,7 +134,9 @@ def make_y_grid(values, k: int) -> np.ndarray:
     """Empirical quantiles at the k midpoint probabilities (2j-1)/(2k)."""
     if k < 1:
         raise ValueError("k must be a positive integer")
-    v = np.sort(np.asarray(values, dtype=float).ravel())
+    # + 0.0 folds -0.0 into 0.0, whose order among equal values np.sort
+    # leaves unspecified
+    v = np.sort(np.asarray(values, dtype=float).ravel() + 0.0)
     if v.size == 0:
         raise ValueError("no observations")
     return v[_grid_positions(np.array(v.size), k)]
@@ -225,7 +227,7 @@ def read_sample_csv(path_or_buffer) -> Sample:
         if len(r) != len(header):
             raise ValueError(f"line {line} has {len(r)} fields, the header has {len(header)}")
     data = np.array([float(c) for _, r in rows for c in r]).reshape(len(rows), len(header))
-    y = data[:, 0]
+    y = data[:, 0] + 0.0  # "-0" reads as 0.0
     d = data[:, 1]
     x = data[:, 2:]
     if not np.all((d == 0) | (d == 1)):

@@ -1,7 +1,10 @@
 import argparse
+import errno
 import hashlib
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -16,7 +19,7 @@ import qotepolicy
 from qotepolicy import bounds, cli, lpcore, sim
 from qotepolicy.cli import main
 from qotepolicy.lpcore import LpSolution
-from qotepolicy.marginals import QuantileCurve, Sample, make_y_grid, u_grid
+from qotepolicy.marginals import QuantileCurve, Sample, make_y_grid, read_sample_csv, u_grid
 from qotepolicy.sim import SUBGROUPS, draw_sample
 
 SAMPLE_TWO_CELLS = """y,d,x1
@@ -424,6 +427,129 @@ def test_reruns_are_byte_identical(tmp_path):
     assert names == sorted(p.name for p in b.iterdir()) and names
     for name in names:
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def _three_cell_csv(path):
+    lines = ["y,d,x1"]
+    for x, sg in ((0, 1), (1, 2), (2, 5)):
+        sample = draw_sample(SUBGROUPS[sg], 50, (x, 3))
+        lines += [f"{y:.17g},{d:g},{x}" for y, d in zip(sample.y, sample.d)]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_a_multi_tau_run_makes_one_inode_per_distinct_text(tmp_path):
+    src = tmp_path / "sample.csv"
+    _three_cell_csv(src)
+    out = tmp_path / "out"
+    assert run("bounds", "--input", src, "--tau", "0.25,0.5,0.75", "--k", "6",
+               "--tgrid", "15", "--out", out) == 0
+    stats = [p.stat() for p in out.iterdir()]
+    # three bounds JSONs, and each cell's envelope CSV once for its three taus
+    assert len(stats) == 12
+    assert len({s.st_ino for s in stats}) == 6
+    for i in range(3):
+        envelope = (out / f"envelope_tau0.25_cell{i}.csv").stat()
+        assert envelope.st_nlink == 3
+        assert envelope.st_ino == (out / f"envelope_tau0.75_cell{i}.csv").stat().st_ino
+
+
+def test_a_rerun_replaces_only_the_files_it_writes(tmp_path):
+    src = tmp_path / "sample.csv"
+    _two_cell_csv(src)
+    shared = ("bounds", "--input", src, "--tgrid", "15")
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    assert run(*shared, "--tau", "0.25,0.5", "--k", "6", "--out", out) == 0
+    first = {p.name: p.read_bytes() for p in out.iterdir()}
+    # the tau 0.25 envelopes the rerun replaces are links of the tau 0.5 ones
+    assert (out / "envelope_tau0.5_cell0.csv").stat().st_nlink == 2
+    assert run(*shared, "--tau", "0.25", "--k", "4", "--out", out) == 0
+    assert run(*shared, "--tau", "0.25", "--k", "4", "--out", fresh) == 0
+    second = {p.name: p.read_bytes() for p in fresh.iterdir()}
+    assert sorted(second) == sorted(n for n in first if "tau0.25" in n)
+    assert sorted(p.name for p in out.iterdir()) == sorted(first)
+    for name, data in first.items():
+        if "tau0.5" in name:
+            assert (out / name).read_bytes() == data, name
+        else:
+            assert (out / name).read_bytes() == second[name] != data, name
+
+
+def test_a_symlink_at_an_output_path_is_replaced_not_followed(tmp_path):
+    target = tmp_path / "target.csv"
+    target.write_text("keep me\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "envelope_tau0.5_cell0.csv").symlink_to(target)
+    args = ("bounds", "--dgp", "subgroup1", "--tau", "0.25,0.5", "--k", "6", "--n", "40")
+    assert run(*args, "--out", out) == 0
+    assert run(*args, "--out", tmp_path / "fresh") == 0
+    path = out / "envelope_tau0.5_cell0.csv"
+    assert not path.is_symlink()
+    assert path.read_bytes() == (tmp_path / "fresh" / path.name).read_bytes()
+    assert target.read_text() == "keep me\n"
+
+
+def test_a_failed_link_writes_the_file_instead(tmp_path, monkeypatch):
+    src = tmp_path / "sample.csv"
+    _two_cell_csv(src)
+    args = ("bounds", "--input", src, "--tau", "0.25,0.5", "--k", "6", "--tgrid", "15")
+    linked, written = tmp_path / "linked", tmp_path / "written"
+    assert run(*args, "--out", linked) == 0
+
+    def refuse(*_args, **_kwargs):
+        raise OSError(errno.EPERM, "links refused")
+
+    monkeypatch.setattr(os, "link", refuse)
+    assert run(*args, "--out", written) == 0
+    names = sorted(p.name for p in linked.iterdir())
+    assert names == sorted(p.name for p in written.iterdir()) and len(names) == 6
+    for name in names:
+        assert (written / name).read_bytes() == (linked / name).read_bytes()
+        assert (written / name).stat().st_nlink == 1
+
+
+def test_an_output_that_cannot_be_written_exits_2(tmp_path, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a regular file\n")
+    out = blocker / "out"
+    code = run("bounds", "--dgp", "subgroup1", "--tau", "0.25", "--k", "6", "--n", "40",
+               "--out", out)
+    assert code == 2
+    assert capsys.readouterr().err == f"error: cannot write {out}: Not a directory\n"
+    stage = tmp_path / "stage"
+    assert run("bounds", "--dgp", "subgroup1", "--tau", "0.25", "--k", "6", "--n", "40",
+               "--out", stage) == 0
+    assert run("policy", "--input", stage / "bounds_tau0.25.json", "--out", out) == 2
+    assert capsys.readouterr().err == f"error: cannot write {out}: Not a directory\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "stage"]
+    assert blocker.read_text() == "a regular file\n"
+
+
+def test_negative_zero_outcomes_read_as_zero(tmp_path):
+    src = tmp_path / "sample.csv"
+    src.write_text("y,d\n-0,1\n-0,1\n0,0\n0,0\n")
+    out = tmp_path / "out"
+    assert run("bounds", "--input", src, "--assumption", "ri", "--tau", "0.5",
+               "--k", "2", "--tgrid", "3", "--out", out) == 0
+    cell = json.loads((out / "bounds_tau0.5.json").read_text())["cells"][0]
+    assert math.copysign(1, cell["lower"]) == math.copysign(1, cell["upper"]) == 1
+    for path in out.iterdir():
+        numbers = re.findall(r"-?[\d.]+(?:e[-+]?\d+)?", path.read_text())
+        assert not [s for s in numbers if s.startswith("-") and float(s) == 0], path.name
+
+
+def test_a_cell_mixing_signed_zeros_gives_the_grid_make_y_grid_gives(tmp_path):
+    y1, y0 = ["-0", "0", "-0", "1", "0", "-0"], ["0", "-0", "2", "-0", "0"]
+    src = tmp_path / "sample.csv"
+    src.write_text("y,d,x1\n" + "".join(f"{y},1,0\n" for y in y1)
+                   + "".join(f"{y},0,0\n" for y in y0))
+    split = cli._cells_from_sample(read_sample_csv(src))
+    cells = cli._cell_rows(argparse.Namespace(k=5, tgrid=7), "NoAssumption", split, 1)
+    for got, raw in ((cells.v1[0], y1), (cells.v0[0], y0)):
+        values = np.array([float(v) for v in raw])
+        assert got.tobytes() == make_y_grid(values, 5).tobytes()
+        assert got.tobytes() == make_y_grid(values[::-1], 5).tobytes()
+        assert not np.signbit(got).any()
 
 
 def test_policy_tau_mismatch_exits_4(tmp_path):

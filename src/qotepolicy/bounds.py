@@ -24,15 +24,17 @@ SI and PQD dense envelopes, lazy inversion, Bernstein envelopes and the
 probes of ``sim`` all read one ``_Envelopes`` oracle per (curves or linear
 form, tag, t grid), which finds each distinct (side, staircase) at most
 once and inverts by one search per side.
-Envelopes already built, the unrestricted closed form and those the CLI
-keeps for its cells, are inverted in one numpy pass, by ``invert_bounds``
-or, for many rows of envelopes at once, ``_inverted_rows``. The closed
-forms and default t grids take grids stacked one row per cell as well. A
-program's side is searched only where its closed-form brackets leave the
-answer open, by interpolation on the values found so far, safeguarded by
-bisection. The staircase form of P(Delta <= t), like every other linear
-form, is built on the cell masses and folded by ``linear_form``. Every SI
-and PQD run starts from the basis of the independence copula, a vertex of
+Rows of cells (grids stacked one row per cell) get their envelopes from
+``_envelope_rows`` (the closed form, the comonotone coupling under
+RankInvariance, one oracle per row under SI and PQD) and their points from
+``_point_rows`` (RankInvariance, Symmetry): the CLI calls both on all its
+cells, the public functions on one. Built envelopes are inverted in one
+numpy pass (``invert_bounds``, or ``_inverted_rows`` for many rows), and
+default t grids take stacked grids as well. A program's side is searched
+only where its closed-form brackets leave the answer open, by
+interpolation on the values found so far, safeguarded by bisection. The
+staircase form of P(Delta <= t), like every other linear form, is built
+on the cell masses and folded by ``linear_form``. Every SI and PQD run starts from the basis of the independence copula, a vertex of
 both programs, so no value depends on the order of the solves.
 An envelope reaches tau when its value is at least tau - 1e-12, so dense and
 lazy inversion agree where an envelope is flat at tau up to rounding. SI and
@@ -71,7 +73,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .lpcore import LinearProgram, LpSession, LpSolution, _bindings, solve_lp
-from .marginals import QuantileCurve, empirical_quantile, u_grid
+from .marginals import QuantileCurve, _quantile_index, u_grid
 
 __all__ = [
     "AssumptionSet",
@@ -106,7 +108,7 @@ _TAU_TOL = 1e-12
 # violated by more than this
 _CERT_TOL = 1e-9
 
-# ``_closed_form_envelopes`` counts the staircases (k x T counts per row) of
+# ``_envelope_rows`` counts the staircases (k x T counts per row) of
 # as many rows at a time as keep their counts within this (512 KiB of int64):
 # larger blocks ran no faster and raised the peak memory of a 200-cell run
 _BLOCK_COUNTS = 1 << 16
@@ -407,20 +409,19 @@ def _pairs_above(v1, v0, t_grid):
     return v0.shape[-1] - np.cumsum(hits, axis=-1, out=hits)[..., :size]
 
 
-def _staircase_envelopes(v1, v0, t_grid):
+def _staircase_envelopes(above):
     """Exact lower/upper envelopes of the coupling LP without shape constraints.
 
     With both marginals uniform on k sorted atoms, min/max of
     sum 1{q1_i - q0_j <= t} c(i,j) over couplings reduce to order statistics
-    of the cross differences: with b_i(t) pairs of row i above t, the lower
+    of the cross differences: with b_i(t) = ``above[i, n]`` pairs of row i
+    above t = t_grid[n] (``_pairs_above(v1, v0, t_grid)``), the lower
     envelope is max_i (i - b_i)/k and the upper one (k - 1 + min_i (i - b_i))/k.
-    Grids stacked along leading axes give one pair of envelopes per row.
+    Counts stacked along leading axes give one pair of envelopes per row.
+    ``above`` is not written: an oracle keeps it as its staircases.
     """
-    v1 = np.asarray(v1, float)
-    v0 = np.asarray(v0, float)
-    k = v1.shape[-1]
-    g = _pairs_above(v1, v0, t_grid)
-    np.subtract(np.arange(1, k + 1)[:, None], g, out=g)
+    k = above.shape[-2]
+    g = np.arange(1, k + 1)[:, None] - above
     f_lower = np.clip(g.max(axis=-2), 0, k) / k
     f_upper = np.clip(k - 1 + g.min(axis=-2), 0, k) / k
     return f_lower, f_upper
@@ -434,44 +435,55 @@ def _comonotone_cdf(v1, v0, t_grid):
     return _searchsorted_rows(np.sort(v1 - v0, axis=-1), t_grid, "right") / v1.shape[-1]
 
 
-def _closed_form_envelopes(tag: str, v1, v0, t_grid):
-    """(lower, upper) of P(Delta <= t) for rows of grids, under NoAssumption or RankInvariance.
+def _envelope_rows(tag: str, v1, v0, t_grid):
+    """(lower, upper) of P(Delta <= t) for rows of grids, under any assumption but Symmetry.
 
-    The staircase closed form (k >= 2), clipped and monotonized as by
-    ``_assemble_envelopes``, or the comonotone coupling, of every row of
-    ``v1``, ``v0`` (cells x k) on its row of ``t_grid`` (cells x T), checked
-    as ``DeltaCdfBounds`` checks one row. Raises what the first failing row
-    alone would.
+    Every row of ``v1``, ``v0`` (cells x k) on its row of ``t_grid`` (cells
+    x T): the staircase closed form (k >= 2) under NoAssumption, the
+    comonotone coupling under RankInvariance, and one ``_Envelopes`` oracle
+    per row, in row order, under SI or PQD. The rows are then clipped and
+    monotonized (``_monotone_envelopes``) and checked as ``DeltaCdfBounds``
+    checks one row. Raises what the first failing row alone would.
     """
-    if tag == "NoAssumption":
-        _require_two_atoms(v1)
-    # a grid that is not finite and increasing would misplace the searches
-    _raise_first_failure(_t_grid_checks(t_grid))
-    if tag == "RankInvariance":
-        lower = upper = _comonotone_cdf(v1, v0, t_grid)
+    if tag in ("SI", "PQD"):
+        # each oracle checks its own row's grids
+        lower, upper = np.empty((2,) + np.shape(t_grid))
+        for r in range(len(v1)):
+            lower[r], upper[r] = _Envelopes.of_values(v1[r], v0[r], tag, t_grid[r]).dense()
     else:
-        step = max(_BLOCK_COUNTS // (v1.shape[-1] * t_grid.shape[-1]), 1)
-        blocks = [
-            _staircase_envelopes(v1[at : at + step], v0[at : at + step], t_grid[at : at + step])
-            for at in range(0, len(v1), step)
-        ]
-        lower, upper = _monotone_envelopes(*(np.concatenate(side) for side in zip(*blocks)))
+        if tag == "NoAssumption":
+            _require_two_atoms(v1)
+        # a grid that is not finite and increasing would misplace the searches
+        _raise_first_failure(_t_grid_checks(t_grid))
+        if tag == "RankInvariance":
+            lower = upper = _comonotone_cdf(v1, v0, t_grid)
+        else:
+            step = max(_BLOCK_COUNTS // (v1.shape[-1] * t_grid.shape[-1]), 1)
+            blocks = [
+                _staircase_envelopes(
+                    _pairs_above(v1[at : at + step], v0[at : at + step], t_grid[at : at + step])
+                )
+                for at in range(0, len(v1), step)
+            ]
+            lower, upper = (np.concatenate(side) for side in zip(*blocks))
+    lower, upper = _monotone_envelopes(lower, upper)
     _check_envelopes(t_grid, lower, upper)
     return lower, upper
 
 
-def _coupling_brackets(v1, v0, t_grid):
+def _coupling_brackets(v1, v0, t_grid, above):
     """{side: (floor, ceiling)} of the SI and PQD envelopes at every t.
 
-    The comonotone copula min(i,j)/k and the independence copula ij/k^2 are
-    feasible in every copula program, so the lower envelope lies between the
-    staircase's and the smaller of their masses, and the upper envelope
-    between the larger of their masses and the staircase's.
+    ``above`` is ``_pairs_above(v1, v0, t_grid)``. The comonotone copula
+    min(i,j)/k and the independence copula ij/k^2 are feasible in every
+    copula program, so the lower envelope lies between the staircase's and
+    the smaller of their masses, and the upper envelope between the larger
+    of their masses and the staircase's.
     """
     k = v1.size
-    none_l, none_u = _staircase_envelopes(v1, v0, t_grid)
+    none_l, none_u = _staircase_envelopes(above)
     comonotone = _comonotone_cdf(v1, v0, t_grid)
-    independent = 1.0 - _pairs_above(v1, v0, t_grid).sum(axis=0) / (k * k)
+    independent = 1.0 - above.sum(axis=0) / (k * k)
     return {
         "min": (none_l, np.minimum(comonotone, independent)),
         "max": (np.maximum(comonotone, independent), none_u),
@@ -845,16 +857,17 @@ class _Envelopes:
         """Couplings of two k-atom grids, sorted, under SI or PQD.
 
         Each value is solved on the coarse program its staircase touches
-        (``_staircase_form``). ``coupling_lp_bounds`` builds the unrestricted
+        (``_staircase_form``). ``_envelope_rows`` builds the unrestricted
         envelopes by their closed form.
         """
         t = _coupling_t_grid(v1, v0, t_grid)
         _load_lp()
+        above = _pairs_above(v1, v0, t)
         return cls(
             t,
-            _pairs_above(v1, v0, t),
+            above,
             functools.partial(_staircase_form, tag),
-            brackets=_coupling_brackets(v1, v0, t),
+            brackets=_coupling_brackets(v1, v0, t, above),
         )
 
     @classmethod
@@ -1043,12 +1056,11 @@ def coupling_lp_bounds(
     up to two LPs per t, none where the closed-form brackets of a side meet;
     the unrestricted case uses the exact closed form.
     """
-    if _program_tag(assumptions) != "none":
-        env = _Envelopes.of_curves(q1, q0, assumptions, k, t_grid)
-        return _assemble_envelopes(env.t_grid, *env.dense())
+    _program_tag(assumptions)
     v1, v0, _ = _curves_on_common_grid(q1, q0, k)
     t = _coupling_t_grid(v1, v0, t_grid)
-    return _assemble_envelopes(t, *_staircase_envelopes(v1, v0, t))
+    lower, upper = _envelope_rows(assumptions.tag, v1[None], v0[None], t[None])
+    return DeltaCdfBounds(t, lower[0], upper[0])
 
 
 def invert_bounds(b: DeltaCdfBounds, tau: float) -> QoteBounds:
@@ -1164,11 +1176,28 @@ def bernstein_lp_bounds(
 # point-identifying assumptions
 
 
+def _point_rows(tag: str, v1, v0, tau: float):
+    """(lower, upper, truncated_lower, truncated_upper) at tau of every row of grids, each a point.
+
+    The rows run along the last axis. Rank invariance couples the grids
+    comonotonically, so the tau-quantile of the effects is that of v1 - v0;
+    symmetric effects put the median at the mean difference. Checked as
+    ``QoteBounds`` checks one interval.
+    """
+    if tag == "RankInvariance":
+        point = np.sort(v1 - v0, axis=-1)[..., _quantile_index(np.shape(v1)[-1], tau)]
+    else:  # Symmetry
+        point = np.mean(v1, axis=-1) - np.mean(v0, axis=-1)
+    _check_qote_bounds(point, point)
+    untruncated = np.zeros(np.shape(point), dtype=bool)
+    return point, point, untruncated, untruncated
+
+
 def rank_invariance_qote(q1: QuantileCurve, q0: QuantileCurve, tau: float) -> float:
     """Quantile of the comonotone-coupling effect: tau-quantile of {q1(u) - q0(u)}."""
     if q1.u_grid.size != q0.u_grid.size:
         raise ValueError("curves share grid resolution")
-    return empirical_quantile(q1.values - q0.values, tau)
+    return float(_point_rows("RankInvariance", q1.values, q0.values, tau)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -2,16 +2,17 @@
 reports, learned rules, and replication tables out.
 
 Each subcommand takes only the flags it reads. ``bounds`` is the only one
-that computes bounds. It builds all cells at once, as arrays with one row
-per cell: one stable sort of the sample by (cell, arm, y) gives every
-cell's quantile grids, and the t grids, the closed-form envelopes on
-P(Y1 - Y0 <= t), the points and each tau's inversion are one numpy pass
-over the cells each; SI and PQD solve one envelope oracle per cell. Errors
-are those of a cell-by-cell build, the first failing cell in sorted
-covariate order deciding; a cell that lacks observations in one arm is an
-input error. Each cell's envelopes are built once and inverted per tau,
-after every tau has been checked and before the first file is written.
-``policy`` and ``owl`` read a bounds JSON it wrote.
+that builds distribution envelopes, and it computes no bound itself. It
+builds all cells at once, as arrays with one row per cell: one stable sort
+of the sample by (cell, arm, y) gives every cell's quantile grids, and the
+t grids are one numpy pass over the cells. ``bounds._envelope_rows`` gives
+every cell's envelopes on P(Y1 - Y0 <= t), ``bounds._point_rows`` every
+cell's points and ``bounds._inverted_rows`` each tau's inversion. Errors are those of a
+cell-by-cell build, the first failing cell in sorted covariate order
+deciding; a cell that lacks observations in one arm is an input error.
+Each cell's envelopes are built once and inverted per tau, after every tau
+has been checked and before the first file is written. ``policy`` and
+``owl`` read a bounds JSON it wrote.
 
 Exit codes: 0 ok, 2 input error or an output that cannot be written, 3
 unsupported assumption, 4 inconsistency between provided pieces, 5 learner
@@ -39,24 +40,15 @@ import numpy as np
 from .bounds import (
     DEFAULT_K,
     DEFAULT_T_POINTS,
-    AssumptionSet,
     LpSolveError,
     QoteBounds,
-    _check_qote_bounds,
-    _closed_form_envelopes,
     _envelope_csvs,
+    _envelope_rows,
     _inverted_rows,
-    coupling_lp_bounds,
+    _point_rows,
     default_t_grid,
 )
-from .marginals import (
-    QuantileCurve,
-    Sample,
-    _grid_positions,
-    _quantile_index,
-    read_sample_csv,
-    u_grid,
-)
+from .marginals import Sample, _grid_positions, read_sample_csv
 from .owl import (
     LearnerError,
     TrainConfig,
@@ -215,17 +207,9 @@ class _Cells(NamedTuple):
 
     def bounds(self, tag: str, tau: float):
         """(lower, upper, truncated_lower, truncated_upper) of every cell at tau."""
-        if tag == "RankInvariance":
-            # the tau-quantile of the comonotone effects q1(u) - q0(u)
-            point = np.sort(self.v1 - self.v0, axis=1)[:, _quantile_index(self.v1.shape[1], tau)]
-        elif tag == "Symmetry":
-            # symmetric effects put the median at the mean difference
-            point = self.v1.mean(axis=1) - self.v0.mean(axis=1)
-        else:
-            return _inverted_rows(self.t, self.lower, self.upper, tau)
-        _check_qote_bounds(point, point)
-        untruncated = np.zeros(point.shape, dtype=bool)
-        return point, point, untruncated, untruncated
+        if tag in ("RankInvariance", "Symmetry"):
+            return _point_rows(tag, self.v1, self.v0, tau)
+        return _inverted_rows(self.t, self.lower, self.upper, tau)
 
 
 def _build_cells(args, tag: str) -> _Cells:
@@ -256,18 +240,7 @@ def _cell_rows(args, tag: str, split: _Split, built: int) -> _Cells:
     if tag == "Symmetry":
         return cells
     t = default_t_grid(v1, v0, args.tgrid)
-    if tag in ("NoAssumption", "RankInvariance"):
-        lower, upper = _closed_form_envelopes(tag, v1, v0, t)
-    else:
-        # one copula-program oracle per cell, in cell order
-        u = u_grid(k)
-        envelopes = [
-            coupling_lp_bounds(QuantileCurve(u, a), QuantileCurve(u, b), AssumptionSet(tag),
-                               t_grid=grid, k=k)
-            for a, b, grid in zip(v1, v0, t)
-        ]
-        lower = np.array([env.lower for env in envelopes])
-        upper = np.array([env.upper for env in envelopes])
+    lower, upper = _envelope_rows(tag, v1, v0, t)
     return cells._replace(t=t, lower=lower, upper=upper)
 
 

@@ -9,7 +9,7 @@ serves a run of programs that differ only in their costs: one model built
 once and run once per cost change, each time from the same given start
 basis or from no basis. A run reports how it ended and is never solved
 again. Constraint matrices may be dense arrays or scipy.sparse matrices;
-sparse ones stay sparse.
+sparse ones stay sparse, and every model gets its rows as one CSR matrix.
 
 Importing the module loads neither scipy.sparse nor the bindings, so the
 package's LP-free paths run without them. scipy.sparse loads where a
@@ -113,35 +113,30 @@ class LpSolution:
 
 
 def _model(p: LinearProgram):
-    """A HiGHS model of p: its A_le rows, then its A_eq rows as row_lower == row_upper.
+    """A HiGHS model of p, its rows passed row-wise as one CSR matrix.
 
-    A program whose only rows are a CSR A_le passes its arrays row-wise as
-    they are; any other is stacked column-wise.
+    The rows are A_le's, then A_eq's as row_lower == row_upper. A program
+    whose only rows are a CSR A_le passes that matrix as it is.
     """
     core = _bindings()
     n = p.c.size
+    b_le, b_eq = (np.zeros(0) if b is None else b for b in (p.b_le, p.b_eq))
     if p.A_eq is None and getattr(p.A_le, "format", None) == "csr":
-        a, fmt = p.A_le, core.MatrixFormat.kRowwise
-        row_lower, row_upper = np.full(p.b_le.size, -np.inf), p.b_le
+        a = p.A_le
     else:
         import scipy.sparse as sp  # here, so that importing the package skips scipy.sparse
 
-        rows = [(np.zeros((0, n)), np.zeros(0), np.zeros(0))]  # so a program without rows stacks
-        if p.A_le is not None:
-            rows.append((p.A_le, np.full(p.b_le.size, -np.inf), p.b_le))
-        if p.A_eq is not None:
-            rows.append((p.A_eq, p.b_eq, p.b_eq))
-        a = sp.vstack([sp.csc_matrix(r[0]) for r in rows], format="csc")
-        fmt = core.MatrixFormat.kColwise
-        row_lower = np.concatenate([r[1] for r in rows])
-        row_upper = np.concatenate([r[2] for r in rows])
+        given = [sp.csr_matrix(m) for m in (p.A_le, p.A_eq) if m is not None]
+        a = sp.vstack(given, format="csr") if given else sp.csr_matrix((0, n))
+    row_lower = np.concatenate([np.full(b_le.size, -np.inf), b_eq])
+    row_upper = np.concatenate([b_le, b_eq])
     lp = core.HighsLp()
     lp.num_col_, lp.num_row_ = n, a.shape[0]
     lp.col_cost_ = p.c
     lp.col_lower_, lp.col_upper_ = p.lower, p.upper
     lp.row_lower_, lp.row_upper_ = row_lower, row_upper
     m = lp.a_matrix_
-    m.format_ = fmt
+    m.format_ = core.MatrixFormat.kRowwise
     m.num_col_, m.num_row_ = n, a.shape[0]
     m.start_, m.index_, m.value_ = a.indptr, a.indices, a.data
     highs = core._Highs()

@@ -196,7 +196,7 @@ def test_staircase_envelopes_match_forced_lp():
     v1 = np.sort(rng.normal(size=6))
     v0 = np.sort(rng.normal(size=6))
     t_grid = default_t_grid(v1, v0, 9)
-    f_lo, f_up = _staircase_envelopes(v1, v0, t_grid)
+    f_lo, f_up = _staircase_envelopes(_pairs_above(v1, v0, t_grid))
     for idx, t in enumerate(t_grid):
         lo, c_lo = raw_coupling_lp(v1, v0, t, "min")
         up, c_up = raw_coupling_lp(v1, v0, t, "max")
@@ -220,7 +220,7 @@ def test_pairs_above_counts_the_differences():
         assert np.array_equal(_pairs_above(v1, v0, t), brute)
         if k == 4:
             # the closed form equals the raw coupling LP at every grid difference
-            f_lo, f_up = _staircase_envelopes(v1, v0, t)
+            f_lo, f_up = _staircase_envelopes(_pairs_above(v1, v0, t))
             for idx in range(t.size):
                 lo, _ = raw_coupling_lp(v1, v0, t[idx], "min")
                 up, _ = raw_coupling_lp(v1, v0, t[idx], "max")
@@ -273,7 +273,7 @@ def test_k3_coupling_lp_matches_vertex_enumeration():
     vertices = lp_vertices(a_eq, b_eq)
     assert len(vertices) == 6  # permutation couplings
     ts = np.quantile(v1[:, None] - v0[None, :], [0.2, 0.5, 0.8])
-    stair_lo, stair_up = _staircase_envelopes(v1, v0, ts)
+    stair_lo, stair_up = _staircase_envelopes(_pairs_above(v1, v0, ts))
     prog = _copula_program(3, 3, "none")
     for idx, t in enumerate(ts):
         weights = ((v1[:, None] - v0[None, :]) <= t).ravel().astype(float)
@@ -325,7 +325,7 @@ def test_comonotone_mass_and_brackets_hold_every_envelope(k):
     v0 = np.sort(rng.normal(scale=1.5, size=k))
     t_grid = default_t_grid(v1, v0, 11)
     comonotone = np.array([np.mean(v1 - v0 <= t) for t in t_grid])
-    brackets = bounds._coupling_brackets(v1, v0, t_grid)
+    brackets = bounds._coupling_brackets(v1, v0, t_grid, _pairs_above(v1, v0, t_grid))
     for tag in ("NoAssumption", "SI", "PQD"):
         if tag != "NoAssumption":
             dense = dict(zip(("min", "max"), _Envelopes.of_values(v1, v0, tag, t_grid).dense()))
@@ -340,6 +340,26 @@ def test_comonotone_mass_and_brackets_hold_every_envelope(k):
                 assert np.all(floor <= exact + 1e-9)
                 assert np.all(exact <= ceiling + 1e-9)
                 _assert_pinned_where_the_brackets_meet(dense[side], exact, floor, ceiling)
+
+
+@pytest.mark.parametrize("tag", ["SI", "PQD"])
+def test_an_oracle_counts_the_pairs_once(monkeypatch, tag):
+    # its staircases and its brackets come from one count, which the
+    # brackets and the solves leave as it was
+    q1, q0 = population_curves(SUBGROUPS[2], 8)
+    v1, v0 = q1.values, q0.values
+    grid = default_t_grid(v1, v0, 17)
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return _pairs_above(*args)
+
+    monkeypatch.setattr(bounds, "_pairs_above", counted)
+    env = _Envelopes.of_values(v1, v0, tag, grid)
+    assert len(calls) == 1
+    env.dense()
+    assert np.array_equal(env._staircases, _pairs_above(v1, v0, grid))
 
 
 def _assert_pinned_where_the_brackets_meet(values, exact, floor, ceiling):
@@ -494,7 +514,7 @@ def test_session_envelopes_match_cold_full_programs(tag):
         assert_allclose(env.lower, ref.lower, rtol=0, atol=1e-9)
         assert_allclose(env.upper, ref.upper, rtol=0, atol=1e-9)
         oracle = _Envelopes.of_values(v1, v0, tag, t_grid)
-        brackets = bounds._coupling_brackets(v1, v0, t_grid)
+        brackets = bounds._coupling_brackets(v1, v0, t_grid, _pairs_above(v1, v0, t_grid))
         met = sum(
             _assert_pinned_where_the_brackets_meet(values, np.array(exact), *brackets[side])
             for side, values, exact in zip(("min", "max"), oracle.dense(), cold)
@@ -1210,7 +1230,7 @@ def test_an_lp_that_fails_on_a_helper_thread_raises_the_earliest_in_serial_order
     q1, q0 = population_curves(SUBGROUPS[2], 12)
     v1, v0 = q1.values, q0.values
     grid = default_t_grid(v1, v0, 21)
-    floor, ceiling = bounds._coupling_brackets(v1, v0, grid)["min"]
+    floor, ceiling = bounds._coupling_brackets(v1, v0, grid, _pairs_above(v1, v0, grid))["min"]
     first = float(grid[np.flatnonzero(floor != ceiling)[0]])
     solve = bounds._solve
     caller, raisers, later_raised = threading.get_ident(), [], threading.Event()

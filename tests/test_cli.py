@@ -16,6 +16,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import qotepolicy
+from oracles import raw_coupling_lp
 from qotepolicy import bounds, cli, lpcore, sim
 from qotepolicy.cli import main
 from qotepolicy.lpcore import LpSolution
@@ -331,7 +332,8 @@ def test_failed_lp_exits_6_naming_t_tag_and_k(tmp_path, capsys, monkeypatch):
     v1 = make_y_grid(sample.y[sample.d == 1], 5)
     v0 = make_y_grid(sample.y[sample.d == 0], 5)
     grid = bounds.default_t_grid(v1, v0, 5)
-    floor, ceiling = bounds._coupling_brackets(v1, v0, grid)["min"]
+    above = bounds._pairs_above(v1, v0, grid)
+    floor, ceiling = bounds._coupling_brackets(v1, v0, grid, above)["min"]
     first = float(grid[np.flatnonzero(floor != ceiling)[0]])
     threads = threading.active_count()
     out = tmp_path / "out"
@@ -630,12 +632,14 @@ def test_envelopes_are_built_once_per_cell(tmp_path, monkeypatch, subcommand):
     src = tmp_path / "sample.csv"
     _two_cell_csv(src)
     calls = []
+    dense = bounds._Envelopes.dense
 
-    def counted(*args, **kwargs):
+    def counted(self):
         calls.append(1)
-        return bounds.coupling_lp_bounds(*args, **kwargs)
+        return dense(self)
 
-    monkeypatch.setattr(cli, "coupling_lp_bounds", counted)
+    # one oracle per cell, each asked for its envelopes once
+    monkeypatch.setattr(bounds._Envelopes, "dense", counted)
     shared = (subcommand, "--input", src, "--assumption", "si", "--k", "6", "--tgrid", "15")
     both = tmp_path / "both"
     assert run(*shared, "--tau", "0.25,0.5", "--out", both) == 0
@@ -1064,14 +1068,16 @@ def test_cells_built_at_once_equal_cells_built_one_by_one(seed):
         if idx in (1, 2) and points > 1:
             assert t[-1] - t[0] == 1.0  # a cell of constant effects widens its grid
         # the closed forms, against each cell's own and against brute force
-        env = bounds._assemble_envelopes(t, *bounds._staircase_envelopes(v1, v0, t))
+        above = ((v1[:, None] - v0[None, :])[:, :, None] > t).sum(axis=1)
+        env = bounds._assemble_envelopes(t, *bounds._staircase_envelopes(above))
         assert none.lower[idx].tobytes() == env.lower.tobytes()
         assert none.upper[idx].tobytes() == env.upper.tobytes()
         assert env.upper.tobytes() == bounds.coupling_lp_bounds(
             QuantileCurve(u, v1), QuantileCurve(u, v0), t_grid=t, k=k).upper.tobytes()
-        above = ((v1[:, None] - v0[None, :])[:, :, None] > t).sum(axis=1)
         g = np.arange(1, k + 1)[:, None] - above
         assert np.array_equal(env.lower, np.clip(g.max(axis=0), 0, k) / k)
+        upper = np.maximum.accumulate(np.clip(k - 1 + g.min(axis=0), 0, k) / k)
+        assert np.array_equal(env.upper, np.maximum(upper, env.lower))
         cdf = bounds._comonotone_cdf(v1, v0, t)
         assert ri.lower[idx].tobytes() == ri.upper[idx].tobytes() == cdf.tobytes()
         assert np.array_equal(cdf, (np.sort(v1 - v0)[:, None] <= t).sum(axis=0) / k)
@@ -1086,3 +1092,19 @@ def test_cells_built_at_once_equal_cells_built_one_by_one(seed):
         mean = float(np.mean(v1) - np.mean(v0))
         assert [column[idx] for column in sy.bounds("Symmetry", 0.5)] == [
             mean, mean, False, False]
+
+
+@pytest.mark.parametrize("tag", ["SI", "PQD"])
+@pytest.mark.parametrize("seed", range(3))
+def test_shape_restricted_cell_rows_match_the_raw_coupling_lp(seed, tag):
+    # every cell's envelopes, built with the others, against one LP over its
+    # raw k x k coupling masses at each t
+    rng = np.random.default_rng(seed)
+    sample = _random_cells_sample(rng, int(rng.integers(3, 6)))
+    k, points = int(rng.integers(2, 6)), int(rng.integers(2, 6))
+    split = cli._cells_from_sample(sample)
+    cells = cli._cell_rows(argparse.Namespace(k=k, tgrid=points), tag, split, len(split.x))
+    for v1, v0, t, lower, upper in zip(cells.v1, cells.v0, cells.t, cells.lower, cells.upper):
+        for side, got in (("min", lower), ("max", upper)):
+            exact = [raw_coupling_lp(v1, v0, at, side, tag)[0] for at in t]
+            assert_allclose(got, exact, rtol=0, atol=1e-9)

@@ -289,3 +289,19 @@ def test_solve_lp_is_bit_equal_to_linprog(monkeypatch, source):
         assert np.float64(sol.objective).tobytes() == np.float64(objective).tobytes()
         assert sol.x.tobytes() == x.tobytes()
         assert sol.iterations == iterations
+
+
+def test_matrix_format_does_not_change_a_solve(monkeypatch):
+    # HiGHS gets every program row-wise as one CSR matrix, so the Charnes-Cooper
+    # programs, with their equality row, solve to the last bit alike whether
+    # their matrices are given dense, CSR or CSC
+    for lp in _programs("charnes_cooper", monkeypatch):
+        ends = set()
+        for fmt in (np.asarray, sp.csr_matrix, sp.csc_matrix):
+            sol = solve_lp(LinearProgram(
+                c=lp.c, sense=lp.sense, A_le=fmt(lp.A_le.toarray()), b_le=lp.b_le,
+                A_eq=fmt(lp.A_eq), b_eq=lp.b_eq, lower=lp.lower, upper=lp.upper,
+            ))
+            ends.add((sol.status, np.float64(sol.objective).tobytes(), sol.x.tobytes(),
+                      sol.iterations))
+        assert len(ends) == 1 and next(iter(ends))[0] == "optimal"

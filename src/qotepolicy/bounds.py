@@ -91,7 +91,6 @@ __all__ = [
     "functional_bounds",
     "qote_coupling_bounds",
     "default_t_grid",
-    "delta_bounds_to_csv",
 ]
 
 DEFAULT_K = 50
@@ -1263,13 +1262,8 @@ def functional_bounds(
     return Interval(float(lo), float(hi))
 
 
-def delta_bounds_to_csv(b: DeltaCdfBounds) -> str:
-    """Serialize CDF envelopes as ``t,lower,upper`` CSV text."""
-    return _envelope_csvs(b.t_grid, b.lower, b.upper)[0]
-
-
 def _envelope_csvs(t_grid, lower, upper) -> list:
-    """The ``delta_bounds_to_csv`` text of every row of envelopes, one ``%`` per row."""
+    """The ``t,lower,upper`` CSV text of every row of envelopes, at ``%.10g``, one ``%`` per row."""
     values = np.stack([t_grid, lower, upper], axis=-1)
     form = "t,lower,upper\n" + "%.10g,%.10g,%.10g\n" * values.shape[-2]
     return [form % tuple(row.tolist()) for row in values.reshape(-1, 3 * values.shape[-2])]

@@ -60,6 +60,7 @@ from .owl import (
 )
 from .policy import (
     BoundField,
+    _json_text,
     _regret_report_data,
     derive_policy,
     max_regret,
@@ -154,21 +155,25 @@ class _Split(NamedTuple):
 
 
 def _cells_from_sample(sample: Sample) -> _Split:
-    """Split a sample into its covariate cells by one stable sort."""
-    if sample.p == 0:
-        x, inverse = [[]], np.zeros(sample.n, dtype=int)
-    else:
-        uniq, inverse = np.unique(sample.x, axis=0, return_inverse=True)
-        if uniq.shape[0] > MAX_CELLS:
-            raise _CliError(
-                2,
-                f"{uniq.shape[0]} distinct covariate rows exceed the {MAX_CELLS}-cell "
-                "limit; bin the covariates first",
-            )
-        x = uniq.tolist()
-    counts = np.bincount(2 * inverse + sample.d, minlength=2 * len(x)).reshape(-1, 2)
-    order = np.lexsort((sample.y, sample.d, inverse))
-    return _Split(x, counts.sum(axis=1) / sample.n, sample.y[order], counts)
+    """Split a sample into its covariate cells by one stable sort.
+
+    The sort is by (x1, ..., xp, arm, y); a cell starts at each sorted row
+    whose covariates differ from the row before it.
+    """
+    order = np.lexsort((sample.y, sample.d, *sample.x.T[::-1]))
+    x = sample.x[order]
+    starts = np.ones(sample.n, dtype=bool)
+    starts[1:] = (x[1:] != x[:-1]).any(axis=1)
+    ncells = int(np.count_nonzero(starts))
+    if ncells > MAX_CELLS:
+        raise _CliError(
+            2,
+            f"{ncells} distinct covariate rows exceed the {MAX_CELLS}-cell "
+            "limit; bin the covariates first",
+        )
+    cell = np.cumsum(starts) - 1
+    counts = np.bincount(2 * cell + sample.d[order], minlength=2 * ncells).reshape(-1, 2)
+    return _Split(x[starts].tolist(), counts.sum(axis=1) / sample.n, sample.y[order], counts)
 
 
 def _load_cells(args) -> _Split:
@@ -284,10 +289,6 @@ def _write(out: str, files: Dict[str, str]) -> None:
                 fh.write(text)
     except OSError as exc:
         raise _CliError(2, f"cannot write {path}: {exc.strerror or exc}")
-
-
-def _json_text(data) -> str:
-    return json.dumps(data, sort_keys=True, indent=2) + "\n"
 
 
 def cmd_bounds(args) -> int:

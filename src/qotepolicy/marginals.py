@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -207,12 +208,61 @@ def curve_from_cdf(cdf: ConditionalCdf, u) -> QuantileCurve:
 
 
 def read_sample_csv(path_or_buffer) -> Sample:
-    """Read observations from CSV with header ``y,d,x1,...,xp``, each row as wide as the header."""
+    """Read observations from CSV with header ``y,d,x1,...,xp``, each row as wide as the header.
+
+    Rows of blanks and commas are skipped, fields may have spaces around
+    them, and quoted fields and CRLF line ends are read as the csv module
+    reads them. Every field is read with Python's ``float``, and ``-0``
+    reads as ``0``, in ``y`` and in the covariates alike. Text with no
+    quote, CR or NUL is split on newlines and commas and converted in one
+    pass; any other text, and any text that split cannot take whole (a row
+    of blanks, a ragged row, a field that is no number), is read by the csv
+    module, which gives every error about the text and its line numbers.
+    """
     if hasattr(path_or_buffer, "read"):
         text = path_or_buffer.read()
     else:
         with open(path_or_buffer, "r", encoding="utf-8") as fh:
             text = fh.read()
+    data = _plain_rows(text)
+    if data is None:
+        data = _csv_rows(text)
+    y = data[:, 0] + 0.0  # "-0" reads as 0.0
+    d = data[:, 1]
+    x = data[:, 2:] + 0.0
+    if not np.all((d == 0) | (d == 1)):
+        raise ValueError("treatment indicator must be 0 or 1")
+    return Sample(y, d, x)
+
+
+def _plain_rows(text: str):
+    """The rows of a CSV text as a float array, or None where ``_csv_rows`` must read it.
+
+    It takes only text with no quote, CR or NUL, a ``y,d`` header, at least
+    one row, every line but empty ones as wide as the header, every field a
+    number and no line longer than the csv module's field limit. For such
+    text ``_csv_rows`` gives the same array.
+    """
+    if '"' in text or "\r" in text or "\0" in text:
+        return None
+    lines = text.split("\n")
+    header = [c.strip() for c in lines[0].split(",")]
+    rows = list(filter(None, lines[1:]))
+    if header[:2] != ["y", "d"] or not rows:
+        return None
+    if max(map(len, lines)) > csv.field_size_limit():
+        return None
+    if set(map(str.count, rows, itertools.repeat(","))) != {len(header) - 1}:
+        return None
+    try:
+        values = list(map(float, ",".join(rows).split(",")))
+    except ValueError:
+        return None  # a field that is no number, or a row of blanks
+    return np.array(values).reshape(len(rows), len(header))
+
+
+def _csv_rows(text: str) -> np.ndarray:
+    """The rows of a CSV text as a float array, read by the csv module."""
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header is None:
@@ -226,13 +276,7 @@ def read_sample_csv(path_or_buffer) -> Sample:
     for line, r in rows:
         if len(r) != len(header):
             raise ValueError(f"line {line} has {len(r)} fields, the header has {len(header)}")
-    data = np.array([float(c) for _, r in rows for c in r]).reshape(len(rows), len(header))
-    y = data[:, 0] + 0.0  # "-0" reads as 0.0
-    d = data[:, 1]
-    x = data[:, 2:]
-    if not np.all((d == 0) | (d == 1)):
-        raise ValueError("treatment indicator must be 0 or 1")
-    return Sample(y, d, x)
+    return np.array([float(c) for _, r in rows for c in r]).reshape(len(rows), len(header))
 
 
 def curve_to_csv(curve: QuantileCurve) -> str:

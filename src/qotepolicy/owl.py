@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .policy import BoundField, PolicyField, _qbar
+from .policy import BoundField, PolicyField, _json_text, _qbar
 
 __all__ = [
     "LearnerError",
@@ -251,7 +251,7 @@ def decision_function_to_json(f: DecisionFunction) -> str:
         "coefficients": f.coefficients.tolist(),
         "sigma": f.sigma,
     }
-    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+    return _json_text(data)
 
 
 def decision_function_from_json(text: str) -> DecisionFunction:

@@ -11,8 +11,11 @@ minimized value is the asymptotic leading term, not the attained regret.
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _json_string
 from typing import Tuple
 
 import numpy as np
@@ -36,11 +39,12 @@ __all__ = [
     "regret_bound_check",
     "derive_policy",
     "policy_to_json",
-    "regret_report_to_json",
 ]
 
 
 def _as_point(x) -> Tuple[float, ...]:
+    if type(x) is tuple and all(type(v) is float for v in x):
+        return x
     if np.isscalar(x):
         return (float(x),)
     return tuple(float(v) for v in np.atleast_1d(np.asarray(x, dtype=float)))
@@ -60,7 +64,7 @@ class BoundField:
         if not cells:
             raise ValueError("field needs at least one cell")
         points = [x for x, _, _ in cells]
-        if not all(np.all(np.isfinite(x)) for x in points):
+        if not all(map(math.isfinite, itertools.chain.from_iterable(points))):
             raise ValueError("covariate points must be finite")
         if len(set(points)) < len(points):
             raise ValueError("covariate points must not repeat")
@@ -72,7 +76,7 @@ class BoundField:
         if abs(w.sum() - 1.0) > 1e-8:
             raise ValueError("weights must sum to 1")
         for _, _, b in cells:
-            if not (np.isfinite(b.lower) and np.isfinite(b.upper)):
+            if not (math.isfinite(b.lower) and math.isfinite(b.upper)):
                 raise ValueError("bounds must be finite")
 
     def points(self):
@@ -322,7 +326,7 @@ def policy_to_json(policy: PolicyField) -> str:
         "kind": policy.kind,
         "cells": [{"x": list(x), "delta": d} for x, d in policy.cells],
     }
-    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+    return _json_text(data)
 
 
 def _regret_report_data(report: RegretReport) -> dict:
@@ -335,6 +339,53 @@ def _regret_report_data(report: RegretReport) -> dict:
     }
 
 
-def regret_report_to_json(report: RegretReport) -> str:
-    """JSON export with all three expression values for auditability."""
-    return json.dumps(_regret_report_data(report), sort_keys=True, indent=2) + "\n"
+class _NotPlain(Exception):
+    """A value ``_json_value`` leaves to ``json.dumps``."""
+
+
+def _json_text(data) -> str:
+    """``json.dumps(data, sort_keys=True, indent=2) + "\\n"``, built by joins.
+
+    json's C encoder serves no ``indent``, so the pure-Python one would run.
+    Dicts with str keys, lists, str, bool, int, None and finite floats (a
+    float subclass such as numpy's float64 among them) are written here
+    with json's bytes; anything else, a NaN or an infinity among them, sends
+    the whole of ``data`` to ``json.dumps``.
+    """
+    try:
+        return _json_value(data, "\n") + "\n"
+    except _NotPlain:
+        return json.dumps(data, sort_keys=True, indent=2) + "\n"
+
+
+def _json_value(value, newline: str) -> str:
+    """One value as json writes it at the indent that ``newline`` ends in."""
+    kind = type(value)
+    if kind is float:
+        if value - value != 0.0:  # NaN or an infinity
+            raise _NotPlain
+        return repr(value)
+    if kind is str:
+        return _json_string(value)
+    if kind is int:
+        return repr(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    inner = newline + "  "
+    if kind is list:
+        if not value:
+            return "[]"
+        items = [_json_value(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if kind is dict:
+        if not value:
+            return "{}"
+        if not all(type(key) is str for key in value):
+            raise _NotPlain
+        items = [_json_string(k) + ": " + _json_value(v, inner) for k, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, float):  # numpy's float64, which json writes as a float
+        return _json_value(float(value), newline)
+    raise _NotPlain

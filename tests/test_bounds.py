@@ -33,6 +33,7 @@ from qotepolicy.bounds import (
     QoteBounds,
     _assemble_envelopes,
     _copula_program,
+    _envelope_csvs,
     _Envelopes,
     _pairs_above,
     _staircase_envelopes,
@@ -40,7 +41,6 @@ from qotepolicy.bounds import (
     bernstein_lp_bounds,
     coupling_lp_bounds,
     default_t_grid,
-    delta_bounds_to_csv,
     functional_bounds,
     invert_bounds,
     makarov_bounds,
@@ -1626,9 +1626,10 @@ def test_functional_bounds_errors():
 # serialization
 
 
-def test_delta_bounds_to_csv_format():
+def test_envelope_csv_format():
     env = DeltaCdfBounds([0.0, 0.5], [0.0, 0.25], [0.5, 1.0])
-    assert delta_bounds_to_csv(env) == "t,lower,upper\n0,0,0.5\n0.5,0.25,1\n"
+    assert _envelope_csvs(env.t_grid, env.lower, env.upper) == [
+        "t,lower,upper\n0,0,0.5\n0.5,0.25,1\n"]
 
 
 def test_default_t_grid_spans_the_cross_differences():
@@ -1681,8 +1682,9 @@ def test_rows_of_envelopes_fail_as_the_first_failing_row_alone():
         DeltaCdfBounds(t[2], lower[2], upper[2])
 
 
-def test_delta_bounds_to_csv_keeps_ten_significant_digits():
+def test_envelope_csvs_keep_ten_significant_digits():
     t = np.array([-0.0, 2.5e-7, 1 / 3, 1e16])
     env = DeltaCdfBounds(t, [0.0, 0.1, 0.2, 0.3], [1e-300, 0.5, 0.5, 1.0])
     lines = [f"{a:.10g},{b:.10g},{c:.10g}" for a, b, c in zip(t, env.lower, env.upper)]
-    assert delta_bounds_to_csv(env) == "\n".join(["t,lower,upper", *lines]) + "\n"
+    assert _envelope_csvs(env.t_grid, env.lower, env.upper) == [
+        "\n".join(["t,lower,upper", *lines]) + "\n"]

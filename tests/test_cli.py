@@ -17,7 +17,7 @@ from numpy.testing import assert_allclose
 
 import qotepolicy
 from oracles import raw_coupling_lp
-from qotepolicy import bounds, cli, lpcore, sim
+from qotepolicy import bounds, cli, lpcore, marginals, sim
 from qotepolicy.cli import main
 from qotepolicy.lpcore import LpSolution
 from qotepolicy.marginals import QuantileCurve, Sample, make_y_grid, read_sample_csv, u_grid
@@ -236,6 +236,46 @@ def test_cells_split_rows_as_one_boolean_mask_per_cell_does():
                 rows = mask & (sample.d == arm)
                 block = split.y[ends[idx, arm] - split.counts[idx, arm]:ends[idx, arm]]
                 assert np.array_equal(block, np.sort(sample.y[rows]))
+
+
+def _unique_rows_split(sample):
+    """The split by ``np.unique(axis=0)`` and a sort by (cell, arm, y)."""
+    if sample.p == 0:
+        x, inverse = [[]], np.zeros(sample.n, dtype=int)
+    else:
+        uniq, inverse = np.unique(sample.x, axis=0, return_inverse=True)
+        x = uniq.tolist()
+    counts = np.bincount(2 * inverse + sample.d, minlength=2 * len(x)).reshape(-1, 2)
+    order = np.lexsort((sample.y, sample.d, inverse))
+    return x, counts.sum(axis=1) / sample.n, sample.y[order], counts
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_the_sorted_cell_split_equals_the_unique_rows_split(seed):
+    rng = np.random.default_rng(seed)
+    for p in range(4):
+        n = int(rng.integers(1, 300))
+        # few levels per column, so cells and outcomes tie heavily
+        x = rng.choice([-1.5, 0.0, 0.25, 2.0][: int(rng.integers(1, 5))], (n, p))
+        y = np.round(rng.normal(size=n)) + 0.0
+        sample = Sample(y=y, d=rng.integers(0, 2, n), x=x)
+        split = cli._cells_from_sample(sample)
+        x_ref, weight, y_ref, counts = _unique_rows_split(sample)
+        assert split.x == x_ref
+        assert np.array_equal(split.counts, counts)
+        assert split.weight.tobytes() == weight.tobytes()
+        assert split.y.tobytes() == y_ref.tobytes()
+
+
+def test_a_covariate_mixing_signed_zeros_makes_one_cell(tmp_path):
+    src = tmp_path / "sample.csv"
+    src.write_text("y,d,x1\n1,1,-0\n0,0,0\n2,1,0\n-1,0,-0\n")
+    out = tmp_path / "out"
+    assert run("bounds", "--input", src, "--k", "2", "--tgrid", "3", "--tau", "0.5",
+               "--out", out) == 0
+    cells = json.loads((out / "bounds_tau0.5.json").read_text())["cells"]
+    assert [cell["x"] for cell in cells] == [[0.0]]
+    assert '"x": [\n        0.0\n      ]' in (out / "bounds_tau0.5.json").read_text()
 
 
 def test_dgp_file_with_lognormal_false_runs(tmp_path):
@@ -914,6 +954,32 @@ def test_outputs_match_golden_digests(tmp_path):
     assert {name: _dir_digest(tmp_path / name) for name, _ in runs} == GOLDEN_DIGESTS
 
 
+def test_the_golden_json_payloads_are_written_with_json_dumps_bytes(tmp_path, monkeypatch):
+    from qotepolicy import owl, policy
+
+    payloads, write = [], policy._json_text
+
+    def spy(data):
+        payloads.append(data)
+        return write(data)
+
+    for module in (cli, owl, policy):
+        monkeypatch.setattr(module, "_json_text", spy)
+    shared = ("--dgp", "subgroup2", "--k", "12", "--tgrid", "41", "--n", "200",
+              "--seed", "1", "--tau", "0.25,0.5")
+    for flag in ("si", "pqd", "none", "ri"):
+        assert run("bounds", *shared, "--assumption", flag, "--out", tmp_path / flag) == 0
+    for flag in ("pqd", "none"):
+        assert run("policy", "--input", tmp_path / flag / "bounds_tau0.25.json",
+                   "--out", tmp_path / f"policy_{flag}") == 0
+    assert run("owl", "--input", tmp_path / "none" / "bounds_tau0.25.json",
+               "--out", tmp_path / "owl") == 0
+    # bounds two taus a run, policy three rules and a report, owl a model, a rule and a report
+    assert len(payloads) == 4 * 2 + 2 * 4 + 3
+    for data in payloads:
+        assert write(data) == json.dumps(data, sort_keys=True, indent=2) + "\n"
+
+
 def _multi_cell_csv(path):
     """Nine unequal cells on two covariates, rows shuffled: tied outcomes in
     three cells, one arm of a single row, and one cell of a single outcome."""
@@ -1108,3 +1174,38 @@ def test_shape_restricted_cell_rows_match_the_raw_coupling_lp(seed, tag):
         for side, got in (("min", lower), ("max", upper)):
             exact = [raw_coupling_lp(v1, v0, at, side, tag)[0] for at in t]
             assert_allclose(got, exact, rtol=0, atol=1e-9)
+
+
+def _rules_csv(path, quoted):
+    """200 cells on two covariates, 60 rows each, rows shuffled; every field
+    quoted if asked, which only the csv module reads."""
+    rng = np.random.default_rng(41)
+    rows = []
+    for i in range(20):
+        for j in range(10):
+            sample = draw_sample(SUBGROUPS[1 + (i + j) % 8], 60, (i, j))
+            rows += [[repr(float(y)), str(int(d)), f"{i:g}", f"{j / 4:g}"]
+                     for y, d in zip(sample.y, sample.d)]
+    lines = [["y", "d", "x1", "x2"]] + [rows[r] for r in rng.permutation(len(rows))]
+    if quoted:
+        lines = [[f'"{field}"' for field in line] for line in lines]
+    path.write_text("".join(",".join(line) + "\n" for line in lines))
+
+
+def test_the_plain_and_the_csv_module_read_give_the_same_outputs(tmp_path):
+    for name in ("plain", "quoted"):
+        src = tmp_path / f"{name}.csv"
+        _rules_csv(src, name == "quoted")
+        out = tmp_path / name
+        for flag in ("none", "ri"):
+            assert run("bounds", "--input", src, "--assumption", flag, "--k", "20",
+                       "--tgrid", "201", "--tau", "0.25,0.5", "--out", out / flag) == 0
+        bounds_json = out / "none" / "bounds_tau0.5.json"
+        assert run("policy", "--input", bounds_json, "--out", out / "policy") == 0
+        assert run("owl", "--input", bounds_json, "--max-epochs", "300",
+                   "--out", out / "owl") == 0
+    assert marginals._plain_rows((tmp_path / "plain.csv").read_text()).shape == (12000, 4)
+    assert marginals._plain_rows((tmp_path / "quoted.csv").read_text()) is None
+    for step in ("none", "ri", "policy", "owl"):
+        assert _dir_digest(tmp_path / "plain" / step) == _dir_digest(tmp_path / "quoted" / step)
+    assert len(json.loads(bounds_json.read_text())["cells"]) == 200

@@ -1,4 +1,6 @@
+import csv
 import io
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +12,8 @@ from qotepolicy.marginals import (
     ConditionalCdf,
     QuantileCurve,
     Sample,
+    _csv_rows,
+    _plain_rows,
     curve_from_cdf,
     curve_to_csv,
     empirical_quantile,
@@ -203,6 +207,114 @@ def test_read_sample_csv_errors():
     with pytest.raises(ValueError, match="line 2 has 3 fields, the header has 2"):
         read_sample_csv(io.StringIO("y,d\n1.0,1,0\n2.0,0,0\n"))
 
+
+SPELLINGS = ["+1", "-0", "0", ".5", "1e-3", "1E+300", "5e-324", "-2.25", " 7 ", "\t-0\t"]
+
+
+def _read_on_both_paths(text):
+    """The plain split's array, which must equal the csv module's bit for bit."""
+    plain = _plain_rows(text)
+    assert plain is not None
+    expect = _csv_rows(text)
+    assert plain.shape == expect.shape and plain.tobytes() == expect.tobytes()
+    return plain
+
+
+def test_the_plain_split_reads_every_spelling_as_the_csv_module_does():
+    text = "y,d,x1\n" + "".join(f"{a},{i % 2},{b}\n" for i, a in enumerate(SPELLINGS)
+                               for b in SPELLINGS)
+    data = _read_on_both_paths(text)
+    assert data[:, 0].tolist() == [float(a) for a in SPELLINGS for _ in SPELLINGS]
+    assert data[-1, 2] == 0.0 and np.signbit(data[-1, 2])  # "-0" reaches the array as -0.0
+    sample = read_sample_csv(io.StringIO(text))
+    # and reads as 0, in y and in the covariates
+    for values in (sample.y, sample.x):
+        assert not np.signbit(values[values == 0]).any()
+    assert sample.y.tobytes() == (data[:, 0] + 0.0).tobytes()
+
+
+def test_empty_lines_and_a_missing_final_newline_stay_on_the_plain_split():
+    text = "y,d,x1\n\n1.5,1,0\n\n\n-2,0,1"
+    assert _read_on_both_paths(text).tolist() == [[1.5, 1.0, 0.0], [-2.0, 0.0, 1.0]]
+
+
+@pytest.mark.parametrize("bad", ["inf", "-inf", "nan", "-nan", " Infinity "])
+@pytest.mark.parametrize("column, message", [(0, "outcomes"), (2, "covariates")])
+def test_non_finite_fields_fail_as_on_the_csv_path(bad, column, message):
+    fields = ["1", "1", "0"]
+    fields[column] = bad
+    text = "y,d,x1\n0,0,0\n" + ",".join(fields) + "\n"
+    _read_on_both_paths(text)
+    with pytest.raises(ValueError, match=f"^{message} must be finite$"):
+        read_sample_csv(io.StringIO(text))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        'y,d\n"1.5",1\n0,0\n',  # quoted
+        "y,d\r\n1.5,1\r\n0,0\r\n",  # CRLF
+        "y,d\n1.5,1\n0\x00,0\n",  # NUL
+        "y,d,x1\n1.5,1,0\n,,\n0,0,1\n",  # a row of commas
+        "y,d,x1\n1.5,1,0\n  \n0,0,1\n",  # a row of blanks
+        "y,d,x1\n1.5,1,0\n , ,\t\n0,0,1\n",
+    ],
+)
+def test_texts_the_plain_split_cannot_judge_go_to_the_csv_module(text):
+    assert _plain_rows(text) is None
+    try:
+        expect = _csv_rows(text)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            read_sample_csv(io.StringIO(text))
+    else:
+        assert read_sample_csv(io.StringIO(text)).y.tolist() == (expect[:, 0] + 0.0).tolist()
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["y,d\n1\r,1\n", "y,d\n1,1\n0," + "0" * (csv.field_size_limit() + 1) + "\n"],
+    ids=["a CR inside a line", "a field over the csv module's limit"],
+)
+def test_texts_the_csv_module_refuses_are_left_to_it(text):
+    # float reads every field of these, so only the checks keep them from the split
+    assert _plain_rows(text) is None
+    with pytest.raises(csv.Error):
+        _csv_rows(text)
+
+def test_a_ragged_row_after_blank_lines_names_its_line():
+    text = "y,d,x1\n1,1,0\n\n,,\n\n2,0\n0,0,1\n"
+    assert _plain_rows(text) is None
+    with pytest.raises(ValueError, match="^line 6 has 2 fields, the header has 3$"):
+        read_sample_csv(io.StringIO(text))
+
+
+_NUMBERS = st.one_of(
+    st.sampled_from(SPELLINGS + ["inf", "-nan", "1_0", "0001", "1.e5"]),
+    st.floats().map(repr),
+)
+_FIELDS = st.one_of(
+    _NUMBERS,
+    st.text(alphabet="01.e+-in_ \t\x0b\x0c\x1c\x85\u2028", max_size=6),
+)
+# mostly rows of three numbers, the header's width; some of any width and text
+_ROWS = st.one_of(
+    st.lists(_NUMBERS, min_size=3, max_size=3),
+    st.lists(_FIELDS, min_size=1, max_size=4),
+)
+
+
+@given(st.lists(_ROWS, max_size=8), st.booleans())
+@settings(max_examples=400, deadline=None)
+def test_the_plain_split_agrees_with_the_csv_module_on_any_rows(rows, final_newline):
+    text = "y,d,x1\n" + "\n".join(",".join(row) for row in rows) + "\n" * final_newline
+    plain = _plain_rows(text)
+    try:
+        expect = _csv_rows(text)
+    except ValueError:
+        assert plain is None
+    else:
+        assert plain is None or plain.tobytes() == expect.tobytes()
 
 def test_curve_to_csv_format():
     text = curve_to_csv(QuantileCurve([0.25, 0.75], [1.0, 2.5]))

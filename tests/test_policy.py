@@ -12,6 +12,8 @@ from qotepolicy.policy import (
     PolicyField,
     RegretBoundReport,
     TruthField,
+    _json_text,
+    _regret_report_data,
     cell_max_regret,
     derive_policy,
     first_best,
@@ -22,7 +24,6 @@ from qotepolicy.policy import (
     policy_to_json,
     qbar,
     regret_bound_check,
-    regret_report_to_json,
     true_regret,
 )
 
@@ -328,6 +329,13 @@ def test_interior_truth_regret_never_beats_the_max(rows):
 # serialization
 
 
+@pytest.mark.parametrize("x", [(0, 1), [0.0, 1], np.array([0, 1]), (np.float64(0), 1.0), (0.0, 1.0)])
+def test_cell_points_are_tuples_of_python_floats(x):
+    field = BoundField(((x, 1.0, QoteBounds(-1.0, 1.0)),))
+    for cells in (field.cells, derive_policy(field, "maximin").cells):
+        assert cells[0][0] == (0.0, 1.0)
+        assert all(type(v) is float for v in cells[0][0])
+
 def test_policy_json_round_trip_shape():
     policy = PolicyField((((0.0, 1.0), 0.75),), kind="stochastic")
     payload = json.loads(policy_to_json(policy))
@@ -339,7 +347,51 @@ def test_policy_json_round_trip_shape():
 def test_regret_report_json_fields():
     field = single_cell_field(-1.0, 3.0)
     report = max_regret(derive_policy(field, "mmr_stochastic"), field)
-    payload = json.loads(regret_report_to_json(report))
+    payload = json.loads(_json_text(_regret_report_data(report)))
     assert payload["max_regret"] == pytest.approx(1.5)
     assert len(payload["expressions"]) == 3
     assert "true_regret" not in payload
+
+
+def _json_dumps(data):
+    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+
+
+_JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),  # NaN and the infinities go to json.dumps whole
+    st.sampled_from([-0.0, 5e-324, 1e16, 1.7976931348623157e308, 0.1, -2.5e-7]),
+    st.text(),
+    st.sampled_from(["", "é", " ", "\x00", '"quoted"', "back\\slash", "tab\t", "\ud800"]),
+)
+_JSON = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=4),
+    max_leaves=25,
+)
+
+
+@given(_JSON)
+@settings(max_examples=300, deadline=None)
+def test_the_json_writer_writes_json_dumps_bytes(data):
+    assert _json_text(data) == _json_dumps(data)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [{}, [], [[]], {"a": {}}, {"b": [1, [2.5, {}]], "a": None}, [True, False, 0, -0.0],
+     {"x": float("nan")}, [float("inf"), -float("inf")], np.float64(0.1),
+     {"v": [np.float64(-0.0), np.float64(1e16)]}, (1, 2), {"t": (0.5,)}, {1: 2},
+     {"a": np.int64(3)}, [np.float32(0.5)]],
+)
+def test_the_json_writer_on_edge_payloads(data):
+    try:
+        expect = _json_dumps(data)
+    except TypeError:
+        with pytest.raises(TypeError):
+            _json_text(data)
+    else:
+        assert _json_text(data) == expect

@@ -36,6 +36,7 @@ from .owl import (
     LearnerError,
     TrainConfig,
     cells_from_bound_field,
+    decision_function_from_json,
     predict_policy,
     surrogate_regret,
     train_owl,
@@ -66,6 +67,7 @@ from .sim import (
     draw_sample,
     exact_qote,
     regret_experiment,
+    subgroup_interval_rows,
     truths_for,
     vote_share_check,
 )

@@ -1,62 +1,34 @@
 """Identified intervals for quantiles of treatment effects.
 
-The treatment-effect distribution P(Y1 - Y0 <= t) is only partially identified
-by the two marginal outcome distributions. This module computes sharp lower
-and upper envelopes of that CDF over all couplings of the marginals, with
-optional shape restrictions on the coupling (stochastic increasingness or
-positive quadrant dependence), and inverts the envelopes into quantile bounds.
+The two marginal outcome distributions only partially identify the
+treatment-effect CDF P(Y1 - Y0 <= t). This module computes its sharp lower
+and upper envelopes over the couplings of the marginals, optionally under an
+``AssumptionSet``, and inverts them into quantile bounds. Which routine does
+what:
 
-The unrestricted problem has a closed-form solution on the quantile grid.
-Every other program is a linear program over a grid-copula program in CDF
-coordinates, made by one builder on integer breakpoint grids: the
-Bernstein relaxation and the Charnes-Cooper programs of the
-conditional-mean functionals, whose cell masses are second differences of
-the copula, on the full grid, and each SI/PQD envelope value on the coarse
-grid its staircase touches, whose program has the same optimum
-(``_CopulaProgram`` gives the proof). ``_CopulaProgram.bound`` finds every
-value of a copula program: one run on an ``lpcore.LpSession`` of the
-program without SI's 2-increasing rows, accepted where its optimum breaks
-no row of the program by more than 1e-9, or else one cold solve of the
-whole program (``lpcore.solve_lp``, a run on a fresh HiGHS model built the
-same way), the only fallback, which raises LpSolveError, a RuntimeError
-naming t, the assumption tag and the grid size, if it does not end optimal.
-SI and PQD dense envelopes, lazy inversion, Bernstein envelopes and the
-probes of ``sim`` all read one ``_Envelopes`` oracle per (curves or linear
-form, tag, t grid), which finds each distinct (side, staircase) at most
-once and inverts by one search per side.
-Rows of cells (grids stacked one row per cell) get their envelopes from
-``_envelope_rows`` (the closed form, the comonotone coupling under
-RankInvariance, one oracle per row under SI and PQD) and their points from
-``_point_rows`` (RankInvariance, Symmetry): the CLI calls both on all its
-cells, the public functions on one. Built envelopes are inverted in one
-numpy pass (``invert_bounds``, or ``_inverted_rows`` for many rows), and
-default t grids take stacked grids as well. A program's side is searched
-only where its closed-form brackets leave the answer open, by
-interpolation on the values found so far, safeguarded by bisection. The
-staircase form of P(Delta <= t), like every other linear form, is built
-on the cell masses and folded by ``linear_form``. Every SI and PQD run starts from the basis of the independence copula, a vertex of
-both programs, so no value depends on the order of the solves.
-An envelope reaches tau when its value is at least tau - 1e-12, so dense and
-lazy inversion agree where an envelope is flat at tau up to rounding. SI and
-PQD envelopes of two grids have closed-form brackets from the staircase and
-the comonotone and independent couplings. Where a side's brackets meet, its
-value is exactly theirs and no LP runs, on the dense and the lazy path alike;
-lazy probes also settle from them where they clear tau, and solve only where
-the brackets leave the answer open. ``_on_workers`` runs a list of items on up
-to one worker per usable CPU, the calling thread among them, and hands back
-each item's result or error in item order. A dense pass finds the values the
-brackets leave open on it, and a lazy inversion searches its two sides at
-once on it. A HiGHS model must not be shared between threads, so a program
-builds a session for each thread, the first time that thread solves on it,
-and nothing passes a session around. Values, counts and the
-first error are kept in the order a serial pass would: HiGHS runs outside
-the interpreter lock, and since every run starts from the same basis, no
-value depends on the session or the thread that found it. ``sim`` runs its
-replications on the same routine.
-Importing the module loads no scipy: scipy.sparse and the HiGHS bindings
-load where an oracle or the first full copula program is made, on the
-calling thread (``_load_lp``), so no worker of ``_on_workers`` imports a
-module.
+- ``_staircase_envelopes``: the unrestricted envelopes in closed form, and
+  ``_staircase_qote`` (``makarov_bounds``) their quantile bounds.
+- ``_CopulaProgram``: every linear program, over a grid copula in CDF
+  coordinates on integer breakpoints, and the proof that an SI or PQD value
+  solved on the coarse grid its staircase touches is exact; ``bound`` finds
+  one value, with one cold fallback that raises ``LpSolveError``.
+- ``_Envelopes``: one oracle per (curves or linear form, tag, t grid) of a
+  copula program, which finds each distinct (side, staircase) at most once,
+  settles values from closed-form brackets, and serves ``dense`` envelopes,
+  lazy ``invert`` and the probes of ``sim``.
+- ``_envelope_rows`` and ``_point_rows``: the one routine per assumption,
+  for rows of cells. The CLI calls them on all its cells, and
+  ``coupling_lp_bounds`` and ``rank_invariance_qote`` on one.
+- ``_inverted_rows`` (``invert_bounds``): inversion of built envelopes in one
+  numpy pass; ``qote_coupling_bounds`` inverts SI and PQD lazily.
+- ``bernstein_lp_bounds`` and ``functional_bounds``: the Bernstein relaxation
+  and the Charnes-Cooper programs of conditional-mean functionals, on the
+  full grid.
+- ``_on_workers``: runs dense passes, the two sides of a lazy inversion and
+  the replications of ``sim`` on up to one thread per usable CPU, with
+  values, counts and the first error of a serial pass.
+- ``_load_lp``: loads scipy on the calling thread where the first oracle or
+  full program is made; importing the module loads no scipy.
 """
 
 from __future__ import annotations
@@ -75,24 +47,6 @@ import numpy as np
 from .lpcore import LinearProgram, LpSession, LpSolution, _bindings, solve_lp
 from .marginals import QuantileCurve, _quantile_index, u_grid
 
-__all__ = [
-    "AssumptionSet",
-    "DeltaCdfBounds",
-    "QoteBounds",
-    "Interval",
-    "LpSolveError",
-    "CVaR",
-    "DisadvantagedGain",
-    "makarov_bounds",
-    "coupling_lp_bounds",
-    "bernstein_lp_bounds",
-    "invert_bounds",
-    "rank_invariance_qote",
-    "functional_bounds",
-    "qote_coupling_bounds",
-    "default_t_grid",
-]
-
 DEFAULT_K = 50
 DEFAULT_T_POINTS = 201
 
@@ -101,7 +55,8 @@ _UNSUPPORTED_TAGS = ("SD", "DC", "RY", "RY2")
 # assumption tag -> copula-program tag, for the assumptions an LP can impose
 _PROGRAM_TAGS = {"NoAssumption": "none", "SI": "SI", "PQD": "PQD"}
 
-# LP masses on a flat stretch of an envelope sit within rounding of tau
+# an envelope reaches tau at a value of at least tau - _TAU_TOL: LP masses on a
+# flat stretch sit within rounding of tau, so dense and lazy inversion agree there
 _TAU_TOL = 1e-12
 # a relaxed solution certifies the full program when no checked row is
 # violated by more than this
@@ -134,7 +89,8 @@ def _on_workers(items, work: Callable) -> list:
     item before the first that raised has its result, and later ones may hold
     None. One worker runs every item on the calling thread and starts no
     thread. ``work`` runs on several threads at once, so whatever it keeps
-    per thread, such as an oracle's HiGHS session, it keeps itself.
+    per thread, such as an oracle's HiGHS session, it keeps itself. HiGHS
+    runs outside the interpreter lock, so LP work gains from the threads.
     """
     items = list(items)
     found = [None] * len(items)
@@ -234,14 +190,25 @@ def _check_envelopes(t, lower, upper) -> None:
 
 
 def _check_qote_bounds(lower, upper) -> None:
-    """Raise unless every lower <= upper, to 1e-12."""
+    """Raise unless every lower <= upper, to 1e-12, over arrays of intervals.
+
+    ``QoteBounds`` checks its one interval the same way, without numpy.
+    """
     if not np.all(lower <= upper + 1e-12):
         raise ValueError("lower bound exceeds upper bound")
 
 
 @dataclass(frozen=True)
 class AssumptionSet:
-    """Identifying assumption on the (Y1, Y0) coupling; exactly one tag."""
+    """Identifying assumption on the (Y1, Y0) coupling; exactly one tag.
+
+    "NoAssumption": any coupling; "SI": mutual stochastic increasingness,
+    each outcome stochastically increasing in the other (Frandsen &
+    Lefgren, Quantitative Economics 12, 2021); "PQD": positive quadrant
+    dependence; "RankInvariance": a common rank in both arms, which
+    point-identifies the quantile; "Symmetry": an effect distribution
+    symmetric about its center, for the median only.
+    """
 
     tag: str = "NoAssumption"
 
@@ -280,7 +247,8 @@ class QoteBounds:
     truncated_upper: bool = False
 
     def __post_init__(self):
-        _check_qote_bounds(self.lower, self.upper)
+        if not self.lower <= self.upper + 1e-12:  # NaN fails too
+            raise ValueError("lower bound exceeds upper bound")
 
 
 class Interval(NamedTuple):
@@ -601,8 +569,11 @@ class _CopulaProgram:
       floor holds, and along a fine row (or column) the interpolation is a
       convex mix of two piecewise-linear concave rows (columns), so concave.
 
-    Both maps keep the objective, so the two optima are equal, while the
-    coarse program has (|R| - 2)(|C| - 2) variables against (k - 1)^2.
+    Both maps keep the objective, so the two optima are equal (Nelsen, *An
+    Introduction to Copulas*, 2nd ed., 2006, Lemma 2.3.5, for the
+    interpolation), while the coarse program has (|R| - 2)(|C| - 2)
+    variables against (k - 1)^2. The tests build the interpolation and check
+    it against every row of the full program.
 
     ``bound`` finds every value of a program by one run on the calling
     thread's ``session()``: a HiGHS model without the rows in
@@ -773,7 +744,8 @@ def _staircase_form(tag: str, b):
     """(program, coefs, const): P(Delta <= t) of the staircase b on the coarse program it touches.
 
     The rows are 0, k and the run boundaries of b, the columns 0, k and the
-    b_i (see ``_CopulaProgram``).
+    b_i (see ``_CopulaProgram``). The program is new on every call, so its
+    sessions end with the value.
     """
     k = b.size
     rows = np.concatenate([[0], np.flatnonzero(b[1:] != b[:-1]) + 1, [k]])

@@ -455,7 +455,7 @@ def cmd_owl(args) -> int:
     policy = predict_policy(f, xs)
     labels = np.array([lab for _, _, lab in cells])
     weights = np.array([w for _, w, _ in cells])
-    preds = np.where(f(xs) >= 0, 1.0, -1.0)
+    preds = 2.0 * policy.deltas() - 1.0  # the rule's 1{f(x) >= 0} as +1 or -1
     miscls = int(np.sum((preds != labels) & (weights > 0)))
     report = {
         "surrogate_regret": surrogate_regret(f, field),

@@ -26,8 +26,6 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = ["LinearProgram", "LpSession", "LpSolution", "solve_lp"]
-
 
 @functools.cache
 def _bindings():

@@ -16,20 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "Sample",
-    "ConditionalCdf",
-    "QuantileCurve",
-    "u_grid",
-    "empirical_quantile",
-    "make_y_grid",
-    "scott_bandwidth",
-    "kernel_conditional_cdf",
-    "curve_from_cdf",
-    "read_sample_csv",
-    "curve_to_csv",
-]
-
 
 @dataclass(frozen=True)
 class Sample:
@@ -262,26 +248,25 @@ def _plain_rows(text: str):
 
 
 def _csv_rows(text: str) -> np.ndarray:
-    """The rows of a CSV text as a float array, read by the csv module."""
+    """The rows of a CSV text as a float array, read by the csv module.
+
+    Text the csv module cannot read (a field over its limit, a CR inside a
+    line) raises ValueError naming the line, as every other error here does.
+    """
     reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header is None:
-        raise ValueError("empty CSV")
-    header = [c.strip() for c in header]
-    if header[:2] != ["y", "d"]:
-        raise ValueError("CSV header must start with y,d")
-    rows = [(reader.line_num, r) for r in reader if r and any(c.strip() for c in r)]
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise ValueError("empty CSV")
+        header = [c.strip() for c in header]
+        if header[:2] != ["y", "d"]:
+            raise ValueError("CSV header must start with y,d")
+        rows = [(reader.line_num, r) for r in reader if r and any(c.strip() for c in r)]
+    except csv.Error as exc:
+        raise ValueError(f"line {reader.line_num}: {exc}") from None
     if not rows:
         raise ValueError("no observations")
     for line, r in rows:
         if len(r) != len(header):
             raise ValueError(f"line {line} has {len(r)} fields, the header has {len(header)}")
     return np.array([float(c) for _, r in rows for c in r]).reshape(len(rows), len(header))
-
-
-def curve_to_csv(curve: QuantileCurve) -> str:
-    """Serialize a quantile curve as ``u,value`` CSV text."""
-    lines = ["u,value"]
-    for u, v in zip(curve.u_grid, curve.values):
-        lines.append(f"{u:.10g},{v:.10g}")
-    return "\n".join(lines) + "\n"

@@ -22,18 +22,6 @@ import numpy as np
 
 from .policy import BoundField, PolicyField, _json_text, _qbar
 
-__all__ = [
-    "LearnerError",
-    "TrainConfig",
-    "DecisionFunction",
-    "cells_from_bound_field",
-    "train_owl",
-    "predict_policy",
-    "surrogate_regret",
-    "decision_function_to_json",
-    "decision_function_from_json",
-]
-
 
 class LearnerError(ValueError):
     """Training gives no rule: nothing to learn, or its iterates left the floats."""

@@ -22,25 +22,6 @@ import numpy as np
 
 from .bounds import QoteBounds
 
-__all__ = [
-    "BoundField",
-    "PolicyField",
-    "TruthField",
-    "RegretReport",
-    "RegretBoundReport",
-    "first_best",
-    "qbar",
-    "mmr_stochastic",
-    "mmr_deterministic",
-    "maximin_rule",
-    "cell_max_regret",
-    "max_regret",
-    "true_regret",
-    "regret_bound_check",
-    "derive_policy",
-    "policy_to_json",
-]
-
 
 def _as_point(x) -> Tuple[float, ...]:
     if type(x) is tuple and all(type(v) is float for v in x):

@@ -52,25 +52,6 @@ from .marginals import (
 )
 from .policy import mmr_deterministic
 
-__all__ = [
-    "DgpSpec",
-    "TruthSet",
-    "RateTable",
-    "ESTIMATORS",
-    "CRITERIA",
-    "SUBGROUPS",
-    "closed_form_truths",
-    "truths_for",
-    "draw_sample",
-    "exact_qote",
-    "classification_experiment",
-    "regret_experiment",
-    "vote_share_check",
-    "population_curves",
-    "subgroup_interval_rows",
-    "interval_rows_to_csv",
-]
-
 ESTIMATORS = (
     "mmr_stoch_SI",
     "mmr_stoch_none",
@@ -591,10 +572,3 @@ def subgroup_interval_rows(
         )
         rows.append((sg, "SI", b.lower, b.upper))
     return tuple(rows)
-
-
-def interval_rows_to_csv(rows) -> str:
-    lines = ["subgroup,assumption,lower,upper"]
-    for sg, tag, lo, up in rows:
-        lines.append(f"{sg},{tag},{lo:.10g},{up:.10g}")
-    return "\n".join(lines) + "\n"

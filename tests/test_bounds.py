@@ -110,6 +110,23 @@ def test_qote_bounds_ordering():
         QoteBounds(2.0, -1.0)
 
 
+@pytest.mark.parametrize(
+    "lower, upper",
+    [(2.0, -1.0), (1.0 + 2e-12, 1.0), (np.nan, 1.0), (0.0, np.nan), (np.nan, np.nan), (np.inf, 0.0)],
+)
+def test_qote_bounds_refuse_what_the_row_check_refuses(lower, upper):
+    with pytest.raises(ValueError, match="^lower bound exceeds upper bound$"):
+        QoteBounds(lower, upper)
+    with pytest.raises(ValueError, match="^lower bound exceeds upper bound$"):
+        bounds._check_qote_bounds(np.array([0.0, lower]), np.array([0.0, upper]))
+
+
+@pytest.mark.parametrize("lower, upper", [(1.0 + 5e-13, 1.0), (-np.inf, np.inf), (0.0, 0.0)])
+def test_qote_bounds_take_what_the_row_check_takes(lower, upper):
+    assert QoteBounds(lower, upper).lower == lower
+    bounds._check_qote_bounds(np.array([lower]), np.array([upper]))
+
+
 def test_delta_cdf_bounds_validation():
     DeltaCdfBounds([0.0, 1.0], [0.1, 0.2], [0.3, 0.4])
     with pytest.raises(ValueError, match="increasing"):

@@ -17,7 +17,7 @@ from numpy.testing import assert_allclose
 
 import qotepolicy
 from oracles import raw_coupling_lp
-from qotepolicy import bounds, cli, lpcore, marginals, sim
+from qotepolicy import bounds, cli, lpcore, marginals, owl, sim
 from qotepolicy.cli import main
 from qotepolicy.lpcore import LpSolution
 from qotepolicy.marginals import QuantileCurve, Sample, make_y_grid, read_sample_csv, u_grid
@@ -307,6 +307,16 @@ def test_empty_csv_exits_2(tmp_path, capsys):
     src.write_text("")
     assert run("bounds", "--input", src, "--out", tmp_path) == 2
     assert "empty CSV" in capsys.readouterr().err
+
+
+def test_a_header_field_over_the_csv_limit_exits_2(tmp_path, capsys):
+    src = tmp_path / "wide.csv"
+    src.write_text("y,d," + "x" * 140_000 + "\n1,1,0\n0,0,0\n")
+    out = tmp_path / "out"
+    assert run("bounds", "--input", src, "--assumption", "none", "--out", out) == 2
+    err = capsys.readouterr().err
+    assert "bad input CSV" in err and "line 1: field larger than field limit" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("bad", ["inf", "nan"])
@@ -836,6 +846,35 @@ def test_owl_end_to_end(tmp_path):
     actions = {tuple(c["x"]): c["delta"] for c in policy["cells"]}
     assert actions[(0.0,)] == 1.0 and actions[(1.0,)] == 0.0
     assert (out / "owl_model.json").exists()
+
+
+def test_owl_counts_misclassifications_from_its_one_rule(tmp_path, monkeypatch):
+    # nine cells whose signs no smooth rule fits, a zero-weight cell among them
+    ends = [(-1, 3), (-3, 1), (2, 5), (-4, -1), (0.5, 0.7), (-2, 2.5), (-0.5, 0.2), (1, 1), (-6, 0)]
+    cells = [
+        {"x": [float(i % 3), float(i // 3)], "weight": 1 / 9, "lower": lo, "upper": up}
+        for i, (lo, up) in enumerate(ends)
+    ]
+    src = tmp_path / "bounds_tau0.25.json"
+    src.write_text(json.dumps({"tau": 0.25, "cells": cells}))
+    calls = []
+    evaluate = owl.DecisionFunction.__call__
+    monkeypatch.setattr(
+        owl.DecisionFunction, "__call__", lambda f, xs: calls.append(1) or evaluate(f, xs)
+    )
+    out = tmp_path / "out"
+    assert run("owl", "--input", src, "--max-epochs", "3", "--out", out) == 0
+    assert len(calls) == 2  # the policy, then the surrogate regret
+
+    f = qotepolicy.decision_function_from_json((out / "owl_model.json").read_text())
+    field = qotepolicy.BoundField(tuple(
+        (tuple(c["x"]), c["weight"], qotepolicy.QoteBounds(c["lower"], c["upper"])) for c in cells
+    ))
+    train = qotepolicy.cells_from_bound_field(field)
+    fx = f(np.array([x for x, _, _ in train]))
+    wrong = sum((v >= 0) != (label > 0) for v, (_, w, label) in zip(fx, train) if w > 0)
+    report = json.loads((out / "owl_report.json").read_text())
+    assert report["training_misclassifications"] == wrong == 5
 
 
 @pytest.mark.parametrize("flag", ["--lam", "--sigma"])

@@ -15,7 +15,6 @@ from qotepolicy.marginals import (
     _csv_rows,
     _plain_rows,
     curve_from_cdf,
-    curve_to_csv,
     empirical_quantile,
     kernel_conditional_cdf,
     make_y_grid,
@@ -272,15 +271,22 @@ def test_texts_the_plain_split_cannot_judge_go_to_the_csv_module(text):
 
 
 @pytest.mark.parametrize(
-    "text",
-    ["y,d\n1\r,1\n", "y,d\n1,1\n0," + "0" * (csv.field_size_limit() + 1) + "\n"],
-    ids=["a CR inside a line", "a field over the csv module's limit"],
+    "text, line",
+    [
+        ("y,d\n1\r,1\n", 2),
+        ("y,d\n1,1\n0," + "0" * (csv.field_size_limit() + 1) + "\n", 3),
+        ("y,d," + "x" * (csv.field_size_limit() + 1) + "\n1,1,0\n", 1),
+    ],
+    ids=["a CR inside a line", "a field over the csv module's limit", "a header field over it"],
 )
-def test_texts_the_csv_module_refuses_are_left_to_it(text):
+def test_texts_the_csv_module_refuses_are_left_to_it(text, line):
     # float reads every field of these, so only the checks keep them from the split
     assert _plain_rows(text) is None
-    with pytest.raises(csv.Error):
+    with pytest.raises(ValueError, match=f"^line {line}: ") as refused:
         _csv_rows(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(refused.value))}$"):
+        read_sample_csv(io.StringIO(text))
+
 
 def test_a_ragged_row_after_blank_lines_names_its_line():
     text = "y,d,x1\n1,1,0\n\n,,\n\n2,0\n0,0,1\n"
@@ -315,7 +321,3 @@ def test_the_plain_split_agrees_with_the_csv_module_on_any_rows(rows, final_newl
         assert plain is None
     else:
         assert plain is None or plain.tobytes() == expect.tobytes()
-
-def test_curve_to_csv_format():
-    text = curve_to_csv(QuantileCurve([0.25, 0.75], [1.0, 2.5]))
-    assert text == "u,value\n0.25,1\n0.75,2.5\n"

@@ -27,7 +27,6 @@ from qotepolicy.sim import (
     closed_form_truths,
     draw_sample,
     exact_qote,
-    interval_rows_to_csv,
     population_curves,
     regret_experiment,
     subgroup_interval_rows,
@@ -348,11 +347,6 @@ def test_si_interval_rows_nest_and_cover_on_a_small_grid():
     assert lo_n <= lo_s <= up_s <= up_n
     truth = closed_form_truths(SUBGROUPS[1], 0.25).qote
     assert lo_s - 0.3 <= truth <= up_s + 0.3  # k = 20 discretization slack
-
-
-def test_interval_rows_to_csv_format():
-    text = interval_rows_to_csv(((1, "none", -1.5, 2.0),))
-    assert text == "subgroup,assumption,lower,upper\n1,none,-1.5,2\n"
 
 
 @pytest.mark.parametrize("subgroup", [2, 3, 5, 7])

@@ -329,11 +329,6 @@ def _monotone_envelopes(lower, upper):
     return lo, np.maximum(up, lo)
 
 
-def _assemble_envelopes(t_grid, lower, upper) -> DeltaCdfBounds:
-    """Clip and monotonize LP-produced envelopes (cumulative max in t)."""
-    return DeltaCdfBounds(t_grid, *_monotone_envelopes(lower, upper))
-
-
 # ---------------------------------------------------------------------------
 # the unrestricted problem: closed form on the grid
 
@@ -734,7 +729,6 @@ class _CopulaProgram:
         return coefs, float(const)
 
 
-@functools.lru_cache(maxsize=32)
 def _copula_program(m1: int, m2: int, tag: str) -> _CopulaProgram:
     """The full program on the breakpoints 0..m1 and 0..m2."""
     return _CopulaProgram(np.arange(m1 + 1), np.arange(m2 + 1), tag)
@@ -1140,7 +1134,7 @@ def bernstein_lp_bounds(
     env = _Envelopes(
         t_grid, _pairs_above(q1n, q0n, t_grid), functools.partial(_bernstein_form, prog, a1, r0)
     )
-    return _assemble_envelopes(env.t_grid, *env.dense())
+    return DeltaCdfBounds(env.t_grid, *_monotone_envelopes(*env.dense()))
 
 
 # ---------------------------------------------------------------------------

@@ -2,17 +2,20 @@
 reports, learned rules, and replication tables out.
 
 Each subcommand takes only the flags it reads. ``bounds`` is the only one
-that builds distribution envelopes, and it computes no bound itself. It
-builds all cells at once, as arrays with one row per cell: one stable sort
-of the sample by (cell, arm, y) gives every cell's quantile grids, and the
-t grids are one numpy pass over the cells. ``bounds._envelope_rows`` gives
-every cell's envelopes on P(Y1 - Y0 <= t), ``bounds._point_rows`` every
-cell's points and ``bounds._inverted_rows`` each tau's inversion. Errors are those of a
-cell-by-cell build, the first failing cell in sorted covariate order
-deciding; a cell that lacks observations in one arm is an input error.
-Each cell's envelopes are built once and inverted per tau, after every tau
-has been checked and before the first file is written. ``policy`` and
-``owl`` read a bounds JSON it wrote.
+that builds distribution envelopes, and it computes no bound itself.
+``_cells`` builds its one cell table, as arrays with one row per cell: one
+stable sort of the sample by (cell, arm, y) splits the cells and gives every
+cell's quantile grids, and the t grids are one numpy pass over the cells.
+``bounds._envelope_rows`` gives every cell's envelopes on P(Y1 - Y0 <= t),
+``bounds._point_rows`` every cell's points and ``bounds._inverted_rows``
+each tau's inversion. Errors are those of a cell-by-cell build, the first
+failing cell in sorted covariate order deciding; a cell that lacks
+observations in one arm is an input error. Each cell's envelopes are built
+once and inverted per tau, after every tau has been checked and before the
+first file is written. ``policy`` and ``owl`` read a bounds JSON it wrote;
+``policy`` derives its rules once and writes them once per distinct tau.
+``simulate`` and ``tables`` write their classification and regret tables
+through one writer, ``tables`` with a leading subgroup column.
 
 Exit codes: 0 ok, 2 input error or an output that cannot be written, 3
 unsupported assumption, 4 inconsistency between provided pieces, 5 learner
@@ -140,53 +143,15 @@ def _parse_taus(text: str) -> List[float]:
     return taus
 
 
-class _Split(NamedTuple):
-    """A sample's rows grouped by covariate cell, cells in sorted covariate order.
-
-    ``y`` holds the outcomes sorted by (cell, arm, y): each cell's arm 0
-    and then its arm 1, each sorted. ``counts[c]`` is the number of rows of
-    arm 0 and of arm 1 in cell c.
-    """
-
-    x: List[List[float]]
-    weight: np.ndarray
-    y: np.ndarray
-    counts: np.ndarray
-
-
-def _cells_from_sample(sample: Sample) -> _Split:
-    """Split a sample into its covariate cells by one stable sort.
-
-    The sort is by (x1, ..., xp, arm, y); a cell starts at each sorted row
-    whose covariates differ from the row before it.
-    """
-    order = np.lexsort((sample.y, sample.d, *sample.x.T[::-1]))
-    x = sample.x[order]
-    starts = np.ones(sample.n, dtype=bool)
-    starts[1:] = (x[1:] != x[:-1]).any(axis=1)
-    ncells = int(np.count_nonzero(starts))
-    if ncells > MAX_CELLS:
-        raise _CliError(
-            2,
-            f"{ncells} distinct covariate rows exceed the {MAX_CELLS}-cell "
-            "limit; bin the covariates first",
-        )
-    cell = np.cumsum(starts) - 1
-    counts = np.bincount(2 * cell + sample.d[order], minlength=2 * ncells).reshape(-1, 2)
-    return _Split(x[starts].tolist(), counts.sum(axis=1) / sample.n, sample.y[order], counts)
-
-
-def _load_cells(args) -> _Split:
+def _load_sample(args) -> Sample:
     if args.input:
         try:
-            sample = read_sample_csv(args.input)
+            return read_sample_csv(args.input)
         except (OSError, ValueError) as exc:
             raise _CliError(2, f"bad input CSV {args.input}: {exc}")
-    elif args.dgp:
-        sample = draw_sample(_resolve_dgp(args.dgp), args.n, (args.seed, 0))
-    else:
-        raise _CliError(2, "provide --input CSV or --dgp")
-    return _cells_from_sample(sample)
+    if args.dgp:
+        return draw_sample(_resolve_dgp(args.dgp), args.n, (args.seed, 0))
+    raise _CliError(2, "provide --input CSV or --dgp")
 
 
 def _require_median(tag: str, taus: List[float]) -> None:
@@ -217,36 +182,44 @@ class _Cells(NamedTuple):
         return _inverted_rows(self.t, self.lower, self.upper, tau)
 
 
-def _build_cells(args, tag: str) -> _Cells:
-    """Read the input, split it into cells and build every cell's envelopes at once.
+def _cells(sample: Sample, tag: str, k: int, points: int) -> _Cells:
+    """Split a sample into its covariate cells and build every cell's envelopes at once.
 
-    Errors are those of a cell-by-cell build: the first cell in sorted
-    covariate order that fails decides. So the cells before the first one
-    that lacks an arm are built, and that cell is named after them.
+    One stable sort by (x1, ..., xp, arm, y) puts each cell's arm 0 and then
+    its arm 1 in one block, each sorted; a cell starts at each sorted row
+    whose covariates differ from the row before it. Errors are those of a
+    cell-by-cell build: the first cell in sorted covariate order that fails
+    decides. So the cells before the first one that lacks an arm are built,
+    and that cell is named after them.
     """
-    split = _load_cells(args)
-    lacking = np.flatnonzero((split.counts == 0).any(axis=1))
-    if not lacking.size:
-        return _cell_rows(args, tag, split, len(split.x))
-    first = int(lacking[0])
-    if first:
-        _cell_rows(args, tag, split, first)
-    raise _CliError(2, f"cell {split.x[first]} lacks observations in one arm")
-
-
-def _cell_rows(args, tag: str, split: _Split, built: int) -> _Cells:
-    """The first ``built`` cells of a split, every arm of which has a row."""
-    k, counts = args.k, split.counts[:built]
-    starts = np.cumsum(split.counts.ravel()).reshape(-1, 2)[:built] - counts
-    # make_y_grid's positions, in each (cell, arm) block of the sorted outcomes
-    at = starts[..., None] + _grid_positions(counts, k)
-    v0, v1 = split.y[at[:, 0]], split.y[at[:, 1]]
-    cells = _Cells(split.x[:built], split.weight[:built], v1, v0, None, None, None)
-    if tag == "Symmetry":
-        return cells
-    t = default_t_grid(v1, v0, args.tgrid)
-    lower, upper = _envelope_rows(tag, v1, v0, t)
-    return cells._replace(t=t, lower=lower, upper=upper)
+    order = np.lexsort((sample.y, sample.d, *sample.x.T[::-1]))
+    x = sample.x[order]
+    starts = np.ones(sample.n, dtype=bool)
+    starts[1:] = (x[1:] != x[:-1]).any(axis=1)
+    ncells = int(np.count_nonzero(starts))
+    if ncells > MAX_CELLS:
+        raise _CliError(
+            2,
+            f"{ncells} distinct covariate rows exceed the {MAX_CELLS}-cell "
+            "limit; bin the covariates first",
+        )
+    cell = np.cumsum(starts) - 1
+    counts = np.bincount(2 * cell + sample.d[order], minlength=2 * ncells).reshape(-1, 2)
+    lacking = np.flatnonzero((counts == 0).any(axis=1))
+    built = int(lacking[0]) if lacking.size else ncells
+    x, y = x[starts].tolist(), sample.y[order]
+    if built:
+        # make_y_grid's positions, in each (cell, arm) block of the sorted outcomes
+        at = (np.cumsum(counts.ravel()).reshape(-1, 2) - counts)[:built, :, None]
+        at = at + _grid_positions(counts[:built], k)
+        v0, v1 = y[at[:, 0]], y[at[:, 1]]
+        t = lower = upper = None
+        if tag != "Symmetry":
+            t = default_t_grid(v1, v0, points)
+            lower, upper = _envelope_rows(tag, v1, v0, t)
+    if built < ncells:
+        raise _CliError(2, f"cell {x[built]} lacks observations in one arm")
+    return _Cells(x, counts.sum(axis=1) / sample.n, v1, v0, t, lower, upper)
 
 
 def _bounds_payload(cells: _Cells, tau: float, tag: str, k: int) -> dict:
@@ -295,7 +268,7 @@ def cmd_bounds(args) -> int:
     tag = _resolve_assumption(args.assumption)
     taus = _parse_taus(args.tau)
     _require_median(tag, taus)
-    cells = _build_cells(args, tag)
+    cells = _cells(_load_sample(args), tag, args.k, args.tgrid)
     envelopes = [] if cells.t is None else _envelope_csvs(cells.t, cells.lower, cells.upper)
     files = {}
     for tau in taus:
@@ -379,30 +352,40 @@ def cmd_policy(args) -> int:
             raise _CliError(4, f"bounds file is for tau={file_tau}")
     if args.weights:
         field = _apply_weights_file(field, args.weights)
-    for tau in taus:
-        files, reports = {}, {}
-        for rule in RULES:
-            policy = derive_policy(field, rule)
-            files[f"policy_{rule}_tau{tau:g}.json"] = policy_to_json(policy)
-            reports[rule] = _regret_report_data(max_regret(policy, field))
-        files[f"regret_tau{tau:g}.json"] = _json_text(reports)
-        _write(args.out, files)
+    # the rules and their regrets do not depend on tau: one derivation, one write per tau name
+    texts, reports = {}, {}
+    for rule in RULES:
+        policy = derive_policy(field, rule)
+        texts[f"policy_{rule}"] = policy_to_json(policy)
+        reports[rule] = _regret_report_data(max_regret(policy, field))
+    texts["regret"] = _json_text(reports)
+    for name in dict.fromkeys(f"{tau:g}" for tau in taus):
+        _write(args.out, {f"{stem}_tau{name}.json": text for stem, text in texts.items()})
     return 0
+
+
+def _write_rate_tables(args, prefix: str, column: str, runs) -> None:
+    """Write the classification and the regret table of (label, DGP) runs at each tau.
+
+    Each row is a run's label, then estimator, criterion and value; ``column``
+    heads the labels, and an empty label and column leave them out.
+    """
+    for tau in _parse_taus(args.tau):
+        header = f"{column}estimator,criterion,rate\n"
+        tables = {"classification": [header], "regret": [header]}
+        for label, dgp in runs:
+            for name, experiment in zip(tables, (classification_experiment, regret_experiment)):
+                rows = experiment(dgp, tau, args.n, args.reps, seed=args.seed, k=args.k).rows
+                tables[name] += (f"{label}{est},{crit},{v:.6f}\n" for est, crit, v in rows)
+        _write(args.out, {
+            f"{prefix}{name}_tau{tau:g}.csv": "".join(lines) for name, lines in tables.items()
+        })
 
 
 def cmd_simulate(args) -> int:
     if not args.dgp:
         raise _CliError(2, "simulate needs --dgp")
-    dgp = _resolve_dgp(args.dgp)
-    for tau in _parse_taus(args.tau):
-        rates = classification_experiment(
-            dgp, tau, args.n, args.reps, seed=args.seed, k=args.k
-        )
-        regrets = regret_experiment(dgp, tau, args.n, args.reps, seed=args.seed, k=args.k)
-        _write(args.out, {
-            f"classification_tau{tau:g}.csv": rates.to_csv(),
-            f"regret_tau{tau:g}.csv": regrets.to_csv(),
-        })
+    _write_rate_tables(args, "", "", [("", _resolve_dgp(args.dgp))])
     return 0
 
 
@@ -420,26 +403,8 @@ def _parse_subgroups(text: str) -> List[int]:
 
 
 def cmd_tables(args) -> int:
-    subgroups = _parse_subgroups(args.subgroups)
-    for tau in _parse_taus(args.tau):
-        class_lines = ["subgroup,estimator,criterion,rate"]
-        regret_lines = ["subgroup,estimator,criterion,rate"]
-        for sg in subgroups:
-            dgp = SUBGROUPS[sg]
-            rates = classification_experiment(
-                dgp, tau, args.n, args.reps, seed=args.seed, k=args.k
-            )
-            regrets = regret_experiment(
-                dgp, tau, args.n, args.reps, seed=args.seed, k=args.k
-            )
-            for est, crit, v in rates.rows:
-                class_lines.append(f"{sg},{est},{crit},{v:.6f}")
-            for est, crit, v in regrets.rows:
-                regret_lines.append(f"{sg},{est},{crit},{v:.6f}")
-        _write(args.out, {
-            f"tables_classification_tau{tau:g}.csv": "\n".join(class_lines) + "\n",
-            f"tables_regret_tau{tau:g}.csv": "\n".join(regret_lines) + "\n",
-        })
+    runs = [(f"{sg},", SUBGROUPS[sg]) for sg in _parse_subgroups(args.subgroups)]
+    _write_rate_tables(args, "tables_", "subgroup,", runs)
     return 0
 
 

@@ -115,12 +115,6 @@ class RateTable:
                 return v
         raise KeyError((estimator, criterion))
 
-    def to_csv(self) -> str:
-        lines = ["estimator,criterion,rate"]
-        for est, crit, v in self.rows:
-            lines.append(f"{est},{crit},{v:.6f}")
-        return "\n".join(lines) + "\n"
-
 
 # Table of simulation cells: 1-4 and 7 are normal with SI, 5-6 violate SI,
 # 8 is lognormal with SI. Parameters for 8 are on the log scale; its printed

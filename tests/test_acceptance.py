@@ -27,8 +27,9 @@ from oracles import (
 from qotepolicy.bounds import (
     AssumptionSet,
     CVaR,
+    DeltaCdfBounds,
     QoteBounds,
-    _assemble_envelopes,
+    _monotone_envelopes,
     default_t_grid,
     functional_bounds,
     invert_bounds,
@@ -219,7 +220,7 @@ def test_04_lp_sharpness(capsys):
             [assignment_coupling_mass(q1.values, q0.values, float(t), sense) for t in grid]
             for sense in ("min", "max")
         ]
-        lp = invert_bounds(_assemble_envelopes(grid, *masses), tau)
+        lp = invert_bounds(DeltaCdfBounds(grid, *_monotone_envelopes(*masses)), tau)
         dev = max(abs(lp.lower - stair.lower), abs(lp.upper - stair.upper))
         worst_steps = max(worst_steps, dev / step)
         if dev > step + 1e-9:

@@ -31,10 +31,10 @@ from qotepolicy.bounds import (
     DisadvantagedGain,
     LpSolveError,
     QoteBounds,
-    _assemble_envelopes,
     _copula_program,
     _envelope_csvs,
     _Envelopes,
+    _monotone_envelopes,
     _pairs_above,
     _staircase_envelopes,
     _staircase_qote,
@@ -400,7 +400,8 @@ def test_bracketed_lazy_inversion_equals_dense_inversion(k):
     taus = np.concatenate([np.arange(1, k) / k, rng.uniform(0.02, 0.98, size=6)])
     decided = 0
     for tag in ("SI", "PQD"):
-        dense = _assemble_envelopes(t_grid, *_Envelopes.of_values(v1, v0, tag, t_grid).dense())
+        lower, upper = _Envelopes.of_values(v1, v0, tag, t_grid).dense()
+        dense = DeltaCdfBounds(t_grid, *_monotone_envelopes(lower, upper))
         for tau in taus:
             env = _Envelopes.of_values(v1, v0, tag, t_grid)
             assert env.invert(tau) == invert_bounds(dense, tau), (tag, tau)
@@ -527,7 +528,7 @@ def test_session_envelopes_match_cold_full_programs(tag):
             ]
         else:
             cold = _cold_full_program(_copula_program(k, k, tag), v1, v0, t_grid)
-        ref = _assemble_envelopes(t_grid, *cold)
+        ref = DeltaCdfBounds(t_grid, *_monotone_envelopes(*cold))
         assert_allclose(env.lower, ref.lower, rtol=0, atol=1e-9)
         assert_allclose(env.upper, ref.upper, rtol=0, atol=1e-9)
         oracle = _Envelopes.of_values(v1, v0, tag, t_grid)

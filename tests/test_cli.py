@@ -1,4 +1,3 @@
-import argparse
 import errno
 import hashlib
 import json
@@ -225,29 +224,36 @@ def test_cells_split_rows_as_one_boolean_mask_per_cell_does():
         x = rng.integers(0, levels, (n, p)).astype(float)
         sample = Sample(y=rng.normal(size=n), d=rng.integers(0, 2, n), x=x)
         uniq, inverse = np.unique(x, axis=0, return_inverse=True)
-        split = cli._cells_from_sample(sample)
-        assert len(split.x) == uniq.shape[0] and split.counts.sum() == n
-        # each cell's arm 0 and then its arm 1, each sorted, in cell order
-        ends = np.cumsum(split.counts.ravel()).reshape(-1, 2)
-        for idx, cell_x in enumerate(split.x):
+        arms = [[sample.y[(inverse == idx) & (sample.d == arm)] for arm in (1, 0)]
+                for idx in range(uniq.shape[0])]
+        lacking = [idx for idx, ys in enumerate(arms) if not (ys[0].size and ys[1].size)]
+        if lacking:
+            message = f"cell {uniq[lacking[0]].tolist()} lacks"
+            with pytest.raises(cli._CliError, match=re.escape(message)):
+                cli._cells(sample, "Symmetry", n, 1)
+            continue
+        # with k = n, each arm's quantile grid holds every one of its outcomes, in order
+        cells = cli._cells(sample, "Symmetry", n, 1)
+        assert len(cells.x) == uniq.shape[0]
+        for idx, cell_x in enumerate(cells.x):
             mask = inverse == idx
-            assert cell_x == list(uniq[idx]) and split.weight[idx] == float(np.mean(mask))
-            for arm in (0, 1):
-                rows = mask & (sample.d == arm)
-                block = split.y[ends[idx, arm] - split.counts[idx, arm]:ends[idx, arm]]
-                assert np.array_equal(block, np.sort(sample.y[rows]))
+            assert cell_x == list(uniq[idx]) and cells.weight[idx] == float(np.mean(mask))
+            for grid, rows in zip((cells.v1[idx], cells.v0[idx]), arms[idx]):
+                assert np.array_equal(grid, make_y_grid(rows, n))
+                assert np.array_equal(np.unique(grid), np.unique(rows))
 
 
-def _unique_rows_split(sample):
-    """The split by ``np.unique(axis=0)`` and a sort by (cell, arm, y)."""
+def _unique_rows_cells(sample):
+    """The cells by ``np.unique(axis=0)``: their rows, weights and (arm 1, arm 0) outcomes."""
     if sample.p == 0:
         x, inverse = [[]], np.zeros(sample.n, dtype=int)
     else:
         uniq, inverse = np.unique(sample.x, axis=0, return_inverse=True)
         x = uniq.tolist()
-    counts = np.bincount(2 * inverse + sample.d, minlength=2 * len(x)).reshape(-1, 2)
-    order = np.lexsort((sample.y, sample.d, inverse))
-    return x, counts.sum(axis=1) / sample.n, sample.y[order], counts
+    weight = np.bincount(inverse, minlength=len(x)) / sample.n
+    arms = [[sample.y[(inverse == idx) & (sample.d == arm)] for arm in (1, 0)]
+            for idx in range(len(x))]
+    return x, weight, arms
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -259,12 +265,18 @@ def test_the_sorted_cell_split_equals_the_unique_rows_split(seed):
         x = rng.choice([-1.5, 0.0, 0.25, 2.0][: int(rng.integers(1, 5))], (n, p))
         y = np.round(rng.normal(size=n)) + 0.0
         sample = Sample(y=y, d=rng.integers(0, 2, n), x=x)
-        split = cli._cells_from_sample(sample)
-        x_ref, weight, y_ref, counts = _unique_rows_split(sample)
-        assert split.x == x_ref
-        assert np.array_equal(split.counts, counts)
-        assert split.weight.tobytes() == weight.tobytes()
-        assert split.y.tobytes() == y_ref.tobytes()
+        x_ref, weight, arms = _unique_rows_cells(sample)
+        lacking = [idx for idx, ys in enumerate(arms) if not (ys[0].size and ys[1].size)]
+        if lacking:
+            with pytest.raises(cli._CliError, match=re.escape(f"cell {x_ref[lacking[0]]} lacks")):
+                cli._cells(sample, "Symmetry", n, 1)
+            continue
+        cells = cli._cells(sample, "Symmetry", n, 1)
+        assert cells.x == x_ref
+        assert cells.weight.tobytes() == weight.tobytes()
+        for idx, (y1, y0) in enumerate(arms):
+            assert cells.v1[idx].tobytes() == make_y_grid(y1, n).tobytes()
+            assert cells.v0[idx].tobytes() == make_y_grid(y0, n).tobytes()
 
 
 def test_a_covariate_mixing_signed_zeros_makes_one_cell(tmp_path):
@@ -595,8 +607,7 @@ def test_a_cell_mixing_signed_zeros_gives_the_grid_make_y_grid_gives(tmp_path):
     src = tmp_path / "sample.csv"
     src.write_text("y,d,x1\n" + "".join(f"{y},1,0\n" for y in y1)
                    + "".join(f"{y},0,0\n" for y in y0))
-    split = cli._cells_from_sample(read_sample_csv(src))
-    cells = cli._cell_rows(argparse.Namespace(k=5, tgrid=7), "NoAssumption", split, 1)
+    cells = cli._cells(read_sample_csv(src), "NoAssumption", 5, 7)
     for got, raw in ((cells.v1[0], y1), (cells.v0[0], y0)):
         values = np.array([float(v) for v in raw])
         assert got.tobytes() == make_y_grid(values, 5).tobytes()
@@ -791,6 +802,30 @@ def test_simulate_writes_rate_multiples(tmp_path):
         rate = float(line.split(",")[2])
         assert rate in (0.0, 0.5, 1.0)
     assert (tmp_path / "regret_tau0.25.csv").exists()
+
+
+def test_simulate_writes_the_rate_table_csv_format(tmp_path):
+    assert run("simulate", "--dgp", "subgroup1", "--tau", "0.25", "--n", "40", "--reps", "2",
+               "--seed", "0", "--k", "10", "--out", tmp_path) == 0
+    lines = (tmp_path / "classification_tau0.25.csv").read_text().strip().split("\n")
+    assert lines[0] == "estimator,criterion,rate"
+    assert len(lines) == 1 + len(sim.ESTIMATORS) * len(sim.CRITERIA)
+    first = lines[1].split(",")
+    assert first[0] == "mmr_stoch_SI" and first[1] == "qote"
+
+
+def test_policy_writes_a_repeated_tau_once(tmp_path, monkeypatch):
+    stage = tmp_path / "stage"
+    assert run("bounds", "--dgp", "subgroup1", "--tau", "0.25", "--k", "6", "--n", "40",
+               "--out", stage) == 0
+    bounds_json = stage / "bounds_tau0.25.json"
+    assert run("policy", "--input", bounds_json, "--tau", "0.25", "--out", tmp_path / "once") == 0
+    writes, write = [], cli._write
+    monkeypatch.setattr(cli, "_write", lambda out, files: writes.append(out) or write(out, files))
+    assert run("policy", "--input", bounds_json, "--tau", "0.25,0.25",
+               "--out", tmp_path / "twice") == 0
+    assert len(writes) == 1
+    assert _dir_digest(tmp_path / "twice") == _dir_digest(tmp_path / "once")
 
 
 @pytest.mark.parametrize("subcommand", ["simulate", "tables"])
@@ -1154,14 +1189,12 @@ def test_cells_built_at_once_equal_cells_built_one_by_one(seed):
     rng = np.random.default_rng(seed)
     sample = _random_cells_sample(rng, int(rng.integers(3, 12)))
     k, points = int(rng.integers(2, 9)), int(rng.integers(1, 40))
-    split = cli._cells_from_sample(sample)
-    args = argparse.Namespace(k=k, tgrid=points)
-    none = cli._cell_rows(args, "NoAssumption", split, len(split.x))
-    ri = cli._cell_rows(args, "RankInvariance", split, len(split.x))
-    sy = cli._cell_rows(args, "Symmetry", split, len(split.x))
+    none = cli._cells(sample, "NoAssumption", k, points)
+    ri = cli._cells(sample, "RankInvariance", k, points)
+    sy = cli._cells(sample, "Symmetry", k, points)
     inverse = np.unique(sample.x, axis=0, return_inverse=True)[1]
     u = u_grid(k)
-    for idx in range(len(split.x)):
+    for idx in range(len(none.x)):
         mask = inverse == idx
         v1 = make_y_grid(sample.y[mask & (sample.d == 1)], k)
         v0 = make_y_grid(sample.y[mask & (sample.d == 0)], k)
@@ -1174,7 +1207,8 @@ def test_cells_built_at_once_equal_cells_built_one_by_one(seed):
             assert t[-1] - t[0] == 1.0  # a cell of constant effects widens its grid
         # the closed forms, against each cell's own and against brute force
         above = ((v1[:, None] - v0[None, :])[:, :, None] > t).sum(axis=1)
-        env = bounds._assemble_envelopes(t, *bounds._staircase_envelopes(above))
+        env = bounds.DeltaCdfBounds(
+            t, *bounds._monotone_envelopes(*bounds._staircase_envelopes(above)))
         assert none.lower[idx].tobytes() == env.lower.tobytes()
         assert none.upper[idx].tobytes() == env.upper.tobytes()
         assert env.upper.tobytes() == bounds.coupling_lp_bounds(
@@ -1207,8 +1241,7 @@ def test_shape_restricted_cell_rows_match_the_raw_coupling_lp(seed, tag):
     rng = np.random.default_rng(seed)
     sample = _random_cells_sample(rng, int(rng.integers(3, 6)))
     k, points = int(rng.integers(2, 6)), int(rng.integers(2, 6))
-    split = cli._cells_from_sample(sample)
-    cells = cli._cell_rows(argparse.Namespace(k=k, tgrid=points), tag, split, len(split.x))
+    cells = cli._cells(sample, tag, k, points)
     for v1, v0, t, lower, upper in zip(cells.v1, cells.v0, cells.t, cells.lower, cells.upper):
         for side, got in (("min", lower), ("max", upper)):
             exact = [raw_coupling_lp(v1, v0, at, side, tag)[0] for at in t]

@@ -2,11 +2,16 @@
 
 A private name (one leading underscore, not a dunder) defined at module level
 or as a method of a module-level class must be named somewhere in the
-package outside its own definition: as a bare name or as an attribute. A
-public function or class defined at module level must either be imported by
-``qotepolicy/__init__.py``, whose imports are the one list of public names,
-or be named in the package in the same way. Tests do not count, so code that
-only tests reach fails here.
+package outside its own definition. A public function or class defined at
+module level must either be imported by ``qotepolicy/__init__.py``, whose
+imports are the one list of public names, or be named in the package in the
+same way. Tests do not count, so code that only tests reach fails here.
+
+A module-level definition counts as named only as a bare name, in its own
+module or in a module that imports it from that module (under the name it
+is imported as), so a name defined twice is matched per module. A method
+counts as named by any bare name or attribute of that name anywhere in the
+package: ``obj.method`` cannot be resolved to a class without types.
 """
 
 import ast
@@ -23,49 +28,60 @@ _KINDS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _private_definitions(tree):
-    """(name, first line, last line) of each private top-level or method definition."""
+    """(name, first line, last line, is a method) of each private top-level or method definition."""
     for node in tree.body:
         members = node.body if isinstance(node, ast.ClassDef) else []
         for defn in [node] + [m for m in members if isinstance(m, _KINDS)]:
             if isinstance(defn, _KINDS) and _private(defn.name):
-                yield defn.name, defn.lineno, defn.end_lineno
+                yield defn.name, defn.lineno, defn.end_lineno, defn is not node
 
 
 def _public_definitions(tree):
-    """(name, first line, last line) of each public top-level function or class."""
+    """(name, first line, last line, False) of each public top-level function or class."""
     for node in tree.body:
         if isinstance(node, _KINDS) and not node.name.startswith("_"):
-            yield node.name, node.lineno, node.end_lineno
+            yield node.name, node.lineno, node.end_lineno, False
 
 
 def _uses(tree):
-    """(name, line) of every bare name and attribute in a module."""
+    """(name, line, is an attribute) of every bare name and attribute in a module."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id, node.lineno
+            yield node.id, node.lineno, False
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
+            yield node.attr, node.lineno, True
 
 
-def _exports(tree):
-    """(module file, name) of each name ``from .module import name`` brings in."""
-    for node in tree.body:
+def _imports(tree):
+    """(module file, name, local name) of each ``from .module import name``, at any depth."""
+    for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
             for alias in node.names:
-                yield f"{node.module}.py", alias.name
+                yield f"{node.module}.py", alias.name, alias.asname or alias.name
 
 
 def _unnamed(package, definitions, exported=frozenset()):
     """'module:line name' of each definition named nowhere in the package but itself."""
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
     uses = {name: list(_uses(tree)) for name, tree in trees.items()}
+    imports = {name: list(_imports(tree)) for name, tree in trees.items()}
     dead = []
     for module, tree in trees.items():
-        for name, first, last in definitions(tree):
+        for name, first, last, method in definitions(tree):
+            if method:
+                names = {(where, name, attribute) for where in trees for attribute in (False, True)}
+            else:
+                names = {(module, name, False)} | {
+                    (where, local, False)
+                    for where, found in imports.items()
+                    for source, imported, local in found
+                    if (source, imported) == (module, name)
+                }
             if (module, name) not in exported and not any(
-                used == name and not (where == module and first <= line <= last)
+                (where, used, attribute) in names
+                and not (where == module and first <= line <= last)
                 for where, found in uses.items()
-                for used, line in found
+                for used, line, attribute in found
             ):
                 dead.append(f"{module}:{first} {name}")
     return dead
@@ -77,7 +93,9 @@ def unreferenced_private_names(package=PACKAGE):
 
 def unexported_public_names(package=PACKAGE):
     init = package / "__init__.py"
-    exported = set(_exports(ast.parse(init.read_text()))) if init.exists() else set()
+    exported = set()
+    if init.exists():
+        exported = {(source, name) for source, name, _ in _imports(ast.parse(init.read_text()))}
     return _unnamed(package, _public_definitions, exported)
 
 
@@ -113,3 +131,23 @@ def test_the_scan_finds_a_public_function_neither_exported_nor_called(tmp_path):
         "from .a import helper\n\n\nclass Called:\n    pass\n\n\nVALUE = (Called(), helper())\n"
     )
     assert unexported_public_names(tmp_path) == ["a.py:14 orphan"]
+
+
+def test_the_scan_matches_module_level_names_per_module(tmp_path):
+    # a.py names its own Exported and _helper, which does not name b.py's;
+    # c.py names b.py's _renamed under the name it imports it as, and
+    # b.py's method _poke by an attribute it cannot resolve to a class
+    (tmp_path / "__init__.py").write_text("from .a import Exported\n")
+    (tmp_path / "a.py").write_text(
+        "class Exported:\n    pass\n\n\n"
+        "def _helper():\n    return Exported()\n\n\nVALUE = _helper()\n"
+    )
+    (tmp_path / "b.py").write_text(
+        "class Exported:\n    def _poke(self):\n        return self\n\n\n"
+        "def _helper():\n    return 1\n\n\ndef _renamed():\n    return 2\n"
+    )
+    (tmp_path / "c.py").write_text(
+        "from .b import _renamed as alias\n\nVALUE = alias()._poke()\n"
+    )
+    assert unexported_public_names(tmp_path) == ["b.py:1 Exported"]
+    assert unreferenced_private_names(tmp_path) == ["b.py:6 _helper"]

@@ -9,8 +9,9 @@ from numpy.testing import assert_allclose
 from oracles import joint_draws, mc_qote
 from qotepolicy import bounds, sim
 from qotepolicy.bounds import (
-    _assemble_envelopes,
+    DeltaCdfBounds,
     _Envelopes,
+    _monotone_envelopes,
     _staircase_qote,
     default_t_grid,
     invert_bounds,
@@ -307,16 +308,6 @@ def test_the_first_failing_replication_in_order_is_raised(monkeypatch):
     assert threading.active_count() == baseline
 
 
-def test_rate_table_csv_format():
-    table = classification_experiment(SUBGROUPS[1], 0.25, n=40, reps=2, seed=0, k=10)
-    text = table.to_csv()
-    lines = text.strip().split("\n")
-    assert lines[0] == "estimator,criterion,rate"
-    assert len(lines) == 1 + len(ESTIMATORS) * len(CRITERIA)
-    first = lines[1].split(",")
-    assert first[0] == "mmr_stoch_SI" and first[1] == "qote"
-
-
 def test_vote_share_complementary_actions():
     d = SUBGROUPS[1]
     share_treat = vote_share_check(d, 1, ndraws=20_000, seed=5)
@@ -358,6 +349,6 @@ def test_si_majority_action_follows_dense_si_inversion(subgroup):
         t_grid = default_t_grid(v1, v0, 41)
         for tau in (0.25, 0.5):
             env = _Envelopes.of_values(v1, v0, "SI", t_grid)
-            dense = invert_bounds(_assemble_envelopes(t_grid, *env.dense()), tau)
+            dense = invert_bounds(DeltaCdfBounds(t_grid, *_monotone_envelopes(*env.dense())), tau)
             action = _si_majority_action(v1, v0, tau, t_grid, _staircase_qote(v1, v0, tau))
             assert action == mmr_deterministic(dense), (rep, tau)

@@ -10,23 +10,27 @@ what:
   ``_staircase_qote`` (``makarov_bounds``) their quantile bounds.
 - ``_CopulaProgram``: every linear program, over a grid copula in CDF
   coordinates on integer breakpoints, and the proof that an SI or PQD value
-  solved on the coarse grid its staircase touches is exact; ``bound`` finds
-  one value, with one cold fallback that raises ``LpSolveError``.
+  solved on the coarse grid its staircase touches is exact. It keeps its
+  rows as CSR arrays, from which each thread's HiGHS session is built, with
+  a start basis made once per shape; ``bound`` finds one value, with one
+  cold fallback that raises ``LpSolveError``.
 - ``_Envelopes``: one oracle per (curves or linear form, tag, t grid) of a
   copula program, which finds each distinct (side, staircase) at most once,
-  settles values from closed-form brackets, and serves ``dense`` envelopes,
+  settles values from closed-form brackets, and serves dense envelopes (in
+  one ``dense_pass`` over any number of oracles, largest program first),
   lazy ``invert`` and the probes of ``sim``.
 - ``_envelope_rows`` and ``_point_rows``: the one routine per assumption,
   for rows of cells. The CLI calls them on all its cells, and
-  ``coupling_lp_bounds`` and ``rank_invariance_qote`` on one.
+  ``coupling_lp_bounds`` and ``rank_invariance_qote`` on one. Under SI and
+  PQD, ``_envelope_rows`` solves every cell in one pass.
 - ``_inverted_rows`` (``invert_bounds``): inversion of built envelopes in one
   numpy pass; ``qote_coupling_bounds`` inverts SI and PQD lazily.
 - ``bernstein_lp_bounds`` and ``functional_bounds``: the Bernstein relaxation
   and the Charnes-Cooper programs of conditional-mean functionals, on the
   full grid.
-- ``_on_workers``: runs dense passes, the two sides of a lazy inversion and
-  the replications of ``sim`` on up to one thread per usable CPU, with
-  values, counts and the first error of a serial pass.
+- ``_on_workers``: runs dense passes (in a given order), the two sides of a
+  lazy inversion and the replications of ``sim`` on up to one thread per
+  usable CPU, with values, counts and the first error of a serial pass.
 - ``_load_lp``: loads scipy on the calling thread where the first oracle or
   full program is made; importing the module loads no scipy.
 """
@@ -38,13 +42,12 @@ import math
 import os
 import queue
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .lpcore import LinearProgram, LpSession, LpSolution, _bindings, solve_lp
+from .lpcore import LinearProgram, LpSession, LpSolution, _bindings, _highs_basis, solve_lp
 from .marginals import QuantileCurve, _quantile_index, u_grid
 
 DEFAULT_K = 50
@@ -80,49 +83,60 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _on_workers(items, work: Callable) -> list:
+def _on_workers(items, work: Callable, _order=None) -> list:
     """What ``work(item)`` returns or raises, per item, in item order.
 
-    min(usable CPUs, items) workers take items from one queue in order: the
-    calling thread and one helper thread per further CPU. Once an item
-    raises, no worker takes another. Each item taken is finished, so every
-    item before the first that raised has its result, and later ones may hold
-    None. One worker runs every item on the calling thread and starts no
-    thread. ``work`` runs on several threads at once, so whatever it keeps
-    per thread, such as an oracle's HiGHS session, it keeps itself. HiGHS
-    runs outside the interpreter lock, so LP work gains from the threads.
+    min(usable CPUs, items) workers take items from one queue: the calling
+    thread and one helper thread per further CPU. The queue holds the items
+    in item order, or in ``_order``, a permutation of their indices. Once an
+    item raises, no worker starts an item after it in item order, while the
+    items before it still run, so every item before the first in item order
+    that raised has its result, and later ones may hold None: the first
+    exception in item order is the one a serial pass would raise. One worker
+    runs every item on the calling thread and starts no thread. ``work``
+    runs on several threads at once, so whatever it keeps per thread, such
+    as an oracle's HiGHS session, it keeps itself. HiGHS runs outside the
+    interpreter lock, so LP work gains from the threads.
     """
     items = list(items)
     found = [None] * len(items)
     if not items:
         return found
     todo = queue.SimpleQueue()
-    for item in enumerate(items):
-        todo.put(item)
-    stop = threading.Event()
+    for i in range(len(items)) if _order is None else _order:
+        todo.put(i)
+    # the first item, in item order, that raised; -1 stops every worker
+    raised, lock = [len(items)], threading.Lock()
 
     def drain():
-        while not stop.is_set():
+        while True:
             try:
-                i, item = todo.get_nowait()
+                i = todo.get_nowait()
             except queue.Empty:
                 return
+            if i > raised[0]:
+                continue
             try:
-                found[i] = work(item)
+                found[i] = work(items[i])
             except Exception as exc:  # raised again by the caller, in order
                 found[i] = exc
-                stop.set()
+                with lock:
+                    raised[0] = min(raised[0], i)
 
     helpers = min(_usable_cpus(), len(items)) - 1
     if helpers < 1:
         drain()
         return found
+    # here, so that importing the package skips concurrent.futures and the logging it loads
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(helpers) as pool:
         futures = [pool.submit(drain) for _ in range(helpers)]
         try:
             drain()
         finally:
-            stop.set()
+            with lock:
+                raised[0] = -1
     for future in futures:
         future.result()
     return found
@@ -402,16 +416,28 @@ def _envelope_rows(tag: str, v1, v0, t_grid):
 
     Every row of ``v1``, ``v0`` (cells x k) on its row of ``t_grid`` (cells
     x T): the staircase closed form (k >= 2) under NoAssumption, the
-    comonotone coupling under RankInvariance, and one ``_Envelopes`` oracle
-    per row, in row order, under SI or PQD. The rows are then clipped and
-    monotonized (``_monotone_envelopes``) and checked as ``DeltaCdfBounds``
-    checks one row. Raises what the first failing row alone would.
+    comonotone coupling under RankInvariance, and under SI or PQD one
+    ``_Envelopes`` oracle per row, built in row order and solved together in
+    one ``dense_pass``, the largest programs of all rows first. The rows are
+    then clipped and monotonized (``_monotone_envelopes``) and checked as
+    ``DeltaCdfBounds`` checks one row. Raises what the first failing row
+    alone would.
     """
     if tag in ("SI", "PQD"):
-        # each oracle checks its own row's grids
+        # each oracle checks its own row's grids; a row that fails there
+        # fails after the rows before it are solved, as it would row by row
+        oracles, failed = [], None
+        try:
+            for r in range(len(v1)):
+                oracles.append(_Envelopes.of_values(v1[r], v0[r], tag, t_grid[r]))
+        except ValueError as exc:
+            failed = exc
+        found = _Envelopes.dense_pass(oracles)
+        if failed is not None:
+            raise failed
         lower, upper = np.empty((2,) + np.shape(t_grid))
-        for r in range(len(v1)):
-            lower[r], upper[r] = _Envelopes.of_values(v1[r], v0[r], tag, t_grid[r]).dense()
+        for r, (lo, up) in enumerate(found):
+            lower[r], upper[r] = lo, up
     else:
         if tag == "NoAssumption":
             _require_two_atoms(v1)
@@ -570,19 +596,19 @@ class _CopulaProgram:
     variables against (k - 1)^2. The tests build the interpolation and check
     it against every row of the full program.
 
-    ``bound`` finds every value of a program by one run on the calling
-    thread's ``session()``: a HiGHS model without the rows in
+    The program keeps its rows as CSR arrays (indptr, int32 indices,
+    values); ``a_le``, their scipy.sparse matrix, is built only where it is
+    read. ``bound`` finds every value of a program by one run on the calling
+    thread's ``session()``: a HiGHS model of the arrays of the rows not in
     ``dropped_rows`` (SI's 2-increasing rows) that starts from
     ``start_basis`` (col_basic, row_basic, over the session's rows), the
-    basis of the independence copula rc/(m1 m2); "none" has none and
-    presolves each run. A run's optimum is accepted where it stands within
-    1e-9 of every row of the program, else one cold solve of the whole
-    program runs.
+    basis of the independence copula rc/(m1 m2), made once per shape
+    (``_start_basis``); "none" has none and presolves each run. A run's
+    optimum is accepted where it stands within 1e-9 of every row of the
+    program, else one cold solve of the whole program runs.
     """
 
     def __init__(self, rows, cols, tag: str):
-        import scipy.sparse as sp  # here, so that importing the package skips scipy.sparse
-
         if tag not in ("none", "SI", "PQD"):
             raise ValueError("copula program tag must be none, SI or PQD")
         rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
@@ -620,12 +646,15 @@ class _CopulaProgram:
         weights = np.concatenate([w.ravel() for _, w in stencils])
         # g S >= 0 over the full grid is -g_inner x <= (g's boundary constant),
         # summed over the top edge and then over the right edge, as ``fold`` does
-        var = np.full(grid.size, -1)
+        var = np.full(grid.size, -1, dtype=np.int32)
         var[self._inner] = np.arange(self.nvar)
         col = var[points]
         inside = col >= 0
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(row[inside], minlength=nrows))])
-        self.a_le = sp.csr_matrix((-weights[inside], col[inside], indptr), shape=(nrows, self.nvar))
+        # the rows' CSR arrays (indptr, indices, values); no row is empty, as
+        # every stencil on a grid with interior points touches one
+        indptr = np.zeros(nrows + 1, dtype=np.int32)
+        np.cumsum(np.bincount(row[inside], minlength=nrows), out=indptr[1:])
+        self._csr = (indptr, col[inside], -weights[inside])
         edges = np.zeros((2, grid.size))
         edges[0, self._top], edges[1, self._right] = cols / m2, rows[:n1] / m1
         top, right = (np.bincount(row, weights * edge[points], nrows) for edge in edges)
@@ -636,18 +665,21 @@ class _CopulaProgram:
             self.lb = np.multiply.outer(rows[1:n1], cols[1:n2]).ravel() / float(m1 * m2)
         else:
             self.lb = np.zeros(self.nvar)
-        # the independence copula rc/(m1 m2) is a vertex of both restricted
-        # programs. SI: every S(r,c) strictly inside its bounds and basic,
-        # the j-direction concavity rows (tight, one nonsingular tridiagonal
-        # block per r) nonbasic, the i-direction ones (tight too) basic. PQD:
-        # every S(r,c) at its lower bound, every 2-increasing row slack.
-        if tag == "SI":
-            self.start_basis = (np.ones(self.nvar, bool), np.tile([False, True], self.nvar))
-        elif tag == "PQD":
-            self.start_basis = (np.zeros(self.nvar, bool), np.ones(nrows, bool))
-        else:
-            self.start_basis = None
         self._sessions = threading.local()
+
+    @functools.cached_property
+    def a_le(self):
+        """The rows as one scipy.sparse CSR matrix, built on first use: the
+        cold solve, ``functional_bounds`` and the tests read it."""
+        import scipy.sparse as sp  # here, so that importing the package skips scipy.sparse
+
+        indptr, indices, values = self._csr
+        return sp.csr_matrix((values, indices, indptr), shape=(indptr.size - 1, self.nvar))
+
+    @property
+    def start_basis(self):
+        """(col_basic, row_basic) over the session's rows, or None under "none"."""
+        return _start_masks(self.nvar, self.b_le.size - self.dropped_rows.stop, self.tag)
 
     def fold(self, coefs):
         """(interior coefficients, boundary constant) of coefs . S on the breakpoint grid.
@@ -681,10 +713,12 @@ class _CopulaProgram:
         """
         sessions = self._sessions
         if not hasattr(sessions, "session"):
-            kept = slice(self.dropped_rows.stop, None)
-            sessions.session = LpSession(
-                self.a_le[kept], self.b_le[kept], self.lb, self.ub, self.start_basis
-            )
+            kept = self.dropped_rows.stop
+            indptr, indices, values = self._csr
+            at = indptr[kept]
+            rows = (indptr[kept:] - at, indices[at:], values[at:])
+            basis = _start_basis(self.nvar, rows[0].size - 1, self.tag)
+            sessions.session = LpSession(rows, self.b_le[kept:], self.lb, self.ub, basis)
         return sessions.session
 
     def bound(self, coefs, const, sense, t):
@@ -698,10 +732,16 @@ class _CopulaProgram:
         if not np.any(coefs):
             return min(max(const, 0.0), 1.0), ()
         run = self.session().solve(coefs, _SENSES[sense])
-        if run.status == "optimal" and np.all(self.a_le @ run.x <= self.b_le + _CERT_TOL):
+        if run.status == "optimal" and np.all(self._rows_at(run.x) <= self.b_le + _CERT_TOL):
             return const + run.objective, (run,)
         cold = self.solve(coefs, sense, t)
         return const + cold.objective, (run, cold)
+
+    def _rows_at(self, x):
+        """A x over every row of the program: a row holds at most 4 entries,
+        which reduceat adds in order, so the sums are the CSR mat-vec's."""
+        indptr, indices, values = self._csr
+        return np.add.reduceat(values * x[indices], indptr[:-1])
 
     def objective(self, b):
         """Linear form (coefs, const) with const + coefs . S = P(Delta <= t).
@@ -729,6 +769,31 @@ class _CopulaProgram:
         return coefs, float(const)
 
 
+def _start_masks(nvar: int, nrows: int, tag: str):
+    """(col_basic, row_basic) of the independence copula rc/(m1 m2) in a
+    session of ``nvar`` variables and ``nrows`` rows, or None under "none".
+
+    It is a vertex of both restricted programs. SI: every S(r,c) strictly
+    inside its bounds and basic, the j-direction concavity rows (tight, one
+    nonsingular tridiagonal block per r) nonbasic, the i-direction ones
+    (tight too) basic. PQD: every S(r,c) at its lower bound, every
+    2-increasing row slack.
+    """
+    if tag == "SI":
+        return np.ones(nvar, bool), np.tile([False, True], nvar)
+    if tag == "PQD":
+        return np.zeros(nvar, bool), np.ones(nrows, bool)
+    return None
+
+
+@functools.cache
+def _start_basis(nvar: int, nrows: int, tag: str):
+    """The ``HighsBasis`` of ``_start_masks``, or None: made once per shape and
+    shared by every session of that shape, which HiGHS only reads."""
+    masks = _start_masks(nvar, nrows, tag)
+    return None if masks is None else _highs_basis(*masks)
+
+
 def _copula_program(m1: int, m2: int, tag: str) -> _CopulaProgram:
     """The full program on the breakpoints 0..m1 and 0..m2."""
     return _CopulaProgram(np.arange(m1 + 1), np.arange(m2 + 1), tag)
@@ -745,6 +810,19 @@ def _staircase_form(tag: str, b):
     rows = np.concatenate([[0], np.flatnonzero(b[1:] != b[:-1]) + 1, [k]])
     prog = _CopulaProgram(rows, np.unique(np.concatenate([[0], b, [k]])), tag)
     return (prog, *prog.objective(b))
+
+
+def _staircase_sizes(staircases):
+    """The variables (|R| - 2)(|C| - 2) of the coarse program of each column of staircases.
+
+    Read off each staircase b as ``_staircase_form`` reads its breakpoints:
+    |R| - 2 is the number of runs of b less one, and |C| the number of
+    distinct values among 0, k and the b_i.
+    """
+    b = np.sort(staircases, axis=0)
+    k = b.shape[0]
+    cols = 1 + np.count_nonzero(np.diff(b, axis=0), axis=0) + (b[0] != 0) + (b[-1] != k)
+    return np.count_nonzero(np.diff(staircases, axis=0), axis=0) * (cols - 2)
 
 
 def _program_tag(assumptions: AssumptionSet) -> str:
@@ -765,11 +843,14 @@ class _Envelopes:
     is that program's ``bound``, found once per distinct (side, staircase)
     and in the order asked. An index whose staircase the side has already
     solved recalls that value: an equal staircase gives the same program and
-    costs, and so the same value. ``dense`` finds the values it lacks, and
-    ``invert`` the two sides, on ``_on_workers``. Every run is on the
-    calling thread's session of its program and starts from the program's
-    start basis, so a value depends neither on the order in which values are
-    asked for nor on the thread that found it. From the runs ``bound``
+    costs, and so the same value. ``dense_pass`` finds the values that a
+    list of oracles lack in one run of ``_on_workers``, the largest programs
+    first, as ``sizes(staircases)`` reads them (all equal without it);
+    ``dense`` is that pass over one oracle, and ``invert`` finds the two
+    sides on ``_on_workers``. Every run is on the calling thread's session
+    of its program and starts from the program's start basis, so a value
+    depends neither on the order in which values are asked for nor on the
+    thread that found it. From the runs ``bound``
     returns, ``solves`` counts the values that took a session run,
     ``fallbacks`` the cold solves, and ``iterations`` sums the simplex
     iterations of both; ``recalled`` counts the values kept from an equal
@@ -791,9 +872,11 @@ class _Envelopes:
     then max, so the two sides of ``invert`` never write the same state.
     """
 
-    def __init__(self, t_grid, staircases, form: Callable, brackets: Optional[dict] = None):
+    def __init__(
+        self, t_grid, staircases, form: Callable, brackets: Optional[dict] = None, sizes=None
+    ):
         self.t_grid = _checked_t_grid(t_grid)
-        self._staircases, self._form = np.asarray(staircases), form
+        self._staircases, self._form, self._sizes = np.asarray(staircases), form, sizes
         if brackets is None:
             # NaN brackets meet nowhere and settle no probe
             nan = np.full(self.t_grid.size, np.nan)
@@ -833,6 +916,7 @@ class _Envelopes:
             above,
             functools.partial(_staircase_form, tag),
             brackets=_coupling_brackets(v1, v0, t, above),
+            sizes=_staircase_sizes,
         )
 
     @classmethod
@@ -890,14 +974,14 @@ class _Envelopes:
         counts["fallbacks"] += len(runs[1:])
         counts["iterations"] += sum(run.iterations for run in runs)
 
-    def dense(self):
-        """(lower, upper) at every t.
+    def _open(self):
+        """(pending, solve, sizes) of a dense pass.
 
-        Keeps every missing value where the brackets meet, then finds the
-        first index of each distinct (side, staircase) left open on
-        ``_on_workers`` and keeps them as a serial pass would: every min in
-        index order, then every max, up to the first that raised, which is
-        raised. The other indices recall those values.
+        It first keeps every missing value where the brackets meet. Then
+        ``pending`` holds the (side, idx) still missing, every min in index
+        order and then every max, ``solve`` the first of them of each
+        distinct (side, staircase) the side has not solved, and ``sizes``
+        the size of each one's program.
         """
         pending = [
             (side, idx)
@@ -910,7 +994,13 @@ class _Envelopes:
             if self._key(idx) not in self._found[side]:
                 first.setdefault((side, self._key(idx)), (side, idx))
         solve = list(first.values())
-        found = _on_workers(solve, lambda item: self._bound(*item))
+        if self._sizes is None:
+            return pending, solve, np.zeros(len(solve))
+        return pending, solve, self._sizes(self._staircases[:, [idx for _, idx in solve]])
+
+    def _close(self, pending, solve, found) -> None:
+        """Keep what was found for ``solve``, in order, up to the first that
+        raised, which is raised; then every other pending index recalls its value."""
         for (side, idx), result in zip(solve, found):
             if isinstance(result, Exception):
                 raise result
@@ -918,7 +1008,33 @@ class _Envelopes:
         for side, idx in pending:
             if np.isnan(self._values[side][idx]):
                 self._recalls(side, idx)
-        return self._values["min"].copy(), self._values["max"].copy()
+
+    @staticmethod
+    def dense_pass(oracles) -> list:
+        """(lower, upper) at every t of each oracle, what they lack found in one pass.
+
+        Each oracle keeps every missing value where its brackets meet. The
+        first index of each distinct (side, staircase) left open is then one
+        item of ``_on_workers``, oracle by oracle, every min in index order
+        and then every max, and the items run largest program first, ties in
+        that order. The oracles keep them as ``dense`` on each in turn would:
+        in that order, up to the first that raised, which is raised; the
+        other indices recall those values.
+        """
+        plans = [env._open() for env in oracles]
+        items = [(env, *item) for env, (_, solve, _) in zip(oracles, plans) for item in solve]
+        sizes = np.concatenate([np.zeros(0)] + [sizes for _, _, sizes in plans])
+        order = np.argsort(-sizes, kind="stable").tolist()
+        found = _on_workers(items, lambda item: item[0]._bound(item[1], item[2]), order)
+        at = 0
+        for env, (pending, solve, _) in zip(oracles, plans):
+            env._close(pending, solve, found[at : at + len(solve)])
+            at += len(solve)
+        return [(env._values["min"].copy(), env._values["max"].copy()) for env in oracles]
+
+    def dense(self):
+        """(lower, upper) at every t: ``dense_pass`` over this oracle alone."""
+        return self.dense_pass([self])[0]
 
     def reaches(self, side: str, idx, tau: float) -> bool:
         """Whether the side reaches tau at t_grid[idx], up to LP rounding."""

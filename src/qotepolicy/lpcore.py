@@ -2,14 +2,18 @@
 Prog. Comp. 2018), through the bindings scipy (1.15 or later) bundles as
 ``scipy.optimize._highspy._core``.
 
-``_model`` builds every HiGHS model the package solves, and ``_run`` runs
-every one of them. ``solve_lp`` is one run on a fresh model of its
-``LinearProgram``, from no basis, so HiGHS presolves it. An ``LpSession``
-serves a run of programs that differ only in their costs: one model built
-once and run once per cost change, each time from the same given start
-basis or from no basis. A run reports how it ended and is never solved
-again. Constraint matrices may be dense arrays or scipy.sparse matrices;
-sparse ones stay sparse, and every model gets its rows as one CSR matrix.
+``_passed`` builds every HiGHS model the package solves from the CSR arrays
+of its rows, and ``_run`` runs every one of them. ``solve_lp`` is one run on
+a fresh model of its ``LinearProgram`` (``_model``), from no basis, so HiGHS
+presolves it. An ``LpSession`` serves a run of programs that differ only in
+their costs: one model built once and run once per cost change, each time
+from the same given start basis or from no basis. A run reports how it
+ended and is never solved again. Constraint matrices may be dense arrays or
+scipy.sparse matrices; sparse ones stay sparse, and every model gets its
+rows as one CSR matrix. A session also takes the CSR arrays themselves, and
+a ready ``HighsBasis``, so the copula programs of ``bounds`` build theirs
+without a scipy.sparse matrix; it checks those arrays with numpy as a
+``LinearProgram`` checks its own.
 
 Importing the module loads neither scipy.sparse nor the bindings, so the
 package's LP-free paths run without them. scipy.sparse loads where a
@@ -116,7 +120,6 @@ def _model(p: LinearProgram):
     The rows are A_le's, then A_eq's as row_lower == row_upper. A program
     whose only rows are a CSR A_le passes that matrix as it is.
     """
-    core = _bindings()
     n = p.c.size
     b_le, b_eq = (np.zeros(0) if b is None else b for b in (p.b_le, p.b_eq))
     if p.A_eq is None and getattr(p.A_le, "format", None) == "csr":
@@ -128,20 +131,46 @@ def _model(p: LinearProgram):
         a = sp.vstack(given, format="csr") if given else sp.csr_matrix((0, n))
     row_lower = np.concatenate([np.full(b_le.size, -np.inf), b_eq])
     row_upper = np.concatenate([b_le, b_eq])
-    lp = core.HighsLp()
-    lp.num_col_, lp.num_row_ = n, a.shape[0]
-    lp.col_cost_ = p.c
-    lp.col_lower_, lp.col_upper_ = p.lower, p.upper
-    lp.row_lower_, lp.row_upper_ = row_lower, row_upper
-    m = lp.a_matrix_
-    m.format_ = core.MatrixFormat.kRowwise
-    m.num_col_, m.num_row_ = n, a.shape[0]
-    m.start_, m.index_, m.value_ = a.indptr, a.indices, a.data
+    return _passed(p.c, (a.indptr, a.indices, a.data), row_lower, row_upper, p.lower, p.upper)
+
+
+def _passed(c, csr, row_lower, row_upper, lower, upper):
+    """A HiGHS model of c.x over row_lower <= A x <= row_upper, lower <= x <= upper.
+
+    ``csr`` holds A's CSR arrays (indptr, indices, values). HiGHS copies
+    every array from its buffer, as contiguous float64 or int32, with every
+    column continuous.
+    """
+    core = _bindings()
+    floats = (np.ascontiguousarray(v, dtype=np.float64)
+              for v in (c, lower, upper, row_lower, row_upper))
+    indptr, indices, values = csr
+    n = c.size
     highs = core._Highs()
     highs.setOptionValue("output_flag", False)
-    if highs.passModel(lp) == core.HighsStatus.kError:
+    status = highs.passModel(
+        n, indptr.size - 1, indices.size, int(core.MatrixFormat.kRowwise),
+        int(core.ObjSense.kMinimize), 0.0, *floats,
+        np.ascontiguousarray(indptr, dtype=np.int32),
+        np.ascontiguousarray(indices, dtype=np.int32),
+        np.ascontiguousarray(values, dtype=np.float64),
+        np.zeros(n, dtype=np.int32),
+    )
+    if status == core.HighsStatus.kError:
         raise ValueError("HiGHS refused the model")
     return highs
+
+
+def _highs_basis(col_basic, row_basic):
+    """The HiGHS basis of two boolean masks: nonbasic columns at their lower
+    bound, nonbasic rows at their upper one."""
+    core = _bindings()
+    s = core.HighsBasisStatus
+    basis = core.HighsBasis()
+    basis.col_status = [s.kBasic if b else s.kLower for b in col_basic]
+    basis.row_status = [s.kBasic if b else s.kUpper for b in row_basic]
+    basis.valid, basis.alien = True, False
+    return basis
 
 
 def _run(highs, c, sense: str, basis) -> LpSolution:
@@ -186,34 +215,48 @@ class LpSession:
     """min or max c.x s.t. A_le x <= b_le, lower <= x <= upper, for many c.
 
     One HiGHS model is built from the constraints and bounds once; each
-    ``solve`` changes only the costs and the objective sense. With a
-    ``start_basis`` (col_basic, row_basic), two boolean masks, every solve
-    starts the simplex from that basis: nonbasic columns at their lower
-    bound, nonbasic rows tight at b_le. Without one, or where HiGHS refuses
-    it, each solve starts from no basis, so HiGHS presolves it afresh. Either
-    way no solve depends on the ones before it. Each solve is one run that
-    reports its end (optimal, infeasible, unbounded, or failed for any other,
-    such as an iteration limit) and its simplex iterations, and is never
-    solved again. A session holds one HiGHS model, so use one session per
-    thread; HiGHS runs outside the interpreter lock, so sessions on several
-    threads solve in parallel.
+    ``solve`` changes only the costs and the objective sense. ``A_le`` is a
+    dense or scipy.sparse matrix, or the arrays (indptr, indices, values) of
+    a CSR one, passed to HiGHS as they are; its values and ``b_le`` must be
+    finite, its lengths match, and ``lower`` <= ``upper``. With a
+    ``start_basis``, two boolean masks (col_basic, row_basic) or a
+    ``HighsBasis`` made of them, every solve starts the simplex from that
+    basis: nonbasic columns at their lower bound, nonbasic rows tight at
+    b_le. Without one, or where HiGHS refuses it, each solve starts from no
+    basis, so HiGHS presolves it afresh. Either way no solve depends on the
+    ones before it. Each solve is one run that reports its end (optimal,
+    infeasible, unbounded, or failed for any other, such as an iteration
+    limit) and its simplex iterations, and is never solved again. A session
+    holds one HiGHS model, so use one session per thread; HiGHS runs outside
+    the interpreter lock, so sessions on several threads solve in parallel.
     """
 
     def __init__(self, A_le, b_le, lower, upper, start_basis=None):
-        self._highs = _model(
-            LinearProgram(
-                c=np.zeros(np.shape(lower)[0]), A_le=A_le, b_le=b_le, lower=lower, upper=upper
-            )
-        )
-        self._basis = None
-        if start_basis is not None:
-            col_basic, row_basic = start_basis
-            core = _bindings()
-            s = core.HighsBasisStatus
-            self._basis = core.HighsBasis()
-            self._basis.col_status = [s.kBasic if b else s.kLower for b in col_basic]
-            self._basis.row_status = [s.kBasic if b else s.kUpper for b in row_basic]
-            self._basis.valid, self._basis.alien = True, False
+        if not isinstance(A_le, tuple):
+            import scipy.sparse as sp  # here, so that importing the package skips scipy.sparse
+
+            a = sp.csr_matrix(A_le if sp.issparse(A_le) else np.atleast_2d(A_le), dtype=float)
+            if a.shape[1] != np.shape(lower)[0]:
+                raise ValueError("A_le has wrong number of columns")
+            A_le = (a.indptr, a.indices, a.data)
+        indptr, indices, values = A_le
+        lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
+        b_le = np.asarray(b_le, dtype=float)
+        n = lower.size
+        if upper.size != n:
+            raise ValueError("bounds have wrong length")
+        if b_le.size != indptr.size - 1 or not indices.size == values.size == indptr[-1]:
+            raise ValueError("A_le and b_le have wrong lengths")
+        if indices.size and not (indices.min() >= 0 and indices.max() < n):
+            raise ValueError("A_le has wrong number of columns")
+        if np.any(lower > upper):
+            raise ValueError("lower bound exceeds upper bound")
+        if not (np.all(np.isfinite(values)) and np.all(np.isfinite(b_le))):
+            raise ValueError("coefficients must be finite")
+        self._highs = _passed(np.zeros(n), A_le, np.full(b_le.size, -np.inf), b_le, lower, upper)
+        self._basis = start_basis
+        if start_basis is not None and not isinstance(start_basis, _bindings().HighsBasis):
+            self._basis = _highs_basis(*start_basis)
 
     def solve(self, c, sense: str = "minimize") -> LpSolution:
         """One run for costs c, however it ends."""

@@ -253,18 +253,25 @@ def _delta_cdf(dgp: DgpSpec, t: float) -> float:
             inside = not inside
         return total
 
+    # hoisted out of the integrand, which quad calls hundreds of times per
+    # t; each value is the one the integrand would compute, so bit for bit
+    mu1, mu0, lognormal = dgp.mu1, dgp.mu0, dgp.lognormal
+    root_2pi, root_half = math.sqrt(2 * math.pi), math.sqrt(0.5)
+    log_neg_t = math.log(-t) if t < 0 else None
+
     def integrand(z):
-        x1 = dgp.mu1 + s1 * z
-        weight = math.exp(-0.5 * z * z) / math.sqrt(2 * math.pi)
-        if not dgp.lognormal:
+        x1 = mu1 + s1 * z
+        weight = math.exp(-0.5 * z * z) / root_2pi
+        if not lognormal:
             bar = x1 - t
         elif log_t is not None:
             if x1 <= log_t:
                 return weight
             bar = x1 + math.log(-math.expm1(log_t - x1))
         else:
-            bar = _log_sum(x1, math.log(-t)) if t < 0 else x1
-        return weight * _norm_cdf((dgp.mu0 + s0r * z - bar) / sd)
+            bar = _log_sum(x1, log_neg_t) if t < 0 else x1
+        # the normal CDF of (mu0 + s0r z - bar) / sd
+        return weight * (0.5 * math.erfc(-((mu0 + s0r * z - bar) / sd) * root_half))
 
     breaks = {*meets, *knots[1:-1]}
     if dgp.lognormal and log_t is not None:
@@ -276,9 +283,13 @@ def _delta_cdf(dgp: DgpSpec, t: float) -> float:
     for a, b in zip(ends, ends[1:]):
         half = 0.5 * (b - a)
         for start, side in ((a, 1.0), (b, -1.0)):
+
+            def stretch(v, start=start, side=side):  # z = start + side e^v, dz = e^v dv
+                e = math.exp(v)
+                return integrand(start + side * e) * e
+
             part, part_err, *rest = quad(
-                lambda v: integrand(start + side * math.exp(v)) * math.exp(v),
-                -math.inf, math.log(half), epsabs=_QUAD_TOL / 100, epsrel=0.0,
+                stretch, -math.inf, math.log(half), epsabs=_QUAD_TOL / 100, epsrel=0.0,
                 limit=200, full_output=1,
             )
             value, err = value + part, err + part_err

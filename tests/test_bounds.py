@@ -1008,14 +1008,18 @@ def test_dense_values_and_counts_do_not_depend_on_the_worker_count(monkeypatch, 
             return bernstein_lp_bounds(q1, q0, AssumptionSet("SI"), t_grid=grid, m1=10, m2=10)
         return coupling_lp_bounds(q1, q0, AssumptionSet(program), t_grid=grid)
 
+    # every dense pass, the per-cell one of coupling_lp_bounds and the one
+    # ``dense`` makes of its own oracle, goes through ``dense_pass``
     passes = []
-    dense = _Envelopes.dense
+    dense_pass = _Envelopes.dense_pass
 
-    def recorded(env):
-        passes.append((env, np.array(dense(env))))
-        return passes[-1][1]
+    def recorded(oracles):
+        found = dense_pass(oracles)
+        (env,), ((lower, upper),) = oracles, found
+        passes.append((env, np.array([lower, upper])))
+        return found
 
-    monkeypatch.setattr(_Envelopes, "dense", recorded)
+    monkeypatch.setattr(_Envelopes, "dense_pass", staticmethod(recorded))
     for count in (1, 2):
         _workers(monkeypatch, count)
         call()
@@ -1240,8 +1244,9 @@ def test_a_certificate_that_fails_on_a_helper_thread_falls_back_there(monkeypatc
 
 
 def test_an_lp_that_fails_on_a_helper_thread_raises_the_earliest_in_serial_order(monkeypatch):
-    # every run fails; the first item waits until a later one has raised on
-    # the other thread, and the first is still the one reported
+    # every run fails; the first item in serial order waits until a later
+    # one has raised, and the first is still the one reported. Items run
+    # largest program first, so an item after the first may run before it
     failed = LpSolution(status="failed", message="stalled")
     monkeypatch.setattr(lpcore.LpSession, "solve", lambda self, c, sense="minimize": failed)
     monkeypatch.setattr(bounds, "solve_lp", lambda lp: failed)
@@ -1251,16 +1256,19 @@ def test_an_lp_that_fails_on_a_helper_thread_raises_the_earliest_in_serial_order
     floor, ceiling = bounds._coupling_brackets(v1, v0, grid, _pairs_above(v1, v0, grid))["min"]
     first = float(grid[np.flatnonzero(floor != ceiling)[0]])
     solve = bounds._solve
-    caller, raisers, later_raised = threading.get_ident(), [], threading.Event()
+    events, lock, later_raised = [], threading.Lock(), threading.Event()
 
     def gated(lp, t, tag, k):
         is_first = t == first and lp.sense == "minimize"
+        with lock:
+            events.append(("start", is_first, threading.get_ident()))
         if is_first:
             assert later_raised.wait(timeout=60)
         try:
             return solve(lp, t, tag, k)
         finally:
-            raisers.append(threading.get_ident())
+            with lock:
+                events.append(("raised", is_first, threading.get_ident()))
             if not is_first:
                 later_raised.set()
 
@@ -1271,10 +1279,148 @@ def test_an_lp_that_fails_on_a_helper_thread_raises_the_earliest_in_serial_order
     with pytest.raises(LpSolveError, match="LP failed at t=") as info:
         env.dense()
     assert info.value.t == first
-    # one raise on the caller, one on the helper; no item after them ran
-    assert len(raisers) == len(set(raisers)) == 2 and caller in raisers
+    # a later item raised first. Once the earliest failing item in item
+    # order raised, no item after it starts: at most the one the other
+    # worker took while that raise was being recorded. Every item that
+    # started raised
+    at = [kind == "raised" and is_first for kind, is_first, _ in events].index(True)
+    assert any(kind == "raised" and not is_first for kind, is_first, _ in events[:at])
+    late = [thread for kind, _, thread in events[at:] if kind == "start"]
+    assert len(late) <= 1 and events[at][2] not in late
+    starts = [thread for kind, _, thread in events if kind == "start"]
+    assert sorted(starts) == sorted(thread for kind, _, thread in events if kind == "raised")
     assert threading.active_count() == baseline
     assert (env.solves, env.fallbacks) == (0, 0)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_on_workers_runs_items_in_the_given_order_and_raises_the_earliest(monkeypatch, workers):
+    # results come back in item order whatever the run order; a raise skips
+    # only the items after it in item order, so the error a serial pass
+    # would raise first is the one raised
+    _workers(monkeypatch, workers)
+    order = [3, 5, 0, 4, 1, 2]
+    errors = {1: ValueError("one"), 3: ValueError("three")}
+    ran, lock = [], threading.Lock()
+
+    def work(item):
+        with lock:
+            ran.append(item)
+        return item * 10
+
+    def failing(item):
+        work(item)
+        if item in errors:
+            raise errors[item]
+        return item * 10
+
+    baseline = threading.active_count()
+    assert bounds._on_workers(range(6), work, order) == [0, 10, 20, 30, 40, 50]
+    assert sorted(ran) == list(range(6))
+    if workers == 1:
+        assert ran == order
+    ran.clear()
+    found = bounds._on_workers(range(6), failing, order)
+    # every item before the earliest that raised ran, that one included
+    assert found[:2] == [0, errors[1]] and {0, 1} <= set(ran)
+    with pytest.raises(ValueError) as info:
+        bounds._raise_first(found)
+    assert info.value is errors[1]
+    if workers == 1:
+        # 3 raises first: 5 and 4 come after it and are skipped, 0 and 1
+        # still run; 1 raises, and 2 comes after it
+        assert ran == [3, 0, 1]
+        assert found == [0, errors[1], None, errors[3], None, None]
+    assert threading.active_count() == baseline
+
+
+@pytest.mark.parametrize("tag", ["SI", "PQD"])
+def test_array_built_sessions_run_as_models_of_linear_programs(monkeypatch, tag):
+    # every session run of the dense envelopes of subgroups 1-8 at k = 20
+    # and 50 gives the objective bits, x and simplex iterations of a run of
+    # ``_model`` on a LinearProgram of the same kept rows, from the same
+    # start basis
+    session_of, session_solve = bounds._CopulaProgram.session, lpcore.LpSession.solve
+    runs = []
+
+    def recorded_session(prog):
+        session = session_of(prog)
+        session.prog = prog
+        return session
+
+    def compared_run(self, c, sense="minimize"):
+        run = session_solve(self, c, sense)
+        prog, kept = self.prog, slice(self.prog.dropped_rows.stop, None)
+        lp = lpcore.LinearProgram(
+            c=c, sense=sense, A_le=prog.a_le[kept], b_le=prog.b_le[kept],
+            lower=prog.lb, upper=prog.ub,
+        )
+        basis = lpcore._highs_basis(*prog.start_basis)
+        runs.append((run, lpcore._run(lpcore._model(lp), lp.c, lp.sense, basis)))
+        return run
+
+    monkeypatch.setattr(bounds._CopulaProgram, "session", recorded_session)
+    monkeypatch.setattr(lpcore.LpSession, "solve", compared_run)
+    _workers(monkeypatch, 1)
+    for subgroup in range(1, 9):
+        for k in (20, 50):
+            q1, q0 = population_curves(SUBGROUPS[subgroup], k)
+            grid = default_t_grid(q1.values, q0.values, 21)
+            coupling_lp_bounds(q1, q0, AssumptionSet(tag), t_grid=grid)
+    assert len(runs) > 100
+    for run, ref in runs:
+        assert run.status == ref.status == "optimal"
+        assert np.float64(run.objective).tobytes() == np.float64(ref.objective).tobytes()
+        assert run.x.tobytes() == ref.x.tobytes()
+        assert run.iterations == ref.iterations
+
+
+def test_staircase_sizes_are_the_variables_of_their_coarse_programs():
+    # the size a pass orders its items by is read off each staircase
+    # without building its program
+    for subgroup in (1, 2, 7):
+        q1, q0 = population_curves(SUBGROUPS[subgroup], 20)
+        grid = default_t_grid(q1.values, q0.values, 41)
+        above = _pairs_above(q1.values, q0.values, grid)
+        sizes = bounds._staircase_sizes(above)
+        want = [bounds._staircase_form("PQD", above[:, n])[0].nvar for n in range(grid.size)]
+        assert sizes.tolist() == want and max(want) > 0
+
+
+@pytest.mark.parametrize("tag", ["SI", "PQD"])
+def test_one_pass_over_cells_equals_dense_passes_cell_by_cell(monkeypatch, tag):
+    # two cells in one largest-first pass: the envelope bytes and every
+    # oracle's counts of a dense pass per cell, on one worker and on two
+    made = []
+    of_values = _Envelopes.of_values.__func__
+
+    def recorded(cls, *args, **kwargs):
+        made.append(of_values(cls, *args, **kwargs))
+        return made[-1]
+
+    curves = [population_curves(SUBGROUPS[s], 20) for s in (2, 7)]
+    v1 = np.array([q1.values for q1, _ in curves])
+    v0 = np.array([q0.values for _, q0 in curves])
+    grid = default_t_grid(v1, v0, 21)
+    counters = ("solves", "fallbacks", "iterations", "decided", "recalled")
+    counts = _count_lp_solves(monkeypatch)
+    monkeypatch.setattr(_Envelopes, "of_values", classmethod(recorded))
+    for workers in (1, 2):
+        _workers(monkeypatch, workers)
+        cells = [_Envelopes.of_values(v1[r], v0[r], tag, grid[r]) for r in range(2)]
+        want = np.array([_monotone_envelopes(*env.dense()) for env in cells])
+        made.clear()
+        counts.update(session=0, cold=0)
+        lower, upper = bounds._envelope_rows(tag, v1, v0, grid)
+        assert np.stack([lower, upper], axis=1).tobytes() == want.tobytes()
+        assert len(made) == 2
+        for env, cell in zip(made, cells):
+            assert [getattr(env, c) for c in counters] == [getattr(cell, c) for c in counters]
+        # the pass's session runs, cold solves and simplex iterations,
+        # pinned: a count may fall, never rise
+        iterations = sum(env.iterations for env in made)
+        pins = {"SI": (49, 0, 1322), "PQD": (49, 0, 2475)}
+        assert (counts["session"], counts["cold"], iterations) == pins[tag]
 
 
 def test_more_workers_than_cores_keep_every_value_once(monkeypatch):

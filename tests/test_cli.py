@@ -692,19 +692,24 @@ def _two_cell_csv(path):
 def test_envelopes_are_built_once_per_cell(tmp_path, monkeypatch, subcommand):
     src = tmp_path / "sample.csv"
     _two_cell_csv(src)
-    calls = []
-    dense = bounds._Envelopes.dense
+    made, passes = [], []
+    of_values, dense_pass = bounds._Envelopes.of_values.__func__, bounds._Envelopes.dense_pass
 
-    def counted(self):
-        calls.append(1)
-        return dense(self)
+    def counted_oracle(cls, *args, **kwargs):
+        made.append(1)
+        return of_values(cls, *args, **kwargs)
 
-    # one oracle per cell, each asked for its envelopes once
-    monkeypatch.setattr(bounds._Envelopes, "dense", counted)
+    def counted_pass(oracles):
+        passes.append(len(oracles))
+        return dense_pass(oracles)
+
+    # one oracle per cell, the two asked for their envelopes in one pass
+    monkeypatch.setattr(bounds._Envelopes, "of_values", classmethod(counted_oracle))
+    monkeypatch.setattr(bounds._Envelopes, "dense_pass", staticmethod(counted_pass))
     shared = (subcommand, "--input", src, "--assumption", "si", "--k", "6", "--tgrid", "15")
     both = tmp_path / "both"
     assert run(*shared, "--tau", "0.25,0.5", "--out", both) == 0
-    assert len(calls) == 2
+    assert len(made) == 2 and passes == [2]
     single = tmp_path / "single"
     for tau in ("0.25", "0.5"):
         assert run(*shared, "--tau", tau, "--out", single) == 0

@@ -1,4 +1,5 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,7 +7,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import minimax_delta_grid
+from qotepolicy import policy as policy_module
 from qotepolicy.bounds import QoteBounds
+from qotepolicy.cli import main
 from qotepolicy.policy import (
     BoundField,
     PolicyField,
@@ -169,6 +172,84 @@ def test_three_regret_expressions_agree(rows):
     assert e1 == pytest.approx(e2, abs=1e-10)
     assert e1 == pytest.approx(e3, abs=1e-10)
     assert report.max_regret == pytest.approx(e1, abs=1e-12)
+
+
+def _regret_scale(field):
+    """max(1, sum w max(|L|, |U|)): the size the regret check's tolerance scales with."""
+    w, lo, up = field.arrays()
+    return max(1.0, float(np.sum(w * np.maximum(np.abs(lo), np.abs(up)))))
+
+
+def test_a_far_upper_bound_passes_the_regret_check():
+    # the three expressions read 1.999999983922529, 1.9999999850988388 and
+    # 1.999999983922529, 1.2e-9 apart, against an exact 2U(-L)/(U - L)
+    for upper in (1e8, 1e14):
+        field = single_cell_field(-1.0, upper)
+        for rule in ("mmr_stochastic", "mmr_deterministic", "maximin"):
+            report = max_regret(derive_policy(field, rule), field)
+            assert report.max_regret == report.expressions[0]
+        report = max_regret(derive_policy(field, "mmr_stochastic"), field)
+        assert report.max_regret == pytest.approx(2 * upper / (upper + 1), rel=1e-3)
+
+
+def test_random_fields_at_a_large_outcome_scale_pass_the_regret_check():
+    # lower ~ N(0, s^2) and width ~ Exp(s) over 200 cells: at s = 1e7, 13 of
+    # these 20 fields failed an absolute 1e-9
+    s = 1e7
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        lower = rng.normal(0.0, s, size=200)
+        upper = lower + rng.exponential(s, size=200)
+        field = BoundField(tuple(
+            ((float(i),), 1.0 / 200, QoteBounds(lo, up))
+            for i, (lo, up) in enumerate(zip(lower.tolist(), upper.tolist()))
+        ))
+        for rule in ("mmr_stochastic", "mmr_deterministic", "maximin"):
+            max_regret(derive_policy(field, rule), field)
+
+
+@given(
+    st.floats(-6, 12),
+    st.lists(
+        st.tuples(st.floats(-1, 1), st.floats(0, 1), st.floats(0, 1)), min_size=1, max_size=6
+    ),
+)
+@settings(max_examples=100, deadline=None)
+def test_the_regret_check_scales_with_the_bounds(exponent, rows):
+    # bounds at scales 1e-6 to 1e12 pass; a disagreement of ten times the
+    # scaled tolerance planted in one expression still trips the check
+    scale = 10.0 ** exponent
+    cells = tuple(
+        ((float(i),), 1.0 / len(rows), QoteBounds(scale * lo, scale * (lo + width)))
+        for i, (lo, width, _) in enumerate(rows)
+    )
+    field = BoundField(cells)
+    policy = PolicyField(tuple(((float(i),), d) for i, (_, _, d) in enumerate(rows)),
+                         kind="stochastic")
+    e1, e2, e3 = max_regret(policy, field).expressions
+    tolerance = 1e-9 * _regret_scale(field)
+    assert max(abs(e1 - e2), abs(e1 - e3)) <= tolerance
+    expression_2 = policy_module._expression_2
+    planted = mock.patch.object(
+        policy_module, "_expression_2",
+        lambda *args: expression_2(*args) + 10 * tolerance,
+    )
+    with planted, pytest.raises(ValueError, match="max-regret expressions disagree"):
+        max_regret(policy, field)
+
+
+def test_policy_exits_2_when_the_regret_expressions_disagree(tmp_path, capsys):
+    bounds_json = tmp_path / "bounds_tau0.5.json"
+    cell = dict(x=[0.0], weight=1.0, lower=-1.0, upper=1e8)
+    bounds_json.write_text(json.dumps({"tau": 0.5, "assumption": "SI", "k": 5, "cells": [cell]}))
+    out = tmp_path / "out"
+    argv = ["policy", "--input", str(bounds_json), "--out", str(out)]
+    assert main(argv) == 0
+    expression_3 = policy_module._expression_3
+    with mock.patch.object(policy_module, "_expression_3", lambda *a: expression_3(*a) + 1.0):
+        assert main([*argv[:-1], str(tmp_path / "broken")]) == 2
+    assert "max-regret expressions disagree" in capsys.readouterr().err
+    assert not (tmp_path / "broken").exists()
 
 
 @given(bounds_strategy)

@@ -19,7 +19,6 @@ from .bounds import (
     qote_coupling_bounds,
     rank_invariance_qote,
 )
-from .lpcore import LinearProgram, LpSolution, solve_lp
 from .marginals import (
     ConditionalCdf,
     QuantileCurve,

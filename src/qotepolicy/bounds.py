@@ -11,9 +11,10 @@ what:
 - ``_CopulaProgram``: every linear program, over a grid copula in CDF
   coordinates on integer breakpoints, and the proof that an SI or PQD value
   solved on the coarse grid its staircase touches is exact. It keeps its
-  rows as CSR arrays, from which each thread's HiGHS session is built, with
-  a start basis made once per shape; ``bound`` finds one value, with one
-  cold fallback that raises ``LpSolveError``.
+  rows as the CSR arrays ``lpcore`` takes, from which each thread's HiGHS
+  session (with a start basis made once per shape) and each cold solve are
+  built; ``bound`` finds one value, with one cold fallback that raises
+  ``LpSolveError``.
 - ``_Envelopes``: one oracle per (curves or linear form, tag, t grid) of a
   copula program, which finds each distinct (side, staircase) at most once,
   settles values from closed-form brackets, and serves dense envelopes (in
@@ -31,8 +32,10 @@ what:
 - ``_on_workers``: runs dense passes (in a given order), the two sides of a
   lazy inversion and the replications of ``sim`` on up to one thread per
   usable CPU, with values, counts and the first error of a serial pass.
-- ``_load_lp``: loads scipy on the calling thread where the first oracle or
-  full program is made; importing the module loads no scipy.
+
+Importing the module loads no scipy. An oracle, and ``sim`` before its
+replications, load the HiGHS bindings (``lpcore._bindings``), and with them
+scipy.sparse, on the calling thread, so no worker imports a module.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .lpcore import LinearProgram, LpSession, LpSolution, _bindings, _highs_basis, solve_lp
+from .lpcore import LpSession, LpSolution, _bindings, _highs_basis, solve_lp
 from .marginals import QuantileCurve, _quantile_index, u_grid
 
 DEFAULT_K = 50
@@ -513,17 +516,6 @@ def makarov_bounds(q1: QuantileCurve, q0: QuantileCurve, tau: float) -> QoteBoun
 # the grid-copula program
 
 
-def _load_lp() -> None:
-    """Import scipy.sparse and the HiGHS bindings on the calling thread.
-
-    Oracles and ``sim`` call it before any worker of ``_on_workers`` builds a
-    program or its HiGHS session, so no worker imports a module.
-    """
-    import scipy.sparse  # noqa: F401  here, so that importing the package skips scipy.sparse
-
-    _bindings()
-
-
 _SENSES = {"min": "minimize", "max": "maximize"}
 
 
@@ -537,9 +529,9 @@ class LpSolveError(RuntimeError):
         self.t, self.tag, self.k = t, tag, k
 
 
-def _solve(lp: LinearProgram, t, tag, k) -> LpSolution:
-    """Solve one program; anything but an optimal end raises LpSolveError."""
-    sol = solve_lp(lp)
+def _solve(c, sense: str, program, t, tag, k) -> LpSolution:
+    """``solve_lp(c, sense, *program)``; anything but an optimal end raises LpSolveError."""
+    sol = solve_lp(c, sense, *program)
     if sol.status != "optimal":
         raise LpSolveError(sol, t, tag, k)
     return sol
@@ -596,16 +588,16 @@ class _CopulaProgram:
     variables against (k - 1)^2. The tests build the interpolation and check
     it against every row of the full program.
 
-    The program keeps its rows as CSR arrays (indptr, int32 indices,
-    values); ``a_le``, their scipy.sparse matrix, is built only where it is
-    read. ``bound`` finds every value of a program by one run on the calling
-    thread's ``session()``: a HiGHS model of the arrays of the rows not in
-    ``dropped_rows`` (SI's 2-increasing rows) that starts from
-    ``start_basis`` (col_basic, row_basic, over the session's rows), the
-    basis of the independence copula rc/(m1 m2), made once per shape
-    (``_start_basis``); "none" has none and presolves each run. A run's
-    optimum is accepted where it stands within 1e-9 of every row of the
-    program, else one cold solve of the whole program runs.
+    The program keeps its rows as the CSR arrays (indptr, int32 indices,
+    values) that ``lpcore`` takes; ``a_le``, their scipy.sparse matrix, is
+    built only where it is read. ``bound`` finds every value of a program by
+    one run on the calling thread's ``session()``: a HiGHS model of the
+    arrays of the rows not in ``dropped_rows`` (SI's 2-increasing rows) that
+    starts from the basis of the independence copula rc/(m1 m2)
+    (``_start_masks``), made once per shape (``_start_basis``); "none" has
+    none and presolves each run. A run's optimum is accepted where it stands
+    within 1e-9 of every row of the program, else one cold ``solve`` of the
+    whole program's arrays runs.
     """
 
     def __init__(self, rows, cols, tag: str):
@@ -669,17 +661,12 @@ class _CopulaProgram:
 
     @functools.cached_property
     def a_le(self):
-        """The rows as one scipy.sparse CSR matrix, built on first use: the
-        cold solve, ``functional_bounds`` and the tests read it."""
+        """The rows as one scipy.sparse CSR matrix, built on first use:
+        ``functional_bounds`` and the tests read it."""
         import scipy.sparse as sp  # here, so that importing the package skips scipy.sparse
 
         indptr, indices, values = self._csr
         return sp.csr_matrix((values, indices, indptr), shape=(indptr.size - 1, self.nvar))
-
-    @property
-    def start_basis(self):
-        """(col_basic, row_basic) over the session's rows, or None under "none"."""
-        return _start_masks(self.nvar, self.b_le.size - self.dropped_rows.stop, self.tag)
 
     def fold(self, coefs):
         """(interior coefficients, boundary constant) of coefs . S on the breakpoint grid.
@@ -695,15 +682,8 @@ class _CopulaProgram:
 
     def solve(self, coefs, sense, t) -> LpSolution:
         """min or max of coefs . S over the feasible S: one cold run of the whole program."""
-        lp = LinearProgram(
-            c=coefs,
-            sense=_SENSES[sense],
-            A_le=self.a_le,
-            b_le=self.b_le,
-            lower=self.lb,
-            upper=self.ub,
-        )
-        return _solve(lp, t, self.tag, self.k)
+        program = (self._csr, np.full(self.b_le.size, -np.inf), self.b_le, self.lb, self.ub)
+        return _solve(coefs, _SENSES[sense], program, t, self.tag, self.k)
 
     def session(self) -> LpSession:
         """The calling thread's HiGHS session of the program without its dropped rows.
@@ -717,8 +697,9 @@ class _CopulaProgram:
             indptr, indices, values = self._csr
             at = indptr[kept]
             rows = (indptr[kept:] - at, indices[at:], values[at:])
-            basis = _start_basis(self.nvar, rows[0].size - 1, self.tag)
-            sessions.session = LpSession(rows, self.b_le[kept:], self.lb, self.ub, basis)
+            b = self.b_le[kept:]
+            basis = _start_basis(self.nvar, b.size, self.tag)
+            sessions.session = LpSession(rows, np.full(b.size, -np.inf), b, self.lb, self.ub, basis)
         return sessions.session
 
     def bound(self, coefs, const, sense, t):
@@ -909,7 +890,7 @@ class _Envelopes:
         envelopes by their closed form.
         """
         t = _coupling_t_grid(v1, v0, t_grid)
-        _load_lp()
+        _bindings()  # here, so that no worker of a dense pass imports a module
         above = _pairs_above(v1, v0, t)
         return cls(
             t,
@@ -1331,16 +1312,20 @@ def functional_bounds(
     ]
     if np.any(prog.lb):
         rows.append(sp.hstack([-eye, sp.csr_matrix(prog.lb[:, None])]))
+    # the rows of a_le at most 0, then the row of P(event) equal to 1
     a_le = sp.vstack(rows, format="csr")
-    program = dict(
-        c=np.append(a_coefs, a_const),
-        A_eq=np.append(e_coefs, e_const)[None, :],
-        b_eq=np.ones(1),
-        A_le=a_le,
-        b_le=np.zeros(a_le.shape[0]),
+    a = sp.vstack([a_le, sp.csr_matrix(np.append(e_coefs, e_const)[None, :])], format="csr")
+    m, n = a_le.shape
+    program = (
+        (a.indptr, a.indices, a.data),
+        np.append(np.full(m, -np.inf), 1.0),
+        np.append(np.zeros(m), 1.0),
+        np.zeros(n),
+        np.full(n, np.inf),
     )
-    lo = _solve(LinearProgram(sense="minimize", **program), thr, assumptions.tag, k).objective
-    hi = _solve(LinearProgram(sense="maximize", **program), thr, assumptions.tag, k).objective
+    c = np.append(a_coefs, a_const)
+    lo = _solve(c, "minimize", program, thr, assumptions.tag, k).objective
+    hi = _solve(c, "maximize", program, thr, assumptions.tag, k).objective
     return Interval(float(lo), float(hi))
 
 

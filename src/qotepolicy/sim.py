@@ -36,13 +36,13 @@ from .bounds import (
     AssumptionSet,
     QoteBounds,
     _Envelopes,
-    _load_lp,
     _on_workers,
     _raise_first,
     _staircase_qote,
     default_t_grid,
     qote_coupling_bounds,
 )
+from .lpcore import _bindings
 from .marginals import (
     QuantileCurve,
     Sample,
@@ -466,7 +466,7 @@ def _rep_actions(dgp: DgpSpec, tau: float, n: int, k: int, seed):
 
 @functools.lru_cache(maxsize=16)
 def _collected_actions(dgp: DgpSpec, tau: float, n: int, reps: int, seed: int, k: int):
-    _load_lp()  # here, so that no replication imports a module on a worker
+    _bindings()  # here, so that no replication imports a module on a worker
 
     def actions_of(rep):
         return _rep_actions(dgp, tau, n, k, (seed, rep))

@@ -115,6 +115,13 @@ def brute_force_lp(c, a_eq, b_eq, sense="min"):
     return min(vals) if sense == "min" else max(vals)
 
 
+def csr_arrays(a):
+    """(indptr, indices, values) of a dense or scipy.sparse matrix: the rows
+    as a solver that takes CSR arrays gets them."""
+    m = sp.csr_matrix(a if sp.issparse(a) else np.atleast_2d(np.asarray(a, dtype=float)), dtype=float)
+    return m.indptr, m.indices, m.data
+
+
 def coupling_constraints(k):
     """Equality system for k x k couplings with uniform 1/k marginals."""
     a = np.zeros((2 * k, k * k))

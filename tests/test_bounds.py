@@ -11,6 +11,7 @@ from oracles import (
     Coupling,
     bilinear_refinement,
     coupling_constraints,
+    csr_arrays,
     cvar_bounds_by_permutations,
     full_grid,
     is_two_increasing,
@@ -63,15 +64,15 @@ def _staircase(v1, v0, t):
 
 
 def _tight_cold(prog, coefs, sense):
-    """One cold run of the whole program at 1e-10 primal and dual feasibility tolerances."""
-    lp = lpcore.LinearProgram(
-        c=coefs, sense=bounds._SENSES[sense], A_le=prog.a_le, b_le=prog.b_le,
-        lower=prog.lb, upper=prog.ub,
+    """One cold run of the whole program at 1e-10 primal and dual feasibility
+    tolerances, through ``lpcore._run``, which tests that patch
+    ``LpSession.solve`` leave as it is."""
+    session = lpcore.LpSession(
+        csr_arrays(prog.a_le), np.full(prog.b_le.size, -np.inf), prog.b_le, prog.lb, prog.ub
     )
-    highs = lpcore._model(lp)
     for option in ("primal_feasibility_tolerance", "dual_feasibility_tolerance"):
-        highs.setOptionValue(option, 1e-10)
-    sol = lpcore._run(highs, lp.c, lp.sense, None)
+        session._highs.setOptionValue(option, 1e-10)
+    sol = lpcore._run(session._highs, coefs, bounds._SENSES[sense], None)
     assert sol.status == "optimal"
     return sol
 
@@ -756,8 +757,8 @@ def _program(m1, m2, tag):
 )
 def test_start_basis_is_a_vertex_of_the_full_program(m1, m2, tag):
     prog = _program(m1, m2, tag)
-    col_basic, row_basic = prog.start_basis
     kept = slice(prog.dropped_rows.stop, None)
+    col_basic, row_basic = bounds._start_masks(prog.nvar, prog.b_le[kept].size, prog.tag)
     a, b = prog.a_le[kept].toarray(), prog.b_le[kept]
     # the independence copula, feasible in the whole program
     x = np.outer(prog.rows[1:-1], prog.cols[1:-1]).ravel() / (prog.m1 * prog.m2)
@@ -798,7 +799,8 @@ def test_breakpoint_rows_are_cell_masses_then_slope_form_concavity(rows, cols, t
 
 
 def test_unrestricted_program_has_no_start_basis():
-    assert _copula_program(5, 5, "none").start_basis is None
+    prog = _copula_program(5, 5, "none")
+    assert bounds._start_masks(prog.nvar, prog.b_le.size, prog.tag) is None
 
 
 @pytest.mark.parametrize("tag", ["SI", "PQD"])
@@ -844,18 +846,13 @@ def test_a_session_run_that_ends_non_optimal_costs_one_cold_full_solve(monkeypat
     # optimal only where the start basis already is; the cold solves run on
     # fresh models of the whole program the session left rows out of, and
     # are not capped
-    built, session_solve, solve_lp = (
-        lpcore.LpSession.__init__, lpcore.LpSession.solve, lpcore.solve_lp
-    )
+    session_solve, solve_lp = lpcore.LpSession.solve, lpcore.solve_lp
     session_of = bounds._CopulaProgram.session
     runs, cold, lock = [], [], threading.Lock()
 
-    def capped(self, *args):
-        built(self, *args)
-        self._highs.setOptionValue("simplex_iteration_limit", 0)
-
     def recorded_session(prog):
         session = session_of(prog)
+        session._highs.setOptionValue("simplex_iteration_limit", 0)
         session.prog = prog
         return session
 
@@ -865,16 +862,15 @@ def test_a_session_run_that_ends_non_optimal_costs_one_cold_full_solve(monkeypat
             runs.append((run, self.prog))
         return run
 
-    def recorded_cold(lp):
-        sol = solve_lp(lp)
+    def recorded_cold(c, sense, *program):
+        sol = solve_lp(c, sense, *program)
         with lock:
-            cold.append((lp, sol))
+            cold.append((program, sol))
         return sol
 
-    def hidden_solve(lp):
+    def hidden_solve(*program):
         raise AssertionError("a session run was solved again")
 
-    monkeypatch.setattr(lpcore.LpSession, "__init__", capped)
     monkeypatch.setattr(bounds._CopulaProgram, "session", recorded_session)
     monkeypatch.setattr(lpcore.LpSession, "solve", recorded_run)
     monkeypatch.setattr(bounds, "solve_lp", recorded_cold)
@@ -888,7 +884,7 @@ def test_a_session_run_that_ends_non_optimal_costs_one_cold_full_solve(monkeypat
     assert 0 < len(stopped) < len(runs) == env.solves
     assert len(cold) == len(stopped) == env.fallbacks
     # each cold solve runs every row of the program whose session run stopped
-    assert sorted(id(lp.A_le) for lp, _ in cold) == sorted(id(prog.a_le) for prog in stopped)
+    assert sorted(id(rows) for (rows, *_), _ in cold) == sorted(id(prog._csr) for prog in stopped)
     cold_iterations = sum(sol.iterations for _, sol in cold)
     assert cold_iterations > 0
     assert env.iterations == sum(run.iterations for run, _ in runs) + cold_iterations
@@ -910,10 +906,10 @@ def _count_lp_solves(monkeypatch):
             counts["session"] += 1
         return session_solve(self, c, sense)
 
-    def counted_cold(lp):
+    def counted_cold(*program):
         with lock:
             counts["cold"] += 1
-        return cold_solve(lp)
+        return cold_solve(*program)
 
     monkeypatch.setattr(lpcore.LpSession, "solve", counted_session)
     monkeypatch.setattr(bounds, "solve_lp", counted_cold)
@@ -1128,7 +1124,7 @@ def test_lps_that_fail_on_both_sides_of_a_lazy_inversion_raise_the_min_sides(mon
     # side's has raised, and the min side's error is still the one raised
     failed = LpSolution(status="failed", message="stalled")
     monkeypatch.setattr(lpcore.LpSession, "solve", lambda self, c, sense="minimize": failed)
-    monkeypatch.setattr(bounds, "solve_lp", lambda lp: failed)
+    monkeypatch.setattr(bounds, "solve_lp", lambda *program: failed)
     q1, q0 = population_curves(SUBGROUPS[2], 12)
     si = AssumptionSet("SI")
     _workers(monkeypatch, 1)
@@ -1137,16 +1133,16 @@ def test_lps_that_fail_on_both_sides_of_a_lazy_inversion_raise_the_min_sides(mon
     solve = bounds._solve
     max_raised, raised = threading.Event(), {}
 
-    def gated(lp, t, tag, k):
-        if lp.sense == "minimize":
+    def gated(c, sense, program, t, tag, k):
+        if sense == "minimize":
             assert max_raised.wait(timeout=60)
         try:
-            return solve(lp, t, tag, k)
+            return solve(c, sense, program, t, tag, k)
         except LpSolveError as exc:
-            raised[lp.sense] = (exc, threading.get_ident())
+            raised[sense] = (exc, threading.get_ident())
             raise
         finally:
-            if lp.sense == "maximize":
+            if sense == "maximize":
                 max_raised.set()
 
     monkeypatch.setattr(bounds, "_solve", gated)
@@ -1181,11 +1177,11 @@ def test_an_lp_that_fails_on_one_side_of_a_lazy_inversion_alone_is_raised(monkey
         assert failing_side_done.wait(timeout=60)
         return session_solve(self, c, sense)
 
-    def gated_cold(lp):
-        if lp.sense == side:
+    def gated_cold(c, sense, *program):
+        if sense == side:
             failing_side_done.set()
             return failed
-        return cold_solve(lp)
+        return cold_solve(c, sense, *program)
 
     monkeypatch.setattr(lpcore.LpSession, "solve", gated_run)
     monkeypatch.setattr(bounds, "solve_lp", gated_cold)
@@ -1225,10 +1221,10 @@ def test_a_certificate_that_fails_on_a_helper_thread_falls_back_there(monkeypatc
             assert cold_elsewhere.wait(timeout=60)
         return session_solve(self, c, sense)
 
-    def recorded_cold(lp):
+    def recorded_cold(*program):
         if threading.get_ident() != caller:
             cold_elsewhere.set()
-        return cold_solve(lp)
+        return cold_solve(*program)
 
     monkeypatch.setattr(lpcore.LpSession, "solve", gated_run)
     monkeypatch.setattr(bounds, "solve_lp", recorded_cold)
@@ -1249,7 +1245,7 @@ def test_an_lp_that_fails_on_a_helper_thread_raises_the_earliest_in_serial_order
     # largest program first, so an item after the first may run before it
     failed = LpSolution(status="failed", message="stalled")
     monkeypatch.setattr(lpcore.LpSession, "solve", lambda self, c, sense="minimize": failed)
-    monkeypatch.setattr(bounds, "solve_lp", lambda lp: failed)
+    monkeypatch.setattr(bounds, "solve_lp", lambda *program: failed)
     q1, q0 = population_curves(SUBGROUPS[2], 12)
     v1, v0 = q1.values, q0.values
     grid = default_t_grid(v1, v0, 21)
@@ -1258,14 +1254,14 @@ def test_an_lp_that_fails_on_a_helper_thread_raises_the_earliest_in_serial_order
     solve = bounds._solve
     events, lock, later_raised = [], threading.Lock(), threading.Event()
 
-    def gated(lp, t, tag, k):
-        is_first = t == first and lp.sense == "minimize"
+    def gated(c, sense, program, t, tag, k):
+        is_first = t == first and sense == "minimize"
         with lock:
             events.append(("start", is_first, threading.get_ident()))
         if is_first:
             assert later_raised.wait(timeout=60)
         try:
-            return solve(lp, t, tag, k)
+            return solve(c, sense, program, t, tag, k)
         finally:
             with lock:
                 events.append(("raised", is_first, threading.get_ident()))
@@ -1338,8 +1334,8 @@ def test_on_workers_runs_items_in_the_given_order_and_raises_the_earliest(monkey
 def test_array_built_sessions_run_as_models_of_linear_programs(monkeypatch, tag):
     # every session run of the dense envelopes of subgroups 1-8 at k = 20
     # and 50 gives the objective bits, x and simplex iterations of a run of
-    # ``_model`` on a LinearProgram of the same kept rows, from the same
-    # start basis
+    # a fresh session built from the CSR arrays of the same kept rows of
+    # ``a_le``, from the same start basis
     session_of, session_solve = bounds._CopulaProgram.session, lpcore.LpSession.solve
     runs = []
 
@@ -1351,12 +1347,12 @@ def test_array_built_sessions_run_as_models_of_linear_programs(monkeypatch, tag)
     def compared_run(self, c, sense="minimize"):
         run = session_solve(self, c, sense)
         prog, kept = self.prog, slice(self.prog.dropped_rows.stop, None)
-        lp = lpcore.LinearProgram(
-            c=c, sense=sense, A_le=prog.a_le[kept], b_le=prog.b_le[kept],
-            lower=prog.lb, upper=prog.ub,
+        b = prog.b_le[kept]
+        basis = lpcore._highs_basis(*bounds._start_masks(prog.nvar, b.size, prog.tag))
+        fresh = lpcore.LpSession(
+            csr_arrays(prog.a_le[kept]), np.full(b.size, -np.inf), b, prog.lb, prog.ub, basis
         )
-        basis = lpcore._highs_basis(*prog.start_basis)
-        runs.append((run, lpcore._run(lpcore._model(lp), lp.c, lp.sense, basis)))
+        runs.append((run, session_solve(fresh, c, sense)))
         return run
 
     monkeypatch.setattr(bounds._CopulaProgram, "session", recorded_session)

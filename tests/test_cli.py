@@ -387,7 +387,7 @@ def test_failed_lp_exits_6_naming_t_tag_and_k(tmp_path, capsys, monkeypatch):
     # t, on two workers; the message names the first t a serial pass solves
     _fail_session_solves(monkeypatch)
     monkeypatch.setattr(
-        bounds, "solve_lp", lambda lp: LpSolution(status="failed", message="stalled")
+        bounds, "solve_lp", lambda *program: LpSolution(status="failed", message="stalled")
     )
     monkeypatch.setattr(bounds, "_usable_cpus", lambda: 2)
     sample = draw_sample(SUBGROUPS[1], 40, (0, 0))

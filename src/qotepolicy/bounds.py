@@ -11,9 +11,9 @@ what:
 - ``_CopulaProgram``: every linear program, over a grid copula in CDF
   coordinates on integer breakpoints, and the proof that an SI or PQD value
   solved on the coarse grid its staircase touches is exact. It keeps its
-  rows as the CSR arrays ``lpcore`` takes, from which each thread's HiGHS
-  session (with a start basis made once per shape) and each cold solve are
-  built; ``bound`` finds one value, with one cold fallback that raises
+  rows as the CSR arrays ``lpcore`` takes, from which its one HiGHS session
+  (with a start basis made once per shape) and each cold solve are built;
+  ``bound`` finds one value, with one cold fallback that raises
   ``LpSolveError``.
 - ``_Envelopes``: one oracle per (curves or linear form, tag, t grid) of a
   copula program, which finds each distinct (side, staircase) at most once,
@@ -31,7 +31,10 @@ what:
   full grid.
 - ``_on_workers``: runs dense passes (in a given order), the two sides of a
   lazy inversion and the replications of ``sim`` on up to one thread per
-  usable CPU, with values, counts and the first error of a serial pass.
+  usable CPU, with values, counts and the first error of a serial pass: the
+  calling thread and helper threads started once per process (``_Helpers``).
+  Every LP runs on its thread's one HiGHS instance (``lpcore``), so neither
+  a thread nor a HiGHS instance is set up per call or per LP.
 
 Importing the module loads no scipy. An oracle, and ``sim`` before its
 replications, load the HiGHS bindings (``lpcore._bindings``), and with them
@@ -78,7 +81,7 @@ def _usable_cpus() -> int:
     """The CPUs this process may run on: ``_on_workers`` runs at most one worker on each.
 
     So a dense pass solves on at most one thread per CPU, each on its own
-    HiGHS session, a lazy inversion on two (one per side), and ``sim`` runs
+    HiGHS instance, a lazy inversion on two (one per side), and ``sim`` runs
     one replication per CPU.
     """
     if hasattr(os, "sched_getaffinity"):
@@ -86,20 +89,59 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+class _Helpers:
+    """The helper threads of ``_on_workers``: started when a call first needs
+    them and kept, idle between calls, for the life of the process.
+
+    Each takes tasks from one queue and runs them, one at a time; a task
+    catches what it raises itself. A forked child has none of its parent's
+    threads, so it starts with none of its own (``__init__`` runs again there).
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._tasks = queue.SimpleQueue()
+        self.threads = []
+
+    def run(self, count: int, task: Callable) -> None:
+        """Queue ``task`` ``count`` times, with at least ``count`` threads started to take it."""
+        with self._lock:
+            while len(self.threads) < count:
+                thread = threading.Thread(target=self._serve, name="qotepolicy-helper", daemon=True)
+                thread.start()
+                self.threads.append(thread)
+        for _ in range(count):
+            self._tasks.put(task)
+
+    def _serve(self) -> None:
+        while True:
+            self._tasks.get()()
+
+
+_helpers = _Helpers()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_helpers.__init__)
+
+
 def _on_workers(items, work: Callable, _order=None) -> list:
     """What ``work(item)`` returns or raises, per item, in item order.
 
     min(usable CPUs, items) workers take items from one queue: the calling
-    thread and one helper thread per further CPU. The queue holds the items
-    in item order, or in ``_order``, a permutation of their indices. Once an
-    item raises, no worker starts an item after it in item order, while the
-    items before it still run, so every item before the first in item order
-    that raised has its result, and later ones may hold None: the first
-    exception in item order is the one a serial pass would raise. One worker
-    runs every item on the calling thread and starts no thread. ``work``
-    runs on several threads at once, so whatever it keeps per thread, such
-    as an oracle's HiGHS session, it keeps itself. HiGHS runs outside the
-    interpreter lock, so LP work gains from the threads.
+    thread and as many of the process's helper threads (``_Helpers``) as
+    the call has further workers, started on first need and kept after it,
+    so at most usable CPUs - 1 of them. The queue holds the items in item
+    order, or in ``_order``, a permutation of their indices. Once an item
+    raises, no worker starts an item after it in item order, while the items
+    before it still run, so every item before the first in item order that
+    raised has its result, and later ones may hold None: the first exception
+    in item order is the one a serial pass would raise. One worker runs
+    every item on the calling thread and queues nothing. The call returns
+    once no helper works on its items; a helper that had not begun by the
+    time the calling thread emptied the queue never begins, so a call made
+    from within ``work`` needs no free helper. ``work`` runs on several
+    threads at once and must keep whatever it keeps per thread itself; every
+    HiGHS run is on its thread's own instance (``lpcore``). HiGHS runs
+    outside the interpreter lock, so LP work gains from the threads.
     """
     items = list(items)
     found = [None] * len(items)
@@ -109,7 +151,7 @@ def _on_workers(items, work: Callable, _order=None) -> list:
     for i in range(len(items)) if _order is None else _order:
         todo.put(i)
     # the first item, in item order, that raised; -1 stops every worker
-    raised, lock = [len(items)], threading.Lock()
+    raised, state = [len(items)], threading.Condition()
 
     def drain():
         while True:
@@ -123,25 +165,40 @@ def _on_workers(items, work: Callable, _order=None) -> list:
                 found[i] = work(items[i])
             except Exception as exc:  # raised again by the caller, in order
                 found[i] = exc
-                with lock:
+                with state:
                     raised[0] = min(raised[0], i)
 
     helpers = min(_usable_cpus(), len(items)) - 1
     if helpers < 1:
         drain()
         return found
-    # here, so that importing the package skips concurrent.futures and the logging it loads
-    from concurrent.futures import ThreadPoolExecutor
+    # helper tasks not begun, those running, and what escaped ``drain`` on a helper
+    unbegun, running, escaped = [helpers], [0], []
 
-    with ThreadPoolExecutor(helpers) as pool:
-        futures = [pool.submit(drain) for _ in range(helpers)]
+    def helper():
+        with state:
+            if not unbegun[0]:
+                return
+            unbegun[0] -= 1
+            running[0] += 1
         try:
             drain()
+        except BaseException as exc:  # raised again by the caller, as an executor would
+            escaped.append(exc)
         finally:
-            with lock:
-                raised[0] = -1
-    for future in futures:
-        future.result()
+            with state:
+                running[0] -= 1
+                state.notify()
+
+    _helpers.run(helpers, helper)
+    try:
+        drain()
+    finally:
+        with state:
+            raised[0], unbegun[0] = -1, 0
+            state.wait_for(lambda: not running[0])
+    if escaped:
+        raise escaped[0]
     return found
 
 
@@ -591,11 +648,11 @@ class _CopulaProgram:
     The program keeps its rows as the CSR arrays (indptr, int32 indices,
     values) that ``lpcore`` takes; ``a_le``, their scipy.sparse matrix, is
     built only where it is read. ``bound`` finds every value of a program by
-    one run on the calling thread's ``session()``: a HiGHS model of the
-    arrays of the rows not in ``dropped_rows`` (SI's 2-increasing rows) that
-    starts from the basis of the independence copula rc/(m1 m2)
-    (``_start_masks``), made once per shape (``_start_basis``); "none" has
-    none and presolves each run. A run's optimum is accepted where it stands
+    one run of its one ``session()``, on the calling thread: the arrays of
+    the rows not in ``dropped_rows`` (SI's 2-increasing rows), run from the
+    basis of the independence copula rc/(m1 m2) (``_start_masks``), made
+    once per shape (``_start_basis``); "none" has none and presolves each
+    run. A run's optimum is accepted where it stands
     within 1e-9 of every row of the program, else one cold ``solve`` of the
     whole program's arrays runs.
     """
@@ -657,7 +714,7 @@ class _CopulaProgram:
             self.lb = np.multiply.outer(rows[1:n1], cols[1:n2]).ravel() / float(m1 * m2)
         else:
             self.lb = np.zeros(self.nvar)
-        self._sessions = threading.local()
+        self._session = None
 
     @functools.cached_property
     def a_le(self):
@@ -686,29 +743,26 @@ class _CopulaProgram:
         return _solve(coefs, _SENSES[sense], program, t, self.tag, self.k)
 
     def session(self) -> LpSession:
-        """The calling thread's HiGHS session of the program without its dropped rows.
-
-        A HiGHS model must not be shared between threads, so each thread
-        builds its own on its first use, and a helper thread's ends with it.
-        """
-        sessions = self._sessions
-        if not hasattr(sessions, "session"):
+        """The HiGHS session of the program without its dropped rows, built on
+        first use and kept; any thread may run it. Two threads that ask at
+        once may each build one, and either serves."""
+        if self._session is None:
             kept = self.dropped_rows.stop
             indptr, indices, values = self._csr
             at = indptr[kept]
             rows = (indptr[kept:] - at, indices[at:], values[at:])
             b = self.b_le[kept:]
             basis = _start_basis(self.nvar, b.size, self.tag)
-            sessions.session = LpSession(rows, np.full(b.size, -np.inf), b, self.lb, self.ub, basis)
-        return sessions.session
+            self._session = LpSession(rows, np.full(b.size, -np.inf), b, self.lb, self.ub, basis)
+        return self._session
 
     def bound(self, coefs, const, sense, t):
         """(value, runs): one side of const + coefs . S, a probability, over the feasible S.
 
-        Zero costs give const in [0, 1] and no run. Else one run on the
-        calling thread's ``session()``, whose optimum stands within 1e-9 of
-        every row of the program; any other end adds one cold ``solve``, run
-        last.
+        Zero costs give const in [0, 1] and no run. Else one run of
+        ``session()`` on the calling thread, whose optimum stands within
+        1e-9 of every row of the program; any other end adds one cold
+        ``solve``, run last.
         """
         if not np.any(coefs):
             return min(max(const, 0.0), 1.0), ()
@@ -785,7 +839,7 @@ def _staircase_form(tag: str, b):
 
     The rows are 0, k and the run boundaries of b, the columns 0, k and the
     b_i (see ``_CopulaProgram``). The program is new on every call, so its
-    sessions end with the value.
+    session ends with the value.
     """
     k = b.size
     rows = np.concatenate([[0], np.flatnonzero(b[1:] != b[:-1]) + 1, [k]])
@@ -828,8 +882,8 @@ class _Envelopes:
     list of oracles lack in one run of ``_on_workers``, the largest programs
     first, as ``sizes(staircases)`` reads them (all equal without it);
     ``dense`` is that pass over one oracle, and ``invert`` finds the two
-    sides on ``_on_workers``. Every run is on the calling thread's session
-    of its program and starts from the program's start basis, so a value
+    sides on ``_on_workers``. Every run is of its program's session, on the
+    calling thread, and starts from the program's start basis, so a value
     depends neither on the order in which values are asked for nor on the
     thread that found it. From the runs ``bound``
     returns, ``solves`` counts the values that took a session run,

@@ -4,12 +4,18 @@ Prog. Comp. 2018), through the bindings scipy (1.15 or later) bundles as
 
 Every program takes one form, the one HiGHS takes: min or max c.x subject to
 row_lower <= A x <= row_upper and lower <= x <= upper, with A given as the
-arrays (indptr, indices, values) of a CSR matrix. An ``LpSession`` builds
-one HiGHS model of such a program and runs it once per cost change, each
-time from the same given start basis or from no basis. ``solve_lp`` is one
-run of a fresh session's model from no basis, so HiGHS presolves it.
-``_run`` runs every model, checking the costs and the sense first; a run
-reports how it ended and is never solved again.
+arrays (indptr, indices, values) of a CSR matrix. An ``LpSession`` holds one
+such program, checked, and runs it once per cost change, each time from the
+same given start basis or from no basis. ``solve_lp`` is one run of a fresh
+session from no basis, so HiGHS presolves it. ``_run`` runs every model,
+checking the costs and the sense first; a run reports how it ended and is
+never solved again.
+
+Each thread keeps one HiGHS instance for as long as it lives. A session owns
+no model: its ``_highs`` passes the program into the calling thread's
+instance, with every option reset, whenever that instance last held another
+session's, so any thread may run any session, and a run does not depend on
+the runs before it on that thread.
 
 Importing the module loads no scipy. The bindings load where they are first
 used, through the cached loader ``_bindings``; without them that first use
@@ -19,10 +25,14 @@ raises an ImportError naming scipy>=1.15.
 from __future__ import annotations
 
 import functools
+import threading
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+
+# the calling thread's HiGHS instance (``highs``) and the session whose model it holds (``held``)
+_thread = threading.local()
 
 
 @functools.cache
@@ -103,8 +113,8 @@ def _run(highs, c, sense: str, basis) -> LpSolution:
 
 
 def solve_lp(c, sense, rows, row_lower, row_upper, lower, upper) -> LpSolution:
-    """One run of the model of a fresh ``LpSession`` of the program, from no basis."""
-    return _run(LpSession(rows, row_lower, row_upper, lower, upper)._highs, c, sense, None)
+    """One run of a fresh ``LpSession`` of the program, from no basis."""
+    return _run(LpSession(rows, row_lower, row_upper, lower, upper)._highs(), c, sense, None)
 
 
 class LpSession:
@@ -114,17 +124,18 @@ class LpSession:
     copies as contiguous int32 and float64 arrays, every column continuous.
     The values must be finite, the lengths match, the column indices lie
     below the number of columns, and each lower bound lie at or below its
-    upper one; a row or column bound may be infinite. One HiGHS model is
-    built once; each ``solve`` changes only the costs and the objective
-    sense. With a ``basis``, a ``HighsBasis``, every solve starts the
-    simplex from it. Without one, or where HiGHS refuses it, each solve
-    starts from no basis, so HiGHS presolves it afresh. Either way no solve
-    depends on the ones before it. Each solve is one run that reports its
-    end (optimal, infeasible, unbounded, or failed for any other, such as an
-    iteration limit) and its simplex iterations, and is never solved again.
-    A session holds one HiGHS model, so use one session per thread; HiGHS
-    runs outside the interpreter lock, so sessions on several threads solve
-    in parallel.
+    upper one; a row or column bound may be infinite. The session keeps the
+    checked arrays and passes them to HiGHS once on construction, which
+    raises if HiGHS refuses them; each ``solve`` changes only the costs and
+    the objective sense. With a ``basis``, a ``HighsBasis``, every solve
+    starts the simplex from it. Without one, or where HiGHS refuses it, each
+    solve starts from no basis, so HiGHS presolves it afresh. Either way no
+    solve depends on the ones before it. Each solve is one run that reports
+    its end (optimal, infeasible, unbounded, or failed for any other, such
+    as an iteration limit) and its simplex iterations, and is never solved
+    again. A session owns no HiGHS model, so any thread may run it, on that
+    thread's instance (``_highs``); HiGHS runs outside the interpreter lock,
+    so sessions on several threads solve in parallel.
     """
 
     def __init__(self, rows, row_lower, row_upper, lower, upper, basis=None):
@@ -145,21 +156,43 @@ class LpSession:
             raise ValueError("lower bound exceeds upper bound")
         if not np.all(np.isfinite(values)):
             raise ValueError("coefficients must be finite")
-        core = _bindings()
-        self._highs = core._Highs()
-        self._highs.setOptionValue("output_flag", False)
-        status = self._highs.passModel(
-            n, m, indices.size, int(core.MatrixFormat.kRowwise), int(core.ObjSense.kMinimize),
-            0.0, np.zeros(n), lower, upper, row_lower, row_upper,
+        self._model = (
+            n, m, lower, upper, row_lower, row_upper,
             np.ascontiguousarray(indptr, dtype=np.int32),
             np.ascontiguousarray(indices, dtype=np.int32),
             np.ascontiguousarray(values, dtype=np.float64),
-            np.zeros(n, dtype=np.int32),
         )
-        if status == core.HighsStatus.kError:
-            raise ValueError("HiGHS refused the model")
         self._basis = basis
+        self._highs()
+
+    def _highs(self):
+        """The calling thread's HiGHS instance, holding this session's model.
+
+        The thread's instance is made on its first use. Where it last held
+        another session's model, its options are reset, its output is turned
+        off and this model is passed in, so what an earlier session set on
+        it does not carry over.
+        """
+        highs = getattr(_thread, "highs", None)
+        if highs is None:
+            highs = _thread.highs = _bindings()._Highs()
+            _thread.held = None
+        if _thread.held is not self:
+            core = _bindings()
+            _thread.held = None
+            highs.resetOptions()
+            highs.setOptionValue("output_flag", False)
+            n, m, lower, upper, row_lower, row_upper, indptr, indices, values = self._model
+            status = highs.passModel(
+                n, m, indices.size, int(core.MatrixFormat.kRowwise), int(core.ObjSense.kMinimize),
+                0.0, np.zeros(n), lower, upper, row_lower, row_upper, indptr, indices, values,
+                np.zeros(n, dtype=np.int32),
+            )
+            if status == core.HighsStatus.kError:
+                raise ValueError("HiGHS refused the model")
+            _thread.held = self
+        return highs
 
     def solve(self, c, sense: str = "minimize") -> LpSolution:
         """One run for costs c, however it ends."""
-        return _run(self._highs, c, sense, self._basis)
+        return _run(self._highs(), c, sense, self._basis)

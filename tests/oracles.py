@@ -2,10 +2,13 @@
 
 Everything here is deliberately naive: dense grids, exhaustive enumeration,
 Monte Carlo, or scipy primitives used directly. Nothing imports the package.
+The test files also share two small helpers from here: ``csr_arrays`` and
+``assert_only_kept_threads_started``.
 """
 
 import functools
 import itertools
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,6 +123,15 @@ def csr_arrays(a):
     as a solver that takes CSR arrays gets them."""
     m = sp.csr_matrix(a if sp.issparse(a) else np.atleast_2d(np.asarray(a, dtype=float)), dtype=float)
     return m.indptr, m.indices, m.data
+
+
+def assert_only_kept_threads_started(before, kept, most):
+    """Every thread alive now was alive in ``before`` or is in ``kept``, a
+    pool of threads kept between calls, which holds at most ``most`` of them
+    unless it held more before."""
+    kept = set(kept)
+    assert set(threading.enumerate()) <= set(before) | kept
+    assert len(kept) <= max(most, len(kept & set(before)))
 
 
 def coupling_constraints(k):

@@ -1,5 +1,8 @@
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from numpy.testing import assert_allclose
 
 from oracles import (
     Coupling,
+    assert_only_kept_threads_started,
     bilinear_refinement,
     coupling_constraints,
     csr_arrays,
@@ -66,13 +70,15 @@ def _staircase(v1, v0, t):
 def _tight_cold(prog, coefs, sense):
     """One cold run of the whole program at 1e-10 primal and dual feasibility
     tolerances, through ``lpcore._run``, which tests that patch
-    ``LpSession.solve`` leave as it is."""
+    ``LpSession.solve`` leave as it is. The tolerances are set on the
+    thread's HiGHS instance, which resets them for the next session's model."""
     session = lpcore.LpSession(
         csr_arrays(prog.a_le), np.full(prog.b_le.size, -np.inf), prog.b_le, prog.lb, prog.ub
     )
+    highs = session._highs()
     for option in ("primal_feasibility_tolerance", "dual_feasibility_tolerance"):
-        session._highs.setOptionValue(option, 1e-10)
-    sol = lpcore._run(session._highs, coefs, bounds._SENSES[sense], None)
+        highs.setOptionValue(option, 1e-10)
+    sol = lpcore._run(highs, coefs, bounds._SENSES[sense], None)
     assert sol.status == "optimal"
     return sol
 
@@ -852,7 +858,7 @@ def test_a_session_run_that_ends_non_optimal_costs_one_cold_full_solve(monkeypat
 
     def recorded_session(prog):
         session = session_of(prog)
-        session._highs.setOptionValue("simplex_iteration_limit", 0)
+        session._highs().setOptionValue("simplex_iteration_limit", 0)
         session.prog = prog
         return session
 
@@ -1147,14 +1153,14 @@ def test_lps_that_fail_on_both_sides_of_a_lazy_inversion_raise_the_min_sides(mon
 
     monkeypatch.setattr(bounds, "_solve", gated)
     _workers(monkeypatch, 2)
-    baseline = threading.active_count()
+    before = set(threading.enumerate())
     with pytest.raises(LpSolveError) as info:
         qote_coupling_bounds(q1, q0, 0.25, si)
     assert info.value is raised["minimize"][0]
     assert info.value.t == serial.value.t
     # the max side raised first, on the other thread
     assert raised["maximize"][1] != raised["minimize"][1]
-    assert threading.active_count() == baseline
+    assert_only_kept_threads_started(before, bounds._helpers.threads, 1)
 
 
 @pytest.mark.parametrize("side", ["minimize", "maximize"])
@@ -1186,10 +1192,10 @@ def test_an_lp_that_fails_on_one_side_of_a_lazy_inversion_alone_is_raised(monkey
     monkeypatch.setattr(lpcore.LpSession, "solve", gated_run)
     monkeypatch.setattr(bounds, "solve_lp", gated_cold)
     _workers(monkeypatch, 2)
-    baseline = threading.active_count()
+    before = set(threading.enumerate())
     with pytest.raises(LpSolveError) as info:
         qote_coupling_bounds(q1, q0, 0.25, si)
-    assert threading.active_count() == baseline
+    assert_only_kept_threads_started(before, bounds._helpers.threads, 1)
     assert len(threads) == 2 and len(set(threads.values())) == 2
     # a serial pass whose runs fail on that side alone raises the same t
     _workers(monkeypatch, 1)
@@ -1270,7 +1276,7 @@ def test_an_lp_that_fails_on_a_helper_thread_raises_the_earliest_in_serial_order
 
     monkeypatch.setattr(bounds, "_solve", gated)
     _workers(monkeypatch, 2)
-    baseline = threading.active_count()
+    before = set(threading.enumerate())
     env = _Envelopes.of_values(v1, v0, "SI", grid)
     with pytest.raises(LpSolveError, match="LP failed at t=") as info:
         env.dense()
@@ -1285,7 +1291,7 @@ def test_an_lp_that_fails_on_a_helper_thread_raises_the_earliest_in_serial_order
     assert len(late) <= 1 and events[at][2] not in late
     starts = [thread for kind, _, thread in events if kind == "start"]
     assert sorted(starts) == sorted(thread for kind, _, thread in events if kind == "raised")
-    assert threading.active_count() == baseline
+    assert_only_kept_threads_started(before, bounds._helpers.threads, 1)
     assert (env.solves, env.fallbacks) == (0, 0)
 
 
@@ -1310,7 +1316,7 @@ def test_on_workers_runs_items_in_the_given_order_and_raises_the_earliest(monkey
             raise errors[item]
         return item * 10
 
-    baseline = threading.active_count()
+    before = set(threading.enumerate())
     assert bounds._on_workers(range(6), work, order) == [0, 10, 20, 30, 40, 50]
     assert sorted(ran) == list(range(6))
     if workers == 1:
@@ -1327,15 +1333,114 @@ def test_on_workers_runs_items_in_the_given_order_and_raises_the_earliest(monkey
         # still run; 1 raises, and 2 comes after it
         assert ran == [3, 0, 1]
         assert found == [0, errors[1], None, errors[3], None, None]
-    assert threading.active_count() == baseline
+    assert_only_kept_threads_started(before, bounds._helpers.threads, workers - 1)
+
+
+def test_a_second_call_on_workers_starts_no_thread(monkeypatch):
+    # each item waits at a barrier of two, so both workers run at once:
+    # the second call runs on the helper the first one started
+    _workers(monkeypatch, 2)
+
+    def met(item):
+        barrier.wait()
+        return threading.current_thread()
+
+    barrier = threading.Barrier(2, timeout=60)
+    first = bounds._on_workers(range(2), met)
+    before = set(threading.enumerate())
+    barrier = threading.Barrier(2, timeout=60)
+    second = bounds._on_workers(range(2), met)
+    assert set(threading.enumerate()) <= before
+    assert len(set(first)) == len(set(second)) == 2
+    assert set(second) - {threading.current_thread()} <= set(bounds._helpers.threads)
+
+
+def test_a_call_on_workers_from_within_work_needs_no_free_helper(monkeypatch):
+    # both outer items run at once, each on one of the two workers, and each
+    # makes an inner call on two workers: no helper is free to begin those
+    # calls' tasks, so each caller runs its inner items alone
+    _workers(monkeypatch, 2)
+    barrier = threading.Barrier(2, timeout=60)
+
+    def outer(item):
+        barrier.wait()
+        return bounds._on_workers(range(3), lambda inner: (item, inner))
+
+    found = []
+    caller = threading.Thread(
+        target=lambda: found.append(bounds._on_workers(range(2), outer)), daemon=True
+    )
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive()
+    assert found == [[[(0, 0), (0, 1), (0, 2)], [(1, 0), (1, 1), (1, 2)]]]
+
+
+_ON_WORKERS_IN_A_FORKED_CHILD = """
+import os, threading
+from qotepolicy import bounds
+
+bounds._usable_cpus = lambda: 2
+
+
+def met(item):
+    barrier.wait()
+    return threading.get_ident()
+
+
+barrier = threading.Barrier(2, timeout=30)
+assert len(set(bounds._raise_first(bounds._on_workers(range(2), met)))) == 2
+assert len(bounds._helpers.threads) == 1
+pid = os.fork()
+if pid == 0:
+    code = 1
+    try:
+        barrier = threading.Barrier(2, timeout=30)
+        ran = bounds._raise_first(bounds._on_workers(range(2), met))
+        code = 0 if len(set(ran)) == 2 and len(bounds._helpers.threads) == 1 else 1
+    finally:
+        os._exit(code)
+_, status = os.waitpid(pid, 0)
+assert os.waitstatus_to_exitcode(status) == 0, status
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork")
+def test_a_forked_child_runs_on_workers_on_helpers_of_its_own():
+    # the parent's helper is not in the child, which starts its own
+    src = str(Path(bounds.__file__).parents[1])
+    subprocess.run(
+        [sys.executable, "-c", _ON_WORKERS_IN_A_FORKED_CHILD], check=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+
+
+def _run_on_a_fresh_instance(c, sense, rows, row_lower, row_upper, lower, upper, basis=None):
+    """One run of the program's model on a HiGHS instance of its own, which
+    no other model has been passed into and no option set on but output."""
+    core = lpcore._bindings()
+    highs = core._Highs()
+    highs.setOptionValue("output_flag", False)
+    indptr, indices, values = rows
+    n = lower.size
+    highs.passModel(
+        n, indptr.size - 1, indices.size, int(core.MatrixFormat.kRowwise),
+        int(core.ObjSense.kMinimize), 0.0, np.zeros(n), lower, upper, row_lower, row_upper,
+        indptr.astype(np.int32), indices.astype(np.int32), values.astype(np.float64),
+        np.zeros(n, dtype=np.int32),
+    )
+    return lpcore._run(highs, c, sense, basis)
 
 
 @pytest.mark.parametrize("tag", ["SI", "PQD"])
 def test_array_built_sessions_run_as_models_of_linear_programs(monkeypatch, tag):
     # every session run of the dense envelopes of subgroups 1-8 at k = 20
     # and 50 gives the objective bits, x and simplex iterations of a run of
-    # a fresh session built from the CSR arrays of the same kept rows of
-    # ``a_le``, from the same start basis
+    # the CSR arrays of the same kept rows of ``a_le``, from the same start
+    # basis, on a fresh HiGHS instance. At k = 20, after each run a cold
+    # solve of all the program's rows passes another model into the thread's
+    # instance, and it too runs as on a fresh instance; so does the session's
+    # run again after it
     session_of, session_solve = bounds._CopulaProgram.session, lpcore.LpSession.solve
     runs = []
 
@@ -1349,10 +1454,14 @@ def test_array_built_sessions_run_as_models_of_linear_programs(monkeypatch, tag)
         prog, kept = self.prog, slice(self.prog.dropped_rows.stop, None)
         b = prog.b_le[kept]
         basis = lpcore._highs_basis(*bounds._start_masks(prog.nvar, b.size, prog.tag))
-        fresh = lpcore.LpSession(
-            csr_arrays(prog.a_le[kept]), np.full(b.size, -np.inf), b, prog.lb, prog.ub, basis
-        )
-        runs.append((run, session_solve(fresh, c, sense)))
+        program = (csr_arrays(prog.a_le[kept]), np.full(b.size, -np.inf), b, prog.lb, prog.ub)
+        runs.append((run, _run_on_a_fresh_instance(c, sense, *program, basis)))
+        if prog.m1 == 20:
+            rhs = prog.b_le
+            whole = (csr_arrays(prog.a_le), np.full(rhs.size, -np.inf), rhs, prog.lb, prog.ub)
+            cold = lpcore.solve_lp(c, sense, *whole)
+            runs.append((cold, _run_on_a_fresh_instance(c, sense, *whole)))
+            runs.append((session_solve(self, c, sense), run))
         return run
 
     monkeypatch.setattr(bounds._CopulaProgram, "session", recorded_session)
@@ -1369,6 +1478,29 @@ def test_array_built_sessions_run_as_models_of_linear_programs(monkeypatch, tag)
         assert np.float64(run.objective).tobytes() == np.float64(ref.objective).tobytes()
         assert run.x.tobytes() == ref.x.tobytes()
         assert run.iterations == ref.iterations
+
+
+def test_a_dense_pass_makes_at_most_one_highs_instance_per_thread(monkeypatch):
+    # over a pass of many programs on two workers, each thread makes its
+    # HiGHS instance at most once (none where an earlier test made it)
+    core = lpcore._bindings()
+    made, lock, make = [], threading.Lock(), core._Highs
+
+    def counted():
+        with lock:
+            made.append(threading.get_ident())
+        return make()
+
+    monkeypatch.setattr(core, "_Highs", counted)
+    _workers(monkeypatch, 2)
+    oracles = []
+    for subgroup in (2, 7):
+        q1, q0 = population_curves(SUBGROUPS[subgroup], 20)
+        grid = default_t_grid(q1.values, q0.values, 41)
+        oracles += [_Envelopes.of_values(q1.values, q0.values, tag, grid) for tag in ("SI", "PQD")]
+    _Envelopes.dense_pass(oracles)
+    assert sum(env.solves for env in oracles) > 100
+    assert len(made) == len(set(made)) <= 2
 
 
 def test_staircase_sizes_are_the_variables_of_their_coarse_programs():

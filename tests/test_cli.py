@@ -15,7 +15,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import qotepolicy
-from oracles import raw_coupling_lp
+from oracles import assert_only_kept_threads_started, raw_coupling_lp
 from qotepolicy import bounds, cli, lpcore, marginals, owl, sim
 from qotepolicy.cli import main
 from qotepolicy.lpcore import LpSolution
@@ -151,6 +151,15 @@ def test_only_the_lp_subcommands_load_scipy(tmp_path):
     si = loaded.pop("bounds si")
     assert loaded == dict.fromkeys(("import", "bounds none", "bounds ri", "policy", "owl"), [])
     assert "scipy.optimize._highspy._core" in si
+
+
+def test_importing_the_cli_loads_no_executor_and_no_logging():
+    # the worker threads of ``bounds._on_workers`` need neither, and each
+    # module the import loads adds to every CLI run's start-up time
+    code = "import sys, qotepolicy.cli; print(*sorted(sys.modules))"
+    loaded = _in_a_fresh_interpreter(code).split()
+    assert "qotepolicy.cli" in loaded
+    assert not [m for m in loaded if m.split(".")[0] in ("concurrent", "logging")]
 
 
 # a dense SI pass, the first LP of the process, then tables on the worker pool
@@ -397,7 +406,7 @@ def test_failed_lp_exits_6_naming_t_tag_and_k(tmp_path, capsys, monkeypatch):
     above = bounds._pairs_above(v1, v0, grid)
     floor, ceiling = bounds._coupling_brackets(v1, v0, grid, above)["min"]
     first = float(grid[np.flatnonzero(floor != ceiling)[0]])
-    threads = threading.active_count()
+    before = set(threading.enumerate())
     out = tmp_path / "out"
     code = run(
         "bounds", "--dgp", "subgroup1", "--assumption", "si",
@@ -407,7 +416,7 @@ def test_failed_lp_exits_6_naming_t_tag_and_k(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert f"LP failed at t={first!r}" in err and "tag SI" in err and "k=5" in err
     assert not out.exists()
-    assert threading.active_count() == threads
+    assert_only_kept_threads_started(before, bounds._helpers.threads, 1)
 
 
 @pytest.mark.parametrize("assumption", ["si", "pqd"])
@@ -847,7 +856,7 @@ def test_one_point_grids_exit_2(tmp_path, capsys, subcommand):
 def test_tables_with_an_empty_arm_exits_2_on_two_workers(tmp_path, capsys, monkeypatch):
     # one draw leaves an arm empty in every replication, each on the pool
     monkeypatch.setattr(bounds, "_usable_cpus", lambda: 2)
-    threads = threading.active_count()
+    before = set(threading.enumerate())
     out = tmp_path / "out"
     code = run(
         "tables", "--subgroups", "1", "--tau", "0.25", "--n", "1", "--reps", "4",
@@ -856,7 +865,7 @@ def test_tables_with_an_empty_arm_exits_2_on_two_workers(tmp_path, capsys, monke
     assert code == 2
     assert "no observations" in capsys.readouterr().err
     assert not out.exists()
-    assert threading.active_count() == threads
+    assert_only_kept_threads_started(before, bounds._helpers.threads, 1)
 
 
 def test_tables_smoke(tmp_path):

@@ -204,6 +204,26 @@ def test_session_matches_cold_solves_over_a_run_of_costs(seed, sparse, slack_sta
         _assert_same_optimum(session.solve(c, sense), solve_lp(c, sense, *program), c, *program)
 
 
+def test_an_option_set_for_one_session_does_not_reach_the_next():
+    # the thread's HiGHS instance holds one session's model at a time, and
+    # passing in another's resets every option: an iteration limit of 0 set
+    # for one session stops its runs until another session's model has been
+    # passed in, and never stops another session's run
+    rng = np.random.default_rng(0)
+    program = _random_program(rng, 30, 20, False)
+    basis = _highs_basis(np.zeros(20, bool), np.ones(30, bool))
+    c = rng.normal(size=20)
+    capped = LpSession(*program, basis)
+    capped._highs().setOptionValue("simplex_iteration_limit", 0)
+    assert capped.solve(c).status == capped.solve(c).status == "failed"
+    sol = LpSession(*program, basis).solve(c)
+    assert sol.status == "optimal" and sol.iterations > 0
+    assert solve_lp(c, "minimize", *program).status == "optimal"
+    again = capped.solve(c)
+    assert (again.status, again.iterations) == ("optimal", sol.iterations)
+    assert again.objective == sol.objective and again.x.tobytes() == sol.x.tobytes()
+
+
 def test_session_reports_infeasible_and_unbounded_as_solve_lp_does():
     free = np.full(2, np.inf)
     infeasible = LpSession(*_le([[1.0, 1.0]], [-1.0], upper=free))

@@ -6,7 +6,7 @@ import pytest
 import scipy.optimize
 from numpy.testing import assert_allclose
 
-from oracles import joint_draws, mc_qote
+from oracles import assert_only_kept_threads_started, joint_draws, mc_qote
 from qotepolicy import bounds, sim
 from qotepolicy.bounds import (
     DeltaCdfBounds,
@@ -301,11 +301,11 @@ def test_the_first_failing_replication_in_order_is_raised(monkeypatch):
 
     monkeypatch.setattr(sim, "_rep_actions", failing)
     monkeypatch.setattr(bounds, "_usable_cpus", lambda: 2)
-    baseline = threading.active_count()
+    before = set(threading.enumerate())
     with pytest.raises(ValueError, match="replication 0$"):
         classification_experiment(SUBGROUPS[1], 0.25, n=40, reps=3, seed=9, k=4)
     assert later_raised.is_set()
-    assert threading.active_count() == baseline
+    assert_only_kept_threads_started(before, bounds._helpers.threads, 1)
 
 
 def test_vote_share_complementary_actions():

@@ -36,9 +36,10 @@ what:
   Every LP runs on its thread's one HiGHS instance (``lpcore``), so neither
   a thread nor a HiGHS instance is set up per call or per LP.
 
-Importing the module loads no scipy. An oracle, and ``sim`` before its
-replications, load the HiGHS bindings (``lpcore._bindings``), and with them
-scipy.sparse, on the calling thread, so no worker imports a module.
+Importing the module loads no scipy, and no program is built through
+scipy.sparse. An oracle, and ``sim`` before its replications, load the HiGHS
+bindings (``lpcore._bindings``), and with them scipy.sparse, on the calling
+thread, so no worker imports a module.
 """
 
 from __future__ import annotations
@@ -646,8 +647,7 @@ class _CopulaProgram:
     it against every row of the full program.
 
     The program keeps its rows as the CSR arrays (indptr, int32 indices,
-    values) that ``lpcore`` takes; ``a_le``, their scipy.sparse matrix, is
-    built only where it is read. ``bound`` finds every value of a program by
+    values) that ``lpcore`` takes. ``bound`` finds every value of a program by
     one run of its one ``session()``, on the calling thread: the arrays of
     the rows not in ``dropped_rows`` (SI's 2-increasing rows), run from the
     basis of the independence copula rc/(m1 m2) (``_start_masks``), made
@@ -715,15 +715,6 @@ class _CopulaProgram:
         else:
             self.lb = np.zeros(self.nvar)
         self._session = None
-
-    @functools.cached_property
-    def a_le(self):
-        """The rows as one scipy.sparse CSR matrix, built on first use:
-        ``functional_bounds`` and the tests read it."""
-        import scipy.sparse as sp  # here, so that importing the package skips scipy.sparse
-
-        indptr, indices, values = self._csr
-        return sp.csr_matrix((values, indices, indptr), shape=(indptr.size - 1, self.nvar))
 
     def fold(self, coefs):
         """(interior coefficients, boundary constant) of coefs . S on the breakpoint grid.
@@ -1332,11 +1323,10 @@ def functional_bounds(
     ``functional`` is CVaR(threshold) for E[Delta | Delta < threshold] or
     DisadvantagedGain(threshold) for E[Y1 - Y0 | Y0 < threshold]. Both are
     linear-fractional in the coupling mass; each endpoint is one LP after the
-    Charnes-Cooper change of variables. An auxiliary LP first verifies the
-    conditioning event has positive mass under every feasible coupling.
+    Charnes-Cooper change of variables, whose rows are homogenised from the
+    full program's CSR arrays. An auxiliary LP first verifies the conditioning
+    event has positive mass under every feasible coupling.
     """
-    import scipy.sparse as sp  # here, so that importing the package skips scipy.sparse
-
     tag = _program_tag(assumptions)
     v1, v0, k = _curves_on_common_grid(q1, q0, k)
     delta = v1[:, None] - v0[None, :]
@@ -1357,29 +1347,37 @@ def functional_bounds(
     if prog.bound(e_coefs, e_const, "min", thr)[0] <= 1e-9:
         raise ValueError("conditioning event not uniformly positive")
 
-    # Charnes-Cooper: variables (y, s) with s = 1 / P(event) and y = s * S;
-    # the program's rows, caps and floors are homogenised in s.
-    eye = sp.identity(prog.nvar, format="csr")
-    rows = [
-        sp.hstack([prog.a_le, sp.csr_matrix(-prog.b_le[:, None])]),
-        sp.hstack([eye, sp.csr_matrix(-prog.ub[:, None])]),
+    # Charnes-Cooper: variables (y, s) with s = 1 / P(event) and y = s * S. The
+    # rows [A | -b_le], [I | -ub] and, with floors, [-I | lb] at most 0, then the
+    # event row [e_coefs | e_const] equal to 1, as (row, column, value) triplets
+    # stably sorted by row, so y entries come first and s last; zeros left out
+    indptr, indices, values = prog._csr
+    m, n, var = prog.b_le.size, prog.nvar, np.arange(prog.nvar)
+    floors = np.any(prog.lb)
+    blocks = [
+        (np.repeat(np.arange(m), np.diff(indptr)), indices, values),
+        (np.arange(m), np.full(m, n), -prog.b_le),
+        (m + var, var, np.ones(n)),
+        (m + var, np.full(n, n), -prog.ub),
     ]
-    if np.any(prog.lb):
-        rows.append(sp.hstack([-eye, sp.csr_matrix(prog.lb[:, None])]))
-    # the rows of a_le at most 0, then the row of P(event) equal to 1
-    a_le = sp.vstack(rows, format="csr")
-    a = sp.vstack([a_le, sp.csr_matrix(np.append(e_coefs, e_const)[None, :])], format="csr")
-    m, n = a_le.shape
+    if floors:
+        blocks += [(m + n + var, var, -np.ones(n)), (m + n + var, np.full(n, n), prog.lb)]
+    le = m + (2 if floors else 1) * n  # the event row is row le
+    blocks.append((np.full(n + 1, le), np.arange(n + 1), np.append(e_coefs, e_const)))
+    row, col, val = (np.concatenate(part) for part in zip(*blocks))
+    order = np.argsort(row, kind="stable")
+    order = order[val[order] != 0]
+    rows = np.append(0, np.cumsum(np.bincount(row[order], minlength=le + 1))).astype(np.int32)
     program = (
-        (a.indptr, a.indices, a.data),
-        np.append(np.full(m, -np.inf), 1.0),
-        np.append(np.zeros(m), 1.0),
-        np.zeros(n),
-        np.full(n, np.inf),
+        (rows, col[order].astype(np.int32), val[order]),
+        np.append(np.full(le, -np.inf), 1.0),
+        np.append(np.zeros(le), 1.0),
+        np.zeros(n + 1),
+        np.full(n + 1, np.inf),
     )
     c = np.append(a_coefs, a_const)
-    lo = _solve(c, "minimize", program, thr, assumptions.tag, k).objective
-    hi = _solve(c, "maximize", program, thr, assumptions.tag, k).objective
+    lo = _solve(c, "minimize", program, thr, prog.tag, prog.k).objective
+    hi = _solve(c, "maximize", program, thr, prog.tag, prog.k).objective
     return Interval(float(lo), float(hi))
 
 

@@ -2,8 +2,8 @@
 
 Everything here is deliberately naive: dense grids, exhaustive enumeration,
 Monte Carlo, or scipy primitives used directly. Nothing imports the package.
-The test files also share two small helpers from here: ``csr_arrays`` and
-``assert_only_kept_threads_started``.
+The test files also share three small helpers from here: ``csr_arrays``,
+``rows_matrix`` and ``assert_only_kept_threads_started``.
 """
 
 import functools
@@ -116,6 +116,39 @@ def brute_force_lp(c, a_eq, b_eq, sense="min"):
         return None
     vals = [float(np.dot(c, v)) for v in vertices]
     return min(vals) if sense == "min" else max(vals)
+
+
+def rows_matrix(prog):
+    """The rows of a copula program, its CSR arrays ``prog._csr``, as one
+    scipy.sparse CSR matrix over its ``prog.nvar`` variables."""
+    indptr, indices, values = prog._csr
+    return sp.csr_matrix((values, indices, indptr), shape=(indptr.size - 1, prog.nvar))
+
+
+def charnes_cooper_program(prog, e_coefs, e_const):
+    """(rows, row_lower, row_upper, lower, upper) of the Charnes-Cooper
+    program of a copula program and an event form, built with scipy.sparse
+    stacks: variables (y, s) with y = s * S; the rows [A | -b_le], [I | -ub]
+    and, where a floor is nonzero, [-I | lb] at most 0, then the event row
+    [e_coefs | e_const] equal to 1. ``csr_matrix`` of a dense block drops its
+    zeros, and the stacks keep each block's entries in order."""
+    eye = sp.identity(prog.nvar, format="csr")
+    rows = [
+        sp.hstack([rows_matrix(prog), sp.csr_matrix(-prog.b_le[:, None])]),
+        sp.hstack([eye, sp.csr_matrix(-prog.ub[:, None])]),
+    ]
+    if np.any(prog.lb):
+        rows.append(sp.hstack([-eye, sp.csr_matrix(prog.lb[:, None])]))
+    a_le = sp.vstack(rows, format="csr")
+    a = sp.vstack([a_le, sp.csr_matrix(np.append(e_coefs, e_const)[None, :])], format="csr")
+    m, n = a_le.shape
+    return (
+        (a.indptr, a.indices, a.data),
+        np.append(np.full(m, -np.inf), 1.0),
+        np.append(np.zeros(m), 1.0),
+        np.zeros(n),
+        np.full(n, np.inf),
+    )
 
 
 def csr_arrays(a):

@@ -14,6 +14,7 @@ from oracles import (
     Coupling,
     assert_only_kept_threads_started,
     bilinear_refinement,
+    charnes_cooper_program,
     coupling_constraints,
     csr_arrays,
     cvar_bounds_by_permutations,
@@ -26,6 +27,7 @@ from oracles import (
     random_vertex_cvar,
     raw_coupling_lp,
     raw_shape_rows,
+    rows_matrix,
     si_partial_sums_ok,
 )
 from qotepolicy import bounds, lpcore, sim
@@ -73,7 +75,7 @@ def _tight_cold(prog, coefs, sense):
     ``LpSession.solve`` leave as it is. The tolerances are set on the
     thread's HiGHS instance, which resets them for the next session's model."""
     session = lpcore.LpSession(
-        csr_arrays(prog.a_le), np.full(prog.b_le.size, -np.inf), prog.b_le, prog.lb, prog.ub
+        prog._csr, np.full(prog.b_le.size, -np.inf), prog.b_le, prog.lb, prog.ub
     )
     highs = session._highs()
     for option in ("primal_feasibility_tolerance", "dual_feasibility_tolerance"):
@@ -586,7 +588,7 @@ def test_coarse_values_match_vertex_enumeration(k):
                     if k < 4:
                         masses = [float(weights @ v) for v in raw[tag]]
                     elif 0 < prog.nvar <= 4:
-                        a = prog.a_le.toarray()
+                        a = rows_matrix(prog).toarray()
                         vertices = polytope_vertices(a, prog.b_le, prog.lb, prog.ub)
                         masses = [const + float(coefs @ v) for v in vertices]
                     else:
@@ -641,7 +643,7 @@ def test_bilinear_interpolation_of_a_coarse_optimum_is_feasible_on_the_full_grid
                         sol = prog.solve(coefs, side, t)
                         s = bilinear_refinement(full_grid(prog, sol.x), prog.rows, prog.cols)
                         x = s[1:-1, 1:-1].ravel()
-                        assert np.all(full.a_le @ x <= full.b_le + 1e-9)
+                        assert np.all(rows_matrix(full) @ x <= full.b_le + 1e-9)
                         assert np.all((full.lb - 1e-9 <= x) & (x <= full.ub + 1e-9))
                         value = full_const + full_coefs @ x
                         assert value == pytest.approx(const + sol.objective, abs=1e-9)
@@ -702,7 +704,7 @@ def test_a_session_optimum_that_breaks_any_row_costs_one_cold_solve(monkeypatch,
         run = session_solve(self, c, sense)
         prog = self.prog
         row = prog.dropped_rows.stop
-        a = prog.a_le[row].toarray().ravel()
+        a = rows_matrix(prog)[row].toarray().ravel()
         run.x = run.x + (prog.b_le[row] - a @ run.x + 1e-7) * a / (a @ a)
         return run
 
@@ -723,7 +725,7 @@ def test_a_session_optimum_that_breaks_any_row_costs_one_cold_solve(monkeypatch,
     "m1, m2", [(2, 2), (3, 3), (12, 12), (50, 50), (3, 5), (6, 4), (4, 9), (1, 1), (1, 4)]
 )
 def test_program_rows_are_cell_masses_then_second_differences(m1, m2, tag):
-    # a_le @ S - b_le on a random S with the program's boundary values, row
+    # A S - b_le on a random S with the program's boundary values, row
     # by row: minus the cell masses in row-major order, then for SI the j-
     # and i-direction second differences at each interior (i, j) in turn
     prog = _copula_program(m1, m2, tag)
@@ -735,8 +737,8 @@ def test_program_rows_are_cell_masses_then_second_differences(m1, m2, tag):
         d2_i = s[:-2, 1:m2] - 2 * s[1:-1, 1:m2] + s[2:, 1:m2]
         rows.append(np.stack([d2_j.ravel(), d2_i.ravel()], axis=1).ravel())
     want = np.concatenate(rows) if rows else np.zeros(0)
-    assert prog.a_le.shape == (want.size, prog.nvar)
-    assert_allclose(prog.a_le @ s[1:m1, 1:m2].ravel() - prog.b_le, want, rtol=0, atol=1e-12)
+    assert rows_matrix(prog).shape == (want.size, prog.nvar)
+    assert_allclose(rows_matrix(prog) @ s[1:m1, 1:m2].ravel() - prog.b_le, want, rtol=0, atol=1e-12)
     assert prog.dropped_rows == slice(0, masses.size if tag == "SI" and prog.nvar else 0)
 
 
@@ -765,10 +767,10 @@ def test_start_basis_is_a_vertex_of_the_full_program(m1, m2, tag):
     prog = _program(m1, m2, tag)
     kept = slice(prog.dropped_rows.stop, None)
     col_basic, row_basic = bounds._start_masks(prog.nvar, prog.b_le[kept].size, prog.tag)
-    a, b = prog.a_le[kept].toarray(), prog.b_le[kept]
+    a, b = rows_matrix(prog)[kept].toarray(), prog.b_le[kept]
     # the independence copula, feasible in the whole program
     x = np.outer(prog.rows[1:-1], prog.cols[1:-1]).ravel() / (prog.m1 * prog.m2)
-    assert np.all(prog.a_le @ x <= prog.b_le + 1e-12)
+    assert np.all(rows_matrix(prog) @ x <= prog.b_le + 1e-12)
     assert np.all((prog.lb - 1e-12 <= x) & (x <= prog.ub + 1e-12))
     # nonbasic rows tight at b, nonbasic columns at their lower bound
     assert (col_basic.size, row_basic.size) == (prog.nvar, b.size)
@@ -782,7 +784,7 @@ def test_start_basis_is_a_vertex_of_the_full_program(m1, m2, tag):
 @pytest.mark.parametrize("tag", ["none", "SI", "PQD"])
 @pytest.mark.parametrize("rows, cols", _BREAKPOINTS)
 def test_breakpoint_rows_are_cell_masses_then_slope_form_concavity(rows, cols, tag):
-    # a_le @ S - b_le on a random S with the program's boundary values, row
+    # A S - b_le on a random S with the program's boundary values, row
     # by row: minus the cell masses of consecutive breakpoints, then for SI
     # minus (c' - c)(S(c) - S(c_)) - (c - c_)(S(c') - S(c)) along the row and
     # then along the column at each interior breakpoint (r, c) in turn
@@ -797,8 +799,8 @@ def test_breakpoint_rows_are_cell_masses_then_slope_form_concavity(rows, cols, t
         along_i = dr[1:] * (s[1:-1, 1:-1] - s[:-2, 1:-1]) - dr[:-1] * (s[2:, 1:-1] - s[1:-1, 1:-1])
         want.append(-np.stack([along_j.ravel(), along_i.ravel()], axis=1).ravel())
     want = np.concatenate(want)
-    assert prog.a_le.shape == (want.size, prog.nvar)
-    assert_allclose(prog.a_le @ x - prog.b_le, want, rtol=0, atol=1e-12)
+    assert rows_matrix(prog).shape == (want.size, prog.nvar)
+    assert_allclose(rows_matrix(prog) @ x - prog.b_le, want, rtol=0, atol=1e-12)
     assert_allclose(prog.ub, np.minimum.outer(r[1:-1] / r[-1], c[1:-1] / c[-1]).ravel())
     floor = np.outer(r[1:-1], c[1:-1]).ravel() / (r[-1] * c[-1])
     assert_allclose(prog.lb, floor if tag == "PQD" else 0.0, rtol=0, atol=0)
@@ -1436,7 +1438,7 @@ def _run_on_a_fresh_instance(c, sense, rows, row_lower, row_upper, lower, upper,
 def test_array_built_sessions_run_as_models_of_linear_programs(monkeypatch, tag):
     # every session run of the dense envelopes of subgroups 1-8 at k = 20
     # and 50 gives the objective bits, x and simplex iterations of a run of
-    # the CSR arrays of the same kept rows of ``a_le``, from the same start
+    # the CSR arrays of the same kept rows of the program, from the same start
     # basis, on a fresh HiGHS instance. At k = 20, after each run a cold
     # solve of all the program's rows passes another model into the thread's
     # instance, and it too runs as on a fresh instance; so does the session's
@@ -1454,11 +1456,12 @@ def test_array_built_sessions_run_as_models_of_linear_programs(monkeypatch, tag)
         prog, kept = self.prog, slice(self.prog.dropped_rows.stop, None)
         b = prog.b_le[kept]
         basis = lpcore._highs_basis(*bounds._start_masks(prog.nvar, b.size, prog.tag))
-        program = (csr_arrays(prog.a_le[kept]), np.full(b.size, -np.inf), b, prog.lb, prog.ub)
+        rows = csr_arrays(rows_matrix(prog)[kept])
+        program = (rows, np.full(b.size, -np.inf), b, prog.lb, prog.ub)
         runs.append((run, _run_on_a_fresh_instance(c, sense, *program, basis)))
         if prog.m1 == 20:
             rhs = prog.b_le
-            whole = (csr_arrays(prog.a_le), np.full(rhs.size, -np.inf), rhs, prog.lb, prog.ub)
+            whole = (prog._csr, np.full(rhs.size, -np.inf), rhs, prog.lb, prog.ub)
             cold = lpcore.solve_lp(c, sense, *whole)
             runs.append((cold, _run_on_a_fresh_instance(c, sense, *whole)))
             runs.append((session_solve(self, c, sense), run))
@@ -1888,6 +1891,75 @@ def test_functional_bounds_match_pinned_values():
     for row, pinned in zip(got, PINNED_FUNCTIONALS):
         assert row[3] == pytest.approx(pinned[3], abs=1e-12), row[:3]
         assert row[4] == pytest.approx(pinned[4], abs=1e-12), row[:3]
+
+
+def _event(functional, v1, v0):
+    """The conditioning event of a functional on the k x k cells, as
+    ``functional_bounds`` reads it."""
+    if isinstance(functional, CVaR):
+        return (v1[:, None] - v0[None, :] < functional.threshold).astype(float)
+    return np.broadcast_to(v0 < functional.threshold, (v1.size, v0.size)).astype(float)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 7, 12, 20])
+def test_charnes_cooper_programs_are_bit_equal_to_the_sparse_stacks(monkeypatch, k):
+    # the rows functional_bounds builds from the program's CSR arrays equal,
+    # array for array and dtype for dtype, those scipy.sparse stacks make of
+    # the same program and event form, zeros dropped; its endpoints equal
+    # runs of that reference program to the last bit
+    seen = []
+    monkeypatch.setattr(bounds, "solve_lp", lambda *p: seen.append(p) or lpcore.solve_lp(*p))
+    rng = np.random.default_rng(70 + k)
+    v1, v0 = np.sort(rng.normal(0.3, 1.2, size=k)), np.sort(rng.normal(size=k))
+    q1, q0 = QuantileCurve(u_grid(k), v1), QuantileCurve(u_grid(k), v0)
+    d = np.sort((v1[:, None] - v0[None, :]).ravel())
+    functionals = [CVaR(float(d[-1])), CVaR(float(d[int(0.8 * d.size)])), DisadvantagedGain(v0[-1])]
+    zeros = 0
+    for tag, program_tag in bounds._PROGRAM_TAGS.items():
+        prog = _copula_program(k, k, program_tag)
+        for f in functionals:
+            seen.clear()
+            iv = functional_bounds(q1, q0, AssumptionSet(tag), f, k=k)
+            event = _event(f, v1, v0)
+            e_coefs, e_const = prog.linear_form(event)
+            zeros += np.count_nonzero(e_coefs == 0) + (e_const == 0)
+            want = charnes_cooper_program(prog, e_coefs, e_const)
+            c = np.append(*prog.linear_form((v1[:, None] - v0[None, :]) * event))
+            assert [p[1] for p in seen] == ["minimize", "maximize"]
+            for got in seen:
+                assert np.array_equal(got[0], c)
+                for a, b in zip((*got[2], *got[3:]), (*want[0], *want[1:])):
+                    assert a.dtype == b.dtype and np.array_equal(a, b), (tag, f)
+            assert iv.lower == lpcore.solve_lp(c, "minimize", *want).objective
+            assert iv.upper == lpcore.solve_lp(c, "maximize", *want).objective
+    assert zeros > 0
+
+
+@pytest.mark.parametrize("tag, program_tag", [("NoAssumption", "none"), ("SI", "SI")])
+@pytest.mark.parametrize("failing", ["charnes_cooper", "positivity_check"])
+def test_functional_bounds_lp_errors_name_the_program_tag_t_and_k(
+    monkeypatch, failing, tag, program_tag
+):
+    # whichever LP of the call fails, its LpSolveError names the copula
+    # program's tag, the threshold and k. The Charnes-Cooper solves run
+    # through ``bounds.solve_lp``; the positivity check runs the program's
+    # session and, where that fails, a cold solve through it too
+    columns = []
+
+    def failed(c, *_):
+        columns.append(np.size(c))
+        return LpSolution("failed", message="patched")
+
+    monkeypatch.setattr(bounds, "solve_lp", failed)
+    if failing == "positivity_check":
+        monkeypatch.setattr(lpcore.LpSession, "solve", lambda self, c, sense="minimize": failed(c))
+    q1, q0 = population_curves(SUBGROUPS[1], 6)
+    with pytest.raises(LpSolveError) as err:
+        functional_bounds(q1, q0, AssumptionSet(tag), CVaR(-1.0), k=6)
+    assert (err.value.tag, err.value.t, err.value.k) == (program_tag, -1.0, 6)
+    assert f"tag {program_tag}, k=6" in str(err.value)
+    nvar = _copula_program(6, 6, program_tag).nvar
+    assert columns == ([nvar + 1] if failing == "charnes_cooper" else [nvar, nvar])
 
 
 def test_disadvantaged_gain_conditions_on_the_control_margin():

@@ -1,17 +1,19 @@
 """No function, class or method of the package goes uncalled.
 
 A private name (one leading underscore, not a dunder) defined at module level
-or as a method of a module-level class must be named somewhere in the
-package outside its own definition. A public function or class defined at
-module level must either be imported by ``qotepolicy/__init__.py``, whose
-imports are the one list of public names, or be named in the package in the
-same way. Tests do not count, so code that only tests reach fails here.
+or as a method of a module-level class, and any method but a dunder of a
+private class, must be named somewhere in the package outside its own
+definition. A public function or class defined at module level must either
+be imported by ``qotepolicy/__init__.py``, whose imports are the one list of
+public names, or be named in the package in the same way. Tests do not
+count, so code that only tests reach fails here.
 
 A module-level definition counts as named only as a bare name, in its own
 module or in a module that imports it from that module (under the name it
 is imported as), so a name defined twice is matched per module. A method
-counts as named by any bare name or attribute of that name anywhere in the
-package: ``obj.method`` cannot be resolved to a class without types.
+counts as named by any attribute of that name anywhere in the package:
+``obj.method`` cannot be resolved to a class without types. A bare name,
+such as a local variable spelled like the method, does not count.
 """
 
 import ast
@@ -20,20 +22,29 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qotepolicy"
 
 
+def _dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
 def _private(name):
-    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+    return name.startswith("_") and not _dunder(name)
 
 
 _KINDS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _private_definitions(tree):
-    """(name, first line, last line, is a method) of each private top-level or method definition."""
+    """(name, first line, last line, is a method) of each private top-level or
+    method definition, and of each method but a dunder of a private class."""
     for node in tree.body:
         members = node.body if isinstance(node, ast.ClassDef) else []
-        for defn in [node] + [m for m in members if isinstance(m, _KINDS)]:
-            if isinstance(defn, _KINDS) and _private(defn.name):
-                yield defn.name, defn.lineno, defn.end_lineno, defn is not node
+        if isinstance(node, _KINDS) and _private(node.name):
+            yield node.name, node.lineno, node.end_lineno, False
+        for defn in members:
+            if isinstance(defn, _KINDS) and (
+                _private(defn.name) or (_private(node.name) and not _dunder(defn.name))
+            ):
+                yield defn.name, defn.lineno, defn.end_lineno, True
 
 
 def _public_definitions(tree):
@@ -69,7 +80,7 @@ def _unnamed(package, definitions, exported=frozenset()):
     for module, tree in trees.items():
         for name, first, last, method in definitions(tree):
             if method:
-                names = {(where, name, attribute) for where in trees for attribute in (False, True)}
+                names = {(where, name, True) for where in trees}
             else:
                 names = {(module, name, False)} | {
                     (where, local, False)
@@ -116,6 +127,22 @@ def test_the_scan_finds_an_uncalled_private_function(tmp_path):
     )
     (tmp_path / "b.py").write_text("from .a import _Box\n\nBOX = _Box()\n")
     assert unreferenced_private_names(tmp_path) == ["a.py:5 _only_itself", "a.py:10 _unused"]
+
+
+def test_the_scan_finds_an_uncalled_public_method_of_a_private_class(tmp_path):
+    # a private class's public-named methods are internal too: rows is named
+    # by an attribute in another module and stays, matrix is named only in
+    # its own body and by a bare name elsewhere, and is reported; dunders and
+    # a public class's methods are not scanned
+    (tmp_path / "a.py").write_text(
+        "class _Program:\n    def rows(self):\n        return self\n\n"
+        "    def matrix(self):\n        return self.matrix()\n\n    def __len__(self):\n"
+        "        return 0\n\n\nclass Public:\n    def unused(self):\n        return self\n"
+    )
+    (tmp_path / "b.py").write_text(
+        "from .a import _Program\n\nROWS = _Program().rows()\nmatrix = ROWS\n"
+    )
+    assert unreferenced_private_names(tmp_path) == ["a.py:5 matrix"]
 
 
 def test_the_scan_finds_a_public_function_neither_exported_nor_called(tmp_path):

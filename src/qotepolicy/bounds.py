@@ -11,10 +11,10 @@ what:
 - ``_CopulaProgram``: every linear program, over a grid copula in CDF
   coordinates on integer breakpoints, and the proof that an SI or PQD value
   solved on the coarse grid its staircase touches is exact. It keeps its
-  rows as the CSR arrays ``lpcore`` takes, from which its one HiGHS session
-  (with a start basis made once per shape) and each cold solve are built;
-  ``bound`` finds one value, with one cold fallback that raises
-  ``LpSolveError``.
+  rows as the CSR arrays that ``lpcore.solve_lp``, the one LP call, takes;
+  ``bound`` finds one value by one ``run`` of the rows it keeps, from a
+  start basis made once per shape, with one cold ``solve`` of every row as
+  the fallback, which raises ``LpSolveError``.
 - ``_Envelopes``: one oracle per (curves or linear form, tag, t grid) of a
   copula program, which finds each distinct (side, staircase) at most once,
   settles values from closed-form brackets, and serves dense envelopes (in
@@ -31,10 +31,11 @@ what:
   full grid.
 - ``_on_workers``: runs dense passes (in a given order), the two sides of a
   lazy inversion and the replications of ``sim`` on up to one thread per
-  usable CPU, with values, counts and the first error of a serial pass: the
-  calling thread and helper threads started once per process (``_Helpers``).
-  Every LP runs on its thread's one HiGHS instance (``lpcore``), so neither
-  a thread nor a HiGHS instance is set up per call or per LP.
+  usable CPU, with the values and counts of a serial pass, and raising the
+  error it would raise first: the calling thread and helper threads started
+  once per process (``_Helpers``). Every LP runs on its thread's one HiGHS
+  instance (``lpcore``), so neither a thread nor a HiGHS instance is set up
+  per call or per LP.
 
 Importing the module loads no scipy, and no program is built through
 scipy.sparse. An oracle, and ``sim`` before its replications, load the HiGHS
@@ -54,7 +55,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .lpcore import LpSession, LpSolution, _bindings, _highs_basis, solve_lp
+from .lpcore import LpSolution, _bindings, _highs_basis, solve_lp
 from .marginals import QuantileCurve, _quantile_index, u_grid
 
 DEFAULT_K = 50
@@ -125,7 +126,7 @@ if hasattr(os, "register_at_fork"):
 
 
 def _on_workers(items, work: Callable, _order=None) -> list:
-    """What ``work(item)`` returns or raises, per item, in item order.
+    """What ``work(item)`` returns, per item, in item order, or what a serial pass raises.
 
     min(usable CPUs, items) workers take items from one queue: the calling
     thread and as many of the process's helper threads (``_Helpers``) as
@@ -133,16 +134,16 @@ def _on_workers(items, work: Callable, _order=None) -> list:
     so at most usable CPUs - 1 of them. The queue holds the items in item
     order, or in ``_order``, a permutation of their indices. Once an item
     raises, no worker starts an item after it in item order, while the items
-    before it still run, so every item before the first in item order that
-    raised has its result, and later ones may hold None: the first exception
-    in item order is the one a serial pass would raise. One worker runs
-    every item on the calling thread and queues nothing. The call returns
-    once no helper works on its items; a helper that had not begun by the
-    time the calling thread emptied the queue never begins, so a call made
-    from within ``work`` needs no free helper. ``work`` runs on several
-    threads at once and must keep whatever it keeps per thread itself; every
-    HiGHS run is on its thread's own instance (``lpcore``). HiGHS runs
-    outside the interpreter lock, so LP work gains from the threads.
+    before it still run, so the call raises the exception of the earliest
+    item in item order that raised, the one a serial pass would raise. One
+    worker runs every item on the calling thread and queues nothing. The
+    call returns or raises once no helper works on its items; a helper that
+    had not begun by the time the calling thread emptied the queue never
+    begins, so a call made from within ``work`` needs no free helper.
+    ``work`` runs on several threads at once and must keep whatever it
+    keeps per thread itself; every HiGHS run is on its thread's own
+    instance (``lpcore``). HiGHS runs outside the interpreter lock, so LP
+    work gains from the threads.
     """
     items = list(items)
     found = [None] * len(items)
@@ -151,8 +152,9 @@ def _on_workers(items, work: Callable, _order=None) -> list:
     todo = queue.SimpleQueue()
     for i in range(len(items)) if _order is None else _order:
         todo.put(i)
-    # the first item, in item order, that raised; -1 stops every worker
-    raised, state = [len(items)], threading.Condition()
+    # the first item, in item order, that raised (-1 stops every worker), and
+    # what each item that raised raised
+    raised, errors, state = [len(items)], {}, threading.Condition()
 
     def drain():
         while True:
@@ -165,14 +167,12 @@ def _on_workers(items, work: Callable, _order=None) -> list:
             try:
                 found[i] = work(items[i])
             except Exception as exc:  # raised again by the caller, in order
-                found[i] = exc
                 with state:
+                    errors[i] = exc
                     raised[0] = min(raised[0], i)
 
+    # the calling thread and ``helpers`` helper threads; with none, nothing is queued
     helpers = min(_usable_cpus(), len(items)) - 1
-    if helpers < 1:
-        drain()
-        return found
     # helper tasks not begun, those running, and what escaped ``drain`` on a helper
     unbegun, running, escaped = [helpers], [0], []
 
@@ -200,14 +200,8 @@ def _on_workers(items, work: Callable, _order=None) -> list:
             state.wait_for(lambda: not running[0])
     if escaped:
         raise escaped[0]
-    return found
-
-
-def _raise_first(found: list) -> list:
-    """The results of ``_on_workers``, or the first exception among them raised."""
-    for result in found:
-        if isinstance(result, Exception):
-            raise result
+    if errors:
+        raise errors[min(errors)]
     return found
 
 
@@ -647,14 +641,13 @@ class _CopulaProgram:
     it against every row of the full program.
 
     The program keeps its rows as the CSR arrays (indptr, int32 indices,
-    values) that ``lpcore`` takes. ``bound`` finds every value of a program by
-    one run of its one ``session()``, on the calling thread: the arrays of
-    the rows not in ``dropped_rows`` (SI's 2-increasing rows), run from the
-    basis of the independence copula rc/(m1 m2) (``_start_masks``), made
-    once per shape (``_start_basis``); "none" has none and presolves each
-    run. A run's optimum is accepted where it stands
-    within 1e-9 of every row of the program, else one cold ``solve`` of the
-    whole program's arrays runs.
+    values) that ``lpcore.solve_lp`` takes. ``bound`` finds each value by one
+    ``run``, on the calling thread: ``solve_lp`` on the arrays of the rows not
+    in ``dropped_rows`` (SI's 2-increasing rows), from the basis of the
+    independence copula rc/(m1 m2) (``_start_masks``), made once per shape
+    (``_start_basis``); "none" has none and presolves each run. A run's
+    optimum is accepted where it stands within 1e-9 of every row of the
+    program, else one cold ``solve`` of the whole program's arrays runs.
     """
 
     def __init__(self, rows, cols, tag: str):
@@ -714,7 +707,6 @@ class _CopulaProgram:
             self.lb = np.multiply.outer(rows[1:n1], cols[1:n2]).ravel() / float(m1 * m2)
         else:
             self.lb = np.zeros(self.nvar)
-        self._session = None
 
     def fold(self, coefs):
         """(interior coefficients, boundary constant) of coefs . S on the breakpoint grid.
@@ -733,31 +725,29 @@ class _CopulaProgram:
         program = (self._csr, np.full(self.b_le.size, -np.inf), self.b_le, self.lb, self.ub)
         return _solve(coefs, _SENSES[sense], program, t, self.tag, self.k)
 
-    def session(self) -> LpSession:
-        """The HiGHS session of the program without its dropped rows, built on
-        first use and kept; any thread may run it. Two threads that ask at
-        once may each build one, and either serves."""
-        if self._session is None:
-            kept = self.dropped_rows.stop
-            indptr, indices, values = self._csr
-            at = indptr[kept]
-            rows = (indptr[kept:] - at, indices[at:], values[at:])
-            b = self.b_le[kept:]
-            basis = _start_basis(self.nvar, b.size, self.tag)
-            self._session = LpSession(rows, np.full(b.size, -np.inf), b, self.lb, self.ub, basis)
-        return self._session
+    def run(self, coefs, sense) -> LpSolution:
+        """min or max of coefs . S without the dropped rows: one run from the
+        start basis of the program's shape, however it ends."""
+        kept = self.dropped_rows.stop
+        indptr, indices, values = self._csr
+        at = indptr[kept]
+        b = self.b_le[kept:]
+        rows = (indptr[kept:] - at, indices[at:], values[at:])
+        basis = _start_basis(self.nvar, b.size, self.tag)
+        return solve_lp(
+            coefs, _SENSES[sense], rows, np.full(b.size, -np.inf), b, self.lb, self.ub, basis
+        )
 
     def bound(self, coefs, const, sense, t):
         """(value, runs): one side of const + coefs . S, a probability, over the feasible S.
 
-        Zero costs give const in [0, 1] and no run. Else one run of
-        ``session()`` on the calling thread, whose optimum stands within
-        1e-9 of every row of the program; any other end adds one cold
-        ``solve``, run last.
+        Zero costs give const in [0, 1] and no run. Else one ``run`` on the
+        calling thread, whose optimum stands within 1e-9 of every row of the
+        program; any other end adds one cold ``solve``, run last.
         """
         if not np.any(coefs):
             return min(max(const, 0.0), 1.0), ()
-        run = self.session().solve(coefs, _SENSES[sense])
+        run = self.run(coefs, sense)
         if run.status == "optimal" and np.all(self._rows_at(run.x) <= self.b_le + _CERT_TOL):
             return const + run.objective, (run,)
         cold = self.solve(coefs, sense, t)
@@ -797,7 +787,7 @@ class _CopulaProgram:
 
 def _start_masks(nvar: int, nrows: int, tag: str):
     """(col_basic, row_basic) of the independence copula rc/(m1 m2) in a
-    session of ``nvar`` variables and ``nrows`` rows, or None under "none".
+    ``run`` of ``nvar`` variables and ``nrows`` rows, or None under "none".
 
     It is a vertex of both restricted programs. SI: every S(r,c) strictly
     inside its bounds and basic, the j-direction concavity rows (tight, one
@@ -815,7 +805,7 @@ def _start_masks(nvar: int, nrows: int, tag: str):
 @functools.cache
 def _start_basis(nvar: int, nrows: int, tag: str):
     """The ``HighsBasis`` of ``_start_masks``, or None: made once per shape and
-    shared by every session of that shape, which HiGHS only reads."""
+    shared by every run of that shape, which HiGHS only reads."""
     masks = _start_masks(nvar, nrows, tag)
     return None if masks is None else _highs_basis(*masks)
 
@@ -829,8 +819,7 @@ def _staircase_form(tag: str, b):
     """(program, coefs, const): P(Delta <= t) of the staircase b on the coarse program it touches.
 
     The rows are 0, k and the run boundaries of b, the columns 0, k and the
-    b_i (see ``_CopulaProgram``). The program is new on every call, so its
-    session ends with the value.
+    b_i (see ``_CopulaProgram``).
     """
     k = b.size
     rows = np.concatenate([[0], np.flatnonzero(b[1:] != b[:-1]) + 1, [k]])
@@ -873,11 +862,11 @@ class _Envelopes:
     list of oracles lack in one run of ``_on_workers``, the largest programs
     first, as ``sizes(staircases)`` reads them (all equal without it);
     ``dense`` is that pass over one oracle, and ``invert`` finds the two
-    sides on ``_on_workers``. Every run is of its program's session, on the
-    calling thread, and starts from the program's start basis, so a value
-    depends neither on the order in which values are asked for nor on the
-    thread that found it. From the runs ``bound``
-    returns, ``solves`` counts the values that took a session run,
+    sides on ``_on_workers``. Every run is its program's ``run``, on the
+    calling thread, from the program's start basis, so a value depends
+    neither on the order in which values are asked for nor on the thread
+    that found it. From the runs ``bound`` returns, ``solves`` counts the
+    values that took a ``run``,
     ``fallbacks`` the cold solves, and ``iterations`` sums the simplex
     iterations of both; ``recalled`` counts the values kept from an equal
     staircase.
@@ -1025,11 +1014,9 @@ class _Envelopes:
         return pending, solve, self._sizes(self._staircases[:, [idx for _, idx in solve]])
 
     def _close(self, pending, solve, found) -> None:
-        """Keep what was found for ``solve``, in order, up to the first that
-        raised, which is raised; then every other pending index recalls its value."""
+        """Keep what was found for ``solve``, in order; then every other
+        pending index recalls its value."""
         for (side, idx), result in zip(solve, found):
-            if isinstance(result, Exception):
-                raise result
             self._keep(side, idx, result)
         for side, idx in pending:
             if np.isnan(self._values[side][idx]):
@@ -1043,9 +1030,10 @@ class _Envelopes:
         first index of each distinct (side, staircase) left open is then one
         item of ``_on_workers``, oracle by oracle, every min in index order
         and then every max, and the items run largest program first, ties in
-        that order. The oracles keep them as ``dense`` on each in turn would:
-        in that order, up to the first that raised, which is raised; the
-        other indices recall those values.
+        that order. The oracles keep them as ``dense`` on each in turn would,
+        in that order, and the other indices recall those values. Where an
+        item raises, the pass raises what that serial order would raise
+        first, and no oracle keeps a value the pass found.
         """
         plans = [env._open() for env in oracles]
         items = [(env, *item) for env, (_, solve, _) in zip(oracles, plans) for item in solve]
@@ -1145,8 +1133,9 @@ class _Envelopes:
         """
         if not 0.0 < tau < 1.0:
             raise ValueError("tau must lie in (0, 1)")
-        found = _raise_first(_on_workers(_SENSES, functools.partial(self._inverse, tau=tau)))
-        (upper, trunc_u), (lower, trunc_l) = found
+        (upper, trunc_u), (lower, trunc_l) = _on_workers(
+            _SENSES, functools.partial(self._inverse, tau=tau)
+        )
         return QoteBounds(lower, upper, truncated_lower=trunc_l, truncated_upper=trunc_u)
 
 
@@ -1264,6 +1253,8 @@ def bernstein_lp_bounds(
     tag = _program_tag(assumptions)
     if m1 < 1 or m2 < 1:
         raise ValueError("degrees m1, m2 must be at least 1")
+    if quad_points < 1:
+        raise ValueError("quad_points must be at least 1")
     t_grid = _checked_t_grid(default_t_grid(q1.values, q0.values) if t_grid is None else t_grid)
     nodes = (np.arange(quad_points) + 0.5) / quad_points
     q1n = _curve_values(q1, nodes)

@@ -4,18 +4,15 @@ Prog. Comp. 2018), through the bindings scipy (1.15 or later) bundles as
 
 Every program takes one form, the one HiGHS takes: min or max c.x subject to
 row_lower <= A x <= row_upper and lower <= x <= upper, with A given as the
-arrays (indptr, indices, values) of a CSR matrix. An ``LpSession`` holds one
-such program, checked, and runs it once per cost change, each time from the
-same given start basis or from no basis. ``solve_lp`` is one run of a fresh
-session from no basis, so HiGHS presolves it. ``_run`` runs every model,
-checking the costs and the sense first; a run reports how it ended and is
-never solved again.
+arrays (indptr, indices, values) of a CSR matrix. ``solve_lp`` is the one LP
+call: it checks the program, passes it into the calling thread's HiGHS
+instance and runs it once, from a given start basis or from none. A run
+reports how it ended and is never solved again.
 
-Each thread keeps one HiGHS instance for as long as it lives. A session owns
-no model: its ``_highs`` passes the program into the calling thread's
-instance, with every option reset, whenever that instance last held another
-session's, so any thread may run any session, and a run does not depend on
-the runs before it on that thread.
+Each thread keeps one HiGHS instance for as long as it lives. Every call
+resets that instance's options and passes its program in afresh, so a run
+does not depend on the runs before it on that thread, and any thread may
+run any program.
 
 Importing the module loads no scipy. The bindings load where they are first
 used, through the cached loader ``_bindings``; without them that first use
@@ -31,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-# the calling thread's HiGHS instance (``highs``) and the session whose model it holds (``held``)
+# the calling thread's HiGHS instance, ``highs``, made on its first LP
 _thread = threading.local()
 
 
@@ -71,14 +68,42 @@ def _highs_basis(col_basic, row_basic):
     return basis
 
 
-def _run(highs, c, sense: str, basis) -> LpSolution:
-    """One run of a model for costs c, from ``basis`` or, if None or refused, from none.
+def solve_lp(c, sense, rows, row_lower, row_upper, lower, upper, basis=None) -> LpSolution:
+    """min or max c.x s.t. row_lower <= A x <= row_upper, lower <= x <= upper: one run.
 
-    It ends optimal, infeasible, unbounded, or failed for any other HiGHS
-    model status (iteration limit, numerical trouble).
+    ``rows`` holds A's CSR arrays (indptr, indices, values), which HiGHS
+    copies as contiguous int32 and float64 arrays, every column continuous.
+    The values and costs must be finite, the lengths match, the column
+    indices lie below the number of columns, each lower bound lie at or
+    below its upper one, and ``sense`` be minimize or maximize; a row or
+    column bound may be infinite. The program is passed into the calling
+    thread's HiGHS instance, after its options are reset and its output
+    turned off, which raises if HiGHS refuses it. The run starts the simplex
+    from ``basis``, a ``HighsBasis``; without one, or where HiGHS refuses
+    it, from no basis, so HiGHS presolves. It ends optimal, infeasible,
+    unbounded, or failed for any other HiGHS model status (iteration limit,
+    numerical trouble), and reports its simplex iterations. HiGHS runs
+    outside the interpreter lock, so calls on several threads solve in
+    parallel.
     """
-    c = np.asarray(c, dtype=float)
-    n = highs.getNumCol()
+    indptr, indices, values = rows
+    lower, upper, row_lower, row_upper = (
+        np.ascontiguousarray(v, dtype=np.float64) for v in (lower, upper, row_lower, row_upper)
+    )
+    n, m = lower.size, indptr.size - 1
+    if upper.size != n:
+        raise ValueError("bounds have wrong length")
+    if row_lower.size != m or row_upper.size != m:
+        raise ValueError("row bounds have wrong lengths")
+    if not indices.size == values.size == indptr[-1]:
+        raise ValueError("rows have wrong lengths")
+    if indices.size and not (indices.min() >= 0 and indices.max() < n):
+        raise ValueError("rows have wrong number of columns")
+    if not (np.all(lower <= upper) and np.all(row_lower <= row_upper)):
+        raise ValueError("lower bound exceeds upper bound")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("coefficients must be finite")
+    c = np.ascontiguousarray(c, dtype=np.float64)
     if c.shape != (n,):
         raise ValueError(f"costs have wrong length: {c.size}, not {n}")
     if not np.all(np.isfinite(c)):
@@ -86,11 +111,22 @@ def _run(highs, c, sense: str, basis) -> LpSolution:
     if sense not in ("minimize", "maximize"):
         raise ValueError("sense must be minimize or maximize")
     core = _bindings()
-    highs.changeObjectiveSense(
-        core.ObjSense.kMinimize if sense == "minimize" else core.ObjSense.kMaximize
+    highs = getattr(_thread, "highs", None)
+    if highs is None:
+        highs = _thread.highs = core._Highs()
+    highs.resetOptions()
+    highs.setOptionValue("output_flag", False)
+    objective = core.ObjSense.kMinimize if sense == "minimize" else core.ObjSense.kMaximize
+    status = highs.passModel(
+        n, m, indices.size, int(core.MatrixFormat.kRowwise), int(objective), 0.0, c,
+        lower, upper, row_lower, row_upper,
+        np.ascontiguousarray(indptr, dtype=np.int32),
+        np.ascontiguousarray(indices, dtype=np.int32),
+        np.ascontiguousarray(values, dtype=np.float64),
+        np.zeros(n, dtype=np.int32),
     )
-    highs.changeColsCost(n, np.arange(n, dtype=np.int32), c)
-    highs.clearSolver()  # nothing an earlier run left carries over
+    if status == core.HighsStatus.kError:
+        raise ValueError("HiGHS refused the model")
     if basis is not None:
         highs.setBasis(basis)
     highs.run()
@@ -110,89 +146,3 @@ def _run(highs, c, sense: str, basis) -> LpSolution:
         iterations=int(info.simplex_iteration_count),
         message=highs.modelStatusToString(status),
     )
-
-
-def solve_lp(c, sense, rows, row_lower, row_upper, lower, upper) -> LpSolution:
-    """One run of a fresh ``LpSession`` of the program, from no basis."""
-    return _run(LpSession(rows, row_lower, row_upper, lower, upper)._highs(), c, sense, None)
-
-
-class LpSession:
-    """min or max c.x s.t. row_lower <= A x <= row_upper, lower <= x <= upper, for many c.
-
-    ``rows`` holds A's CSR arrays (indptr, indices, values), which HiGHS
-    copies as contiguous int32 and float64 arrays, every column continuous.
-    The values must be finite, the lengths match, the column indices lie
-    below the number of columns, and each lower bound lie at or below its
-    upper one; a row or column bound may be infinite. The session keeps the
-    checked arrays and passes them to HiGHS once on construction, which
-    raises if HiGHS refuses them; each ``solve`` changes only the costs and
-    the objective sense. With a ``basis``, a ``HighsBasis``, every solve
-    starts the simplex from it. Without one, or where HiGHS refuses it, each
-    solve starts from no basis, so HiGHS presolves it afresh. Either way no
-    solve depends on the ones before it. Each solve is one run that reports
-    its end (optimal, infeasible, unbounded, or failed for any other, such
-    as an iteration limit) and its simplex iterations, and is never solved
-    again. A session owns no HiGHS model, so any thread may run it, on that
-    thread's instance (``_highs``); HiGHS runs outside the interpreter lock,
-    so sessions on several threads solve in parallel.
-    """
-
-    def __init__(self, rows, row_lower, row_upper, lower, upper, basis=None):
-        indptr, indices, values = rows
-        lower, upper, row_lower, row_upper = (
-            np.ascontiguousarray(v, dtype=np.float64) for v in (lower, upper, row_lower, row_upper)
-        )
-        n, m = lower.size, indptr.size - 1
-        if upper.size != n:
-            raise ValueError("bounds have wrong length")
-        if row_lower.size != m or row_upper.size != m:
-            raise ValueError("row bounds have wrong lengths")
-        if not indices.size == values.size == indptr[-1]:
-            raise ValueError("rows have wrong lengths")
-        if indices.size and not (indices.min() >= 0 and indices.max() < n):
-            raise ValueError("rows have wrong number of columns")
-        if not (np.all(lower <= upper) and np.all(row_lower <= row_upper)):
-            raise ValueError("lower bound exceeds upper bound")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("coefficients must be finite")
-        self._model = (
-            n, m, lower, upper, row_lower, row_upper,
-            np.ascontiguousarray(indptr, dtype=np.int32),
-            np.ascontiguousarray(indices, dtype=np.int32),
-            np.ascontiguousarray(values, dtype=np.float64),
-        )
-        self._basis = basis
-        self._highs()
-
-    def _highs(self):
-        """The calling thread's HiGHS instance, holding this session's model.
-
-        The thread's instance is made on its first use. Where it last held
-        another session's model, its options are reset, its output is turned
-        off and this model is passed in, so what an earlier session set on
-        it does not carry over.
-        """
-        highs = getattr(_thread, "highs", None)
-        if highs is None:
-            highs = _thread.highs = _bindings()._Highs()
-            _thread.held = None
-        if _thread.held is not self:
-            core = _bindings()
-            _thread.held = None
-            highs.resetOptions()
-            highs.setOptionValue("output_flag", False)
-            n, m, lower, upper, row_lower, row_upper, indptr, indices, values = self._model
-            status = highs.passModel(
-                n, m, indices.size, int(core.MatrixFormat.kRowwise), int(core.ObjSense.kMinimize),
-                0.0, np.zeros(n), lower, upper, row_lower, row_upper, indptr, indices, values,
-                np.zeros(n, dtype=np.int32),
-            )
-            if status == core.HighsStatus.kError:
-                raise ValueError("HiGHS refused the model")
-            _thread.held = self
-        return highs
-
-    def solve(self, c, sense: str = "minimize") -> LpSolution:
-        """One run for costs c, however it ends."""
-        return _run(self._highs(), c, sense, self._basis)

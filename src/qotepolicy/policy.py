@@ -4,7 +4,7 @@ Two distinct regret functionals live here and must not be conflated. The
 reported maximum regret treats a stochastic rule as a Bernoulli draw A(x)
 with success probability delta(x) and takes the expectation over A as well,
 which makes the straddle-cell value U*(1-delta) + (-L)*delta. The quantity
-the minimax rules optimize is the pointwise worst case with delta held fixed,
+the minimax rules optimize is the pointwise worst case with delta kept fixed,
 max{(1-delta)*max(U,0), delta*max(-L,0)}, whose minimizer is U/(U-L); its
 minimized value is the asymptotic leading term, not the attained regret.
 """
@@ -186,7 +186,7 @@ def maximin_rule(b: QoteBounds) -> float:
 
 
 def cell_max_regret(b: QoteBounds, delta: float) -> float:
-    """Worst case over effects inside the bounds with delta held fixed.
+    """Worst case over effects inside the bounds with delta kept fixed.
 
     max{(1 - delta) max(U, 0), delta max(-L, 0)}: the functional whose
     minimizers are the minimax rules. For the value attained when a

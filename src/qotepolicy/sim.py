@@ -37,7 +37,6 @@ from .bounds import (
     QoteBounds,
     _Envelopes,
     _on_workers,
-    _raise_first,
     _staircase_qote,
     default_t_grid,
     qote_coupling_bounds,
@@ -381,7 +380,7 @@ def _joint_outcomes(dgp: DgpSpec, n: int, rng) -> Tuple[np.ndarray, np.ndarray]:
     """n joint draws (y1, y0) = (mu1 + sd1 z0, mu0 + sd0 (rho z0 + sqrt(1 - rho^2) z1)).
 
     Built in place, so the n x 2 normals and the two outcome arrays are the
-    most held at once, and only the outcomes during the exp. Each operation
+    most kept in memory at once, and only the outcomes during the exp. Each operation
     is the one the formula does on fresh arrays, with its operands swapped at
     most, so the floats are the formula's.
     """
@@ -471,7 +470,7 @@ def _collected_actions(dgp: DgpSpec, tau: float, n: int, reps: int, seed: int, k
     def actions_of(rep):
         return _rep_actions(dgp, tau, n, k, (seed, rep))
 
-    found = _raise_first(_on_workers(range(reps), actions_of))
+    found = _on_workers(range(reps), actions_of)
     return tuple((est, tuple(acts[est] for acts in found)) for est in ESTIMATORS)
 
 

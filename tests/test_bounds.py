@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -69,18 +70,33 @@ def _staircase(v1, v0, t):
     return _pairs_above(v1, v0, float(t))[:, 0]
 
 
+def _options_after_reset(monkeypatch, applies, **options):
+    """Set HiGHS ``options`` over the reset each ``solve_lp`` makes before it
+    passes its model in, in the calls for which ``applies()`` holds."""
+    core = lpcore._bindings()
+    reset = core._Highs.resetOptions
+
+    def reset_then_set(highs):
+        status = reset(highs)
+        if applies():
+            for name, value in options.items():
+                highs.setOptionValue(name, value)
+        return status
+
+    monkeypatch.setattr(core._Highs, "resetOptions", reset_then_set)
+
+
 def _tight_cold(prog, coefs, sense):
     """One cold run of the whole program at 1e-10 primal and dual feasibility
-    tolerances, through ``lpcore._run``, which tests that patch
-    ``LpSession.solve`` leave as it is. The tolerances are set on the
-    thread's HiGHS instance, which resets them for the next session's model."""
-    session = lpcore.LpSession(
-        prog._csr, np.full(prog.b_le.size, -np.inf), prog.b_le, prog.lb, prog.ub
-    )
-    highs = session._highs()
-    for option in ("primal_feasibility_tolerance", "dual_feasibility_tolerance"):
-        highs.setOptionValue(option, 1e-10)
-    sol = lpcore._run(highs, coefs, bounds._SENSES[sense], None)
+    tolerances, through ``lpcore.solve_lp``, which tests that patch
+    ``bounds.solve_lp`` or ``_CopulaProgram.run`` leave as it is."""
+    with pytest.MonkeyPatch.context() as patch:
+        tolerances = ("primal_feasibility_tolerance", "dual_feasibility_tolerance")
+        _options_after_reset(patch, lambda: True, **dict.fromkeys(tolerances, 1e-10))
+        sol = lpcore.solve_lp(
+            coefs, bounds._SENSES[sense], prog._csr, np.full(prog.b_le.size, -np.inf), prog.b_le,
+            prog.lb, prog.ub,
+        )
     assert sol.status == "optimal"
     return sol
 
@@ -690,19 +706,13 @@ def test_si_k50_envelope_where_a_session_row_broke_is_the_cold_optimum():
 
 @pytest.mark.parametrize("tag", ["SI", "PQD"])
 def test_a_session_optimum_that_breaks_any_row_costs_one_cold_solve(monkeypatch, tag):
-    # each session run reports an optimum moved to break the first row the
-    # session holds by 1e-7; the check over every row of the program sends
-    # each such value to the cold solve, which gives the right one
-    session_of, session_solve = bounds._CopulaProgram.session, lpcore.LpSession.solve
+    # each run reports an optimum moved to break the first row the run
+    # holds by 1e-7; the check over every row of the program sends each such
+    # value to the cold solve, which gives the right one
+    run_of = bounds._CopulaProgram.run
 
-    def recorded_session(prog):
-        session = session_of(prog)
-        session.prog = prog
-        return session
-
-    def broken_run(self, c, sense="minimize"):
-        run = session_solve(self, c, sense)
-        prog = self.prog
+    def broken_run(prog, coefs, sense):
+        run = run_of(prog, coefs, sense)
         row = prog.dropped_rows.stop
         a = rows_matrix(prog)[row].toarray().ravel()
         run.x = run.x + (prog.b_le[row] - a @ run.x + 1e-7) * a / (a @ a)
@@ -712,8 +722,7 @@ def test_a_session_optimum_that_breaks_any_row_costs_one_cold_solve(monkeypatch,
     v1, v0 = q1.values, q0.values
     grid = default_t_grid(v1, v0, 21)
     want = np.array(_Envelopes.of_values(v1, v0, tag, grid).dense())
-    monkeypatch.setattr(bounds._CopulaProgram, "session", recorded_session)
-    monkeypatch.setattr(lpcore.LpSession, "solve", broken_run)
+    monkeypatch.setattr(bounds._CopulaProgram, "run", broken_run)
     env = _Envelopes.of_values(v1, v0, tag, grid)
     got = np.array(env.dense())
     assert env.fallbacks == env.solves > 0
@@ -850,39 +859,40 @@ def test_a_refused_start_basis_solves_from_no_basis(monkeypatch, tag):
 
 @pytest.mark.parametrize("tag", ["SI", "PQD"])
 def test_a_session_run_that_ends_non_optimal_costs_one_cold_full_solve(monkeypatch, tag):
-    # every session model stops at its first iteration, so each run ends
-    # optimal only where the start basis already is; the cold solves run on
-    # fresh models of the whole program the session left rows out of, and
-    # are not capped
-    session_solve, solve_lp = lpcore.LpSession.solve, lpcore.solve_lp
-    session_of = bounds._CopulaProgram.session
-    runs, cold, lock = [], [], threading.Lock()
+    # every run stops at its first iteration, so it ends optimal only where
+    # the start basis already is; the cold solves run the whole program the
+    # run left rows out of, and are not capped, and no LP but these runs and
+    # cold solves is solved
+    run_of, cold_solve, solve_lp = bounds._CopulaProgram.run, bounds._solve, bounds.solve_lp
+    runs, cold, lps, lock, capped = [], [], [0], threading.Lock(), threading.local()
 
-    def recorded_session(prog):
-        session = session_of(prog)
-        session._highs().setOptionValue("simplex_iteration_limit", 0)
-        session.prog = prog
-        return session
-
-    def recorded_run(self, c, sense="minimize"):
-        run = session_solve(self, c, sense)
+    def recorded_run(prog, coefs, sense):
+        capped.on = True
+        try:
+            run = run_of(prog, coefs, sense)
+        finally:
+            capped.on = False
         with lock:
-            runs.append((run, self.prog))
+            runs.append((run, prog))
         return run
 
-    def recorded_cold(c, sense, *program):
-        sol = solve_lp(c, sense, *program)
+    def recorded_cold(c, sense, program, *where):
+        sol = cold_solve(c, sense, program, *where)
         with lock:
             cold.append((program, sol))
         return sol
 
-    def hidden_solve(*program):
-        raise AssertionError("a session run was solved again")
+    def counted_lp(*program):
+        with lock:
+            lps[0] += 1
+        return solve_lp(*program)
 
-    monkeypatch.setattr(bounds._CopulaProgram, "session", recorded_session)
-    monkeypatch.setattr(lpcore.LpSession, "solve", recorded_run)
-    monkeypatch.setattr(bounds, "solve_lp", recorded_cold)
-    monkeypatch.setattr(lpcore, "solve_lp", hidden_solve)
+    _options_after_reset(
+        monkeypatch, lambda: getattr(capped, "on", False), simplex_iteration_limit=0
+    )
+    monkeypatch.setattr(bounds._CopulaProgram, "run", recorded_run)
+    monkeypatch.setattr(bounds, "_solve", recorded_cold)
+    monkeypatch.setattr(bounds, "solve_lp", counted_lp)
     q1, q0 = population_curves(SUBGROUPS[2], 12)
     v1, v0 = q1.values, q0.values
     grid = default_t_grid(v1, v0, 21)
@@ -891,7 +901,8 @@ def test_a_session_run_that_ends_non_optimal_costs_one_cold_full_solve(monkeypat
     stopped = [prog for run, prog in runs if run.status != "optimal"]
     assert 0 < len(stopped) < len(runs) == env.solves
     assert len(cold) == len(stopped) == env.fallbacks
-    # each cold solve runs every row of the program whose session run stopped
+    assert lps[0] == len(runs) + len(cold)
+    # each cold solve runs every row of the program whose run stopped
     assert sorted(id(rows) for (rows, *_), _ in cold) == sorted(id(prog._csr) for prog in stopped)
     cold_iterations = sum(sol.iterations for _, sol in cold)
     assert cold_iterations > 0
@@ -901,26 +912,27 @@ def test_a_session_run_that_ends_non_optimal_costs_one_cold_full_solve(monkeypat
 
 
 def _count_lp_solves(monkeypatch):
-    """Counters of session and cold solves, through the seams test_cli patches.
+    """Counters of runs and cold solves, through ``_CopulaProgram.run``, the
+    seam test_cli patches, and ``bounds._solve``.
 
     A dense pass solves on several threads, so each count takes a lock.
     """
-    counts = {"session": 0, "cold": 0}
-    session_solve, cold_solve = lpcore.LpSession.solve, bounds.solve_lp
+    counts = {"run": 0, "cold": 0}
+    run_of, cold_solve = bounds._CopulaProgram.run, bounds._solve
     lock = threading.Lock()
 
-    def counted_session(self, c, sense="minimize"):
+    def counted_run(prog, coefs, sense):
         with lock:
-            counts["session"] += 1
-        return session_solve(self, c, sense)
+            counts["run"] += 1
+        return run_of(prog, coefs, sense)
 
     def counted_cold(*program):
         with lock:
             counts["cold"] += 1
         return cold_solve(*program)
 
-    monkeypatch.setattr(lpcore.LpSession, "solve", counted_session)
-    monkeypatch.setattr(bounds, "solve_lp", counted_cold)
+    monkeypatch.setattr(bounds._CopulaProgram, "run", counted_run)
+    monkeypatch.setattr(bounds, "_solve", counted_cold)
     return counts
 
 
@@ -929,16 +941,16 @@ def _workers(monkeypatch, count):
 
 
 def test_lp_counts_do_not_rise(monkeypatch):
-    # pinned LP counts: every session solve starts from the independence
+    # pinned LP counts: every run starts from the independence
     # basis, so only a change of the memo, of the probes or of the programs
     # shows here; a count may fall, never rise. Each pin holds on one worker
     # and on two.
     counts = _count_lp_solves(monkeypatch)
 
     def solved(call):
-        counts.update(session=0, cold=0)
+        counts.update(run=0, cold=0)
         call()
-        return counts["session"], counts["cold"]
+        return counts["run"], counts["cold"]
 
     made = []
     of_values = _Envelopes.of_values.__func__
@@ -1131,7 +1143,6 @@ def test_lps_that_fail_on_both_sides_of_a_lazy_inversion_raise_the_min_sides(mon
     # every run fails; the min side's failing solve waits until the max
     # side's has raised, and the min side's error is still the one raised
     failed = LpSolution(status="failed", message="stalled")
-    monkeypatch.setattr(lpcore.LpSession, "solve", lambda self, c, sense="minimize": failed)
     monkeypatch.setattr(bounds, "solve_lp", lambda *program: failed)
     q1, q0 = population_curves(SUBGROUPS[2], 12)
     si = AssumptionSet("SI")
@@ -1173,26 +1184,26 @@ def test_an_lp_that_fails_on_one_side_of_a_lazy_inversion_alone_is_raised(monkey
     q1, q0 = population_curves(SUBGROUPS[2], 12)
     si = AssumptionSet("SI")
     failed = LpSolution(status="failed", message="stalled")
-    session_solve, cold_solve = lpcore.LpSession.solve, bounds.solve_lp
+    run_of, cold_solve = bounds._CopulaProgram.run, bounds._solve
     other_side_began, failing_side_done, threads = threading.Event(), threading.Event(), {}
 
-    def gated_run(self, c, sense="minimize"):
+    def gated_run(prog, coefs, sense):
         threads.setdefault(sense, threading.get_ident())
-        if sense == side:
+        if bounds._SENSES[sense] == side:
             assert other_side_began.wait(timeout=60)
             return failed
         other_side_began.set()
         assert failing_side_done.wait(timeout=60)
-        return session_solve(self, c, sense)
+        return run_of(prog, coefs, sense)
 
-    def gated_cold(c, sense, *program):
+    def gated_cold(c, sense, program, t, tag, k):
         if sense == side:
             failing_side_done.set()
-            return failed
-        return cold_solve(c, sense, *program)
+            raise LpSolveError(failed, t, tag, k)
+        return cold_solve(c, sense, program, t, tag, k)
 
-    monkeypatch.setattr(lpcore.LpSession, "solve", gated_run)
-    monkeypatch.setattr(bounds, "solve_lp", gated_cold)
+    monkeypatch.setattr(bounds._CopulaProgram, "run", gated_run)
+    monkeypatch.setattr(bounds, "_solve", gated_cold)
     _workers(monkeypatch, 2)
     before = set(threading.enumerate())
     with pytest.raises(LpSolveError) as info:
@@ -1222,20 +1233,20 @@ def test_a_certificate_that_fails_on_a_helper_thread_falls_back_there(monkeypatc
     serial = oracle()
     want = serial.dense()
     caller, cold_elsewhere = threading.get_ident(), threading.Event()
-    session_solve, cold_solve = lpcore.LpSession.solve, bounds.solve_lp
+    run_of, cold_solve = bounds._CopulaProgram.run, bounds._solve
 
-    def gated_run(self, c, sense="minimize"):
+    def gated_run(prog, coefs, sense):
         if threading.get_ident() == caller:
             assert cold_elsewhere.wait(timeout=60)
-        return session_solve(self, c, sense)
+        return run_of(prog, coefs, sense)
 
     def recorded_cold(*program):
         if threading.get_ident() != caller:
             cold_elsewhere.set()
         return cold_solve(*program)
 
-    monkeypatch.setattr(lpcore.LpSession, "solve", gated_run)
-    monkeypatch.setattr(bounds, "solve_lp", recorded_cold)
+    monkeypatch.setattr(bounds._CopulaProgram, "run", gated_run)
+    monkeypatch.setattr(bounds, "_solve", recorded_cold)
     _workers(monkeypatch, 2)
     env = oracle()
     got = env.dense()
@@ -1252,7 +1263,6 @@ def test_an_lp_that_fails_on_a_helper_thread_raises_the_earliest_in_serial_order
     # one has raised, and the first is still the one reported. Items run
     # largest program first, so an item after the first may run before it
     failed = LpSolution(status="failed", message="stalled")
-    monkeypatch.setattr(lpcore.LpSession, "solve", lambda self, c, sense="minimize": failed)
     monkeypatch.setattr(bounds, "solve_lp", lambda *program: failed)
     q1, q0 = population_curves(SUBGROUPS[2], 12)
     v1, v0 = q1.values, q0.values
@@ -1324,17 +1334,15 @@ def test_on_workers_runs_items_in_the_given_order_and_raises_the_earliest(monkey
     if workers == 1:
         assert ran == order
     ran.clear()
-    found = bounds._on_workers(range(6), failing, order)
-    # every item before the earliest that raised ran, that one included
-    assert found[:2] == [0, errors[1]] and {0, 1} <= set(ran)
     with pytest.raises(ValueError) as info:
-        bounds._raise_first(found)
+        bounds._on_workers(range(6), failing, order)
     assert info.value is errors[1]
+    # every item before the earliest that raised ran, that one included
+    assert {0, 1} <= set(ran)
     if workers == 1:
         # 3 raises first: 5 and 4 come after it and are skipped, 0 and 1
         # still run; 1 raises, and 2 comes after it
         assert ran == [3, 0, 1]
-        assert found == [0, errors[1], None, errors[3], None, None]
     assert_only_kept_threads_started(before, bounds._helpers.threads, workers - 1)
 
 
@@ -1391,14 +1399,14 @@ def met(item):
 
 
 barrier = threading.Barrier(2, timeout=30)
-assert len(set(bounds._raise_first(bounds._on_workers(range(2), met)))) == 2
+assert len(set(bounds._on_workers(range(2), met))) == 2
 assert len(bounds._helpers.threads) == 1
 pid = os.fork()
 if pid == 0:
     code = 1
     try:
         barrier = threading.Barrier(2, timeout=30)
-        ran = bounds._raise_first(bounds._on_workers(range(2), met))
+        ran = bounds._on_workers(range(2), met)
         code = 0 if len(set(ran)) == 2 and len(bounds._helpers.threads) == 1 else 1
     finally:
         os._exit(code)
@@ -1419,7 +1427,10 @@ def test_a_forked_child_runs_on_workers_on_helpers_of_its_own():
 
 def _run_on_a_fresh_instance(c, sense, rows, row_lower, row_upper, lower, upper, basis=None):
     """One run of the program's model on a HiGHS instance of its own, which
-    no other model has been passed into and no option set on but output."""
+    no other model has been passed into and no option set on but output.
+
+    The model goes in with zero costs, to be minimised, and the costs and
+    sense are changed after, a second way to the model ``solve_lp`` passes."""
     core = lpcore._bindings()
     highs = core._Highs()
     highs.setOptionValue("output_flag", False)
@@ -1431,44 +1442,48 @@ def _run_on_a_fresh_instance(c, sense, rows, row_lower, row_upper, lower, upper,
         indptr.astype(np.int32), indices.astype(np.int32), values.astype(np.float64),
         np.zeros(n, dtype=np.int32),
     )
-    return lpcore._run(highs, c, sense, basis)
+    objective = core.ObjSense.kMinimize if sense == "minimize" else core.ObjSense.kMaximize
+    highs.changeObjectiveSense(objective)
+    highs.changeColsCost(n, np.arange(n, dtype=np.int32), np.asarray(c, dtype=float))
+    if basis is not None:
+        highs.setBasis(basis)
+    highs.run()
+    assert highs.getModelStatus() == core.HighsModelStatus.kOptimal
+    info = highs.getInfo()
+    return LpSolution(
+        "optimal", np.array(highs.getSolution().col_value), float(info.objective_function_value),
+        int(info.simplex_iteration_count),
+    )
 
 
 @pytest.mark.parametrize("tag", ["SI", "PQD"])
 def test_array_built_sessions_run_as_models_of_linear_programs(monkeypatch, tag):
-    # every session run of the dense envelopes of subgroups 1-8 at k = 20
-    # and 50 gives the objective bits, x and simplex iterations of a run of
-    # the CSR arrays of the same kept rows of the program, from the same start
-    # basis, on a fresh HiGHS instance. At k = 20, after each run a cold
-    # solve of all the program's rows passes another model into the thread's
-    # instance, and it too runs as on a fresh instance; so does the session's
-    # run again after it
-    session_of, session_solve = bounds._CopulaProgram.session, lpcore.LpSession.solve
-    runs = []
+    # every run of the dense envelopes of subgroups 1-8 at k = 20 and 50
+    # gives the objective bits, x and simplex iterations of a run of the CSR
+    # arrays of the same kept rows of the program, from the same start basis,
+    # on a fresh HiGHS instance. At k = 20, after each run a cold solve of all
+    # the program's rows passes another model into the thread's instance,
+    # and it too runs as on a fresh instance; so does the run made again
+    # after it
+    run_of, runs = bounds._CopulaProgram.run, []
 
-    def recorded_session(prog):
-        session = session_of(prog)
-        session.prog = prog
-        return session
-
-    def compared_run(self, c, sense="minimize"):
-        run = session_solve(self, c, sense)
-        prog, kept = self.prog, slice(self.prog.dropped_rows.stop, None)
+    def compared_run(prog, coefs, sense):
+        run = run_of(prog, coefs, sense)
+        c, sense_name, kept = coefs, bounds._SENSES[sense], slice(prog.dropped_rows.stop, None)
         b = prog.b_le[kept]
         basis = lpcore._highs_basis(*bounds._start_masks(prog.nvar, b.size, prog.tag))
         rows = csr_arrays(rows_matrix(prog)[kept])
         program = (rows, np.full(b.size, -np.inf), b, prog.lb, prog.ub)
-        runs.append((run, _run_on_a_fresh_instance(c, sense, *program, basis)))
+        runs.append((run, _run_on_a_fresh_instance(c, sense_name, *program, basis)))
         if prog.m1 == 20:
             rhs = prog.b_le
             whole = (prog._csr, np.full(rhs.size, -np.inf), rhs, prog.lb, prog.ub)
-            cold = lpcore.solve_lp(c, sense, *whole)
-            runs.append((cold, _run_on_a_fresh_instance(c, sense, *whole)))
-            runs.append((session_solve(self, c, sense), run))
+            cold = lpcore.solve_lp(c, sense_name, *whole)
+            runs.append((cold, _run_on_a_fresh_instance(c, sense_name, *whole)))
+            runs.append((run_of(prog, coefs, sense), run))
         return run
 
-    monkeypatch.setattr(bounds._CopulaProgram, "session", recorded_session)
-    monkeypatch.setattr(lpcore.LpSession, "solve", compared_run)
+    monkeypatch.setattr(bounds._CopulaProgram, "run", compared_run)
     _workers(monkeypatch, 1)
     for subgroup in range(1, 9):
         for k in (20, 50):
@@ -1541,17 +1556,17 @@ def test_one_pass_over_cells_equals_dense_passes_cell_by_cell(monkeypatch, tag):
         cells = [_Envelopes.of_values(v1[r], v0[r], tag, grid[r]) for r in range(2)]
         want = np.array([_monotone_envelopes(*env.dense()) for env in cells])
         made.clear()
-        counts.update(session=0, cold=0)
+        counts.update(run=0, cold=0)
         lower, upper = bounds._envelope_rows(tag, v1, v0, grid)
         assert np.stack([lower, upper], axis=1).tobytes() == want.tobytes()
         assert len(made) == 2
         for env, cell in zip(made, cells):
             assert [getattr(env, c) for c in counters] == [getattr(cell, c) for c in counters]
-        # the pass's session runs, cold solves and simplex iterations,
-        # pinned: a count may fall, never rise
+        # the pass's runs, cold solves and simplex iterations, pinned: a
+        # count may fall, never rise
         iterations = sum(env.iterations for env in made)
         pins = {"SI": (49, 0, 1322), "PQD": (49, 0, 2475)}
-        assert (counts["session"], counts["cold"], iterations) == pins[tag]
+        assert (counts["run"], counts["cold"], iterations) == pins[tag]
 
 
 def test_more_workers_than_cores_keep_every_value_once(monkeypatch):
@@ -1561,7 +1576,7 @@ def test_more_workers_than_cores_keep_every_value_once(monkeypatch):
     _workers(monkeypatch, 1)
     serial = _Envelopes.of_curves(q1, q0, AssumptionSet("SI"), t_grid=grid)
     want = serial.dense()
-    counts.update(session=0, cold=0)
+    counts.update(run=0, cold=0)
     _workers(monkeypatch, 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -1571,45 +1586,12 @@ def test_more_workers_than_cores_keep_every_value_once(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert np.array_equal(got, want)
-    # no item lost or taken twice: one session run per value solved
-    assert counts["session"] == env.solves == serial.solves
-
-
-def test_each_session_runs_only_on_the_thread_that_built_it(monkeypatch):
-    # every session is kept alive here, so no two share an id
-    built, runs, alive = [], set(), []
-    lock = threading.Lock()
-    init, solve = lpcore.LpSession.__init__, lpcore.LpSession.solve
-
-    def counted_init(self, *args):
-        init(self, *args)
-        with lock:
-            built.append((id(self), threading.get_ident()))
-            alive.append(self)
-
-    def recorded_solve(self, c, sense="minimize"):
-        with lock:
-            runs.add((id(self), threading.get_ident()))
-        return solve(self, c, sense)
-
-    monkeypatch.setattr(lpcore.LpSession, "__init__", counted_init)
-    monkeypatch.setattr(lpcore.LpSession, "solve", recorded_solve)
-    _workers(monkeypatch, 2)
-    q1, q0 = population_curves(SUBGROUPS[2], 12)
-    grid = default_t_grid(q1.values, q0.values, 41)
-    env = _Envelopes.of_curves(q1, q0, AssumptionSet("SI"), t_grid=grid)
-    env.dense()
-    # one session per run, of the coarse program of its staircase, on both threads
-    assert len(built) == env.solves > 0
-    assert len({thread for _, thread in built}) == 2
-    # every run is on a session built on the same thread, none on two threads
-    assert runs <= set(built)
-    assert len({session for session, _ in runs}) == len(runs)
-    # the inversions read only values the dense pass kept, so no worker builds a session
-    built.clear()
+    # no item lost or taken twice: one run per value solved
+    assert counts["run"] == env.solves == serial.solves
+    # the inversions read only values the dense pass kept, so they solve nothing
     env.invert(0.25)
     env.invert(0.5)
-    assert built == []
+    assert (counts["run"], counts["cold"], env.solves) == (serial.solves, 0, serial.solves)
 
 
 @pytest.mark.parametrize("tag", ["NoAssumption", "SI", "PQD"])
@@ -1720,6 +1702,51 @@ def test_bernstein_degree_one_is_independence():
     assert_allclose(env.lower, env.upper, atol=1e-9)
     with pytest.raises(ValueError, match="degrees"):
         bernstein_lp_bounds(q1, q0, m1=0)
+    for points in (0, -1):
+        with pytest.raises(ValueError, match="^quad_points must be at least 1$"):
+            bernstein_lp_bounds(q1, q0, quad_points=points)
+
+
+def test_bernstein_bytes_runs_and_iterations_are_pinned(monkeypatch):
+    # every value of a Bernstein envelope is one run of the one full program
+    # of degrees (10, 10), its model passed into HiGHS afresh for each, and
+    # a cold solve where the run's optimum breaks a row: the sha256 of the
+    # lower and upper bytes, the runs, the cold solves and the simplex
+    # iterations of both, on subgroups 2 and 7 at k = 50 and 61 t values.
+    # Pinned while one model served every run of the program
+    run_of, cold_solve = bounds._CopulaProgram.run, bounds._solve
+    counts = {}
+
+    def counted(name, sol):
+        runs, iterations = counts.get(name, (0, 0))
+        counts[name] = (runs + 1, iterations + sol.iterations)
+        return sol
+
+    monkeypatch.setattr(
+        bounds._CopulaProgram, "run", lambda prog, *args: counted("run", run_of(prog, *args))
+    )
+    monkeypatch.setattr(bounds, "_solve", lambda *args: counted("cold", cold_solve(*args)))
+    _workers(monkeypatch, 1)
+    pins = {
+        ("SI", 2): ("0e3c1a38fd6781417c7da83b576dd0640044a81cdc5ba5dbae1c7dbb6791452e", 122, 3,
+                    3488),
+        ("SI", 7): ("e22a48b813fdbea5179111e04c48a7de2f12803cae4d6dc52bf33684d44909bd", 116, 2,
+                    4661),
+        ("PQD", 2): ("4627141bc0c367f55a2eac120a1ac6c4f813399bc3ccd9533a1a6c5d95818c03", 122, 0,
+                     2048),
+        ("PQD", 7): ("d6c797b9aa7e65a495aed0fce118319e2f2e7e880a5d53630eb4b65bf8161ea2", 116, 0,
+                     1924),
+    }
+    for (tag, subgroup), pin in pins.items():
+        counts.clear()
+        q1, q0 = population_curves(SUBGROUPS[subgroup], 50)
+        grid = default_t_grid(q1.values, q0.values, 61)
+        env = bernstein_lp_bounds(q1, q0, AssumptionSet(tag), t_grid=grid, m1=10, m2=10)
+        digest = hashlib.sha256(env.lower.tobytes() + env.upper.tobytes()).hexdigest()
+        (runs, run_iterations), (colds, cold_iterations) = (
+            counts.get(name, (0, 0)) for name in ("run", "cold")
+        )
+        assert (digest, runs, colds, run_iterations + cold_iterations) == pin, (tag, subgroup)
 
 
 def test_bernstein_envelopes_nest_and_stay_valid():
@@ -1907,8 +1934,12 @@ def test_charnes_cooper_programs_are_bit_equal_to_the_sparse_stacks(monkeypatch,
     # array for array and dtype for dtype, those scipy.sparse stacks make of
     # the same program and event form, zeros dropped; its endpoints equal
     # runs of that reference program to the last bit
-    seen = []
-    monkeypatch.setattr(bounds, "solve_lp", lambda *p: seen.append(p) or lpcore.solve_lp(*p))
+    # the cold solves (c, sense, *program), as ``bounds._solve`` gets them
+    seen, solve = [], bounds._solve
+    monkeypatch.setattr(
+        bounds, "_solve", lambda c, sense, program, *where: seen.append((c, sense, *program))
+        or solve(c, sense, program, *where),
+    )
     rng = np.random.default_rng(70 + k)
     v1, v0 = np.sort(rng.normal(0.3, 1.2, size=k)), np.sort(rng.normal(size=k))
     q1, q0 = QuantileCurve(u_grid(k), v1), QuantileCurve(u_grid(k), v0)
@@ -1941,25 +1972,26 @@ def test_functional_bounds_lp_errors_name_the_program_tag_t_and_k(
     monkeypatch, failing, tag, program_tag
 ):
     # whichever LP of the call fails, its LpSolveError names the copula
-    # program's tag, the threshold and k. The Charnes-Cooper solves run
-    # through ``bounds.solve_lp``; the positivity check runs the program's
-    # session and, where that fails, a cold solve through it too
-    columns = []
+    # program's tag, the threshold and k. Every LP runs through
+    # ``bounds.solve_lp``: the positivity check is a run of the program and,
+    # where that fails, a cold solve; then come the Charnes-Cooper solves,
+    # with one more column
+    nvar = _copula_program(6, 6, program_tag).nvar
+    solve, columns = bounds.solve_lp, []
 
-    def failed(c, *_):
+    def failing_lp(c, *program):
         columns.append(np.size(c))
-        return LpSolution("failed", message="patched")
+        if failing == "positivity_check" or np.size(c) > nvar:
+            return LpSolution("failed", message="patched")
+        return solve(c, *program)
 
-    monkeypatch.setattr(bounds, "solve_lp", failed)
-    if failing == "positivity_check":
-        monkeypatch.setattr(lpcore.LpSession, "solve", lambda self, c, sense="minimize": failed(c))
+    monkeypatch.setattr(bounds, "solve_lp", failing_lp)
     q1, q0 = population_curves(SUBGROUPS[1], 6)
     with pytest.raises(LpSolveError) as err:
         functional_bounds(q1, q0, AssumptionSet(tag), CVaR(-1.0), k=6)
     assert (err.value.tag, err.value.t, err.value.k) == (program_tag, -1.0, 6)
     assert f"tag {program_tag}, k=6" in str(err.value)
-    nvar = _copula_program(6, 6, program_tag).nvar
-    assert columns == ([nvar + 1] if failing == "charnes_cooper" else [nvar, nvar])
+    assert columns == ([nvar, nvar + 1] if failing == "charnes_cooper" else [nvar, nvar])
 
 
 def test_disadvantaged_gain_conditions_on_the_control_margin():

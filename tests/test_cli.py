@@ -16,7 +16,7 @@ from numpy.testing import assert_allclose
 
 import qotepolicy
 from oracles import assert_only_kept_threads_started, raw_coupling_lp
-from qotepolicy import bounds, cli, lpcore, marginals, owl, sim
+from qotepolicy import bounds, cli, marginals, owl, sim
 from qotepolicy.cli import main
 from qotepolicy.lpcore import LpSolution
 from qotepolicy.marginals import QuantileCurve, Sample, make_y_grid, read_sample_csv, u_grid
@@ -384,17 +384,18 @@ def test_symmetry_needs_the_median(tmp_path):
     assert cell["lower"] == cell["upper"] == float(np.mean(v1) - np.mean(v0))
 
 
-def _fail_session_solves(monkeypatch):
+def _fail_runs(monkeypatch):
+    """Make every run of a copula program fail, and leave its cold solves be."""
     monkeypatch.setattr(
-        lpcore.LpSession, "solve",
-        lambda self, c, sense="minimize": LpSolution(status="failed", message="stalled"),
+        bounds._CopulaProgram, "run",
+        lambda prog, coefs, sense: LpSolution(status="failed", message="stalled"),
     )
 
 
 def test_failed_lp_exits_6_naming_t_tag_and_k(tmp_path, capsys, monkeypatch):
-    # the session solve and the cold full-program fallback both fail, at every
+    # the run and the cold full-program fallback both fail, at every
     # t, on two workers; the message names the first t a serial pass solves
-    _fail_session_solves(monkeypatch)
+    _fail_runs(monkeypatch)
     monkeypatch.setattr(
         bounds, "solve_lp", lambda *program: LpSolution(status="failed", message="stalled")
     )
@@ -428,7 +429,7 @@ def test_failed_session_solves_fall_back_to_the_cold_program(
         "--k", "8", "--tgrid", "21", "--n", "200", "--seed", "1", "--tau", "0.25,0.5",
     )
     assert run(*args, "--out", tmp_path / "session") == 0
-    _fail_session_solves(monkeypatch)
+    _fail_runs(monkeypatch)
     assert run(*args, "--out", tmp_path / "cold") == 0
     names = sorted(p.name for p in (tmp_path / "session").iterdir())
     assert names == sorted(p.name for p in (tmp_path / "cold").iterdir())

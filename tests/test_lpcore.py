@@ -13,9 +13,9 @@ from numpy.testing import assert_allclose
 
 from oracles import brute_force_lp, csr_arrays
 import qotepolicy
-from qotepolicy import bounds
+from qotepolicy import bounds, lpcore
 from qotepolicy.bounds import AssumptionSet, CVaR, _copula_program, _pairs_above, functional_bounds
-from qotepolicy.lpcore import LpSession, _highs_basis, solve_lp
+from qotepolicy.lpcore import _highs_basis, solve_lp
 from qotepolicy.sim import SUBGROUPS, population_curves
 
 
@@ -71,34 +71,34 @@ def test_free_and_bounded_variables():
 def test_validation_errors():
     no_rows = csr_arrays(np.zeros((0, 1)))
     with pytest.raises(ValueError, match="sense"):
-        LpSession(no_rows, [], [], [0.0], [np.inf]).solve([1.0], "max")
+        solve_lp([1.0], "max", no_rows, [], [], [0.0], [np.inf])
     with pytest.raises(ValueError, match="columns"):
-        LpSession(*_le([[1.0, 2.0]], [1.0], lower=[0.0], upper=[np.inf]))
+        solve_lp([1.0], "minimize", *_le([[1.0, 2.0]], [1.0], lower=[0.0], upper=[np.inf]))
     with pytest.raises(ValueError, match="lengths"):
-        LpSession(csr_arrays([[1.0]]), [], [], [0.0], [np.inf])
+        solve_lp([1.0], "minimize", csr_arrays([[1.0]]), [], [], [0.0], [np.inf])
     with pytest.raises(ValueError, match="exceeds"):
-        LpSession(no_rows, [], [], [2.0], [1.0])
+        solve_lp([1.0], "minimize", no_rows, [], [], [2.0], [1.0])
     with pytest.raises(ValueError, match="exceeds"):
-        LpSession(csr_arrays([[1.0]]), [2.0], [1.0], [0.0], [np.inf])
+        solve_lp([1.0], "minimize", csr_arrays([[1.0]]), [2.0], [1.0], [0.0], [np.inf])
     with pytest.raises(ValueError, match="finite"):
-        LpSession(no_rows, [], [], [0.0], [np.inf]).solve([np.inf])
+        solve_lp([np.inf], "minimize", no_rows, [], [], [0.0], [np.inf])
     with pytest.raises(ValueError, match="finite"):
-        LpSession(*_le([[np.nan]], [1.0]))
+        solve_lp([1.0], "minimize", *_le([[np.nan]], [1.0]))
 
 
 def test_every_solve_checks_its_costs_and_sense():
     # a cost vector of the wrong length, a NaN cost or an unknown sense is
     # refused, not solved with the costs of an earlier run or as a maximum
-    session = LpSession(*_le([[1.0, 1.0]], [1.0]))
-    assert session.solve([1.0, 2.0]).status == "optimal"
+    program = _le([[1.0, 1.0]], [1.0])
+    assert solve_lp([1.0, 2.0], "minimize", *program).status == "optimal"
     for costs in ([1.0, 2.0, 3.0], [1.0]):
         with pytest.raises(ValueError, match="length"):
-            session.solve(costs)
+            solve_lp(costs, "minimize", *program)
     with pytest.raises(ValueError, match="finite"):
-        session.solve([np.nan, 1.0])
+        solve_lp([np.nan, 1.0], "minimize", *program)
     for sense in ("maximise", "max"):
         with pytest.raises(ValueError, match="sense"):
-            session.solve([1.0, 2.0], sense)
+            solve_lp([1.0, 2.0], sense, *program)
 
 
 def test_degenerate_transport_does_not_cycle():
@@ -165,8 +165,9 @@ def test_sparse_constraints_stay_sparse():
     assert maxed.status == "optimal"
     assert isinstance(maxed.iterations, int)
     assert brute_force_lp(cost, a, np.ones(2 * k), "max") == pytest.approx(maxed.objective)
+    wide = _le(sp.csr_matrix(np.ones((1, 2))), [1.0], lower=[0.0], upper=[np.inf])
     with pytest.raises(ValueError, match="columns"):
-        LpSession(*_le(sp.csr_matrix(np.ones((1, 2))), [1.0], lower=[0.0], upper=[np.inf]))
+        solve_lp([1.0], "minimize", *wide)
 
 
 def _random_program(rng, m, n, sparse):
@@ -196,47 +197,46 @@ def test_session_matches_cold_solves_over_a_run_of_costs(seed, sparse, slack_sta
     rng = np.random.default_rng(seed)
     program = _random_program(rng, 30, 20, sparse)
     basis = _highs_basis(np.zeros(20, bool), np.ones(30, bool)) if slack_start else None
-    session = LpSession(*program, basis)
     # several cost changes in a row, with the sense switching now and then
     for step in range(12):
         sense = "maximize" if step % 4 >= 2 else "minimize"
         c = rng.normal(size=20)
-        _assert_same_optimum(session.solve(c, sense), solve_lp(c, sense, *program), c, *program)
+        got = solve_lp(c, sense, *program, basis)
+        _assert_same_optimum(got, solve_lp(c, sense, *program), c, *program)
 
 
 def test_an_option_set_for_one_session_does_not_reach_the_next():
-    # the thread's HiGHS instance holds one session's model at a time, and
-    # passing in another's resets every option: an iteration limit of 0 set
-    # for one session stops its runs until another session's model has been
-    # passed in, and never stops another session's run
+    # each call resets every option of the thread's HiGHS instance before it
+    # passes its model in: an iteration limit of 0 set on the instance after
+    # one run does not stop the next, which runs as the first did
     rng = np.random.default_rng(0)
     program = _random_program(rng, 30, 20, False)
     basis = _highs_basis(np.zeros(20, bool), np.ones(30, bool))
     c = rng.normal(size=20)
-    capped = LpSession(*program, basis)
-    capped._highs().setOptionValue("simplex_iteration_limit", 0)
-    assert capped.solve(c).status == capped.solve(c).status == "failed"
-    sol = LpSession(*program, basis).solve(c)
+    sol = solve_lp(c, "minimize", *program, basis)
     assert sol.status == "optimal" and sol.iterations > 0
-    assert solve_lp(c, "minimize", *program).status == "optimal"
-    again = capped.solve(c)
+    lpcore._thread.highs.setOptionValue("simplex_iteration_limit", 0)
+    again = solve_lp(c, "minimize", *program, basis)
     assert (again.status, again.iterations) == ("optimal", sol.iterations)
     assert again.objective == sol.objective and again.x.tobytes() == sol.x.tobytes()
 
 
 def test_session_reports_infeasible_and_unbounded_as_solve_lp_does():
+    # runs from the slack basis end as runs from no basis do
     free = np.full(2, np.inf)
-    infeasible = LpSession(*_le([[1.0, 1.0]], [-1.0], upper=free))
-    assert infeasible.solve(np.ones(2)).status == "infeasible"
-    assert infeasible.solve(-np.ones(2), "maximize").status == "infeasible"
-    # x0 - x1 <= 1 with x1 free above: min -x1 is unbounded, min x0 + x1 is 0
-    session = LpSession(*_le([[1.0, -1.0]], [1.0], upper=free))
-    assert session.solve(np.array([0.0, -1.0])).status == "unbounded"
-    sol = session.solve(np.array([1.0, 1.0]))
-    assert sol.status == "optimal" and sol.objective == pytest.approx(0.0)
-    assert session.solve(np.array([1.0, 0.0]), "maximize").status == "unbounded"
-    sol = session.solve(np.array([1.0, -1.0]), "maximize")
-    assert sol.status == "optimal" and sol.objective == pytest.approx(1.0)
+    slack = _highs_basis(np.zeros(2, bool), np.ones(1, bool))
+    for basis in (slack, None):
+        infeasible = _le([[1.0, 1.0]], [-1.0], upper=free)
+        assert solve_lp(np.ones(2), "minimize", *infeasible, basis).status == "infeasible"
+        assert solve_lp(-np.ones(2), "maximize", *infeasible, basis).status == "infeasible"
+        # x0 - x1 <= 1 with x1 free above: min -x1 is unbounded, min x0 + x1 is 0
+        program = _le([[1.0, -1.0]], [1.0], upper=free)
+        assert solve_lp(np.array([0.0, -1.0]), "minimize", *program, basis).status == "unbounded"
+        sol = solve_lp(np.array([1.0, 1.0]), "minimize", *program, basis)
+        assert sol.status == "optimal" and sol.objective == pytest.approx(0.0)
+        assert solve_lp(np.array([1.0, 0.0]), "maximize", *program, basis).status == "unbounded"
+        sol = solve_lp(np.array([1.0, -1.0]), "maximize", *program, basis)
+        assert sol.status == "optimal" and sol.objective == pytest.approx(1.0)
 
 
 def test_missing_highs_bindings_fail_the_first_lp(tmp_path):
@@ -302,8 +302,12 @@ def _programs(source, monkeypatch):
             for sense in ("minimize", "maximize"):
                 yield (rng.normal(size=20), sense, *program)
         return
-    seen = []
-    monkeypatch.setattr(bounds, "solve_lp", lambda *p: seen.append(p) or solve_lp(*p))
+    # the cold solves (c, sense, *program), as ``bounds._solve`` gets them
+    seen, solve = [], bounds._solve
+    monkeypatch.setattr(
+        bounds, "_solve", lambda c, sense, program, *where: seen.append((c, sense, *program))
+        or solve(c, sense, program, *where),
+    )
     if source == "charnes_cooper":
         # the min and max programs of an SI CVaR interval at k = 8
         q1, q0 = population_curves(SUBGROUPS[1], 8)

@@ -1,9 +1,10 @@
 """Independent reference implementations the tests check the package against.
 
 Everything here is deliberately naive: dense grids, exhaustive enumeration,
-Monte Carlo, or scipy primitives used directly. Nothing imports the package.
-The test files also share three small helpers from here: ``csr_arrays``,
-``rows_matrix`` and ``assert_only_kept_threads_started``.
+Monte Carlo, mpmath at high precision, or scipy primitives used directly.
+Nothing imports the package. The test files also share three small helpers
+from here: ``csr_arrays``, ``rows_matrix`` and
+``assert_only_kept_threads_started``.
 """
 
 import functools
@@ -11,6 +12,7 @@ import itertools
 import threading
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 import scipy.optimize
 import scipy.sparse as sp
@@ -321,6 +323,33 @@ def joint_draws(dgp, ndraws, seed):
     if dgp.lognormal:
         y1, y0 = np.exp(y1), np.exp(y0)
     return y1, y0
+
+
+def mp_lognormal_qote(dgp, tau, guess, dps=40):
+    """The tau-quantile of Y1 - Y0 under a lognormal spec with |rho| < 1, in
+    mpmath at dps digits, from the spec's fields and tau as exact binary values.
+
+    P(Y1 - Y0 <= t) is the integral over z0 of phi(z0) P(Y0 >= Y1 - t | z0),
+    which is phi(z0) where Y1 = exp(mu1 + sd1 z0) <= t: mp.quad over the real
+    line with that kink as a breakpoint. mp.findroot solves the CDF = tau to
+    1e-30 from guess.
+    """
+    with mpmath.workdps(dps):
+        mu1, mu0, rho, tau = (mpmath.mpf(x) for x in (dgp.mu1, dgp.mu0, dgp.rho, tau))
+        sd1, sd0 = mpmath.sqrt(mpmath.mpf(dgp.var1)), mpmath.sqrt(mpmath.mpf(dgp.var0))
+        sd = sd0 * mpmath.sqrt(1 - rho**2)
+
+        def cdf(t):
+            def integrand(z):
+                y1 = mpmath.exp(mu1 + sd1 * z)
+                if y1 <= t:
+                    return mpmath.npdf(z)
+                return mpmath.npdf(z) * mpmath.ncdf((mu0 + sd0 * rho * z - mpmath.log(y1 - t)) / sd)
+
+            kink = [(mpmath.log(t) - mu1) / sd1] if t > 0 else []
+            return mpmath.quad(integrand, [-mpmath.inf, *kink, mpmath.inf])
+
+        return mpmath.findroot(lambda t: cdf(t) - tau, mpmath.mpf(guess), tol=mpmath.mpf("1e-30"))
 
 
 @functools.lru_cache(maxsize=64)

@@ -1,12 +1,14 @@
 import math
 import threading
+import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.optimize
 from numpy.testing import assert_allclose
 
-from oracles import assert_only_kept_threads_started, joint_draws, mc_qote
+from oracles import assert_only_kept_threads_started, joint_draws, mc_qote, mp_lognormal_qote
 from qotepolicy import bounds, sim
 from qotepolicy.bounds import (
     DeltaCdfBounds,
@@ -95,11 +97,28 @@ def test_lognormal_truths_use_exact_transforms():
 # exact_qote on subgroup 8; the 2M-draw oracle reads -0.0532, 4.0920, 12.2236,
 # 31.3961 and 70.3984 (test_mc_oracle_values_are_pinned)
 SUBGROUP8_QOTE = {
+    0.1: "-0.10945773898094872",
+    0.25: "4.07617100127644",
+    0.5: "12.2101298704017",
+    0.75: "31.427878198114538",
+    0.9: "70.41361204571267",
+}
+# the same from scipy's quad per stretch and a Brent search to 1e-13, before
+# the vectorised Gauss-Kronrod pass: the baseline of the reference gate
+SUBGROUP8_QOTE_BY_QUAD = {
     0.1: "-0.1094577389809735",
     0.25: "4.076171001276442",
     0.5: "12.210129870401508",
     0.75: "31.42787819811451",
     0.9: "70.41361204571267",
+}
+# oracles.mp_lognormal_qote at 40 digits
+SUBGROUP8_QOTE_MPMATH = {
+    0.1: "-0.1094577389809549473385047",
+    0.25: "4.076171001276440727957681",
+    0.5: "12.2101298704017022250493",
+    0.75: "31.42787819811451400576871",
+    0.9: "70.41361204571273429975714",
 }
 
 
@@ -109,6 +128,28 @@ def test_exact_qote_values_are_pinned():
     for tau in (0.0, 1.0, math.nan):
         with pytest.raises(ValueError, match="tau must lie"):
             exact_qote(SUBGROUPS[8], tau)
+
+
+def test_the_mpmath_reference_is_recomputed_live():
+    got = mp_lognormal_qote(SUBGROUPS[8], 0.25, float(SUBGROUP8_QOTE[0.25]))
+    assert mpmath.nstr(got, 25) == SUBGROUP8_QOTE_MPMATH[0.25]
+
+
+def test_the_pins_are_as_close_to_the_mpmath_reference_as_quad_was():
+    # subgroup 8's density at tau 0.25, 0.5 and 0.75 is 0.041, 0.022 and
+    # 0.0075, so one ulp of the quantile needs the CDF to 3.6e-17, 4.0e-17 and
+    # 2.7e-17: at or below the spacing of doubles near 0.25 and 0.75. So a
+    # pin may miss by 2e-15 max(1, |ref|) where quad's missed by less, but the
+    # worst relative miss may not grow.
+    def miss(pins, tau):  # relative to max(1, |ref|)
+        ref = mpmath.mpf(SUBGROUP8_QOTE_MPMATH[tau])
+        return float(abs(mpmath.mpf(float(pins[tau])) - ref) / max(1, abs(ref)))
+
+    for tau in SUBGROUP8_QOTE_MPMATH:
+        assert miss(SUBGROUP8_QOTE, tau) <= max(miss(SUBGROUP8_QOTE_BY_QUAD, tau), 2e-15), tau
+    assert max(miss(SUBGROUP8_QOTE, tau) for tau in SUBGROUP8_QOTE_MPMATH) <= max(
+        miss(SUBGROUP8_QOTE_BY_QUAD, tau) for tau in SUBGROUP8_QOTE_MPMATH
+    )
 
 
 # |rho| = 1, and |rho| so near 1 that the integrand steps within 1e-3 in z0
@@ -167,8 +208,14 @@ def test_exact_qote_raises_instead_of_returning_a_non_finite_value(monkeypatch):
             with pytest.raises(ValueError, match="did not converge"):
                 exact_qote.__wrapped__(dgp, 0.25)
     monkeypatch.setattr(sim, "_QUAD_TOL", 1e-300)
-    with pytest.raises(ValueError, match="quadrature error estimate"):
-        exact_qote.__wrapped__(SUBGROUPS[8], 0.25)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="quadrature error estimate"):
+            exact_qote.__wrapped__(SUBGROUPS[8], 0.25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6  # the panel cap bounds a subdivision that cannot meet its budget
 
 
 def test_exact_qote_of_a_near_degenerate_lognormal_spec_is_its_linearisation():

@@ -15,20 +15,22 @@ what:
   ``bound`` finds one value by one ``run`` of the rows it keeps, from a
   start basis made once per shape, with one cold ``solve`` of every row as
   the fallback, which raises ``LpSolveError``.
-- ``_Envelopes``: one oracle per (curves or linear form, tag, t grid) of a
-  copula program, which finds each distinct (side, staircase) at most once,
-  settles values from closed-form brackets, and serves dense envelopes (in
-  one ``dense_pass`` over any number of oracles, largest program first),
-  lazy ``invert`` and the probes of ``sim``.
+- ``_Envelopes``: one oracle per (grids, tag, t grid) of the SI or PQD
+  couplings, which finds each distinct (side, staircase) at most once on
+  the coarse program it touches, settles values from closed-form brackets,
+  and serves dense envelopes (in one ``dense_pass`` over any number of
+  oracles, largest program first), lazy ``invert`` and the probes of
+  ``sim``.
 - ``_envelope_rows`` and ``_point_rows``: the one routine per assumption,
   for rows of cells. The CLI calls them on all its cells, and
   ``coupling_lp_bounds`` and ``rank_invariance_qote`` on one. Under SI and
   PQD, ``_envelope_rows`` solves every cell in one pass.
 - ``_inverted_rows`` (``invert_bounds``): inversion of built envelopes in one
   numpy pass; ``qote_coupling_bounds`` inverts SI and PQD lazily.
-- ``bernstein_lp_bounds`` and ``functional_bounds``: the Bernstein relaxation
-  and the Charnes-Cooper programs of conditional-mean functionals, on the
-  full grid.
+- ``functional_bounds``: the Charnes-Cooper programs of conditional-mean
+  functionals, on the full grid. ``bernstein_lp_bounds`` solves the full
+  program of Bernstein copula coefficients, an inner approximation of the
+  envelopes.
 - ``_on_workers``: runs dense passes (in a given order), the two sides of a
   lazy inversion and the replications of ``sim`` on up to one thread per
   usable CPU, with the values and counts of a serial pass, and raising the
@@ -56,7 +58,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .lpcore import LpSolution, _bindings, _highs_basis, solve_lp
-from .marginals import QuantileCurve, _quantile_index, u_grid
+from .marginals import QuantileCurve, _is_positive_integer, _quantile_index, u_grid
 
 DEFAULT_K = 50
 DEFAULT_T_POINTS = 201
@@ -851,52 +853,42 @@ def _program_tag(assumptions: AssumptionSet) -> str:
 class _Envelopes:
     """min and max of P(Delta <= t) on one t grid, each value found once.
 
-    Side "min" is the lower envelope, "max" the upper one, as found, of a
-    copula program (SI, PQD or Bernstein), solved on demand. The form reads
-    t only through ``staircases[:, idx]``, its staircase at t_grid[idx]:
-    ``form(staircase)`` is (program, coefs, const), and ``mass(side, idx)``
-    is that program's ``bound``, found once per distinct (side, staircase)
-    and in the order asked. An index whose staircase the side has already
-    solved recalls that value: an equal staircase gives the same program and
-    costs, and so the same value. ``dense_pass`` finds the values that a
-    list of oracles lack in one run of ``_on_workers``, the largest programs
-    first, as ``sizes(staircases)`` reads them (all equal without it);
-    ``dense`` is that pass over one oracle, and ``invert`` finds the two
-    sides on ``_on_workers``. Every run is its program's ``run``, on the
+    Side "min" is the lower envelope, "max" the upper one, as found, of the
+    SI or PQD couplings (``tag``) of two grids, solved on demand. A value
+    reads t only through ``staircases[:, idx]``, its staircase at
+    t_grid[idx]: ``mass(side, idx)`` is the ``bound`` of the coarse program
+    that staircase touches (``_staircase_form``), found once per distinct
+    (side, staircase) and in the order asked. An index whose staircase the
+    side has already solved recalls that value: an equal staircase gives the
+    same program and costs, and so the same value. ``dense_pass`` finds the
+    values that a list of oracles lack in one run of ``_on_workers``, the
+    largest programs first (``_staircase_sizes``), and ``invert`` finds the
+    two sides on ``_on_workers``. Every run is its program's ``run``, on the
     calling thread, from the program's start basis, so a value depends
     neither on the order in which values are asked for nor on the thread
     that found it. From the runs ``bound`` returns, ``solves`` counts the
-    values that took a ``run``,
-    ``fallbacks`` the cold solves, and ``iterations`` sums the simplex
-    iterations of both; ``recalled`` counts the values kept from an equal
-    staircase.
+    values that took a ``run``, ``fallbacks`` the cold solves, and
+    ``iterations`` sums the simplex iterations of both; ``recalled`` counts
+    the values kept from an equal staircase.
 
-    SI and PQD oracles of two grids (``of_values``) also hold closed-form
-    brackets of each side, from ``_coupling_brackets``; other oracles hold
-    NaN brackets. Where a side's floor and ceiling meet, ``mass`` (and so
-    ``dense``) keeps that exact value and solves nothing. ``reaches`` settles
-    a probe the memo lacks from them when they clear tau by more than 1e-9
-    and solves it otherwise, so it decides as the LP would. ``decided``
-    counts both: each value so kept, once, and each probe so settled; with
-    ``solves`` and ``recalled`` it accounts for every value that did not
-    come from the zero-cost shortcut of ``bound``. ``first_reaching`` makes
-    no probe that the brackets settle, so the settled probes are those made
-    outside a search: the one at the last t that starts each side of
-    ``invert``, and those of ``sim``.
+    ``brackets`` are closed-form floors and ceilings of each side, from
+    ``_coupling_brackets``. Where a side's floor and ceiling meet, ``mass``
+    (and so ``dense_pass``) keeps that exact value and solves nothing.
+    ``reaches`` settles a probe the memo lacks from them when they clear tau
+    by more than 1e-9 and solves it otherwise, so it decides as the LP
+    would. ``decided`` counts both: each value so kept, once, and each probe
+    so settled; with ``solves`` and ``recalled`` it accounts for every value
+    that did not come from the zero-cost shortcut of ``bound``.
+    ``first_reaching`` makes no probe that the brackets settle, so the
+    settled probes are those made outside a search: the one at the last t
+    that starts each side of ``invert``, and those of ``sim``.
     Each side keeps its own memo and counts, and the counts add them, min
     then max, so the two sides of ``invert`` never write the same state.
     """
 
-    def __init__(
-        self, t_grid, staircases, form: Callable, brackets: Optional[dict] = None, sizes=None
-    ):
+    def __init__(self, t_grid, staircases, brackets: dict, tag: str):
         self.t_grid = _checked_t_grid(t_grid)
-        self._staircases, self._form, self._sizes = np.asarray(staircases), form, sizes
-        if brackets is None:
-            # NaN brackets meet nowhere and settle no probe
-            nan = np.full(self.t_grid.size, np.nan)
-            brackets = dict.fromkeys(_SENSES, (nan, nan))
-        self._brackets = brackets
+        self._staircases, self._brackets, self._tag = np.asarray(staircases), brackets, tag
         self._values = dict(zip(_SENSES, np.full((2, self.t_grid.size), np.nan)))
         # side -> {staircase bytes: value}
         self._found = {side: {} for side in _SENSES}
@@ -926,13 +918,7 @@ class _Envelopes:
         t = _coupling_t_grid(v1, v0, t_grid)
         _bindings()  # here, so that no worker of a dense pass imports a module
         above = _pairs_above(v1, v0, t)
-        return cls(
-            t,
-            above,
-            functools.partial(_staircase_form, tag),
-            brackets=_coupling_brackets(v1, v0, t, above),
-            sizes=_staircase_sizes,
-        )
+        return cls(t, above, _coupling_brackets(v1, v0, t, above), tag)
 
     @classmethod
     def of_curves(cls, q1, q0, assumptions: AssumptionSet, k=None, t_grid=None) -> "_Envelopes":
@@ -975,8 +961,8 @@ class _Envelopes:
         return True
 
     def _bound(self, side: str, idx):
-        """The ``bound`` of the form at t_grid[idx]: (value, runs)."""
-        prog, coefs, const = self._form(self._staircases[:, idx])
+        """The ``bound`` of the staircase at t_grid[idx]: (value, runs)."""
+        prog, coefs, const = _staircase_form(self._tag, self._staircases[:, idx])
         return prog.bound(coefs, const, side, float(self.t_grid[idx]))
 
     def _keep(self, side: str, idx, found) -> None:
@@ -1009,9 +995,7 @@ class _Envelopes:
             if self._key(idx) not in self._found[side]:
                 first.setdefault((side, self._key(idx)), (side, idx))
         solve = list(first.values())
-        if self._sizes is None:
-            return pending, solve, np.zeros(len(solve))
-        return pending, solve, self._sizes(self._staircases[:, [idx for _, idx in solve]])
+        return pending, solve, _staircase_sizes(self._staircases[:, [idx for _, idx in solve]])
 
     def _close(self, pending, solve, found) -> None:
         """Keep what was found for ``solve``, in order; then every other
@@ -1030,7 +1014,7 @@ class _Envelopes:
         first index of each distinct (side, staircase) left open is then one
         item of ``_on_workers``, oracle by oracle, every min in index order
         and then every max, and the items run largest program first, ties in
-        that order. The oracles keep them as ``dense`` on each in turn would,
+        that order. The oracles keep them as a pass over each in turn would,
         in that order, and the other indices recall those values. Where an
         item raises, the pass raises what that serial order would raise
         first, and no oracle keeps a value the pass found.
@@ -1045,10 +1029,6 @@ class _Envelopes:
             env._close(pending, solve, found[at : at + len(solve)])
             at += len(solve)
         return [(env._values["min"].copy(), env._values["max"].copy()) for env in oracles]
-
-    def dense(self):
-        """(lower, upper) at every t: ``dense_pass`` over this oracle alone."""
-        return self.dense_pass([self])[0]
 
     def reaches(self, side: str, idx, tau: float) -> bool:
         """Whether the side reaches tau at t_grid[idx], up to LP rounding."""
@@ -1075,7 +1055,7 @@ class _Envelopes:
         its brackets elsewhere, and 0 before the grid. The probe bisects
         instead, (lo + hi) // 2 over the open window, after the same end has
         moved twice running, once ceil(log2(hi - lo + 1)) probes are made, or
-        where the end heights do not rise (no brackets). So a search makes
+        where the end heights do not rise. So a search makes
         at most 2 ceil(log2(hi - lo + 1)) probes, and wherever reaching tau
         is monotone in the index it returns what a bisection of [0, hi] does.
         """
@@ -1228,13 +1208,6 @@ def _bernstein_prime(m: int, nodes: np.ndarray) -> np.ndarray:
     return out
 
 
-def _bernstein_form(prog, a1, r0, js):
-    """(prog, coefs, const) over the interior coefficients, js the staircase of the nodes at t."""
-    w = a1 @ r0[:, js].T  # (m1+1) x (m2+1) indicator integrals
-    coefs, const = prog.fold(w.ravel())
-    return prog, coefs, float(const)
-
-
 def bernstein_lp_bounds(
     q1: QuantileCurve,
     q0: QuantileCurve,
@@ -1244,16 +1217,23 @@ def bernstein_lp_bounds(
     m2: int = 15,
     quad_points: int = 200,
 ) -> DeltaCdfBounds:
-    """Envelopes of P(Delta <= t) over Bernstein copulas of degrees (m1, m2).
+    """Inner approximation of the envelopes of P(Delta <= t): Bernstein copulas of degrees (m1, m2).
 
-    The integral of the indicator against the Bernstein copula density is
-    precomputed on a quad_points^2 tensor midpoint grid; the optimization over
-    valid coefficient matrices (optionally shape constrained) is an LP per t.
+    It optimises over the Bernstein copulas of degrees (m1, m2), optionally
+    shape constrained, with the integral of the indicator against their
+    density taken on a quad_points^2 tensor midpoint grid: one LP of the
+    full program of coefficients per side and distinct staircase of the
+    nodes. Those copulas are a subset of the couplings, so these envelopes
+    lie inside the sharp ones (``coupling_lp_bounds``), and quantile bounds
+    inverted from them can be narrower than the identified set. On a sample
+    of 1,000 from subgroup 7 (``sim.draw_sample``, seed 7), at k = 50,
+    m1 = m2 = 10 and 61 t points, the lower envelope lies up to 0.24 (SI)
+    and 0.30 (PQD) above the coupling LP's.
     """
     tag = _program_tag(assumptions)
-    if m1 < 1 or m2 < 1:
+    if not (_is_positive_integer(m1) and _is_positive_integer(m2)):
         raise ValueError("degrees m1, m2 must be at least 1")
-    if quad_points < 1:
+    if not _is_positive_integer(quad_points):
         raise ValueError("quad_points must be at least 1")
     t_grid = _checked_t_grid(default_t_grid(q1.values, q0.values) if t_grid is None else t_grid)
     nodes = (np.arange(quad_points) + 0.5) / quad_points
@@ -1264,10 +1244,22 @@ def bernstein_lp_bounds(
     # suffix sums over nodes, one extra zero column for "no node included"
     r0 = np.hstack([np.cumsum(a0[:, ::-1], axis=1)[:, ::-1], np.zeros((m2 + 1, 1))])
     prog = _copula_program(m1, m2, tag)
-    env = _Envelopes(
-        t_grid, _pairs_above(q1n, q0n, t_grid), functools.partial(_bernstein_form, prog, a1, r0)
+    above = _pairs_above(q1n, q0n, t_grid)
+    _, first, inverse = np.unique(above, axis=1, return_index=True, return_inverse=True)
+    order = np.argsort(first)  # the distinct staircases, in order of first appearance
+
+    def bound(item):
+        side, idx = item
+        w = a1 @ r0[:, above[:, idx]].T  # (m1+1) x (m2+1) indicator integrals
+        coefs, const = prog.fold(w.ravel())
+        return prog.bound(coefs, float(const), side, float(t_grid[idx]))[0]
+
+    found = np.empty((2, first.size))
+    found[:, order] = np.reshape(
+        _on_workers([(side, first[u]) for side in _SENSES for u in order], bound), (2, -1)
     )
-    return DeltaCdfBounds(env.t_grid, *_monotone_envelopes(*env.dense()))
+    lower, upper = found[:, inverse.ravel()]
+    return DeltaCdfBounds(t_grid, *_monotone_envelopes(lower, upper))
 
 
 # ---------------------------------------------------------------------------

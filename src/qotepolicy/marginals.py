@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,9 +70,11 @@ class ConditionalCdf:
         object.__setattr__(self, "probs", np.asarray(self.probs, dtype=float))
         if self.y_grid.shape != self.probs.shape or self.y_grid.ndim != 1:
             raise ValueError("y_grid and probs must be 1-d of equal length")
+        if not np.all(np.isfinite(self.y_grid)):
+            raise ValueError("y_grid must be finite")
         if np.any(np.diff(self.y_grid) <= 0):
             raise ValueError("y_grid must be strictly increasing")
-        if np.any(self.probs < -1e-12) or np.any(self.probs > 1 + 1e-12):
+        if not np.all((self.probs >= -1e-12) & (self.probs <= 1 + 1e-12)):
             raise ValueError("probs must lie in [0, 1]")
 
 
@@ -87,17 +90,24 @@ class QuantileCurve:
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
         if self.u_grid.shape != self.values.shape or self.u_grid.ndim != 1:
             raise ValueError("u_grid and values must be 1-d of equal length")
-        if np.any(self.u_grid <= 0) or np.any(self.u_grid >= 1):
+        if not np.all((self.u_grid > 0) & (self.u_grid < 1)):
             raise ValueError("u_grid must lie strictly inside (0, 1)")
         if np.any(np.diff(self.u_grid) <= 0):
             raise ValueError("u_grid must be strictly increasing")
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError("quantile values must be finite")
         if np.any(np.diff(self.values) < -1e-9):
             raise ValueError("quantile values must be nondecreasing")
 
 
+def _is_positive_integer(n) -> bool:
+    """Whether n is a Python or numpy integer of at least 1: a grid size or a degree."""
+    return isinstance(n, numbers.Integral) and n >= 1
+
+
 def u_grid(k: int) -> np.ndarray:
     """Midpoint probability grid r_i = (2i - 1) / (2k), i = 1..k."""
-    if k < 1:
+    if not _is_positive_integer(k):
         raise ValueError("k must be a positive integer")
     return (2.0 * np.arange(1, k + 1) - 1.0) / (2.0 * k)
 
@@ -107,6 +117,8 @@ def empirical_quantile(values, tau: float) -> float:
     v = np.sort(np.asarray(values, dtype=float).ravel())
     if v.size == 0:
         raise ValueError("no observations")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("values must be finite")
     return float(v[_quantile_index(v.size, tau)])
 
 
@@ -119,13 +131,15 @@ def _quantile_index(size: int, tau: float) -> int:
 
 def make_y_grid(values, k: int) -> np.ndarray:
     """Empirical quantiles at the k midpoint probabilities (2j-1)/(2k)."""
-    if k < 1:
+    if not _is_positive_integer(k):
         raise ValueError("k must be a positive integer")
     # + 0.0 folds -0.0 into 0.0, whose order among equal values np.sort
     # leaves unspecified
     v = np.sort(np.asarray(values, dtype=float).ravel() + 0.0)
     if v.size == 0:
         raise ValueError("no observations")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("values must be finite")
     return v[_grid_positions(np.array(v.size), k)]
 
 

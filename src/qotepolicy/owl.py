@@ -83,6 +83,8 @@ class DecisionFunction:
         coefs = np.asarray(self.coefficients, dtype=float)
         if pts.shape[0] != coefs.size:
             raise ValueError("one coefficient per support point")
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("support points must be finite")
         if not np.all(np.isfinite(coefs)):
             raise ValueError("coefficients must be finite")
         _check_sigma(self.sigma)

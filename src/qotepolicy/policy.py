@@ -104,6 +104,8 @@ class TruthField:
     def __post_init__(self):
         cells = tuple((_as_point(x), float(q)) for (x, q) in self.cells)
         object.__setattr__(self, "cells", cells)
+        if not all(math.isfinite(q) for _, q in cells):
+            raise ValueError("quantile treatment effects must be finite")
 
     def points(self):
         return tuple(c[0] for c in self.cells)

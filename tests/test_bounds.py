@@ -65,6 +65,17 @@ def curve(values):
     return QuantileCurve(u_grid(values.size), np.sort(values))
 
 
+def _dense(env):
+    """(lower, upper) at every t of one oracle: a dense pass over it alone."""
+    return _Envelopes.dense_pass([env])[0]
+
+
+def _nan_brackets(size):
+    """Brackets of both sides that meet nowhere and settle no probe."""
+    nan = np.full(size, np.nan)
+    return dict.fromkeys(("min", "max"), (nan, nan))
+
+
 def _staircase(v1, v0, t):
     """The staircase the oracle reads of t: pairs of each row above t."""
     return _pairs_above(v1, v0, float(t))[:, 0]
@@ -370,7 +381,7 @@ def test_comonotone_mass_and_brackets_hold_every_envelope(k):
     brackets = bounds._coupling_brackets(v1, v0, t_grid, _pairs_above(v1, v0, t_grid))
     for tag in ("NoAssumption", "SI", "PQD"):
         if tag != "NoAssumption":
-            dense = dict(zip(("min", "max"), _Envelopes.of_values(v1, v0, tag, t_grid).dense()))
+            dense = dict(zip(("min", "max"), _dense(_Envelopes.of_values(v1, v0, tag, t_grid))))
         for side in ("min", "max"):
             exact = np.array([raw_coupling_lp(v1, v0, t, side, tag)[0] for t in t_grid])
             if side == "min":
@@ -400,7 +411,7 @@ def test_an_oracle_counts_the_pairs_once(monkeypatch, tag):
     monkeypatch.setattr(bounds, "_pairs_above", counted)
     env = _Envelopes.of_values(v1, v0, tag, grid)
     assert len(calls) == 1
-    env.dense()
+    _dense(env)
     assert np.array_equal(env._staircases, _pairs_above(v1, v0, grid))
 
 
@@ -425,7 +436,7 @@ def test_bracketed_lazy_inversion_equals_dense_inversion(k):
     taus = np.concatenate([np.arange(1, k) / k, rng.uniform(0.02, 0.98, size=6)])
     decided = 0
     for tag in ("SI", "PQD"):
-        lower, upper = _Envelopes.of_values(v1, v0, tag, t_grid).dense()
+        lower, upper = _dense(_Envelopes.of_values(v1, v0, tag, t_grid))
         dense = DeltaCdfBounds(t_grid, *_monotone_envelopes(lower, upper))
         for tau in taus:
             env = _Envelopes.of_values(v1, v0, tag, t_grid)
@@ -516,14 +527,15 @@ def _cold_full_program(prog, v1, v0, t_grid):
     return cold
 
 
-def test_si_session_certifies_or_falls_back_to_the_full_program():
+def test_si_session_certifies_or_falls_back_to_the_full_program(monkeypatch):
     # random costs, unlike envelope objectives, often put the optimum of the
     # SI program without its 2-increasing rows outside those rows; the
     # oracle's linear form at t = step is the step-th cost vector
     prog = _copula_program(6, 6, "SI")
     rng = np.random.default_rng(0)
     costs = [rng.normal(size=prog.nvar) for _ in range(200)]
-    env = _Envelopes(np.arange(200.0), [np.arange(200)], lambda b: (prog, costs[b[0]], 0.0))
+    monkeypatch.setattr(bounds, "_staircase_form", lambda tag, b: (prog, costs[b[0]], 0.0))
+    env = _Envelopes(np.arange(200.0), [np.arange(200)], _nan_brackets(200), "SI")
     for step, coefs in enumerate(costs):
         sense = ("min", "max")[step % 2]
         got = env.mass(sense, step)
@@ -560,7 +572,7 @@ def test_session_envelopes_match_cold_full_programs(tag):
         brackets = bounds._coupling_brackets(v1, v0, t_grid, _pairs_above(v1, v0, t_grid))
         met = sum(
             _assert_pinned_where_the_brackets_meet(values, np.array(exact), *brackets[side])
-            for side, values, exact in zip(("min", "max"), oracle.dense(), cold)
+            for side, values, exact in zip(("min", "max"), _dense(oracle), cold)
         )
         assert oracle.decided == met
         staircases, costly = _pairs_above(v1, v0, t_grid), {}
@@ -675,7 +687,7 @@ def test_equal_staircases_give_bit_equal_values():
     grid = default_t_grid(v1, v0, 41)
     for tag in ("SI", "PQD"):
         env = _Envelopes.of_values(v1, v0, tag, grid)
-        dense = np.array(env.dense())
+        dense = np.array(_dense(env))
         assert env.recalled > 0
         alone = [
             [_Envelopes.of_values(v1, v0, tag, grid).mass(side, idx) for idx in range(grid.size)]
@@ -721,10 +733,10 @@ def test_a_session_optimum_that_breaks_any_row_costs_one_cold_solve(monkeypatch,
     q1, q0 = population_curves(SUBGROUPS[2], 12)
     v1, v0 = q1.values, q0.values
     grid = default_t_grid(v1, v0, 21)
-    want = np.array(_Envelopes.of_values(v1, v0, tag, grid).dense())
+    want = np.array(_dense(_Envelopes.of_values(v1, v0, tag, grid)))
     monkeypatch.setattr(bounds._CopulaProgram, "run", broken_run)
     env = _Envelopes.of_values(v1, v0, tag, grid)
-    got = np.array(env.dense())
+    got = np.array(_dense(env))
     assert env.fallbacks == env.solves > 0
     assert_allclose(got, want, rtol=0, atol=1e-9)
 
@@ -832,7 +844,7 @@ def test_session_values_do_not_depend_on_solve_order(tag):
         "reverse": pairs[::-1],
         "shuffled": [pairs[n] for n in shuffled],
     }
-    dense = np.array(_Envelopes.of_values(v1, v0, tag, grid).dense())
+    dense = np.array(_dense(_Envelopes.of_values(v1, v0, tag, grid)))
     for name, order in orders.items():
         env = _Envelopes.of_values(v1, v0, tag, grid)
         got = {pair: env.mass(*pair) for pair in order}
@@ -851,7 +863,7 @@ def test_a_refused_start_basis_solves_from_no_basis(monkeypatch, tag):
     v1, v0 = q1.values, q0.values
     grid = default_t_grid(v1, v0, 21)
     env = _Envelopes.of_values(v1, v0, tag, grid)
-    got = env.dense()
+    got = _dense(env)
     cold = _cold_full_program(_copula_program(12, 12, tag), v1, v0, grid)
     assert len(refused) == env.solves > 0
     assert_allclose(got, cold, rtol=0, atol=1e-9)
@@ -897,7 +909,7 @@ def test_a_session_run_that_ends_non_optimal_costs_one_cold_full_solve(monkeypat
     v1, v0 = q1.values, q0.values
     grid = default_t_grid(v1, v0, 21)
     env = _Envelopes.of_values(v1, v0, tag, grid)
-    got = env.dense()
+    got = _dense(env)
     stopped = [prog for run, prog in runs if run.status != "optimal"]
     assert 0 < len(stopped) < len(runs) == env.solves
     assert len(cold) == len(stopped) == env.fallbacks
@@ -992,7 +1004,7 @@ def test_lp_counts_do_not_rise(monkeypatch):
         # its LPs, the values where the brackets meet and the one value an
         # equal staircase recalls make up all 82 values
         env = _Envelopes.of_curves(q1, q0, si, t_grid=grid)
-        assert solved(env.dense) == (54, 0)
+        assert solved(lambda: _dense(env)) == (54, 0)
         assert (env.decided, env.recalled) == (27, 1)
         assert solved(lambda: (env.invert(0.25), env.invert(0.5))) == (0, 0)
         assert (env.decided, env.recalled) == (27, 1)
@@ -1008,24 +1020,19 @@ def test_lp_counts_do_not_rise(monkeypatch):
         # 281 LPs and 127,508 iterations on the full program
         q1, q0 = population_curves(SUBGROUPS[5], 50)
         env = _Envelopes.of_curves(q1, q0, si)
-        assert solved(env.dense) == (268, 0)
+        assert solved(lambda: _dense(env)) == (268, 0)
         assert (env.iterations, env.decided, env.recalled) == (44668, 121, 13)
 
 
-@pytest.mark.parametrize(
-    "program, k", [("SI", 12), ("SI", 20), ("PQD", 12), ("PQD", 20), ("Bernstein SI", 20)]
-)
+@pytest.mark.parametrize("program, k", [("SI", 12), ("SI", 20), ("PQD", 12), ("PQD", 20)])
 def test_dense_values_and_counts_do_not_depend_on_the_worker_count(monkeypatch, program, k):
     q1, q0 = population_curves(SUBGROUPS[2], k)
     grid = default_t_grid(q1.values, q0.values, 41)
 
     def call():
-        if program == "Bernstein SI":
-            return bernstein_lp_bounds(q1, q0, AssumptionSet("SI"), t_grid=grid, m1=10, m2=10)
         return coupling_lp_bounds(q1, q0, AssumptionSet(program), t_grid=grid)
 
-    # every dense pass, the per-cell one of coupling_lp_bounds and the one
-    # ``dense`` makes of its own oracle, goes through ``dense_pass``
+    # the dense pass of coupling_lp_bounds goes through ``dense_pass``
     passes = []
     dense_pass = _Envelopes.dense_pass
 
@@ -1078,7 +1085,7 @@ def test_guided_search_finds_the_first_index_the_dense_values_reach(monkeypatch,
     v1 = np.sort(rng.normal(0.3, 1.4, size=k))
     v0 = np.sort(rng.normal(0.0, 0.8, size=k))
     grid = default_t_grid(v1, v0, 41)
-    dense = dict(zip(("min", "max"), _Envelopes.of_values(v1, v0, tag, grid).dense()))
+    dense = dict(zip(("min", "max"), _dense(_Envelopes.of_values(v1, v0, tag, grid))))
     taus = np.concatenate([np.arange(1, k) / k, rng.uniform(0.02, 0.98, size=4)])
     for workers in (1, 2):
         _workers(monkeypatch, workers)
@@ -1109,7 +1116,7 @@ class _TableProgram:
 
 
 @pytest.mark.parametrize("shape", ["step", "convex", "concave", "staircase"])
-def test_guided_search_probes_stay_within_the_safeguard_bound(shape):
+def test_guided_search_probes_stay_within_the_safeguard_bound(monkeypatch, shape):
     # brackets 0 and 1 everywhere leave the whole grid open, so every height
     # the search has not probed is 1/2; on a step or a sharply bent curve the
     # line between the ends crosses tau far from the first index that reaches it
@@ -1131,9 +1138,8 @@ def test_guided_search_probes_stay_within_the_safeguard_bound(shape):
             if not reached.size:
                 continue
             prog = _TableProgram(values)
-            env = _Envelopes(
-                np.arange(float(n)), [np.arange(n)], lambda b: (prog, None, 0.0), brackets=brackets
-            )
+            monkeypatch.setattr(bounds, "_staircase_form", lambda tag, b: (prog, None, 0.0))
+            env = _Envelopes(np.arange(float(n)), [np.arange(n)], brackets, "SI")
             assert env.first_reaching("min", tau, n - 1) == reached[0], (at, tau)
             assert prog.runs <= cap, (at, tau, prog.runs)
             assert (env.solves, env.decided) == (prog.runs, 0)
@@ -1226,12 +1232,14 @@ def test_a_certificate_that_fails_on_a_helper_thread_falls_back_there(monkeypatc
     rng = np.random.default_rng(0)
     costs = [rng.normal(size=prog.nvar) for _ in range(100)]
 
+    monkeypatch.setattr(bounds, "_staircase_form", lambda tag, b: (prog, costs[b[0]], 0.0))
+
     def oracle():
-        return _Envelopes(np.arange(100.0), [np.arange(100)], lambda b: (prog, costs[b[0]], 0.0))
+        return _Envelopes(np.arange(100.0), [np.arange(100)], _nan_brackets(100), "SI")
 
     _workers(monkeypatch, 1)
     serial = oracle()
-    want = serial.dense()
+    want = _dense(serial)
     caller, cold_elsewhere = threading.get_ident(), threading.Event()
     run_of, cold_solve = bounds._CopulaProgram.run, bounds._solve
 
@@ -1249,7 +1257,7 @@ def test_a_certificate_that_fails_on_a_helper_thread_falls_back_there(monkeypatc
     monkeypatch.setattr(bounds, "_solve", recorded_cold)
     _workers(monkeypatch, 2)
     env = oracle()
-    got = env.dense()
+    got = _dense(env)
     assert cold_elsewhere.is_set()
     assert np.array_equal(got, want)
     assert (env.solves, env.fallbacks, env.iterations) == (
@@ -1291,7 +1299,7 @@ def test_an_lp_that_fails_on_a_helper_thread_raises_the_earliest_in_serial_order
     before = set(threading.enumerate())
     env = _Envelopes.of_values(v1, v0, "SI", grid)
     with pytest.raises(LpSolveError, match="LP failed at t=") as info:
-        env.dense()
+        _dense(env)
     assert info.value.t == first
     # a later item raised first. Once the earliest failing item in item
     # order raised, no item after it starts: at most the one the other
@@ -1554,7 +1562,7 @@ def test_one_pass_over_cells_equals_dense_passes_cell_by_cell(monkeypatch, tag):
     for workers in (1, 2):
         _workers(monkeypatch, workers)
         cells = [_Envelopes.of_values(v1[r], v0[r], tag, grid[r]) for r in range(2)]
-        want = np.array([_monotone_envelopes(*env.dense()) for env in cells])
+        want = np.array([_monotone_envelopes(*_dense(env)) for env in cells])
         made.clear()
         counts.update(run=0, cold=0)
         lower, upper = bounds._envelope_rows(tag, v1, v0, grid)
@@ -1575,14 +1583,14 @@ def test_more_workers_than_cores_keep_every_value_once(monkeypatch):
     grid = default_t_grid(q1.values, q0.values, 41)
     _workers(monkeypatch, 1)
     serial = _Envelopes.of_curves(q1, q0, AssumptionSet("SI"), t_grid=grid)
-    want = serial.dense()
+    want = _dense(serial)
     counts.update(run=0, cold=0)
     _workers(monkeypatch, 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         env = _Envelopes.of_curves(q1, q0, AssumptionSet("SI"), t_grid=grid)
-        got = env.dense()
+        got = _dense(env)
     finally:
         sys.setswitchinterval(interval)
     assert np.array_equal(got, want)
@@ -1707,6 +1715,40 @@ def test_bernstein_degree_one_is_independence():
             bernstein_lp_bounds(q1, q0, quad_points=points)
 
 
+def test_bernstein_degrees_and_quad_points_must_be_integers():
+    # quad_points = 2.5 put a node at 1.0 and still gave envelopes
+    q1 = curve(normal_ppf(u_grid(8), 0.5, 1.0))
+    q0 = curve(normal_ppf(u_grid(8), 0.0, 1.0))
+    t_grid = default_t_grid(q1.values, q0.values, 9)
+    for degrees in ({"m1": 2.5}, {"m2": 2.5}, {"m1": 3.0}):
+        with pytest.raises(ValueError, match="^degrees m1, m2 must be at least 1$"):
+            bernstein_lp_bounds(q1, q0, t_grid=t_grid, **degrees)
+    for points in (2.5, 8.0):
+        with pytest.raises(ValueError, match="^quad_points must be at least 1$"):
+            bernstein_lp_bounds(q1, q0, t_grid=t_grid, quad_points=points)
+    want = bernstein_lp_bounds(q1, q0, t_grid=t_grid, m1=2, m2=3, quad_points=8)
+    got = bernstein_lp_bounds(
+        q1, q0, t_grid=t_grid, m1=np.int64(2), m2=np.int32(3), quad_points=np.int64(8)
+    )
+    assert got.lower.tobytes() + got.upper.tobytes() == want.lower.tobytes() + want.upper.tobytes()
+
+
+@pytest.mark.parametrize(
+    "entry", ["coupling_lp_bounds", "qote_coupling_bounds", "functional_bounds", "classification"]
+)
+def test_grid_sizes_that_are_not_integers_are_rejected(entry):
+    # k = 2.5 read the curves on the grid [0.2, 0.6, 1.0], which holds u = 1
+    q1, q0 = population_curves(SUBGROUPS[2], 8)
+    calls = {
+        "coupling_lp_bounds": lambda: coupling_lp_bounds(q1, q0, AssumptionSet("SI"), k=2.5),
+        "qote_coupling_bounds": lambda: qote_coupling_bounds(q1, q0, 0.5, k=2.5),
+        "functional_bounds": lambda: functional_bounds(q1, q0, AssumptionSet(), CVaR(0.0), k=2.5),
+        "classification": lambda: classification_experiment(SUBGROUPS[2], 0.25, 40, 1, k=2.5),
+    }
+    with pytest.raises(ValueError, match="^k must be a positive integer$"):
+        calls[entry]()
+
+
 def test_bernstein_bytes_runs_and_iterations_are_pinned(monkeypatch):
     # every value of a Bernstein envelope is one run of the one full program
     # of degrees (10, 10), its model passed into HiGHS afresh for each, and
@@ -1747,6 +1789,46 @@ def test_bernstein_bytes_runs_and_iterations_are_pinned(monkeypatch):
             counts.get(name, (0, 0)) for name in ("run", "cold")
         )
         assert (digest, runs, colds, run_iterations + cold_iterations) == pin, (tag, subgroup)
+
+
+def test_bernstein_values_and_counts_do_not_depend_on_the_worker_count(monkeypatch):
+    # the LPs of both sides run on ``_on_workers``: on one worker and on two,
+    # bit-equal envelopes from equal runs, cold solves and simplex
+    # iterations, and where every LP fails, the error of the first LP of the
+    # min side, in order of first appearance, at t_grid[0]
+    q1, q0 = population_curves(SUBGROUPS[2], 20)
+    grid = default_t_grid(q1.values, q0.values, 41)
+    run_of, cold_solve = bounds._CopulaProgram.run, bounds._solve
+    counts, lock = {}, threading.Lock()
+
+    def counted(name, sol):
+        with lock:
+            runs, iterations = counts.get(name, (0, 0))
+            counts[name] = (runs + 1, iterations + sol.iterations)
+        return sol
+
+    def envelopes():
+        return bernstein_lp_bounds(q1, q0, AssumptionSet("SI"), t_grid=grid, m1=10, m2=10)
+
+    monkeypatch.setattr(
+        bounds._CopulaProgram, "run", lambda prog, *args: counted("run", run_of(prog, *args))
+    )
+    monkeypatch.setattr(bounds, "_solve", lambda *args: counted("cold", cold_solve(*args)))
+    found = []
+    for count in (1, 2):
+        _workers(monkeypatch, count)
+        counts.clear()
+        env = envelopes()
+        found.append((env.lower.tobytes() + env.upper.tobytes(), dict(counts)))
+    assert found[1] == found[0]
+    assert found[0][1]["run"][0] > 0
+    failed = LpSolution(status="failed", message="stalled")
+    monkeypatch.setattr(bounds, "solve_lp", lambda *program: failed)
+    for count in (1, 2):
+        _workers(monkeypatch, count)
+        with pytest.raises(LpSolveError) as info:
+            envelopes()
+        assert info.value.t == grid[0] == -10.759783907240324
 
 
 def test_bernstein_envelopes_nest_and_stay_valid():

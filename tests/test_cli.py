@@ -182,7 +182,7 @@ def dense_si_then_tables(out):
     v1 = make_y_grid(sample.y[sample.d == 1], 10)
     v0 = make_y_grid(sample.y[sample.d == 0], 10)
     env = bounds._Envelopes.of_values(v1, v0, "SI", bounds.default_t_grid(v1, v0, 31))
-    lower, upper = env.dense()
+    lower, upper = bounds._Envelopes.dense_pass([env])[0]
     argv = ["tables", "--subgroups", "1,8", "--tau", "0.25", "--n", "100", "--reps", "4",
             "--k", "6", "--out", out]
     assert cli.main(argv) == 0

@@ -110,6 +110,48 @@ def test_conditional_cdf_validation():
         ConditionalCdf([0.0, 1.0], [0.2, 1.5])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ("QuantileCurve values", "^quantile values must be finite$"),
+        ("QuantileCurve u_grid", "^u_grid must lie strictly inside"),
+        ("ConditionalCdf y_grid", "^y_grid must be finite$"),
+        ("ConditionalCdf probs", "^probs must lie in"),
+        ("empirical_quantile", "^values must be finite$"),
+        ("make_y_grid", "^values must be finite$"),
+    ],
+)
+def test_non_finite_values_are_rejected(entry, message, bad):
+    # a NaN slipped past comparisons that are False for NaN: a curve
+    # [nan, 1, 2] gave quantile bounds, and the median of [nan, 1] was 1
+    calls = {
+        "QuantileCurve values": lambda: QuantileCurve(u_grid(3), [bad, 1.0, 2.0]),
+        "QuantileCurve u_grid": lambda: QuantileCurve([bad, 0.5, 0.75], [0.0, 1.0, 2.0]),
+        "ConditionalCdf y_grid": lambda: ConditionalCdf([bad, 1.0, 2.0], [0.0, 0.5, 1.0]),
+        "ConditionalCdf probs": lambda: ConditionalCdf([0.0, 1.0, 2.0], [bad, 0.5, 1.0]),
+        "empirical_quantile": lambda: empirical_quantile([bad, 1.0], 0.5),
+        "make_y_grid": lambda: make_y_grid([bad, 1.0, 2.0], 2),
+    }
+    with pytest.raises(ValueError, match=message):
+        calls[entry]()
+
+
+@pytest.mark.parametrize("k", [2.5, 3.0, "3"])
+def test_grid_sizes_that_are_not_integers_are_rejected(k):
+    # u_grid(2.5) was [0.2, 0.6, 1.0], a grid holding u = 1
+    for call in (lambda: u_grid(k), lambda: make_y_grid([0.0, 1.0, 2.0], k)):
+        with pytest.raises(ValueError, match="^k must be a positive integer$"):
+            call()
+
+
+def test_numpy_integer_grid_sizes_pass():
+    values = [2.0, 0.0, 1.0, 5.0]
+    for k in (np.int64(3), np.int32(3), np.uint8(3)):
+        assert_array_equal(u_grid(k), u_grid(3))
+        assert_array_equal(make_y_grid(values, k), make_y_grid(values, 3))
+
+
 def test_kernel_cdf_without_covariates_is_empirical_strict_cdf():
     y = np.array([1.0, 2.0, 2.0, 3.0])
     s = Sample(y=y, d=[0, 1, 0, 1], x=np.zeros((4, 0)))

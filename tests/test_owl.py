@@ -183,6 +183,13 @@ def test_decision_function_json_round_trip():
     assert restored.sigma == f.sigma
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_decision_functions_reject_non_finite_support_points(bad):
+    # a NaN support point made predict_policy answer "do not treat" everywhere
+    with pytest.raises(ValueError, match="^support points must be finite$"):
+        DecisionFunction(np.array([[0.0], [bad]]), np.ones(2), 1.0)
+
+
 def test_decision_function_validation():
     with pytest.raises(ValueError, match="one coefficient"):
         DecisionFunction(np.zeros((3, 1)), np.zeros(2), 1.0)

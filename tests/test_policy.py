@@ -70,6 +70,13 @@ def test_sign_conventions_at_zero():
     assert first_best(TruthField((((0.0,), 0.0),))).deltas()[0] == 1.0
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_truth_fields_reject_non_finite_effects(bad):
+    # a NaN effect made first_best answer "do not treat"
+    with pytest.raises(ValueError, match="^quantile treatment effects must be finite$"):
+        TruthField((((0.0,), 1.0), ((1.0,), bad)))
+
+
 def test_point_identified_cells_collapse_every_rule():
     for q in (-2.0, 0.5):
         b = QoteBounds(q, q)

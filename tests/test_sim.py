@@ -396,6 +396,7 @@ def test_si_majority_action_follows_dense_si_inversion(subgroup):
         t_grid = default_t_grid(v1, v0, 41)
         for tau in (0.25, 0.5):
             env = _Envelopes.of_values(v1, v0, "SI", t_grid)
-            dense = invert_bounds(DeltaCdfBounds(t_grid, *_monotone_envelopes(*env.dense())), tau)
+            lower, upper = _Envelopes.dense_pass([env])[0]
+            dense = invert_bounds(DeltaCdfBounds(t_grid, *_monotone_envelopes(lower, upper)), tau)
             action = _si_majority_action(v1, v0, tau, t_grid, _staircase_qote(v1, v0, tau))
             assert action == mmr_deterministic(dense), (rep, tau)

@@ -16,8 +16,10 @@ what:
   start basis made once per shape, with one cold ``solve`` of every row as
   the fallback, which raises ``LpSolveError``.
 - ``_Envelopes``: one oracle per (grids, tag, t grid) of the SI or PQD
-  couplings, which finds each distinct (side, staircase) at most once on
-  the coarse program it touches, settles values from closed-form brackets,
+  couplings, which finds the value of each side and run of equal
+  staircases (``_staircase_runs``, one split along t that
+  ``bernstein_lp_bounds`` shares) at most once on the coarse program it
+  touches, keeps it per run, settles values from closed-form brackets,
   and serves dense envelopes (in one ``dense_pass`` over any number of
   oracles, largest program first), lazy ``invert`` and the probes of
   ``sim``.
@@ -427,7 +429,9 @@ def _pairs_above(v1, v0, t_grid):
     its own t grid. Each difference is compared with t as it is computed.
     Locating v1[i] - t among v0 instead rounds v1[i] - t first, which can
     misplace a pair whose difference equals t; the ends of the default t
-    grid are such differences.
+    grid are such differences. Every count is nonincreasing in n: a pair
+    above t[n + 1] is above the smaller t[n]. So the staircases (columns)
+    that are equal lie next to each other (``_staircase_runs``).
     """
     t = np.atleast_1d(np.asarray(t_grid, float))
     k, size = v1.shape[-1], t.shape[-1]
@@ -440,6 +444,12 @@ def _pairs_above(v1, v0, t_grid):
         minlength=rows * (size + 1),
     ).reshape(diffs.shape[:-2] + (k, size + 1))
     return v0.shape[-1] - np.cumsum(hits, axis=-1, out=hits)[..., :size]
+
+
+def _staircase_runs(above) -> np.ndarray:
+    """The run of equal staircases (columns of ``_pairs_above``) each t lies in, numbered
+    from 0: equal staircases are neighbours, so a run holds every t with its staircase."""
+    return np.concatenate([[0], np.cumsum(np.diff(above, axis=1).any(axis=0))])
 
 
 def _staircase_envelopes(above):
@@ -857,12 +867,13 @@ class _Envelopes:
     SI or PQD couplings (``tag``) of two grids, solved on demand. A value
     reads t only through ``staircases[:, idx]``, its staircase at
     t_grid[idx]: ``mass(side, idx)`` is the ``bound`` of the coarse program
-    that staircase touches (``_staircase_form``), found once per distinct
-    (side, staircase) and in the order asked. An index whose staircase the
-    side has already solved recalls that value: an equal staircase gives the
-    same program and costs, and so the same value. ``dense_pass`` finds the
-    values that a list of oracles lack in one run of ``_on_workers``, the
-    largest programs first (``_staircase_sizes``), and ``invert`` finds the
+    that staircase touches (``_staircase_form``), found once per side and
+    run of equal staircases (``_staircase_runs``, numbered once here) and in
+    the order asked. Each side keeps one value per run, NaN until solved,
+    and an index of a run the side has solved recalls it: an equal
+    staircase gives the same program and costs, and so the same value.
+    ``dense_pass`` finds the values that a list of oracles lack in one run
+    of ``_on_workers``, the largest programs first, and ``invert`` finds the
     two sides on ``_on_workers``. Every run is its program's ``run``, on the
     calling thread, from the program's start basis, so a value depends
     neither on the order in which values are asked for nor on the thread
@@ -889,9 +900,10 @@ class _Envelopes:
     def __init__(self, t_grid, staircases, brackets: dict, tag: str):
         self.t_grid = _checked_t_grid(t_grid)
         self._staircases, self._brackets, self._tag = np.asarray(staircases), brackets, tag
+        self._run = _staircase_runs(self._staircases)
         self._values = dict(zip(_SENSES, np.full((2, self.t_grid.size), np.nan)))
-        # side -> {staircase bytes: value}
-        self._found = {side: {} for side in _SENSES}
+        # side -> the value solved for each run, NaN until one is
+        self._solved = dict(zip(_SENSES, np.full((2, self._run[-1] + 1), np.nan)))
         self._counts = {
             side: dict.fromkeys(("solves", "fallbacks", "iterations", "decided", "recalled"), 0)
             for side in _SENSES
@@ -928,37 +940,25 @@ class _Envelopes:
         return cls.of_values(v1, v0, tag, t_grid)
 
     def mass(self, side: str, idx) -> float:
-        """The side's value at t_grid[idx], found the first time it is asked for."""
-        values = self._values[side]
-        if np.isnan(values[idx]) and not self._meets(side, idx) and not self._recalls(side, idx):
-            self._keep(side, idx, self._bound(side, idx))
-        return float(values[idx])
+        """The side's value at t_grid[idx], found the first time it is asked for.
 
-    def _meets(self, side: str, idx) -> bool:
-        """Whether the side's brackets meet at t_grid[idx], keeping their value if so.
-
-        Their common value is the envelope's: every bracket is a/k or
-        1 - s/k^2, so two equal as floats are the same rational.
+        Where the side's brackets meet, their common value is the envelope's:
+        every bracket is a/k or 1 - s/k^2, so two equal as floats are the same
+        rational. Else a run the side has solved recalls its value, and any
+        other index solves its staircase.
         """
+        values, solved, run = self._values[side], self._solved[side], self._run[idx]
         floor, ceiling = self._brackets[side]
-        if floor[idx] != ceiling[idx]:
-            return False
-        self._values[side][idx] = floor[idx]
-        self._counts[side]["decided"] += 1
-        return True
-
-    def _key(self, idx) -> bytes:
-        """The staircase at t_grid[idx], as the key of its side's solved values."""
-        return self._staircases[:, idx].tobytes()
-
-    def _recalls(self, side: str, idx) -> bool:
-        """Whether the side has solved the staircase at t_grid[idx], keeping that value if so."""
-        value = self._found[side].get(self._key(idx))
-        if value is None:
-            return False
-        self._values[side][idx] = value
-        self._counts[side]["recalled"] += 1
-        return True
+        if np.isnan(values[idx]):
+            if floor[idx] == ceiling[idx]:
+                values[idx] = floor[idx]
+                self._counts[side]["decided"] += 1
+            elif not np.isnan(solved[run]):
+                values[idx] = solved[run]
+                self._counts[side]["recalled"] += 1
+            else:
+                self._keep(side, idx, self._bound(side, idx))
+        return float(values[idx])
 
     def _bound(self, side: str, idx):
         """The ``bound`` of the staircase at t_grid[idx]: (value, runs)."""
@@ -966,67 +966,66 @@ class _Envelopes:
         return prog.bound(coefs, const, side, float(self.t_grid[idx]))
 
     def _keep(self, side: str, idx, found) -> None:
-        """Keep a found (value, runs) for its index and its staircase, and count its runs."""
+        """Keep a found (value, runs) for its index and its run, and count its runs."""
         value, runs = found
-        self._values[side][idx] = value
-        self._found[side][self._key(idx)] = value
+        self._values[side][idx] = self._solved[side][self._run[idx]] = value
         counts = self._counts[side]
         counts["solves"] += len(runs[:1])
         counts["fallbacks"] += len(runs[1:])
         counts["iterations"] += sum(run.iterations for run in runs)
 
     def _open(self):
-        """(pending, solve, sizes) of a dense pass.
+        """(solve, sizes) of a dense pass.
 
         It first keeps every missing value where the brackets meet. Then
-        ``pending`` holds the (side, idx) still missing, every min in index
-        order and then every max, ``solve`` the first of them of each
-        distinct (side, staircase) the side has not solved, and ``sizes``
-        the size of each one's program.
+        ``solve`` holds the (side, idx) of the first missing index of each run
+        the side has not solved, every min in index order and then every max,
+        and ``sizes`` the size of each one's program.
         """
-        pending = [
-            (side, idx)
-            for side in _SENSES
-            for idx in np.flatnonzero(np.isnan(self._values[side]))
-            if not self._meets(side, idx)
-        ]
-        first = {}
-        for side, idx in pending:
-            if self._key(idx) not in self._found[side]:
-                first.setdefault((side, self._key(idx)), (side, idx))
-        solve = list(first.values())
-        return pending, solve, _staircase_sizes(self._staircases[:, [idx for _, idx in solve]])
+        solve = []
+        for side in _SENSES:
+            values, (floor, ceiling) = self._values[side], self._brackets[side]
+            meet = np.isnan(values) & (floor == ceiling)
+            values[meet] = floor[meet]
+            self._counts[side]["decided"] += int(meet.sum())
+            missing = np.flatnonzero(np.isnan(values))
+            missing = missing[np.isnan(self._solved[side][self._run[missing]])]
+            first = np.unique(self._run[missing], return_index=True)[1]
+            solve += [(side, int(idx)) for idx in missing[first]]
+        return solve, _staircase_sizes(self._staircases[:, [idx for _, idx in solve]])
 
-    def _close(self, pending, solve, found) -> None:
+    def _close(self, solve, found) -> None:
         """Keep what was found for ``solve``, in order; then every other
-        pending index recalls its value."""
+        missing index recalls the value of its run."""
         for (side, idx), result in zip(solve, found):
             self._keep(side, idx, result)
-        for side, idx in pending:
-            if np.isnan(self._values[side][idx]):
-                self._recalls(side, idx)
+        for side in _SENSES:
+            values = self._values[side]
+            missing = np.isnan(values)
+            values[missing] = self._solved[side][self._run[missing]]
+            self._counts[side]["recalled"] += int(missing.sum())
 
     @staticmethod
     def dense_pass(oracles) -> list:
         """(lower, upper) at every t of each oracle, what they lack found in one pass.
 
         Each oracle keeps every missing value where its brackets meet. The
-        first index of each distinct (side, staircase) left open is then one
-        item of ``_on_workers``, oracle by oracle, every min in index order
-        and then every max, and the items run largest program first, ties in
-        that order. The oracles keep them as a pass over each in turn would,
-        in that order, and the other indices recall those values. Where an
-        item raises, the pass raises what that serial order would raise
-        first, and no oracle keeps a value the pass found.
+        first index of each run of equal staircases left open on a side is
+        then one item of ``_on_workers``, oracle by oracle, every min in index
+        order and then every max, and the items run largest program first,
+        ties in that order. The oracles keep them as a pass over each in turn
+        would, in that order, and the other indices recall those values.
+        Where an item raises, the pass raises what that serial order would
+        raise first, and no oracle keeps a value the pass found.
         """
         plans = [env._open() for env in oracles]
-        items = [(env, *item) for env, (_, solve, _) in zip(oracles, plans) for item in solve]
-        sizes = np.concatenate([np.zeros(0)] + [sizes for _, _, sizes in plans])
+        items = [(env, *item) for env, (solve, _) in zip(oracles, plans) for item in solve]
+        sizes = np.concatenate([np.zeros(0)] + [sizes for _, sizes in plans])
         order = np.argsort(-sizes, kind="stable").tolist()
         found = _on_workers(items, lambda item: item[0]._bound(item[1], item[2]), order)
         at = 0
-        for env, (pending, solve, _) in zip(oracles, plans):
-            env._close(pending, solve, found[at : at + len(solve)])
+        for env, (solve, _) in zip(oracles, plans):
+            env._close(solve, found[at : at + len(solve)])
             at += len(solve)
         return [(env._values["min"].copy(), env._values["max"].copy()) for env in oracles]
 
@@ -1245,8 +1244,8 @@ def bernstein_lp_bounds(
     r0 = np.hstack([np.cumsum(a0[:, ::-1], axis=1)[:, ::-1], np.zeros((m2 + 1, 1))])
     prog = _copula_program(m1, m2, tag)
     above = _pairs_above(q1n, q0n, t_grid)
-    _, first, inverse = np.unique(above, axis=1, return_index=True, return_inverse=True)
-    order = np.argsort(first)  # the distinct staircases, in order of first appearance
+    run = _staircase_runs(above)
+    first = np.unique(run, return_index=True)[1]  # the first t of each run
 
     def bound(item):
         side, idx = item
@@ -1254,11 +1253,8 @@ def bernstein_lp_bounds(
         coefs, const = prog.fold(w.ravel())
         return prog.bound(coefs, float(const), side, float(t_grid[idx]))[0]
 
-    found = np.empty((2, first.size))
-    found[:, order] = np.reshape(
-        _on_workers([(side, first[u]) for side in _SENSES for u in order], bound), (2, -1)
-    )
-    lower, upper = found[:, inverse.ravel()]
+    found = _on_workers([(side, idx) for side in _SENSES for idx in first], bound)
+    lower, upper = np.reshape(found, (2, -1))[:, run]
     return DeltaCdfBounds(t_grid, *_monotone_envelopes(lower, upper))
 
 

@@ -30,19 +30,19 @@ class Sample:
         y = np.asarray(self.y, dtype=float)
         d = np.asarray(self.d)
         x = np.asarray(self.x, dtype=float)
-        if x.ndim == 1:
-            x = x.reshape(len(y), -1) if x.size else np.empty((len(y), 0))
+        if x.ndim == 1:  # one covariate, or none
+            x = x.reshape(-1, 1) if x.size else np.empty((len(y), 0))
+        if not np.all(np.isfinite(y)):
+            raise ValueError("outcomes must be finite")
+        if not np.all(np.isfinite(x)):
+            raise ValueError("covariates must be finite")
+        if not np.isin(d, (0, 1)).all():  # before the cast, which would truncate 0.5 or NaN
+            raise ValueError("treatment indicator must be 0 or 1")
+        if x.shape[0] != y.shape[0] or d.shape[0] != y.shape[0]:
+            raise ValueError("y, d, x must have the same number of rows")
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "d", d.astype(int))
         object.__setattr__(self, "x", x)
-        if not np.all(np.isfinite(self.y)):
-            raise ValueError("outcomes must be finite")
-        if not np.all(np.isfinite(self.x)):
-            raise ValueError("covariates must be finite")
-        if not np.isin(self.d, (0, 1)).all():
-            raise ValueError("treatment indicator must be 0 or 1")
-        if self.x.shape[0] != self.y.shape[0] or self.d.shape[0] != self.y.shape[0]:
-            raise ValueError("y, d, x must have the same number of rows")
 
     @property
     def n(self) -> int:
@@ -227,12 +227,7 @@ def read_sample_csv(path_or_buffer) -> Sample:
     data = _plain_rows(text)
     if data is None:
         data = _csv_rows(text)
-    y = data[:, 0] + 0.0  # "-0" reads as 0.0
-    d = data[:, 1]
-    x = data[:, 2:] + 0.0
-    if not np.all((d == 0) | (d == 1)):
-        raise ValueError("treatment indicator must be 0 or 1")
-    return Sample(y, d, x)
+    return Sample(data[:, 0] + 0.0, data[:, 1], data[:, 2:] + 0.0)  # "-0" reads as 0.0
 
 
 def _plain_rows(text: str):

@@ -31,6 +31,12 @@ def _as_point(x) -> Tuple[float, ...]:
     return tuple(float(v) for v in np.atleast_1d(np.asarray(x, dtype=float)))
 
 
+def _check_points(points) -> None:
+    """Raise unless every coordinate of every covariate point is finite."""
+    if not all(map(math.isfinite, itertools.chain.from_iterable(points))):
+        raise ValueError("covariate points must be finite")
+
+
 @dataclass(frozen=True)
 class BoundField:
     """Per-cell quantile bounds with cell probabilities: ((x, weight, bounds), ...)."""
@@ -45,8 +51,7 @@ class BoundField:
         if not cells:
             raise ValueError("field needs at least one cell")
         points = [x for x, _, _ in cells]
-        if not all(map(math.isfinite, itertools.chain.from_iterable(points))):
-            raise ValueError("covariate points must be finite")
+        _check_points(points)
         if len(set(points)) < len(points):
             raise ValueError("covariate points must not repeat")
         if len({len(x) for x in points}) > 1:
@@ -80,6 +85,7 @@ class PolicyField:
     def __post_init__(self):
         cells = tuple((_as_point(x), float(d)) for (x, d) in self.cells)
         object.__setattr__(self, "cells", cells)
+        _check_points(x for x, _ in cells)
         if self.kind not in ("stochastic", "deterministic"):
             raise ValueError("kind must be stochastic or deterministic")
         d = np.array([c[1] for c in cells])
@@ -104,6 +110,7 @@ class TruthField:
     def __post_init__(self):
         cells = tuple((_as_point(x), float(q)) for (x, q) in self.cells)
         object.__setattr__(self, "cells", cells)
+        _check_points(x for x, _ in cells)
         if not all(math.isfinite(q) for _, q in cells):
             raise ValueError("quantile treatment effects must be finite")
 

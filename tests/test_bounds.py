@@ -281,6 +281,32 @@ def test_pairs_above_counts_the_differences():
                 assert f_up[idx] == pytest.approx(up, abs=1e-9)
 
 
+def test_equal_staircases_are_the_runs_of_the_oracle():
+    # every count of _pairs_above is nonincreasing along a strictly increasing
+    # t grid, so equal staircases are neighbours and the oracle's runs are the
+    # classes of equal staircases: on random and tied grids, grids holding
+    # exact cross differences, and scales from 1e-6 to 1e8
+    rng = np.random.default_rng(38)
+    for trial in range(240):
+        k = int(rng.integers(2, 40))
+        base1, base0 = rng.normal(0.3, 1.4, size=k), rng.normal(0.0, 0.8, size=k)
+        if trial % 2:
+            base1, base0 = np.round(base1), np.round(base0)
+        scale = 10.0 ** rng.uniform(-6, 8)
+        v1, v0 = np.sort(base1) * scale, np.sort(base0) * scale
+        grid = default_t_grid(v1, v0, int(rng.integers(1, 220)))
+        if trial % 3 == 0:
+            diffs = (v1[:, None] - v0[None, :]).ravel()
+            grid = np.unique(np.concatenate([grid, rng.choice(diffs, 2 * k, replace=False)]))
+        above = _pairs_above(v1, v0, grid)
+        assert np.all(np.diff(above, axis=1) <= 0)
+        _, first, classes = np.unique(above, axis=1, return_index=True, return_inverse=True)
+        # the classes numbered in order of first appearance, as the runs are
+        numbered = np.argsort(np.argsort(first))[classes.ravel()]
+        env = _Envelopes.of_values(v1, v0, "SI", grid)
+        assert np.array_equal(env._run, numbered), (trial, k, grid.size)
+
+
 def test_envelope_ends_are_exact():
     # the ends of the default t grid are grid differences themselves: every
     # pair has Delta <= t at the top, exactly one pair at the bottom
@@ -1857,20 +1883,15 @@ def test_bernstein_smooths_the_coupling_envelopes():
     assert np.all(bern.upper <= stair.upper + 5e-3)
 
 
-def _check_bernstein_program_optima(m):
-    # an optimum of the SI or PQD Bernstein program, completed by the copula
+@pytest.mark.parametrize("m", [4, 8])
+def test_full_copula_program_optima_are_copulas(m):
+    # an optimum of the full SI or PQD program, completed by the copula
     # boundary, is a copula on the (i/m, j/m) grid: its cell masses are
     # nonnegative (and mutually SI under SI), and under PQD it dominates the
     # independence copula ij/m^2
-    q1 = curve(normal_ppf(u_grid(10), 0.5, 1.3))
-    q0 = curve(normal_ppf(u_grid(10), 0.0, 0.9))
     grid = np.arange(m + 1) / m
     for tag in ("SI", "PQD"):
         prog = _copula_program(m, m, tag)
-        env = bernstein_lp_bounds(
-            q1, q0, AssumptionSet(tag), m1=m, m2=m, t_grid=[-0.5, 0.5], quad_points=50
-        )
-        assert np.all(env.lower <= env.upper + 1e-9)
         for sense in ("min", "max"):
             coefs = np.random.default_rng(m).normal(size=prog.nvar)
             s = full_grid(prog, prog.solve(coefs, sense, 0.5).x)
@@ -1883,12 +1904,15 @@ def _check_bernstein_program_optima(m):
                 assert np.all(s >= np.outer(grid, grid) - 1e-9)
 
 
-def test_bernstein_optimal_coefs_are_a_valid_copula():
-    _check_bernstein_program_optima(4)
-
-
-def test_bernstein_optimal_coefs_at_degree_eight():
-    _check_bernstein_program_optima(8)
+@pytest.mark.parametrize("m", [4, 8])
+def test_bernstein_envelopes_of_one_degree_nest(m):
+    q1 = curve(normal_ppf(u_grid(10), 0.5, 1.3))
+    q0 = curve(normal_ppf(u_grid(10), 0.0, 0.9))
+    for tag in ("SI", "PQD"):
+        env = bernstein_lp_bounds(
+            q1, q0, AssumptionSet(tag), m1=m, m2=m, t_grid=[-0.5, 0.5], quad_points=50
+        )
+        assert np.all(env.lower <= env.upper + 1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -92,6 +92,28 @@ def test_sample_validation_and_arm_split():
         Sample(y=[1.0, 2.0], d=[0, 1], x=np.zeros((3, 1)))
 
 
+def test_sample_checks_the_treatment_indicator_before_it_casts():
+    # the cast to int came first: flags 0.5 and 1.7 read as 0 and 1, and a NaN
+    # flag raised numpy's cast warning before this message; the CSV reader
+    # now leaves the check to Sample and gives the message it gave
+    for d in ([0.5, 1.7, 1], [0, np.nan, 1]):
+        with pytest.raises(ValueError, match="^treatment indicator must be 0 or 1$"):
+            Sample([1.0, 2.0, 3.0], d, [])
+    for flag in ("0.5", "nan"):
+        with pytest.raises(ValueError, match="^treatment indicator must be 0 or 1$"):
+            read_sample_csv(io.StringIO(f"y,d\n1.0,{flag}\n"))
+    assert Sample([1.0, 2.0], [1.0, 0.0], []).d.tolist() == [1, 0]
+
+
+def test_a_one_dimensional_x_is_one_covariate():
+    # an x of 2n values became two covariates
+    with pytest.raises(ValueError, match="same number of rows"):
+        Sample([1.0, 2.0], [0, 1], [1.0, 2.0, 3.0, 4.0])
+    s = Sample([1.0, 2.0], [0, 1], [3.0, 4.0])
+    assert s.p == 1 and s.x.tolist() == [[3.0], [4.0]]
+    assert Sample([1.0, 2.0], [0, 1], []).p == 0
+
+
 def test_quantile_curve_validation():
     QuantileCurve([0.25, 0.75], [1.0, 2.0])
     with pytest.raises(ValueError, match="inside"):

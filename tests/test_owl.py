@@ -175,6 +175,13 @@ def test_predict_policy_dimension_check():
         predict_policy(f, [(0.0, 1.0)])
 
 
+def test_predict_policy_rejects_non_finite_points():
+    # a NaN point gave the cell ((nan,), 0.0)
+    f, _ = train_owl(two_point_cells(), TrainConfig(max_epochs=3))
+    with pytest.raises(ValueError, match="^covariate points must be finite$"):
+        predict_policy(f, [[np.nan], [0.0]])
+
+
 def test_decision_function_json_round_trip():
     f, _ = train_owl(random_cells(25, 8), TrainConfig(max_epochs=20))
     restored = decision_function_from_json(decision_function_to_json(f))

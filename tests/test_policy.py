@@ -77,6 +77,15 @@ def test_truth_fields_reject_non_finite_effects(bad):
         TruthField((((0.0,), 1.0), ((1.0,), bad)))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_policy_and_truth_fields_reject_non_finite_points(bad):
+    # as BoundField does: a NaN point made a cell of its own
+    with pytest.raises(ValueError, match="^covariate points must be finite$"):
+        PolicyField((((0.0,), 1.0), ((bad,), 0.0)))
+    with pytest.raises(ValueError, match="^covariate points must be finite$"):
+        TruthField((((0.0,), 1.0), ([0.0, bad], 2.0)))
+
+
 def test_point_identified_cells_collapse_every_rule():
     for q in (-2.0, 0.5):
         b = QoteBounds(q, q)
